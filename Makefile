@@ -15,18 +15,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Scheduler hot-path microbenchmarks (indexed vs linear picker across
-# queue depths, plus the full opportunistic submit path). -benchmem
-# backs the ~0 allocs/op claim; repeated -count samples make the output
-# benchstat-ready:
+# Layer microbenchmarks: the scheduler hot path (indexed vs linear picker
+# across queue depths, plus the full opportunistic submit path), heap
+# fetch/scan/update and B-tree lookup/seek. -benchmem backs the allocs/op
+# claims; repeated -count samples make the output benchstat-ready:
 #
 #   make bench BENCH_OUT=old.txt
 #   ... edit ...
 #   make bench BENCH_OUT=new.txt
 #   benchstat old.txt new.txt
 bench:
-	$(GO) test ./internal/iosched -run '^$$' -bench 'BenchmarkSubmit' \
-		-benchmem -count $(BENCH_COUNT) | tee $(BENCH_OUT)
+	$(GO) test ./internal/iosched ./internal/engine/heap ./internal/engine/btree \
+		-run '^$$' -bench . -benchmem -count $(BENCH_COUNT) | tee $(BENCH_OUT)
 
 # The experiment-level view of the same hot path (grants/sec, allocs/op,
 # anticipatory HDD arm), as committed in BENCH_hotpath.json.

@@ -16,7 +16,6 @@ import (
 	"hstoragedb/internal/device"
 	"hstoragedb/internal/dss"
 	"hstoragedb/internal/engine"
-	"hstoragedb/internal/engine/exec"
 	"hstoragedb/internal/experiments"
 	"hstoragedb/internal/hybrid"
 	"hstoragedb/internal/tpch"
@@ -454,53 +453,10 @@ func BenchmarkPriorityCacheSubmit(b *testing.B) {
 	}
 }
 
-// BenchmarkBTreeLookup measures point lookups through the buffer pool.
-func BenchmarkBTreeLookup(b *testing.B) {
-	e := benchEnv(b)
-	ds := e.DS
-	inst, err := ds.DB.NewInstance(engine.DefaultInstanceConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess := inst.NewSession()
-	probe := &exec.IndexProbe{
-		Index: ds.DB.Cat.MustIndex("idx_orders_orderkey"),
-		Table: exec.NewTableHandle(ds.DB.Cat.MustTable("orders")),
-	}
-	ctx := sess.Ctx()
-	if err := probe.Open(ctx); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := probe.Bind(ctx, int64(i%int(ds.Orders))+1); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := probe.Next(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSeqScanThroughput measures the executor's sequential scan rate
-// over lineitem.
-func BenchmarkSeqScanThroughput(b *testing.B) {
-	e := benchEnv(b)
-	inst, err := e.DS.DB.NewInstance(engine.DefaultInstanceConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	handle := exec.NewTableHandle(e.DS.DB.Cat.MustTable("lineitem"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sess := inst.NewSession()
-		n, _, err := sess.ExecuteDiscard(&exec.SeqScan{Table: handle})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(n * 100) // ~100 encoded bytes per lineitem row
-	}
-}
+// The B-tree lookup and heap scan microbenchmarks live with their layers:
+// internal/engine/btree (BenchmarkLookup, BenchmarkSeek) and
+// internal/engine/heap (BenchmarkFetch, BenchmarkScan, BenchmarkUpdate);
+// `make bench` collects them.
 
 // BenchmarkTPCHLoad measures dataset generation + load + index build.
 func BenchmarkTPCHLoad(b *testing.B) {

@@ -146,6 +146,86 @@ func decodeNode(data []byte) (*leafNode, *internalNode, error) {
 	return nil, nil, fmt.Errorf("btree: unknown node type %d", data[0])
 }
 
+// node is a validated view of an encoded node in its page frame: the
+// search path reads keys, children and entries by offset instead of
+// building a leafNode/internalNode (decodeNode stays for the paths that
+// modify a node). Frames are immutable (see bufferpool.Get), so a node
+// stays valid, as the image it was opened on, across later pool calls.
+type node struct {
+	data  []byte
+	count int
+	leaf  bool
+}
+
+// openNode checks the header and that count entries are present.
+func openNode(data []byte) (node, error) {
+	if len(data) < leafHeader {
+		return node{}, fmt.Errorf("btree: short node page")
+	}
+	n := node{data: data, count: int(binary.LittleEndian.Uint16(data[1:]))}
+	size := internalEntrySize
+	switch data[0] {
+	case nodeLeaf:
+		n.leaf = true
+		size = leafEntrySize
+	case nodeInternal:
+	default:
+		return node{}, fmt.Errorf("btree: unknown node type %d", data[0])
+	}
+	if leafHeader+n.count*size > len(data) {
+		return node{}, fmt.Errorf("btree: truncated node (%d entries)", n.count)
+	}
+	return n, nil
+}
+
+// i64 reads the little-endian word at off.
+func (n node) i64(off int) int64 { return int64(binary.LittleEndian.Uint64(n.data[off:])) }
+
+// next is a leaf's right sibling (-1 at the end of the chain).
+func (n node) next() int64 { return n.i64(3) }
+
+// entry is a leaf's entry i.
+func (n node) entry(i int) Entry {
+	off := leafHeader + i*leafEntrySize
+	return Entry{
+		Key: n.i64(off),
+		RID: catalog.RID{Page: n.i64(off + 8), Slot: binary.LittleEndian.Uint16(n.data[off+16:])},
+	}
+}
+
+// lowerBound is the first leaf entry with key >= key (count if none).
+func (n node) lowerBound(key int64) int {
+	lo, hi := 0, n.count
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if n.i64(leafHeader+mid*leafEntrySize) < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// childFor is the child of an internal node that may hold key: the one
+// left of the first separator strictly greater than key.
+func (n node) childFor(key int64) int64 {
+	lo, hi := 0, n.count
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if n.i64(internalHeader+mid*internalEntrySize) <= key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	// Child 0 sits in the header; child i > 0 follows separator i-1.
+	if lo == 0 {
+		return n.i64(3)
+	}
+	return n.i64(internalHeader + (lo-1)*internalEntrySize + 8)
+}
+
 func encodeMeta(root int64, pages int64) []byte {
 	buf := make([]byte, 20)
 	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
@@ -181,6 +261,15 @@ func (t *Tree) readNode(clk *simclock.Clock, page int64, level int) (*leafNode, 
 		return nil, nil, err
 	}
 	return decodeNode(data)
+}
+
+// openNode reads a page and opens the encoded node in its frame.
+func (t *Tree) openNode(clk *simclock.Clock, page int64, level int) (node, error) {
+	data, err := t.pool.Get(clk, t.tag(level), page)
+	if err != nil {
+		return node{}, err
+	}
+	return openNode(data)
 }
 
 // ---- bulk build ----
@@ -291,86 +380,88 @@ func (t *Tree) descend(clk *simclock.Clock, key int64, level int) (int64, error)
 	}
 	page := root
 	for {
-		leaf, internal, err := t.readNode(clk, page, level)
+		n, err := t.openNode(clk, page, level)
 		if err != nil {
 			return 0, err
 		}
-		if leaf != nil {
+		if n.leaf {
 			return page, nil
 		}
-		// First key strictly greater than `key` bounds the child index.
-		idx := sort.Search(len(internal.keys), func(i int) bool { return internal.keys[i] > key })
-		page = internal.children[idx]
+		page = n.childFor(key)
 	}
 }
 
-// Iterator walks leaf entries in key order within [lo, hi].
+// Iterator walks leaf entries in key order within [lo, hi], reading each
+// entry from the leaf's frame as it is consumed.
 type Iterator struct {
 	t     *Tree
 	clk   *simclock.Clock
 	level int
 	hi    int64
 
-	page    int64
-	entries []Entry
-	idx     int
-	next    int64
-	done    bool
+	leaf node
+	idx  int
+	done bool
 }
 
 // Seek positions an iterator at the first entry with key >= lo, bounded
 // above by hi (inclusive). The iterator's page fetches carry the plan
 // level of the issuing operator.
 func (t *Tree) Seek(clk *simclock.Clock, lo, hi int64, level int) (*Iterator, error) {
+	it := &Iterator{}
+	return it, t.seek(it, clk, lo, hi, level)
+}
+
+// seek is Seek into a caller-supplied iterator, which Lookup keeps on its
+// stack.
+func (t *Tree) seek(it *Iterator, clk *simclock.Clock, lo, hi int64, level int) error {
 	page, err := t.descend(clk, lo, level)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	it := &Iterator{t: t, clk: clk, level: level, hi: hi, page: page}
-	leaf, _, err := t.readNode(clk, page, level)
+	leaf, err := t.openNode(clk, page, level)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	it.entries = leaf.entries
-	it.next = leaf.next
-	it.idx = sort.Search(len(it.entries), func(i int) bool { return it.entries[i].Key >= lo })
-	return it, nil
+	if !leaf.leaf {
+		return fmt.Errorf("btree: page %d turned internal under a seek", page)
+	}
+	*it = Iterator{t: t, clk: clk, level: level, hi: hi, leaf: leaf, idx: leaf.lowerBound(lo)}
+	return nil
 }
 
 // Next returns the next entry in range; ok=false when exhausted.
 func (it *Iterator) Next() (Entry, bool, error) {
-	for {
-		if it.done {
-			return Entry{}, false, nil
-		}
-		if it.idx < len(it.entries) {
-			e := it.entries[it.idx]
+	for !it.done {
+		if it.idx < it.leaf.count {
+			e := it.leaf.entry(it.idx)
 			it.idx++
 			if e.Key > it.hi {
-				it.done = true
-				return Entry{}, false, nil
+				break
 			}
 			return e, true, nil
 		}
-		if it.next < 0 {
-			it.done = true
-			return Entry{}, false, nil
+		next := it.leaf.next()
+		if next < 0 {
+			break
 		}
-		leaf, _, err := it.t.readNode(it.clk, it.next, it.level)
+		leaf, err := it.t.openNode(it.clk, next, it.level)
 		if err != nil {
 			return Entry{}, false, err
 		}
-		it.page = it.next
-		it.entries = leaf.entries
-		it.next = leaf.next
-		it.idx = 0
+		if !leaf.leaf {
+			return Entry{}, false, fmt.Errorf("btree: leaf chain reaches internal page %d", next)
+		}
+		it.leaf, it.idx = leaf, 0
 	}
+	it.done = true
+	return Entry{}, false, nil
 }
 
-// Lookup returns all RIDs for an exact key.
+// Lookup returns all RIDs for an exact key. It allocates only the result.
 func (t *Tree) Lookup(clk *simclock.Clock, key int64, level int) ([]catalog.RID, error) {
-	it, err := t.Seek(clk, key, key, level)
-	if err != nil {
+	var it Iterator
+	if err := t.seek(&it, clk, key, key, level); err != nil {
 		return nil, err
 	}
 	var out []catalog.RID

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -235,7 +236,139 @@ func TestDeleteEntry(t *testing.T) {
 	}
 }
 
-// Property: the tree agrees with a sorted reference on random workloads.
+// refRange is the search path as it was before it read the encoded node
+// in place: decodeNode on every page, sort.Search on the decoded slices.
+// The in-page search must return exactly what it returns.
+func refRange(t testing.TB, h *harness, tree *Tree, lo, hi int64) []Entry {
+	t.Helper()
+	page, _, err := tree.readMeta(&h.clk, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaf *leafNode
+	for {
+		l, internal, err := tree.readNode(&h.clk, page, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l != nil {
+			leaf = l
+			break
+		}
+		idx := sort.Search(len(internal.keys), func(i int) bool { return internal.keys[i] > lo })
+		page = internal.children[idx]
+	}
+	var out []Entry
+	idx := sort.Search(len(leaf.entries), func(i int) bool { return leaf.entries[i].Key >= lo })
+	for {
+		for ; idx < len(leaf.entries); idx++ {
+			if leaf.entries[idx].Key > hi {
+				return out
+			}
+			out = append(out, leaf.entries[idx])
+		}
+		if leaf.next < 0 {
+			return out
+		}
+		if leaf, _, err = tree.readNode(&h.clk, leaf.next, 0); err != nil {
+			t.Fatal(err)
+		}
+		idx = 0
+	}
+}
+
+// separators collects every separator key of the tree's internal nodes.
+func separators(t testing.TB, h *harness, tree *Tree) []int64 {
+	t.Helper()
+	root, _, err := tree.readMeta(&h.clk, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []int64
+	var walk func(page int64)
+	walk = func(page int64) {
+		_, internal, err := tree.readNode(&h.clk, page, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if internal == nil {
+			return
+		}
+		out = append(out, internal.keys...)
+		for _, c := range internal.children {
+			walk(c)
+		}
+	}
+	walk(root)
+	return out
+}
+
+// spanningRuns counts the leaf boundaries that fall inside a run of
+// duplicates (the left leaf ends with the key the right one starts with).
+func spanningRuns(t testing.TB, h *harness, tree *Tree) int {
+	t.Helper()
+	page, err := tree.descend(&h.clk, -1<<62, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for last, first := int64(0), true; page >= 0; first = false {
+		leaf, _, err := tree.readNode(&h.clk, page, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(leaf.entries) > 0 {
+			if !first && leaf.entries[0].Key == last {
+				spans++
+			}
+			last = leaf.entries[len(leaf.entries)-1].Key
+		}
+		page = leaf.next
+	}
+	return spans
+}
+
+// checkSearchMatchesRef compares Seek and Lookup with refRange on [lo, hi].
+func checkSearchMatchesRef(t testing.TB, h *harness, tree *Tree, lo, hi int64) {
+	t.Helper()
+	want := refRange(t, h, tree, lo, hi)
+	it, err := tree.Seek(&h.clk, lo, hi, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Entry
+	for {
+		e, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		got = append(got, e)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Seek(%d, %d): %d entries %v, reference %d entries %v", lo, hi, len(got), got, len(want), want)
+	}
+	if lo != hi {
+		return
+	}
+	rids, err := tree.Lookup(&h.clk, lo, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rids) != len(want) {
+		t.Fatalf("Lookup(%d): %d rids, reference %d", lo, len(rids), len(want))
+	}
+	for i, e := range want {
+		if rids[i] != e.RID {
+			t.Fatalf("Lookup(%d)[%d] = %v, reference %v", lo, i, rids[i], e.RID)
+		}
+	}
+}
+
+// Property: the tree agrees with a sorted reference on random workloads,
+// and the in-page search agrees with decodeNode + sort.Search.
 func TestTreeMatchesReference(t *testing.T) {
 	f := func(keysRaw []int16) bool {
 		h := newHarness(t)
@@ -261,6 +394,7 @@ func TestTreeMatchesReference(t *testing.T) {
 			if err != nil || len(rids) != ref[k] {
 				return false
 			}
+			checkSearchMatchesRef(t, h, tree, k, k)
 		}
 		return true
 	}
@@ -268,10 +402,128 @@ func TestTreeMatchesReference(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+
+	// Multi-level trees, bulk-built and grown by inserts, each key five
+	// times over so runs of duplicates straddle leaf boundaries. Probed:
+	// below the first separator and the smallest key, on and around every
+	// separator, above the last separator and the largest key, and ranges
+	// across leaves.
+	for name, grow := range map[string]bool{"built": false, "inserted": true} {
+		t.Run(name, func(t *testing.T) {
+			h := newHarness(t)
+			const n = 2 * LeafCap
+			var entries []Entry
+			for i := int64(0); i < n; i++ {
+				for d := int64(0); d < 5; d++ {
+					entries = append(entries, Entry{Key: 10 * i, RID: rid(5*i + d)})
+				}
+			}
+			var tree *Tree
+			var err error
+			if grow {
+				if tree, _, err = Build(&h.clk, h.pool, 1, nil); err != nil {
+					t.Fatal(err)
+				}
+				rand.New(rand.NewSource(5)).Shuffle(len(entries), func(i, j int) {
+					entries[i], entries[j] = entries[j], entries[i]
+				})
+				for _, e := range entries {
+					if err := tree.Insert(&h.clk, e, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else if tree, _, err = Build(&h.clk, h.pool, 1, entries); err != nil {
+				t.Fatal(err)
+			}
+			seps := separators(t, h, tree)
+			if len(seps) < 3 {
+				t.Fatalf("tree has %d separators", len(seps))
+			}
+			sort.Slice(seps, func(i, j int) bool { return seps[i] < seps[j] })
+			probes := []int64{-7, 0, 5, seps[0] - 10, 10*n - 10, 10 * n, 10*n + 99}
+			for _, s := range seps {
+				probes = append(probes, s-1, s, s+1)
+			}
+			for _, k := range probes {
+				checkSearchMatchesRef(t, h, tree, k, k)
+				checkSearchMatchesRef(t, h, tree, k, k+10*LeafCap/2)
+			}
+			checkSearchMatchesRef(t, h, tree, -100, 10*n+100)
+			if spans := spanningRuns(t, h, tree); spans == 0 {
+				t.Fatal("no run of duplicates spans two leaves: the case is not covered")
+			}
+		})
+	}
 }
 
 func TestFanoutConstants(t *testing.T) {
 	if LeafCap < 400 || InternalCap < 400 {
 		t.Fatalf("suspicious fan-outs: leaf=%d internal=%d", LeafCap, InternalCap)
+	}
+}
+
+var sinkRIDs []catalog.RID
+
+// BenchmarkLookup is a point lookup of a unique key in a three-level
+// tree held by the pool: meta page, root, leaf twice (descend, seek).
+func BenchmarkLookup(b *testing.B) {
+	h := newHarness(b)
+	const n = 100000
+	tree := buildTree(b, h, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rids, err := tree.Lookup(&h.clk, int64(i*7919)%n, 0)
+		if err != nil || len(rids) != 1 {
+			b.Fatal(rids, err)
+		}
+		sinkRIDs = rids
+	}
+}
+
+// BenchmarkSeek positions an iterator and reads a 100-entry range.
+func BenchmarkSeek(b *testing.B) {
+	h := newHarness(b)
+	const n = 100000
+	tree := buildTree(b, h, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := int64(i*7919) % (n - 100)
+		it, err := tree.Seek(&h.clk, lo, lo+99, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got := 0
+		for {
+			_, ok, err := it.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			got++
+		}
+		if got != 100 {
+			b.Fatalf("range of %d entries", got)
+		}
+	}
+}
+
+// TestLookupAllocationBudget: a lookup searches the encoded nodes in
+// their frames and allocates its result slice only.
+func TestLookupAllocationBudget(t *testing.T) {
+	h := newHarness(t)
+	tree := buildTree(t, h, 20000)
+	k := int64(0)
+	if n := testing.AllocsPerRun(200, func() {
+		rids, err := tree.Lookup(&h.clk, k%20000, 0)
+		if err != nil || len(rids) != 1 {
+			t.Fatal(rids, err)
+		}
+		k += 7919
+	}); n > 2 {
+		t.Errorf("Lookup of a unique key allocates %.1f times, want <= 2", n)
 	}
 }

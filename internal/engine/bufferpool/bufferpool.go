@@ -368,9 +368,14 @@ func (p *Pool) makeRoom(clk *simclock.Clock) error {
 }
 
 // Get returns the content of (tag.Object, page), fetching it through the
-// storage manager on a miss. The returned slice is the pool's frame:
-// callers must not retain it across other pool calls, and must use Put to
-// modify pages. On a stream with a bound transaction, the transaction's
+// storage manager on a miss. The returned slice is the pool's frame, and
+// on the extent store the stored page itself. Frames and stored pages are
+// immutable: Put and WritePage replace a page's slice, nothing writes
+// into one, and callers must not either. So heap and index code decodes
+// in place (tuples and node entries are read by offset in the frame), and
+// a slice kept across later pool calls stays valid — as the image the
+// page had at this Get, not as the page's current content. On a stream
+// with a bound transaction, the transaction's
 // Acquire hook runs first (shared mode) and its error — e.g. a deadlock —
 // is returned unchanged.
 func (p *Pool) Get(clk *simclock.Clock, tag policy.Tag, page int64) ([]byte, error) {
@@ -431,7 +436,8 @@ func (p *Pool) Get(clk *simclock.Clock, tag policy.Tag, page int64) ([]byte, err
 }
 
 // Put stores new content for (tag.Object, page) and marks the frame
-// dirty. The data is installed by reference; the pool owns it afterwards.
+// dirty. The data is installed by reference; the pool owns it afterwards
+// and the caller must not write into it again (see Get).
 // On a stream with a bound transaction, the transaction's Acquire hook
 // runs first (exclusive mode) and its Capture hook observes the install.
 func (p *Pool) Put(clk *simclock.Clock, tag policy.Tag, page int64, data []byte) error {

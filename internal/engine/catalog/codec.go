@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
+	"unsafe"
 )
 
 // EncodeTuple appends the binary encoding of t (per schema s) to dst and
@@ -33,9 +35,28 @@ func EncodeTuple(dst []byte, s Schema, t Tuple) ([]byte, error) {
 }
 
 // DecodeTuple parses one tuple of schema s from src, returning the tuple
-// and the number of bytes consumed.
+// and the number of bytes consumed. The tuple is owned: it shares no
+// memory with src (one Datum slab, one backing for all string columns).
 func DecodeTuple(src []byte, s Schema) (Tuple, int, error) {
-	t := make(Tuple, len(s.Cols))
+	t, n, err := DecodeTupleBorrowed(make(Tuple, len(s.Cols)), src, s)
+	if err != nil {
+		return nil, 0, err
+	}
+	ownStrings(t)
+	return t, n, nil
+}
+
+// DecodeTupleBorrowed is DecodeTuple into a caller-supplied scratch tuple
+// (grown if shorter than the schema) without copying anything: string
+// columns alias src. The result is valid only while src is not written
+// to — page frames never are — and until the scratch is decoded into
+// again; a caller that keeps the row takes Owned first. It allocates
+// nothing once the scratch has the schema's arity.
+func DecodeTupleBorrowed(dst Tuple, src []byte, s Schema) (Tuple, int, error) {
+	if cap(dst) < len(s.Cols) {
+		dst = make(Tuple, len(s.Cols))
+	}
+	dst = dst[:len(s.Cols)]
 	off := 0
 	for i, c := range s.Cols {
 		switch c.Type {
@@ -43,25 +64,60 @@ func DecodeTuple(src []byte, s Schema) (Tuple, int, error) {
 			if off+8 > len(src) {
 				return nil, 0, fmt.Errorf("catalog: truncated int column %q", c.Name)
 			}
-			t[i].I = int64(binary.LittleEndian.Uint64(src[off:]))
+			dst[i] = Datum{I: int64(binary.LittleEndian.Uint64(src[off:]))}
 			off += 8
 		case Float64:
 			if off+8 > len(src) {
 				return nil, 0, fmt.Errorf("catalog: truncated float column %q", c.Name)
 			}
-			t[i].F = math.Float64frombits(binary.LittleEndian.Uint64(src[off:]))
+			dst[i] = Datum{F: math.Float64frombits(binary.LittleEndian.Uint64(src[off:]))}
 			off += 8
 		case String:
 			n, w := binary.Uvarint(src[off:])
-			if w <= 0 || off+w+int(n) > len(src) {
+			if w <= 0 || n > uint64(len(src)-off-w) {
 				return nil, 0, fmt.Errorf("catalog: truncated string column %q", c.Name)
 			}
 			off += w
-			t[i].S = string(src[off : off+int(n)])
+			dst[i] = Datum{}
+			if n > 0 {
+				dst[i].S = unsafe.String(&src[off], int(n))
+			}
 			off += int(n)
 		default:
 			return nil, 0, fmt.Errorf("catalog: unknown column type %v", c.Type)
 		}
 	}
-	return t, off, nil
+	return dst, off, nil
+}
+
+// Owned returns a copy of t that shares no memory with the buffer a
+// borrowed decode aliased, nor with t itself.
+func (t Tuple) Owned() Tuple {
+	out := make(Tuple, len(t))
+	copy(out, t)
+	ownStrings(out)
+	return out
+}
+
+// ownStrings repoints every string of t into one freshly allocated
+// backing, so a row costs one string allocation however many string
+// columns it has.
+func ownStrings(t Tuple) {
+	n := 0
+	for i := range t {
+		n += len(t[i].S)
+	}
+	if n == 0 {
+		return
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i := range t {
+		b.WriteString(t[i].S)
+	}
+	all := b.String()
+	for i := range t {
+		l := len(t[i].S)
+		t[i].S, all = all[:l], all[l:]
+	}
 }

@@ -294,7 +294,7 @@ func (inst *Instance) BuildIndex(name, table, column string) (*catalog.IndexInfo
 	sc := file.NewScanner(&sess.Clk, inst.Pool, inst.DB.Store.Pages(info.ID))
 	var entries []btree.Entry
 	for {
-		t, rid, ok, err := sc.Next()
+		t, rid, ok, err := sc.NextBorrowed() // only the key is kept
 		if err != nil {
 			return nil, err
 		}

@@ -29,6 +29,13 @@ func (h *TableHandle) Pages(ctx *Ctx) int64 {
 	return ctx.Mgr.Store().Pages(h.Info.ID)
 }
 
+// The leaf operators decode each row in place: into a scratch tuple
+// whose strings alias the page frame (a borrowed tuple). Pred runs on the
+// borrowed tuple, so a rejected row allocates nothing; a surviving row is
+// copied with Tuple.Owned before it is returned. A borrowed tuple never
+// leaves the operator that decoded it, and Pred must not keep its
+// argument.
+
 // SeqScan is the sequential-scan leaf operator: Rule 1 traffic.
 type SeqScan struct {
 	base
@@ -59,13 +66,13 @@ func (s *SeqScan) Open(ctx *Ctx) error {
 // Next implements Operator.
 func (s *SeqScan) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 	for {
-		t, _, ok, err := s.scanner.Next()
+		t, _, ok, err := s.scanner.NextBorrowed()
 		if err != nil || !ok {
 			return nil, false, err
 		}
 		ctx.ChargeTuples(1)
 		if s.Pred == nil || s.Pred(t) {
-			return t, true, nil
+			return t.Owned(), true, nil
 		}
 	}
 }
@@ -90,8 +97,9 @@ type IndexScan struct {
 	// the key (index-only scan).
 	KeyOnly bool
 
-	tree *btree.Tree
-	it   *btree.Iterator
+	tree    *btree.Tree
+	it      *btree.Iterator
+	scratch catalog.Tuple
 }
 
 // Children implements Operator.
@@ -127,15 +135,16 @@ func (s *IndexScan) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 		if s.KeyOnly {
 			return catalog.Tuple{catalog.IntDatum(e.Key)}, true, nil
 		}
-		t, err := s.Table.File.Fetch(ctx.Clk, ctx.Pool, e.RID, s.Level())
+		t, err := s.Table.File.FetchBorrowed(ctx.Clk, ctx.Pool, e.RID, s.Level(), s.scratch)
 		if err != nil {
 			return nil, false, err
 		}
 		if t == nil {
 			continue // tombstoned by a concurrent delete
 		}
+		s.scratch = t
 		if s.Pred == nil || s.Pred(t) {
-			return t, true, nil
+			return t.Owned(), true, nil
 		}
 	}
 }
@@ -158,10 +167,11 @@ type IndexProbe struct {
 	// Pred filters fetched tuples (nil = all).
 	Pred func(catalog.Tuple) bool
 
-	tree *btree.Tree
-	key  int64
-	rids []catalog.RID
-	idx  int
+	tree    *btree.Tree
+	key     int64
+	rids    []catalog.RID
+	idx     int
+	scratch catalog.Tuple
 }
 
 // Children implements Operator.
@@ -208,15 +218,16 @@ func (p *IndexProbe) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 		rid := p.rids[p.idx]
 		p.idx++
 		ctx.ChargeTuples(1)
-		t, err := p.Table.File.Fetch(ctx.Clk, ctx.Pool, rid, p.Level())
+		t, err := p.Table.File.FetchBorrowed(ctx.Clk, ctx.Pool, rid, p.Level(), p.scratch)
 		if err != nil {
 			return nil, false, err
 		}
 		if t == nil {
 			continue // tombstoned by a concurrent delete
 		}
+		p.scratch = t
 		if p.Pred == nil || p.Pred(t) {
-			return t, true, nil
+			return t.Owned(), true, nil
 		}
 	}
 	return nil, false, nil

@@ -5,7 +5,10 @@
 // scan produces Rule 2 traffic.
 //
 // Page layout: [uint16 tupleCount] then, per tuple, [uint16 length]
-// followed by the tuple encoding (catalog.EncodeTuple).
+// followed by the tuple encoding (catalog.EncodeTuple). A length of
+// 0xFFFF marks a deleted slot. Readers address slots in the page frame
+// (walk the length headers, decode the one tuple wanted); writers build a
+// new page image and Put it — frames are never written into.
 package heap
 
 import (
@@ -133,72 +136,123 @@ func (a *Appender) Pages() int64 {
 	return a.page
 }
 
-// decodePage parses all tuples of a page.
-func decodePage(data []byte, schema catalog.Schema) ([]catalog.Tuple, error) {
+// slots walks the slot directory of an encoded page in the frame, one
+// 2-byte length header at a time, without decoding any tuple. Frames are
+// immutable (see bufferpool.Get), so a cursor may be kept across pool
+// calls: it keeps reading the page image it was opened on.
+type slots struct {
+	data []byte
+	n    int // slots on the page
+	next int // slot the next call to advance returns
+	off  int // offset of that slot's length header
+}
+
+// openPage validates the page header.
+func openPage(data []byte) (slots, error) {
 	if len(data) < pageHeader {
-		return nil, fmt.Errorf("heap: short page")
+		return slots{}, fmt.Errorf("heap: short page")
 	}
-	n := binary.LittleEndian.Uint16(data[:2])
-	out := make([]catalog.Tuple, 0, n)
-	off := pageHeader
-	for i := 0; i < int(n); i++ {
-		if off+2 > len(data) {
-			return nil, fmt.Errorf("heap: truncated tuple header at slot %d", i)
-		}
-		l := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if l == tombstone {
-			out = append(out, nil) // deleted slot keeps its position
-			continue
-		}
-		if off+l > len(data) {
-			return nil, fmt.Errorf("heap: truncated tuple at slot %d", i)
-		}
-		t, _, err := catalog.DecodeTuple(data[off:off+l], schema)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		off += l
-	}
-	return out, nil
+	return slots{data: data, n: int(binary.LittleEndian.Uint16(data)), off: pageHeader}, nil
 }
 
-// rewritePage re-encodes decoded tuples (nil = tombstone) into page bytes.
-func rewritePage(tuples []catalog.Tuple, schema catalog.Schema) ([]byte, error) {
-	buf := make([]byte, pageHeader, pagestore.PageSize)
-	binary.LittleEndian.PutUint16(buf[:2], uint16(len(tuples)))
-	var l [2]byte
-	for _, t := range tuples {
-		if t == nil {
-			binary.LittleEndian.PutUint16(l[:], tombstone)
-			buf = append(buf, l[:]...)
-			continue
-		}
-		enc, err := catalog.EncodeTuple(nil, schema, t)
-		if err != nil {
-			return nil, err
-		}
-		binary.LittleEndian.PutUint16(l[:], uint16(len(enc)))
-		buf = append(buf, l[:]...)
-		buf = append(buf, enc...)
+// advance returns the next slot's encoded tuple, aliasing the frame; a
+// tombstone reads as dead with a nil payload. The caller checks
+// c.next < c.n first. A header or payload running past the bytes present
+// is an error, so a corrupt tupleCount or length fails instead of
+// reading garbage.
+func (c *slots) advance() (payload []byte, dead bool, err error) {
+	if c.off+2 > len(c.data) {
+		return nil, false, fmt.Errorf("heap: truncated tuple header at slot %d", c.next)
 	}
-	if len(buf) > pagestore.PageSize {
-		return nil, fmt.Errorf("heap: rewritten page overflows (%d bytes)", len(buf))
+	l := int(binary.LittleEndian.Uint16(c.data[c.off:]))
+	c.off += 2
+	c.next++
+	if l == tombstone {
+		return nil, true, nil
 	}
-	return buf, nil
+	if c.off+l > len(c.data) {
+		return nil, false, fmt.Errorf("heap: truncated tuple at slot %d", c.next-1)
+	}
+	payload = c.data[c.off : c.off+l]
+	c.off += l
+	return payload, false, nil
 }
 
-// Scanner iterates a heap file page by page with a sequential tag.
+// slotAt walks to slot and returns its encoded tuple. live=false means
+// no visible row: a tombstone, or a slot the page does not have.
+func slotAt(data []byte, slot uint16) (payload []byte, live bool, err error) {
+	c, err := openPage(data)
+	if err != nil || int(slot) >= c.n {
+		return nil, false, err
+	}
+	var dead bool
+	for c.next <= int(slot) {
+		if payload, dead, err = c.advance(); err != nil {
+			return nil, false, err
+		}
+	}
+	return payload, !dead, nil
+}
+
+// replaceSlot returns a fresh page image equal to data with rid's slot
+// holding enc, or a tombstone when tomb is set; every other slot is
+// copied as encoded, and the image holds exactly the used bytes, like an
+// appender's. wasDead reports a slot that was already a tombstone, which
+// is left alone (nil image).
+func replaceSlot(data []byte, rid catalog.RID, enc []byte, tomb bool) (page []byte, wasDead bool, err error) {
+	c, err := openPage(data)
+	if err != nil {
+		return nil, false, err
+	}
+	if int(rid.Slot) >= c.n {
+		return nil, false, fmt.Errorf("heap: rid %v slot out of range (%d tuples)", rid, c.n)
+	}
+	// The walk runs to the last slot to find the end of the used bytes;
+	// data[start:end] is the replaced entry, length header included.
+	var start, end int
+	for c.next < c.n {
+		at := c.next == int(rid.Slot)
+		if at {
+			start = c.off
+		}
+		_, dead, err := c.advance()
+		if err != nil {
+			return nil, false, err
+		}
+		if at {
+			end, wasDead = c.off, dead
+		}
+	}
+	if wasDead {
+		return nil, true, nil
+	}
+	used := c.off
+	l := uint16(len(enc))
+	if tomb {
+		l, enc = tombstone, nil
+	}
+	size := used - (end - start) + 2 + len(enc)
+	if size > pagestore.PageSize {
+		return nil, false, fmt.Errorf("heap: rewritten page overflows (%d bytes)", size)
+	}
+	page = make([]byte, 0, size)
+	page = append(page, data[:start]...)
+	page = binary.LittleEndian.AppendUint16(page, l)
+	page = append(page, enc...)
+	return append(page, data[end:used]...), false, nil
+}
+
+// Scanner iterates a heap file page by page with a sequential tag,
+// decoding one tuple at a time from the frame.
 type Scanner struct {
 	f     *File
 	pool  *bufferpool.Pool
 	clk   *simclock.Clock
 	pages int64
 
-	page   int64
-	tuples []catalog.Tuple
-	idx    int
+	page    int64 // next page to fetch
+	cur     slots // cursor on page-1
+	scratch catalog.Tuple
 }
 
 // NewScanner creates a full-file sequential scanner over `pages` pages.
@@ -206,57 +260,99 @@ func (f *File) NewScanner(clk *simclock.Clock, pool *bufferpool.Pool, pages int6
 	return &Scanner{f: f, pool: pool, clk: clk, pages: pages}
 }
 
-// Next returns the next tuple with its RID; ok=false at end of file.
+// Next returns the next tuple with its RID; ok=false at end of file. The
+// tuple is owned by the caller.
 func (s *Scanner) Next() (catalog.Tuple, catalog.RID, bool, error) {
-	for s.idx >= len(s.tuples) {
-		if s.page >= s.pages {
-			return nil, catalog.RID{}, false, nil
+	payload, rid, ok, err := s.nextSlot()
+	if err != nil || !ok {
+		return nil, catalog.RID{}, false, err
+	}
+	t, _, err := catalog.DecodeTuple(payload, s.f.Schema)
+	return t, rid, err == nil, err
+}
+
+// NextBorrowed is Next without the copy: the tuple is the scanner's
+// scratch and its strings alias the page frame, so it is valid only
+// until the next call. Callers that keep a row take Tuple.Owned; a row
+// they drop costs no allocation.
+func (s *Scanner) NextBorrowed() (catalog.Tuple, catalog.RID, bool, error) {
+	payload, rid, ok, err := s.nextSlot()
+	if err != nil || !ok {
+		return nil, catalog.RID{}, false, err
+	}
+	s.scratch, _, err = catalog.DecodeTupleBorrowed(s.scratch, payload, s.f.Schema)
+	return s.scratch, rid, err == nil, err
+}
+
+// nextSlot advances to the next live slot, fetching pages as it goes, and
+// returns the slot's encoded tuple in the frame.
+func (s *Scanner) nextSlot() ([]byte, catalog.RID, bool, error) {
+	for {
+		for s.cur.next >= s.cur.n {
+			if s.page >= s.pages {
+				return nil, catalog.RID{}, false, nil
+			}
+			tag := policy.Tag{Object: s.f.Object, Content: s.f.Content, Pattern: policy.Sequential}
+			data, err := s.pool.Get(s.clk, tag, s.page)
+			if err != nil {
+				return nil, catalog.RID{}, false, err
+			}
+			if s.cur, err = openPage(data); err != nil {
+				return nil, catalog.RID{}, false, err
+			}
+			s.page++
 		}
-		tag := policy.Tag{Object: s.f.Object, Content: s.f.Content, Pattern: policy.Sequential}
-		data, err := s.pool.Get(s.clk, tag, s.page)
+		rid := catalog.RID{Page: s.page - 1, Slot: uint16(s.cur.next)}
+		payload, dead, err := s.cur.advance()
 		if err != nil {
 			return nil, catalog.RID{}, false, err
 		}
-		s.tuples, err = decodePage(data, s.f.Schema)
-		if err != nil {
-			return nil, catalog.RID{}, false, err
+		if !dead {
+			return payload, rid, true, nil
 		}
-		s.page++
-		s.idx = 0
+		// Deleted slot: keep scanning.
 	}
-	t := s.tuples[s.idx]
-	rid := catalog.RID{Page: s.page - 1, Slot: uint16(s.idx)}
-	s.idx++
-	if t == nil {
-		// Deleted slot; keep scanning.
-		return s.Next()
-	}
-	return t, rid, true, nil
 }
 
 // Fetch retrieves the tuple at rid with a random-access tag carrying the
-// issuing operator's plan level.
+// issuing operator's plan level. The tuple is owned by the caller; nil
+// means the row is not visible.
 func (f *File) Fetch(clk *simclock.Clock, pool *bufferpool.Pool, rid catalog.RID, level int) (catalog.Tuple, error) {
+	payload, live, err := f.fetchSlot(clk, pool, rid, level)
+	if err != nil || !live {
+		return nil, err
+	}
+	t, _, err := catalog.DecodeTuple(payload, f.Schema)
+	return t, err
+}
+
+// FetchBorrowed is Fetch decoding into the caller's scratch tuple, with
+// strings aliasing the page frame: the result is valid until the scratch
+// is decoded into again (see catalog.DecodeTupleBorrowed). It returns the
+// (possibly grown) scratch, or nil for a row that is not visible.
+func (f *File) FetchBorrowed(clk *simclock.Clock, pool *bufferpool.Pool, rid catalog.RID, level int, scratch catalog.Tuple) (catalog.Tuple, error) {
+	payload, live, err := f.fetchSlot(clk, pool, rid, level)
+	if err != nil || !live {
+		return nil, err
+	}
+	t, _, err := catalog.DecodeTupleBorrowed(scratch, payload, f.Schema)
+	return t, err
+}
+
+// fetchSlot reads rid's page and returns the slot's encoded tuple in the
+// frame. A missing slot is revalidation, not an error: an index entry can
+// transiently point at a slot that is not (or no longer) materialized on
+// the page — e.g. a probe racing an updater, or a post-crash scan over a
+// file extension whose content died with the buffer pool — and a
+// tombstone is a row deleted, e.g. by a concurrent RF2. Callers treat
+// both as "no longer visible" and skip.
+func (f *File) fetchSlot(clk *simclock.Clock, pool *bufferpool.Pool, rid catalog.RID, level int) (payload []byte, live bool, err error) {
 	tag := policy.Tag{Object: f.Object, Content: f.Content, Pattern: policy.Random, Level: level}
 	data, err := pool.Get(clk, tag, rid.Page)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	tuples, err := decodePage(data, f.Schema)
-	if err != nil {
-		return nil, err
-	}
-	if int(rid.Slot) >= len(tuples) {
-		// Revalidation: an index entry can transiently point at a slot
-		// that is not (or no longer) materialized on the page — e.g. a
-		// probe racing an updater, or a post-crash scan over a file
-		// extension whose content died with the buffer pool. The row is
-		// simply not visible.
-		return nil, nil
-	}
-	// A nil tuple is a tombstone (row deleted, e.g. by a concurrent RF2);
-	// callers treat it as "no longer visible" and skip.
-	return tuples[rid.Slot], nil
+	return slotAt(data, rid.Slot)
 }
 
 // Update rewrites the tuple at rid in place. The page write classifies as
@@ -268,20 +364,16 @@ func (f *File) Update(clk *simclock.Clock, pool *bufferpool.Pool, rid catalog.RI
 	if err != nil {
 		return err
 	}
-	tuples, err := decodePage(data, f.Schema)
+	enc, err := catalog.EncodeTuple(nil, f.Schema, t)
 	if err != nil {
 		return err
 	}
-	if int(rid.Slot) >= len(tuples) {
-		return fmt.Errorf("heap: rid %v slot out of range (%d tuples)", rid, len(tuples))
+	page, wasDead, err := replaceSlot(data, rid, enc, false)
+	if err != nil {
+		return err
 	}
-	if tuples[rid.Slot] == nil {
+	if wasDead {
 		return fmt.Errorf("heap: rid %v updates a deleted tuple", rid)
-	}
-	tuples[rid.Slot] = t
-	page, err := rewritePage(tuples, f.Schema)
-	if err != nil {
-		return err
 	}
 	writeTag := tag
 	writeTag.Update = true
@@ -296,19 +388,8 @@ func (f *File) Delete(clk *simclock.Clock, pool *bufferpool.Pool, rid catalog.RI
 	if err != nil {
 		return false, err
 	}
-	tuples, err := decodePage(data, f.Schema)
-	if err != nil {
-		return false, err
-	}
-	if int(rid.Slot) >= len(tuples) {
-		return false, fmt.Errorf("heap: rid %v slot out of range (%d tuples)", rid, len(tuples))
-	}
-	if tuples[rid.Slot] == nil {
-		return false, nil
-	}
-	tuples[rid.Slot] = nil
-	page, err := rewritePage(tuples, f.Schema)
-	if err != nil {
+	page, wasDead, err := replaceSlot(data, rid, nil, true)
+	if err != nil || wasDead {
 		return false, err
 	}
 	writeTag := tag

@@ -20,7 +20,7 @@ type harness struct {
 	clk   simclock.Clock
 }
 
-func newHarness(t *testing.T, bpPages int) *harness {
+func newHarness(t testing.TB, bpPages int) *harness {
 	t.Helper()
 	store := pagestore.NewStore()
 	sys, err := hybrid.New(hybrid.Config{Mode: hybrid.HStorage, CacheBlocks: 1024})
@@ -236,5 +236,110 @@ func TestSequentialScanIsSequentialOnDisk(t *testing.T) {
 	}
 	if st.BlocksRead < store.Pages(1) {
 		t.Fatalf("scan read %d blocks for %d pages", st.BlocksRead, store.Pages(1))
+	}
+}
+
+// benchFile loads rows rows into object 1 of a pool that holds them all,
+// so the benchmarks below time decoding, not I/O.
+func benchFile(tb testing.TB, rows int64) (*harness, *File, []catalog.RID) {
+	tb.Helper()
+	h := newHarness(tb, 4096)
+	_ = h.store.Create(1)
+	f := NewFile(1, testSchema(), policy.Table)
+	app := f.NewAppender(&h.clk, h.pool, 0)
+	rids := make([]catalog.RID, 0, rows)
+	for i := int64(0); i < rows; i++ {
+		rid, err := app.Append(row(i))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if err := app.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return h, f, rids
+}
+
+var sinkTuple catalog.Tuple
+
+func BenchmarkFetch(b *testing.B) {
+	h, f, rids := benchFile(b, 20000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, err := f.Fetch(&h.clk, h.pool, rids[(i*7919)%len(rids)], 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkTuple = t
+	}
+}
+
+// BenchmarkScan is the leaf of a sequential scan: decode in place, run
+// the predicate on the borrowed tuple, copy the survivors. One op is one
+// row read.
+func BenchmarkScan(b *testing.B) {
+	for _, reject := range []int64{0, 98} {
+		b.Run(fmt.Sprintf("reject%d", reject), func(b *testing.B) {
+			h, f, _ := benchFile(b, 20000)
+			pages := h.store.Pages(1)
+			sc := f.NewScanner(&h.clk, h.pool, pages)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t, _, ok, err := sc.NextBorrowed()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !ok {
+					sc = f.NewScanner(&h.clk, h.pool, pages)
+					continue
+				}
+				if t[0].I%100 >= reject {
+					sinkTuple = t.Owned()
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkUpdate(b *testing.B) {
+	h, f, rids := benchFile(b, 20000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := (i * 7919) % len(rids)
+		if err := f.Update(&h.clk, h.pool, rids[k], row(int64(k)), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestAllocationBudget pins what the in-place decode buys: a fetch costs
+// the tuple and its string backing, a scanned row that is dropped costs
+// nothing.
+func TestAllocationBudget(t *testing.T) {
+	h, f, rids := benchFile(t, 2000)
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		tup, err := f.Fetch(&h.clk, h.pool, rids[i%len(rids)], 0)
+		if err != nil || tup == nil {
+			t.Fatalf("fetch: %v %v", tup, err)
+		}
+		i += 37
+	}); n > 2 {
+		t.Errorf("Fetch allocates %.1f times, want <= 2", n)
+	}
+	sc := f.NewScanner(&h.clk, h.pool, h.store.Pages(1))
+	if _, _, ok, err := sc.NextBorrowed(); !ok || err != nil { // sizes the scratch
+		t.Fatal(ok, err)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, _, ok, err := sc.NextBorrowed(); !ok || err != nil {
+			t.Fatal(ok, err)
+		}
+	}); n != 0 {
+		t.Errorf("a dropped scan row allocates %.1f times, want 0", n)
 	}
 }

@@ -56,7 +56,9 @@ type Backend interface {
 	// Extend grows the object's logical page count (metadata only).
 	Extend(id ObjectID, pages int64) error
 	// Read returns the content of (object, page) — never-written pages
-	// read as zeroes — plus the access plan that produced it.
+	// read as zeroes — plus the access plan that produced it. The slice
+	// may be the backend's own copy, shared between readers: callers must
+	// not write into it.
 	Read(id ObjectID, page int64) ([]byte, []Access, error)
 	// Write stores the content of (object, page), copying data, and
 	// returns the access plan.

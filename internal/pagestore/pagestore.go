@@ -151,20 +151,25 @@ func (s *Store) Extend(id ObjectID, pages int64) error {
 	return nil
 }
 
-// ReadPage copies the content of (object, page) into a fresh buffer. Pages
-// never written read as zeroes.
+// zeroPage is what every never-written page reads as.
+var zeroPage = make([]byte, PageSize)
+
+// ReadPage returns the content of (object, page). Pages never written
+// read as zeroes. The slice is the stored page itself, shared with every
+// other reader: stored pages are immutable (WritePage replaces, nothing
+// writes into one), and callers must not write into what they are handed.
 func (s *Store) ReadPage(id ObjectID, page int64) ([]byte, int64, error) {
 	lba, err := s.LBA(id, page)
 	if err != nil {
 		return nil, 0, err
 	}
-	buf := make([]byte, PageSize)
 	s.mu.Lock()
-	if data, ok := s.pages[lba]; ok {
-		copy(buf, data)
-	}
+	data, ok := s.pages[lba]
 	s.mu.Unlock()
-	return buf, lba, nil
+	if !ok {
+		data = zeroPage
+	}
+	return data, lba, nil
 }
 
 // WritePage stores the content of (object, page). The data is copied.
