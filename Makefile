@@ -15,8 +15,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Layer microbenchmarks: the scheduler hot path (indexed vs linear picker
-# across queue depths, plus the full opportunistic submit path), heap
+# Layer microbenchmarks — the wall-clock path: the scheduler hot path
+# (indexed vs linear picker across queue depths, the full opportunistic
+# submit path, and the same path from 1, 2 and 4 CPUs), heap
 # fetch/scan/update and B-tree lookup/seek. -benchmem backs the allocs/op
 # claims; repeated -count samples make the output benchstat-ready:
 #
@@ -25,11 +26,13 @@ race:
 #   make bench BENCH_OUT=new.txt
 #   benchstat old.txt new.txt
 bench:
-	$(GO) test ./internal/iosched ./internal/engine/heap ./internal/engine/btree \
-		-run '^$$' -bench . -benchmem -count $(BENCH_COUNT) | tee $(BENCH_OUT)
+	{ $(GO) test ./internal/iosched ./internal/engine/heap ./internal/engine/btree \
+		-run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
+	  $(GO) test ./internal/iosched \
+		-run '^$$' -bench SubmitParallel -cpu 1,2,4 -benchmem -count $(BENCH_COUNT); } | tee $(BENCH_OUT)
 
-# The experiment-level view of the same hot path (grants/sec, allocs/op,
-# anticipatory HDD arm), as committed in BENCH_hotpath.json.
+# The simulated half of the scheduler report: the deterministic
+# anticipatory HDD arm, as committed in BENCH_hotpath.json.
 hotpath:
 	$(GO) run ./cmd/hbench -exp hotpath
 

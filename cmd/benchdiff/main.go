@@ -13,12 +13,6 @@
 // simulator noise. It exits 1 only on unreadable input, a schema it
 // doesn't know, or two files whose schema versions differ (comparing
 // incompatible layouts leaf-by-leaf would be silently meaningless).
-//
-// Leaves named ns_per_op, grants_per_sec or allocs_per_op (the hotpath
-// experiment's wall-clock fields) are host-dependent by construction:
-// they are printed as PERF delta lines for every run and excluded from
-// the drift accounting, so a faster or slower CI machine never trips
-// the WARN threshold.
 package main
 
 import (
@@ -31,7 +25,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 type benchFile struct {
@@ -64,10 +57,9 @@ func main() {
 	log.Fatalf("benchdiff: %v", err)
 }
 
-// diff flattens both documents and writes the comparison: PERF lines
-// for host-dependent perf leaves (always, never counted as drift), WARN
-// lines for deterministic leaves past the threshold, and a summary. It
-// returns the drifted-leaf count for tests.
+// diff flattens both documents and writes the comparison: a WARN line
+// for every leaf past the threshold, and a summary. It returns the
+// drifted-leaf count for tests.
 func diff(w io.Writer, oldDoc, newDoc benchFile, warn, abs float64) int {
 	oldLeaves := map[string]float64{}
 	flatten("", oldDoc.Experiments, oldLeaves)
@@ -82,15 +74,10 @@ func diff(w io.Writer, oldDoc, newDoc benchFile, warn, abs float64) int {
 	}
 	sort.Strings(paths)
 
-	drifted, perf := 0, 0
+	drifted := 0
 	for _, p := range paths {
 		a, b := oldLeaves[p], newLeaves[p]
 		if math.Abs(a) < abs && math.Abs(b) < abs {
-			continue
-		}
-		if perfLeaf(p) {
-			perf++
-			fmt.Fprintf(w, "PERF %-70s %14g -> %-14g (%+.1f%%)\n", p, a, b, 100*(b-a)/math.Max(math.Abs(a), abs))
 			continue
 		}
 		if drift(a, b) > warn {
@@ -109,29 +96,12 @@ func diff(w io.Writer, oldDoc, newDoc benchFile, warn, abs float64) int {
 			onlyNew++
 		}
 	}
-	fmt.Fprintf(w, "benchdiff: %d comparable leaves (%d perf-only), %d over %.0f%% drift", len(paths), perf, drifted, 100*warn)
+	fmt.Fprintf(w, "benchdiff: %d comparable leaves, %d over %.0f%% drift", len(paths), drifted, 100*warn)
 	if onlyOld > 0 || onlyNew > 0 {
 		fmt.Fprintf(w, " (%d only in old, %d only in new)", onlyOld, onlyNew)
 	}
 	fmt.Fprintln(w)
 	return drifted
-}
-
-// perfFields are the leaf names carrying wall-clock measurements of the
-// simulator itself (see the hotpath experiment). They vary with the
-// host, so they are reported but never counted as drift.
-var perfFields = map[string]bool{
-	"ns_per_op":      true,
-	"grants_per_sec": true,
-	"allocs_per_op":  true,
-}
-
-// perfLeaf reports whether a flattened path ends in a perf field.
-func perfLeaf(p string) bool {
-	if i := strings.LastIndexByte(p, '.'); i >= 0 {
-		p = p[i+1:]
-	}
-	return perfFields[p]
 }
 
 // knownSchemas are the -json document versions this benchdiff can diff.

@@ -87,95 +87,31 @@ func doc(exps map[string]any) benchFile {
 	return benchFile{Schema: "hbench/v1", Experiments: exps}
 }
 
-// TestDiffPerfLeavesReportedNotCounted: hotpath's wall-clock fields show
-// up as PERF delta lines at any magnitude of change, and never count
-// toward the drift summary; deterministic leaves past the threshold
-// still WARN.
-func TestDiffPerfLeavesReportedNotCounted(t *testing.T) {
-	oldDoc := doc(map[string]any{
-		"hotpath": map[string]any{
-			"depth": []any{map[string]any{
-				"depth":          float64(4096),
-				"ns_per_op":      float64(5000),
-				"grants_per_sec": float64(200000),
-				"allocs_per_op":  float64(0.5),
-			}},
-			"anticipatory": []any{map[string]any{
-				"stream_switches": float64(48),
-			}},
-		},
-	})
-	newDoc := doc(map[string]any{
-		"hotpath": map[string]any{
-			"depth": []any{map[string]any{
-				"depth":          float64(4096),
-				"ns_per_op":      float64(20000), // 4x slower: perf, not drift
-				"grants_per_sec": float64(50000),
-				"allocs_per_op":  float64(0.5),
-			}},
-			"anticipatory": []any{map[string]any{
-				"stream_switches": float64(120), // deterministic: drift
-			}},
-		},
-	})
+// TestDiffWarnsPastThreshold: a leaf that moved past the threshold gets a
+// WARN line and counts as drift; one that moved less, and identical
+// documents, stay quiet.
+func TestDiffWarnsPastThreshold(t *testing.T) {
+	run := func(switches, makespan float64) benchFile {
+		return doc(map[string]any{
+			"hotpath": map[string]any{"anticipatory": []any{map[string]any{
+				"stream_switches": switches,
+				"makespan_ns":     makespan,
+			}}},
+		})
+	}
+	oldDoc, newDoc := run(48, 1000), run(120, 1100)
 	var sb strings.Builder
 	drifted := diff(&sb, oldDoc, newDoc, 0.2, 1e-9)
 	out := sb.String()
-
-	if drifted != 1 {
+	if drifted != 1 || !strings.Contains(out, "WARN hotpath.anticipatory.0.stream_switches") {
 		t.Errorf("drifted = %d, want 1 (stream_switches only):\n%s", drifted, out)
 	}
-	for _, want := range []string{
-		"PERF hotpath.depth.0.ns_per_op",
-		"PERF hotpath.depth.0.grants_per_sec",
-		"PERF hotpath.depth.0.allocs_per_op",
-		"WARN hotpath.anticipatory.0.stream_switches",
-		"(3 perf-only)",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
+	if strings.Contains(out, "makespan_ns") {
+		t.Errorf("a 10%% move reported at a 20%% threshold:\n%s", out)
 	}
-	if strings.Contains(out, "WARN hotpath.depth") {
-		t.Errorf("perf leaf counted as drift:\n%s", out)
-	}
-}
 
-// TestDiffStableLeavesQuiet: unchanged deterministic leaves produce no
-// WARN lines, and an unchanged perf leaf still prints its (zero) delta.
-func TestDiffStableLeavesQuiet(t *testing.T) {
-	d := doc(map[string]any{
-		"tenants": map[string]any{"txns": float64(60)},
-		"hotpath": map[string]any{"workers": []any{map[string]any{
-			"workers":   float64(4),
-			"ns_per_op": float64(1000),
-		}}},
-	})
-	var sb strings.Builder
-	if drifted := diff(&sb, d, d, 0.2, 1e-9); drifted != 0 {
+	sb.Reset()
+	if drifted := diff(&sb, oldDoc, oldDoc, 0.2, 1e-9); drifted != 0 || strings.Contains(sb.String(), "WARN") {
 		t.Errorf("identical docs drifted %d leaves:\n%s", drifted, sb.String())
-	}
-	if strings.Contains(sb.String(), "WARN") {
-		t.Errorf("identical docs produced WARN:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "PERF hotpath.workers.0.ns_per_op") {
-		t.Errorf("perf leaf not reported on identical docs:\n%s", sb.String())
-	}
-}
-
-// TestPerfLeaf pins the suffix matching: only the final path segment
-// decides, so a deterministic field that merely contains a perf name
-// elsewhere in its path is still drift-checked.
-func TestPerfLeaf(t *testing.T) {
-	for path, want := range map[string]bool{
-		"hotpath.depth.0.ns_per_op":       true,
-		"hotpath.workers.3.allocs_per_op": true,
-		"grants_per_sec":                  true,
-		"hotpath.depth.0.grants":          false,
-		"tenants.0.txns_per_sec":          false,
-	} {
-		if got := perfLeaf(path); got != want {
-			t.Errorf("perfLeaf(%q) = %v, want %v", path, got, want)
-		}
 	}
 }

@@ -3,7 +3,10 @@ package main
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+
+	"hstoragedb/internal/experiments"
 )
 
 func TestParseShards(t *testing.T) {
@@ -64,5 +67,38 @@ func TestParseWorkersRejectsBadCounts(t *testing.T) {
 	got, err := parseWorkers("1, 4 ,8")
 	if err != nil || !reflect.DeepEqual(got, []int{1, 4, 8}) {
 		t.Errorf("parseWorkers(\"1, 4 ,8\") = %v, %v", got, err)
+	}
+}
+
+func TestParseTenants(t *testing.T) {
+	got, err := parseTenants("4, 2 ,0.5")
+	if err != nil || !reflect.DeepEqual(got, []float64{4, 2, 0.5}) {
+		t.Errorf("parseTenants(\"4, 2 ,0.5\") = %v, %v", got, err)
+	}
+	for _, bad := range []string{"", "0", "-1", "1,heavy"} {
+		if got, err := parseTenants(bad); err == nil {
+			t.Errorf("parseTenants(%q): want error, got %v", bad, got)
+		}
+	}
+}
+
+// The -exp help text is generated from the registry, so it names exactly
+// the registry's ids (plus "all"), in registry order.
+func TestExpUsageListsTheRegistry(t *testing.T) {
+	usage := expUsage()
+	open, close := strings.Index(usage, "("), strings.Index(usage, ")")
+	if open < 0 || close < open {
+		t.Fatalf("no id list in usage:\n%s", usage)
+	}
+	var want []string
+	for _, x := range experiments.Registry() {
+		want = append(want, x.ID)
+		if !strings.Contains(usage, "\n  "+x.ID+" ") {
+			t.Errorf("usage has no description line for %q", x.ID)
+		}
+	}
+	want = append(want, "all")
+	if got := strings.Fields(usage[open+1 : close]); !reflect.DeepEqual(got, want) {
+		t.Errorf("usage lists %v, registry has %v", got, want)
 	}
 }

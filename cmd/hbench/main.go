@@ -1,6 +1,8 @@
 // Command hbench regenerates the tables and figures of the hStorage-DB
-// paper's evaluation (Section 6) against the simulated hybrid storage
-// system.
+// paper's evaluation (Section 6), the extension experiments and the
+// ablations against the simulated hybrid storage system. Everything it
+// reports is simulated: wall-clock cost per layer is `make bench`, the
+// end-to-end gate is the benchmark in bench/.
 //
 // Usage:
 //
@@ -9,9 +11,9 @@
 //	hbench -exp txnscale -workers 1,2,4,8 -json metrics.json
 //	hbench -exp iosched -trace trace.json -metrics
 //
-// Experiments: fig4, fig5, table4, fig6, table5, table6, fig9, table7,
-// fig11 (includes table8), table9, fig12, oltp, iosched, txnscale,
-// tenants, htap, shards, lsm, hotpath, all.
+// `hbench -h` lists the experiment ids with what each one measures; the
+// list comes from the registry in internal/experiments, which is also the
+// order `-exp all` runs them in.
 //
 // With -json, every experiment's structured results are also written to
 // the given file as one versioned JSON document (schema "hbench/v1")
@@ -21,16 +23,15 @@
 // With -trace, every layer of the run — I/O scheduler queueing, device
 // service, buffer pool miss fills, lock waits, WAL flushes and
 // checkpoints, group commits — records spans on the simulated clock into
-// a bounded ring buffer, written at exit as Chrome trace-event JSON
-// (load it in Perfetto or chrome://tracing). -tracecap bounds the ring;
-// -tracesample 1/N-samples the per-request spans. Traces of a
-// fixed-seed run are deterministic when every request is sampled
-// (-tracesample 1, the default).
+// a bounded ring buffer (-tracecap), written at exit as Chrome
+// trace-event JSON for Perfetto or chrome://tracing. -tracesample
+// 1/N-samples the per-request spans; a fixed-seed single-stream run
+// traces deterministically when every request is sampled (the default).
 //
-// With -metrics, the full metrics registry — dotted-name counters,
-// gauges, and latency histograms from all layers — is dumped to stdout
-// after the experiments finish, and embedded in the -json document when
-// both are given.
+// With -metrics, the metrics registry — dotted-name counters, gauges and
+// latency histograms from all layers — is dumped to stdout after the
+// experiments finish, and embedded in the -json document when both are
+// given.
 package main
 
 import (
@@ -39,10 +40,8 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 
-	"hstoragedb/internal/dss"
 	"hstoragedb/internal/experiments"
 	"hstoragedb/internal/obs"
 )
@@ -59,9 +58,20 @@ type benchFile struct {
 	Metrics     map[string]any     `json:"metrics,omitempty"`
 }
 
+// expUsage is the -exp flag's help text: every registry id, then one line
+// per experiment.
+func expUsage() string {
+	var ids, docs strings.Builder
+	for _, x := range experiments.Registry() {
+		ids.WriteString(x.ID + " ")
+		fmt.Fprintf(&docs, "\n  %-9s %s", x.ID, x.Doc)
+	}
+	return "comma-separated experiment ids (" + ids.String() + "all)" + docs.String()
+}
+
 func main() {
 	log.SetFlags(0)
-	exp := flag.String("exp", "all", "comma-separated experiment ids (fig4 fig5 table4 fig6 table5 table6 fig9 table7 fig11 table9 fig12 oltp iosched txnscale tenants htap shards lsm hotpath all)")
+	exp := flag.String("exp", "all", expUsage())
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor")
 	cache := flag.Float64("cache", 0.7, "SSD cache size as a fraction of total data pages")
 	bp := flag.Float64("bp", 0.04, "buffer pool size as a fraction of total data pages")
@@ -117,248 +127,47 @@ func main() {
 		Seed:            *seed,
 		Obs:             set,
 	}
-
-	workers, err := parseWorkers(*workersFlag)
-	if err != nil {
+	params := experiments.Params{
+		Streams:    *streams,
+		Txns:       *txns,
+		ScanBlocks: *scanBlocks,
+		ScanRounds: *scanRounds,
+		XShard:     clampXShard(*xshard),
+	}
+	var err error
+	if params.Workers, err = parseWorkers(*workersFlag); err != nil {
 		log.Fatalf("-workers: %v", err)
 	}
-	tenantSpecs, err := parseTenants(*tenantsFlag)
-	if err != nil {
+	if params.TenantWeights, err = parseTenants(*tenantsFlag); err != nil {
 		log.Fatalf("-tenants: %v", err)
 	}
-	shardCounts, err := parseShards(*shardsFlag)
-	if err != nil {
+	if params.Shards, err = parseShards(*shardsFlag); err != nil {
 		log.Fatalf("-shards: %v", err)
 	}
-	*xshard = clampXShard(*xshard)
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*exp, ",") {
 		want[strings.TrimSpace(strings.ToLower(id))] = true
 	}
-	all := want["all"]
-	has := func(id string) bool { return all || want[id] }
 
 	fmt.Printf("hbench: SF=%g cache=%.0f%% of data, bp=%.0f%%, workmem=%d tuples\n",
 		cfg.SF, 100*cfg.CacheRatio, 100*cfg.BufferPoolRatio, cfg.WorkMem)
-	fmt.Println("loading dataset...")
-	env, err := experiments.NewEnv(cfg)
-	if err != nil {
-		log.Fatalf("load: %v", err)
+	suite := &experiments.Suite{Cfg: cfg, Out: os.Stdout}
+
+	// results accumulates each experiment's structured results for -json.
+	results := map[string]any{}
+	for _, x := range experiments.Registry() {
+		if !want["all"] && !want[x.ID] {
+			continue
+		}
+		res, err := suite.Run(x, params)
+		if err != nil {
+			log.Fatalf("%s: %v", x.ID, err)
+		}
+		results[x.ID] = res
+		fmt.Println(res.Format())
 	}
-	fmt.Printf("loaded: %d data pages (%.1f MB)\n\n", env.Data, float64(env.Data)*8/1024)
-
-	// metrics accumulates each experiment's structured results for -json.
-	metrics := map[string]any{}
-
-	ran := false
-	run := func(id string, f func() (any, error)) {
-		if !has(id) {
-			return
-		}
-		ran = true
-		result, err := f()
-		if err != nil {
-			log.Fatalf("%s: %v", id, err)
-		}
-		metrics[id] = result
-		fmt.Println()
-	}
-
-	run("fig4", func() (any, error) {
-		shares, err := env.Fig4()
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatFig4(shares))
-		return shares, nil
-	})
-	run("fig5", func() (any, error) {
-		rows, err := env.Fig5()
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatModeTimes("Figure 5: sequential-dominated queries (Q1, Q5, Q11, Q19)", rows))
-		return rows, nil
-	})
-	run("table4", func() (any, error) {
-		rows, err := env.Table4()
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatTable4(rows))
-		return rows, nil
-	})
-	run("fig6", func() (any, error) {
-		rows, err := env.Fig6()
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatModeTimes("Figure 6: random-dominated queries (Q9, Q21)", rows))
-		return rows, nil
-	})
-	run("table5", func() (any, error) {
-		rows, err := env.Table5()
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatPrioTable("Table 5: Q9 random-request cache statistics (hStorage-DB)",
-			map[string][]experiments.PrioRow{"hStorage-DB": rows}, []string{"hStorage-DB"}))
-		return rows, nil
-	})
-	run("table6", func() (any, error) {
-		hs, lru, err := env.Table6()
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatPrioTable("Table 6: Q21 cache statistics",
-			map[string][]experiments.PrioRow{"hStorage-DB": hs, "LRU": lru},
-			[]string{"hStorage-DB", "LRU"}))
-		return map[string]any{"hstorage": hs, "lru": lru}, nil
-	})
-	run("fig9", func() (any, error) {
-		rows, err := env.Fig9()
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatModeTimes("Figure 9: temp-data query (Q18)", rows))
-		return rows, nil
-	})
-	run("table7", func() (any, error) {
-		hs, lru, err := env.Table7()
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatPrioTable("Table 7: Q18 cache statistics (temp reads vs sequential)",
-			map[string][]experiments.PrioRow{"hStorage-DB": hs, "LRU": lru},
-			[]string{"hStorage-DB", "LRU"}))
-		return map[string]any{"hstorage": hs, "lru": lru}, nil
-	})
-	run("fig11", func() (any, error) {
-		res, err := env.Fig11()
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatFig11(res))
-		return res, nil
-	})
-	run("oltp", func() (any, error) {
-		runs, err := env.OLTPAll(*txns)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatOLTP(runs))
-		return runs, nil
-	})
-	run("iosched", func() (any, error) {
-		runs, err := env.IOSchedAll(*streams, *txns)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatIOSched(runs))
-		return runs, nil
-	})
-	run("txnscale", func() (any, error) {
-		runs, err := env.TxnScaleAll(workers, *txns)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatTxnScale(runs))
-		return runs, nil
-	})
-	run("tenants", func() (any, error) {
-		// -txns is the total across tenants, at least one each: a tiny
-		// -txns must bound the run, not fall through to the default.
-		perTenant := *txns / len(tenantSpecs)
-		if perTenant < 1 {
-			perTenant = 1
-		}
-		runs, err := env.TenantsAll(tenantSpecs, *scanBlocks, perTenant)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatTenants(runs))
-		return runs, nil
-	})
-	run("htap", func() (any, error) {
-		// Eight OLTP workers split -txns between them while the
-		// analytics session runs -scanrounds revenue sweeps. The
-		// interference contrast needs sustained writer pressure, so at
-		// least 30 transactions per worker run regardless of the
-		// (shared) -txns default.
-		perWorker := *txns / 8
-		if perWorker < 30 {
-			perWorker = 30
-		}
-		runs, err := env.HTAPAll(8, perWorker, *scanRounds)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatHTAP(runs))
-		return runs, nil
-	})
-	run("shards", func() (any, error) {
-		// The largest -workers entry drives every sweep point; -txns is
-		// the cluster-wide total per point, as in txnscale. The sweep is
-		// self-contained (it builds its own accounts clusters, not the
-		// TPC-H env) but shares the observability set, so per-shard
-		// labelled series land in -metrics/-trace output.
-		runs, err := experiments.ShardsAll(shardCounts, workers[len(workers)-1], *txns, *xshard, *seed, set)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatShards(runs))
-		return runs, nil
-	})
-	run("lsm", func() (any, error) {
-		// Storage-backend comparison: heap vs LSM under the write-heavy
-		// update mix, with the compaction-classification ablation as the
-		// third arm. Self-contained (it builds its own single-shard
-		// accounts clusters, not the TPC-H env) but shares the
-		// observability set. The largest -workers entry drives the run;
-		// -txns is the per-arm total.
-		runs, err := experiments.LSMAll(workers[len(workers)-1], *txns, *seed, set)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatLSM(runs))
-		return runs, nil
-	})
-	run("hotpath", func() (any, error) {
-		// Scheduler hot-path microbenchmark: wall-clock ns/op and
-		// allocs/op for the pick/grant engine (indexed vs the reference
-		// linear picker), opportunistic-submit scaling, and the
-		// deterministic anticipatory HDD arm. Self-contained — it builds
-		// its own schedulers and ignores the TPC-H env.
-		res := experiments.HotpathAll()
-		fmt.Print(experiments.FormatHotpath(res))
-		return res, nil
-	})
-	if has("table9") || has("fig12") {
-		ran = true
-		tEnv, err := experiments.NewEnv(cfg.ThroughputConfig())
-		if err != nil {
-			log.Fatalf("throughput env: %v", err)
-		}
-		t9, err := tEnv.Table9(*streams)
-		if err != nil {
-			log.Fatalf("table9: %v", err)
-		}
-		if has("table9") {
-			metrics["table9"] = t9
-			fmt.Println(experiments.FormatTable9(t9))
-		}
-		if has("fig12") {
-			f12, err := tEnv.Fig12(t9)
-			if err != nil {
-				log.Fatalf("fig12: %v", err)
-			}
-			metrics["fig12"] = f12
-			fmt.Println(experiments.FormatFig12(f12))
-		}
-	}
-
-	if !ran {
+	if len(results) == 0 {
 		fmt.Fprintf(os.Stderr, "no experiment matched %q\n", *exp)
 		os.Exit(2)
 	}
@@ -386,7 +195,7 @@ func main() {
 		}
 	}
 	if *jsonPath != "" {
-		doc := benchFile{Schema: benchSchema, Config: cfg, Experiments: metrics}
+		doc := benchFile{Schema: benchSchema, Config: cfg, Experiments: results}
 		if *metricsDump {
 			doc.Metrics = set.Reg.JSONSnapshot()
 		}
@@ -400,83 +209,4 @@ func main() {
 		}
 		fmt.Printf("metrics written to %s\n", *jsonPath)
 	}
-}
-
-// parseTenants parses the -tenants flag: a comma-separated list of
-// positive tenant weights, assigned to tenant IDs 1..n in order.
-func parseTenants(s string) ([]experiments.TenantSpec, error) {
-	var out []experiments.TenantSpec
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		w, err := strconv.ParseFloat(part, 64)
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("bad tenant weight %q", part)
-		}
-		out = append(out, experiments.TenantSpec{ID: dss.TenantID(len(out) + 1), Weight: w})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no tenant weights")
-	}
-	return out, nil
-}
-
-// parseShards parses the -shards flag: a comma-separated list of shard
-// counts. Malformed entries are errors; counts below one are clamped to
-// a single shard (the same tolerance -txns gets), since a zero-shard
-// cluster has no meaning but the sweep can still run.
-func parseShards(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad shard count %q", part)
-		}
-		if n < 1 {
-			n = 1
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no shard counts")
-	}
-	return out, nil
-}
-
-// clampXShard clamps the cross-shard fraction into [0,1]; NaN becomes 0.
-func clampXShard(x float64) float64 {
-	if !(x > 0) { // catches NaN too
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
-
-// parseWorkers parses the -workers flag: a comma-separated list of
-// positive worker counts.
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad worker count %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no worker counts")
-	}
-	return out, nil
 }

@@ -72,8 +72,8 @@ type (
 	DeviceSpec = device.Spec
 	// IOSchedConfig parameterizes the QoS-aware per-device I/O
 	// scheduler (StorageConfig.Sched): priority dispatch with an aging
-	// bound, coalescing, readahead; set Disable for the single-FIFO
-	// ablation or FIFO for the queued arrival-order ablation.
+	// bound, coalescing, readahead; set FIFO for the queued
+	// arrival-order ablation.
 	IOSchedConfig = iosched.Config
 	// IOSchedGroup is a storage system's scheduling domain: experiment
 	// streams register their session clocks with it for

@@ -373,37 +373,6 @@ func (d *Device) busyGauge() *obs.Gauge {
 	return d.mBusy
 }
 
-// AccessBackground schedules work that no requester waits on (asynchronous
-// flushes). The device is occupied but the caller's clock should not be
-// advanced to the returned completion time.
-func (d *Device) AccessBackground(at time.Duration, op Op, lba int64, blocks int) time.Duration {
-	if blocks <= 0 {
-		return at
-	}
-	pos, xfer := d.serviceTime(op, lba, blocks)
-	var end time.Duration
-	if d.bw == nil {
-		end = d.res[0].ServeBackground(at, pos+xfer)
-	} else {
-		end = d.bw.ServeBackground(d.channelFor().ServeBackground(at, pos), xfer)
-	}
-	d.busyGauge().SetMax(int64(end))
-	return end
-}
-
-// AccessQueued is the queue-aware submission API used by the I/O
-// scheduler (package iosched): the request arrived at virtual time
-// `arrive` and was granted the device at `grant` (grant >= arrive when
-// the scheduler held it back behind higher-priority work). The access is
-// served like Access, and the request's end-to-end latency — completion
-// minus arrival, i.e. queueing plus service — is recorded in the
-// per-class latency histogram under `class`.
-func (d *Device) AccessQueued(arrive, grant time.Duration, op Op, lba int64, blocks int, class int) time.Duration {
-	end := d.Access(grant, op, lba, blocks)
-	d.ObserveLatency(class, end-arrive)
-	return end
-}
-
 // BusyUntil reports the virtual time at which the device becomes fully
 // idle (the latest channel's horizon). The I/O scheduler consults it to
 // measure how long a queued request has effectively been waiting (its

@@ -38,6 +38,7 @@ package bufferpool
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"hstoragedb/internal/engine/policy"
@@ -513,6 +514,16 @@ func (p *Pool) FlushAll(clk *simclock.Clock) error {
 		}
 	}
 	p.mu.Unlock()
+	// Write back in (object, page) order: map order would make the
+	// device's I/O order, and with it every simulated time downstream,
+	// differ from run to run.
+	sort.Slice(dirty, func(i, j int) bool {
+		a, b := dirty[i].e.key, dirty[j].e.key
+		if a.obj != b.obj {
+			return a.obj < b.obj
+		}
+		return a.page < b.page
+	})
 	for _, s := range dirty {
 		e := s.e
 		tag := policy.Tag{Object: e.key.obj, Content: e.content}

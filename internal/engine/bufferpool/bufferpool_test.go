@@ -131,6 +131,44 @@ func TestFlushAllCleans(t *testing.T) {
 	}
 }
 
+// writeLog is a page store that records the order pages are written in.
+type writeLog struct {
+	*pagestore.Store
+	order []key
+}
+
+func (w *writeLog) Write(id pagestore.ObjectID, page int64, data []byte) ([]pagestore.Access, error) {
+	w.order = append(w.order, key{obj: id, page: page})
+	return w.Store.Write(id, page, data)
+}
+
+// FlushAll writes dirty frames back in ascending (object, page) order
+// whatever order they were dirtied in: the frame table is a map, and its
+// iteration order must not become the device's I/O order.
+func TestFlushAllWritesInPageOrder(t *testing.T) {
+	h := newHarness(t)
+	store := &writeLog{Store: h.store}
+	mgr := storagemgr.New(store, h.sys, policy.NewAssignmentTable(dss.DefaultPolicySpace()))
+	p := New(mgr, 64)
+	for _, k := range []key{{2, 7}, {1, 9}, {2, 0}, {1, 3}, {1, 12}, {2, 4}, {1, 0}, {2, 11}, {1, 6}, {2, 2}} {
+		if err := p.Put(&h.clk, tag(k.obj), k.page, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.FlushAll(&h.clk); err != nil {
+		t.Fatal(err)
+	}
+	if len(store.order) != 10 {
+		t.Fatalf("%d pages written back, want 10", len(store.order))
+	}
+	for i := 1; i < len(store.order); i++ {
+		a, b := store.order[i-1], store.order[i]
+		if a.obj > b.obj || (a.obj == b.obj && a.page >= b.page) {
+			t.Fatalf("write-back order not ascending: %v", store.order)
+		}
+	}
+}
+
 func TestInvalidateDropsWithoutWriteBack(t *testing.T) {
 	h := newHarness(t)
 	p := New(h.mgr, 8)

@@ -26,7 +26,10 @@ type HashAgg struct {
 	// identity).
 	Finalize func(acc catalog.Tuple) catalog.Tuple
 
-	groups  map[string]catalog.Tuple
+	groups map[string]catalog.Tuple
+	// order lists the keys of groups in first-seen order: the emission
+	// order, and so the probe order of every operator above, is a
+	// function of the input alone (a map walk would vary run to run).
 	order   []string
 	idx     int
 	spills  []*TempFile
@@ -95,6 +98,7 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 			continue
 		}
 		a.groups[k] = a.NewGroup(t)
+		a.order = append(a.order, k)
 	}
 	if a.spilled {
 		for _, tf := range a.spills {
@@ -103,16 +107,7 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 			}
 		}
 	}
-	a.snapshotOrder()
 	return a.Child.Close(ctx)
-}
-
-// snapshotOrder fixes the emission order of resident groups.
-func (a *HashAgg) snapshotOrder() {
-	a.order = a.order[:0]
-	for k := range a.groups {
-		a.order = append(a.order, k)
-	}
 }
 
 // Next implements Operator.
@@ -133,6 +128,7 @@ func (a *HashAgg) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 		// groups were resident in phase one were already merged, so a
 		// partition contains only non-resident groups.
 		a.groups = make(map[string]catalog.Tuple)
+		a.order = a.order[:0]
 		r := a.spills[a.part].NewReader()
 		for {
 			t, ok, err := r.Next(ctx)
@@ -148,13 +144,13 @@ func (a *HashAgg) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 				a.groups[k] = a.Merge(acc, t)
 			} else {
 				a.groups[k] = a.NewGroup(t)
+				a.order = append(a.order, k)
 			}
 		}
 		if err := ctx.DropTemp(a.spills[a.part]); err != nil {
 			return nil, false, err
 		}
 		a.part++
-		a.snapshotOrder()
 		a.idx = 0
 	}
 }

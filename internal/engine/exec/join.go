@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sort"
 
 	"hstoragedb/internal/engine/catalog"
 )
@@ -184,9 +185,16 @@ func (j *HashJoin) startSpill(ctx *Ctx) error {
 		}
 		j.buildParts[i] = tf
 	}
-	for k, ts := range j.table {
+	// Spill in key order, not map order: the order tuples land in the
+	// partition files decides the temp-file I/O that follows.
+	keys := make([]int64, 0, len(j.table))
+	for k := range j.table {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+	for _, k := range keys {
 		p := part(k)
-		for _, t := range ts {
+		for _, t := range j.table[k] {
 			if err := j.buildParts[p].Append(ctx, t); err != nil {
 				return err
 			}

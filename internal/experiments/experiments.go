@@ -62,6 +62,8 @@ type Env struct {
 	Cfg  Config
 	DS   *tpch.Dataset
 	Data int64 // total data pages after load
+
+	t9 *ThroughputResult // throughput's memo
 }
 
 // NewEnv loads a dataset for the configuration.
@@ -91,9 +93,12 @@ func (e *Env) bpPages() int {
 	return n
 }
 
-// Instance builds a fresh engine instance in the given mode.
-func (e *Env) Instance(mode hybrid.Mode) (*engine.Instance, error) {
-	return e.DS.DB.NewInstance(engine.InstanceConfig{
+// baseConfig is the instance every experiment starts from: the mode's
+// storage system with the SSD cache and the buffer pool sized from the
+// dataset, the configured work memory and the CPU cost per tuple.
+// Experiments that need something else change the fields they mean to.
+func (e *Env) baseConfig(mode hybrid.Mode) engine.InstanceConfig {
+	return engine.InstanceConfig{
 		Storage: hybrid.Config{
 			Mode:        mode,
 			CacheBlocks: e.cacheBlocks(),
@@ -102,7 +107,12 @@ func (e *Env) Instance(mode hybrid.Mode) (*engine.Instance, error) {
 		WorkMem:         e.Cfg.WorkMem,
 		CPUPerTuple:     300 * time.Nanosecond,
 		Obs:             e.Cfg.Obs,
-	})
+	}
+}
+
+// Instance builds a fresh engine instance in the given mode.
+func (e *Env) Instance(mode hybrid.Mode) (*engine.Instance, error) {
+	return e.DS.DB.NewInstance(e.baseConfig(mode))
 }
 
 // QueryRun is the outcome of one query under one storage mode.
@@ -122,6 +132,13 @@ func (e *Env) RunSingle(q int, mode hybrid.Mode) (QueryRun, error) {
 	if err != nil {
 		return QueryRun{}, err
 	}
+	return e.runQuery(inst, q)
+}
+
+// runQuery executes query q on a new session of inst, waits for the
+// background work it left behind, and collects the instance's statistics.
+func (e *Env) runQuery(inst *engine.Instance, q int) (QueryRun, error) {
+	mode := inst.Sys.Mode()
 	sess := inst.NewSession()
 	op, err := e.DS.Query(q, e.Cfg.Seed)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestFormatFig4(t *testing.T) {
-	shares := []TypeShare{{
+	shares := TypeShares{{
 		Query: 1,
 		Requests: map[policy.RequestType]float64{
 			policy.SequentialRequest: 1.0,
@@ -19,7 +19,7 @@ func TestFormatFig4(t *testing.T) {
 			policy.SequentialRequest: 1.0,
 		},
 	}}
-	out := FormatFig4(shares)
+	out := shares.Format()
 	if !strings.Contains(out, "Q1") || !strings.Contains(out, "100.0") {
 		t.Fatalf("rendering:\n%s", out)
 	}
@@ -35,7 +35,7 @@ func TestFormatModeTimes(t *testing.T) {
 			hybrid.SSDOnly:  100 * time.Millisecond,
 		},
 	}}
-	out := FormatModeTimes("title", rows)
+	out := ModeTimesTable{"title", rows}.Format()
 	for _, want := range []string{"title", "Q9", "2s", "900ms", "100ms"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
@@ -44,7 +44,7 @@ func TestFormatModeTimes(t *testing.T) {
 }
 
 func TestFormatTable4(t *testing.T) {
-	out := FormatTable4([]Table4Row{{Query: 1, Accessed: 1000, Hits: 3, Ratio: 0.003}})
+	out := Table4Rows{{Query: 1, Accessed: 1000, Hits: 3, Ratio: 0.003}}.Format()
 	if !strings.Contains(out, "1000") || !strings.Contains(out, "0.3%") {
 		t.Fatalf("rendering:\n%s", out)
 	}
@@ -52,8 +52,8 @@ func TestFormatTable4(t *testing.T) {
 
 func TestFormatPrioTable(t *testing.T) {
 	rows := []PrioRow{{Label: "prio2", Accessed: 10, Hits: 9}}
-	out := FormatPrioTable("t", map[string][]PrioRow{"hStorage-DB": rows}, []string{"hStorage-DB"})
-	if !strings.Contains(out, "prio2") || !strings.Contains(out, "90.0%") {
+	out := PrioTable{Title: "t", HStorage: rows}.Format()
+	if !strings.Contains(out, "prio2") || !strings.Contains(out, "90.0%") || strings.Contains(out, "LRU") {
 		t.Fatalf("rendering:\n%s", out)
 	}
 }
@@ -69,7 +69,7 @@ func TestFormatTable9AndFig12(t *testing.T) {
 		QueriesPerHour: map[hybrid.Mode]float64{hybrid.HDDOnly: 10, hybrid.LRU: 20, hybrid.HStorage: 30, hybrid.SSDOnly: 100},
 		Makespan:       map[hybrid.Mode]time.Duration{hybrid.HDDOnly: time.Hour},
 	}
-	out := FormatTable9(t9)
+	out := t9.Format()
 	if !strings.Contains(out, "30.0") {
 		t.Fatalf("table9:\n%s", out)
 	}
@@ -77,7 +77,7 @@ func TestFormatTable9AndFig12(t *testing.T) {
 		Standalone: map[int]map[hybrid.Mode]time.Duration{9: {hybrid.LRU: time.Second}, 18: {}},
 		Throughput: map[int]map[hybrid.Mode]time.Duration{9: {hybrid.LRU: 2 * time.Second}, 18: {}},
 	}
-	out = FormatFig12(f12)
+	out = f12.Format()
 	if !strings.Contains(out, "standalone") || !strings.Contains(out, "Q9") {
 		t.Fatalf("fig12:\n%s", out)
 	}
@@ -104,13 +104,5 @@ func TestEnvSizing(t *testing.T) {
 	}
 	if e.cacheBlocks() <= e.bpPages() {
 		t.Fatal("cache should exceed the buffer pool at these ratios")
-	}
-}
-
-func TestSortedModes(t *testing.T) {
-	m := map[hybrid.Mode]int{hybrid.SSDOnly: 1, hybrid.HDDOnly: 2}
-	got := SortedModes(m)
-	if len(got) != 2 || got[0] != hybrid.HDDOnly || got[1] != hybrid.SSDOnly {
-		t.Fatalf("sorted %v", got)
 	}
 }

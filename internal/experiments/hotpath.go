@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -14,58 +13,14 @@ import (
 	"hstoragedb/internal/simclock"
 )
 
-// The hotpath experiment is the scheduler's raw-speed report card. Unlike
-// every other experiment in this package it measures the simulator itself
-// — wall-clock nanoseconds per scheduling decision, heap allocations per
-// request — rather than simulated device time, because the indexed pick
-// structures, pooled requests and batched completions exist to make large
-// simulated queue depths affordable to run. Three arms:
-//
-//   - a pending-queue depth sweep comparing the indexed picker against
-//     the reference linear picker (Config.LinearPick), the experiment
-//     analogue of BenchmarkSubmitGrant;
-//   - a worker-count sweep over the opportunistic submit path across two
-//     devices, which exercises the per-scheduler lock sharding;
-//   - a deterministic anticipatory arm on a simulated HDD: two registered
-//     streams at distant LBA ranges, with the quanta policy off and on,
-//     reporting the `iosched.band.wait` histogram before/after.
-//
-// The wall-clock arms report ns_per_op / grants_per_sec / allocs_per_op —
-// host-dependent fields benchdiff treats as informational perf deltas,
-// not drift. The anticipatory arm runs entirely in virtual time and is
-// deterministic, so its fields do participate in drift checks.
-
-// HotpathDepthRun is one (depth, picker) point of the queue-depth sweep.
-type HotpathDepthRun struct {
-	Depth  int    `json:"depth"`
-	Picker string `json:"picker"` // "indexed" or "linear"
-
-	// Ops counts submitted requests; Grants the device accesses they
-	// became (identical across pickers — the differential test holds the
-	// grant sequences equal, so the ratio of GrantsPerSec is purely a
-	// ratio of scheduler CPU cost).
-	Ops    int64 `json:"ops"`
-	Grants int64 `json:"grants"`
-
-	NsPerOp      float64 `json:"ns_per_op"`
-	GrantsPerSec float64 `json:"grants_per_sec"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-}
-
-// HotpathWorkerRun is one point of the opportunistic contention sweep:
-// `Workers` goroutines submitting across two devices in one group.
-type HotpathWorkerRun struct {
-	Workers int `json:"workers"`
-	// Procs is runtime.GOMAXPROCS at measurement time: with fewer procs
-	// than workers the sweep measures contention overhead only, not
-	// parallel speedup.
-	Procs int   `json:"procs"`
-	Ops   int64 `json:"ops"`
-
-	NsPerOp      float64 `json:"ns_per_op"`
-	GrantsPerSec float64 `json:"grants_per_sec"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-}
+// The hotpath experiment is the simulated half of the scheduler's
+// raw-speed report: a deterministic anticipatory-dispatch arm on a
+// simulated HDD — two registered streams at distant LBA ranges, with the
+// quanta policy off and on, reporting the `iosched.band.wait` histogram
+// before and after. It runs entirely in virtual time. The wall-clock
+// half — ns/op and allocs/op of the pick/grant engine per queue depth
+// and picker, and submit scaling across CPUs — is `make bench`
+// (BenchmarkSubmitGrant, BenchmarkSubmitParallel in internal/iosched).
 
 // HotpathAnticipatoryRun is one quantum setting of the HDD two-stream
 // arm. All fields are virtual-time deterministic.
@@ -95,22 +50,16 @@ type HotpathAnticipatoryRun struct {
 	Makespan time.Duration `json:"makespan_ns"`
 }
 
-// HotpathResult aggregates the three arms.
+// HotpathResult is the anticipatory arm, one run per quantum setting.
 type HotpathResult struct {
-	Depth        []HotpathDepthRun        `json:"depth"`
-	Workers      []HotpathWorkerRun       `json:"workers"`
 	Anticipatory []HotpathAnticipatoryRun `json:"anticipatory"`
 }
 
-// Sweep sizing. Total submissions per point are fixed so every depth
-// point does the same work; the depth only changes how deep the standing
-// queue is when each pick runs.
+// Arm sizing.
 const (
-	hotpathOpsPerPoint = 16384
-	hotpathWorkerOps   = 32768
-	hotpathAntReads    = 200 // per stream
-	hotpathAntFarLBA   = 4 << 20
-	hotpathAntQuantum  = 8
+	hotpathAntReads   = 200 // per stream
+	hotpathAntFarLBA  = 4 << 20
+	hotpathAntQuantum = 8
 	// The anticipatory arm widens the aging bound so the quantum has
 	// room to act: with the 10ms default and ~5ms cross-stream seeks the
 	// far stream goes overdue after two near grants, and the redirect is
@@ -121,126 +70,6 @@ const (
 	hotpathFarTenant     = dss.TenantID(2)
 	hotpathMeasuredClass = dss.Class(2)
 )
-
-// runHotpathDepth measures one (depth, picker) point: rounds of `depth`
-// background submissions followed by a drain, so every grant picks from
-// a standing queue about `depth` deep. Background submissions are the
-// one public non-blocking enqueue, which keeps the measured loop
-// single-threaded — wall time is scheduler CPU, not goroutine wakeups.
-func runHotpathDepth(depth int, linear bool) HotpathDepthRun {
-	run := HotpathDepthRun{Depth: depth, Picker: "indexed"}
-	if linear {
-		run.Picker = "linear"
-	}
-	dev := device.New(device.Cheetah15K())
-	g := iosched.NewGroup(iosched.Config{
-		Readahead:  iosched.DisableReadahead,
-		LinearPick: linear,
-	})
-	s := g.Attach(dev, dss.DefaultPolicySpace().Sequential())
-
-	// LBA plan: stride 3 over a wide range, rotated per round, so
-	// neither coalescing nor write absorption collapses the queue.
-	lbas := make([]int64, depth)
-	for i := range lbas {
-		lbas[i] = int64(3 * i)
-	}
-	rounds := hotpathOpsPerPoint / depth
-	if rounds < 1 {
-		rounds = 1
-	}
-	oneRound := func(round int) {
-		base := int64(round) * int64(depth) * 4
-		at := time.Duration(round) * time.Millisecond
-		for i := range lbas {
-			at += time.Microsecond
-			s.SubmitBackground(at, device.Write, base+lbas[i], 1,
-				dss.ClassWriteBuffer, dss.DefaultTenant)
-		}
-		g.Drain()
-	}
-
-	oneRound(-1) // warmup: pools, band trees and boundary maps settle
-	g.ResetStats()
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	for round := 0; round < rounds; round++ {
-		oneRound(round)
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-
-	run.Ops = int64(rounds) * int64(depth)
-	run.Grants = s.Stats().Granted
-	run.NsPerOp = float64(elapsed.Nanoseconds()) / float64(run.Ops)
-	if elapsed > 0 {
-		run.GrantsPerSec = float64(run.Grants) * float64(time.Second) / float64(elapsed)
-	}
-	run.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(run.Ops)
-	return run
-}
-
-// runHotpathWorkers measures the opportunistic submit path under
-// contention: `workers` goroutines split a fixed op count across two
-// devices in one group. With per-scheduler locks the two device
-// populations only share the group's atomics, so throughput should hold
-// up (or improve) as workers grow.
-func runHotpathWorkers(workers int) HotpathWorkerRun {
-	run := HotpathWorkerRun{Workers: workers, Procs: runtime.GOMAXPROCS(0)}
-	hdd := device.New(device.Cheetah15K())
-	ssd := device.New(device.Intel320())
-	g := iosched.NewGroup(iosched.Config{Readahead: iosched.DisableReadahead})
-	seq := dss.DefaultPolicySpace().Sequential()
-	scheds := []*iosched.Scheduler{g.Attach(hdd, seq), g.Attach(ssd, seq)}
-
-	per := hotpathWorkerOps / workers
-	warm := func(w int) {
-		s := scheds[w%2]
-		at := time.Duration(w) * time.Second
-		for i := 0; i < 64; i++ {
-			at += time.Microsecond
-			s.Submit(at, device.Read, int64(i), 1, hotpathMeasuredClass, dss.DefaultTenant, nil)
-		}
-	}
-	for w := 0; w < workers; w++ {
-		warm(w)
-	}
-
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := scheds[w%2]
-			// Distinct virtual-time cursor and LBA region per worker so
-			// workers contend on locks, not on device state semantics.
-			at := time.Duration(w+1) * time.Hour
-			base := int64(w) << 32
-			for i := 0; i < per; i++ {
-				at += time.Microsecond
-				s.Submit(at, device.Read, base+int64(7*i), 1,
-					hotpathMeasuredClass, dss.DefaultTenant, nil)
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-
-	run.Ops = int64(workers) * int64(per)
-	run.NsPerOp = float64(elapsed.Nanoseconds()) / float64(run.Ops)
-	if elapsed > 0 {
-		run.GrantsPerSec = float64(run.Ops) * float64(time.Second) / float64(elapsed)
-	}
-	run.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(run.Ops)
-	return run
-}
 
 // runHotpathAnticipatory runs the deterministic HDD two-stream arm for
 // one quantum setting: a near stream walking the low LBAs and a far
@@ -296,65 +125,23 @@ func runHotpathAnticipatory(quantum int) HotpathAnticipatoryRun {
 	ts := s.TenantStats()
 	run.NearMaxWait = ts[hotpathNearTenant].MaxWait
 	run.FarMaxWait = ts[hotpathFarTenant].MaxWait
-	run.Makespan = near.Now()
-	if f := far.Now(); f > run.Makespan {
-		run.Makespan = f
-	}
+	run.Makespan = makespan(near.Now(), far.Now())
 	return run
 }
 
-// HotpathAll runs the three arms. The wall-clock arms are sized to run
-// in about a second each on a laptop-class host.
+// HotpathAll runs the arm with the quantum off and on.
 func HotpathAll() HotpathResult {
 	var res HotpathResult
-	for _, depth := range []int{16, 256, 4096} {
-		for _, linear := range []bool{false, true} {
-			res.Depth = append(res.Depth, runHotpathDepth(depth, linear))
-		}
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		res.Workers = append(res.Workers, runHotpathWorkers(workers))
-	}
 	for _, quantum := range []int{0, hotpathAntQuantum} {
 		res.Anticipatory = append(res.Anticipatory, runHotpathAnticipatory(quantum))
 	}
 	return res
 }
 
-// FormatHotpath renders the hotpath report: the depth sweep with the
-// indexed-over-linear speedup, the worker scaling, and the anticipatory
-// before/after.
-func FormatHotpath(res HotpathResult) string {
+// Format renders the anticipatory before/after.
+func (res HotpathResult) Format() string {
 	var b strings.Builder
-	b.WriteString("Scheduler hot path: wall-clock cost per scheduling decision (not simulated time)\n\n")
-
-	b.WriteString("Queue-depth sweep (background enqueue + drain; grant sequences identical across pickers):\n")
-	fmt.Fprintf(&b, "%7s %8s %9s %9s %12s %10s %9s\n",
-		"depth", "picker", "ops", "ns/op", "grants/s", "allocs/op", "speedup")
-	linNs := make(map[int]float64)
-	for _, r := range res.Depth {
-		if r.Picker == "linear" {
-			linNs[r.Depth] = r.NsPerOp
-		}
-	}
-	for _, r := range res.Depth {
-		speedup := "-"
-		if r.Picker == "indexed" && linNs[r.Depth] > 0 && r.NsPerOp > 0 {
-			speedup = fmt.Sprintf("%.2fx", linNs[r.Depth]/r.NsPerOp)
-		}
-		fmt.Fprintf(&b, "%7d %8s %9d %9.0f %12.0f %10.2f %9s\n",
-			r.Depth, r.Picker, r.Ops, r.NsPerOp, r.GrantsPerSec, r.AllocsPerOp, speedup)
-	}
-
-	b.WriteString("\nOpportunistic submit scaling (two devices, per-scheduler locks):\n")
-	fmt.Fprintf(&b, "%8s %6s %9s %9s %12s %10s\n", "workers", "procs", "ops", "ns/op", "submits/s", "allocs/op")
-	for _, r := range res.Workers {
-		fmt.Fprintf(&b, "%8d %6d %9d %9.0f %12.0f %10.2f\n",
-			r.Workers, r.Procs, r.Ops, r.NsPerOp, r.GrantsPerSec, r.AllocsPerOp)
-	}
-	b.WriteString("with procs < workers this measures contention overhead, not parallel speedup\n")
-
-	b.WriteString("\nAnticipatory HDD dispatch (two registered streams, near/far; virtual time, deterministic):\n")
+	b.WriteString("Anticipatory HDD dispatch (two registered streams, near/far; virtual time, deterministic):\n")
 	fmt.Fprintf(&b, "%8s %9s %8s %12s %12s %12s %12s %12s\n",
 		"quantum", "switches", "boosts", "wait-p50", "wait-p99", "near-max", "far-max", "makespan")
 	for _, r := range res.Anticipatory {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"hstoragedb/internal/dss"
@@ -13,7 +12,6 @@ import (
 	"hstoragedb/internal/engine/heap"
 	"hstoragedb/internal/engine/policy"
 	"hstoragedb/internal/engine/txn"
-	"hstoragedb/internal/engine/wal"
 	"hstoragedb/internal/hybrid"
 	"hstoragedb/internal/iosched"
 	"hstoragedb/internal/tpch"
@@ -47,31 +45,24 @@ const (
 	htapScanTenant dss.TenantID = 2
 )
 
-// htapInstance builds the HTAP instance: a txn-grade configuration
+// htapConfig describes the HTAP instance: a txn-grade configuration
 // (log class on) whose device scheduler enforces the OLTP-vs-scan
 // tenant split. The buffer pool is sized to keep the scanned orders
 // heap resident on top of the usual working-set budget — the HTAP
 // setup under study caches the shared hot table, so the arms differ by
 // concurrency control (lock waits vs version reads), not by who wins
 // the device queue on cold page faults.
-func (e *Env) htapInstance(mode hybrid.Mode) (*engine.Instance, error) {
+func (e *Env) htapConfig(mode hybrid.Mode) engine.InstanceConfig {
 	ordersPages := int(e.DS.DB.Store.Pages(e.DS.DB.Cat.MustTable("orders").ID))
-	return e.DS.DB.NewInstance(engine.InstanceConfig{
-		Storage: hybrid.Config{
-			Mode:        mode,
-			CacheBlocks: e.cacheBlocks(),
-			Sched: iosched.Config{
-				TenantWeights: map[dss.TenantID]float64{
-					htapOLTPTenant: 8,
-					htapScanTenant: 1,
-				},
-			},
+	cfg := e.baseConfig(mode)
+	cfg.Storage.Sched = iosched.Config{
+		TenantWeights: map[dss.TenantID]float64{
+			htapOLTPTenant: 8,
+			htapScanTenant: 1,
 		},
-		BufferPoolPages: e.bpPages() + ordersPages + 16,
-		WorkMem:         e.Cfg.WorkMem,
-		CPUPerTuple:     300 * time.Nanosecond,
-		Obs:             e.Cfg.Obs,
-	})
+	}
+	cfg.BufferPoolPages += ordersPages + 16
+	return cfg
 }
 
 // HTAPRun is the outcome of the HTAP interference experiment under one
@@ -120,15 +111,6 @@ func (e *Env) htapSnapReads() int64 {
 	return e.Cfg.Obs.Registry().Counter("bufferpool.snapshot.reads").Value()
 }
 
-// latPercentile returns the q-quantile of a sorted latency slice.
-func latPercentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
-
 // RunHTAP runs one arm of the HTAP experiment on one storage
 // configuration: workers OLTP sessions each commit txnsPerWorker
 // transactions while one analytics session runs scanRounds revenue
@@ -143,19 +125,11 @@ func latPercentile(sorted []time.Duration, q float64) time.Duration {
 // dispatch.
 func (e *Env) RunHTAP(mode hybrid.Mode, arm string, workers, txnsPerWorker, scanRounds int) (HTAPRun, error) {
 	run := HTAPRun{Mode: mode, Arm: arm, Workers: workers}
-	inst, err := e.htapInstance(mode)
+	rig, err := e.newTxnRig(e.htapConfig(mode))
 	if err != nil {
 		return run, err
 	}
-	setupSess := inst.NewSession()
-	log, err := wal.New(&setupSess.Clk, inst.Mgr, oltpWALConfig())
-	if err != nil {
-		return run, err
-	}
-	tm := txn.NewManager(inst, log)
-	if err := tm.Checkpoint(setupSess); err != nil {
-		return run, err
-	}
+	inst, setupSess, tm := rig.inst, rig.sess, rig.tm
 	// Warm the orders heap into the pool before measuring (every arm,
 	// for comparability): the measured sweeps then read resident pages
 	// and the arm contrast is lock waits versus version reads.
@@ -179,47 +153,27 @@ func (e *Env) RunHTAP(mode hybrid.Mode, arm string, workers, txnsPerWorker, scan
 		grp.Register(&scanSess.Clk)
 	}
 
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		runErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		mu.Unlock()
-	}
-
 	// OLTP workers: one driver per session, timing every transaction on
 	// the worker's virtual clock (so lock waits behind sweeps count).
 	lats := make([][]time.Duration, workers)
+	elapsed := make([]time.Duration, workers)
 	drivers := make([]*tpch.OLTP, workers)
-	var oltpElapsed time.Duration
-	for i := range oltpSess {
+	fns := make([]func() error, 0, workers+1)
+	for i, sess := range oltpSess {
 		drivers[i] = e.DS.NewOLTP(e.Cfg.Seed + int64(i))
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sess := oltpSess[i]
+		fns = append(fns, func() error {
 			defer grp.Unregister(&sess.Clk)
 			start := sess.Clk.Now()
 			for j := 0; j < txnsPerWorker; j++ {
 				t0 := sess.Clk.Now()
 				if err := drivers[i].RunTxn(tm, sess, 1); err != nil {
-					fail(fmt.Errorf("htap %s oltp worker %d on %v: %w", arm, i, mode, err))
-					return
+					return fmt.Errorf("htap %s oltp worker %d on %v: %w", arm, i, mode, err)
 				}
 				lats[i] = append(lats[i], sess.Clk.Now()-t0)
 			}
-			elapsed := sess.Clk.Now() - start
-			mu.Lock()
-			if elapsed > oltpElapsed {
-				oltpElapsed = elapsed
-			}
-			mu.Unlock()
-		}(i)
+			elapsed[i] = sess.Clk.Now() - start
+			return nil
+		})
 	}
 
 	// Analytics stream: scanRounds revenue sweeps of the orders heap.
@@ -229,9 +183,7 @@ func (e *Env) RunHTAP(mode hybrid.Mode, arm string, workers, txnsPerWorker, scan
 	// snapshot arm reads its begin-watermark version of every page and
 	// never touches the lock manager.
 	if arm != HTAPBaseline {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		fns = append(fns, func() error {
 			defer grp.Unregister(&scanSess.Clk)
 			start := scanSess.Clk.Now()
 			for r := 0; r < scanRounds; r++ {
@@ -242,21 +194,16 @@ func (e *Env) RunHTAP(mode hybrid.Mode, arm string, workers, txnsPerWorker, scan
 					err = e.htapSnapshotSweep(tm, scanSess)
 				}
 				if err != nil {
-					fail(fmt.Errorf("htap %s sweep %d on %v: %w", arm, r, mode, err))
-					return
+					return fmt.Errorf("htap %s sweep %d on %v: %w", arm, r, mode, err)
 				}
-				mu.Lock()
 				run.Scans++
-				mu.Unlock()
 			}
-			mu.Lock()
 			run.ScanElapsed = scanSess.Clk.Now() - start
-			mu.Unlock()
-		}()
+			return nil
+		})
 	}
-	wg.Wait()
-	if runErr != nil {
-		return run, runErr
+	if err := runStreams(fns...); err != nil {
+		return run, err
 	}
 
 	settle := inst.NewSession()
@@ -274,13 +221,9 @@ func (e *Env) RunHTAP(mode hybrid.Mode, arm string, workers, txnsPerWorker, scan
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	run.CommitP50 = latPercentile(all, 0.50)
 	run.CommitP99 = latPercentile(all, 0.99)
-	run.OLTPElapsed = oltpElapsed
-	if oltpElapsed > 0 {
-		run.CommitsPerSec = float64(run.Commits) * float64(time.Second) / float64(oltpElapsed)
-	}
-	if run.ScanElapsed > 0 {
-		run.ScansPerSec = float64(run.Scans) * float64(time.Second) / float64(run.ScanElapsed)
-	}
+	run.OLTPElapsed = makespan(elapsed...)
+	run.CommitsPerSec = perSec(run.Commits, run.OLTPElapsed)
+	run.ScansPerSec = perSec(int64(run.Scans), run.ScanElapsed)
 
 	// Drain the version store and verify nothing leaks, then leave the
 	// shared dataset consistent for the next run.
@@ -292,13 +235,7 @@ func (e *Env) RunHTAP(mode hybrid.Mode, arm string, workers, txnsPerWorker, scan
 	if run.VersionsLeft != 0 {
 		return run, fmt.Errorf("htap %s on %v: %d versions leaked past the final checkpoint", arm, mode, run.VersionsLeft)
 	}
-	if err := e.DS.RecomputeNextOrderKey(setupSess); err != nil {
-		return run, err
-	}
-	if err := log.Destroy(&setupSess.Clk); err != nil {
-		return run, err
-	}
-	return run, nil
+	return run, rig.close()
 }
 
 // htapRevenueSweep scans the full orders heap on the session's stream,
@@ -370,8 +307,11 @@ func (e *Env) htapSnapshotSweep(tm *txn.Manager, sess *engine.Session) error {
 	return snap.Commit()
 }
 
+// HTAPRuns is the HTAP interference report.
+type HTAPRuns []HTAPRun
+
 // HTAPAll runs every arm on the SSD-only and hStorage configurations.
-func (e *Env) HTAPAll(workers, txnsPerWorker, scanRounds int) ([]HTAPRun, error) {
+func (e *Env) HTAPAll(workers, txnsPerWorker, scanRounds int) (HTAPRuns, error) {
 	if workers <= 0 {
 		workers = 2
 	}
@@ -381,7 +321,7 @@ func (e *Env) HTAPAll(workers, txnsPerWorker, scanRounds int) ([]HTAPRun, error)
 	if scanRounds <= 0 {
 		scanRounds = 2
 	}
-	out := make([]HTAPRun, 0, 6)
+	out := make(HTAPRuns, 0, 6)
 	for _, mode := range []hybrid.Mode{hybrid.SSDOnly, hybrid.HStorage} {
 		for _, arm := range HTAPArms() {
 			run, err := e.RunHTAP(mode, arm, workers, txnsPerWorker, scanRounds)
@@ -394,10 +334,10 @@ func (e *Env) HTAPAll(workers, txnsPerWorker, scanRounds int) ([]HTAPRun, error)
 	return out, nil
 }
 
-// FormatHTAP renders the HTAP interference table: per mode, the three
-// arms side by side with the scan speedup and commit-tail cost of each
+// Format renders the HTAP interference table: per mode, the three arms
+// side by side with the scan speedup and commit-tail cost of each
 // concurrency-control choice.
-func FormatHTAP(runs []HTAPRun) string {
+func (runs HTAPRuns) Format() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "HTAP: snapshot scans vs 2PL scans under the OLTP mix")
 	fmt.Fprintf(&b, "%-10s %-9s %10s %12s %12s %10s %10s %8s %9s\n",

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"hstoragedb/internal/device"
 	"hstoragedb/internal/dss"
 	"hstoragedb/internal/engine"
-	"hstoragedb/internal/engine/txn"
-	"hstoragedb/internal/engine/wal"
 	"hstoragedb/internal/hybrid"
 	"hstoragedb/internal/iosched"
 	"hstoragedb/internal/tpch"
@@ -58,31 +56,13 @@ type IOSchedRun struct {
 // priority (or in FIFO order when sched is false).
 func (e *Env) RunIOSched(mode hybrid.Mode, streams, txns int, sched bool) (IOSchedRun, error) {
 	run := IOSchedRun{Mode: mode, Sched: sched, Streams: streams}
-	inst, err := e.DS.DB.NewInstance(engine.InstanceConfig{
-		Storage: hybrid.Config{
-			Mode:        mode,
-			CacheBlocks: e.cacheBlocks(),
-			Sched:       iosched.Config{FIFO: !sched},
-		},
-		BufferPoolPages: e.bpPages(),
-		WorkMem:         e.Cfg.WorkMem,
-		CPUPerTuple:     300 * time.Nanosecond,
-		Obs:             e.Cfg.Obs,
-	})
+	cfg := e.baseConfig(mode)
+	cfg.Storage.Sched = iosched.Config{FIFO: !sched}
+	rig, err := e.newTxnRig(cfg)
 	if err != nil {
 		return run, err
 	}
-
-	oltpSess := inst.NewSession()
-	log, err := wal.New(&oltpSess.Clk, inst.Mgr, oltpWALConfig())
-	if err != nil {
-		return run, err
-	}
-	tm := txn.NewManager(inst, log)
-	if err := tm.Checkpoint(oltpSess); err != nil {
-		return run, err
-	}
-	inst.ResetStats()
+	inst, oltpSess, tm := rig.inst, rig.sess, rig.tm
 
 	grp := inst.Sys.Sched()
 	sessions := make([]*engine.Session, streams)
@@ -92,81 +72,53 @@ func (e *Env) RunIOSched(mode hybrid.Mode, streams, txns int, sched bool) (IOSch
 	}
 	grp.Register(&oltpSess.Clk)
 
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		runErr  error
-		queries int
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		mu.Unlock()
-	}
-
+	var queries atomic.Int64
+	fns := make([]func() error, 0, streams+1)
 	for i, sess := range sessions {
-		wg.Add(1)
-		go func(i int, sess *engine.Session) {
-			defer wg.Done()
+		fns = append(fns, func() error {
 			defer grp.Unregister(&sess.Clk)
 			for _, q := range ioschedQueries {
 				op, err := e.DS.Query(q, e.Cfg.Seed+int64(i)+1)
 				if err != nil {
-					fail(err)
-					return
+					return err
 				}
 				if _, _, err := sess.ExecuteDiscard(op); err != nil {
-					fail(fmt.Errorf("stream %d Q%d on %v: %w", i, q, mode, err))
-					return
+					return fmt.Errorf("stream %d Q%d on %v: %w", i, q, mode, err)
 				}
-				mu.Lock()
-				queries++
-				mu.Unlock()
+				queries.Add(1)
 			}
-		}(i, sess)
+			return nil
+		})
 	}
 
 	driver := e.DS.NewOLTP(e.Cfg.Seed)
 	var oltpElapsed time.Duration
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	fns = append(fns, func() error {
 		defer grp.Unregister(&oltpSess.Clk)
 		start := oltpSess.Clk.Now()
 		if err := driver.RunTxn(tm, oltpSess, txns); err != nil {
-			fail(fmt.Errorf("oltp on %v: %w", mode, err))
-			return
+			return fmt.Errorf("oltp on %v: %w", mode, err)
 		}
 		oltpElapsed = oltpSess.Clk.Now() - start
-	}()
-	wg.Wait()
-	if runErr != nil {
-		return run, runErr
+		return nil
+	})
+	if err := runStreams(fns...); err != nil {
+		return run, err
 	}
 
 	settle := inst.NewSession()
 	inst.Mgr.Wait(&settle.Clk)
-	run.Queries = queries
+	run.Queries = int(queries.Load())
 	run.Commits = tm.Commits()
-	if oltpElapsed > 0 {
-		run.CommitsPerSec = float64(run.Commits) * float64(time.Second) / float64(oltpElapsed)
-	}
-	for _, sess := range sessions {
-		if t := sess.Clk.Now(); t > run.Makespan {
-			run.Makespan = t
-		}
-	}
-	if t := oltpSess.Clk.Now(); t > run.Makespan {
-		run.Makespan = t
-	}
+	run.CommitsPerSec = perSec(run.Commits, oltpElapsed)
 	// The settle clock sits at the post-drain device busy horizon:
 	// counting it charges each arm for the background work it deferred,
 	// so the scheduler cannot look faster by merely postponing destages.
-	if t := settle.Clk.Now(); t > run.Makespan {
-		run.Makespan = t
+	clocks := []time.Duration{oltpSess.Clk.Now(), settle.Clk.Now()}
+	for _, sess := range sessions {
+		clocks = append(clocks, sess.Clk.Now())
 	}
+	run.Makespan = makespan(clocks...)
 
 	run.ClassLat = make(map[dss.Class]device.LatencyHist)
 	for _, dev := range []*device.Device{inst.Sys.SSD(), inst.Sys.HDD()} {
@@ -182,28 +134,22 @@ func (e *Env) RunIOSched(mode hybrid.Mode, streams, txns int, sched bool) (IOSch
 	for _, s := range grp.Schedulers() {
 		run.SchedStats = append(run.SchedStats, s.Stats())
 	}
-
-	// Leave the shared dataset consistent for the next run: reset the
-	// key allocator past the inserted orders and drop the WAL objects.
-	if err := e.DS.RecomputeNextOrderKey(oltpSess); err != nil {
-		return run, err
-	}
-	if err := log.Destroy(&oltpSess.Clk); err != nil {
-		return run, err
-	}
-	return run, nil
+	return run, rig.close()
 }
+
+// IOSchedRuns is the scheduler contention report.
+type IOSchedRuns []IOSchedRun
 
 // IOSchedAll runs the contention experiment across every storage
 // configuration, scheduler on and off.
-func (e *Env) IOSchedAll(streams, txns int) ([]IOSchedRun, error) {
+func (e *Env) IOSchedAll(streams, txns int) (IOSchedRuns, error) {
 	if streams <= 0 {
 		streams = 2
 	}
 	if txns <= 0 {
 		txns = 200
 	}
-	out := make([]IOSchedRun, 0, 8)
+	out := make(IOSchedRuns, 0, 8)
 	for _, mode := range hybrid.Modes() {
 		for _, sched := range []bool{false, true} {
 			run, err := e.RunIOSched(mode, streams, txns, sched)
@@ -243,10 +189,10 @@ func latClassLabel(c dss.Class) string {
 	}
 }
 
-// FormatIOSched renders the scheduler contention report: throughput per
+// Format renders the scheduler contention report: throughput per
 // configuration and the per-class device latency histograms, FIFO vs
 // scheduler.
-func FormatIOSched(runs []IOSchedRun) string {
+func (runs IOSchedRuns) Format() string {
 	var b strings.Builder
 	b.WriteString("I/O scheduler contention experiment: concurrent scan streams + OLTP log traffic\n")
 	fmt.Fprintf(&b, "%-12s %-6s %10s %12s %12s %12s %12s\n",

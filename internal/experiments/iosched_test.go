@@ -47,7 +47,7 @@ func TestIOSchedExperiment(t *testing.T) {
 			fifo = run
 		}
 	}
-	t.Log("\n" + FormatIOSched([]IOSchedRun{fifo, sched}))
+	t.Log("\n" + IOSchedRuns{fifo, sched}.Format())
 
 	// The headline claim, asserted loosely to stay robust to goroutine
 	// interleaving: the scheduler arm must not be slower overall, and

@@ -12,7 +12,6 @@ import (
 
 	"hstoragedb/internal/dss"
 	"hstoragedb/internal/engine/txn"
-	"hstoragedb/internal/engine/wal"
 	"hstoragedb/internal/hybrid"
 	"hstoragedb/internal/iosched"
 	"hstoragedb/internal/lsm"
@@ -126,7 +125,7 @@ func runLSMArm(arm lsmArm, workers, totalTxns int, seed int64, set *obs.Set) (LS
 		BufferPoolPages:        lsmBPPages,
 		WorkMem:                4096,
 		CPUPerTuple:            300 * time.Nanosecond,
-		WAL:                    wal.Config{SegmentPages: 256, GroupCommitWindow: 50 * time.Microsecond},
+		WAL:                    oltpWALConfig(),
 		Obs:                    set,
 		Backend:                arm.backend,
 		DisableCompactionClass: arm.noClass,
@@ -159,39 +158,17 @@ func runLSMArm(arm lsmArm, workers, totalTxns int, seed int64, set *obs.Set) (LS
 	sys0 := c.Shard(0).Inst.Sys.Stats()
 	tm := c.Shard(0).TM
 
-	stop := make(chan struct{})
-	ckptDone := make(chan error, 1)
 	ckptSess := c.NewSession()
 	ckptSess.AdvanceTo(startAt)
-	go func() {
-		var last int64
-		for {
-			select {
-			case <-stop:
-				ckptDone <- nil
-				return
-			default:
-			}
-			if commits := tm.Commits(); commits-last >= lsmCkptEach {
-				if err := c.Checkpoint(ckptSess); err != nil {
-					ckptDone <- err
-					return
-				}
-				last = commits
-			} else {
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-	}()
+	stop := checkpointEvery(tm.Commits, lsmCkptEach, func() error { return c.Checkpoint(ckptSess) })
 
 	per := totalTxns / workers
 	if per < 1 {
 		per = 1
 	}
 	txns, retries, elapsed, lats, err := lsmWorkers(c, a, workers, per, seed, startAt)
-	close(stop)
-	if cerr := <-ckptDone; err == nil && cerr != nil {
-		err = fmt.Errorf("checkpointer: %w", cerr)
+	if cerr := stop(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		return run, fmt.Errorf("lsm %s: %w", arm.name, err)
@@ -201,14 +178,10 @@ func runLSMArm(arm lsmArm, workers, totalTxns int, seed int64, set *obs.Set) (LS
 	run.Txns = txns
 	run.Retries = retries
 	run.Elapsed = elapsed
-	if elapsed > 0 {
-		run.CommitsPerSec = float64(txns) * float64(time.Second) / float64(elapsed)
-	}
+	run.CommitsPerSec = perSec(txns, elapsed)
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	if n := len(lats); n > 0 {
-		run.P50 = lats[n/2]
-		run.P99 = lats[n*99/100]
-	}
+	run.P50 = latPercentile(lats, 0.50)
+	run.P99 = latPercentile(lats, 0.99)
 	maint := mgr.MaintStats()
 	run.Flushes = maint.Flushes - maint0.Flushes
 	run.Compactions = maint.Compactions - maint0.Compactions
@@ -243,33 +216,23 @@ func lsmWorkers(c *shard.Cluster, a *shard.Accounts, workers, txnsPerWorker int,
 	if workers < 1 {
 		workers = 1
 	}
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
+	var mu sync.Mutex
 	sessions := make([]*shard.Session, workers)
+	fns := make([]func() error, workers)
 	for i := range sessions {
-		sessions[i] = c.NewSession()
-		sessions[i].AdvanceTo(startAt)
-	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+		rs := c.NewSession()
+		rs.AdvanceTo(startAt)
+		sessions[i] = rs
+		fns[i] = func() error {
 			rng := rand.New(rand.NewSource(73000 + seed + int64(i)))
-			rs := sessions[i]
 			var n, r int64
 			mine := make([]time.Duration, 0, txnsPerWorker)
+			var uerr error
 			for k := 0; k < txnsPerWorker; k++ {
-				key := rng.Int63n(a.N)
-				lat, rr, uerr := lsmUpdate(rs, a, key)
+				lat, rr, err := lsmUpdate(rs, a, rng.Int63n(a.N))
 				r += rr
-				if uerr != nil {
-					mu.Lock()
-					if err == nil {
-						err = uerr
-					}
-					mu.Unlock()
+				if err != nil {
+					uerr = err
 					break
 				}
 				n++
@@ -282,16 +245,14 @@ func lsmWorkers(c *shard.Cluster, a *shard.Accounts, workers, txnsPerWorker int,
 				lats = append(lats, mine...)
 			}
 			mu.Unlock()
-		}(i)
+			return uerr
+		}
 	}
-	wg.Wait()
-	if err != nil {
+	if err := runStreams(fns...); err != nil {
 		return txns, retries, 0, lats, err
 	}
 	for _, s := range sessions {
-		if t := s.Now() - startAt; t > elapsed {
-			elapsed = t
-		}
+		elapsed = makespan(elapsed, s.Now()-startAt)
 	}
 	return txns, retries, elapsed, lats, nil
 }
@@ -327,16 +288,19 @@ func lsmUpdate(rs *shard.Session, a *shard.Accounts, key int64) (time.Duration, 
 	}
 }
 
+// LSMRuns is the storage-backend report.
+type LSMRuns []LSMRun
+
 // LSMAll runs the backend sweep: the heap baseline, the LSM backend
 // with classified maintenance, and the unclassified ablation.
-func LSMAll(workers, totalTxns int, seed int64, set *obs.Set) ([]LSMRun, error) {
+func LSMAll(workers, totalTxns int, seed int64, set *obs.Set) (LSMRuns, error) {
 	if workers < 1 {
 		workers = 8
 	}
 	if totalTxns <= 0 {
 		totalTxns = 600
 	}
-	var out []LSMRun
+	var out LSMRuns
 	for _, arm := range lsmArms() {
 		run, err := runLSMArm(arm, workers, totalTxns, seed, set)
 		if err != nil {
@@ -347,10 +311,10 @@ func LSMAll(workers, totalTxns int, seed int64, set *obs.Set) ([]LSMRun, error) 
 	return out, nil
 }
 
-// FormatLSM renders the backend report: per arm, commit throughput,
+// Format renders the backend report: per arm, commit throughput,
 // foreground latency percentiles, and the maintenance traffic where
 // compaction classification earns (or, ablated, loses) its keep.
-func FormatLSM(runs []LSMRun) string {
+func (runs LSMRuns) Format() string {
 	var b strings.Builder
 	b.WriteString("Storage backends: write-heavy OLTP on heap vs LSM, with and without compaction classification\n")
 	fmt.Fprintf(&b, "%-10s %8s %12s %10s %10s %8s %6s %8s %8s %8s %6s\n",

@@ -40,26 +40,6 @@ type OLTPRun struct {
 	LostOrders      int // uncommitted keys verified absent
 }
 
-// oltpWALConfig sizes the log for the experiment scale.
-func oltpWALConfig() wal.Config {
-	return wal.Config{SegmentPages: 256, GroupCommitWindow: 50 * time.Microsecond}
-}
-
-// TxnInstance builds an instance for the transactional OLTP runs.
-func (e *Env) TxnInstance(mode hybrid.Mode, logClass bool) (*engine.Instance, error) {
-	return e.DS.DB.NewInstance(engine.InstanceConfig{
-		Storage: hybrid.Config{
-			Mode:        mode,
-			CacheBlocks: e.cacheBlocks(),
-		},
-		BufferPoolPages: e.bpPages(),
-		WorkMem:         e.Cfg.WorkMem,
-		CPUPerTuple:     300 * time.Nanosecond,
-		DisableLogClass: !logClass,
-		Obs:             e.Cfg.Obs,
-	})
-}
-
 // RunOLTP runs the transactional OLTP mix on one storage configuration:
 // txns transactions are committed and measured, then a crash is injected
 // during a stream of NewOrders and a fresh instance recovers from the
@@ -68,20 +48,13 @@ func (e *Env) TxnInstance(mode hybrid.Mode, logClass bool) (*engine.Instance, er
 // must be absent.
 func (e *Env) RunOLTP(mode hybrid.Mode, txns int, logClass bool) (OLTPRun, error) {
 	run := OLTPRun{Mode: mode, LogClass: logClass}
-	inst, err := e.TxnInstance(mode, logClass)
+	cfg := e.baseConfig(mode)
+	cfg.DisableLogClass = !logClass
+	rig, err := e.newTxnRig(cfg)
 	if err != nil {
 		return run, err
 	}
-	sess := inst.NewSession()
-	log, err := wal.New(&sess.Clk, inst.Mgr, oltpWALConfig())
-	if err != nil {
-		return run, err
-	}
-	tm := txn.NewManager(inst, log)
-	if err := tm.Checkpoint(sess); err != nil {
-		return run, err
-	}
-	inst.ResetStats()
+	inst, sess, tm := rig.inst, rig.sess, rig.tm
 
 	// Measured phase.
 	driver := e.DS.NewOLTP(e.Cfg.Seed)
@@ -92,12 +65,10 @@ func (e *Env) RunOLTP(mode hybrid.Mode, txns int, logClass bool) (OLTPRun, error
 	inst.Mgr.Wait(&sess.Clk)
 	run.Commits = tm.Commits()
 	run.Elapsed = sess.Clk.Now() - start
-	if run.Elapsed > 0 {
-		run.CommitsPerSec = float64(run.Commits) * float64(time.Second) / float64(run.Elapsed)
-	}
+	run.CommitsPerSec = perSec(run.Commits, run.Elapsed)
 	run.Storage = inst.Sys.Stats()
 	run.TypeStats = inst.Mgr.TypeStats()
-	run.Log = log.Stats()
+	run.Log = rig.log.Stats()
 
 	// Crash phase: the 5th NewOrder commit from here dies between its
 	// page records and its commit record.
@@ -112,33 +83,25 @@ func (e *Env) RunOLTP(mode hybrid.Mode, txns int, logClass bool) (OLTPRun, error
 	tm.Crash()
 
 	// Restart: a fresh instance over the surviving page store.
-	inst2, err := e.TxnInstance(mode, logClass)
+	rig.inst, err = e.DS.DB.NewInstance(cfg)
 	if err != nil {
 		return run, err
 	}
-	sess2 := inst2.NewSession()
-	log2, rstats, err := wal.Recover(&sess2.Clk, inst2.Mgr, oltpWALConfig())
+	rig.sess = rig.inst.NewSession()
+	var rstats *wal.RecoveryStats
+	rig.log, rstats, err = wal.Recover(&rig.sess.Clk, rig.inst.Mgr, oltpWALConfig())
 	if err != nil {
 		return run, err
 	}
 	run.Recovery = *rstats
 	run.RecoveryTime = rstats.Elapsed
 
-	present, absent, err := verifyRecovered(sess2, e.DS, driver.Committed, driver.Lost)
+	present, absent, err := verifyRecovered(rig.sess, e.DS, driver.Committed, driver.Lost)
 	if err != nil {
 		return run, fmt.Errorf("recovery verification on %v: %w", mode, err)
 	}
 	run.RecoveredOrders, run.LostOrders = present, absent
-
-	// Leave the shared dataset consistent for the next run: reset the key
-	// allocator past the durable orders and drop the WAL objects.
-	if err := e.DS.RecomputeNextOrderKey(sess2); err != nil {
-		return run, err
-	}
-	if err := log2.Destroy(&sess2.Clk); err != nil {
-		return run, err
-	}
-	return run, nil
+	return run, rig.close()
 }
 
 // verifyRecovered checks the recovery contract on a fresh instance:
@@ -210,13 +173,16 @@ func verifyRecovered(sess *engine.Session, ds *tpch.Dataset, committed, lost []i
 	return present, absent, nil
 }
 
+// OLTPRuns is the transactional OLTP report.
+type OLTPRuns []OLTPRun
+
 // OLTPAll runs the transactional mix under all four storage
 // configurations, each with and without the log classification.
-func (e *Env) OLTPAll(txns int) ([]OLTPRun, error) {
+func (e *Env) OLTPAll(txns int) (OLTPRuns, error) {
 	if txns <= 0 {
 		txns = 150
 	}
-	out := make([]OLTPRun, 0, 8)
+	out := make(OLTPRuns, 0, 8)
 	for _, mode := range hybrid.Modes() {
 		for _, logClass := range []bool{true, false} {
 			run, err := e.RunOLTP(mode, txns, logClass)
@@ -229,10 +195,10 @@ func (e *Env) OLTPAll(txns int) ([]OLTPRun, error) {
 	return out, nil
 }
 
-// FormatOLTP renders the transactional OLTP report: commit throughput and
+// Format renders the transactional OLTP report: commit throughput and
 // recovery time per configuration, plus the log class counters that show
 // where the log I/O landed.
-func FormatOLTP(runs []OLTPRun) string {
+func (runs OLTPRuns) Format() string {
 	var b strings.Builder
 	b.WriteString("OLTP extension (Section 8): transactional mix, commit throughput and crash recovery\n")
 	fmt.Fprintf(&b, "%-12s %-9s %12s %12s %12s %10s %10s %12s\n",

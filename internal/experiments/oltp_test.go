@@ -25,7 +25,7 @@ func TestOLTPExperiment(t *testing.T) {
 	if len(runs) != 8 {
 		t.Fatalf("%d runs, want 8", len(runs))
 	}
-	t.Log("\n" + FormatOLTP(runs))
+	t.Log("\n" + runs.Format())
 
 	byKey := map[[2]interface{}]OLTPRun{}
 	for _, r := range runs {

@@ -37,12 +37,12 @@ func TestSequenceAndThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("table9: %v", err)
 	}
-	t.Log("\n" + FormatTable9(t9))
+	t.Log("\n" + t9.Format())
 	f12, err := tEnv.Fig12(t9)
 	if err != nil {
 		t.Fatalf("fig12: %v", err)
 	}
-	t.Log("\n" + FormatFig12(f12))
+	t.Log("\n" + f12.Format())
 
 	qph := t9.QueriesPerHour
 	if !(qph[hybrid.SSDOnly] > qph[hybrid.HStorage] &&

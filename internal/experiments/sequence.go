@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -81,8 +80,8 @@ func (e *Env) Fig11() (*PowerResult, error) {
 	return res, nil
 }
 
-// FormatFig11 renders Figure 11 (both panels) and Table 8.
-func FormatFig11(res *PowerResult) string {
+// Format renders Figure 11 (both panels) and Table 8.
+func (res *PowerResult) Format() string {
 	short := tpch.ShortQueries()
 	var b strings.Builder
 	b.WriteString("Figure 11: execution times of queries packed into one stream\n")
@@ -114,16 +113,4 @@ func FormatFig11(res *PowerResult) string {
 		fmt.Fprintf(&b, "  %-12s %s\n", m, fmtDur(res.Totals[m]))
 	}
 	return b.String()
-}
-
-// SortedModes returns the modes present in a map, in canonical order.
-func SortedModes[T any](m map[hybrid.Mode]T) []hybrid.Mode {
-	out := make([]hybrid.Mode, 0, len(m))
-	for _, mode := range hybrid.Modes() {
-		if _, ok := m[mode]; ok {
-			out = append(out, mode)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

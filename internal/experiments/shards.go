@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"hstoragedb/internal/engine/wal"
 	"hstoragedb/internal/hybrid"
 	"hstoragedb/internal/obs"
 	"hstoragedb/internal/shard"
@@ -71,7 +70,7 @@ func shardsConfig(shards int, set *obs.Set) shard.Config {
 		BufferPoolPages: shardsBPPages,
 		WorkMem:         4096,
 		CPUPerTuple:     300 * time.Nanosecond,
-		WAL:             wal.Config{SegmentPages: 256, GroupCommitWindow: 50 * time.Microsecond},
+		WAL:             oltpWALConfig(),
 		Obs:             set,
 	}
 }
@@ -117,40 +116,20 @@ func RunShards(shards, workers, totalTxns int, xshard float64, seed int64, set *
 	// Background checkpointer: every shardsCkptEach cluster-wide commits
 	// it drains routed transactions and truncates every shard's log, as
 	// a production cluster would.
-	stop := make(chan struct{})
-	ckptDone := make(chan error, 1)
 	ckptSess := c.NewSession()
 	ckptSess.AdvanceTo(startAt)
-	go func() {
-		var last int64
-		for {
-			select {
-			case <-stop:
-				ckptDone <- nil
-				return
-			default:
-			}
-			commits, _, _ := shardsWALTotals(c)
-			if commits-last >= shardsCkptEach {
-				if err := c.Checkpoint(ckptSess); err != nil {
-					ckptDone <- err
-					return
-				}
-				last = commits
-			} else {
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-	}()
+	stop := checkpointEvery(func() int64 {
+		commits, _, _ := shardsWALTotals(c)
+		return commits
+	}, shardsCkptEach, func() error { return c.Checkpoint(ckptSess) })
 
 	per := totalTxns / workers
 	if per < 1 {
 		per = 1
 	}
 	res, err := a.RunWorkers(workers, per, xshard, seed, startAt)
-	close(stop)
-	if cerr := <-ckptDone; err == nil && cerr != nil {
-		err = fmt.Errorf("checkpointer: %w", cerr)
+	if cerr := stop(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		return run, fmt.Errorf("shards %dx%d: %w", shards, workers, err)
@@ -161,9 +140,7 @@ func RunShards(shards, workers, totalTxns int, xshard float64, seed int64, set *
 	run.CrossShard = res.CrossShard
 	run.Retries = res.Retries
 	run.Elapsed = res.Elapsed
-	if run.Elapsed > 0 {
-		run.TxnsPerSec = float64(run.Txns) * float64(time.Second) / float64(run.Elapsed)
-	}
+	run.TxnsPerSec = perSec(run.Txns, run.Elapsed)
 	commits1, appends1, flushes1 := shardsWALTotals(c)
 	run.LocalCommits = commits1 - commits0
 	run.WALAppends = appends1 - appends0
@@ -191,12 +168,15 @@ func shardsWALTotals(c *shard.Cluster) (commits, appends, flushes int64) {
 	return commits, appends, flushes
 }
 
+// ShardsRuns is the shard-scaling report.
+type ShardsRuns []ShardsRun
+
 // ShardsAll sweeps the shard counts, running a shard-local arm
 // (xshard 0) and, when xshard > 0, a cross-shard arm per count. The
 // worker count and total transfer count stay constant across sweep
 // points, so throughput differences measure the partitioning, not the
 // offered load.
-func ShardsAll(shardCounts []int, workers, totalTxns int, xshard float64, seed int64, set *obs.Set) ([]ShardsRun, error) {
+func ShardsAll(shardCounts []int, workers, totalTxns int, xshard float64, seed int64, set *obs.Set) (ShardsRuns, error) {
 	if len(shardCounts) == 0 {
 		shardCounts = []int{1, 2, 4}
 	}
@@ -210,7 +190,7 @@ func ShardsAll(shardCounts []int, workers, totalTxns int, xshard float64, seed i
 	if xshard > 0 {
 		fracs = append(fracs, xshard)
 	}
-	out := make([]ShardsRun, 0, len(shardCounts)*len(fracs))
+	out := make(ShardsRuns, 0, len(shardCounts)*len(fracs))
 	for _, frac := range fracs {
 		for _, n := range shardCounts {
 			run, err := RunShards(n, workers, totalTxns, frac, seed, set)
@@ -223,11 +203,11 @@ func ShardsAll(shardCounts []int, workers, totalTxns int, xshard float64, seed i
 	return out, nil
 }
 
-// FormatShards renders the shard-scaling report: per arm and shard
-// count, transfer throughput with its speedup over the single-shard
-// baseline of the same arm, the 2PC share, and the WAL cost per
-// transfer (where the prepare/decide/phase-2 overhead is visible).
-func FormatShards(runs []ShardsRun) string {
+// Format renders the shard-scaling report: per arm and shard count,
+// transfer throughput with its speedup over the single-shard baseline of
+// the same arm, the 2PC share, and the WAL cost per transfer (where the
+// prepare/decide/phase-2 overhead is visible).
+func (runs ShardsRuns) Format() string {
 	var b strings.Builder
 	b.WriteString("Shard scaling: hash-partitioned cluster, transfer workload, 2PC for cross-shard transactions\n")
 	fmt.Fprintf(&b, "%7s %8s %7s %8s %10s %9s %7s %6s %9s %11s %9s\n",

@@ -33,7 +33,7 @@ func TestShardsSmoke(t *testing.T) {
 	if r2.CrossShard == 0 || r2.TwoPCCommits != r2.CrossShard {
 		t.Fatalf("cross-shard accounting inconsistent: %+v", r2)
 	}
-	out := FormatShards([]ShardsRun{r1, r2})
+	out := ShardsRuns{r1, r2}.Format()
 	if !strings.Contains(out, "2PC") || !strings.Contains(out, "txns/s") {
 		t.Fatalf("report malformed:\n%s", out)
 	}

@@ -8,9 +8,6 @@ import (
 
 	"hstoragedb/internal/device"
 	"hstoragedb/internal/dss"
-	"hstoragedb/internal/engine"
-	"hstoragedb/internal/engine/txn"
-	"hstoragedb/internal/engine/wal"
 	"hstoragedb/internal/hybrid"
 	"hstoragedb/internal/iosched"
 	"hstoragedb/internal/simclock"
@@ -127,31 +124,13 @@ func (e *Env) RunTenants(mode hybrid.Mode, specs []TenantSpec, scanBlocks, txnsP
 			sched.TenantWeights[sp.ID] = sp.Weight
 		}
 	}
-	inst, err := e.DS.DB.NewInstance(engine.InstanceConfig{
-		Storage: hybrid.Config{
-			Mode:        mode,
-			CacheBlocks: e.cacheBlocks(),
-			Sched:       sched,
-		},
-		BufferPoolPages: e.bpPages(),
-		WorkMem:         e.Cfg.WorkMem,
-		CPUPerTuple:     300 * time.Nanosecond,
-		Obs:             e.Cfg.Obs,
-	})
+	cfg := e.baseConfig(mode)
+	cfg.Storage.Sched = sched
+	rig, err := e.newTxnRig(cfg)
 	if err != nil {
 		return run, err
 	}
-
-	walSess := inst.NewSession()
-	log, err := wal.New(&walSess.Clk, inst.Mgr, oltpWALConfig())
-	if err != nil {
-		return run, err
-	}
-	tm := txn.NewManager(inst, log)
-	if err := tm.Checkpoint(walSess); err != nil {
-		return run, err
-	}
-	inst.ResetStats()
+	inst, tm := rig.inst, rig.tm
 
 	grp := inst.Sys.Sched()
 	contended := inst.Sys.HDD()
@@ -173,14 +152,12 @@ func (e *Env) RunTenants(mode hybrid.Mode, specs []TenantSpec, scanBlocks, txnsP
 	}
 
 	var (
-		wg       sync.WaitGroup
 		snapOnce sync.Once
 		window   map[dss.TenantID]iosched.TenantStats
 	)
+	fns := make([]func() error, 0, len(specs)+1)
 	for i, sp := range specs {
-		wg.Add(1)
-		go func(i int, sp TenantSpec) {
-			defer wg.Done()
+		fns = append(fns, func() error {
 			clk := clocks[i]
 			defer grp.Unregister(clk)
 			// Disjoint per-tenant regions past the dataset, spaced so
@@ -201,25 +178,21 @@ func (e *Env) RunTenants(mode hybrid.Mode, specs []TenantSpec, scanBlocks, txnsP
 			// window: shares are meaningful only while every tenant is
 			// backlogged. Snapshot before unregistering.
 			snapOnce.Do(func() { window = contSched.TenantStats() })
-		}(i, sp)
+			return nil
+		})
 	}
 
 	ids := make([]dss.TenantID, len(specs))
 	for i, sp := range specs {
 		ids[i] = sp.ID
 	}
-	var (
-		workersRes tpch.WorkersResult
-		workersErr error
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		workersRes, workersErr = e.DS.RunOLTPWorkers(tm, inst, len(specs), txnsPerTenant, e.Cfg.Seed, 0, ids...)
-	}()
-	wg.Wait()
-	if workersErr != nil {
-		return run, workersErr
+	var workersRes tpch.WorkersResult
+	fns = append(fns, func() (err error) {
+		workersRes, err = e.DS.RunOLTPWorkers(tm, inst, len(specs), txnsPerTenant, e.Cfg.Seed, 0, ids...)
+		return err
+	})
+	if err := runStreams(fns...); err != nil {
+		return run, err
 	}
 
 	settle := inst.NewSession()
@@ -265,9 +238,7 @@ func (e *Env) RunTenants(mode hybrid.Mode, specs []TenantSpec, scanBlocks, txnsP
 		}
 		d := workersRes.Drivers[i]
 		tr.Commits = d.NewOrders + d.Payments + d.OrderStatuses
-		if workersRes.Elapsed > 0 {
-			tr.CommitsPerSec = float64(tr.Commits) * float64(time.Second) / float64(workersRes.Elapsed)
-		}
+		tr.CommitsPerSec = perSec(tr.Commits, workersRes.Elapsed)
 		h := lat[sp.ID]
 		tr.P50, tr.P99, tr.MaxLat = h.Quantile(0.50), h.Quantile(0.99), h.Max
 		x := tr.ShareGot / tr.ShareWant
@@ -287,41 +258,30 @@ func (e *Env) RunTenants(mode hybrid.Mode, specs []TenantSpec, scanBlocks, txnsP
 	run.WindowBlocks = totalWin
 	run.ShareEvictions = inst.Sys.Stats().ShareEvictions
 
+	ends := []time.Duration{workersRes.Elapsed, settle.Clk.Now()}
 	for _, clk := range clocks {
-		if t := clk.Now(); t > run.Makespan {
-			run.Makespan = t
-		}
+		ends = append(ends, clk.Now())
 	}
-	if t := workersRes.Elapsed; t > run.Makespan {
-		run.Makespan = t
-	}
-	if t := settle.Clk.Now(); t > run.Makespan {
-		run.Makespan = t
-	}
-
-	// Leave the shared dataset consistent for the next run.
-	if err := e.DS.RecomputeNextOrderKey(walSess); err != nil {
-		return run, err
-	}
-	if err := log.Destroy(&walSess.Clk); err != nil {
-		return run, err
-	}
-	return run, nil
+	run.Makespan = makespan(ends...)
+	return run, rig.close()
 }
+
+// TenantsRuns is the multi-tenant fairness report.
+type TenantsRuns []TenantsRun
 
 // TenantsAll runs the tenants experiment across the flagship modes,
 // fair shares off (the class-only baseline) and on, in that order: the
 // SSD-only pair isolates scheduler fairness on a device where
 // interleaving tenants is nearly free, and the hStorage pair adds the
 // hybrid cache (per-tenant capacity shares) over the seek-bound HDD.
-func (e *Env) TenantsAll(specs []TenantSpec, scanBlocks, txnsPerTenant int) ([]TenantsRun, error) {
+func (e *Env) TenantsAll(specs []TenantSpec, scanBlocks, txnsPerTenant int) (TenantsRuns, error) {
 	if scanBlocks <= 0 {
 		scanBlocks = 3000
 	}
 	if txnsPerTenant <= 0 {
 		txnsPerTenant = 30
 	}
-	out := make([]TenantsRun, 0, 4)
+	out := make(TenantsRuns, 0, 4)
 	for _, mode := range []hybrid.Mode{hybrid.SSDOnly, hybrid.HStorage} {
 		for _, fair := range []bool{false, true} {
 			run, err := e.RunTenants(mode, specs, scanBlocks, txnsPerTenant, fair)
@@ -334,10 +294,10 @@ func (e *Env) TenantsAll(specs []TenantSpec, scanBlocks, txnsPerTenant int) ([]T
 	return out, nil
 }
 
-// FormatTenants renders the multi-tenant fairness report: per-tenant
-// shares against weights, commit throughput, latency percentiles, and
-// Jain's index, fair shares vs the class-only baseline.
-func FormatTenants(runs []TenantsRun) string {
+// Format renders the multi-tenant fairness report: per-tenant shares
+// against weights, commit throughput, latency percentiles, and Jain's
+// index, fair shares vs the class-only baseline.
+func (runs TenantsRuns) Format() string {
 	var b strings.Builder
 	b.WriteString("multi-tenant fairness experiment: weighted fair shares vs class-only scheduler\n")
 	for _, r := range runs {

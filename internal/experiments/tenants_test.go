@@ -31,7 +31,7 @@ func TestTenantsFairness(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fair: %v", err)
 	}
-	t.Logf("\n%s", FormatTenants([]TenantsRun{base, fair}))
+	t.Logf("\n%s", TenantsRuns{base, fair}.Format())
 
 	if fair.MaxShareErr > 0.10 {
 		t.Errorf("fair-share error %.1f%% exceeds 10 points", 100*fair.MaxShareErr)

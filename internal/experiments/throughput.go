@@ -45,75 +45,59 @@ func (e *Env) Table9(streams int) (*ThroughputResult, error) {
 		}
 
 		var (
-			mu      sync.Mutex
-			perQ    = map[int][]time.Duration{}
-			wg      sync.WaitGroup
-			errOnce sync.Once
-			runErr  error
+			mu   sync.Mutex
+			perQ = map[int][]time.Duration{}
 		)
-		fail := func(err error) { errOnce.Do(func() { runErr = err }) }
 
 		// Query streams.
 		ends := make([]time.Duration, streams+1)
+		fns := make([]func() error, 0, streams+1)
 		for i := 0; i < streams; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
+			fns = append(fns, func() error {
 				sess := inst.NewSession()
 				for _, q := range orders[i] {
 					op, err := e.DS.Query(q, e.Cfg.Seed+int64(i)+1)
 					if err != nil {
-						fail(err)
-						return
+						return err
 					}
 					_, elapsed, err := sess.ExecuteDiscard(op)
 					if err != nil {
-						fail(fmt.Errorf("stream %d Q%d on %v: %w", i, q, mode, err))
-						return
+						return fmt.Errorf("stream %d Q%d on %v: %w", i, q, mode, err)
 					}
 					mu.Lock()
 					perQ[q] = append(perQ[q], elapsed)
 					mu.Unlock()
 				}
 				ends[i] = sess.Clk.Now()
-			}(i)
+				return nil
+			})
 		}
 
 		// Update stream: one RF1/RF2 pair per query stream. The dataset
 		// mutators are not concurrency-safe against each other, so the
 		// update stream serializes its own pairs (as the TPC-H driver
 		// does) on its own session.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		fns = append(fns, func() error {
 			sess := inst.NewSession()
 			for i := 0; i < streams; i++ {
 				if _, err := e.DS.RF1(sess); err != nil {
-					fail(err)
-					return
+					return err
 				}
 				if _, err := e.DS.RF2(sess); err != nil {
-					fail(err)
-					return
+					return err
 				}
 			}
 			ends[streams] = sess.Clk.Now()
-		}()
-		wg.Wait()
-		if runErr != nil {
-			return nil, runErr
+			return nil
+		})
+		if err := runStreams(fns...); err != nil {
+			return nil, err
 		}
 
-		var makespan time.Duration
-		for _, t := range ends {
-			if t > makespan {
-				makespan = t
-			}
-		}
-		res.Makespan[mode] = makespan
-		totalQueries := float64(streams * 22)
-		if makespan > 0 {
-			res.QueriesPerHour[mode] = totalQueries * float64(time.Hour) / float64(makespan)
+		span := makespan(ends...)
+		res.Makespan[mode] = span
+		if span > 0 {
+			res.QueriesPerHour[mode] = float64(streams*22) * float64(time.Hour) / float64(span)
 		}
 		avg := map[int]time.Duration{}
 		for q, ts := range perQ {
@@ -128,8 +112,21 @@ func (e *Env) Table9(streams int) (*ThroughputResult, error) {
 	return res, nil
 }
 
-// FormatTable9 renders Table 9.
-func FormatTable9(res *ThroughputResult) string {
+// throughput runs the throughput test once per environment: Figure 12
+// reads its per-query averages from the same run Table 9 reports.
+func (e *Env) throughput(streams int) (*ThroughputResult, error) {
+	if e.t9 == nil {
+		res, err := e.Table9(streams)
+		if err != nil {
+			return nil, err
+		}
+		e.t9 = res
+	}
+	return e.t9, nil
+}
+
+// Format renders Table 9.
+func (res *ThroughputResult) Format() string {
 	var b strings.Builder
 	b.WriteString("Table 9: TPC-H throughput results (queries/hour of simulated time)\n")
 	fmt.Fprintf(&b, "%12s %12s %12s %12s\n", "HDD-only", "LRU", "hStorage-DB", "SSD-only")
@@ -174,8 +171,8 @@ func (e *Env) Fig12(t9 *ThroughputResult) (*Fig12Result, error) {
 	return res, nil
 }
 
-// FormatFig12 renders Figure 12.
-func FormatFig12(res *Fig12Result) string {
+// Format renders Figure 12.
+func (res *Fig12Result) Format() string {
 	var b strings.Builder
 	b.WriteString("Figure 12: Q9 and Q18, standalone (a) vs in-throughput average (b)\n")
 	for _, panel := range []struct {

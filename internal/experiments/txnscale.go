@@ -5,10 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"hstoragedb/internal/engine"
-
 	"hstoragedb/internal/engine/txn"
-	"hstoragedb/internal/engine/wal"
 	"hstoragedb/internal/hybrid"
 )
 
@@ -67,28 +64,14 @@ func (e *Env) RunTxnScale(mode hybrid.Mode, workers, txnsPerWorker int) (TxnScal
 	if c := e.cacheBlocks(); c > cache {
 		cache = c
 	}
-	inst, err := e.DS.DB.NewInstance(engine.InstanceConfig{
-		Storage: hybrid.Config{
-			Mode:        mode,
-			CacheBlocks: cache,
-		},
-		BufferPoolPages: bp,
-		WorkMem:         e.Cfg.WorkMem,
-		CPUPerTuple:     300 * time.Nanosecond,
-		Obs:             e.Cfg.Obs,
-	})
+	cfg := e.baseConfig(mode)
+	cfg.Storage.CacheBlocks = cache
+	cfg.BufferPoolPages = bp
+	rig, err := e.newTxnRig(cfg)
 	if err != nil {
 		return run, err
 	}
-	sess := inst.NewSession()
-	log, err := wal.New(&sess.Clk, inst.Mgr, oltpWALConfig())
-	if err != nil {
-		return run, err
-	}
-	tm := txn.NewManager(inst, log)
-	if err := tm.Checkpoint(sess); err != nil {
-		return run, err
-	}
+	inst, sess, log, tm := rig.inst, rig.sess, rig.log, rig.tm
 
 	// Warmup: one unmeasured pass populates the SSD cache and the buffer
 	// pool with the mix's working set, then a checkpoint truncates the
@@ -120,35 +103,12 @@ func (e *Env) RunTxnScale(mode hybrid.Mode, workers, txnsPerWorker int) (TxnScal
 	// Periodic checkpoints: every txnScaleCkptEvery commits, the
 	// checkpointer drains in-flight transactions, flushes committed
 	// work and truncates the log (TRIMming its pinned cache blocks).
-	stop := make(chan struct{})
-	ckptDone := make(chan error, 1)
 	ckptSess := inst.NewSession()
 	ckptSess.Clk.AdvanceTo(startAt)
-	go func() {
-		var last int64
-		for {
-			select {
-			case <-stop:
-				ckptDone <- nil
-				return
-			default:
-			}
-			if c := tm.Commits(); c-last >= txnScaleCkptEvery {
-				if err := tm.Checkpoint(ckptSess); err != nil {
-					ckptDone <- err
-					return
-				}
-				last = c
-			} else {
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-	}()
-
+	stop := checkpointEvery(tm.Commits, txnScaleCkptEvery, func() error { return tm.Checkpoint(ckptSess) })
 	res, err := e.DS.RunOLTPWorkers(tm, inst, workers, txnsPerWorker, e.Cfg.Seed, startAt)
-	close(stop)
-	if cerr := <-ckptDone; err == nil && cerr != nil {
-		err = fmt.Errorf("checkpointer: %w", cerr)
+	if cerr := stop(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		return run, fmt.Errorf("txnscale on %v x%d: %w", mode, workers, err)
@@ -163,9 +123,7 @@ func (e *Env) RunTxnScale(mode hybrid.Mode, workers, txnsPerWorker int) (TxnScal
 		run.AbortRate = float64(res.Retries) / float64(attempts)
 	}
 	run.Elapsed = res.Elapsed
-	if run.Elapsed > 0 {
-		run.CommitsPerSec = float64(run.Commits) * float64(time.Second) / float64(run.Elapsed)
-	}
+	run.CommitsPerSec = perSec(run.Commits, run.Elapsed)
 	run.LogFlushes = log.Stats().Flushes - flushes0
 	if run.LogFlushes > 0 {
 		run.MeanBatch = float64(run.Commits) / float64(run.LogFlushes)
@@ -173,29 +131,24 @@ func (e *Env) RunTxnScale(mode hybrid.Mode, workers, txnsPerWorker int) (TxnScal
 	gc := tm.GroupCommit()
 	run.GroupCommit = txn.GroupCommitStats{Batches: gc.Batches - gc0.Batches, Txns: gc.Txns - gc0.Txns}
 
-	// Leave the shared dataset consistent for the next run: reset the key
-	// allocator past the inserted orders and drop the WAL objects.
-	if err := e.DS.RecomputeNextOrderKey(sess); err != nil {
-		return run, err
-	}
-	if err := log.Destroy(&sess.Clk); err != nil {
-		return run, err
-	}
-	return run, nil
+	return run, rig.close()
 }
+
+// TxnScaleRuns is the transaction-scaling report.
+type TxnScaleRuns []TxnScaleRun
 
 // TxnScaleAll sweeps the worker counts across every storage
 // configuration. totalTxns is the per-run transaction count, split
 // evenly across the workers: every sweep point performs the same work,
 // so throughput differences measure concurrency, not working-set size.
-func (e *Env) TxnScaleAll(workers []int, totalTxns int) ([]TxnScaleRun, error) {
+func (e *Env) TxnScaleAll(workers []int, totalTxns int) (TxnScaleRuns, error) {
 	if len(workers) == 0 {
 		workers = []int{1, 2, 4, 8}
 	}
 	if totalTxns <= 0 {
 		totalTxns = 400
 	}
-	out := make([]TxnScaleRun, 0, len(workers)*4)
+	out := make(TxnScaleRuns, 0, len(workers)*4)
 	for _, mode := range hybrid.Modes() {
 		for _, w := range workers {
 			per := totalTxns / w
@@ -212,10 +165,10 @@ func (e *Env) TxnScaleAll(workers []int, totalTxns int) ([]TxnScaleRun, error) {
 	return out, nil
 }
 
-// FormatTxnScale renders the transaction-scaling report: per mode and
-// worker count, commit throughput with its speedup over the single
-// worker, group-commit amortization and deadlock abort rate.
-func FormatTxnScale(runs []TxnScaleRun) string {
+// Format renders the transaction-scaling report: per mode and worker
+// count, commit throughput with its speedup over the single worker,
+// group-commit amortization and deadlock abort rate.
+func (runs TxnScaleRuns) Format() string {
 	var b strings.Builder
 	b.WriteString("Transaction scaling: concurrent mutating streams under page-lock 2PL + batched group commit\n")
 	fmt.Fprintf(&b, "%-12s %8s %8s %12s %10s %10s %10s %10s %10s\n",

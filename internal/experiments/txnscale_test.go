@@ -36,7 +36,7 @@ func TestTxnScaleSmoke(t *testing.T) {
 	if gc.Batches <= 0 || gc.Batches > gc.Txns {
 		t.Fatalf("group commit accounting inconsistent: %+v", gc)
 	}
-	out := FormatTxnScale([]TxnScaleRun{r1, r4})
+	out := TxnScaleRuns{r1, r4}.Format()
 	if !strings.Contains(out, "hStorage-DB") || !strings.Contains(out, "commits/s") {
 		t.Fatalf("report malformed:\n%s", out)
 	}

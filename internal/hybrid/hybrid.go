@@ -89,20 +89,12 @@ type Config struct {
 
 	// Sched parameterizes the per-device QoS I/O scheduler every
 	// configuration routes its accesses through. The zero value enables
-	// it with defaults; set Sched.Disable for the single-FIFO ablation.
+	// it with defaults; set Sched.FIFO for the scheduler-off ablation.
 	// Sched.TenantWeights additionally turns on tenant-weighted fair
 	// sharing: device time within each class band (iosched) and, under
 	// HStorage mode, cache capacity (the priority cache prefers
 	// evicting blocks of tenants holding more than their weight share).
 	Sched iosched.Config
-
-	// CachePrefetched lets the priority cache admit scheduler readahead
-	// completions into spare capacity (never by evicting resident
-	// blocks, pinned log blocks least of all). Off by default: admitting
-	// sequential blocks trades Rule 1's cache purity — and its
-	// guarantee that scans track raw HDD speed — for warm re-reads, so
-	// it is an explicit opt-in.
-	CachePrefetched bool
 
 	// Obs attaches the observability layer to the whole storage system:
 	// the cache registers hit/miss/eviction counters (labeled by mode),
@@ -157,9 +149,6 @@ type Snapshot struct {
 	DirtyEvict  int64
 	Trimmed     int64
 	WBFlushes   int64
-	// Prefetched counts scheduler readahead blocks admitted into spare
-	// cache capacity (never by evicting resident blocks).
-	Prefetched int64
 	// ShareEvictions counts evictions the tenant capacity shares
 	// redirected away from the plain LRU victim to a block of a tenant
 	// exceeding its weight share (HStorage mode with tenant weights

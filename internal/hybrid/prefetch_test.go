@@ -2,60 +2,10 @@ package hybrid
 
 import (
 	"testing"
-	"time"
 
 	"hstoragedb/internal/device"
 	"hstoragedb/internal/dss"
-	"hstoragedb/internal/iosched"
 )
-
-// prefetchSystem builds an HStorage system with prefetch-to-cache
-// enabled and a small cache.
-func prefetchSystem(t *testing.T, cacheBlocks int) (System, *priorityCache) {
-	t.Helper()
-	sys, err := New(Config{
-		Mode:            HStorage,
-		CacheBlocks:     cacheBlocks,
-		CachePrefetched: true,
-		Sched:           iosched.Config{Readahead: 16},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys, sys.(*priorityCache)
-}
-
-// Scheduler readahead completions may only ever fill spare cache
-// capacity: with the cache full of pinned log blocks, a prefetching scan
-// admits nothing, evicts nothing, and the log group is untouched.
-func TestPrefetchNeverEvictsPinnedLog(t *testing.T) {
-	sys, c := prefetchSystem(t, 8)
-	for i := 0; i < 8; i++ {
-		sys.Submit(0, dss.Request{Op: device.Write, LBA: 1000 + int64(i), Blocks: 1, Class: dss.ClassLog})
-	}
-	seq := dss.DefaultPolicySpace().Sequential()
-	at := 20 * time.Millisecond
-	for i := 0; i < 4; i++ {
-		// Each Submit also pulls the previous grant's prefetch
-		// completions into the admission path.
-		at = sys.Submit(at, dss.Request{Op: device.Read, LBA: int64(64 * i), Blocks: 1, Class: seq})
-	}
-	sys.Submit(at, dss.Request{Op: device.Read, LBA: 4 * 64, Blocks: 1, Class: seq})
-
-	snap := sys.Stats()
-	if snap.Evictions != 0 {
-		t.Fatalf("prefetch evicted %d blocks", snap.Evictions)
-	}
-	if snap.Prefetched != 0 {
-		t.Fatalf("prefetch admitted %d blocks into a full cache", snap.Prefetched)
-	}
-	if got := c.GroupLens()[logGroup]; got != 8 {
-		t.Fatalf("log group has %d blocks, want 8", got)
-	}
-	if snap.CachedBlocks != 8 {
-		t.Fatalf("cache holds %d blocks, want 8", snap.CachedBlocks)
-	}
-}
 
 // A multi-block sequential-class read of an uncached range takes the
 // whole-run bypass fast path: a single coalesced HDD submission with
@@ -86,38 +36,5 @@ func TestSequentialRunFastPath(t *testing.T) {
 	}
 	if ssd := sys.SSD().Stats(); ssd.Reads != 0 && ssd.Writes != 0 {
 		t.Fatalf("bypassed scan touched the SSD: %+v", ssd)
-	}
-}
-
-// With spare capacity, prefetched blocks are admitted into the
-// "non-caching and eviction" group — still without evicting anything.
-func TestPrefetchFillsSpareCapacityOnly(t *testing.T) {
-	sys, c := prefetchSystem(t, 24)
-	for i := 0; i < 8; i++ {
-		sys.Submit(0, dss.Request{Op: device.Write, LBA: 1000 + int64(i), Blocks: 1, Class: dss.ClassLog})
-	}
-	seq := dss.DefaultPolicySpace().Sequential()
-	at := 20 * time.Millisecond
-	for i := 0; i < 4; i++ {
-		at = sys.Submit(at, dss.Request{Op: device.Read, LBA: int64(64 * i), Blocks: 1, Class: seq})
-	}
-	sys.Submit(at, dss.Request{Op: device.Read, LBA: 4 * 64, Blocks: 1, Class: seq})
-
-	snap := sys.Stats()
-	if snap.Prefetched == 0 {
-		t.Fatal("no prefetched blocks admitted despite spare capacity")
-	}
-	if snap.Evictions != 0 {
-		t.Fatalf("prefetch admission evicted %d blocks", snap.Evictions)
-	}
-	if got := c.GroupLens()[logGroup]; got != 8 {
-		t.Fatalf("log group has %d blocks, want 8", got)
-	}
-	if snap.CachedBlocks > 24 {
-		t.Fatalf("cache over capacity: %d", snap.CachedBlocks)
-	}
-	evictGroup := int(dss.DefaultPolicySpace().Eviction())
-	if got := c.GroupLens()[evictGroup]; int64(got) != snap.Prefetched {
-		t.Fatalf("prefetched blocks in group %d: %d, counter %d", evictGroup, got, snap.Prefetched)
 	}
 }

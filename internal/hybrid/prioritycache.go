@@ -43,7 +43,6 @@ type priorityCache struct {
 
 	capacity   int
 	asyncAlloc bool
-	cachePF    bool // admit readahead completions into spare capacity
 
 	table    map[int64]*blockMeta // lbn -> metadata (Section 5.2 hash table)
 	groups   map[int]*lruList     // priority -> LRU group
@@ -75,7 +74,6 @@ func newPriorityCache(cfg Config) *priorityCache {
 		lat:        cfg.TransportLat,
 		capacity:   cfg.CacheBlocks,
 		asyncAlloc: cfg.AsyncReadAlloc,
-		cachePF:    cfg.CachePrefetched,
 		table:      make(map[int64]*blockMeta),
 		groups:     make(map[int]*lruList),
 		cachedBy:   make(map[dss.TenantID]int),
@@ -89,9 +87,6 @@ func newPriorityCache(cfg Config) *priorityCache {
 			c.tenantW[id] = w
 			c.tenantWSum += w
 		}
-	}
-	if c.cachePF {
-		c.hddS.EnablePrefetchFeed()
 	}
 	c.wbLimit = int(float64(cfg.CacheBlocks) * cfg.Policy.WriteBufferFrac)
 	for p := 1; p <= cfg.Policy.N; p++ {
@@ -111,7 +106,6 @@ func newList() *lruList {
 // Submit implements dss.Storage.
 func (c *priorityCache) Submit(at time.Duration, req dss.Request) time.Duration {
 	at += c.lat
-	c.admitPrefetched()
 	if req.Kind == dss.Trim {
 		c.trim(req)
 		return at
@@ -175,37 +169,6 @@ func (c *priorityCache) trySequentialRun(at time.Duration, req dss.Request) (tim
 	c.base.record(req.Class, req.Op, req.Blocks, 0)
 	c.mu.Unlock()
 	return submitDev(c.hddS, at, req, device.Read, req.LBA, req.Blocks), true
-}
-
-// admitPrefetched pulls readahead completions from the HDD scheduler and
-// admits them into spare cache capacity only: prefetched blocks join the
-// "non-caching and eviction" group (first in line for eviction, clean),
-// and are dropped on the floor when the cache is full — prefetch never
-// evicts anything, pinned log blocks least of all. Disabled unless
-// Config.CachePrefetched opted in; the scheduler's own readahead buffer
-// serves the scan stream either way.
-func (c *priorityCache) admitPrefetched() {
-	if !c.cachePF {
-		return
-	}
-	pf := c.hddS.TakePrefetched()
-	if len(pf) == 0 {
-		return
-	}
-	evict := int(c.pol.Eviction())
-	c.mu.Lock()
-	for _, p := range pf {
-		for i := 0; i < p.Blocks; i++ {
-			lbn := p.LBA + int64(i)
-			if c.cached >= c.capacity || c.table[lbn] != nil {
-				continue
-			}
-			meta := c.insert(lbn, evict, false, p.Tenant)
-			c.base.snap.Prefetched++
-			c.ssdS.SubmitBackground(p.Ready, device.Write, meta.pbn, 1, c.pol.Eviction(), p.Tenant)
-		}
-	}
-	c.mu.Unlock()
 }
 
 // readBlock serves one block of a read request and returns (completion

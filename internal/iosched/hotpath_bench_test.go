@@ -3,6 +3,7 @@ package iosched
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,4 +92,34 @@ func BenchmarkSubmitOpportunistic(b *testing.B) {
 		at += time.Microsecond
 		s.Submit(at, device.Read, lbas[i&8191], 1, dss.Class(2), dss.DefaultTenant, nil)
 	}
+}
+
+// BenchmarkSubmitParallel runs the opportunistic submit path from
+// GOMAXPROCS goroutines over two devices in one group: with per-scheduler
+// locks the two device populations share only the group's atomics, so
+// ns/op should hold up as -cpu grows. Run with `-cpu 1,2,4 -benchmem`
+// (`make bench` does); with fewer host cores than -cpu it measures
+// contention overhead, not parallel speedup.
+func BenchmarkSubmitParallel(b *testing.B) {
+	g := NewGroup(Config{Readahead: DisableReadahead})
+	scheds := []*Scheduler{
+		g.Attach(device.New(device.Cheetah15K()), seqClass),
+		g.Attach(device.New(device.Intel320()), seqClass),
+	}
+	var workers atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		// Distinct virtual-time cursor and LBA region per worker so
+		// workers contend on locks, not on device state semantics.
+		w := workers.Add(1)
+		s := scheds[w%2]
+		at := time.Duration(w) * time.Hour
+		lba := w << 32
+		for pb.Next() {
+			at += time.Microsecond
+			lba += 7
+			s.Submit(at, device.Read, lba, 1, dss.Class(2), dss.DefaultTenant, nil)
+		}
+	})
 }

@@ -29,9 +29,7 @@
 //   - Readahead: a granted read carrying the sequential-scan class
 //     (Rule 1 traffic) is extended by Readahead blocks into a prefetch
 //     buffer; subsequent scan reads are served from the buffer without
-//     re-occupying the device, and prefetch completions are offered to
-//     the cache through TakePrefetched (the priority cache admits them
-//     into spare capacity only, never evicting anything).
+//     re-occupying the device.
 //
 // # Dispatch model
 //
@@ -89,18 +87,14 @@ import (
 )
 
 // Config parameterizes a scheduler group. The zero value enables the
-// scheduler with the defaults below; set Disable for the FIFO ablation.
+// scheduler with the defaults below; set FIFO for the scheduler-off
+// ablation.
 type Config struct {
-	// Disable bypasses the queues entirely: every request goes straight
-	// to the device in call order, reproducing the seed's single-FIFO
-	// behaviour. Latency histograms are still recorded.
-	Disable bool
-
 	// FIFO keeps the queue and closed-population machinery (so
 	// experiment arms see identical contention) but grants strictly in
 	// arrival order with no class priority, no aging, no coalescing and
 	// no readahead: the scheduler-off ablation of the contention
-	// experiment. Ignored when Disable is set.
+	// experiment.
 	FIFO bool
 
 	// AgingBound is the longest a queued request may wait (virtual
@@ -119,12 +113,9 @@ type Config struct {
 
 	// Readahead is the number of blocks prefetched past a granted
 	// sequential-class read. Zero means the default of 32; any negative
-	// value (use the DisableReadahead sentinel) disables readahead.
+	// value (use the DisableReadahead sentinel) disables readahead. The
+	// prefetch buffer holds 8 * Readahead blocks.
 	Readahead int
-
-	// ReadaheadCap bounds the prefetch buffer in blocks. Zero means
-	// 8 * Readahead.
-	ReadaheadCap int
 
 	// BackgroundShare is the write-back throttling budget: the fraction
 	// of foreground-granted device blocks earned as credit by queued
@@ -207,9 +198,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Readahead == 0 {
 		c.Readahead = defaultReadahead
-	}
-	if c.ReadaheadCap <= 0 && c.Readahead > 0 {
-		c.ReadaheadCap = 8 * c.Readahead
 	}
 	if c.BackgroundShare == 0 {
 		c.BackgroundShare = defaultBackgroundShare
@@ -365,19 +353,6 @@ type request struct {
 	next *request
 }
 
-// Prefetched describes one readahead run completed by the device,
-// offered to the cache layer through TakePrefetched.
-type Prefetched struct {
-	// LBA and Blocks delimit the prefetched run.
-	LBA    int64
-	Blocks int
-	// Ready is the virtual time the run finished transferring.
-	Ready time.Duration
-	// Tenant is the tenant of the scan read the run extended, so cache
-	// admission can charge the blocks to the tenant that caused them.
-	Tenant dss.TenantID
-}
-
 // Stats are cumulative counters for one scheduler (one device).
 type Stats struct {
 	// Submitted counts foreground submissions; Granted counts device
@@ -488,13 +463,12 @@ func (g *Group) Attach(dev *device.Device, seqClass dss.Class) *Scheduler {
 	cfg := g.cfg
 	s := &Scheduler{
 		g: g, dev: dev, seqClass: seqClass,
-		disable:      cfg.Disable,
 		fifo:         cfg.FIFO,
 		linear:       cfg.LinearPick,
 		agingBound:   cfg.AgingBound,
 		maxCoalesce:  cfg.MaxCoalesce,
 		readahead:    cfg.Readahead,
-		readaheadCap: cfg.ReadaheadCap,
+		readaheadCap: 8 * cfg.Readahead,
 		bgShare:      cfg.BackgroundShare,
 		quantum:      cfg.AnticipatoryQuantum,
 	}
@@ -733,7 +707,6 @@ type Scheduler struct {
 	seqClass dss.Class
 
 	// Immutable after Attach.
-	disable      bool
 	fifo         bool
 	linear       bool
 	agingBound   time.Duration
@@ -804,10 +777,8 @@ type Scheduler struct {
 	latBatch []device.LatencySample
 	doneW    []*waiter
 
-	ra        map[int64]time.Duration // prefetch buffer: lba -> ready time
-	raOrder   []int64                 // FIFO eviction order (may hold stale keys)
-	prefetchq []Prefetched            // completions awaiting TakePrefetched
-	feed      bool                    // accumulate prefetchq (a consumer polls)
+	ra      map[int64]time.Duration // prefetch buffer: lba -> ready time
+	raOrder []int64                 // FIFO eviction order (may hold stale keys)
 
 	// grantHook, when set, observes every grant before it is issued
 	// (batch in final order, the coalesced span, and the budget flag).
@@ -871,9 +842,6 @@ func (s *Scheduler) putRequestLocked(r *request) {
 func (s *Scheduler) Submit(at time.Duration, op device.Op, lba int64, blocks int, class dss.Class, tenant dss.TenantID, stream *simclock.Clock) time.Duration {
 	if blocks <= 0 {
 		return at
-	}
-	if s.disable {
-		return s.dev.AccessQueued(at, at, op, lba, blocks, int(class))
 	}
 	g := s.g
 	fair := len(g.weights()) > 0
@@ -982,10 +950,6 @@ func (s *Scheduler) SubmitBackground(at time.Duration, op device.Op, lba int64, 
 	if blocks <= 0 {
 		return
 	}
-	if s.disable {
-		s.dev.AccessBackground(at, op, lba, blocks)
-		return
-	}
 	g := s.g
 	s.mu.Lock()
 	if op == device.Write {
@@ -1015,26 +979,6 @@ func (s *Scheduler) SubmitBackground(at time.Duration, op device.Op, lba int64, 
 	if g.nRegistered.Load() == 0 {
 		g.drain(false)
 	}
-}
-
-// EnablePrefetchFeed makes the scheduler retain readahead completions
-// for TakePrefetched. Without a registered consumer nothing is
-// accumulated, so configurations that never poll cannot leak memory.
-func (s *Scheduler) EnablePrefetchFeed() {
-	s.mu.Lock()
-	s.feed = true
-	s.mu.Unlock()
-}
-
-// TakePrefetched returns and clears the prefetch completions accumulated
-// since the last call. The hybrid cache polls it to admit prefetched
-// blocks into spare capacity; call EnablePrefetchFeed first.
-func (s *Scheduler) TakePrefetched() []Prefetched {
-	s.mu.Lock()
-	out := s.prefetchq
-	s.prefetchq = nil
-	s.mu.Unlock()
-	return out
 }
 
 // enqueueLocked splits a submission into MaxCoalesce-sized chunks (so a
@@ -1497,9 +1441,6 @@ func (s *Scheduler) grantLocked(batch []*request, start int64, total int, budget
 		base := start + int64(total)
 		for j := 0; j < extra; j++ {
 			s.insertRALocked(base+int64(j), end)
-		}
-		if s.feed {
-			s.prefetchq = append(s.prefetchq, Prefetched{LBA: base, Blocks: extra, Ready: end, Tenant: head.tenant})
 		}
 		s.stats.PrefetchBlocks += int64(extra)
 		s.mPrefetchBlks.Add(int64(extra))

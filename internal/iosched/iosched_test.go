@@ -138,10 +138,9 @@ func TestCoalesceBounds(t *testing.T) {
 
 // Readahead: a sequential-class read over-reads into the prefetch
 // buffer; the following reads are served from the buffer without
-// touching the device, and TakePrefetched reports the run.
+// touching the device, and the stats count the run.
 func TestReadahead(t *testing.T) {
 	g, s, dev := newTestSched(Config{Readahead: 16})
-	s.EnablePrefetchFeed()
 	first := enqueue(g, s, 0, device.Read, 100, 1, seqClass)
 	drain(g)
 	st := dev.Stats()
@@ -155,12 +154,8 @@ func TestReadahead(t *testing.T) {
 	if got != first.completion {
 		t.Fatalf("buffer-served read completed at %v, want %v", got, first.completion)
 	}
-	if hits := s.Stats().PrefetchHits; hits != 16 {
-		t.Fatalf("PrefetchHits = %d, want 16", hits)
-	}
-	pf := s.TakePrefetched()
-	if len(pf) != 1 || pf[0].LBA != 101 || pf[0].Blocks != 16 {
-		t.Fatalf("TakePrefetched = %+v", pf)
+	if st := s.Stats(); st.PrefetchBlocks != 16 || st.PrefetchHits != 16 {
+		t.Fatalf("PrefetchBlocks = %d, PrefetchHits = %d, want 16 and 16", st.PrefetchBlocks, st.PrefetchHits)
 	}
 }
 
@@ -193,21 +188,6 @@ func TestBackgroundYields(t *testing.T) {
 	solo := device.New(device.Cheetah15K()).Access(0, device.Read, 100, 1)
 	if fg.completion != solo {
 		t.Fatalf("foreground read waited behind background work: %v vs %v", fg.completion, solo)
-	}
-}
-
-// The disabled (FIFO) configuration reproduces the direct-device path:
-// call order is service order and latencies are still recorded.
-func TestDisabledIsFIFO(t *testing.T) {
-	_, s, dev := newTestSched(Config{Disable: true})
-	e1 := s.Submit(0, device.Write, 100, 1, seqClass, dss.DefaultTenant, nil)
-	e2 := s.Submit(0, device.Write, 5000, 1, dss.ClassLog, dss.DefaultTenant, nil)
-	if e2 <= e1 {
-		t.Fatalf("FIFO violated: %v then %v", e1, e2)
-	}
-	st := dev.Stats()
-	if st.PerClass[int(dss.ClassLog)].Count != 1 || st.PerClass[int(seqClass)].Count != 1 {
-		t.Fatalf("latency histograms missing: %+v", st.PerClass)
 	}
 }
 

@@ -117,15 +117,6 @@ func (r *Resource) Serve(at, service Duration) Duration {
 	return end
 }
 
-// ServeBackground schedules work on the resource without a waiting
-// requester: the work occupies the device beginning at time `at` (or when
-// the device becomes free, whichever is later) but nobody blocks on the
-// completion. This models asynchronous flushes from the write buffer to
-// the HDD. It returns the completion time for bookkeeping.
-func (r *Resource) ServeBackground(at, service Duration) Duration {
-	return r.Serve(at, service)
-}
-
 // BusyUntil reports the time at which the resource becomes idle.
 func (r *Resource) BusyUntil() Duration {
 	r.mu.Lock()
