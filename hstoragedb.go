@@ -57,7 +57,8 @@ import (
 // Storage configuration: the four configurations of the evaluation and
 // the {N, t, b} QoS policy space.
 type (
-	// Mode selects HDD-only, LRU, hStorage-DB or SSD-only.
+	// Mode selects HDD-only, LRU, hStorage-DB, SSD-only or the ARC
+	// extension baseline.
 	Mode = hybrid.Mode
 	// StorageConfig sizes and parameterizes a storage system.
 	StorageConfig = hybrid.Config

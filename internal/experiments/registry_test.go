@@ -245,3 +245,20 @@ func TestAblationsSmoke(t *testing.T) {
 		}
 	}
 }
+
+// Every arm of a rig-based experiment opens the dataset the previous arm
+// left behind. At this size an arm splits the root of an index; an arm
+// that dropped its log without flushing left the next one a torn store
+// ("btree: unknown node type" on the last mode).
+func TestIOSchedArmsShareOneConsistentDataset(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SF = 0.005
+	suite := &Suite{Cfg: cfg}
+	res, err := suite.Run(byID(t, "iosched"), Params{Streams: 3, Txns: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs := res.(IOSchedRuns); len(runs) != 8 {
+		t.Fatalf("%d arms ran, want scheduler and FIFO under four modes", len(runs))
+	}
+}

@@ -45,10 +45,18 @@ func (e *Env) newTxnRig(cfg engine.InstanceConfig) (*txnRig, error) {
 	return r, nil
 }
 
-// close leaves the shared dataset consistent for the next run: the order
-// key allocator is reset past the durable orders and the WAL objects are
-// dropped. After a crash, sess and log are the recovered ones.
+// close leaves the shared dataset consistent for the next run: what the
+// run committed is flushed (dropping the log over dirty frames would keep
+// whichever pages happened to be evicted and lose the rest — a torn store
+// for the next run to open), the order key allocator is reset past the
+// durable orders and the WAL objects are dropped. After a crash, sess and
+// log are the recovered ones and recovery has already redone the store.
 func (r *txnRig) close() error {
+	if !r.tm.Dead() {
+		if err := r.tm.Checkpoint(r.sess); err != nil {
+			return err
+		}
+	}
 	if err := r.e.DS.RecomputeNextOrderKey(r.sess); err != nil {
 		return err
 	}

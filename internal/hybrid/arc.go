@@ -1,309 +1,117 @@
 package hybrid
 
 import (
-	"sync"
 	"time"
 
 	"hstoragedb/internal/device"
 	"hstoragedb/internal/dss"
-	"hstoragedb/internal/iosched"
 )
 
-// arcCache implements ARC (Megiddo & Modha, FAST 2003) — the paper's
-// other monitoring-based reference policy ([15], used in IBM storage
-// systems and ZFS) — as an additional baseline beyond LRU. Like the LRU
-// baseline it ignores request classes and TRIM; unlike LRU it adapts the
-// split between recency (T1) and frequency (T2) using ghost lists B1/B2.
-type arcCache struct {
-	mu   sync.Mutex
-	base statsBase
-
-	ssd *device.Device
-	hdd *device.Device
-	lat time.Duration
-
-	grp  *iosched.Group
-	ssdS *iosched.Scheduler
-	hddS *iosched.Scheduler
-
-	capacity   int
-	asyncAlloc bool
-
-	t1, t2, b1, b2 lruList
-	table          map[int64]*arcEntry
-	p              int // adaptive target for |T1|
-
-	freePBN []int64
-	nextPBN int64
-}
-
-// arcList identifies which of the four ARC lists an entry lives on.
-type arcList int
-
+// The four ARC lists, as stored in blockMeta.class: T1 and T2 hold
+// resident blocks, B1 and B2 their ghosts (table entries without an SSD
+// slot).
 const (
-	listT1 arcList = iota
+	listT1 = iota
 	listT2
 	listB1
 	listB2
 )
 
-// arcEntry wraps blockMeta with its ARC list membership. Ghost entries
-// (B1/B2) have no SSD slot.
-type arcEntry struct {
-	meta blockMeta
-	list arcList
+// arcPolicy implements ARC (Megiddo & Modha, FAST 2003) — the paper's
+// other monitoring-based reference policy ([15], used in IBM storage
+// systems and ZFS) — as an additional baseline beyond LRU. Like the LRU
+// baseline it ignores request classes and TRIM; unlike LRU it adapts the
+// split between recency (T1) and frequency (T2) using ghost lists B1/B2.
+type arcPolicy struct {
+	*core
+	classBlind
+	lists [4]lruList // indexed by blockMeta.class
+	p     int        // adaptive target for |T1|
 }
 
-func newARCCache(cfg Config) *arcCache {
-	c := &arcCache{
-		base:       newStatsBase(ARC, cfg.Obs),
-		ssd:        device.New(cfg.SSDSpec),
-		hdd:        device.New(cfg.HDDSpec),
-		lat:        cfg.TransportLat,
-		capacity:   cfg.CacheBlocks,
-		asyncAlloc: cfg.AsyncReadAlloc,
-		table:      make(map[int64]*arcEntry),
+func newARCPolicy(c *core) *arcPolicy {
+	a := &arcPolicy{core: c}
+	for i := range a.lists {
+		a.lists[i].init()
 	}
-	c.grp, c.ssdS, c.hddS = attachCacheScheds(cfg, c.ssd, c.hdd)
-	c.t1.init()
-	c.t2.init()
-	c.b1.init()
-	c.b2.init()
-	return c
+	return a
 }
 
-func (c *arcCache) list(l arcList) *lruList {
-	switch l {
-	case listT1:
-		return &c.t1
-	case listT2:
-		return &c.t2
-	case listB1:
-		return &c.b1
-	}
-	return &c.b2
-}
+func (a *arcPolicy) len(list int) int { return a.lists[list].len() }
 
-// move transfers an entry between ARC lists. Caller holds c.mu.
-func (c *arcCache) move(e *arcEntry, to arcList) {
-	c.list(e.list).remove(&e.meta)
-	e.list = to
-	c.list(to).pushFront(&e.meta)
+// move transfers an entry between ARC lists.
+func (a *arcPolicy) move(m *blockMeta, to int) {
+	a.lists[m.class].remove(m)
+	m.class = to
+	a.lists[to].pushFront(m)
 }
-
-// allocPBN hands out an SSD slot. Caller holds c.mu.
-func (c *arcCache) allocPBN() int64 {
-	if n := len(c.freePBN); n > 0 {
-		pbn := c.freePBN[n-1]
-		c.freePBN = c.freePBN[:n-1]
-		return pbn
-	}
-	pbn := c.nextPBN
-	c.nextPBN++
-	return pbn
-}
-
-// entryOf maps a list node back to its arcEntry (blockMeta is the first
-// field, so the lookup table suffices).
-func (c *arcCache) entryOf(m *blockMeta) *arcEntry { return c.table[m.lbn] }
 
 // replace evicts one resident block to a ghost list, per the ARC paper's
-// REPLACE subroutine. Caller holds c.mu.
-func (c *arcCache) replace(at time.Duration, inB2 bool) {
-	if c.t1.len() >= 1 && ((inB2 && c.t1.len() == c.p) || c.t1.len() > c.p) {
-		victim := c.entryOf(c.t1.back())
-		c.demote(at, victim, listB1)
-	} else if c.t2.len() > 0 {
-		victim := c.entryOf(c.t2.back())
-		c.demote(at, victim, listB2)
-	} else if c.t1.len() > 0 {
-		victim := c.entryOf(c.t1.back())
-		c.demote(at, victim, listB1)
+// REPLACE subroutine.
+func (a *arcPolicy) replace(at time.Duration, inB2 bool) {
+	t1 := a.len(listT1)
+	if t1 > 0 && ((inB2 && t1 == a.p) || t1 > a.p || a.len(listT2) == 0) {
+		a.demote(at, a.lists[listT1].back(), listB1)
+	} else if a.len(listT2) > 0 {
+		a.demote(at, a.lists[listT2].back(), listB2)
 	}
 }
 
 // demote turns a resident entry into a ghost, writing back dirty data.
 // A class-blind cache does not know what it is destaging: the
-// write-back goes out unclassified. Caller holds c.mu.
-func (c *arcCache) demote(at time.Duration, e *arcEntry, ghost arcList) {
-	if e.meta.dirty {
-		c.hddS.SubmitBackground(at, device.Write, e.meta.lbn, 1, dss.ClassNone, e.meta.tenant)
-		c.base.snap.DirtyEvict++
-		c.base.mDirtyEvict.Inc()
-		e.meta.dirty = false
-	}
-	c.base.snap.Evictions++
-	c.base.mEvict.Inc()
-	c.freePBN = append(c.freePBN, e.meta.pbn)
-	c.move(e, ghost)
+// write-back goes out unclassified.
+func (a *arcPolicy) demote(at time.Duration, m *blockMeta, ghost int) {
+	a.evicted(at, m, dss.ClassNone)
+	a.move(m, ghost)
 }
 
-// dropGhost removes a ghost entry entirely. Caller holds c.mu.
-func (c *arcCache) dropGhost(m *blockMeta) {
-	e := c.entryOf(m)
-	c.list(e.list).remove(&e.meta)
-	delete(c.table, m.lbn)
+// dropGhost removes a ghost entry entirely.
+func (a *arcPolicy) dropGhost(m *blockMeta) {
+	a.lists[m.class].remove(m)
+	delete(a.table, m.lbn)
 }
 
-func (c *arcCache) resident(e *arcEntry) bool { return e.list == listT1 || e.list == listT2 }
-
-// Submit implements dss.Storage.
-func (c *arcCache) Submit(at time.Duration, req dss.Request) time.Duration {
-	at += c.lat
-	if req.Kind == dss.Trim || req.Blocks <= 0 {
-		// Monitoring-based: TRIM is not understood.
-		return at
-	}
-	done := at
-	var hits int64
-	for i := 0; i < req.Blocks; i++ {
-		t, hit := c.access(at, req, req.LBA+int64(i))
-		if hit {
-			hits++
-		}
-		if t > done {
-			done = t
-		}
-	}
-	c.mu.Lock()
-	c.base.record(req.Class, req.Op, req.Blocks, hits)
-	c.mu.Unlock()
-	return done
-}
-
-func (c *arcCache) access(at time.Duration, req dss.Request, lbn int64) (time.Duration, bool) {
-	op := req.Op
-	c.mu.Lock()
-	e := c.table[lbn]
-
-	// Case I: hit in T1 or T2.
-	if e != nil && c.resident(e) {
-		c.move(e, listT2)
-		if op == device.Write {
-			e.meta.dirty = true
-		}
-		pbn := e.meta.pbn
-		c.mu.Unlock()
-		return submitDev(c.ssdS, at, req, op, pbn, 1), true
-	}
-
-	// Cases II/III: ghost hits adapt the target p.
-	if e != nil && e.list == listB1 {
-		delta := 1
-		if c.b1.len() > 0 && c.b2.len() > c.b1.len() {
-			delta = c.b2.len() / c.b1.len()
-		}
-		c.p = min(c.capacity, c.p+delta)
-		c.replace(at, false)
-		e.meta.pbn = c.allocPBN()
-		e.meta.dirty = op == device.Write
-		c.move(e, listT2)
-		return c.finishMiss(at, req, &e.meta)
-	}
-	if e != nil && e.list == listB2 {
-		delta := 1
-		if c.b2.len() > 0 && c.b1.len() > c.b2.len() {
-			delta = c.b1.len() / c.b2.len()
-		}
-		c.p = max(0, c.p-delta)
-		c.replace(at, true)
-		e.meta.pbn = c.allocPBN()
-		e.meta.dirty = op == device.Write
-		c.move(e, listT2)
-		return c.finishMiss(at, req, &e.meta)
-	}
-
-	// Case IV: full miss.
-	if c.t1.len()+c.b1.len() == c.capacity {
-		if c.t1.len() < c.capacity {
-			c.dropGhost(c.b1.back())
-			c.replace(at, false)
-		} else {
-			// B1 empty, T1 full: evict T1's LRU outright.
-			victim := c.entryOf(c.t1.back())
-			c.demote(at, victim, listB1)
-			c.dropGhost(&victim.meta)
-		}
-	} else if c.t1.len()+c.b1.len() < c.capacity {
-		total := c.t1.len() + c.t2.len() + c.b1.len() + c.b2.len()
-		if total >= c.capacity {
-			if total == 2*c.capacity && c.b2.len() > 0 {
-				c.dropGhost(c.b2.back())
+func (a *arcPolicy) place(at time.Duration, req dss.Request, lbn int64) (outcome, int64) {
+	write := req.Op == device.Write
+	m := a.table[lbn]
+	if m == nil {
+		// Case IV: full miss.
+		t1, b1 := a.len(listT1), a.len(listB1)
+		if t1+b1 == a.capacity {
+			if t1 < a.capacity {
+				a.dropGhost(a.lists[listB1].back())
+				a.replace(at, false)
+			} else {
+				// B1 empty, T1 full: evict T1's LRU outright.
+				victim := a.lists[listT1].back()
+				a.demote(at, victim, listB1)
+				a.dropGhost(victim)
 			}
-			c.replace(at, false)
+		} else if total := t1 + b1 + a.len(listT2) + a.len(listB2); total >= a.capacity {
+			if total == 2*a.capacity && a.len(listB2) > 0 {
+				a.dropGhost(a.lists[listB2].back())
+			}
+			a.replace(at, false)
 		}
+		return allocate, a.insert(&a.lists[listT1], lbn, listT1, write, req.Tenant).pbn
 	}
-	ne := &arcEntry{meta: blockMeta{lbn: lbn, pbn: c.allocPBN(), dirty: op == device.Write, tenant: req.Tenant}, list: listT1}
-	c.table[lbn] = ne
-	c.t1.pushFront(&ne.meta)
-	return c.finishMiss(at, req, &ne.meta)
-}
 
-// finishMiss performs the device traffic for an allocation. Caller holds
-// c.mu; it is released here.
-func (c *arcCache) finishMiss(at time.Duration, req dss.Request, m *blockMeta) (time.Duration, bool) {
-	op := req.Op
-	pbn := m.pbn
-	if op == device.Write {
-		c.base.snap.WriteAllocs++
-		c.mu.Unlock()
-		return submitDev(c.ssdS, at, req, device.Write, pbn, 1), false
+	switch b1, b2 := a.len(listB1), a.len(listB2); m.class {
+	case listT1, listT2:
+		// Case I: hit in T1 or T2.
+		a.move(m, listT2)
+		m.dirty = m.dirty || write
+		return hit, m.pbn
+	case listB1:
+		// Cases II/III: ghost hits adapt the target p.
+		a.p = min(a.capacity, a.p+max(1, b2/b1))
+		a.replace(at, false)
+	case listB2:
+		a.p = max(0, a.p-max(1, b1/b2))
+		a.replace(at, true)
 	}
-	c.base.snap.ReadAllocs++
-	lbn := m.lbn
-	c.mu.Unlock()
-	hddDone := submitDev(c.hddS, at, req, device.Read, lbn, 1)
-	if c.asyncAlloc {
-		c.ssdS.SubmitBackground(hddDone, device.Write, pbn, 1, req.Class, req.Tenant)
-		return hddDone, false
-	}
-	return submitDev(c.ssdS, hddDone, req, device.Write, pbn, 1), false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Stats implements System.
-func (c *arcCache) Stats() Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.base.snapshot(c.t1.len() + c.t2.len())
-}
-
-// ResetStats implements System.
-func (c *arcCache) ResetStats() {
-	c.mu.Lock()
-	c.base.reset()
-	c.mu.Unlock()
-	c.grp.ResetStats()
-}
-
-// Mode implements System.
-func (c *arcCache) Mode() Mode { return ARC }
-
-// SSD implements System.
-func (c *arcCache) SSD() *device.Device { return c.ssd }
-
-// HDD implements System.
-func (c *arcCache) HDD() *device.Device { return c.hdd }
-
-// Sched implements System.
-func (c *arcCache) Sched() *iosched.Group { return c.grp }
-
-// lens reports (|T1|, |T2|, |B1|, |B2|, p) for white-box tests.
-func (c *arcCache) lens() (int, int, int, int, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t1.len(), c.t2.len(), c.b1.len(), c.b2.len(), c.p
+	m.pbn = a.allocSlot()
+	m.dirty = write
+	a.move(m, listT2)
+	return allocate, m.pbn
 }

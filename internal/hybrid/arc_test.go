@@ -8,18 +8,20 @@ import (
 	"hstoragedb/internal/dss"
 )
 
-func newTestARC(t *testing.T, blocks int) *arcCache {
+func newTestARC(t *testing.T, blocks int) *arcPolicy {
 	t.Helper()
 	sys, err := New(Config{Mode: ARC, CacheBlocks: blocks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys.(*arcCache)
+	return sys.(*core).pol.(*arcPolicy)
 }
 
-func (c *arcCache) checkInvariants(t *testing.T) {
+func (c *arcPolicy) checkInvariants(t *testing.T) {
 	t.Helper()
-	t1, t2, b1, b2, p := c.lens()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t1, t2, b1, b2, p := c.len(listT1), c.len(listT2), c.len(listB1), c.len(listB2), c.p
 	if t1+t2 > c.capacity {
 		t.Fatalf("residents %d exceed capacity %d", t1+t2, c.capacity)
 	}
@@ -32,10 +34,27 @@ func (c *arcCache) checkInvariants(t *testing.T) {
 	if p < 0 || p > c.capacity {
 		t.Fatalf("target p=%d out of range", p)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if len(c.table) != t1+t2+b1+b2 {
 		t.Fatalf("table %d vs lists %d", len(c.table), t1+t2+b1+b2)
+	}
+	if c.cached != t1+t2 {
+		t.Fatalf("%d slots held by %d residents", c.cached, t1+t2)
+	}
+	// Every table entry is on exactly the list its class names.
+	on := map[*blockMeta]int{}
+	for id := range c.lists {
+		l := &c.lists[id]
+		for b := l.root.next; b != &l.root; b = b.next {
+			if b.class != id {
+				t.Fatalf("block %d on list %d tagged %d", b.lbn, id, b.class)
+			}
+			on[b]++
+		}
+	}
+	for lbn, m := range c.table {
+		if m.lbn != lbn || on[m] != 1 {
+			t.Fatalf("table entry %d (lbn %d) is on %d lists", lbn, m.lbn, on[m])
+		}
 	}
 }
 
@@ -48,8 +67,7 @@ func TestARCBasicHit(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d", s.Hits, s.Misses)
 	}
 	// A re-referenced block promotes to T2.
-	t1, t2, _, _, _ := c.lens()
-	if t1 != 0 || t2 != 1 {
+	if t1, t2 := c.len(listT1), c.len(listT2); t1 != 0 || t2 != 1 {
 		t.Fatalf("T1=%d T2=%d, want 0/1", t1, t2)
 	}
 }
@@ -91,27 +109,24 @@ func TestARCGhostHitAdaptsP(t *testing.T) {
 	for i := int64(0); i < 6; i++ {
 		c.Submit(0, read(2, i, 1))
 	}
-	_, _, b1, _, p0 := c.lens()
-	if b1 == 0 {
+	p0 := c.p
+	if c.len(listB1) == 0 {
 		t.Fatal("no B1 ghosts after overflow with a populated T2")
 	}
 	// Re-access a current ghost: p must grow (favor recency).
-	c.mu.Lock()
 	var ghost int64 = -1
 	for lbn, e := range c.table {
-		if e.list == listB1 {
+		if e.class == listB1 {
 			ghost = lbn
 			break
 		}
 	}
-	c.mu.Unlock()
 	if ghost < 0 {
 		t.Fatal("no B1 entry found in the table")
 	}
 	c.Submit(0, read(2, ghost, 1))
-	_, _, _, _, p1 := c.lens()
-	if p1 <= p0 {
-		t.Fatalf("p did not grow on B1 hit: %d -> %d", p0, p1)
+	if c.p <= p0 {
+		t.Fatalf("p did not grow on B1 hit: %d -> %d", p0, c.p)
 	}
 	c.checkInvariants(t)
 }

@@ -48,11 +48,11 @@ func TestConcurrentSubmitters(t *testing.T) {
 				t.Fatalf("lost requests: %d recorded, want %d",
 					snap.Hits+snap.Misses, workers*each)
 			}
-			if pc, ok := sys.(*priorityCache); ok {
-				pc.checkInvariants(t)
-			}
-			if ac, ok := sys.(*arcCache); ok {
-				ac.checkInvariants(t)
+			switch pol := sys.(*core).pol.(type) {
+			case *priorityPolicy:
+				pol.checkInvariants(t)
+			case *arcPolicy:
+				pol.checkInvariants(t)
 			}
 		})
 	}
@@ -70,23 +70,5 @@ func TestCompletionTimesRespectQueueing(t *testing.T) {
 	d2 := sys.Submit(0, read(2, 2_000_000, 1))
 	if d2 <= d1 {
 		t.Fatalf("second request (%v) did not queue behind the first (%v)", d2, d1)
-	}
-}
-
-// TestTransportLatency: the configured per-request transport hop is added
-// to every submission.
-func TestTransportLatency(t *testing.T) {
-	lat := 250 * time.Microsecond
-	sys, err := New(Config{Mode: SSDOnly, TransportLat: lat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := sys.Submit(0, read(2, 0, 1))
-	if done < lat {
-		t.Fatalf("completion %v ignores transport latency %v", done, lat)
-	}
-	// TRIM also pays the hop (it is a command on the wire).
-	if got := sys.Submit(0, dss.Request{Kind: dss.Trim, LBA: 0, Blocks: 1}); got < lat {
-		t.Fatalf("trim completion %v ignores transport latency", got)
 	}
 }

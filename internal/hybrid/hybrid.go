@@ -1,16 +1,18 @@
 // Package hybrid implements the hybrid storage system of hStorage-DB's
 // case study (Section 5): a two-level hierarchy with an SSD cache at level
-// one and an HDD at level two, managed either by the paper's
-// priority-based selective allocation/eviction (PriorityCache) or by the
-// classical LRU baseline (LRUCache). Passthrough configurations (HDDOnly,
-// SSDOnly) provide the evaluation's lower and upper bounds.
+// one and an HDD at level two. One storage shell (core.go) owns the
+// devices, the lookup table and the mechanics of the cache actions; a
+// placement policy decides which action a block gets — the paper's
+// priority-based selective allocation/eviction (HStorage), or one of the
+// monitoring-based baselines (LRU, ARC). The passthrough configurations
+// (HDDOnly, SSDOnly), the shell with no policy, provide the evaluation's
+// lower and upper bounds.
 package hybrid
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"hstoragedb/internal/device"
 	"hstoragedb/internal/dss"
@@ -19,7 +21,7 @@ import (
 )
 
 // Mode selects the storage configuration used by the evaluation
-// (Section 6.3 runs every query under all four).
+// (Section 6.3 runs every query under the paper's four; ARC is ours).
 type Mode int
 
 const (
@@ -57,7 +59,8 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// Modes lists all four configurations in the order the paper plots them.
+// Modes lists the paper's four configurations in the order it plots
+// them; the ARC extension baseline is not among them.
 func Modes() []Mode { return []Mode{HDDOnly, LRU, HStorage, SSDOnly} }
 
 // Config describes a storage system to build.
@@ -76,10 +79,6 @@ type Config struct {
 	// Intel320/Cheetah15K.
 	SSDSpec device.Spec
 	HDDSpec device.Spec
-
-	// TransportLat is a per-request transport overhead (the paper's
-	// iSCSI/10GbE hop). Applied to every submitted request.
-	TransportLat time.Duration
 
 	// AsyncReadAlloc, when true, places read-allocated blocks into the
 	// cache off the critical path (the paper's "asynchronous read
@@ -198,7 +197,7 @@ type System interface {
 	Stats() Snapshot
 	// ResetStats clears the counters but not the cache contents.
 	ResetStats()
-	// Mode reports which of the four configurations this is.
+	// Mode reports which configuration this is.
 	Mode() Mode
 	// SSD and HDD expose the underlying devices (either may be nil for
 	// the passthrough modes).
@@ -223,57 +222,30 @@ func New(cfg Config) (System, error) {
 		cfg.Sched.Obs = cfg.Obs
 	}
 	switch cfg.Mode {
-	case HDDOnly:
-		return newPassthrough(cfg, false), nil
-	case SSDOnly:
-		return newPassthrough(cfg, true), nil
+	case HDDOnly, SSDOnly:
+	case LRU, HStorage, ARC:
+		if cfg.CacheBlocks <= 0 {
+			return nil, fmt.Errorf("hybrid: %v mode needs CacheBlocks > 0", cfg.Mode)
+		}
+	default:
+		return nil, fmt.Errorf("hybrid: unknown mode %v", cfg.Mode)
+	}
+	c := newCore(cfg)
+	switch cfg.Mode {
 	case LRU:
-		if cfg.CacheBlocks <= 0 {
-			return nil, fmt.Errorf("hybrid: LRU mode needs CacheBlocks > 0")
-		}
-		return newLRUCache(cfg), nil
+		c.pol = newLRUPolicy(c)
 	case HStorage:
-		if cfg.CacheBlocks <= 0 {
-			return nil, fmt.Errorf("hybrid: hStorage mode needs CacheBlocks > 0")
-		}
-		return newPriorityCache(cfg), nil
+		c.pol = newPriorityPolicy(c, cfg)
 	case ARC:
-		if cfg.CacheBlocks <= 0 {
-			return nil, fmt.Errorf("hybrid: ARC mode needs CacheBlocks > 0")
-		}
-		return newARCCache(cfg), nil
+		c.pol = newARCPolicy(c)
 	}
-	return nil, fmt.Errorf("hybrid: unknown mode %v", cfg.Mode)
+	return c, nil
 }
 
-// attachCacheScheds wires a cache's SSD and HDD into one scheduling
-// domain: the SSD — addressed by recycled cache-slot numbers, not
-// logical LBAs — gets no readahead, while the HDD gets the Rule 1
-// sequential class. Shared by every two-device System implementation.
-func attachCacheScheds(cfg Config, ssd, hdd *device.Device) (*iosched.Group, *iosched.Scheduler, *iosched.Scheduler) {
-	grp := iosched.NewGroup(cfg.Sched)
-	ssdS := grp.Attach(ssd, iosched.NoReadahead)
-	hddS := grp.Attach(hdd, cfg.Policy.Sequential())
-	return grp, ssdS, hddS
-}
-
-// submitDev routes one device access through a scheduler on behalf of a
-// classified request, honouring its stream identity, tenant attribution
-// and background flag: background work is queued without blocking (the
-// caller's clock must not advance for it), foreground work returns its
-// completion. Shared by every System implementation.
-func submitDev(s *iosched.Scheduler, at time.Duration, req dss.Request, op device.Op, lba int64, blocks int) time.Duration {
-	if req.Background {
-		s.SubmitBackground(at, op, lba, blocks, req.Class, req.Tenant)
-		return at
-	}
-	return s.Submit(at, op, lba, blocks, req.Class, req.Tenant, req.Stream)
-}
-
-// statsBase carries the counters shared by all System implementations,
-// plus their registry mirrors (`cache.hits`, `cache.misses`,
-// `cache.evictions`, `cache.evictions.dirty`, `cache.evictions.share`,
-// labeled by mode; nil and inert without Config.Obs).
+// statsBase carries the counters of a storage system, plus their
+// registry mirrors (`cache.hits`, `cache.misses`, `cache.evictions`,
+// `cache.evictions.dirty`, `cache.evictions.share`, labeled by mode; nil
+// and inert without Config.Obs).
 type statsBase struct {
 	mode     Mode
 	perClass map[dss.Class]*ClassStats

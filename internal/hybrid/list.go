@@ -4,11 +4,11 @@ import "hstoragedb/internal/dss"
 
 // blockMeta is the cache's per-block metadata: one entry in the lookup
 // hash table (Section 5.2, <lbn, <pbn, prio>>) that is simultaneously a
-// node of its priority group's intrusive LRU list.
+// node of one of its policy's intrusive LRU lists.
 type blockMeta struct {
 	lbn    int64
 	pbn    int64
-	class  int // group id: 1..N, or wbGroup for the write buffer
+	class  int // the policy's list the entry is on: a priority group, an ARC list
 	dirty  bool
 	tenant dss.TenantID // last tenant charged for the block's capacity
 

@@ -1,166 +1,44 @@
 package hybrid
 
 import (
-	"sync"
 	"time"
 
 	"hstoragedb/internal/device"
 	"hstoragedb/internal/dss"
-	"hstoragedb/internal/iosched"
 )
 
-// lruCache is the monitoring-based baseline of the evaluation: the SSD
+// lruPolicy is the monitoring-based baseline of the evaluation: the SSD
 // cache is managed as a single LRU stack. Every accessed block is
 // admitted — including sequentially scanned data (the cache pollution
 // Figure 5 demonstrates) — and request classes are recorded for
-// statistics but never influence placement. TRIM commands are ignored,
-// matching a legacy system where file deletion only changes file-system
-// metadata (Section 4.2.3).
-type lruCache struct {
-	mu   sync.Mutex
-	base statsBase
-
-	ssd *device.Device
-	hdd *device.Device
-	lat time.Duration
-
-	grp  *iosched.Group
-	ssdS *iosched.Scheduler
-	hddS *iosched.Scheduler
-
-	capacity   int
-	asyncAlloc bool
-
-	table   map[int64]*blockMeta
-	stack   lruList
-	cached  int
-	freePBN []int64
-	nextPBN int64
+// statistics but never influence placement.
+type lruPolicy struct {
+	*core
+	classBlind
+	stack lruList
 }
 
-func newLRUCache(cfg Config) *lruCache {
-	c := &lruCache{
-		base:       newStatsBase(LRU, cfg.Obs),
-		ssd:        device.New(cfg.SSDSpec),
-		hdd:        device.New(cfg.HDDSpec),
-		lat:        cfg.TransportLat,
-		capacity:   cfg.CacheBlocks,
-		asyncAlloc: cfg.AsyncReadAlloc,
-		table:      make(map[int64]*blockMeta),
-	}
-	c.grp, c.ssdS, c.hddS = attachCacheScheds(cfg, c.ssd, c.hdd)
-	c.stack.init()
-	return c
+func newLRUPolicy(c *core) *lruPolicy {
+	l := &lruPolicy{core: c}
+	l.stack.init()
+	return l
 }
 
-// Submit implements dss.Storage.
-func (c *lruCache) Submit(at time.Duration, req dss.Request) time.Duration {
-	at += c.lat
-	if req.Kind == dss.Trim || req.Blocks <= 0 {
-		// Legacy block interface: TRIM is not understood.
-		return at
+func (l *lruPolicy) place(at time.Duration, req dss.Request, lbn int64) (outcome, int64) {
+	write := req.Op == device.Write
+	if m := l.table[lbn]; m != nil {
+		l.stack.moveToFront(m)
+		m.dirty = m.dirty || write
+		return hit, m.pbn
 	}
-	done := at
-	var hits int64
-	for i := 0; i < req.Blocks; i++ {
-		t, hit := c.access(at, req, req.LBA+int64(i))
-		if hit {
-			hits++
-		}
-		if t > done {
-			done = t
-		}
+	// Miss: always allocate, evicting the LRU block if full. A class-blind
+	// cache does not know what it is destaging: the write-back goes out
+	// unclassified.
+	if l.cached >= l.capacity {
+		victim := l.stack.back()
+		l.evicted(at, victim, dss.ClassNone)
+		l.stack.remove(victim)
+		delete(l.table, victim.lbn)
 	}
-	c.mu.Lock()
-	c.base.record(req.Class, req.Op, req.Blocks, hits)
-	c.mu.Unlock()
-	return done
+	return allocate, l.insert(&l.stack, lbn, 0, write, req.Tenant).pbn
 }
-
-func (c *lruCache) access(at time.Duration, req dss.Request, lbn int64) (time.Duration, bool) {
-	op := req.Op
-	c.mu.Lock()
-	meta := c.table[lbn]
-	if meta != nil {
-		c.stack.moveToFront(meta)
-		if op == device.Write {
-			meta.dirty = true
-		}
-		pbn := meta.pbn
-		c.mu.Unlock()
-		return submitDev(c.ssdS, at, req, op, pbn, 1), true
-	}
-
-	// Miss: always allocate, evicting the LRU block if full.
-	if c.cached >= c.capacity {
-		victim := c.stack.back()
-		if victim.dirty {
-			// A class-blind cache does not know what it is destaging:
-			// the write-back goes out unclassified.
-			c.hddS.SubmitBackground(at, device.Write, victim.lbn, 1, dss.ClassNone, victim.tenant)
-			c.base.snap.DirtyEvict++
-			c.base.mDirtyEvict.Inc()
-		}
-		c.base.snap.Evictions++
-		c.base.mEvict.Inc()
-		c.stack.remove(victim)
-		delete(c.table, victim.lbn)
-		c.freePBN = append(c.freePBN, victim.pbn)
-		c.cached--
-	}
-	var pbn int64
-	if n := len(c.freePBN); n > 0 {
-		pbn = c.freePBN[n-1]
-		c.freePBN = c.freePBN[:n-1]
-	} else {
-		pbn = c.nextPBN
-		c.nextPBN++
-	}
-	meta = &blockMeta{lbn: lbn, pbn: pbn, dirty: op == device.Write, tenant: req.Tenant}
-	c.table[lbn] = meta
-	c.stack.pushFront(meta)
-	c.cached++
-	if op == device.Write {
-		c.base.snap.WriteAllocs++
-	} else {
-		c.base.snap.ReadAllocs++
-	}
-	c.mu.Unlock()
-
-	if op == device.Write {
-		return submitDev(c.ssdS, at, req, device.Write, pbn, 1), false
-	}
-	hddDone := submitDev(c.hddS, at, req, device.Read, lbn, 1)
-	if c.asyncAlloc {
-		c.ssdS.SubmitBackground(hddDone, device.Write, pbn, 1, req.Class, req.Tenant)
-		return hddDone, false
-	}
-	return submitDev(c.ssdS, hddDone, req, device.Write, pbn, 1), false
-}
-
-// Stats implements System.
-func (c *lruCache) Stats() Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.base.snapshot(c.cached)
-}
-
-// ResetStats implements System.
-func (c *lruCache) ResetStats() {
-	c.mu.Lock()
-	c.base.reset()
-	c.mu.Unlock()
-	c.grp.ResetStats()
-}
-
-// Mode implements System.
-func (c *lruCache) Mode() Mode { return LRU }
-
-// SSD implements System.
-func (c *lruCache) SSD() *device.Device { return c.ssd }
-
-// HDD implements System.
-func (c *lruCache) HDD() *device.Device { return c.hdd }
-
-// Sched implements System.
-func (c *lruCache) Sched() *iosched.Group { return c.grp }

@@ -6,13 +6,13 @@ import (
 	"hstoragedb/internal/dss"
 )
 
-func newTestLRU(t *testing.T, blocks int) *lruCache {
+func newTestLRU(t *testing.T, blocks int) *lruPolicy {
 	t.Helper()
 	sys, err := New(Config{Mode: LRU, CacheBlocks: blocks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys.(*lruCache)
+	return sys.(*core).pol.(*lruPolicy)
 }
 
 func TestLRUCachesEverything(t *testing.T) {

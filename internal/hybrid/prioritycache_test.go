@@ -9,13 +9,13 @@ import (
 	"hstoragedb/internal/dss"
 )
 
-func newTestCache(t *testing.T, blocks int) *priorityCache {
+func newTestCache(t *testing.T, blocks int) *priorityPolicy {
 	t.Helper()
 	sys, err := New(Config{Mode: HStorage, CacheBlocks: blocks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys.(*priorityCache)
+	return sys.(*core).pol.(*priorityPolicy)
 }
 
 func read(c dss.Class, lba int64, blocks int) dss.Request {
@@ -78,9 +78,8 @@ func TestSelectiveEvictionOrder(t *testing.T) {
 	if s.Evictions != 2 {
 		t.Fatalf("evictions = %d, want 2", s.Evictions)
 	}
-	lens := c.GroupLens()
-	if lens[2] != 2 || lens[5] != 2 {
-		t.Fatalf("groups %v, want 2 each in groups 2 and 5", lens)
+	if g2, g5 := c.group(2).len(), c.group(5).len(); g2 != 2 || g5 != 2 {
+		t.Fatalf("groups 2 and 5 hold %d and %d blocks, want 2 each", g2, g5)
 	}
 
 	// Now cache holds prios {2,2,5,5}. Incoming priority 6 must bypass:
@@ -183,8 +182,8 @@ func TestWriteBufferFlush(t *testing.T) {
 	if s.WBFlushes != 1 {
 		t.Fatalf("WBFlushes = %d, want 1", s.WBFlushes)
 	}
-	if c.wbBlocks != 0 {
-		t.Fatalf("write buffer not emptied: %d", c.wbBlocks)
+	if n := c.group(wbGroup).len(); n != 0 {
+		t.Fatalf("write buffer not emptied: %d", n)
 	}
 	// Flushed dirty blocks must have been written to the HDD once the
 	// deferred destages are released; adjacent destages coalesce, so
@@ -205,8 +204,8 @@ func TestWriteBufferWinsOverAnyPriority(t *testing.T) {
 	if _, ok := c.table[100]; !ok {
 		t.Fatal("update block not buffered")
 	}
-	if c.GroupLens()[wbGroup] != 1 {
-		t.Fatalf("write buffer group %v", c.GroupLens())
+	if n := c.group(wbGroup).len(); n != 1 {
+		t.Fatalf("write buffer holds %d blocks, want 1", n)
 	}
 }
 
@@ -252,37 +251,40 @@ func TestUnclassifiedBypasses(t *testing.T) {
 }
 
 // Invariant check used by the property test.
-func (c *priorityCache) checkInvariants(t *testing.T) {
+func (c *priorityPolicy) checkInvariants(t *testing.T) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cached > c.capacity {
 		t.Fatalf("occupancy %d exceeds capacity %d", c.cached, c.capacity)
 	}
+	// Every table entry is on exactly the list its class names.
+	on := map[*blockMeta]int{}
 	total := 0
-	for _, g := range c.groups {
+	for i := range c.groups {
+		g, id := &c.groups[i], i+logGroup
 		total += g.len()
+		for b := g.root.next; b != &g.root; b = b.next {
+			if b.class != id {
+				t.Fatalf("block %d in group %d tagged %d", b.lbn, id, b.class)
+			}
+			on[b]++
+		}
 	}
 	if total != c.cached || total != len(c.table) {
 		t.Fatalf("group total %d, cached %d, table %d diverge", total, c.cached, len(c.table))
 	}
-	if c.groups[wbGroup].len() != c.wbBlocks {
-		t.Fatalf("wbBlocks %d != wb group %d", c.wbBlocks, c.groups[wbGroup].len())
-	}
-	seen := map[int64]bool{}
-	for p, g := range c.groups {
-		for b := g.root.next; b != &g.root; b = b.next {
-			if b.class != p {
-				t.Fatalf("block %d in group %d tagged %d", b.lbn, p, b.class)
-			}
-			if seen[b.lbn] {
-				t.Fatalf("block %d in two groups", b.lbn)
-			}
-			seen[b.lbn] = true
-			if c.table[b.lbn] != b {
-				t.Fatalf("table and list disagree for %d", b.lbn)
-			}
+	for lbn, m := range c.table {
+		if m.lbn != lbn || on[m] != 1 {
+			t.Fatalf("table entry %d (lbn %d) is on %d lists", lbn, m.lbn, on[m])
 		}
+	}
+	charged := 0
+	for _, n := range c.cachedBy {
+		charged += n
+	}
+	if charged != c.cached {
+		t.Fatalf("%d blocks charged to tenants, %d cached", charged, c.cached)
 	}
 }
 
@@ -348,4 +350,100 @@ func TestCompactionPreservesResidency(t *testing.T) {
 	if got := c.Stats().Hits; got < 16 {
 		t.Fatalf("hits = %d, want >= 16", got)
 	}
+}
+
+// TestPinnedLogBlockIgnoresWriteBufferRequests: a (malformed) request
+// carrying the write-buffer class cannot demote a pinned log block — the
+// first exception re-allocation keeps.
+func TestPinnedLogBlockIgnoresWriteBufferRequests(t *testing.T) {
+	c := newTestCache(t, 16)
+	c.Submit(0, write(dss.ClassLog, 5, 1))
+	if got := c.table[5].class; got != logGroup {
+		t.Fatalf("log write landed in group %d", got)
+	}
+	for _, req := range []dss.Request{read(dss.ClassWriteBuffer, 5, 1), write(dss.ClassWriteBuffer, 5, 1)} {
+		c.Submit(0, req)
+		if got := c.table[5].class; got != logGroup {
+			t.Fatalf("%v moved the pinned log block to group %d", req, got)
+		}
+	}
+	s := c.Stats()
+	if s.Reallocs != 0 || s.Hits != 2 || c.group(wbGroup).len() != 0 {
+		t.Fatalf("reallocs=%d hits=%d buffered=%d, want 0/2/0", s.Reallocs, s.Hits, c.group(wbGroup).len())
+	}
+}
+
+// TestScanAndCompactionHitsLeaveLayoutAlone: a sequential or compaction
+// request hitting a cached block changes neither its group nor its LRU
+// position — the second exception re-allocation keeps.
+func TestScanAndCompactionHitsLeaveLayoutAlone(t *testing.T) {
+	c := newTestCache(t, 16)
+	c.Submit(0, read(3, 0, 3)) // group 3, MRU to LRU: 2 1 0
+	lru := c.table[0]
+	for _, req := range []dss.Request{
+		read(dss.DefaultPolicySpace().Sequential(), 0, 1),
+		read(dss.ClassCompaction, 0, 1),
+		write(dss.ClassCompaction, 0, 1),
+	} {
+		c.Submit(0, req)
+		if lru.class != 3 || c.group(3).back() != lru {
+			t.Fatalf("%v moved block 0: group %d, LRU end of group 3 is block %d", req, lru.class, c.group(3).back().lbn)
+		}
+	}
+	if s := c.Stats(); s.Reallocs != 0 || s.Hits != 3 {
+		t.Fatalf("reallocs=%d hits=%d, want 0/3", s.Reallocs, s.Hits)
+	}
+}
+
+// TestWriteBufferOccupancyFollowsTheList: the flush threshold b counts
+// exactly the blocks on the buffer's list, through hit-promotions into
+// the buffer, TRIM of buffered blocks and the b = 0 drop path.
+func TestWriteBufferOccupancyFollowsTheList(t *testing.T) {
+	buffered := func(c *priorityPolicy) int {
+		n := 0
+		for _, m := range c.table {
+			if m.class == wbGroup {
+				n++
+			}
+		}
+		if n != c.group(wbGroup).len() {
+			t.Fatalf("%d table entries tagged for the write buffer, %d on its list", n, c.group(wbGroup).len())
+		}
+		return n
+	}
+	c := newTestCache(t, 100) // b = 10 blocks
+	c.Submit(0, read(2, 0, 6))
+	c.Submit(0, write(dss.ClassWriteBuffer, 0, 6))  // six hit-promotions
+	c.Submit(0, write(dss.ClassWriteBuffer, 50, 4)) // four allocations
+	if got := buffered(c); got != 10 {
+		t.Fatalf("buffer holds %d blocks, want 10", got)
+	}
+	c.Submit(0, dss.Request{Kind: dss.Trim, LBA: 50, Blocks: 3})
+	c.Submit(0, read(2, 1, 1)) // a read re-allocates block 1 out of the buffer
+	if got := buffered(c); got != 6 {
+		t.Fatalf("buffer holds %d blocks after TRIM and re-allocation, want 6", got)
+	}
+	c.Submit(0, write(dss.ClassWriteBuffer, 60, 4))
+	if got, flushes := buffered(c), c.Stats().WBFlushes; got != 10 || flushes != 0 {
+		t.Fatalf("buffer holds %d blocks after %d flushes, want 10 and none", got, flushes)
+	}
+	c.Submit(0, write(dss.ClassWriteBuffer, 70, 1))
+	if got, flushes := buffered(c), c.Stats().WBFlushes; got != 0 || flushes != 1 {
+		t.Fatalf("buffer holds %d blocks after %d flushes, want an empty buffer and one flush", got, flushes)
+	}
+
+	// b = 0: there is no buffer, and an update drops the cached copy.
+	space := dss.DefaultPolicySpace()
+	space.WriteBufferFrac = 0
+	sys, err := New(Config{Mode: HStorage, CacheBlocks: 100, Policy: space})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c = sys.(*core).pol.(*priorityPolicy)
+	c.Submit(0, read(2, 0, 4))
+	c.Submit(0, write(dss.ClassWriteBuffer, 0, 2))
+	if s := c.Stats(); buffered(c) != 0 || s.CachedBlocks != 2 || s.Bypasses != 2 {
+		t.Fatalf("b=0: buffered=%d cached=%d bypasses=%d, want 0/2/2", buffered(c), s.CachedBlocks, s.Bypasses)
+	}
+	c.checkInvariants(t)
 }

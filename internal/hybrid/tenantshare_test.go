@@ -22,7 +22,7 @@ func tenantRead(sys System, at time.Duration, tenant dss.TenantID, lba int64) ti
 // the same flood evicts the cold tenant entirely (the class-only
 // baseline this feature exists to fix).
 func TestTenantCacheShares(t *testing.T) {
-	build := func(fair bool) (System, *priorityCache) {
+	build := func(fair bool) (System, *priorityPolicy) {
 		cfg := Config{Mode: HStorage, CacheBlocks: 64}
 		if fair {
 			cfg.Sched.TenantWeights = map[dss.TenantID]float64{1: 1, 2: 1}
@@ -31,7 +31,7 @@ func TestTenantCacheShares(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys, sys.(*priorityCache)
+		return sys, sys.(*core).pol.(*priorityPolicy)
 	}
 	flood := func(sys System) {
 		// Tenant 2 warms a small working set; tenant 1 fills the cache
@@ -50,7 +50,7 @@ func TestTenantCacheShares(t *testing.T) {
 
 	sys, pc := build(true)
 	flood(sys)
-	occ := pc.TenantOccupancy()
+	occ := pc.cachedBy
 	if occ[2] != 10 {
 		t.Fatalf("under-share tenant lost cached blocks to an over-share flood: occupancy %+v", occ)
 	}
@@ -60,7 +60,7 @@ func TestTenantCacheShares(t *testing.T) {
 
 	base, pcBase := build(false)
 	flood(base)
-	if occ := pcBase.TenantOccupancy(); occ[2] != 0 {
+	if occ := pcBase.cachedBy; occ[2] != 0 {
 		t.Fatalf("class-only baseline unexpectedly protects tenants: occupancy %+v", occ)
 	}
 }
@@ -73,10 +73,10 @@ func TestTenantRetagFollowsUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := sys.(*priorityCache)
+	pc := sys.(*core).pol.(*priorityPolicy)
 	at := tenantRead(sys, 0, 1, 42) // allocate under tenant 1
 	tenantRead(sys, at, 2, 42)      // hit under tenant 2
-	occ := pc.TenantOccupancy()
+	occ := pc.cachedBy
 	if occ[1] != 0 || occ[2] != 1 {
 		t.Fatalf("retag did not follow use: occupancy %+v", occ)
 	}

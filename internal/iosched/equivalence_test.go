@@ -16,7 +16,7 @@ import (
 // and class-only modes (and varied aging, coalescing, readahead and
 // budget knobs), the indexed structures grant the exact same sequence —
 // same batches, same member order, same budget flags — as the reference
-// linear picker (Config.LinearPick). Grant-order equality is what keeps
+// linear picker (Config.linearPick). Grant-order equality is what keeps
 // traces and BENCH goldens byte-for-byte deterministic across the
 // swap.
 func TestPickerEquivalence(t *testing.T) {
@@ -50,7 +50,7 @@ func TestPickerEquivalence(t *testing.T) {
 		}
 
 		linear := cfg
-		linear.LinearPick = true
+		linear.linearPick = true
 		want := grantTrace(t, linear, fair, seed)
 		got := grantTrace(t, cfg, fair, seed)
 		if len(got) != len(want) {

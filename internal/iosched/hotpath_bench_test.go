@@ -27,7 +27,7 @@ func BenchmarkSubmitGrant(b *testing.B) {
 				g := NewGroup(Config{
 					Readahead:       DisableReadahead,
 					BackgroundShare: DisableBackgroundShare,
-					LinearPick:      mode.linear,
+					linearPick:      mode.linear,
 				})
 				s := g.Attach(dev, seqClass)
 				// Reused waiters: the benchmark isolates scheduler cost,

@@ -9,7 +9,7 @@ import (
 // This file is the indexed pick layer: the data-structure bookkeeping and
 // the O(log n) replacements for the seed picker's linear scans. The seed
 // picker itself survives verbatim as pickLinearLocked (behind
-// Config.LinearPick) and the two are held equal by the differential test
+// Config.linearPick) and the two are held equal by the differential test
 // in equivalence_test.go.
 //
 // Index invariants, maintained by indexInsertLocked/indexRemoveLocked

@@ -138,15 +138,15 @@ type Config struct {
 	// stretch between aging boosts. Zero (the default) disables the
 	// policy — here zero-means-default and default-is-off coincide, so
 	// no sentinel is needed. The aging bound is checked first and is
-	// never weakened by a switch. Ignored under LinearPick and FIFO.
+	// never weakened by a switch. Ignored under FIFO and by the reference
+	// picker (linearPick).
 	AnticipatoryQuantum int
 
-	// LinearPick selects the reference picker: the original O(n) scans
-	// over one pending slice. The indexed picker (the default) grants
-	// in exactly the same order — a property enforced by a differential
-	// test — so this knob exists for that test and as the baseline arm
-	// of the hotpath experiment, not as a tuning choice.
-	LinearPick bool
+	// linearPick selects the reference picker: the original O(n) scans
+	// over one pending slice. The indexed picker grants in exactly the
+	// same order — a property enforced by this package's differential
+	// test, the only thing that sets it (with the picker microbenchmark).
+	linearPick bool
 
 	// TenantWeights seeds the group's tenant fair-share weights (see
 	// Group.SetTenantWeight). Nil or empty leaves fair sharing off: the
@@ -464,7 +464,7 @@ func (g *Group) Attach(dev *device.Device, seqClass dss.Class) *Scheduler {
 	s := &Scheduler{
 		g: g, dev: dev, seqClass: seqClass,
 		fifo:         cfg.FIFO,
-		linear:       cfg.LinearPick,
+		linear:       cfg.linearPick,
 		agingBound:   cfg.AgingBound,
 		maxCoalesce:  cfg.MaxCoalesce,
 		readahead:    cfg.Readahead,
@@ -472,7 +472,7 @@ func (g *Group) Attach(dev *device.Device, seqClass dss.Class) *Scheduler {
 		bgShare:      cfg.BackgroundShare,
 		quantum:      cfg.AnticipatoryQuantum,
 	}
-	if cfg.FIFO || cfg.LinearPick {
+	if cfg.FIFO || cfg.linearPick {
 		// Neither alternate picker supports the quantum walk; keeping
 		// the knob inert there keeps them byte-for-byte reference arms.
 		s.quantum = 0
@@ -722,7 +722,7 @@ type Scheduler struct {
 
 	mu sync.Mutex
 
-	// pending is the reference picker's queue (Config.LinearPick only);
+	// pending is the reference picker's queue (Config.linearPick only);
 	// the indexed picker keeps its requests in the structures below
 	// (see index.go for the invariants).
 	pending []*request
@@ -1066,7 +1066,7 @@ func (s *Scheduler) hasEligibleLocked(bgOK bool) bool {
 	return s.nBg > 0 && (bgOK || s.bgShare <= 0 || s.bgCredit >= 1)
 }
 
-// pickLinearLocked is the reference picker (Config.LinearPick): the
+// pickLinearLocked is the reference picker (Config.linearPick): the
 // original O(n) scans over the pending slice. It chooses the next
 // request exactly like pickIndexedLocked — the oldest foreground
 // request whose wait would exceed the aging bound, else the best

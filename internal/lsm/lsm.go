@@ -87,17 +87,20 @@ type Config struct {
 	// tables they are merged (with every overlapping L1 table) into a
 	// single sorted L1 run. Default 4.
 	L0Tables int
-	// BloomBitsPerKey sizes each table's bloom filter. Default 10
-	// (~1% false-positive rate at four probes).
-	BloomBitsPerKey int
-	// DirectBase is the first object ID of the direct pass-through
+}
+
+const (
+	// bloomBitsPerKey sizes each table's bloom filter (~1%
+	// false-positive rate at four probes).
+	bloomBitsPerKey = 10
+	// directBase is the first object ID of the direct pass-through
 	// region: objects at or above it (WAL segments, the 2PC decision
 	// log, temporary files) bypass the tree and live on an embedded
 	// heap store with in-place writes. The WAL cannot ride the
-	// memtable it is responsible for making durable. Default 1<<29
-	// (wal.DefaultBaseObject).
-	DirectBase pagestore.ObjectID
-}
+	// memtable it is responsible for making durable. Equals
+	// wal.DefaultBaseObject.
+	directBase pagestore.ObjectID = 1 << 29
+)
 
 func (c Config) withDefaults() Config {
 	if c.MemtablePages <= 0 {
@@ -105,12 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.L0Tables <= 0 {
 		c.L0Tables = 4
-	}
-	if c.BloomBitsPerKey <= 0 {
-		c.BloomBitsPerKey = 10
-	}
-	if c.DirectBase == 0 {
-		c.DirectBase = 1 << 29
 	}
 	return c
 }
@@ -204,7 +201,7 @@ func New(cfg Config) *Store {
 }
 
 // isDirect reports whether the object lives in the pass-through region.
-func (s *Store) isDirect(id pagestore.ObjectID) bool { return id >= s.cfg.DirectBase }
+func (s *Store) isDirect(id pagestore.ObjectID) bool { return id >= directBase }
 
 // alive gates direct-region operations on the dead flag: a killed
 // process serves nothing, including its pass-through objects.

@@ -133,7 +133,7 @@ func (t *table) find(k key) (int, bool) {
 // the single sequential write access it cost.
 func (s *Store) writeTableLocked(entries []entry) (*table, pagestore.Access, error) {
 	n := len(entries)
-	bloomBits := int64(n * s.cfg.BloomBitsPerKey)
+	bloomBits := int64(n * bloomBitsPerKey)
 	if bloomBits < 64 {
 		bloomBits = 64
 	}
