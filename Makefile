@@ -16,8 +16,8 @@ race:
 	$(GO) test -race ./...
 
 # Layer microbenchmarks — the wall-clock path: the scheduler hot path
-# (indexed vs linear picker across queue depths, the full opportunistic
-# submit path, and the same path from 1, 2 and 4 CPUs), heap
+# (pick and grant across queue depths, the full opportunistic submit
+# path, and the same path from 1, 2 and 4 CPUs), heap
 # fetch/scan/update and B-tree lookup/seek. -benchmem backs the allocs/op
 # claims; repeated -count samples make the output benchstat-ready:
 #

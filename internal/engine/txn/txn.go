@@ -480,6 +480,10 @@ func (t *Txn) capture(tag policy.Tag, page int64, pre []byte, preDirty bool, pos
 	return pin
 }
 
+// Commit, Prepare and CommitPrepared compose the same steps — logImages,
+// decide, releaseAndForce, and unwind on every failure exit — and differ
+// in data only: the record kind, the GTID, what is still held afterwards.
+
 // Commit appends the transaction's page records and a commit record,
 // releases the page locks, then joins the group-commit batch and returns
 // once the commit is durable — usually via a flush a batch leader
@@ -498,115 +502,16 @@ func (t *Txn) Commit() error {
 		t.endSnapshot()
 		return nil
 	}
-	m := t.m
-	clk := &t.sess.Clk
-	m.inst.Pool.UnbindTxn(clk)
-
-	// Only the final image of each touched page needs redo: the records
-	// carry full post-images, intermediate versions are overwritten at
-	// replay anyway, and the page locks are held until after the commit
-	// record, so the per-page version order across transactions matches
-	// the log order. Deduplicating here cuts the dominant log volume
-	// (hot pages — index meta and leaf pages — are rewritten several
-	// times per transaction).
-	finalImage := make(map[pageKey]int, len(t.writes))
-	for i, w := range t.writes {
-		finalImage[pageKey{obj: w.tag.Object, page: w.page}] = i
-	}
-	m.walLock(clk)
-	var last wal.LSN
-	for i, w := range t.writes {
-		if finalImage[pageKey{obj: w.tag.Object, page: w.page}] != i {
-			continue
-		}
-		lsn, err := m.log.Append(clk, wal.Record{
-			Txn: t.id, Kind: w.kind, Obj: w.tag.Object, Page: w.page, Image: w.post,
-		})
-		if err != nil {
-			// The transaction cannot become durable: roll its frames
-			// back so the pins are released and nothing uncommitted
-			// lingers in the pool.
-			m.walUnlock()
-			t.restoreFrames()
-			m.lm.ReleaseAllAt(t.id, clk.Now())
-			m.gate.RUnlock()
-			return err
-		}
-		last = lsn
-	}
-
-	// The commit decision point: the crash check and the commit-record
-	// append are atomic, so the n-th commit is well-defined and nothing
-	// commits after the simulated kill.
-	m.seqMu.Lock()
-	if m.dead.Load() {
-		// The instance died (crash harness) while this transaction was
-		// running: its commit record must not be appended. The locks are
-		// released so concurrent transactions can fail promptly rather
-		// than hang; the pool's volatile state dies with the instance.
-		m.seqMu.Unlock()
-		m.walUnlock()
-		m.lm.ReleaseAllAt(t.id, clk.Now())
-		m.gate.RUnlock()
-		return ErrCrashed
-	}
-	if m.crashAtCommit != 0 && m.commits.Load()+1 >= m.crashAtCommit {
-		// Simulated kill between writing the transaction's records and
-		// its commit record: the log knows the transaction but recovery
-		// must treat it as a loser.
-		m.dead.Store(true)
-		m.seqMu.Unlock()
-		err := m.log.Flush(clk, last)
-		m.walUnlock()
-		m.lm.ReleaseAllAt(t.id, clk.Now())
-		m.gate.RUnlock()
-		if err != nil {
-			return err
-		}
-		return ErrCrashed
-	}
-	lsn, err := m.log.Append(clk, wal.Record{Txn: t.id, Kind: wal.KindCommit})
+	t.m.inst.Pool.UnbindTxn(&t.sess.Clk)
+	last, err := t.logImages()
 	if err != nil {
-		m.seqMu.Unlock()
-		m.walUnlock()
-		t.restoreFrames()
-		m.lm.ReleaseAllAt(t.id, clk.Now())
-		m.gate.RUnlock()
 		return err
 	}
-	m.commits.Add(1)
-	m.mCommits.Inc()
-	// Seal this transaction's pending page versions with its commit LSN
-	// while the commit order is still pinned by seqMu: chains then seal
-	// in commit-LSN order, so a snapshot taken at any watermark observes
-	// a prefix-consistent version history.
-	m.inst.Pool.CommitVersions(t.id, int64(lsn), int64(m.log.CommitWatermark()), t.pageRefs())
-	m.seqMu.Unlock()
-	m.walUnlock()
-
-	// Strict 2PL ends here: the commit record is appended, so the
-	// version order of every touched page is sealed in the log and the
-	// locks can be released while the force is still pending. A
-	// transaction that reads the freshly committed data and commits
-	// flushes the log through a later LSN, which covers this one.
-	m.lm.ReleaseAllAt(t.id, clk.Now())
-
-	// The force is batched: concurrent committers share one flush.
-	// Frames stay pinned until the records are durable; they are
-	// released even on a flush error (the commit record is appended, so
-	// rolling the frames back could contradict a log that did reach the
-	// device), which keeps the pool from leaking pinned frames.
-	err = m.groupFlush(clk, lsn)
-	if err == nil {
-		// The commit record is durable and the versions are sealed: new
-		// snapshots may begin at (or past) this commit.
-		m.log.PublishCommit(lsn)
+	lsn, err := t.decide(wal.KindCommit, 0, true, last)
+	if err != nil {
+		return err
 	}
-	for _, p := range t.pres {
-		m.inst.Pool.Unpin(t.id, p.obj, p.page)
-	}
-	m.gate.RUnlock()
-	return err
+	return t.releaseAndForce(lsn)
 }
 
 // Prepare runs the participant's first phase of two-phase commit: the
@@ -628,60 +533,20 @@ func (t *Txn) Prepare(gtid int64) error {
 	if t.readOnly {
 		return fmt.Errorf("txn %d: read-only transactions cannot prepare", t.id)
 	}
-	m := t.m
-	clk := &t.sess.Clk
-	m.inst.Pool.UnbindTxn(clk)
-
-	// Same final-image dedup as Commit: only the last image per touched
-	// page needs redo.
-	finalImage := make(map[pageKey]int, len(t.writes))
-	for i, w := range t.writes {
-		finalImage[pageKey{obj: w.tag.Object, page: w.page}] = i
-	}
-	m.walLock(clk)
-	for i, w := range t.writes {
-		if finalImage[pageKey{obj: w.tag.Object, page: w.page}] != i {
-			continue
-		}
-		_, err := m.log.Append(clk, wal.Record{
-			Txn: t.id, Kind: w.kind, Obj: w.tag.Object, Page: w.page, Image: w.post,
-		})
-		if err != nil {
-			m.walUnlock()
-			t.finished = true
-			t.restoreFrames()
-			m.lm.ReleaseAllAt(t.id, clk.Now())
-			m.gate.RUnlock()
-			return err
-		}
-	}
-	m.seqMu.Lock()
-	if m.dead.Load() {
-		m.seqMu.Unlock()
-		m.walUnlock()
-		t.finished = true
-		m.lm.ReleaseAllAt(t.id, clk.Now())
-		m.gate.RUnlock()
-		return ErrCrashed
-	}
-	lsn, err := m.log.Append(clk, wal.Record{Txn: t.id, Kind: wal.KindPrepare, Page: gtid})
-	m.seqMu.Unlock()
-	m.walUnlock()
-	if err != nil {
-		t.finished = true
-		t.restoreFrames()
-		m.lm.ReleaseAllAt(t.id, clk.Now())
-		m.gate.RUnlock()
+	t.m.inst.Pool.UnbindTxn(&t.sess.Clk)
+	if _, err := t.logImages(); err != nil {
 		return err
 	}
-	if err := m.groupFlush(clk, lsn); err != nil {
+	lsn, err := t.decide(wal.KindPrepare, gtid, false, 0)
+	if err != nil {
+		return err
+	}
+	if err := t.m.groupFlush(&t.sess.Clk, lsn); err != nil {
 		// Almost always a crash mid-force: the prepare never became
 		// durable on this path, so presumed abort applies. The locks are
 		// released so concurrent work fails promptly; pins die with the
 		// pool.
-		t.finished = true
-		m.lm.ReleaseAllAt(t.id, clk.Now())
-		m.gate.RUnlock()
+		t.unwind(false)
 		return err
 	}
 	t.prepared = true
@@ -699,7 +564,9 @@ func (t *Txn) Prepared() bool { return t.prepared }
 // pins finally release. The caller must hold a durable coordinator
 // decision for the GTID it passed to Prepare. The crash harness's
 // CrashAtCommit counts these like ordinary commits, which is exactly
-// the "participant dies holding prepared locks" injection point.
+// the "participant dies holding prepared locks" injection point: the
+// prepare is durable, so recovery holds the transaction in doubt and
+// the decision log resolves it to commit.
 func (t *Txn) CommitPrepared() error {
 	if t.finished {
 		return fmt.Errorf("txn %d: already finished", t.id)
@@ -709,46 +576,120 @@ func (t *Txn) CommitPrepared() error {
 	}
 	t.finished = true
 	t.prepared = false
-	m := t.m
-	clk := &t.sess.Clk
-	m.walLock(clk)
-	m.seqMu.Lock()
-	if m.dead.Load() {
-		m.seqMu.Unlock()
-		m.walUnlock()
-		m.lm.ReleaseAllAt(t.id, clk.Now())
-		m.gate.RUnlock()
-		return ErrCrashed
-	}
-	if m.crashAtCommit != 0 && m.commits.Load()+1 >= m.crashAtCommit {
-		// Simulated kill between the coordinator's decision and this
-		// participant's phase-2 commit record: the prepare is durable, so
-		// recovery holds the transaction in doubt and the decision log
-		// resolves it to commit.
-		m.dead.Store(true)
-		m.seqMu.Unlock()
-		m.walUnlock()
-		m.lm.ReleaseAllAt(t.id, clk.Now())
-		m.gate.RUnlock()
-		return ErrCrashed
-	}
-	lsn, err := m.log.Append(clk, wal.Record{Txn: t.id, Kind: wal.KindCommit, Page: t.gtid})
+	t.m.walLock(&t.sess.Clk)
+	lsn, err := t.decide(wal.KindCommit, t.gtid, false, 0)
 	if err != nil {
-		m.seqMu.Unlock()
-		m.walUnlock()
-		t.restoreFrames()
-		m.lm.ReleaseAllAt(t.id, clk.Now())
-		m.gate.RUnlock()
 		return err
 	}
-	m.commits.Add(1)
-	m.mCommits.Inc()
-	m.inst.Pool.CommitVersions(t.id, int64(lsn), int64(m.log.CommitWatermark()), t.pageRefs())
+	return t.releaseAndForce(lsn)
+}
+
+// logImages enters the commit path's WAL phase and appends the final
+// image of every page the transaction wrote; last is the LSN of the
+// last one. On success the WAL phase stays held for decide; on failure
+// the transaction cannot become durable and is unwound.
+func (t *Txn) logImages() (last wal.LSN, err error) {
+	m, clk := t.m, &t.sess.Clk
+	// Only the final image of each touched page needs redo: the records
+	// carry full post-images, intermediate versions are overwritten at
+	// replay anyway, and the page locks are held until after the commit
+	// record, so the per-page version order across transactions matches
+	// the log order. Deduplicating here cuts the dominant log volume
+	// (hot pages — index meta and leaf pages — are rewritten several
+	// times per transaction).
+	finalImage := make(map[pageKey]int, len(t.writes))
+	for i, w := range t.writes {
+		finalImage[pageKey{obj: w.tag.Object, page: w.page}] = i
+	}
+	m.walLock(clk)
+	for i, w := range t.writes {
+		if finalImage[pageKey{obj: w.tag.Object, page: w.page}] != i {
+			continue
+		}
+		lsn, err := m.log.Append(clk, wal.Record{
+			Txn: t.id, Kind: w.kind, Obj: w.tag.Object, Page: w.page, Image: w.post,
+		})
+		if err != nil {
+			m.walUnlock()
+			t.unwind(true)
+			return 0, err
+		}
+		last = lsn
+	}
+	return last, nil
+}
+
+// decide is the commit decision point, entered holding the WAL phase
+// and leaving it on every path: under seqMu the crash-harness check and
+// the append of the decision record (kind, stamped with gtid) are
+// atomic, so the n-th commit is well-defined and nothing commits after
+// the simulated kill. A failure unwinds the transaction. With
+// flushImages the harness first forces the page images this call logged
+// (through last): the log then knows the transaction but recovery must
+// treat it as a loser.
+func (t *Txn) decide(kind wal.Kind, gtid int64, flushImages bool, last wal.LSN) (wal.LSN, error) {
+	m, clk := t.m, &t.sess.Clk
+	commit := kind == wal.KindCommit
+	m.seqMu.Lock()
+	if m.dead.Load() {
+		// The instance died (crash harness) while this transaction was
+		// running: its decision record must not be appended. The locks are
+		// released so concurrent transactions can fail promptly rather
+		// than hang; the pool's volatile state dies with the instance.
+		m.seqMu.Unlock()
+		m.walUnlock()
+		t.unwind(false)
+		return 0, ErrCrashed
+	}
+	if commit && m.crashAtCommit != 0 && m.commits.Load()+1 >= m.crashAtCommit {
+		m.dead.Store(true)
+		m.seqMu.Unlock()
+		err := ErrCrashed
+		if flushImages {
+			if ferr := m.log.Flush(clk, last); ferr != nil {
+				err = ferr
+			}
+		}
+		m.walUnlock()
+		t.unwind(false)
+		return 0, err
+	}
+	lsn, err := m.log.Append(clk, wal.Record{Txn: t.id, Kind: kind, Page: gtid})
+	if err == nil && commit {
+		m.commits.Add(1)
+		m.mCommits.Inc()
+		// Seal this transaction's pending page versions with its commit LSN
+		// while the commit order is still pinned by seqMu: chains then seal
+		// in commit-LSN order, so a snapshot taken at any watermark observes
+		// a prefix-consistent version history.
+		m.inst.Pool.CommitVersions(t.id, int64(lsn), int64(m.log.CommitWatermark()), t.pageRefs())
+	}
 	m.seqMu.Unlock()
 	m.walUnlock()
+	if err != nil {
+		t.unwind(true)
+		return 0, err
+	}
+	return lsn, nil
+}
+
+// releaseAndForce finishes a commit whose record is appended at lsn.
+// Strict 2PL ends here: the version order of every touched page is
+// sealed in the log, so the locks can be released while the force is
+// still pending — a transaction that reads the freshly committed data
+// and commits flushes the log through a later LSN, which covers this
+// one. The force is batched: concurrent committers share one flush.
+// Frames stay pinned until the records are durable; they are released
+// even on a flush error (the commit record is appended, so rolling the
+// frames back could contradict a log that did reach the device), which
+// keeps the pool from leaking pinned frames.
+func (t *Txn) releaseAndForce(lsn wal.LSN) error {
+	m, clk := t.m, &t.sess.Clk
 	m.lm.ReleaseAllAt(t.id, clk.Now())
-	err = m.groupFlush(clk, lsn)
+	err := m.groupFlush(clk, lsn)
 	if err == nil {
+		// The commit record is durable and the versions are sealed: new
+		// snapshots may begin at (or past) this commit.
 		m.log.PublishCommit(lsn)
 	}
 	for _, p := range t.pres {
@@ -756,6 +697,22 @@ func (t *Txn) CommitPrepared() error {
 	}
 	m.gate.RUnlock()
 	return err
+}
+
+// unwind is every failure exit of the commit path once the WAL phase is
+// left: the transaction is over, its locks are released so concurrent
+// work proceeds (or fails promptly), and the drain-barrier hold ends.
+// restore also rolls the frames back to their pre-images, releasing the
+// pins, for a transaction whose log records are known not to be
+// complete; without it (the instance is dying, or a force failed) the
+// pins die with the pool.
+func (t *Txn) unwind(restore bool) {
+	t.finished = true
+	if restore {
+		t.restoreFrames()
+	}
+	t.m.lm.ReleaseAllAt(t.id, t.sess.Clk.Now())
+	t.m.gate.RUnlock()
 }
 
 // pageRefs lists the pages of the transaction's first-touch capture set

@@ -142,8 +142,7 @@ func sortedNames(m map[string]bool) []string {
 
 // For every committed BENCH file of a simulated experiment, a tiny run of
 // the same id marshals to the same leaf names, so benchdiff keeps lining
-// fresh files up against committed ones. Prefetched left with the option
-// that fed it.
+// fresh files up against committed ones.
 func TestJSONLeafNamesMatchCommittedBENCH(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs seven experiment drivers")
@@ -162,11 +161,6 @@ func TestJSONLeafNamesMatchCommittedBENCH(t *testing.T) {
 		}
 		want := map[string]bool{}
 		leafNames(id, doc.Experiments[id], want)
-		for name := range want {
-			if strings.HasSuffix(name, ".Prefetched") {
-				delete(want, name)
-			}
-		}
 
 		got := freshLeafNames(t, suite, id)
 		if !reflect.DeepEqual(got, want) {

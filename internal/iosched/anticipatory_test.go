@@ -22,7 +22,7 @@ func anticipatoryRun(t *testing.T, quantum int) (order []byte, st Stats) {
 	// Park the head at LBA 100 so stream A's cluster owns the elevator.
 	dev.Access(0, device.Read, 100, 1)
 	var a, b simclock.Clock
-	s.grantHook = func(batch []*request, start int64, total int, budget bool) {
+	s.grantHook = func(batch []*request, start int64, total int, budget, bgOK bool) {
 		switch batch[0].sid {
 		case &a:
 			order = append(order, 'A')

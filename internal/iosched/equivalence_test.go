@@ -1,8 +1,10 @@
 package iosched
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -14,12 +16,23 @@ import (
 // TestPickerEquivalence is the differential guarantee behind the indexed
 // picker: across 500 randomized workloads cycling through the FIFO, fair
 // and class-only modes (and varied aging, coalescing, readahead and
-// budget knobs), the indexed structures grant the exact same sequence —
-// same batches, same member order, same budget flags — as the reference
-// linear picker (Config.linearPick). Grant-order equality is what keeps
-// traces and BENCH goldens byte-for-byte deterministic across the
-// swap.
+// budget knobs), every grant — head, coalesced batch in order, budget
+// flag, aging boost — equals what the seed's linear scans
+// (oracle_test.go) derive from the queue as it stood at that grant.
+// testdata/grants.golden holds one hash per seed of the grant sequence,
+// written while the linear picker was still a second scheduler mode
+// that produced the same 500 sequences: it checks that the oracle is a
+// faithful transcription, and keeps traces and BENCH goldens
+// byte-for-byte where they were.
 func TestPickerEquivalence(t *testing.T) {
+	raw, err := os.ReadFile("testdata/grants.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(golden) != 500 {
+		t.Fatalf("grants.golden has %d lines, want 500", len(golden))
+	}
 	for seed := int64(0); seed < 500; seed++ {
 		cfgRng := rand.New(rand.NewSource(seed))
 		cfg := Config{}
@@ -49,40 +62,64 @@ func TestPickerEquivalence(t *testing.T) {
 			cfg.BackgroundShare = DisableBackgroundShare
 		}
 
-		linear := cfg
-		linear.linearPick = true
-		want := grantTrace(t, linear, fair, seed)
-		got := grantTrace(t, cfg, fair, seed)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d (%+v fair=%v): %d grants indexed vs %d linear\nindexed: %v\nlinear: %v",
-				seed, cfg, fair, len(got), len(want), got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d (%+v fair=%v): grant %d diverged\nindexed: %s\nlinear:  %s",
-					seed, cfg, fair, i, got[i], want[i])
-			}
+		grants := grantTrace(t, cfg, fair, seed)
+		sum := sha256.Sum256([]byte(strings.Join(grants, "\n")))
+		if got := fmt.Sprintf("%d %x", seed, sum[:8]); got != golden[seed] {
+			t.Fatalf("seed %d (%+v fair=%v): grant sequence hashes to %q, golden has %q",
+				seed, cfg, fair, got, golden[seed])
 		}
 	}
 }
 
+// grantLine renders one grant for the trace and for failure messages.
+func grantLine(batch []*request, start int64, total int, budget bool) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%v@%d+%d budget=%v seqs=", batch[0].op, start, total, budget)
+	for _, r := range batch {
+		fmt.Fprintf(&sb, "%d,", r.seq)
+	}
+	return sb.String()
+}
+
 // grantTrace runs one randomized single-threaded workload against a
-// fresh scheduler and records every grant the picker issued.
+// fresh scheduler, checks every grant against the reference picker and
+// returns the grant sequence.
 func grantTrace(t *testing.T, cfg Config, fair bool, seed int64) []string {
 	t.Helper()
-	g, s, _ := newTestSched(cfg)
+	g, s, dev := newTestSched(cfg)
 	if fair {
 		g.SetTenantWeight(1, 4)
 		g.SetTenantWeight(2, 1)
 	}
 	var grants []string
-	s.grantHook = func(batch []*request, start int64, total int, budget bool) {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "%v@%d+%d budget=%v seqs=", batch[0].op, start, total, budget)
-		for _, r := range batch {
-			fmt.Fprintf(&sb, "%d,", r.seq)
+	var boosts int64
+	s.grantHook = func(batch []*request, start int64, total int, budget, bgOK bool) {
+		pending := pendingSnapshot(s, batch)
+		if len(pending) != s.nFg+s.nBg+len(batch) {
+			t.Fatalf("seed %d grant %d: indexes hold %d requests, counters say %d",
+				seed, len(grants), len(pending)-len(batch), s.nFg+s.nBg)
 		}
-		grants = append(grants, sb.String())
+		wantBatch, wantStart, wantTotal, wantBudget, wantBoost := referenceGrant(pending, oracleState{
+			fifo: s.fifo, fair: fair, bgOK: bgOK,
+			busy: dev.BusyUntil(), head: dev.HeadLBA(),
+			agingBound: s.agingBound, maxCoalesce: s.maxCoalesce,
+			bgShare: s.bgShare, bgCredit: s.bgCredit,
+		})
+		got := grantLine(batch, start, total, budget)
+		if wantBatch == nil {
+			t.Fatalf("seed %d (%+v fair=%v) grant %d: indexed granted %s, reference found nothing eligible",
+				seed, cfg, fair, len(grants), got)
+		}
+		if want := grantLine(wantBatch, wantStart, wantTotal, wantBudget); got != want {
+			t.Fatalf("seed %d (%+v fair=%v) grant %d diverged\nindexed:   %s\nreference: %s",
+				seed, cfg, fair, len(grants), got, want)
+		}
+		if boosted := s.stats.Boosted != boosts; boosted != wantBoost {
+			t.Fatalf("seed %d grant %d (%s): aging boost counted=%v, reference boosted=%v",
+				seed, len(grants), got, boosted, wantBoost)
+		}
+		boosts = s.stats.Boosted
+		grants = append(grants, got)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	classes := []dss.Class{dss.ClassLog, dss.ClassWriteBuffer, dss.Class(1),
@@ -119,7 +156,7 @@ func grantTrace(t *testing.T, cfg Config, fair bool, seed int64) []string {
 func TestFIFOHeadIsOldestArrival(t *testing.T) {
 	g, s, _ := newTestSched(Config{FIFO: true, Readahead: DisableReadahead})
 	var order []time.Duration
-	s.grantHook = func(batch []*request, start int64, total int, budget bool) {
+	s.grantHook = func(batch []*request, start int64, total int, budget, bgOK bool) {
 		order = append(order, batch[0].arrive)
 	}
 	// Arrival times deliberately out of enqueue order.

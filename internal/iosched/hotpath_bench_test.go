@@ -13,61 +13,54 @@ import (
 
 // BenchmarkSubmitGrant measures the pick/grant engine against standing
 // queue depth: each round enqueues `depth` foreground requests and
-// drains them, so every grant picks from a deep queue — the linear
-// picker pays O(depth) per grant, the indexed one O(log depth). Run
-// with -benchmem; pair with benchstat via `make bench`.
+// drains them, so every grant picks from a deep queue at O(log depth).
+// Run with -benchmem; pair with benchstat via `make bench`.
 func BenchmarkSubmitGrant(b *testing.B) {
 	for _, depth := range []int{16, 256, 4096} {
-		for _, mode := range []struct {
-			name   string
-			linear bool
-		}{{"indexed", false}, {"linear", true}} {
-			b.Run(fmt.Sprintf("depth=%d/%s", depth, mode.name), func(b *testing.B) {
-				dev := device.New(device.Cheetah15K())
-				g := NewGroup(Config{
-					Readahead:       DisableReadahead,
-					BackgroundShare: DisableBackgroundShare,
-					linearPick:      mode.linear,
-				})
-				s := g.Attach(dev, seqClass)
-				// Reused waiters: the benchmark isolates scheduler cost,
-				// not waiter construction (Submit pools those).
-				ws := make([]*waiter, depth)
-				for i := range ws {
-					ws[i] = bareWaiter(dss.Class(2), dss.DefaultTenant)
-				}
-				rng := rand.New(rand.NewSource(1))
-				lbas := make([]int64, 8192)
-				for i := range lbas {
-					lbas[i] = int64(rng.Intn(1 << 22))
-				}
-				classes := [4]dss.Class{dss.ClassLog, dss.Class(1), dss.Class(2), seqClass}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var at time.Duration
-				li := 0
-				for n := 0; n < b.N; {
-					round := depth
-					if rem := b.N - n; rem < round {
-						round = rem
-					}
-					s.mu.Lock()
-					for j := 0; j < round; j++ {
-						at += time.Microsecond
-						w := ws[j]
-						w.ready = false
-						w.remaining = 0
-						w.completion = 0
-						s.enqueueLocked(w, at, device.Read, lbas[li&8191], 1,
-							classes[j&3], dss.DefaultTenant, nil)
-						li++
-					}
-					s.mu.Unlock()
-					g.Drain()
-					n += round
-				}
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			dev := device.New(device.Cheetah15K())
+			g := NewGroup(Config{
+				Readahead:       DisableReadahead,
+				BackgroundShare: DisableBackgroundShare,
 			})
-		}
+			s := g.Attach(dev, seqClass)
+			// Reused waiters: the benchmark isolates scheduler cost,
+			// not waiter construction (Submit pools those).
+			ws := make([]*waiter, depth)
+			for i := range ws {
+				ws[i] = bareWaiter(dss.Class(2), dss.DefaultTenant)
+			}
+			rng := rand.New(rand.NewSource(1))
+			lbas := make([]int64, 8192)
+			for i := range lbas {
+				lbas[i] = int64(rng.Intn(1 << 22))
+			}
+			classes := [4]dss.Class{dss.ClassLog, dss.Class(1), dss.Class(2), seqClass}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var at time.Duration
+			li := 0
+			for n := 0; n < b.N; {
+				round := depth
+				if rem := b.N - n; rem < round {
+					round = rem
+				}
+				s.mu.Lock()
+				for j := 0; j < round; j++ {
+					at += time.Microsecond
+					w := ws[j]
+					w.ready = false
+					w.remaining = 0
+					w.completion = 0
+					s.enqueueLocked(w, at, device.Read, lbas[li&8191], 1,
+						classes[j&3], dss.DefaultTenant, nil)
+					li++
+				}
+				s.mu.Unlock()
+				g.Drain()
+				n += round
+			}
+		})
 	}
 }
 

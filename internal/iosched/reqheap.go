@@ -22,6 +22,15 @@ type ageHeap struct {
 	a []*request
 }
 
+// olderThan is the heap order: earlier arrival first, submission order
+// (seq) between equal arrivals.
+func olderThan(a, b *request) bool {
+	if a.arrive != b.arrive {
+		return a.arrive < b.arrive
+	}
+	return a.seq < b.seq
+}
+
 func (h *ageHeap) len() int { return len(h.a) }
 
 // min returns the oldest pending request (nil when empty) without

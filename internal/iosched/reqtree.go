@@ -2,10 +2,10 @@ package iosched
 
 // reqTree is a B-tree over the pending requests of one priority band,
 // ordered by (vfinish, lba, seq). It is the indexed picker's replacement
-// for the seed's linear betterThanAt scan: within a band the best pick is
-// the elevator-nearest member of the minimum-vfinish group, which two
-// seek probes around the device head recover in O(log n) (see
-// band.elevatorBest). The same tree answers coalescing and anticipatory
+// for the seed's linear betterThanAt scan (oracle_test.go): within a
+// band the best pick is the elevator-nearest member of the
+// minimum-vfinish group, which two seek probes around the device head
+// recover in O(log n) (see band.elevatorBest). The same tree answers coalescing and anticipatory
 // neighbor queries through seekGE/seekLT/ascendGE/descendLT.
 //
 // The key orders exactly like the tail of the seed comparator: vfinish
