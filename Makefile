@@ -18,15 +18,17 @@ race:
 # Layer microbenchmarks — the wall-clock path: the scheduler hot path
 # (pick and grant across queue depths, the full opportunistic submit
 # path, and the same path from 1, 2 and 4 CPUs), heap
-# fetch/scan/update and B-tree lookup/seek. -benchmem backs the allocs/op
-# claims; repeated -count samples make the output benchstat-ready:
+# fetch/scan/update, B-tree lookup/seek and the executor's row path
+# (scan-filter-aggregate, hash-join probe, nested loop, spill round
+# trip). -benchmem backs the allocs/op claims; repeated -count samples
+# make the output benchstat-ready:
 #
 #   make bench BENCH_OUT=old.txt
 #   ... edit ...
 #   make bench BENCH_OUT=new.txt
 #   benchstat old.txt new.txt
 bench:
-	{ $(GO) test ./internal/iosched ./internal/engine/heap ./internal/engine/btree \
+	{ $(GO) test ./internal/iosched ./internal/engine/heap ./internal/engine/btree ./internal/engine/exec \
 		-run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
 	  $(GO) test ./internal/iosched \
 		-run '^$$' -bench SubmitParallel -cpu 1,2,4 -benchmem -count $(BENCH_COUNT); } | tee $(BENCH_OUT)

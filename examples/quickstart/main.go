@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strconv"
 
 	"hstoragedb"
 )
@@ -70,7 +71,7 @@ func main() {
 			Table: handle,
 			Lo:    10_000, Hi: 20_000,
 		},
-		GroupKey: func(t hstoragedb.Tuple) string { return fmt.Sprint(t[1].I % 10) },
+		GroupKey: func(key []byte, t hstoragedb.Tuple) []byte { return strconv.AppendInt(key, t[1].I%10, 10) },
 		NewGroup: func(t hstoragedb.Tuple) hstoragedb.Tuple {
 			return hstoragedb.Tuple{hstoragedb.Int(t[1].I % 10), hstoragedb.Float(t[2].F)}
 		},

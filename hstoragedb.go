@@ -161,7 +161,12 @@ func NewSchema(cols ...Column) Schema { return catalog.NewSchema(cols...) }
 // Executor operators, for building query plans against the public API.
 // Plans are trees of operators; Session.Execute assigns plan levels
 // (Section 4.2.2), registers the plan's random-access footprint for
-// Rule 5, and drains the tree on the session clock.
+// Rule 5, and drains the tree on the session clock. The rows Execute
+// returns are owned by the caller. The rows an operator callback sees
+// (Pred, OuterKey, Combine, GroupKey, Merge, Project.Fn, ...) are not:
+// each is valid until the operator below produces its next row, so a
+// callback that keeps one takes Tuple.Owned; Combine, Project.Fn and
+// GroupKey append their result to the scratch they are handed.
 type (
 	Operator    = exec.Operator
 	TableHandle = exec.TableHandle

@@ -42,7 +42,7 @@ func DecodeTuple(src []byte, s Schema) (Tuple, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	ownStrings(t)
+	t.OwnStrings()
 	return t, n, nil
 }
 
@@ -95,14 +95,15 @@ func DecodeTupleBorrowed(dst Tuple, src []byte, s Schema) (Tuple, int, error) {
 func (t Tuple) Owned() Tuple {
 	out := make(Tuple, len(t))
 	copy(out, t)
-	ownStrings(out)
+	out.OwnStrings()
 	return out
 }
 
-// ownStrings repoints every string of t into one freshly allocated
-// backing, so a row costs one string allocation however many string
-// columns it has.
-func ownStrings(t Tuple) {
+// OwnStrings repoints every string of t, in place, into one freshly
+// allocated backing, so a row costs one string allocation however many
+// string columns it has. It is Owned for a tuple whose slab the caller
+// already owns.
+func (t Tuple) OwnStrings() {
 	n := 0
 	for i := range t {
 		n += len(t[i].S)

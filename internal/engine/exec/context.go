@@ -69,6 +69,11 @@ type Operator interface {
 	Level() int
 
 	Open(ctx *Ctx) error
+	// Next returns the next row. The returned tuple is borrowed: it is
+	// valid until the next call of Next on the same operator (its Datum
+	// slab is the operator's scratch, its strings alias a page frame).
+	// Whoever keeps a row takes Tuple.Owned. The keepers are HashJoin's
+	// build table, Sort, TopN, HashAgg's accumulators and Run.
 	Next(ctx *Ctx) (catalog.Tuple, bool, error)
 	Close(ctx *Ctx) error
 }
@@ -92,45 +97,35 @@ type base struct {
 func (b *base) SetLevel(l int) { b.level = l }
 func (b *base) Level() int     { return b.level }
 
-// Run drains an operator tree and returns all produced tuples. Close is
-// always called, even on error.
+// Run drains an operator tree and returns all produced tuples, each an
+// owned copy. Close is always called, even on error.
 func Run(ctx *Ctx, op Operator) ([]catalog.Tuple, error) {
-	if err := op.Open(ctx); err != nil {
-		_ = op.Close(ctx)
-		return nil, err
-	}
 	var out []catalog.Tuple
-	for {
-		t, ok, err := op.Next(ctx)
-		if err != nil {
-			_ = op.Close(ctx)
-			return out, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	err := op.Close(ctx)
-	ctx.ReclaimTemps()
+	_, err := drain(ctx, op, func(t catalog.Tuple) { out = append(out, t.Owned()) })
 	return out, err
 }
 
 // Drain consumes an operator tree, discarding output but counting rows.
-func Drain(ctx *Ctx, op Operator) (int64, error) {
+func Drain(ctx *Ctx, op Operator) (int64, error) { return drain(ctx, op, nil) }
+
+// drain pulls op dry, handing each (borrowed) row to keep if there is one.
+func drain(ctx *Ctx, op Operator, keep func(catalog.Tuple)) (int64, error) {
 	if err := op.Open(ctx); err != nil {
 		_ = op.Close(ctx)
 		return 0, err
 	}
 	var n int64
 	for {
-		_, ok, err := op.Next(ctx)
+		t, ok, err := op.Next(ctx)
 		if err != nil {
 			_ = op.Close(ctx)
 			return n, err
 		}
 		if !ok {
 			break
+		}
+		if keep != nil {
+			keep(t)
 		}
 		n++
 	}

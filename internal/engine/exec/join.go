@@ -50,15 +50,18 @@ type HashJoin struct {
 	// BuildKey/ProbeKey extract the join keys.
 	BuildKey func(catalog.Tuple) int64
 	ProbeKey func(catalog.Tuple) int64
-	// Combine merges matches (nil = concatenate build then probe).
-	Combine func(build, probe catalog.Tuple) catalog.Tuple
+	// Combine appends the joined row for a matching pair to dst and
+	// returns it, like append (nil = build then probe). dst is the join's
+	// scratch, emptied: the result is the row Next returns, and the
+	// arguments are borrowed, so Combine keeps none of them.
+	Combine func(dst, build, probe catalog.Tuple) catalog.Tuple
 	// Pred filters joined pairs (nil = all).
 	Pred func(build, probe catalog.Tuple) bool
 	// Semi emits each probe tuple at most once on first match; Anti emits
 	// probe tuples with no match.
 	Semi, Anti bool
 
-	// in-memory path
+	// in-memory path: the build rows are kept, so the table owns them.
 	table map[int64][]catalog.Tuple
 
 	// spilled path
@@ -68,10 +71,12 @@ type HashJoin struct {
 	part       int
 	partReader *TempReader
 
-	// probe iteration state
+	// probe iteration state; probeTuple is borrowed, which is enough: it
+	// is dropped before the probe side is advanced.
 	probeTuple catalog.Tuple
 	matches    []catalog.Tuple
 	matchIdx   int
+	scratch    catalog.Tuple
 }
 
 // Children implements Operator (build first).
@@ -87,6 +92,14 @@ func (j *HashJoin) Access() (AccessInfo, bool) { return AccessInfo{}, false }
 func part(key int64) int {
 	h := uint64(key) * 0x9E3779B97F4A7C15
 	return int(h % spillPartitions)
+}
+
+// combine builds a join's output row in dst: fn's, or a then b.
+func combine(fn func(dst, a, b catalog.Tuple) catalog.Tuple, dst, a, b catalog.Tuple) catalog.Tuple {
+	if fn != nil {
+		return fn(dst, a, b)
+	}
+	return append(append(dst, a...), b...)
 }
 
 // Open implements Operator: drains the build side, spilling if needed,
@@ -115,7 +128,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 		ctx.ChargeTuples(1)
 		k := j.BuildKey(t)
 		if !j.spilled {
-			j.table[k] = append(j.table[k], t)
+			j.table[k] = append(j.table[k], t.Owned())
 			built++
 			if ctx.WorkMem > 0 && built > ctx.WorkMem {
 				if err := j.startSpill(ctx); err != nil {
@@ -219,7 +232,7 @@ func (j *HashJoin) loadPartition(ctx *Ctx, i int) error {
 			break
 		}
 		k := j.BuildKey(t)
-		j.table[k] = append(j.table[k], t)
+		j.table[k] = append(j.table[k], t.Owned())
 	}
 	if err := ctx.DropTemp(j.buildParts[i]); err != nil {
 		return err
@@ -275,13 +288,8 @@ func (j *HashJoin) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 				j.matches = nil
 				j.matchIdx = 0
 			}
-			if j.Combine != nil {
-				return j.Combine(b, j.probeTuple), true, nil
-			}
-			out := make(catalog.Tuple, 0, len(b)+len(j.probeTuple))
-			out = append(out, b...)
-			out = append(out, j.probeTuple...)
-			return out, true, nil
+			j.scratch = combine(j.Combine, j.scratch[:0], b, j.probeTuple)
+			return j.scratch, true, nil
 		}
 		t, ok, err := j.nextProbe(ctx)
 		if err != nil {

@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"testing"
@@ -26,13 +27,13 @@ type fixture struct {
 	ref  *exec.TableHandle
 }
 
-func newFixture(t *testing.T, workMem int) *fixture {
+func newFixture(t testing.TB, workMem int) *fixture {
 	return newFixtureBP(t, workMem, 64)
 }
 
 // newFixtureBP also controls the buffer pool size, for tests that need
 // spilled data to actually reach storage.
-func newFixtureBP(t *testing.T, workMem, bpPages int) *fixture {
+func newFixtureBP(t testing.TB, workMem, bpPages int) *fixture {
 	t.Helper()
 	db := engine.NewDatabase()
 	kvInfo, err := db.CreateTable("kv", catalog.NewSchema(
@@ -104,14 +105,49 @@ func newFixtureBP(t *testing.T, workMem, bpPages int) *fixture {
 	}
 }
 
-func (f *fixture) run(t *testing.T, op exec.Operator) []catalog.Tuple {
+func (f *fixture) run(t testing.TB, op exec.Operator) []catalog.Tuple {
 	t.Helper()
 	sess := f.inst.NewSession()
 	res, err := sess.Execute(op)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, row := range res.Rows {
+		for _, d := range row {
+			if d.I == stale.I || d.S == stale.S {
+				t.Fatalf("output row %v was read after its validity ended", row)
+			}
+		}
+	}
 	return res.Rows
+}
+
+// stale is what a scribbled-over row holds.
+var stale = catalog.Datum{I: math.MinInt64 + 0x5CB, F: math.Inf(-1), S: "<stale row>"}
+
+// scribble enforces the Operator.Next contract on whoever consumes it:
+// it hands out each row of its child in a slab of its own and, on the
+// next Next, overwrites that slab with stale datums. A consumer that
+// reads a row past the next call, or keeps one without Tuple.Owned, sees
+// stale instead of data that happens to be still right. Everything but
+// Next is the child's, so a plan's levels are what they are without it.
+type scribble struct {
+	exec.Operator
+	last catalog.Tuple
+}
+
+func scr(child exec.Operator) exec.Operator { return &scribble{Operator: child} }
+
+func (s *scribble) Next(ctx *exec.Ctx) (catalog.Tuple, bool, error) {
+	for i := range s.last {
+		s.last[i] = stale
+	}
+	t, ok, err := s.Operator.Next(ctx)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	s.last = t.Clone()
+	return s.last, true, nil
 }
 
 func TestSeqScanAll(t *testing.T) {
@@ -166,7 +202,7 @@ func TestNestLoopJoin(t *testing.T) {
 	f := newFixture(t, 10000)
 	// kv rows with k < 50 joined to ref on k%100 == id.
 	nl := &exec.NestLoop{
-		Outer: &exec.SeqScan{Table: f.kv, Pred: func(tu catalog.Tuple) bool { return tu[0].I < 50 }},
+		Outer: scr(&exec.SeqScan{Table: f.kv, Pred: func(tu catalog.Tuple) bool { return tu[0].I < 50 }}),
 		Probe: &exec.IndexProbe{
 			Index: f.db.Cat.MustIndex("ref_id"),
 			Table: f.ref,
@@ -188,13 +224,13 @@ func TestNestLoopSemiAnti(t *testing.T) {
 	f := newFixture(t, 10000)
 	mk := func(semi, anti bool) *exec.NestLoop {
 		return &exec.NestLoop{
-			Outer: &exec.SeqScan{Table: f.kv, Pred: func(tu catalog.Tuple) bool { return tu[0].I < 200 }},
+			Outer: scr(&exec.SeqScan{Table: f.kv, Pred: func(tu catalog.Tuple) bool { return tu[0].I < 200 }}),
 			Probe: &exec.IndexProbe{Index: f.db.Cat.MustIndex("ref_id"), Table: f.ref},
 			// Keys 0..99 match ref; 100..199 do not.
 			OuterKey: func(tu catalog.Tuple) int64 { return tu[0].I },
 			Semi:     semi,
 			Anti:     anti,
-			Combine:  func(o, i catalog.Tuple) catalog.Tuple { return o },
+			Combine:  func(dst, o, i catalog.Tuple) catalog.Tuple { return append(dst, o...) },
 		}
 	}
 	semi := f.run(t, mk(true, false))
@@ -212,11 +248,11 @@ func TestNestLoopSemiAnti(t *testing.T) {
 	}
 }
 
-func hashJoinRows(t *testing.T, f *fixture) []catalog.Tuple {
+func hashJoinRows(t testing.TB, f *fixture) []catalog.Tuple {
 	t.Helper()
 	j := &exec.HashJoin{
-		Build:    &exec.Hash{Child: &exec.SeqScan{Table: f.ref}},
-		Probe:    &exec.SeqScan{Table: f.kv},
+		Build:    scr(&exec.Hash{Child: scr(&exec.SeqScan{Table: f.ref})}),
+		Probe:    scr(&exec.SeqScan{Table: f.kv}),
 		BuildKey: func(tu catalog.Tuple) int64 { return tu[0].I },
 		ProbeKey: func(tu catalog.Tuple) int64 { return tu[0].I % 100 },
 	}
@@ -271,13 +307,13 @@ func TestHashJoinSemiAnti(t *testing.T) {
 	f := newFixture(t, 100000)
 	mk := func(semi, anti bool) *exec.HashJoin {
 		return &exec.HashJoin{
-			Build:    &exec.Hash{Child: &exec.SeqScan{Table: f.ref}},
-			Probe:    &exec.SeqScan{Table: f.kv, Pred: func(tu catalog.Tuple) bool { return tu[0].I < 200 }},
+			Build:    scr(&exec.Hash{Child: scr(&exec.SeqScan{Table: f.ref})}),
+			Probe:    scr(&exec.SeqScan{Table: f.kv, Pred: func(tu catalog.Tuple) bool { return tu[0].I < 200 }}),
 			BuildKey: func(tu catalog.Tuple) int64 { return tu[0].I },
 			ProbeKey: func(tu catalog.Tuple) int64 { return tu[0].I },
 			Semi:     semi,
 			Anti:     anti,
-			Combine:  func(b, p catalog.Tuple) catalog.Tuple { return p },
+			Combine:  func(dst, b, p catalog.Tuple) catalog.Tuple { return append(dst, p...) },
 		}
 	}
 	if got := len(f.run(t, mk(true, false))); got != 100 {
@@ -297,8 +333,8 @@ func TestHashJoinSemiAnti(t *testing.T) {
 func aggRows(t *testing.T, f *fixture) []catalog.Tuple {
 	t.Helper()
 	agg := &exec.HashAgg{
-		Child:    &exec.SeqScan{Table: f.kv},
-		GroupKey: func(tu catalog.Tuple) string { return strconv.FormatInt(tu[2].I, 10) },
+		Child:    scr(&exec.SeqScan{Table: f.kv}),
+		GroupKey: func(key []byte, tu catalog.Tuple) []byte { return strconv.AppendInt(key, tu[2].I, 10) },
 		NewGroup: func(tu catalog.Tuple) catalog.Tuple {
 			return catalog.Tuple{tu[2], catalog.IntDatum(1)}
 		},
@@ -353,7 +389,7 @@ func TestSortInMemoryAndExternal(t *testing.T) {
 	for _, workMem := range []int{100000, 37} {
 		f := newFixture(t, workMem)
 		s := &exec.Sort{
-			Child: &exec.SeqScan{Table: f.kv},
+			Child: scr(&exec.SeqScan{Table: f.kv}),
 			Less:  func(a, b catalog.Tuple) bool { return a[0].I > b[0].I }, // descending
 		}
 		rows := f.run(t, s)
@@ -375,7 +411,7 @@ func TestSortInMemoryAndExternal(t *testing.T) {
 func TestTopN(t *testing.T) {
 	f := newFixture(t, 100000)
 	top := &exec.TopN{
-		Child: &exec.SeqScan{Table: f.kv},
+		Child: scr(&exec.SeqScan{Table: f.kv}),
 		N:     5,
 		Less:  func(a, b catalog.Tuple) bool { return a[0].I > b[0].I },
 	}
@@ -392,13 +428,13 @@ func TestFilterProjectLimit(t *testing.T) {
 	f := newFixture(t, 100000)
 	op := &exec.Limit{
 		N: 3,
-		Child: &exec.Project{
-			Child: &exec.Filter{
-				Child: &exec.SeqScan{Table: f.kv},
+		Child: scr(&exec.Project{
+			Child: scr(&exec.Filter{
+				Child: scr(&exec.SeqScan{Table: f.kv}),
 				Pred:  func(tu catalog.Tuple) bool { return tu[0].I%2 == 0 },
-			},
-			Fn: func(tu catalog.Tuple) catalog.Tuple { return catalog.Tuple{tu[0]} },
-		},
+			}),
+			Fn: func(dst, tu catalog.Tuple) catalog.Tuple { return append(dst, tu[0]) },
+		}),
 	}
 	rows := f.run(t, op)
 	if len(rows) != 3 {
@@ -428,8 +464,8 @@ func TestValuesOperator(t *testing.T) {
 func TestTempLifecycleTrims(t *testing.T) {
 	f := newFixtureBP(t, 3, 2) // tiny pool: spilled pages must reach storage
 	agg := &exec.HashAgg{
-		Child:    &exec.SeqScan{Table: f.kv},
-		GroupKey: func(tu catalog.Tuple) string { return strconv.FormatInt(tu[0].I%97, 10) },
+		Child:    scr(&exec.SeqScan{Table: f.kv}),
+		GroupKey: func(key []byte, tu catalog.Tuple) []byte { return strconv.AppendInt(key, tu[0].I%97, 10) },
 		NewGroup: func(tu catalog.Tuple) catalog.Tuple {
 			return catalog.Tuple{catalog.IntDatum(tu[0].I % 97), catalog.IntDatum(1)}
 		},

@@ -4,7 +4,8 @@ import (
 	"hstoragedb/internal/engine/catalog"
 )
 
-// Filter applies a predicate to its child's output.
+// Filter applies a predicate to its child's output. Pred sees borrowed
+// tuples and must not keep them.
 type Filter struct {
 	base
 	Child Operator
@@ -43,7 +44,12 @@ func (f *Filter) Close(ctx *Ctx) error { return f.Child.Close(ctx) }
 type Project struct {
 	base
 	Child Operator
-	Fn    func(catalog.Tuple) catalog.Tuple
+	// Fn appends the rewritten row to dst and returns it, like append.
+	// dst is the operator's scratch, emptied: the result is the row Next
+	// returns, and t is borrowed, so Fn does not keep it.
+	Fn func(dst, t catalog.Tuple) catalog.Tuple
+
+	scratch catalog.Tuple
 }
 
 // Children implements Operator.
@@ -64,7 +70,8 @@ func (p *Project) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	return p.Fn(t), true, nil
+	p.scratch = p.Fn(p.scratch[:0], t)
+	return p.scratch, true, nil
 }
 
 // Close implements Operator.

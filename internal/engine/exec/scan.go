@@ -30,11 +30,11 @@ func (h *TableHandle) Pages(ctx *Ctx) int64 {
 }
 
 // The leaf operators decode each row in place: into a scratch tuple
-// whose strings alias the page frame (a borrowed tuple). Pred runs on the
-// borrowed tuple, so a rejected row allocates nothing; a surviving row is
-// copied with Tuple.Owned before it is returned. A borrowed tuple never
-// leaves the operator that decoded it, and Pred must not keep its
-// argument.
+// whose strings alias the page frame (a borrowed tuple). Pred runs on it
+// and a surviving row is returned as it is, so a row costs no allocation
+// until an operator keeps it. The returned tuple is valid until the next
+// call of Next on the same operator; whoever keeps a row (and Pred must
+// not) takes Tuple.Owned.
 
 // SeqScan is the sequential-scan leaf operator: Rule 1 traffic.
 type SeqScan struct {
@@ -72,7 +72,7 @@ func (s *SeqScan) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 		}
 		ctx.ChargeTuples(1)
 		if s.Pred == nil || s.Pred(t) {
-			return t.Owned(), true, nil
+			return t, true, nil
 		}
 	}
 }
@@ -133,7 +133,8 @@ func (s *IndexScan) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 		}
 		ctx.ChargeTuples(1)
 		if s.KeyOnly {
-			return catalog.Tuple{catalog.IntDatum(e.Key)}, true, nil
+			s.scratch = append(s.scratch[:0], catalog.IntDatum(e.Key))
+			return s.scratch, true, nil
 		}
 		t, err := s.Table.File.FetchBorrowed(ctx.Clk, ctx.Pool, e.RID, s.Level(), s.scratch)
 		if err != nil {
@@ -144,7 +145,7 @@ func (s *IndexScan) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 		}
 		s.scratch = t
 		if s.Pred == nil || s.Pred(t) {
-			return t.Owned(), true, nil
+			return t, true, nil
 		}
 	}
 }
@@ -227,7 +228,7 @@ func (p *IndexProbe) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 		}
 		p.scratch = t
 		if p.Pred == nil || p.Pred(t) {
-			return t.Owned(), true, nil
+			return t, true, nil
 		}
 	}
 	return nil, false, nil
@@ -248,15 +249,21 @@ type NestLoop struct {
 	Probe *IndexProbe
 	// OuterKey extracts the join key from an outer tuple.
 	OuterKey func(catalog.Tuple) int64
-	// Combine merges a matching pair (nil = concatenate outer then inner).
-	Combine func(outer, inner catalog.Tuple) catalog.Tuple
+	// Combine appends the joined row for a matching pair to dst and
+	// returns it, like append (nil = outer then inner). dst is the join's
+	// scratch, emptied: the result is the row Next returns, and the
+	// arguments are borrowed, so Combine keeps none of them.
+	Combine func(dst, outer, inner catalog.Tuple) catalog.Tuple
 	// Pred filters joined pairs (nil = all).
 	Pred func(outer, inner catalog.Tuple) bool
 	// Semi emits each outer tuple at most once (existential join); Anti
 	// emits outer tuples with no match. Semi and Anti are exclusive.
 	Semi, Anti bool
 
-	cur catalog.Tuple
+	// cur is the outer row being probed: borrowed, which is enough, since
+	// it is dropped before Outer.Next is called again.
+	cur     catalog.Tuple
+	scratch catalog.Tuple
 }
 
 // Children implements Operator (outer executes first).
@@ -331,13 +338,8 @@ func (n *NestLoop) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 		if n.Semi {
 			n.cur = nil
 		}
-		if n.Combine != nil {
-			return n.Combine(outer, inner), true, nil
-		}
-		out := make(catalog.Tuple, 0, len(outer)+len(inner))
-		out = append(out, outer...)
-		out = append(out, inner...)
-		return out, true, nil
+		n.scratch = combine(n.Combine, n.scratch[:0], outer, inner)
+		return n.scratch, true, nil
 	}
 }
 

@@ -52,7 +52,7 @@ func (s *Sort) Open(ctx *Ctx) error {
 			break
 		}
 		ctx.ChargeTuples(1)
-		s.rows = append(s.rows, t)
+		s.rows = append(s.rows, t.Owned())
 		if ctx.WorkMem > 0 && len(s.rows) >= ctx.WorkMem {
 			if err := s.spillRun(ctx); err != nil {
 				return err
@@ -128,6 +128,9 @@ func (s *Sort) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 		s.runs = nil
 		return nil, false, nil
 	}
+	// The winning run is advanced before its row is handed out, because
+	// that is where its next page read has always happened; out survives
+	// the advance because a TempReader alternates between two slabs.
 	top := &s.merge.items[0]
 	out := top.tuple
 	t, ok, err := top.reader.Next(ctx)
@@ -150,7 +153,8 @@ func (s *Sort) Close(ctx *Ctx) error {
 	return nil
 }
 
-// runItem is one merge input.
+// runItem is one merge input: a run and its current row, borrowed from
+// the run's reader.
 type runItem struct {
 	tuple  catalog.Tuple
 	reader *TempReader
@@ -175,7 +179,8 @@ func (h *runHeap) Pop() interface{} {
 }
 
 // TopN keeps the N smallest tuples by Less without spilling (bounded
-// memory): the executor's ORDER BY ... LIMIT pattern.
+// memory): the executor's ORDER BY ... LIMIT pattern. Among rows that
+// compare equal, the ones seen first win.
 type TopN struct {
 	base
 	Child Operator
@@ -202,6 +207,10 @@ func (t *TopN) Open(ctx *Ctx) error {
 	if err := t.Child.Open(ctx); err != nil {
 		return err
 	}
+	// worst is the N-th candidate as of the last shrink. A row that is
+	// not strictly better has N rows ahead of it in the stable order,
+	// all seen earlier, and can never be output: it is not copied.
+	var worst catalog.Tuple
 	for {
 		tu, ok, err := t.Child.Next(ctx)
 		if err != nil {
@@ -211,9 +220,13 @@ func (t *TopN) Open(ctx *Ctx) error {
 			break
 		}
 		ctx.ChargeTuples(1)
-		t.rows = append(t.rows, tu)
+		if worst != nil && !t.Less(tu, worst) {
+			continue
+		}
+		t.rows = append(t.rows, tu.Owned())
 		if len(t.rows) > 4*t.N && t.N > 0 {
 			t.shrink()
+			worst = t.rows[t.N-1]
 		}
 	}
 	t.shrink()

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"unsafe"
 
 	"hstoragedb/internal/engine/catalog"
 	"hstoragedb/internal/engine/policy"
@@ -68,70 +70,80 @@ func tempTag(id pagestore.ObjectID) policy.Tag {
 	return policy.Tag{Object: id, Content: policy.Temp, Pattern: policy.Sequential}
 }
 
-// encodeDatum appends a schema-less encoding of one datum: all three
-// fields, so spilled tuples round-trip without schema information.
-func encodeDatum(dst []byte, d catalog.Datum) []byte {
-	dst = binary.AppendVarint(dst, d.I)
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], math.Float64bits(d.F))
-	dst = append(dst, w[:]...)
-	dst = binary.AppendUvarint(dst, uint64(len(d.S)))
-	dst = append(dst, d.S...)
-	return dst
-}
+// A temp page is a 2-byte record count followed by that many records,
+// each a 2-byte length and a schema-less encoding of the tuple: a uvarint
+// datum count, then per datum all three fields (varint I, 8-byte F,
+// uvarint-prefixed S), so spilled tuples round-trip without schema
+// information. minDatumLen is the shortest encoded datum.
+const minDatumLen = 1 + 8 + 1
 
-func decodeDatum(src []byte) (catalog.Datum, int, error) {
-	var d catalog.Datum
-	i, n := binary.Varint(src)
-	if n <= 0 {
-		return d, 0, fmt.Errorf("exec: corrupt temp datum (int)")
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// recordLen is the exact number of bytes encodeRecord appends for t.
+func recordLen(t catalog.Tuple) int {
+	n := uvarintLen(uint64(len(t)))
+	for _, d := range t {
+		zigzag := uint64(d.I)<<1 ^ uint64(d.I>>63)
+		n += uvarintLen(zigzag) + 8 + uvarintLen(uint64(len(d.S))) + len(d.S)
 	}
-	d.I = i
-	off := n
-	if off+8 > len(src) {
-		return d, 0, fmt.Errorf("exec: corrupt temp datum (float)")
-	}
-	d.F = math.Float64frombits(binary.LittleEndian.Uint64(src[off:]))
-	off += 8
-	sl, n2 := binary.Uvarint(src[off:])
-	if n2 <= 0 || off+n2+int(sl) > len(src) {
-		return d, 0, fmt.Errorf("exec: corrupt temp datum (string)")
-	}
-	off += n2
-	if sl > 0 {
-		d.S = string(src[off : off+int(sl)])
-		off += int(sl)
-	}
-	return d, off, nil
+	return n
 }
 
 func encodeRecord(dst []byte, t catalog.Tuple) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(t)))
 	for _, d := range t {
-		dst = encodeDatum(dst, d)
+		dst = binary.AppendVarint(dst, d.I)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(d.F))
+		dst = binary.AppendUvarint(dst, uint64(len(d.S)))
+		dst = append(dst, d.S...)
 	}
 	return dst
 }
 
-func decodeRecord(src []byte) (catalog.Tuple, int, error) {
-	n, w := binary.Uvarint(src)
-	if w <= 0 {
-		return nil, 0, fmt.Errorf("exec: corrupt temp record header")
+// decodeRecord parses src, one whole record, into dst (grown if too
+// short). Strings alias src. Every length is checked against the bytes
+// present, so a corrupt record is an error, never a panic or an
+// allocation sized by its contents.
+func decodeRecord(dst catalog.Tuple, src []byte) (catalog.Tuple, error) {
+	n, off := binary.Uvarint(src)
+	if off <= 0 || n > uint64(len(src)-off)/minDatumLen {
+		return nil, fmt.Errorf("exec: corrupt temp record header")
 	}
-	off := w
-	t := make(catalog.Tuple, n)
-	for i := range t {
-		d, dn, err := decodeDatum(src[off:])
-		if err != nil {
-			return nil, 0, err
+	if uint64(cap(dst)) < n {
+		dst = make(catalog.Tuple, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		v, w := binary.Varint(src[off:])
+		if w <= 0 {
+			return nil, fmt.Errorf("exec: corrupt temp datum (int)")
 		}
-		t[i] = d
-		off += dn
+		off += w
+		if off+8 > len(src) {
+			return nil, fmt.Errorf("exec: corrupt temp datum (float)")
+		}
+		d := catalog.Datum{I: v, F: math.Float64frombits(binary.LittleEndian.Uint64(src[off:]))}
+		off += 8
+		sl, w := binary.Uvarint(src[off:])
+		if w <= 0 || sl > uint64(len(src)-off-w) {
+			return nil, fmt.Errorf("exec: corrupt temp datum (string)")
+		}
+		off += w
+		if sl > 0 {
+			d.S = unsafe.String(&src[off], int(sl))
+			off += int(sl)
+		}
+		dst[i] = d
 	}
-	return t, off, nil
+	if off != len(src) {
+		return nil, fmt.Errorf("exec: corrupt temp record (%d trailing bytes)", len(src)-off)
+	}
+	return dst, nil
 }
 
-// Append adds one tuple to the temp file (generation phase).
+// Append adds one tuple to the temp file (generation phase). The record
+// is encoded straight into the page buffer: nothing is allocated per
+// record, and t is not kept.
 func (tf *TempFile) Append(c *Ctx, t catalog.Tuple) error {
 	if tf.deleted {
 		return fmt.Errorf("exec: append to deleted temp file %d", tf.ID)
@@ -139,20 +151,17 @@ func (tf *TempFile) Append(c *Ctx, t catalog.Tuple) error {
 	if tf.buf == nil {
 		tf.buf = make([]byte, tempHeader, pagestore.PageSize)
 	}
-	rec := encodeRecord(nil, t)
-	need := 2 + len(rec)
+	l := recordLen(t)
+	need := 2 + l
 	if need > pagestore.PageSize-tempHeader {
-		return fmt.Errorf("exec: temp record of %d bytes exceeds page", len(rec))
+		return fmt.Errorf("exec: temp record of %d bytes exceeds page", l)
 	}
 	if len(tf.buf)+need > pagestore.PageSize {
 		if err := tf.flush(c); err != nil {
 			return err
 		}
 	}
-	var l [2]byte
-	binary.LittleEndian.PutUint16(l[:], uint16(len(rec)))
-	tf.buf = append(tf.buf, l[:]...)
-	tf.buf = append(tf.buf, rec...)
+	tf.buf = encodeRecord(binary.LittleEndian.AppendUint16(tf.buf, uint16(l)), t)
 	tf.count++
 	tf.rows++
 	return nil
@@ -183,13 +192,19 @@ func (tf *TempFile) Rows() int64 { return tf.rows }
 // Pages reports the number of full pages written so far.
 func (tf *TempFile) Pages() int64 { return tf.pages }
 
-// TempReader iterates a temp file (consumption phase).
+// TempReader iterates a temp file (consumption phase): a cursor on the
+// current page's frame.
 type TempReader struct {
 	tf   *TempFile
 	page int64
+	rest []byte // the frame from the next record on
+	left int    // records of the frame not yet returned
 
-	tuples []catalog.Tuple
-	idx    int
+	// Two slabs, decoded into alternately, so that a returned row
+	// survives exactly one further Next: Sort's merge has to advance the
+	// winning run before it hands the winner out.
+	slabs [2]catalog.Tuple
+	flip  int
 }
 
 // NewReader starts a consumption pass over the file.
@@ -197,9 +212,13 @@ func (tf *TempFile) NewReader() *TempReader {
 	return &TempReader{tf: tf}
 }
 
-// Next returns the next spilled tuple.
+// Next returns the next spilled tuple, decoded into a slab the reader
+// reuses, with strings that alias the page frame. The tuple is valid
+// until the second following call of Next on the same reader (one call
+// longer than Operator.Next promises); whoever keeps it takes
+// Tuple.Owned. Nothing is allocated per record.
 func (r *TempReader) Next(c *Ctx) (catalog.Tuple, bool, error) {
-	for r.idx >= len(r.tuples) {
+	for r.left == 0 {
 		if r.page >= r.tf.pages {
 			return nil, false, nil
 		}
@@ -207,23 +226,24 @@ func (r *TempReader) Next(c *Ctx) (catalog.Tuple, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		n := binary.LittleEndian.Uint16(data[:2])
-		r.tuples = r.tuples[:0]
-		off := tempHeader
-		for i := 0; i < int(n); i++ {
-			l := int(binary.LittleEndian.Uint16(data[off:]))
-			off += 2
-			t, _, err := decodeRecord(data[off : off+l])
-			if err != nil {
-				return nil, false, err
-			}
-			r.tuples = append(r.tuples, t)
-			off += l
+		if len(data) < tempHeader {
+			return nil, false, fmt.Errorf("exec: corrupt temp page header")
 		}
+		r.rest, r.left = data[tempHeader:], int(binary.LittleEndian.Uint16(data))
 		r.page++
-		r.idx = 0
 	}
-	t := r.tuples[r.idx]
-	r.idx++
+	rec := r.rest
+	if len(rec) < 2 || int(binary.LittleEndian.Uint16(rec)) > len(rec)-2 {
+		return nil, false, fmt.Errorf("exec: corrupt temp record length")
+	}
+	l := int(binary.LittleEndian.Uint16(rec))
+	r.flip ^= 1
+	t, err := decodeRecord(r.slabs[r.flip], rec[2:2+l])
+	if err != nil {
+		return nil, false, err
+	}
+	r.slabs[r.flip] = t
+	r.rest = rec[2+l:]
+	r.left--
 	return t, true, nil
 }

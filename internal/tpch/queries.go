@@ -116,14 +116,26 @@ func ic(i int) func(catalog.Tuple) int64 {
 
 // keep projects the listed columns.
 func keep(child exec.Operator, idx ...int) *exec.Project {
-	return &exec.Project{Child: child, Fn: func(t catalog.Tuple) catalog.Tuple {
-		out := make(catalog.Tuple, len(idx))
-		for i, j := range idx {
-			out[i] = t[j]
+	return &exec.Project{Child: child, Fn: func(dst, t catalog.Tuple) catalog.Tuple {
+		for _, j := range idx {
+			dst = append(dst, t[j])
 		}
-		return out
+		return dst
 	}}
 }
+
+// Group keys are the bytes the grouping expression would print as: the
+// decimal digits of an integer column, a string column as it is, parts
+// joined by '|'. A scalar aggregate has the one group "all".
+func intKey(i int) func([]byte, catalog.Tuple) []byte {
+	return func(key []byte, t catalog.Tuple) []byte { return strconv.AppendInt(key, t[i].I, 10) }
+}
+
+func strKey(i int) func([]byte, catalog.Tuple) []byte {
+	return func(key []byte, t catalog.Tuple) []byte { return append(key, t[i].S...) }
+}
+
+func oneGroup(key []byte, _ catalog.Tuple) []byte { return append(key, "all"...) }
 
 func year(day int64) int64 { return 1970 + day/365 } // close enough for grouping
 
@@ -142,8 +154,10 @@ func (ds *Dataset) q1(rng *rand.Rand) exec.Operator {
 
 	scan := ds.seq("lineitem", func(t catalog.Tuple) bool { return t[lsd].I <= cutoff })
 	agg := &exec.HashAgg{
-		Child:    scan,
-		GroupKey: func(t catalog.Tuple) string { return t[lrf].S + "|" + t[lls].S },
+		Child: scan,
+		GroupKey: func(key []byte, t catalog.Tuple) []byte {
+			return append(append(append(key, t[lrf].S...), '|'), t[lls].S...)
+		},
 		NewGroup: func(t catalog.Tuple) catalog.Tuple {
 			return catalog.Tuple{
 				t[lrf], t[lls],
@@ -206,7 +220,7 @@ func (ds *Dataset) q2(rng *rand.Rand) exec.Operator {
 	// Min supply cost per part, then the "best supplier" rows.
 	agg := &exec.HashAgg{
 		Child:    join,
-		GroupKey: func(t catalog.Tuple) string { return strconv.FormatInt(t[3+pk].I, 10) },
+		GroupKey: intKey(3 + pk),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple {
 			// partkey, min cost, supplier acctbal, supplier name
 			return catalog.Tuple{t[3+pk], t[3+8+3], t[3+8+4+3], t[3+8+4+1]}
@@ -215,7 +229,7 @@ func (ds *Dataset) q2(rng *rand.Rand) exec.Operator {
 			if t[3+8+3].F < acc[1].F {
 				acc[1] = t[3+8+3]
 				acc[2] = t[3+8+4+3]
-				acc[3] = t[3+8+4+1]
+				acc[3].S = strings.Clone(t[3+8+4+1].S) // t is borrowed: do not pin its frame
 			}
 			return acc
 		},
@@ -243,13 +257,13 @@ func (ds *Dataset) q3(rng *rand.Rand) exec.Operator {
 		Outer:    co,
 		Probe:    ds.probe("idx_lineitem_orderkey", "lineitem", func(t catalog.Tuple) bool { return t[lsd].I > date }),
 		OuterKey: func(t catalog.Tuple) int64 { return t[1+ok].I },
-		Combine: func(o, i catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{o[1+ok], o[1+od], catalog.FloatDatum(i[lp].F * (1 - i[ld].F))}
+		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
+			return append(dst, o[1+ok], o[1+od], catalog.FloatDatum(i[lp].F*(1-i[ld].F)))
 		},
 	}
 	agg := &exec.HashAgg{
 		Child:    nl,
-		GroupKey: func(t catalog.Tuple) string { return strconv.FormatInt(t[0].I, 10) },
+		GroupKey: intKey(0),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple { return t.Clone() },
 		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
 			acc[2].F += t[2].F
@@ -275,11 +289,11 @@ func (ds *Dataset) q4(rng *rand.Rand) exec.Operator {
 		Probe:    ds.probe("idx_lineitem_orderkey", "lineitem", func(t catalog.Tuple) bool { return t[lcd].I < t[lrd].I }),
 		OuterKey: ic(ok),
 		Semi:     true,
-		Combine:  func(o, i catalog.Tuple) catalog.Tuple { return o },
+		Combine:  func(dst, o, i catalog.Tuple) catalog.Tuple { return append(dst, o...) },
 	}
 	agg := &exec.HashAgg{
 		Child:    semi,
-		GroupKey: func(t catalog.Tuple) string { return t[op].S },
+		GroupKey: strKey(op),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple { return catalog.Tuple{t[op], catalog.IntDatum(1)} },
 		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
 			acc[1].I++
@@ -308,8 +322,8 @@ func (ds *Dataset) q5(rng *rand.Rand) exec.Operator {
 		ic(0),
 		func(t catalog.Tuple) int64 { return t[1].I },
 	)
-	ncp := &exec.Project{Child: nc, Fn: func(t catalog.Tuple) catalog.Tuple {
-		return catalog.Tuple{t[0], t[1], t[2]}
+	ncp := &exec.Project{Child: nc, Fn: func(dst, t catalog.Tuple) catalog.Tuple {
+		return append(dst, t[0], t[1], t[2])
 	}}
 
 	od := ds.colIdx("orders", "o_orderdate")
@@ -342,13 +356,13 @@ func (ds *Dataset) q5(rng *rand.Rand) exec.Operator {
 		BuildKey: ic(0),
 		ProbeKey: func(t catalog.Tuple) int64 { return t[5+ls].I },
 		Pred:     func(b, p catalog.Tuple) bool { return b[1].I == p[0].I },
-		Combine: func(b, p catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{p[1], catalog.FloatDatum(p[5+lp].F * (1 - p[5+ld].F))}
+		Combine: func(dst, b, p catalog.Tuple) catalog.Tuple {
+			return append(dst, p[1], catalog.FloatDatum(p[5+lp].F*(1-p[5+ld].F)))
 		},
 	}
 	agg := &exec.HashAgg{
 		Child:    final,
-		GroupKey: func(t catalog.Tuple) string { return t[0].S },
+		GroupKey: strKey(0),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple { return t.Clone() },
 		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
 			acc[1].F += t[1].F
@@ -374,7 +388,7 @@ func (ds *Dataset) q6(rng *rand.Rand) exec.Operator {
 	})
 	return &exec.HashAgg{
 		Child:    scan,
-		GroupKey: func(catalog.Tuple) string { return "all" },
+		GroupKey: oneGroup,
 		NewGroup: func(t catalog.Tuple) catalog.Tuple {
 			return catalog.Tuple{catalog.FloatDatum(t[lp].F * t[ld].F)}
 		},
@@ -410,14 +424,14 @@ func (ds *Dataset) q7(rng *rand.Rand) exec.Operator {
 		Outer:    sl,
 		Probe:    ds.probe("idx_orders_orderkey", "orders", nil),
 		OuterKey: func(t catalog.Tuple) int64 { return t[2+lok].I },
-		Combine: func(o, i catalog.Tuple) catalog.Tuple {
+		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
 			// [suppnation, shipyear, revenue, custkey]
-			return catalog.Tuple{
+			return append(dst,
 				o[1],
 				catalog.IntDatum(year(o[2+lsd].I)),
-				catalog.FloatDatum(o[2+lp].F * (1 - o[2+ld].F)),
+				catalog.FloatDatum(o[2+lp].F*(1-o[2+ld].F)),
 				i[oc],
-			}
+			)
 		},
 	}
 	cnk := ds.colIdx("customer", "c_nationkey")
@@ -428,14 +442,16 @@ func (ds *Dataset) q7(rng *rand.Rand) exec.Operator {
 		Pred: func(o, i catalog.Tuple) bool {
 			return (o[0].I == n1 && i[cnk].I == n2) || (o[0].I == n2 && i[cnk].I == n1)
 		},
-		Combine: func(o, i catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{o[0], i[cnk], o[1], o[2]}
+		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
+			return append(dst, o[0], i[cnk], o[1], o[2])
 		},
 	}
 	agg := &exec.HashAgg{
 		Child: nlC,
-		GroupKey: func(t catalog.Tuple) string {
-			return fmt.Sprintf("%d|%d|%d", t[0].I, t[1].I, t[2].I)
+		GroupKey: func(key []byte, t catalog.Tuple) []byte {
+			key = append(strconv.AppendInt(key, t[0].I, 10), '|')
+			key = append(strconv.AppendInt(key, t[1].I, 10), '|')
+			return strconv.AppendInt(key, t[2].I, 10)
 		},
 		NewGroup: func(t catalog.Tuple) catalog.Tuple { return t.Clone() },
 		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
@@ -473,8 +489,8 @@ func (ds *Dataset) q8(rng *rand.Rand) exec.Operator {
 		Outer:    part,
 		Probe:    ds.probe("idx_lineitem_partkey", "lineitem", nil),
 		OuterKey: ic(0),
-		Combine: func(o, i catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{i[lok], i[lsk], catalog.FloatDatum(i[lp].F * (1 - i[ld].F))}
+		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
+			return append(dst, i[lok], i[lsk], catalog.FloatDatum(i[lp].F*(1-i[ld].F)))
 		},
 	}
 	od := ds.colIdx("orders", "o_orderdate")
@@ -483,8 +499,8 @@ func (ds *Dataset) q8(rng *rand.Rand) exec.Operator {
 		Outer:    nlL,
 		Probe:    ds.probe("idx_orders_orderkey", "orders", func(t catalog.Tuple) bool { return t[od].I >= start && t[od].I <= end }),
 		OuterKey: ic(0),
-		Combine: func(o, i catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{o[1], o[2], catalog.IntDatum(year(i[od].I))}
+		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
+			return append(dst, o[1], o[2], catalog.IntDatum(year(i[od].I)))
 		},
 	}
 	sk := ds.colIdx("supplier", "s_suppkey")
@@ -495,7 +511,7 @@ func (ds *Dataset) q8(rng *rand.Rand) exec.Operator {
 	)
 	agg := &exec.HashAgg{
 		Child:    join,
-		GroupKey: func(t catalog.Tuple) string { return strconv.FormatInt(t[2+2].I, 10) },
+		GroupKey: intKey(2 + 2),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple {
 			v := t[2+1].F
 			nv := 0.0
@@ -543,11 +559,11 @@ func (ds *Dataset) q9(rng *rand.Rand) exec.Operator {
 	// HJ1: part ⋈ lineitem (both sequential).
 	hj1 := hj(part, ds.seq("lineitem", nil), ic(0), ic(lpk))
 	// → [p_partkey | lineitem...]
-	slim := &exec.Project{Child: hj1, Fn: func(t catalog.Tuple) catalog.Tuple {
-		return catalog.Tuple{
+	slim := &exec.Project{Child: hj1, Fn: func(dst, t catalog.Tuple) catalog.Tuple {
+		return append(dst,
 			t[1+lpk], t[1+lsk], t[1+lok],
-			catalog.FloatDatum(t[1+lp].F * (1 - t[1+ld].F)), t[1+lq],
-		}
+			catalog.FloatDatum(t[1+lp].F*(1-t[1+ld].F)), t[1+lq],
+		)
 	}}
 
 	// HJ2: ⋈ partsupp on (partkey, suppkey), sequential build.
@@ -559,9 +575,9 @@ func (ds *Dataset) q9(rng *rand.Rand) exec.Operator {
 		Probe:    slim,
 		BuildKey: func(t catalog.Tuple) int64 { return t[psk].I<<32 | t[pss].I },
 		ProbeKey: func(t catalog.Tuple) int64 { return t[0].I<<32 | t[1].I },
-		Combine: func(b, p catalog.Tuple) catalog.Tuple {
+		Combine: func(dst, b, p catalog.Tuple) catalog.Tuple {
 			// [suppkey, orderkey, profit-ish]
-			return catalog.Tuple{p[1], p[2], catalog.FloatDatum(p[3].F - b[psc].F*p[4].F)}
+			return append(dst, p[1], p[2], catalog.FloatDatum(p[3].F-b[psc].F*p[4].F))
 		},
 	}
 
@@ -571,8 +587,8 @@ func (ds *Dataset) q9(rng *rand.Rand) exec.Operator {
 		Outer:    hj2,
 		Probe:    ds.probe("idx_supplier_suppkey", "supplier", nil),
 		OuterKey: ic(0),
-		Combine: func(o, i catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{i[snk], o[1], o[2]}
+		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
+			return append(dst, i[snk], o[1], o[2])
 		},
 	}
 	// NL: ⋈ orders via index (random, priority 3).
@@ -581,8 +597,8 @@ func (ds *Dataset) q9(rng *rand.Rand) exec.Operator {
 		Outer:    nlS,
 		Probe:    ds.probe("idx_orders_orderkey", "orders", nil),
 		OuterKey: ic(1),
-		Combine: func(o, i catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{o[0], catalog.IntDatum(year(i[od].I)), o[2]}
+		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
+			return append(dst, o[0], catalog.IntDatum(year(i[od].I)), o[2])
 		},
 	}
 	// Top hash join with nation.
@@ -591,8 +607,8 @@ func (ds *Dataset) q9(rng *rand.Rand) exec.Operator {
 	top := hj(keep(ds.seq("nation", nil), nk, nn), nlO, ic(0), ic(0))
 	agg := &exec.HashAgg{
 		Child: top,
-		GroupKey: func(t catalog.Tuple) string {
-			return t[1].S + "|" + strconv.FormatInt(t[2+1].I, 10)
+		GroupKey: func(key []byte, t catalog.Tuple) []byte {
+			return strconv.AppendInt(append(append(key, t[1].S...), '|'), t[2+1].I, 10)
 		},
 		NewGroup: func(t catalog.Tuple) catalog.Tuple {
 			return catalog.Tuple{t[1], t[2+1], t[2+2]}
@@ -626,21 +642,21 @@ func (ds *Dataset) q10(rng *rand.Rand) exec.Operator {
 	line := ds.seq("lineitem", func(t catalog.Tuple) bool { return t[lrf].S == "R" })
 	ol := hj(ords, line, ic(0), ic(lok))
 	// [orderkey, custkey | lineitem...]
-	rev := &exec.Project{Child: ol, Fn: func(t catalog.Tuple) catalog.Tuple {
-		return catalog.Tuple{t[1], catalog.FloatDatum(t[2+lp].F * (1 - t[2+ld].F))}
+	rev := &exec.Project{Child: ol, Fn: func(dst, t catalog.Tuple) catalog.Tuple {
+		return append(dst, t[1], catalog.FloatDatum(t[2+lp].F*(1-t[2+ld].F)))
 	}}
 	cn := ds.colIdx("customer", "c_name")
 	nlC := &exec.NestLoop{
 		Outer:    rev,
 		Probe:    ds.probe("idx_customer_custkey", "customer", nil),
 		OuterKey: ic(0),
-		Combine: func(o, i catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{o[0], i[cn], o[1]}
+		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
+			return append(dst, o[0], i[cn], o[1])
 		},
 	}
 	agg := &exec.HashAgg{
 		Child:    nlC,
-		GroupKey: func(t catalog.Tuple) string { return strconv.FormatInt(t[0].I, 10) },
+		GroupKey: intKey(0),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple { return t.Clone() },
 		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
 			acc[2].F += t[2].F
@@ -665,7 +681,7 @@ func (ds *Dataset) q11(rng *rand.Rand) exec.Operator {
 	join := hj(supp, ds.seq("partsupp", nil), ic(0), ic(pss))
 	agg := &exec.HashAgg{
 		Child:    join,
-		GroupKey: func(t catalog.Tuple) string { return strconv.FormatInt(t[1+psk].I, 10) },
+		GroupKey: intKey(1 + psk),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple {
 			return catalog.Tuple{t[1+psk], catalog.FloatDatum(t[1+psc].F * float64(t[1+psq].I))}
 		},
@@ -701,17 +717,17 @@ func (ds *Dataset) q12(rng *rand.Rand) exec.Operator {
 		Outer:    line,
 		Probe:    ds.probe("idx_orders_orderkey", "orders", nil),
 		OuterKey: ic(lok),
-		Combine: func(o, i catalog.Tuple) catalog.Tuple {
+		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
 			high := int64(0)
 			if i[op].S == "1-URGENT" || i[op].S == "2-HIGH" {
 				high = 1
 			}
-			return catalog.Tuple{o[lsm], catalog.IntDatum(high)}
+			return append(dst, o[lsm], catalog.IntDatum(high))
 		},
 	}
 	agg := &exec.HashAgg{
 		Child:    nl,
-		GroupKey: func(t catalog.Tuple) string { return t[0].S },
+		GroupKey: strKey(0),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple {
 			return catalog.Tuple{t[0], t[1], catalog.IntDatum(1 - t[1].I)}
 		},
@@ -731,7 +747,7 @@ func (ds *Dataset) q13(rng *rand.Rand) exec.Operator {
 	oc := ds.colIdx("orders", "o_custkey")
 	counts := &exec.HashAgg{
 		Child:    ds.seq("orders", nil),
-		GroupKey: func(t catalog.Tuple) string { return strconv.FormatInt(t[oc].I, 10) },
+		GroupKey: intKey(oc),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple { return catalog.Tuple{t[oc], catalog.IntDatum(1)} },
 		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
 			acc[1].I++
@@ -742,7 +758,7 @@ func (ds *Dataset) q13(rng *rand.Rand) exec.Operator {
 	join := hj(counts, keep(ds.seq("customer", nil), ck), ic(0), ic(0))
 	dist := &exec.HashAgg{
 		Child:    join,
-		GroupKey: func(t catalog.Tuple) string { return strconv.FormatInt(t[1].I, 10) },
+		GroupKey: intKey(1),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple { return catalog.Tuple{t[1], catalog.IntDatum(1)} },
 		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
 			acc[1].I++
@@ -775,18 +791,18 @@ func (ds *Dataset) q14(rng *rand.Rand) exec.Operator {
 		Outer:    line,
 		Probe:    ds.probe("idx_part_partkey", "part", nil),
 		OuterKey: ic(lpk),
-		Combine: func(o, i catalog.Tuple) catalog.Tuple {
+		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
 			rev := o[lp].F * (1 - o[ld].F)
 			promo := 0.0
 			if strings.HasPrefix(i[pt].S, "PROMO") {
 				promo = rev
 			}
-			return catalog.Tuple{catalog.FloatDatum(promo), catalog.FloatDatum(rev)}
+			return append(dst, catalog.FloatDatum(promo), catalog.FloatDatum(rev))
 		},
 	}
 	return &exec.HashAgg{
 		Child:    nl,
-		GroupKey: func(catalog.Tuple) string { return "all" },
+		GroupKey: oneGroup,
 		NewGroup: func(t catalog.Tuple) catalog.Tuple { return t.Clone() },
 		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
 			acc[0].F += t[0].F
@@ -814,7 +830,7 @@ func (ds *Dataset) q15(rng *rand.Rand) exec.Operator {
 
 	revenue := &exec.HashAgg{
 		Child:    ds.seq("lineitem", func(t catalog.Tuple) bool { return t[lsd].I >= start && t[lsd].I < end }),
-		GroupKey: func(t catalog.Tuple) string { return strconv.FormatInt(t[lsk].I, 10) },
+		GroupKey: intKey(lsk),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple {
 			return catalog.Tuple{t[lsk], catalog.FloatDatum(t[lp].F * (1 - t[ld].F))}
 		},
@@ -845,8 +861,9 @@ func (ds *Dataset) q16(rng *rand.Rand) exec.Operator {
 	join := hj(keep(part, pk, pb, pt, psz), ds.seq("partsupp", nil), ic(0), ic(psk))
 	agg := &exec.HashAgg{
 		Child: join,
-		GroupKey: func(t catalog.Tuple) string {
-			return t[1].S + "|" + t[2].S + "|" + strconv.FormatInt(t[3].I, 10)
+		GroupKey: func(key []byte, t catalog.Tuple) []byte {
+			key = append(append(append(append(key, t[1].S...), '|'), t[2].S...), '|')
+			return strconv.AppendInt(key, t[3].I, 10)
 		},
 		NewGroup: func(t catalog.Tuple) catalog.Tuple {
 			return catalog.Tuple{t[1], t[2], t[3], catalog.IntDatum(1), t[4+pss]}
@@ -884,13 +901,13 @@ func (ds *Dataset) q17(rng *rand.Rand) exec.Operator {
 		Outer:    part,
 		Probe:    ds.probe("idx_lineitem_partkey", "lineitem", nil),
 		OuterKey: ic(0),
-		Combine: func(o, i catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{o[0], i[lq], i[lp]}
+		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
+			return append(dst, o[0], i[lq], i[lp])
 		},
 	}
 	agg := &exec.HashAgg{
 		Child:    nl,
-		GroupKey: func(t catalog.Tuple) string { return strconv.FormatInt(t[0].I, 10) },
+		GroupKey: intKey(0),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple {
 			low := 0.0
 			if t[1].F < 5 {
@@ -907,7 +924,7 @@ func (ds *Dataset) q17(rng *rand.Rand) exec.Operator {
 	}
 	return &exec.HashAgg{
 		Child:    agg,
-		GroupKey: func(catalog.Tuple) string { return "all" },
+		GroupKey: oneGroup,
 		NewGroup: func(t catalog.Tuple) catalog.Tuple {
 			return catalog.Tuple{catalog.FloatDatum(t[1].F / 7)}
 		},
@@ -930,7 +947,7 @@ func (ds *Dataset) q18(rng *rand.Rand) exec.Operator {
 	// Hash aggregate over all of lineitem: sum(l_quantity) by orderkey.
 	sums := &exec.HashAgg{
 		Child:    ds.seq("lineitem", nil),
-		GroupKey: func(t catalog.Tuple) string { return strconv.FormatInt(t[lok].I, 10) },
+		GroupKey: intKey(lok),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple { return catalog.Tuple{t[lok], catalog.FloatDatum(t[lq].F)} },
 		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
 			acc[1].F += t[lq].F
@@ -946,8 +963,8 @@ func (ds *Dataset) q18(rng *rand.Rand) exec.Operator {
 	// ⋈ orders (sequential probe).
 	jo := hj(big, ds.seq("orders", nil), ic(0), ic(ok))
 	// → [orderkey, qty, custkey, orderdate, totalprice]
-	slim := &exec.Project{Child: jo, Fn: func(t catalog.Tuple) catalog.Tuple {
-		return catalog.Tuple{t[0], t[1], t[2+oc], t[2+od], t[2+op]}
+	slim := &exec.Project{Child: jo, Fn: func(dst, t catalog.Tuple) catalog.Tuple {
+		return append(dst, t[0], t[1], t[2+oc], t[2+od], t[2+op])
 	}}
 	ck := ds.colIdx("customer", "c_custkey")
 	cn := ds.colIdx("customer", "c_name")
@@ -956,7 +973,7 @@ func (ds *Dataset) q18(rng *rand.Rand) exec.Operator {
 	// → final aggregation by order.
 	agg := &exec.HashAgg{
 		Child:    jc,
-		GroupKey: func(t catalog.Tuple) string { return strconv.FormatInt(t[0].I, 10) },
+		GroupKey: intKey(0),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple {
 			return catalog.Tuple{t[6], t[2], t[0], t[3], t[4], t[1]}
 		},
@@ -1004,13 +1021,13 @@ func (ds *Dataset) q19(rng *rand.Rand) exec.Operator {
 			}
 			return false
 		},
-		Combine: func(b, p catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{catalog.FloatDatum(p[lp].F * (1 - p[ld].F))}
+		Combine: func(dst, b, p catalog.Tuple) catalog.Tuple {
+			return append(dst, catalog.FloatDatum(p[lp].F*(1-p[ld].F)))
 		},
 	}
 	return &exec.HashAgg{
 		Child:    join,
-		GroupKey: func(catalog.Tuple) string { return "all" },
+		GroupKey: oneGroup,
 		NewGroup: func(t catalog.Tuple) catalog.Tuple { return t.Clone() },
 		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
 			acc[0].F += t[0].F
@@ -1047,7 +1064,7 @@ func (ds *Dataset) q20(rng *rand.Rand) exec.Operator {
 		Pred: func(o, i catalog.Tuple) bool {
 			return i[ds.colIdx("lineitem", "l_suppkey")].I == o[1+1].I
 		},
-		Combine: func(o, i catalog.Tuple) catalog.Tuple { return o },
+		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple { return append(dst, o...) },
 	}
 	sk := ds.colIdx("supplier", "s_suppkey")
 	sn := ds.colIdx("supplier", "s_name")
@@ -1057,7 +1074,7 @@ func (ds *Dataset) q20(rng *rand.Rand) exec.Operator {
 		func(t catalog.Tuple) int64 { return t[1+1].I })
 	agg := &exec.HashAgg{
 		Child:    join,
-		GroupKey: func(t catalog.Tuple) string { return t[1].S },
+		GroupKey: strKey(1),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple { return catalog.Tuple{t[1]} },
 		Merge:    func(acc, t catalog.Tuple) catalog.Tuple { return acc },
 	}
@@ -1081,8 +1098,8 @@ func (ds *Dataset) q21(rng *rand.Rand) exec.Operator {
 	l1 := ds.seq("lineitem", func(t catalog.Tuple) bool { return t[lrd].I > t[lcd].I })
 	// supplier ⋈ l1 → [s_suppkey, s_name, orderkey]
 	sl := hj(supp, l1, ic(0), ic(lsk))
-	slim := &exec.Project{Child: sl, Fn: func(t catalog.Tuple) catalog.Tuple {
-		return catalog.Tuple{t[0], t[1], t[2+lok]}
+	slim := &exec.Project{Child: sl, Fn: func(dst, t catalog.Tuple) catalog.Tuple {
+		return append(dst, t[0], t[1], t[2+lok])
 	}}
 
 	// ⋈ orders via index (random, priority 2), keeping status 'F'.
@@ -1091,7 +1108,7 @@ func (ds *Dataset) q21(rng *rand.Rand) exec.Operator {
 		Outer:    slim,
 		Probe:    ds.probe("idx_orders_orderkey", "orders", func(t catalog.Tuple) bool { return t[ost].S == "F" }),
 		OuterKey: ic(2),
-		Combine:  func(o, i catalog.Tuple) catalog.Tuple { return o },
+		Combine:  func(dst, o, i catalog.Tuple) catalog.Tuple { return append(dst, o...) },
 	}
 	// exists: another supplier shipped the same order (random lineitem,
 	// priority 3).
@@ -1101,7 +1118,7 @@ func (ds *Dataset) q21(rng *rand.Rand) exec.Operator {
 		OuterKey: ic(2),
 		Semi:     true,
 		Pred:     func(o, i catalog.Tuple) bool { return i[lsk].I != o[0].I },
-		Combine:  func(o, i catalog.Tuple) catalog.Tuple { return o },
+		Combine:  func(dst, o, i catalog.Tuple) catalog.Tuple { return append(dst, o...) },
 	}
 	// not exists: no other supplier was late on that order.
 	anti := &exec.NestLoop{
@@ -1113,7 +1130,7 @@ func (ds *Dataset) q21(rng *rand.Rand) exec.Operator {
 	}
 	agg := &exec.HashAgg{
 		Child:    anti,
-		GroupKey: func(t catalog.Tuple) string { return t[1].S },
+		GroupKey: strKey(1),
 		NewGroup: func(t catalog.Tuple) catalog.Tuple { return catalog.Tuple{t[1], catalog.IntDatum(1)} },
 		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
 			acc[1].I++
@@ -1156,7 +1173,7 @@ func (ds *Dataset) q22(rng *rand.Rand) exec.Operator {
 	}
 	agg := &exec.HashAgg{
 		Child:    anti,
-		GroupKey: func(t catalog.Tuple) string { return t[cph].S[:2] },
+		GroupKey: func(key []byte, t catalog.Tuple) []byte { return append(key, t[cph].S[:2]...) },
 		NewGroup: func(t catalog.Tuple) catalog.Tuple {
 			return catalog.Tuple{catalog.StringDatum(t[cph].S[:2]), catalog.IntDatum(1), t[cab]}
 		},

@@ -183,26 +183,6 @@ func TestQ1Sequential(t *testing.T) {
 	}
 }
 
-func TestQueryDeterministicResults(t *testing.T) {
-	ds := loadSmall(t)
-	inst := smallInstance(t, ds, hybrid.HDDOnly)
-	for _, q := range []int{1, 6, 9} {
-		sess1 := inst.NewSession()
-		r1, err := sess1.Execute(ds.MustQuery(q, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess2 := inst.NewSession()
-		r2, err := sess2.Execute(ds.MustQuery(q, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(r1.Rows) != len(r2.Rows) {
-			t.Fatalf("Q%d row counts differ across runs: %d vs %d", q, len(r1.Rows), len(r2.Rows))
-		}
-	}
-}
-
 func TestSeedVariesParameters(t *testing.T) {
 	ds := loadSmall(t)
 	inst := smallInstance(t, ds, hybrid.HDDOnly)
