@@ -86,14 +86,24 @@ func versioned(c policy.ContentType) bool {
 }
 
 // BindSnapshot pins a snapshot LSN to a session stream: every Get
-// carrying clk resolves transactional pages as of lsn until
+// carrying clk resolves transactional pages as of that LSN until
 // UnbindSnapshot. A bound stream must not Put transactional content.
-func (p *Pool) BindSnapshot(clk *simclock.Clock, lsn int64) {
+//
+// The LSN is what read returns — the log's commit watermark — read
+// inside the critical section that installs the binding. A pruner
+// therefore either finds the binding in activeSnaps, or took that list
+// (and before it its own watermark) before read ran: the watermark only
+// rises, so the snapshot begins at or above everything that pruner may
+// drop. Read first and bound second, a commit and a prune in between
+// would take away the version the snapshot is about to need.
+func (p *Pool) BindSnapshot(clk *simclock.Clock, read func() int64) int64 {
 	p.txnMu.Lock()
+	lsn := read()
 	p.snaps[clk] = lsn
 	n := int64(len(p.snaps))
 	p.txnMu.Unlock()
 	p.mSnaps.Set(n)
+	return lsn
 }
 
 // UnbindSnapshot releases the stream's snapshot binding (end of the
@@ -176,7 +186,8 @@ func (p *Pool) dropPendingLocked(txn int64, k key) int64 {
 // otherwise a snapshot taken between a later commit record and this
 // seal could miss a version it is entitled to. watermark is the current
 // published commit watermark, used to opportunistically prune the
-// just-sealed chains.
+// just-sealed chains; it must have been read before the call, i.e.
+// before activeSnaps below (BindSnapshot relies on that order).
 func (p *Pool) CommitVersions(txn, commitLSN, watermark int64, pages []PageRef) {
 	if len(pages) == 0 {
 		return
@@ -205,7 +216,8 @@ func (p *Pool) CommitVersions(txn, commitLSN, watermark int64, pages []PageRef) 
 // PruneVersions sweeps every chain, dropping versions no active snapshot
 // needs and no future snapshot can need (their superseded LSN is at or
 // below the commit watermark). Called when a snapshot ends and at
-// checkpoints.
+// checkpoints. watermark is read before the call, so before activeSnaps
+// here: BindSnapshot relies on that order.
 func (p *Pool) PruneVersions(watermark int64) {
 	snaps := p.activeSnaps()
 	p.mu.Lock()

@@ -22,9 +22,9 @@
 // time too: a granted waiter's session clock advances to the virtual
 // time of the release that unblocked it, so blocking behind a long
 // transaction costs the blocked transaction virtual latency exactly as
-// it would on a real engine. The legacy entry points (Acquire/AcquireAt
-// with ReleaseAll) keep the old behavior — waits free of virtual time —
-// for callers without a session clock.
+// it would on a real engine, and the stream is parked through its clock
+// (simclock.Clock.Park) for the wait. Acquire with ReleaseAll serves
+// callers without a session clock: waits free of virtual time.
 //
 // Read-only snapshot transactions never appear here at all: they carry
 // non-positive transaction IDs, which the lock table rejects by panic,
@@ -153,7 +153,7 @@ func New() *Manager {
 // Use attaches an observability set: the manager registers its counters
 // (`lockmgr.acquired`, `lockmgr.wait`, `lockmgr.deadlocks`,
 // `lockmgr.upgrades`) and records a `lockmgr`/`wait` instant for every
-// request that blocks (AcquireAt callers only — plain Acquire has no
+// request that blocks (AcquireClk callers only — plain Acquire has no
 // virtual timestamp to stamp it with). A nil set detaches.
 func (m *Manager) Use(set *obs.Set) {
 	m.mu.Lock()
@@ -175,52 +175,30 @@ func (m *Manager) Use(set *obs.Set) {
 // returns immediately; holding Shared and requesting Exclusive upgrades.
 // If the request would deadlock, it returns ErrDeadlock without
 // acquiring anything; the transaction keeps its other locks and is
-// expected to abort.
+// expected to abort. Sessions use AcquireClk.
 func (m *Manager) Acquire(txn int64, id PageID, mode Mode) error {
-	return m.AcquireAt(txn, id, mode, -1)
-}
-
-// AcquireAt is Acquire with the caller's current virtual time attached,
-// so a blocked request can be traced as a `lockmgr`/`wait` instant on
-// the simulated timeline. Waits through this entry point consume no
-// virtual time; use AcquireClk to charge them to a session clock. Pass
-// a negative at to skip the trace event.
-func (m *Manager) AcquireAt(txn int64, id PageID, mode Mode, at time.Duration) error {
-	w, err := m.acquire(txn, id, mode, at)
+	w, err := m.acquire(txn, id, mode, -1)
 	if err != nil || w == nil {
 		return err
 	}
 	return <-w.done
 }
 
-// AcquireClk is Acquire charging lock-wait time to the session clock: if
-// the request blocks, clk advances to the virtual time of the release
-// that granted it, so contention costs the blocked transaction simulated
+// AcquireClk is Acquire on behalf of a session stream. If the request
+// blocks, the stream is parked through its clock for the wait (it
+// submits no I/O, and a closed scheduler population must know), and
+// once granted clk advances to the virtual time of the release that
+// granted it, so contention costs the blocked transaction simulated
 // latency. Releases must then go through ReleaseAllAt to carry the
 // releaser's time.
 func (m *Manager) AcquireClk(txn int64, id PageID, mode Mode, clk *simclock.Clock) error {
-	return m.AcquireClkPark(txn, id, mode, clk, nil)
-}
-
-// AcquireClkPark is AcquireClk with a park callback bracketing the
-// block: when the request must wait, park(true) runs right before the
-// caller parks on the grant and park(false) once it wakes, granted or
-// refused. A closed-population device scheduler (iosched.Group) uses it
-// to withdraw a lock-blocked stream — which cannot submit I/O — from
-// the population for the wait's duration, so dispatch never stalls on
-// it. A nil park waits plainly.
-func (m *Manager) AcquireClkPark(txn int64, id PageID, mode Mode, clk *simclock.Clock, park func(parked bool)) error {
 	w, err := m.acquire(txn, id, mode, clk.Now())
 	if err != nil || w == nil {
 		return err
 	}
-	if park != nil {
-		park(true)
-	}
+	clk.Park()
 	err = <-w.done
-	if park != nil {
-		park(false)
-	}
+	clk.Unpark()
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -412,5 +413,194 @@ func TestCommitCheckpointCrashInterleaving(t *testing.T) {
 				t.Fatalf("uncommitted key %d visible after recovery", id)
 			}
 		}
+	}
+}
+
+// parkCase is one row of TestEveryEngineSideWaitParks: a fresh fixture
+// with three rows on three heap pages (so the sessions' updates meet
+// only where a row says so) and three sessions, s[0..2], that the test
+// enrolls in the device scheduler's closed population.
+type parkCase struct {
+	t    *testing.T
+	f    *fixture
+	s    [3]*engine.Session
+	base int64 // device submissions before the sessions started
+}
+
+// submissions counts the foreground device submissions so far.
+func (c *parkCase) submissions() (n int64) {
+	for _, s := range c.f.inst.Sys.Sched().Schedulers() {
+		n += s.Stats().Submitted
+	}
+	return n
+}
+
+// await polls until cond holds; a case that hangs is the test's
+// timeout to report, so await itself never gives up.
+func await(cond func() bool) {
+	for !cond() {
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// awaitSubmission returns once some session is inside a device
+// submission — where it stays until all three sessions are blocked,
+// the caller included.
+func (c *parkCase) awaitSubmission() {
+	await(func() bool { return c.submissions() > c.base })
+}
+
+// begun opens a transaction on s[i] holding the exclusive lock of row
+// id's page.
+func (c *parkCase) begun(i int, id int64) *Txn {
+	c.t.Helper()
+	tx, err := c.f.tm.Begin(c.s[i])
+	if err == nil {
+		err = c.f.updateIn(tx, c.s[i], id, "held")
+	}
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return tx
+}
+
+// TestEveryEngineSideWaitParks: a session of a closed scheduler
+// population that blocks outside the scheduler — on a page lock, on a
+// commit batch's leader, on the log while another session's force or
+// rollover holds it — must count as blocked, or the device submission
+// of the session it waits for (dispatched only once everybody is
+// blocked) never completes and the process hangs. Every row builds one
+// such wait while another session is inside a device submission and
+// must run to completion; nothing couples the transaction manager to
+// the scheduler but the sessions' clocks. A commit's force is the
+// submission throughout: it holds the log across the device write.
+func TestEveryEngineSideWaitParks(t *testing.T) {
+	rows := []struct {
+		name string
+		// acts runs the row's prelude (before anybody is enrolled) and
+		// returns what each session then does, concurrently.
+		acts func(c *parkCase) [3]func() error
+	}{
+		{"page lock", func(c *parkCase) [3]func() error {
+			held := c.begun(0, 1)
+			waits := c.f.tm.LockStats().Waits
+			queued := func() bool { return c.f.tm.LockStats().Waits > waits }
+			return [3]func() error{
+				func() error { // releases the lock once s1 has queued on it and s2 is in its force
+					await(queued)
+					c.awaitSubmission()
+					return held.Commit()
+				},
+				func() error { return c.f.updateOn(c.s[1], 1, "after the wait") },
+				func() error {
+					await(queued)
+					return c.f.updateOn(c.s[2], 3, "forced")
+				},
+			}
+		}},
+		{"group-commit follower", func(c *parkCase) [3]func() error {
+			// An open commit batch whose leader, played by s0 from the
+			// force on, lets both committers join before it forces.
+			tm := c.f.tm
+			b := &gcBatch{n: 1, done: make(chan struct{})}
+			tm.gcCur = b
+			return [3]func() error{
+				func() error {
+					await(func() bool {
+						tm.gcMu.Lock()
+						defer tm.gcMu.Unlock()
+						return b.n == 3
+					})
+					tm.gcMu.Lock()
+					tm.gcCur = nil
+					tm.gcMu.Unlock()
+					b.err = tm.log.Flush(&c.s[0].Clk, b.maxLSN)
+					b.doneAt = c.s[0].Clk.Now()
+					close(b.done)
+					return b.err
+				},
+				func() error { return c.f.updateOn(c.s[1], 2, "follower") },
+				func() error { return c.f.updateOn(c.s[2], 3, "follower") },
+			}
+		}},
+		{"abort and begin behind a force", func(c *parkCase) [3]func() error {
+			open := c.begun(1, 2)
+			return [3]func() error{
+				func() error { return c.f.updateOn(c.s[0], 1, "forced") },
+				func() error {
+					c.awaitSubmission()
+					return open.Abort()
+				},
+				func() error {
+					c.awaitSubmission()
+					tx, err := c.f.tm.Begin(c.s[2])
+					if err != nil {
+						return err
+					}
+					return tx.Abort()
+				},
+			}
+		}},
+		{"prepare and commit-prepared behind a force", func(c *parkCase) [3]func() error {
+			twoPC := func(tx *Txn, gtid int64) func() error {
+				return func() error {
+					c.awaitSubmission()
+					if err := tx.Prepare(gtid); err != nil {
+						return err
+					}
+					return tx.CommitPrepared()
+				}
+			}
+			return [3]func() error{
+				func() error { return c.f.updateOn(c.s[0], 1, "forced") },
+				twoPC(c.begun(1, 2), 7),
+				twoPC(c.begun(2, 3), 8),
+			}
+		}},
+	}
+	bulk := strings.Repeat("x", 5000) // one row per heap page
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			// Segments large enough that nothing rolls over: the forces are
+			// the only device submissions, so a row knows who is inside one.
+			c := &parkCase{t: t, f: newFixtureWAL(t, 64, engine.NewDatabase(), wal.Config{SegmentPages: 256})}
+			for id := int64(1); id <= 3; id++ {
+				if err := c.f.insert(id, bulk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range c.s {
+				c.s[i] = c.f.inst.NewSession()
+			}
+			acts := row.acts(c)
+			c.base = c.submissions()
+			grp := c.f.inst.Sys.Sched()
+			for _, sess := range c.s {
+				grp.Register(&sess.Clk)
+			}
+			errs := make(chan error, len(acts))
+			for i, act := range acts {
+				go func() {
+					defer grp.Unregister(&c.s[i].Clk)
+					errs <- act()
+				}()
+			}
+			deadline := time.After(time.Second)
+			for range acts {
+				select {
+				case err := <-errs:
+					if err != nil {
+						t.Error(err)
+					}
+				case <-deadline:
+					buf := make([]byte, 1<<20)
+					t.Fatalf("a blocked session was not parked: still running after 1s\n%s",
+						buf[:runtime.Stack(buf, true)])
+				}
+			}
+			if n := c.f.inst.Pool.PinnedFrames(); n != 0 {
+				t.Errorf("%d frames still pinned", n)
+			}
+		})
 	}
 }

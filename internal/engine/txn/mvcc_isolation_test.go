@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"hstoragedb/internal/engine"
 	"hstoragedb/internal/engine/catalog"
@@ -450,5 +451,62 @@ func TestSnapshotLSNAndWatermark(t *testing.T) {
 	}
 	if got, want := s1.SnapshotLSN(), f.tm.WAL().CommitWatermark(); got != want {
 		t.Fatalf("snapshot LSN %d, watermark %d", got, want)
+	}
+}
+
+// TestSnapshotBeginIsOneStep: reading the commit watermark and binding
+// the stream to it are one step as far as any pruner can tell. The
+// watermark read hands control to a writer that tries to commit two
+// updates of the row and sweep the version store before the binding
+// exists, and gives it a bounded time. Where the read is a step of its
+// own the writer gets through, and the version the snapshot is about to
+// need is gone: the reader then fails on the next writer's pending
+// frame or — silently — returns the newer committed value, so the
+// assertions are on the value as of the snapshot's LSN, not on "no
+// error".
+func TestSnapshotBeginIsOneStep(t *testing.T) {
+	f := newFixture(t, 64)
+	if err := f.insert(1, "v0"); err != nil {
+		t.Fatal(err)
+	}
+	reader, writer := f.inst.NewSession(), f.inst.NewSession()
+	reading := make(chan struct{})
+	wrote := make(chan error, 1)
+	go func() {
+		<-reading
+		err := f.updateOn(writer, 1, "v1")
+		if err == nil {
+			err = f.updateOn(writer, 1, "v2")
+		}
+		if err == nil {
+			f.inst.Pool.PruneVersions(int64(f.tm.log.CommitWatermark()))
+		}
+		wrote <- err
+	}()
+	lsn := f.inst.Pool.BindSnapshot(&reader.Clk, func() int64 {
+		w := int64(f.tm.log.CommitWatermark())
+		close(reading)
+		select {
+		case err := <-wrote: // the writer got in between read and bind
+			wrote <- err
+		case <-time.After(100 * time.Millisecond):
+		}
+		return w
+	})
+	if got := f.lookupOn(t, reader, 1); got != "v0" {
+		t.Fatalf("snapshot at LSN %d reads %q, want the value as of its LSN, \"v0\"", lsn, got)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if w := int64(f.tm.log.CommitWatermark()); w <= lsn {
+		t.Fatalf("watermark %d did not pass the snapshot's LSN %d: the writer did not commit", w, lsn)
+	}
+	if got := f.lookupOn(t, reader, 1); got != "v0" {
+		t.Fatalf("after two commits and a prune the snapshot at LSN %d reads %q, want \"v0\"", lsn, got)
+	}
+	f.inst.Pool.UnbindSnapshot(&reader.Clk)
+	if got := f.lookupOn(t, reader, 1); got != "v2" {
+		t.Fatalf("unbound stream reads %q, want \"v2\"", got)
 	}
 }

@@ -20,8 +20,9 @@ import (
 // through the session stream fail while the snapshot is open. Finish
 // with Commit or Abort (equivalent for a snapshot).
 func (m *Manager) BeginSnapshot(sess *engine.Session) *Txn {
-	lsn := m.log.CommitWatermark()
-	m.inst.Pool.BindSnapshot(&sess.Clk, int64(lsn))
+	lsn := wal.LSN(m.inst.Pool.BindSnapshot(&sess.Clk, func() int64 {
+		return int64(m.log.CommitWatermark())
+	}))
 	return &Txn{
 		m:         m,
 		sess:      sess,

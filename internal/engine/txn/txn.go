@@ -10,6 +10,13 @@
 // waits are charged to the waiter's session clock (lockmgr.AcquireClk),
 // so blocking behind a long transaction costs simulated latency.
 //
+// A session blocks outside the device scheduler in three places: on a
+// page lock, as a follower of a commit batch, and on the log while
+// another session's force holds it. Each wait parks the stream through
+// its session clock (simclock.Clock.Park; the log's simclock.Mutex),
+// so a closed scheduler population keeps dispatching; the manager knows
+// no scheduler. A new wait must do the same.
+//
 // Read-only transactions (BeginSnapshot, and BeginRead as its alias) run
 // under snapshot isolation without touching the lock manager at all:
 // each binds its session stream to the WAL's commit-LSN watermark and
@@ -131,39 +138,13 @@ type Manager struct {
 	mCommits   *obs.Counter
 	mAborts    *obs.Counter
 	mBatchHist *obs.HistVar
-
-	// sched, when set, is the closed-population device scheduler the
-	// running sessions are registered with: waits that cannot submit
-	// I/O (lock waits, WAL-phase waits, group-commit followers)
-	// withdraw the waiting stream from the population so dispatch never
-	// stalls on it.
-	sched StreamParker
-
-	// walCh is a one-slot semaphore serializing the commit path's WAL
-	// phase (page-record appends through the commit record, and the
-	// batch leader's force). The WAL's own mutex would do the same
-	// exclusion, but a goroutine blocked inside sync.Mutex cannot park
-	// its stream, and under a closed scheduler population an unparked
-	// waiter stalls dispatch while the holder's log I/O waits for it —
-	// a process-level deadlock. walLock parks, sync.Mutex cannot.
-	walCh chan struct{}
-}
-
-// StreamParker is the slice of a closed-population device scheduler
-// (iosched.Group) the transaction layer needs: withdrawing a stream
-// that is about to block outside the scheduler and re-enrolling it when
-// it wakes. See Manager.UseScheduler.
-type StreamParker interface {
-	Register(clk *simclock.Clock)
-	Unregister(clk *simclock.Clock)
-	Registered(clk *simclock.Clock) bool
 }
 
 // NewManager builds a transaction manager over an instance and its log,
 // attaching the instance's observability set (if any) to itself, the
 // lock manager, and the WAL.
 func NewManager(inst *engine.Instance, log *wal.Manager) *Manager {
-	m := &Manager{inst: inst, log: log, lm: lockmgr.New(), walCh: make(chan struct{}, 1)}
+	m := &Manager{inst: inst, log: log, lm: lockmgr.New()}
 	m.Use(inst.Obs)
 	return m
 }
@@ -188,62 +169,6 @@ func (m *Manager) Use(set *obs.Set) {
 		m.mCommits, m.mAborts, m.mBatchHist = nil, nil, nil
 	}
 }
-
-// UseScheduler couples the manager to a closed-population device
-// scheduler whose population includes the transaction sessions: a
-// session blocked on a page lock or waiting as a group-commit follower
-// submits no I/O, so the manager withdraws it (Unregister) for the
-// wait's duration and re-enrolls it (Register) on wake — otherwise the
-// scheduler's all-streams-blocked dispatch condition could never hold.
-// Pass nil to decouple. Not safe to call concurrently with running
-// transactions.
-func (m *Manager) UseScheduler(s StreamParker) { m.sched = s }
-
-// parkFn returns the lockmgr park callback for one session clock: nil
-// when no scheduler is coupled, else a callback that withdraws the
-// stream while it is blocked on a lock.
-func (m *Manager) parkFn(clk *simclock.Clock) func(bool) {
-	s := m.sched
-	if s == nil {
-		return nil
-	}
-	var withdrawn bool
-	return func(parked bool) {
-		if parked {
-			// Streams the caller never enrolled (setup sessions, runs
-			// without a closed population) must stay unenrolled: a
-			// Register on wake would leak them into the population.
-			if withdrawn = s.Registered(clk); withdrawn {
-				s.Unregister(clk)
-			}
-		} else if withdrawn {
-			s.Register(clk)
-		}
-	}
-}
-
-// walLock acquires the commit path's WAL-phase semaphore. A contended
-// acquire parks the stream (parkFn) for the wait, so a closed scheduler
-// population keeps dispatching while this committer queues behind
-// another one's appends or force.
-func (m *Manager) walLock(clk *simclock.Clock) {
-	select {
-	case m.walCh <- struct{}{}:
-		return
-	default:
-	}
-	park := m.parkFn(clk)
-	if park != nil {
-		park(true)
-	}
-	m.walCh <- struct{}{}
-	if park != nil {
-		park(false)
-	}
-}
-
-// walUnlock releases the WAL-phase semaphore.
-func (m *Manager) walUnlock() { <-m.walCh }
 
 // WAL exposes the log manager.
 func (m *Manager) WAL() *wal.Manager { return m.log }
@@ -379,10 +304,7 @@ func (m *Manager) Begin(sess *engine.Session) (*Txn, error) {
 		op:      wal.KindHeapUpdate,
 		touched: make(map[pageKey]struct{}),
 	}
-	m.walLock(&sess.Clk)
-	_, err := m.log.Append(&sess.Clk, wal.Record{Txn: t.id, Kind: wal.KindBegin})
-	m.walUnlock()
-	if err != nil {
+	if _, err := m.log.Append(&sess.Clk, wal.Record{Txn: t.id, Kind: wal.KindBegin}); err != nil {
 		m.gate.RUnlock()
 		return nil, err
 	}
@@ -425,7 +347,7 @@ func (t *Txn) acquire(tag policy.Tag, page int64, write bool) error {
 	if write {
 		mode = lockmgr.Exclusive
 	}
-	return t.m.lm.AcquireClkPark(t.id, lockmgr.PageID{Obj: tag.Object, Page: page}, mode, &t.sess.Clk, t.m.parkFn(&t.sess.Clk))
+	return t.m.lm.AcquireClk(t.id, lockmgr.PageID{Obj: tag.Object, Page: page}, mode, &t.sess.Clk)
 }
 
 // LockAppend takes the object's append lock: an exclusive lock on a
@@ -441,7 +363,7 @@ func (t *Txn) LockAppend(obj pagestore.ObjectID) error {
 	if t.readOnly {
 		return nil
 	}
-	return t.m.lm.AcquireClkPark(t.id, lockmgr.PageID{Obj: obj, Page: -1}, lockmgr.Exclusive, &t.sess.Clk, t.m.parkFn(&t.sess.Clk))
+	return t.m.lm.AcquireClk(t.id, lockmgr.PageID{Obj: obj, Page: -1}, lockmgr.Exclusive, &t.sess.Clk)
 }
 
 // LockScan takes the object's append lock in shared mode: the
@@ -455,7 +377,7 @@ func (t *Txn) LockScan(obj pagestore.ObjectID) error {
 	if t.readOnly {
 		return nil
 	}
-	return t.m.lm.AcquireClkPark(t.id, lockmgr.PageID{Obj: obj, Page: -1}, lockmgr.Shared, &t.sess.Clk, t.m.parkFn(&t.sess.Clk))
+	return t.m.lm.AcquireClk(t.id, lockmgr.PageID{Obj: obj, Page: -1}, lockmgr.Shared, &t.sess.Clk)
 }
 
 // capture is the buffer pool hook: it runs under the pool mutex for every
@@ -480,9 +402,10 @@ func (t *Txn) capture(tag policy.Tag, page int64, pre []byte, preDirty bool, pos
 	return pin
 }
 
-// Commit, Prepare and CommitPrepared compose the same steps — logImages,
-// decide, releaseAndForce, and unwind on every failure exit — and differ
-// in data only: the record kind, the GTID, what is still held afterwards.
+// Commit, Prepare and CommitPrepared compose the same steps — walPhase
+// (logImages, decide; unwind if either fails), then releaseAndForce —
+// and differ in data only: the record kind, the GTID, whether the page
+// images are still to be logged, what is still held afterwards.
 
 // Commit appends the transaction's page records and a commit record,
 // releases the page locks, then joins the group-commit batch and returns
@@ -503,11 +426,7 @@ func (t *Txn) Commit() error {
 		return nil
 	}
 	t.m.inst.Pool.UnbindTxn(&t.sess.Clk)
-	last, err := t.logImages()
-	if err != nil {
-		return err
-	}
-	lsn, err := t.decide(wal.KindCommit, 0, true, last)
+	lsn, err := t.walPhase(wal.KindCommit, 0, true)
 	if err != nil {
 		return err
 	}
@@ -534,10 +453,7 @@ func (t *Txn) Prepare(gtid int64) error {
 		return fmt.Errorf("txn %d: read-only transactions cannot prepare", t.id)
 	}
 	t.m.inst.Pool.UnbindTxn(&t.sess.Clk)
-	if _, err := t.logImages(); err != nil {
-		return err
-	}
-	lsn, err := t.decide(wal.KindPrepare, gtid, false, 0)
+	lsn, err := t.walPhase(wal.KindPrepare, gtid, true)
 	if err != nil {
 		return err
 	}
@@ -576,19 +492,22 @@ func (t *Txn) CommitPrepared() error {
 	}
 	t.finished = true
 	t.prepared = false
-	t.m.walLock(&t.sess.Clk)
-	lsn, err := t.decide(wal.KindCommit, t.gtid, false, 0)
+	lsn, err := t.walPhase(wal.KindCommit, t.gtid, false)
 	if err != nil {
 		return err
 	}
 	return t.releaseAndForce(lsn)
 }
 
-// logImages enters the commit path's WAL phase and appends the final
-// image of every page the transaction wrote; last is the LSN of the
-// last one. On success the WAL phase stays held for decide; on failure
-// the transaction cannot become durable and is unwound.
-func (t *Txn) logImages() (last wal.LSN, err error) {
+// walPhase is the commit path's one critical section of the log: the
+// final image of every page the transaction wrote (with images;
+// CommitPrepared's were logged by Prepare), then the decision record of
+// the given kind stamped with gtid, no other stream's record in between.
+// The phase is the log's own lock: a contended entry parks the stream.
+// A failure means the transaction cannot become durable: once the log
+// is left it is unwound, its frames rolled back unless the instance is
+// dead (then the pins die with the pool).
+func (t *Txn) walPhase(kind wal.Kind, gtid int64, images bool) (lsn wal.LSN, err error) {
 	m, clk := t.m, &t.sess.Clk
 	// Only the final image of each touched page needs redo: the records
 	// carry full post-images, intermediate versions are overwritten at
@@ -597,62 +516,68 @@ func (t *Txn) logImages() (last wal.LSN, err error) {
 	// the log order. Deduplicating here cuts the dominant log volume
 	// (hot pages — index meta and leaf pages — are rewritten several
 	// times per transaction).
-	finalImage := make(map[pageKey]int, len(t.writes))
-	for i, w := range t.writes {
-		finalImage[pageKey{obj: w.tag.Object, page: w.page}] = i
+	var final map[pageKey]int
+	if images {
+		final = make(map[pageKey]int, len(t.writes))
+		for i, w := range t.writes {
+			final[pageKey{obj: w.tag.Object, page: w.page}] = i
+		}
 	}
-	m.walLock(clk)
+	m.log.Lock(clk)
+	last, err := t.logImages(final)
+	if err == nil {
+		lsn, err = t.decide(kind, gtid, images, last)
+	}
+	m.log.Unlock()
+	if err != nil {
+		t.unwind(!m.dead.Load())
+		return 0, err
+	}
+	return lsn, nil
+}
+
+// logImages appends the page images final selects (none for a nil
+// map), in transaction order; last is the LSN of the last one.
+func (t *Txn) logImages(final map[pageKey]int) (last wal.LSN, err error) {
 	for i, w := range t.writes {
-		if finalImage[pageKey{obj: w.tag.Object, page: w.page}] != i {
+		if j, ok := final[pageKey{obj: w.tag.Object, page: w.page}]; !ok || j != i {
 			continue
 		}
-		lsn, err := m.log.Append(clk, wal.Record{
+		last, err = t.m.log.Append(&t.sess.Clk, wal.Record{
 			Txn: t.id, Kind: w.kind, Obj: w.tag.Object, Page: w.page, Image: w.post,
 		})
 		if err != nil {
-			m.walUnlock()
-			t.unwind(true)
 			return 0, err
 		}
-		last = lsn
 	}
 	return last, nil
 }
 
-// decide is the commit decision point, entered holding the WAL phase
-// and leaving it on every path: under seqMu the crash-harness check and
-// the append of the decision record (kind, stamped with gtid) are
-// atomic, so the n-th commit is well-defined and nothing commits after
-// the simulated kill. A failure unwinds the transaction. With
-// flushImages the harness first forces the page images this call logged
-// (through last): the log then knows the transaction but recovery must
-// treat it as a loser.
+// decide is the commit decision point, inside walPhase: under seqMu the
+// crash-harness check and the append of the decision record are atomic,
+// so the n-th commit is well-defined and nothing commits after the
+// simulated kill. With flushImages the harness first forces the page
+// images this phase logged (through last): the log then knows the
+// transaction but recovery must treat it as a loser.
 func (t *Txn) decide(kind wal.Kind, gtid int64, flushImages bool, last wal.LSN) (wal.LSN, error) {
 	m, clk := t.m, &t.sess.Clk
 	commit := kind == wal.KindCommit
 	m.seqMu.Lock()
 	if m.dead.Load() {
 		// The instance died (crash harness) while this transaction was
-		// running: its decision record must not be appended. The locks are
-		// released so concurrent transactions can fail promptly rather
-		// than hang; the pool's volatile state dies with the instance.
+		// running: its decision record must not be appended.
 		m.seqMu.Unlock()
-		m.walUnlock()
-		t.unwind(false)
 		return 0, ErrCrashed
 	}
 	if commit && m.crashAtCommit != 0 && m.commits.Load()+1 >= m.crashAtCommit {
 		m.dead.Store(true)
 		m.seqMu.Unlock()
-		err := ErrCrashed
 		if flushImages {
-			if ferr := m.log.Flush(clk, last); ferr != nil {
-				err = ferr
+			if err := m.log.Flush(clk, last); err != nil {
+				return 0, err
 			}
 		}
-		m.walUnlock()
-		t.unwind(false)
-		return 0, err
+		return 0, ErrCrashed
 	}
 	lsn, err := m.log.Append(clk, wal.Record{Txn: t.id, Kind: kind, Page: gtid})
 	if err == nil && commit {
@@ -665,12 +590,7 @@ func (t *Txn) decide(kind wal.Kind, gtid int64, flushImages bool, last wal.LSN) 
 		m.inst.Pool.CommitVersions(t.id, int64(lsn), int64(m.log.CommitWatermark()), t.pageRefs())
 	}
 	m.seqMu.Unlock()
-	m.walUnlock()
-	if err != nil {
-		t.unwind(true)
-		return 0, err
-	}
-	return lsn, nil
+	return lsn, err
 }
 
 // releaseAndForce finishes a commit whose record is appended at lsn.
@@ -701,11 +621,11 @@ func (t *Txn) releaseAndForce(lsn wal.LSN) error {
 
 // unwind is every failure exit of the commit path once the WAL phase is
 // left: the transaction is over, its locks are released so concurrent
-// work proceeds (or fails promptly), and the drain-barrier hold ends.
-// restore also rolls the frames back to their pre-images, releasing the
-// pins, for a transaction whose log records are known not to be
-// complete; without it (the instance is dying, or a force failed) the
-// pins die with the pool.
+// work proceeds (or fails promptly rather than hangs), and the
+// drain-barrier hold ends. restore also rolls the frames back to their
+// pre-images, releasing the pins, for a transaction whose log records
+// are known not to be complete; without it (the instance is dying, or a
+// force failed) the pins die with the pool.
 func (t *Txn) unwind(restore bool) {
 	t.finished = true
 	if restore {
@@ -740,13 +660,9 @@ func (m *Manager) groupFlush(clk *simclock.Clock, lsn wal.LSN) error {
 		}
 		b.n++
 		m.gcMu.Unlock()
-		// A follower submits no I/O while the leader flushes: withdraw
-		// it from any closed scheduler population for the wait.
-		if park := m.parkFn(clk); park != nil {
-			park(true)
-			defer park(false)
-		}
+		clk.Park()
 		<-b.done
+		clk.Unpark()
 		clk.AdvanceTo(b.doneAt)
 		return b.err
 	}
@@ -763,9 +679,7 @@ func (m *Manager) groupFlush(clk *simclock.Clock, lsn wal.LSN) error {
 	maxLSN := b.maxLSN
 	m.gcMu.Unlock()
 	forceStart := clk.Now()
-	m.walLock(clk)
 	b.err = m.log.Flush(clk, maxLSN)
-	m.walUnlock()
 	b.doneAt = clk.Now()
 	m.gcBatches.Add(1)
 	m.gcTxns.Add(int64(b.n))

@@ -33,8 +33,15 @@ func newFixture(t *testing.T, poolPages int) *fixture {
 }
 
 // newFixtureOn builds the fixture over a caller-supplied database, so
-// the same transaction tests run against any storage backend.
+// the same transaction tests run against any storage backend. Its log
+// has small segments, so rollovers are part of every test.
 func newFixtureOn(t *testing.T, poolPages int, db *engine.Database) *fixture {
+	t.Helper()
+	return newFixtureWAL(t, poolPages, db, wal.Config{SegmentPages: 8})
+}
+
+// newFixtureWAL is newFixtureOn with the log's sizing given.
+func newFixtureWAL(t *testing.T, poolPages int, db *engine.Database, cfg wal.Config) *fixture {
 	t.Helper()
 	schema := catalog.NewSchema(
 		catalog.Column{Name: "id", Type: catalog.Int64},
@@ -44,7 +51,7 @@ func newFixtureOn(t *testing.T, poolPages int, db *engine.Database) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fixture{db: db, info: info, cfg: wal.Config{SegmentPages: 8}}
+	f := &fixture{db: db, info: info, cfg: cfg}
 	f.attach(t, poolPages, true)
 	return f
 }

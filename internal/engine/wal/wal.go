@@ -26,7 +26,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -203,7 +202,13 @@ type Stats struct {
 // Manager is the log manager: it owns the active segment buffer and the
 // durability horizon. All methods are safe for concurrent use.
 type Manager struct {
-	mu  sync.Mutex
+	// mu is held across log I/O (a force, a rollover), so a stream that
+	// waits for it is parked, and served in its turn: every method that
+	// has a clock takes it with Lock. owner is the clock Lock was given;
+	// a stream finds its own clock there only while it holds mu.
+	mu    simclock.Mutex
+	owner atomic.Pointer[simclock.Clock]
+
 	cfg Config
 	mgr *storagemgr.Manager
 
@@ -253,7 +258,7 @@ type Manager struct {
 // `wal.checkpoints`) and records `wal`/`flush` and `wal`/`checkpoint`
 // spans on the simulated timeline. A nil set detaches.
 func (m *Manager) Use(set *obs.Set) {
-	m.mu.Lock()
+	m.mu.Lock(nil)
 	defer m.mu.Unlock()
 	m.tracer = set.Trace()
 	reg := set.Registry()
@@ -374,7 +379,7 @@ func Exists(store pagestore.Backend, cfg Config) bool {
 func New(clk *simclock.Clock, mgr *storagemgr.Manager, cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	m := &Manager{cfg: cfg, mgr: mgr, nextLSN: 1,
-		segBuf: make([]byte, 0, cfg.segCapacity())}
+		segBuf: make([]byte, 0, cfg.segCapacity()), mu: simclock.NewMutex()}
 	m.nextTxn.Store(1)
 	if err := mgr.Store().Create(cfg.BaseObject); err != nil {
 		return nil, fmt.Errorf("wal: log already exists (recover it instead): %w", err)
@@ -394,20 +399,39 @@ func (m *Manager) writeMeta(clk *simclock.Clock) error {
 		encodeMeta(m.oldestSeg, m.activeSeg+1, m.checkpointLSN))
 }
 
-// NextTxnID allocates a transaction identifier. It is deliberately
-// lock-free: Begin must not queue behind a committer's log force (the
-// WAL mutex is held across it), both for latency and because a stream
-// blocked there cannot park itself for a closed scheduler population.
+// NextTxnID allocates a transaction identifier. The counter is atomic
+// because allocation needs nothing the log's lock guards: an ID costs
+// no wait behind a committer's force (Begin's record, appended next,
+// may — and parks for it like every other entry into the log).
 func (m *Manager) NextTxnID() int64 {
 	return m.nextTxn.Add(1) - 1
+}
+
+// Lock enters the log on behalf of clk's stream until Unlock; a
+// contended entry parks the stream. The stream's Append and Flush calls
+// in between run inside this one critical section instead of entering
+// themselves, so no other stream's record interleaves: the commit path
+// logs a transaction's page images and its decision record this way.
+// Lock does not nest.
+func (m *Manager) Lock(clk *simclock.Clock) {
+	m.mu.Lock(clk)
+	m.owner.Store(clk)
+}
+
+// Unlock leaves the critical section Lock entered.
+func (m *Manager) Unlock() {
+	m.owner.Store(nil)
+	m.mu.Unlock()
 }
 
 // Append buffers one record and returns its LSN. No log I/O happens
 // unless the record forces a segment rollover; durability comes from
 // Flush. The image is copied into the segment buffer.
 func (m *Manager) Append(clk *simclock.Clock, r Record) (LSN, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	if clk == nil || m.owner.Load() != clk {
+		m.Lock(clk)
+		defer m.Unlock()
+	}
 	r.LSN = m.nextLSN
 	size := recordSize(r)
 	if size > m.cfg.segCapacity() {
@@ -485,8 +509,10 @@ func (m *Manager) flushLocked(clk *simclock.Clock) error {
 // (the group-commit case); otherwise the flush is gated to at least one
 // GroupCommitWindow after the previous one and writes the segment tail.
 func (m *Manager) Flush(clk *simclock.Clock, lsn LSN) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	if clk == nil || m.owner.Load() != clk {
+		m.Lock(clk)
+		defer m.Unlock()
+	}
 	if lsn <= m.durableLSN {
 		clk.AdvanceTo(m.lastFlushDone)
 		return nil
@@ -517,12 +543,12 @@ func (m *Manager) Checkpoint(clk *simclock.Clock, pool *bufferpool.Pool) error {
 	if err := m.mgr.Sync(clk); err != nil {
 		return err
 	}
+	m.Lock(clk)
+	defer m.Unlock()
 	lsn, err := m.Append(clk, Record{Kind: KindCheckpoint})
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if err := m.flushLocked(clk); err != nil {
 		return err
 	}
@@ -548,8 +574,8 @@ func (m *Manager) Checkpoint(clk *simclock.Clock, pool *bufferpool.Pool) error {
 // Destroy deletes every WAL object (segments and metadata), TRIMming
 // their blocks. Experiments call it between runs that share a database.
 func (m *Manager) Destroy(clk *simclock.Clock) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.Lock(clk)
+	defer m.Unlock()
 	for seq := m.oldestSeg; seq <= m.activeSeg; seq++ {
 		if err := m.mgr.DeleteObject(clk, m.segObject(seq)); err != nil {
 			return err
@@ -560,7 +586,7 @@ func (m *Manager) Destroy(clk *simclock.Clock) error {
 
 // DurableLSN returns the durability horizon.
 func (m *Manager) DurableLSN() LSN {
-	m.mu.Lock()
+	m.mu.Lock(nil)
 	defer m.mu.Unlock()
 	return m.durableLSN
 }
@@ -587,7 +613,7 @@ func (m *Manager) CommitWatermark() LSN {
 
 // Stats returns a snapshot of the counters.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
+	m.mu.Lock(nil)
 	defer m.mu.Unlock()
 	s := m.stats
 	s.Segments = m.activeSeg - m.oldestSeg + 1
@@ -637,7 +663,7 @@ func Recover(clk *simclock.Clock, mgr *storagemgr.Manager, cfg Config) (*Manager
 	cfg = cfg.withDefaults()
 	start := clk.Now()
 	m := &Manager{cfg: cfg, mgr: mgr, nextLSN: 1,
-		segBuf: make([]byte, 0, cfg.segCapacity())}
+		segBuf: make([]byte, 0, cfg.segCapacity()), mu: simclock.NewMutex()}
 	m.nextTxn.Store(1)
 	meta, err := mgr.ReadPage(clk, logTag(cfg.BaseObject), 0)
 	if err != nil {
@@ -792,7 +818,7 @@ func hasInDoubt(m map[int64]inDoubt, id int64) bool {
 // InDoubt lists the prepared-but-undecided transactions Recover held
 // back, in ascending local-transaction order.
 func (m *Manager) InDoubt() []InDoubtTxn {
-	m.mu.Lock()
+	m.mu.Lock(nil)
 	out := make([]InDoubtTxn, 0, len(m.indoubt))
 	for id, d := range m.indoubt {
 		out = append(out, InDoubtTxn{Txn: id, GTID: d.gtid})
@@ -807,7 +833,7 @@ func (m *Manager) InDoubt() []InDoubtTxn {
 // carries decide records; recovering a participant log yields an empty
 // map.
 func (m *Manager) Decisions() map[int64]bool {
-	m.mu.Lock()
+	m.mu.Lock(nil)
 	defer m.mu.Unlock()
 	out := make(map[int64]bool, len(m.decisions))
 	for gtid, c := range m.decisions {
@@ -824,14 +850,13 @@ func (m *Manager) Decisions() map[int64]bool {
 // undo. Either way the outcome is forced durable before returning and
 // the transaction leaves the in-doubt set.
 func (m *Manager) ResolveInDoubt(clk *simclock.Clock, txnID int64, commit bool) error {
-	m.mu.Lock()
+	m.Lock(clk)
 	d, ok := m.indoubt[txnID]
+	delete(m.indoubt, txnID)
+	m.Unlock()
 	if !ok {
-		m.mu.Unlock()
 		return fmt.Errorf("wal: txn %d is not in doubt", txnID)
 	}
-	delete(m.indoubt, txnID)
-	m.mu.Unlock()
 	if commit {
 		for _, r := range d.records {
 			tag := policy.Tag{Object: r.Obj, Content: contentOf(r.Kind), Pattern: policy.Random, Update: true}

@@ -26,9 +26,10 @@ type Group struct {
 	registered map[*simclock.Clock]struct{}
 
 	// nRegistered mirrors len(registered) so the opportunistic submit
-	// path can skip g.mu entirely; blocked counts barrier-parked
-	// streams (incremented under g.mu when a registered stream submits,
-	// decremented from grant completions under scheduler locks).
+	// path can skip g.mu entirely; blocked counts the registered streams
+	// that cannot run: waiting on a barrier submission (incremented
+	// under g.mu when a registered stream submits, decremented from
+	// grant completions under scheduler locks) or parked (Park/Unpark).
 	nRegistered atomic.Int64
 	blocked     atomic.Int64
 
@@ -114,29 +115,23 @@ func (g *Group) Attach(dev *device.Device, seqClass dss.Class) *Scheduler {
 
 // Register enrolls a stream (identified by its session clock) into the
 // closed population. While any stream is registered, grants happen only
-// when every registered stream is blocked in the scheduler, which makes
-// priority order authoritative regardless of goroutine timing. Streams
-// must Unregister (typically via defer) when their workload ends.
+// when every registered stream is blocked — in Submit, or parked through
+// its clock — which makes priority order authoritative regardless of
+// goroutine timing. Streams must Unregister (typically via defer) when
+// their workload ends.
 func (g *Group) Register(clk *simclock.Clock) {
 	g.mu.Lock()
 	g.registered[clk] = struct{}{}
 	g.nRegistered.Store(int64(len(g.registered)))
 	g.mu.Unlock()
-}
-
-// Registered reports whether the stream is currently enrolled in the
-// closed population.
-func (g *Group) Registered(clk *simclock.Clock) bool {
-	g.mu.Lock()
-	_, ok := g.registered[clk]
-	g.mu.Unlock()
-	return ok
+	clk.SetPopulation(g)
 }
 
 // Unregister withdraws a stream from the closed population. The stream
-// must have no submission in flight. When the last stream leaves, any
-// queued work is drained.
+// must have no submission in flight and must not be parked. When the
+// last stream leaves, any queued work is drained.
 func (g *Group) Unregister(clk *simclock.Clock) {
+	clk.SetPopulation(nil)
 	g.mu.Lock()
 	delete(g.registered, clk)
 	g.nRegistered.Store(int64(len(g.registered)))
@@ -149,6 +144,22 @@ func (g *Group) Unregister(clk *simclock.Clock) {
 		g.drain(true)
 	}
 }
+
+// Park implements simclock.Population: a registered stream is about to
+// block outside the scheduler. It counts as blocked like a stream
+// waiting in Submit and stays registered — the last runnable stream
+// going to sleep is not the last stream leaving, so deferred background
+// work stays deferred.
+func (g *Group) Park() {
+	g.mu.Lock()
+	if g.blocked.Add(1) >= int64(len(g.registered)) {
+		g.dispatchLocked()
+	}
+	g.mu.Unlock()
+}
+
+// Unpark implements simclock.Population: the parked stream runs again.
+func (g *Group) Unpark() { g.blocked.Add(-1) }
 
 // Drain grants every queued request (background flushes included, budget
 // or not) in priority order. The storage manager calls it before

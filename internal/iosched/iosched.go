@@ -40,12 +40,16 @@
 //
 //   - Closed-population (barrier) mode: experiment streams register
 //     their session clocks with the Group. A pending request is granted
-//     only once every registered stream is blocked in the scheduler,
-//     which makes the grant order a faithful discrete-event simulation
-//     of the contending population: the highest-ranked request wins the
-//     device no matter which goroutine called first. Registered streams
-//     must perform their I/O independently (a stream must not block on
-//     a lock another registered stream holds across a submission).
+//     only once every registered stream is blocked, which makes the
+//     grant order a faithful discrete-event simulation of the contending
+//     population: the highest-ranked request wins the device no matter
+//     which goroutine called first. Blocked means waiting in Submit or
+//     parked: Register makes the Group the clock's simclock.Population,
+//     and a stream that waits outside the scheduler — on a page lock, a
+//     commit batch's leader, a mutex another stream holds across a
+//     submission — says so through its clock (Clock.Park/Unpark, or a
+//     simclock.Mutex for a lock), stays registered and counts as blocked.
+//     A registered stream must never sleep uncounted.
 //   - Opportunistic mode (nothing registered): the first submitter
 //     becomes the dispatcher and drains the queue in priority order,
 //     yielding the CPU between grants so concurrently arriving requests

@@ -309,3 +309,58 @@ func TestBackgroundWriteAbsorption(t *testing.T) {
 		t.Fatalf("device wrote %d blocks, want 2 after absorption", got)
 	}
 }
+
+// A parked stream has not left. Two registered streams share a device
+// with a deferred destage backlog and no write-back credit. One stream
+// parks and the other submits: everybody is blocked, so the foreground
+// read is dispatched — and the backlog stays queued, apart from the one
+// batch a dispatch event lets onto a device with no foreground waiting.
+// The same holds when the second stream parks too: the last runnable
+// stream going to sleep is not the last stream leaving (parking by
+// Unregister made it look that way and force-granted the whole backlog).
+// Only when both really leave does everything drain.
+func TestParkedStreamHasNotLeft(t *testing.T) {
+	const backlog = 10
+	g, s, dev := newTestSched(Config{BackgroundShare: 0.2, Readahead: -1})
+	dev.Access(0, device.Write, 0, 64) // a busy device defers background arriving at t=0
+	var a, b simclock.Clock
+	g.Register(&a)
+	g.Register(&b)
+	for i := 0; i < backlog; i++ {
+		s.SubmitBackground(0, device.Write, 500000+1000*int64(i), 1, dss.ClassWriteBuffer, dss.DefaultTenant)
+	}
+	if q := s.queued.Load(); q != backlog {
+		t.Fatalf("backlog not deferred: %d of %d queued", q, backlog)
+	}
+
+	a.Park()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Submit(0, device.Read, 100, 1, dss.Class(2), dss.DefaultTenant, &b)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("foreground not dispatched with the other stream parked")
+	}
+	if q := s.queued.Load(); q < backlog-1 {
+		t.Fatalf("one stream parked, one served: %d of %d background requests left queued", q, backlog)
+	}
+
+	b.Park()
+	if q, st := s.queued.Load(), s.Stats(); q < backlog-2 || st.BackgroundGrants > 2 || st.BudgetGrants != 0 {
+		t.Fatalf("both streams parked: %d of %d background requests left queued, stats %+v", q, backlog, st)
+	}
+	a.Unpark()
+	b.Unpark()
+
+	g.Unregister(&a)
+	if q := s.queued.Load(); q < backlog-2 {
+		t.Fatalf("one stream left, one runnable: %d of %d background requests left queued", q, backlog)
+	}
+	g.Unregister(&b)
+	if q, w := s.queued.Load(), dev.Stats().BlocksWrite; q != 0 || w != 64+backlog {
+		t.Fatalf("last stream left: %d still queued, %d blocks written (want 0, %d)", q, w, 64+backlog)
+	}
+}

@@ -31,8 +31,9 @@ type WorkersResult struct {
 // gets its own routed session (all per-shard clocks started at startAt)
 // and performs txnsPerWorker unit transfers between uniformly random
 // accounts, a `xshard` fraction of them deliberately cross-shard. The
-// workers' traffic dispatches opportunistically (no closed scheduler
-// population — a worker blocked on a page lock must not stall the
+// workers' traffic dispatches opportunistically: no closed scheduler
+// population, because BENCH_shards.json and BENCH_lsm.json were produced
+// that way (a worker blocked on a page lock would park, not stall the
 // barrier). Deadlock losses retry transparently; the first other error
 // stops the run.
 func (a *Accounts) RunWorkers(workers, txnsPerWorker int, xshard float64, seed int64, startAt time.Duration) (WorkersResult, error) {

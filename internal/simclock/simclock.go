@@ -24,12 +24,86 @@ import (
 type Duration = time.Duration
 
 // Clock is a monotonically advancing virtual clock for one request stream.
-// The zero value is a clock at time zero, ready to use.
+// The zero value is a clock at time zero, ready to use. A Clock is also
+// the stream's identity, and the handle the stream waits through (Park).
 type Clock struct {
 	mu  sync.Mutex
 	now Duration
 	id  int64
+	pop Population
 }
+
+// Population is a closed set of streams that makes progress only once
+// every member is blocked (iosched.Group dispatches that way): it has to
+// be told when a member blocks where it cannot see, or it waits for that
+// member forever.
+type Population interface {
+	// Park counts one member as blocked; it stays a member.
+	Park()
+	// Unpark takes back one Park.
+	Unpark()
+}
+
+// SetPopulation makes the stream a member of p (nil: of none). A
+// population calls it when the stream enrolls and leaves.
+func (c *Clock) SetPopulation(p Population) {
+	c.mu.Lock()
+	c.pop = p
+	c.mu.Unlock()
+}
+
+func (c *Clock) population() Population {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pop
+}
+
+// Park tells the stream's population that the stream is about to block
+// on something other than the population's own queues — a page lock, a
+// commit batch's leader — and Unpark that it runs again. Every such
+// wait of an engine stream is bracketed by the pair, or is a Mutex.
+// Both cost nothing for a stream in no population, or for a nil clock.
+func (c *Clock) Park() {
+	if p := c.population(); p != nil {
+		p.Park()
+	}
+}
+
+// Unpark ends the wait Park announced.
+func (c *Clock) Unpark() {
+	if p := c.population(); p != nil {
+		p.Unpark()
+	}
+}
+
+// Mutex is a mutual-exclusion lock for streams, for anything a stream
+// may hold across a device submission: a stream asleep in a sync.Mutex
+// is not counted as blocked, so the holder's I/O would never be
+// dispatched. A contended Lock parks the stream, and waiters get the
+// lock in arrival order — sync.Mutex lets a running goroutine barge
+// past a woken waiter, and a stream that keeps winning runs ahead of
+// the others in real time, which shows in the simulated results.
+type Mutex struct{ slot chan struct{} }
+
+// NewMutex returns an unlocked Mutex.
+func NewMutex() Mutex { return Mutex{slot: make(chan struct{}, 1)} }
+
+// Lock takes the lock on behalf of c's stream (nil: of no stream).
+func (m Mutex) Lock(c *Clock) {
+	select {
+	case m.slot <- struct{}{}:
+	default:
+		c.Park()
+		m.slot <- struct{}{}
+		c.Unpark()
+	}
+}
+
+// Unlock releases the lock to the longest waiter.
+func (m Mutex) Unlock() { <-m.slot }
 
 // SetID assigns the stream identity used as the trace track for
 // requests submitted on this clock. Sessions number their clocks

@@ -166,3 +166,87 @@ func TestClockConcurrent(t *testing.T) {
 		t.Fatalf("lost advances: %v", c.Now())
 	}
 }
+
+// countingPop records Park/Unpark calls the way a closed population
+// counts blocked members.
+type countingPop struct {
+	mu            sync.Mutex
+	parked, parks int
+	onPark        func()
+}
+
+func (p *countingPop) Park() {
+	p.mu.Lock()
+	p.parked++
+	p.parks++
+	f := p.onPark
+	p.mu.Unlock()
+	if f != nil {
+		f()
+	}
+}
+
+func (p *countingPop) Unpark() {
+	p.mu.Lock()
+	p.parked--
+	p.mu.Unlock()
+}
+
+func (p *countingPop) counts() (parked, parks int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.parked, p.parks
+}
+
+// A stream in no population parks for free; a member's Park and Unpark
+// reach its population, until it leaves.
+func TestParkReachesThePopulation(t *testing.T) {
+	var c Clock
+	c.Park() // no population: nothing to tell
+	c.Unpark()
+	pop := &countingPop{}
+	c.SetPopulation(pop)
+	c.Park()
+	if parked, _ := pop.counts(); parked != 1 {
+		t.Fatalf("parked = %d after Park, want 1", parked)
+	}
+	c.Unpark()
+	c.SetPopulation(nil)
+	c.Park()
+	if parked, parks := pop.counts(); parked != 0 || parks != 1 {
+		t.Fatalf("parked = %d, parks = %d after leaving; want 0, 1", parked, parks)
+	}
+}
+
+// A Mutex parks the stream exactly when the lock is contended, for
+// exactly as long as it waits.
+func TestMutexParksOnlyWhenContended(t *testing.T) {
+	var c Clock
+	mu := NewMutex()
+	waiting := make(chan struct{})
+	pop := &countingPop{onPark: func() { close(waiting) }}
+	c.SetPopulation(pop)
+
+	mu.Lock(&c)
+	if _, parks := pop.counts(); parks != 0 {
+		t.Fatalf("uncontended Lock parked %d times", parks)
+	}
+	// Still held: the second Lock has to wait, parked.
+	got := make(chan struct{})
+	go func() {
+		mu.Lock(&c)
+		close(got)
+	}()
+	<-waiting
+	if parked, _ := pop.counts(); parked != 1 {
+		t.Fatalf("parked = %d while waiting for the lock, want 1", parked)
+	}
+	mu.Unlock()
+	<-got
+	if parked, parks := pop.counts(); parked != 0 || parks != 1 {
+		t.Fatalf("parked = %d, parks = %d once the lock was taken; want 0, 1", parked, parks)
+	}
+	mu.Unlock()
+	mu.Lock(nil) // no stream: a plain wait
+	mu.Unlock()
+}

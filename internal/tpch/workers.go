@@ -55,12 +55,14 @@ func oltpFootprint(ds *Dataset) policy.QueryInfo {
 // random-access footprint with the Rule 5 concurrency registry for the
 // duration of its run. Workers retry deadlock losses transparently; the
 // first non-retryable error stops the run. The workers' device traffic
-// is dispatched opportunistically (they must not join a closed scheduler
-// population, since a worker blocked on a page lock would stall the
-// barrier). The optional trailing tenants attribute each worker's
-// traffic to a tenant (worker i gets tenants[i]; extra workers stay on
-// dss.DefaultTenant), which is how the tenants experiment measures
-// per-tenant commit throughput under weighted fair sharing.
+// is dispatched opportunistically: they are not enrolled in a closed
+// scheduler population because the committed BENCH files of the
+// experiments built on them were produced that way (a worker blocked on
+// a page lock would park, not stall the barrier). The optional trailing
+// tenants attribute each worker's traffic to a tenant (worker i gets
+// tenants[i]; extra workers stay on dss.DefaultTenant), which is how the
+// tenants experiment measures per-tenant commit throughput under
+// weighted fair sharing.
 func (ds *Dataset) RunOLTPWorkers(tm *txn.Manager, inst *engine.Instance, workers, txnsPerWorker int, seed int64, startAt time.Duration, tenants ...dss.TenantID) (WorkersResult, error) {
 	if workers < 1 {
 		workers = 1
