@@ -272,7 +272,11 @@ func (c *core) evicted(at time.Duration, m *blockMeta, destageClass dss.Class) {
 func (c *core) Stats() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.base.snapshot(c.cached)
+	s := c.base.snapshot(c.cached)
+	if p, ok := c.pol.(*priorityPolicy); ok {
+		s.GroupBlocks = p.groupBlocks()
+	}
+	return s
 }
 
 // ResetStats implements System.

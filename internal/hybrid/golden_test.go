@@ -23,8 +23,12 @@ import (
 // adjacency, so any change to allocation order, destage order or the
 // position of a background submission shows up here.
 //
-// The files were generated before the four System implementations were
-// folded into one core. A missing file is written and the test fails, so
+// Nine of the files were generated before the four System implementations
+// were folded into one core and have not changed since. The three arms of
+// the priority policy that have a write buffer (hstorage-db, its _async
+// twin and hstorage-db_noshares) were regenerated when a flush stopped
+// demoting what it flushes to RandHigh; hstorage-db_b0, which never
+// flushes, was not. A missing file is written and the test fails, so
 // deleting a file and running the test once regenerates it.
 
 const (
@@ -173,9 +177,12 @@ func goldenRun(t *testing.T, cfg Config, reqs []dss.Request) string {
 
 	s := sys.Stats()
 	per := s.PerClass
-	s.PerClass = nil
+	s.PerClass, s.GroupBlocks = nil, nil
 	type fields Snapshot // without the Stringer, so every counter prints
-	fmt.Fprintf(&b, "snapshot: %+v\n", fields(s))
+	// GroupBlocks is younger than the files and holds no counter (list
+	// lengths, which prioritycache_test.go reads): its empty field is cut
+	// so the line keeps the format the files were written in.
+	b.WriteString(strings.Replace(fmt.Sprintf("snapshot: %+v\n", fields(s)), " GroupBlocks:map[]", "", 1))
 	classes := make([]int, 0, len(per))
 	for c := range per {
 		classes = append(classes, int(c))

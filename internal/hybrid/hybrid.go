@@ -11,7 +11,7 @@ package hybrid
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"hstoragedb/internal/device"
@@ -137,6 +137,11 @@ type Snapshot struct {
 	Mode         Mode
 	PerClass     map[dss.Class]ClassStats
 	CachedBlocks int
+	// GroupBlocks is the occupancy of every list of the priority cache —
+	// the priority groups 1..N, the write buffer and the log group — read
+	// from the list lengths when the snapshot is taken; nil in the other
+	// modes. It sums to CachedBlocks.
+	GroupBlocks map[dss.Class]int
 
 	Hits        int64
 	Misses      int64
@@ -172,21 +177,33 @@ func (s Snapshot) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: cached=%d hits=%d misses=%d (%.1f%%) evict=%d trim=%d\n",
 		s.Mode, s.CachedBlocks, s.Hits, s.Misses, 100*s.HitRatio(), s.Evictions, s.Trimmed)
-	classes := make([]int, 0, len(s.PerClass))
-	for c := range s.PerClass {
-		classes = append(classes, int(c))
+	if s.GroupBlocks != nil {
+		b.WriteString("  groups:")
+		for _, g := range sortedClasses(s.GroupBlocks) {
+			fmt.Fprintf(&b, " %s=%d", g, s.GroupBlocks[g])
+		}
+		b.WriteByte('\n')
 	}
-	sort.Ints(classes)
-	for _, c := range classes {
-		cs := s.PerClass[dss.Class(c)]
+	for _, c := range sortedClasses(s.PerClass) {
+		cs := s.PerClass[c]
 		ratio := 0.0
 		if cs.AccessedBlocks > 0 {
 			ratio = float64(cs.Hits) / float64(cs.AccessedBlocks)
 		}
 		fmt.Fprintf(&b, "  %-12s req=%-10d blocks=%-10d hits=%-10d ratio=%.1f%%\n",
-			dss.Class(c), cs.Requests, cs.AccessedBlocks, cs.Hits, 100*ratio)
+			c, cs.Requests, cs.AccessedBlocks, cs.Hits, 100*ratio)
 	}
 	return b.String()
+}
+
+// sortedClasses returns the keys of a per-class map in ascending order.
+func sortedClasses[V any](m map[dss.Class]V) []dss.Class {
+	classes := make([]dss.Class, 0, len(m))
+	for c := range m {
+		classes = append(classes, c)
+	}
+	slices.Sort(classes)
+	return classes
 }
 
 // System is a storage configuration under test: a classified-request

@@ -73,6 +73,17 @@ func newPriorityPolicy(c *core, cfg Config) *priorityPolicy {
 
 func (p *priorityPolicy) group(g int) *lruList { return &p.groups[g-logGroup] }
 
+// groupBlocks reports the occupancy of every group for a Snapshot.
+func (p *priorityPolicy) groupBlocks() map[dss.Class]int {
+	m := make(map[dss.Class]int, len(p.groups)-1)
+	for i := range p.groups {
+		if c := dss.Class(i + logGroup); c != dss.ClassNone {
+			m[c] = p.groups[i].len()
+		}
+	}
+	return m
+}
+
 // bypassRun fast-paths a multi-block sequential-class read whose range is
 // entirely uncached: the whole run bypasses the cache as one scheduler
 // submission instead of per-block traffic, which keeps the HDD's LBA run
@@ -178,10 +189,17 @@ func (p *priorityPolicy) place(at time.Duration, req dss.Request, lbn int64) (ou
 }
 
 // flushWriteBuffer writes every dirty write-buffer block to the HDD in
-// the background and releases the write-buffer budget. The flushed blocks
-// stay in cache — clean, demoted to the lowest caching priority — so
-// re-reads of recently updated data still hit; they are simply first in
-// line for eviction.
+// the background and releases the write-buffer budget. A flush changes a
+// block's dirty bit and its pin and nothing else about its standing.
+// Rule 4 (Section 4.2.4) ranks an update above every priority while it is
+// buffered and is silent about afterwards; we let the flushed blocks stay
+// in cache, clean, at RandLow — the top priority Rule 2 gives regular data
+// — in write-recency order: the last request that named the block carried
+// the one policy that outranks every priority, no later request has said
+// otherwise, and Action 5 re-allocation corrects the standing the moment
+// one does. Demoting them to RandHigh would make the pages a transaction
+// just wrote the first victims of selective eviction, ahead of every
+// read-once block (PERFORMANCE_STATUS.md, "Rule 4 on trial").
 func (p *priorityPolicy) flushWriteBuffer(at time.Duration) {
 	g := p.group(wbGroup)
 	type destage struct {
@@ -195,7 +213,7 @@ func (p *priorityPolicy) flushWriteBuffer(at time.Duration) {
 			dirty = append(dirty, destage{meta.lbn, meta.tenant})
 			meta.dirty = false
 		}
-		p.moveGroup(meta, p.space.RandHigh)
+		p.moveGroup(meta, p.space.RandLow)
 	}
 	// Destage in LBA order: an elevator pass turns the buffer's random
 	// update footprint into near-sequential HDD runs the scheduler can

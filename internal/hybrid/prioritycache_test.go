@@ -194,6 +194,92 @@ func TestWriteBufferFlush(t *testing.T) {
 	}
 }
 
+// order lists group g's blocks from its MRU to its LRU end.
+func (c *priorityPolicy) order(g int) []int64 {
+	var lbns []int64
+	l := c.group(g)
+	for b := l.root.next; b != &l.root; b = b.next {
+		lbns = append(lbns, b.lbn)
+	}
+	return lbns
+}
+
+// TestFlushKeepsTopRegularPriority: a flush clears the dirty bit and the
+// pin and nothing else. Whatever a block was before it was updated — read
+// at class 4, or write-allocated into the buffer and never read — it
+// leaves the buffer for RandLow in the order it was written, not for the
+// group eviction empties first.
+func TestFlushKeepsTopRegularPriority(t *testing.T) {
+	space := dss.DefaultPolicySpace()
+	c := newTestCache(t, 100) // b = 10 blocks
+	c.Submit(0, read(4, 0, 3))
+	writes := []int64{2, 101, 1, 102, 103, 104, 105, 106, 107, 108, 0}
+	for _, lbn := range writes {
+		c.Submit(0, write(dss.ClassWriteBuffer, lbn, 1))
+	}
+	s := c.Stats()
+	if s.WBFlushes != 1 || s.Reallocs != 0 {
+		t.Fatalf("flushes=%d reallocs=%d, want 1/0", s.WBFlushes, s.Reallocs)
+	}
+	// Every group is listed, and the cache holds nothing but the flushed
+	// blocks: all of them are in RandLow.
+	if len(s.GroupBlocks) != space.N+2 || s.CachedBlocks != len(writes) || s.GroupBlocks[dss.Class(space.RandLow)] != len(writes) {
+		t.Fatalf("%d blocks cached in %d groups %v, want %d priorities, the buffer and the log with all %d blocks in RandLow",
+			s.CachedBlocks, len(s.GroupBlocks), s.GroupBlocks, space.N, len(writes))
+	}
+	got := c.order(space.RandLow)
+	if len(got) != len(writes) {
+		t.Fatalf("RandLow holds %v, want the %d flushed blocks", got, len(writes))
+	}
+	for i, lbn := range got {
+		if want := writes[len(writes)-1-i]; lbn != want {
+			t.Fatalf("RandLow from its MRU end holds %v, want the reverse of the write order %v", got, writes)
+		}
+		if c.table[lbn].dirty {
+			t.Fatalf("flushed block %d is still dirty", lbn)
+		}
+	}
+	c.checkInvariants(t)
+}
+
+// TestFlushedBlocksOutliveLowPriorityReads: under eviction pressure from
+// class-6 admissions every flushed block stays while group 6 turns over
+// completely, and a later read at class 5 is an ordinary re-allocation.
+func TestFlushedBlocksOutliveLowPriorityReads(t *testing.T) {
+	c := newTestCache(t, 40) // b = 4 blocks
+	c.Submit(0, read(4, 0, 1))
+	flushed := []int64{0, 101, 102, 103, 104}
+	for _, lbn := range flushed {
+		c.Submit(0, write(dss.ClassWriteBuffer, lbn, 1))
+	}
+	if s := c.Stats(); s.WBFlushes != 1 {
+		t.Fatalf("setup: %d flushes, want 1", s.WBFlushes)
+	}
+	c.Submit(0, read(6, 200, 35)) // fills the cache
+	c.Submit(0, read(6, 300, 70)) // turns group 6 over twice
+	s := c.Stats()
+	if s.Evictions != 70 || s.GroupBlocks[6] != 35 {
+		t.Fatalf("evictions=%d groups=%v, want 70 evictions, all of them from group 6", s.Evictions, s.GroupBlocks)
+	}
+	for lbn := int64(200); lbn < 235; lbn++ {
+		if c.table[lbn] != nil {
+			t.Fatalf("class-6 block %d outlived the pressure", lbn)
+		}
+	}
+	for _, lbn := range flushed {
+		if c.table[lbn] == nil {
+			t.Fatalf("flushed block %d was evicted ahead of read-once class-6 blocks", lbn)
+		}
+	}
+	c.checkInvariants(t)
+
+	c.Submit(0, read(5, 0, 1))
+	if s := c.Stats(); c.table[0].class != 5 || s.Reallocs != 1 || s.GroupBlocks[5] != 1 {
+		t.Fatalf("class-5 read left block 0 in group %d after %d re-allocations, want group 5 and 1", c.table[0].class, s.Reallocs)
+	}
+	c.checkInvariants(t)
+}
+
 func TestWriteBufferWinsOverAnyPriority(t *testing.T) {
 	c := newTestCache(t, 40)
 	c.Submit(0, read(2, 0, 40)) // fill with the highest random priority
