@@ -23,6 +23,10 @@ const (
 	allocate
 	// bypass: the block moves between the OS and the HDD directly.
 	bypass
+	// prefetched: a clean resident block the HDD scheduler's readahead
+	// has already streamed; it is served from that buffer with no device
+	// access, or from its SSD slot if the buffer let it go meanwhile.
+	prefetched
 	// through, added to hit or allocate, also copies the write to the
 	// HDD in the background, so the cached block never owes a write-back.
 	through outcome = 1 << 4
@@ -34,7 +38,8 @@ const (
 // slots come from insert/allocSlot, and victims leave through evicted.
 type placement interface {
 	// place decides one block of a data request and returns the block's
-	// SSD slot unless the outcome is bypass.
+	// SSD slot unless the outcome is bypass (prefetched returns it as
+	// the fallback copy).
 	place(at time.Duration, req dss.Request, lbn int64) (outcome, int64)
 	// bypassRun reports whether a multi-block request skips the cache
 	// as a whole, to be served as one HDD submission.
@@ -190,7 +195,7 @@ func (c *core) block(at time.Duration, req dss.Request, lbn int64) (time.Duratio
 	out, pbn := c.pol.place(at, req, lbn)
 	wasHit := out&^through == hit
 	switch {
-	case out == bypass:
+	case out == bypass, out == prefetched:
 		c.base.snap.Bypasses++
 	case !wasHit && req.Op == device.Read:
 		c.base.snap.ReadAllocs++
@@ -199,8 +204,14 @@ func (c *core) block(at time.Duration, req dss.Request, lbn int64) (time.Duratio
 	}
 	c.mu.Unlock()
 
-	if out == bypass {
+	switch out {
+	case bypass:
 		return submitDev(c.hddS, at, req, req.Op, lbn, 1), false
+	case prefetched:
+		if ready, ok := c.hddS.Buffered(lbn); ok {
+			return max(at, ready), false
+		}
+		return submitDev(c.ssdS, at, req, req.Op, pbn, 1), false
 	}
 	if !wasHit && req.Op == device.Read {
 		return c.fill(at, req, lbn, pbn), false

@@ -91,7 +91,8 @@ func (p *priorityPolicy) groupBlocks() map[dss.Class]int {
 // page-at-a-time (the scheduler's own LBA coalescing covers that shape);
 // this path serves multi-block submissions from library users driving
 // dss.Storage directly. Any cached block leaves the request to the
-// per-block path.
+// per-block path, where place picks the copy that serves each cached
+// block — HDD head, readahead buffer or SSD slot.
 func (p *priorityPolicy) bypassRun(req dss.Request) bool {
 	if req.Op != device.Read || req.Class != p.space.Sequential() {
 		return false
@@ -104,6 +105,19 @@ func (p *priorityPolicy) bypassRun(req dss.Request) bool {
 	return true
 }
 
+// streamed reports whether the HDD scheduler's readahead buffer holds lbn.
+func (p *priorityPolicy) streamed(lbn int64) bool {
+	_, ok := p.hddS.Buffered(lbn)
+	return ok
+}
+
+// place decides one block (see placement). A sequential-class read of a
+// clean cached block — Rule 1's scan meeting blocks someone else's random
+// reads cached — is served by whichever copy costs nothing extra: the HDD
+// when its head stands at the block, the HDD scheduler's readahead buffer
+// when it already holds it, and only otherwise the SSD slot. Neither
+// case touches the layout, as no scan hit does. A dirty block is always
+// read from the SSD, which holds its only fresh copy.
 func (p *priorityPolicy) place(at time.Duration, req dss.Request, lbn int64) (outcome, int64) {
 	class, write := req.Class, req.Op == device.Write
 	// The two pinned classes are only meaningful on writes. Rule 4
@@ -115,6 +129,7 @@ func (p *priorityPolicy) place(at time.Duration, req dss.Request, lbn int64) (ou
 	buffered := write && class == dss.ClassWriteBuffer
 	logged := write && class == dss.ClassLog
 	meta := p.table[lbn]
+	cleanScan := meta != nil && !write && class == p.space.Sequential() && !meta.dirty
 	out := hit
 	switch {
 	case buffered && p.wbLimit <= 0:
@@ -126,6 +141,16 @@ func (p *priorityPolicy) place(at time.Duration, req dss.Request, lbn int64) (ou
 			p.drop(meta)
 		}
 		return bypass, 0
+
+	case cleanScan && p.hdd.HeadLBA() == lbn:
+		// A clean block's HDD copy is as good as its SSD copy, and this
+		// read continues the run the head just finished: a transfer with
+		// no positioning, which the scheduler reads ahead from like any
+		// scan miss. An SSD page read would cost more and cut the HDD run.
+		return bypass, 0
+
+	case cleanScan && p.streamed(lbn):
+		return prefetched, meta.pbn
 
 	case meta != nil:
 		// Action 1: cache hit, possibly followed by re-allocation.

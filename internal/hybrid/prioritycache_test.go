@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -478,6 +479,120 @@ func TestScanAndCompactionHitsLeaveLayoutAlone(t *testing.T) {
 	}
 	if s := c.Stats(); s.Reallocs != 0 || s.Hits != 3 {
 		t.Fatalf("reallocs=%d hits=%d, want 0/3", s.Reallocs, s.Hits)
+	}
+}
+
+// TestScanReadsTheFreeCopy: a sequential read of a cached block is served
+// by whichever copy costs nothing extra — the HDD when its head stands at
+// the block (and the grant reads ahead like any scan miss), the HDD's
+// readahead buffer when it holds the block (no device access, and the
+// entry stays) — and from the SSD when the block is dirty or neither
+// holds. No row moves the block within or between groups.
+func TestScanReadsTheFreeCopy(t *testing.T) {
+	seq := dss.DefaultPolicySpace().Sequential()
+	const lbn = 100
+	for _, tc := range []struct {
+		name  string
+		setup []dss.Request
+		// Where the setup leaves the HDD: its head at the block, its
+		// readahead buffer holding it.
+		atHead, buffered bool
+		// Deltas of the scan read: SSD reads, HDD blocks read, HDD blocks
+		// read ahead, hits, bypasses.
+		ssd, hdd, prefetch, hits, bypasses int64
+	}{
+		{name: "clean at the HDD head", // class 3 reads put the head at lbn
+			setup:  []dss.Request{read(3, lbn, 3), read(3, lbn-1, 1)},
+			atHead: true,
+			hdd:    33, prefetch: 32, bypasses: 1},
+		{name: "clean in the readahead buffer", // the scan miss of lbn-1 reads ahead over lbn
+			setup:    []dss.Request{read(3, lbn, 3), read(seq, lbn-1, 1)},
+			buffered: true,
+			bypasses: 1},
+		{name: "dirty in the buffer", // the HDD's buffered copy is stale
+			setup:    []dss.Request{read(seq, lbn-1, 1), write(dss.ClassWriteBuffer, lbn, 1)},
+			buffered: true,
+			ssd:      1, hits: 1},
+		{name: "dirty at the HDD head",
+			setup:  []dss.Request{write(dss.ClassWriteBuffer, lbn, 1), read(3, lbn-1, 1)},
+			atHead: true,
+			ssd:    1, hits: 1},
+		{name: "clean, neither at the head nor buffered", // the head stands at lbn+3
+			setup: []dss.Request{read(3, lbn, 3)},
+			ssd:   1, hits: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCache(t, 100)
+			for _, req := range tc.setup {
+				c.Submit(0, req)
+			}
+			meta := c.table[lbn]
+			if meta == nil {
+				t.Fatal("setup left the block uncached")
+			}
+			group, order, dirty := meta.class, c.order(meta.class), meta.dirty
+			ready, buffered := c.hddS.Buffered(lbn)
+			if atHead := c.HDD().HeadLBA() == lbn; atHead != tc.atHead || buffered != tc.buffered {
+				t.Fatalf("setup: block at the head %v, buffered %v, want %v and %v", atHead, buffered, tc.atHead, tc.buffered)
+			}
+			s0, ssd0, hdd0, pf0 := c.Stats(), c.SSD().Stats(), c.HDD().Stats(), c.hddS.Stats()
+
+			done := c.Submit(0, read(seq, lbn, 1))
+
+			s1, ssd1, hdd1, pf1 := c.Stats(), c.SSD().Stats(), c.HDD().Stats(), c.hddS.Stats()
+			got := [5]int64{ssd1.Reads - ssd0.Reads, hdd1.BlocksRead - hdd0.BlocksRead,
+				pf1.PrefetchBlocks - pf0.PrefetchBlocks, s1.Hits - s0.Hits, s1.Bypasses - s0.Bypasses}
+			if want := [5]int64{tc.ssd, tc.hdd, tc.prefetch, tc.hits, tc.bypasses}; got != want {
+				t.Fatalf("SSD reads, HDD blocks, prefetched, hits, bypasses = %v, want %v", got, want)
+			}
+			if buffered {
+				// Whoever serves it, the look leaves the entry in place; the
+				// buffer serves it at its ready time.
+				if _, still := c.hddS.Buffered(lbn); !still {
+					t.Fatal("the scan read consumed the buffer entry")
+				}
+				if fromBuffer := tc.ssd == 0; fromBuffer && done != ready {
+					t.Fatalf("buffered block completed at %v, want the buffer's ready time %v", done, ready)
+				}
+			}
+			if meta.class != group || meta.dirty != dirty || !reflect.DeepEqual(c.order(group), order) {
+				t.Fatalf("scan moved the block: group %d -> %d, order %v -> %v", group, meta.class, order, c.order(group))
+			}
+			c.checkInvariants(t)
+		})
+	}
+}
+
+// TestClassBlindScanHitsStayOnTheSSD: LRU and ARC cannot tell a scan
+// from a lookup, so a cached block is a hit served by the SSD even when
+// the HDD's readahead buffer or its head holds it.
+func TestClassBlindScanHitsStayOnTheSSD(t *testing.T) {
+	seq := dss.DefaultPolicySpace().Sequential()
+	for _, mode := range []Mode{LRU, ARC} {
+		sys, err := New(Config{Mode: mode, CacheBlocks: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := sys.(*core)
+		scanHitsTheSSD := func(lbn int64) {
+			t.Helper()
+			hits, ssd, hdd := c.Stats().Hits, c.SSD().Stats().Reads, c.HDD().Stats().BlocksRead
+			c.Submit(0, read(seq, lbn, 1))
+			if c.Stats().Hits != hits+1 || c.SSD().Stats().Reads != ssd+1 || c.HDD().Stats().BlocksRead != hdd {
+				t.Fatalf("%v: scan read of cached block %d was not an SSD hit", mode, lbn)
+			}
+		}
+		c.Submit(0, read(3, 100, 3))
+		c.Submit(0, read(seq, 99, 1)) // admitted too, and read ahead over 100..
+		if _, ok := c.hddS.Buffered(100); !ok {
+			t.Fatalf("%v: setup left block 100 unbuffered", mode)
+		}
+		scanHitsTheSSD(100)
+		c.Submit(0, read(3, 98, 1))
+		if h := c.HDD().HeadLBA(); h != 99 {
+			t.Fatalf("%v: setup left the head at %d, want 99", mode, h)
+		}
+		scanHitsTheSSD(99)
 	}
 }
 

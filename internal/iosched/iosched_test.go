@@ -159,6 +159,43 @@ func TestReadahead(t *testing.T) {
 	}
 }
 
+// Buffered reports a prefetched block and its ready time without
+// consuming it: the entry is still there for Submit, which then serves it
+// (and only then counts a prefetch hit) without touching the device.
+func TestBufferedLeavesTheEntry(t *testing.T) {
+	g, s, dev := newTestSched(Config{Readahead: 8})
+	if _, ok := s.Buffered(101); ok {
+		t.Fatal("empty buffer reports block 101")
+	}
+	first := enqueue(g, s, 0, device.Read, 100, 1, seqClass)
+	drain(g)
+	for i := 0; i < 2; i++ {
+		ready, ok := s.Buffered(101)
+		if !ok || ready != first.completion {
+			t.Fatalf("look %d: Buffered(101) = %v, %v, want %v, true", i, ready, ok, first.completion)
+		}
+	}
+	if _, ok := s.Buffered(100); ok {
+		t.Fatal("the demanded block itself is reported buffered")
+	}
+	if _, ok := s.Buffered(109); ok {
+		t.Fatal("a block past the readahead window is reported buffered")
+	}
+	if st := s.Stats(); st.PrefetchHits != 0 {
+		t.Fatalf("Buffered counted %d prefetch hits", st.PrefetchHits)
+	}
+	reads := dev.Stats().Reads
+	if got := s.Submit(first.completion, device.Read, 101, 1, seqClass, dss.DefaultTenant, nil); got != first.completion {
+		t.Fatalf("read after Buffered completed at %v, want %v", got, first.completion)
+	}
+	if dev.Stats().Reads != reads || s.Stats().PrefetchHits != 1 {
+		t.Fatalf("read after Buffered: %d device reads, %d prefetch hits, want %d and 1", dev.Stats().Reads, s.Stats().PrefetchHits, reads)
+	}
+	if _, ok := s.Buffered(101); ok {
+		t.Fatal("a block Submit consumed is still reported buffered")
+	}
+}
+
 // A write through the scheduler invalidates overlapping prefetched
 // blocks, so a later read pays for the fresh copy.
 func TestWriteInvalidatesReadahead(t *testing.T) {

@@ -13,6 +13,19 @@ import (
 // physically meaningless and must not be prefetched.
 const NoReadahead = dss.Class(-1 << 30)
 
+// Buffered reports whether the readahead buffer holds lba and, if so, the
+// virtual time its prefetching grant completes. It is read-only: the
+// entry stays for whoever reads the block through Submit next, and
+// Stats().PrefetchHits does not count the look. The hybrid cache asks it
+// before serving a clean cached block of a scan from the SSD, since a copy
+// the HDD has already streamed costs nothing more.
+func (s *Scheduler) Buffered(lba int64) (ready time.Duration, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ready, ok = s.ra[lba]
+	return ready, ok
+}
+
 // insertRALocked adds one block to the prefetch buffer, evicting the
 // oldest entries beyond capacity. Caller holds s.mu.
 func (s *Scheduler) insertRALocked(lba int64, ready time.Duration) {
