@@ -23,6 +23,7 @@ var auditedPackages = []string{
 	"internal/dss",
 	"internal/hybrid",
 	"internal/iosched",
+	"internal/engine/heap",
 	"internal/engine/lockmgr",
 	"internal/engine/policy",
 	"internal/engine/txn",

@@ -9,6 +9,12 @@
 // 0xFFFF marks a deleted slot. Readers address slots in the page frame
 // (walk the length headers, decode the one tuple wanted); writers build a
 // new page image and Put it — frames are never written into.
+//
+// Tables grow by appenders. Bulk loads and refresh batches open fresh
+// pages past the end (NewAppender); a transaction inserting a few rows
+// resumes the last page instead (NewTailAppender), copying its used
+// bytes into a new image, so a table's size follows its row bytes, not
+// the number of transactions that inserted them.
 package heap
 
 import (
@@ -54,6 +60,7 @@ type Appender struct {
 	page    int64
 	buf     []byte
 	count   uint16
+	base    uint16 // slots the page already held when the appender resumed it
 	started bool
 	rows    int64
 }
@@ -64,9 +71,50 @@ func (f *File) NewAppender(clk *simclock.Clock, pool *bufferpool.Pool, startPage
 	return &Appender{f: f, pool: pool, clk: clk, page: startPage}
 }
 
+// NewTailAppender is NewAppender resuming the last of the file's `pages`
+// pages instead of opening page `pages`, so a table grows by the bytes
+// of its rows rather than by a page per appender. It reads page pages-1
+// through the pool with a random tag — under a transaction that is a
+// shared page lock, which the page's later Put upgrades, as in Update —
+// and seeds the appender with the page's used bytes and slot count:
+// slot numbers, tombstones included, are kept. The resumed page is
+// written only if it gains a row; a row that does not fit moves on to
+// page `pages` exactly as NewAppender's would. An empty file (pages ==
+// 0) starts at page 0. On a table shared between transactions the
+// caller holds the object's append lock (txn.Txn.LockAppend) until the
+// transaction finishes, as for any appender; the tail page is then an
+// ordinary page update under strict two-phase locking.
+func (f *File) NewTailAppender(clk *simclock.Clock, pool *bufferpool.Pool, pages int64) (*Appender, error) {
+	a := f.NewAppender(clk, pool, pages)
+	if pages == 0 {
+		return a, nil
+	}
+	tag := policy.Tag{Object: f.Object, Content: f.Content, Pattern: policy.Random}
+	data, err := pool.Get(clk, tag, pages-1)
+	if err != nil {
+		return nil, err
+	}
+	c, err := openPage(data)
+	if err != nil {
+		return nil, err
+	}
+	for c.next < c.n {
+		if _, _, err := c.advance(); err != nil {
+			return nil, err
+		}
+	}
+	a.page = pages - 1
+	a.buf = append(make([]byte, 0, pagestore.PageSize), data[:c.off]...)
+	a.count = uint16(c.n)
+	a.base = a.count
+	a.started = true
+	return a, nil
+}
+
 func (a *Appender) reset() {
 	a.buf = make([]byte, pageHeader, pagestore.PageSize)
 	a.count = 0
+	a.base = 0
 	a.started = true
 }
 
@@ -98,18 +146,21 @@ func (a *Appender) Append(t catalog.Tuple) (catalog.RID, error) {
 	return rid, nil
 }
 
-// flushPage writes the current page through the buffer pool and extends
-// the file's logical size, so a later appender starts past this page even
-// while it is still only pool-resident (otherwise two appends between
-// write-backs would hand out the same RIDs twice).
+// flushPage writes the current page through the buffer pool, if it
+// gained a row, and extends the file's logical size, so a later appender
+// starts past this page even while it is still only pool-resident
+// (otherwise two appends between write-backs would hand out the same RIDs
+// twice). Then it moves on to a fresh page.
 func (a *Appender) flushPage() error {
-	binary.LittleEndian.PutUint16(a.buf[:2], a.count)
-	tag := policy.Tag{Object: a.f.Object, Content: a.f.Content}
-	if err := a.pool.Put(a.clk, tag, a.page, a.buf); err != nil {
-		return err
-	}
-	if err := a.pool.Manager().Store().Extend(a.f.Object, a.page+1); err != nil {
-		return err
+	if a.count > a.base {
+		binary.LittleEndian.PutUint16(a.buf[:2], a.count)
+		tag := policy.Tag{Object: a.f.Object, Content: a.f.Content}
+		if err := a.pool.Put(a.clk, tag, a.page, a.buf); err != nil {
+			return err
+		}
+		if err := a.pool.Manager().Store().Extend(a.f.Object, a.page+1); err != nil {
+			return err
+		}
 	}
 	a.page++
 	a.reset()
@@ -119,7 +170,7 @@ func (a *Appender) flushPage() error {
 // Close flushes the final partial page. Rows reports how many tuples were
 // appended; Pages how many pages the file now spans.
 func (a *Appender) Close() error {
-	if a.started && a.count > 0 {
+	if a.started && a.count > a.base {
 		return a.flushPage()
 	}
 	return nil

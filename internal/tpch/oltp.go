@@ -245,7 +245,9 @@ func (o *OLTP) runPaymentTxn(tm *txn.Manager, sess *engine.Session) error {
 }
 
 // newOrder appends the generated order + lineitems and maintains the
-// indexes. Heap rows are appended (and their pages made visible) before
+// indexes. The rows go onto the tables' last pages while those have
+// room, so orders and lineitem grow by their row bytes, not by a page per
+// order. Heap rows are appended (and their pages made visible) before
 // any index entry referencing them is inserted, so a concurrent probe
 // never dereferences a page that does not exist yet.
 func (o *OLTP) newOrder(sess *engine.Session, tx *txn.Txn, key int64, order catalog.Tuple, lines []catalog.Tuple) error {
@@ -253,8 +255,9 @@ func (o *OLTP) newOrder(sess *engine.Session, tx *txn.Txn, key int64, order cata
 
 	if tx != nil {
 		tx.Op(wal.KindHeapInsert)
-		// Appenders claim their start page from the file's logical size,
-		// so concurrent appenders must serialize on the append lock.
+		// Appenders claim their page from the file's logical size and
+		// resume its last page, so concurrent appenders must serialize on
+		// the append lock, held until the transaction finishes.
 		if err := tx.LockAppend(o.ordersInfo.ID); err != nil {
 			return err
 		}
@@ -262,7 +265,10 @@ func (o *OLTP) newOrder(sess *engine.Session, tx *txn.Txn, key int64, order cata
 			return err
 		}
 	}
-	ordersApp := o.ordersFile.NewAppender(&sess.Clk, inst.Pool, o.ds.DB.Store.Pages(o.ordersInfo.ID))
+	ordersApp, err := o.ordersFile.NewTailAppender(&sess.Clk, inst.Pool, o.ds.DB.Store.Pages(o.ordersInfo.ID))
+	if err != nil {
+		return err
+	}
 	rid, err := ordersApp.Append(order)
 	if err != nil {
 		return err
@@ -270,7 +276,10 @@ func (o *OLTP) newOrder(sess *engine.Session, tx *txn.Txn, key int64, order cata
 	if err := ordersApp.Close(); err != nil {
 		return err
 	}
-	lineApp := o.lineFile.NewAppender(&sess.Clk, inst.Pool, o.ds.DB.Store.Pages(o.lineInfo.ID))
+	lineApp, err := o.lineFile.NewTailAppender(&sess.Clk, inst.Pool, o.ds.DB.Store.Pages(o.lineInfo.ID))
+	if err != nil {
+		return err
+	}
 	lrids := make([]catalog.RID, len(lines))
 	for i, l := range lines {
 		if lrids[i], err = lineApp.Append(l); err != nil {

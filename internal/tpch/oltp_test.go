@@ -6,8 +6,11 @@ import (
 
 	"hstoragedb/internal/dss"
 	"hstoragedb/internal/engine"
+	"hstoragedb/internal/engine/catalog"
+	"hstoragedb/internal/engine/heap"
 	"hstoragedb/internal/engine/policy"
 	"hstoragedb/internal/hybrid"
+	"hstoragedb/internal/pagestore"
 )
 
 func TestOLTPRuns(t *testing.T) {
@@ -39,6 +42,62 @@ func TestOLTPRuns(t *testing.T) {
 	snap := inst.Sys.Stats()
 	if snap.Class(dss.ClassWriteBuffer).WriteBlocks == 0 {
 		t.Error("updates did not reach the write buffer")
+	}
+}
+
+// TestOLTPSpaceFollowsRows bounds what the transactional mix costs in
+// space: over 3,000 operations, orders and lineitem together grow by at
+// most the encoded bytes of the rows NewOrder inserted over 8 KB, plus
+// two pages — each table's last page part-filled. Every other new page
+// is full to within one row, which this seed's 1,298 NewOrders meet with
+// 0.4 page to spare (73 pages for 584,687 bytes). While NewOrder opened a
+// fresh page per order and table, they grew by about two pages per
+// NewOrder.
+func TestOLTPSpaceFollowsRows(t *testing.T) {
+	r := newTxnRig(t)
+	store := r.ds.DB.Store
+	tables := []*catalog.TableInfo{r.ds.DB.Cat.MustTable("orders"), r.ds.DB.Cat.MustTable("lineitem")}
+	var grown int64
+	for _, ti := range tables {
+		grown -= store.Pages(ti.ID)
+	}
+	first := r.ds.OrderKeyHorizon()
+	o := r.ds.NewOLTP(3)
+	for i := 0; i < 15; i++ {
+		if err := o.RunTxn(r.tm, r.sess, 200); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.tm.Checkpoint(r.sess); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rowBytes int64
+	for _, ti := range tables {
+		pages := store.Pages(ti.ID)
+		grown += pages
+		sc := heap.NewFile(ti.ID, ti.Schema, policy.Table).NewScanner(&r.sess.Clk, r.inst.Pool, pages)
+		for {
+			row, _, ok, err := sc.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if row[0].I < first { // o_orderkey, l_orderkey
+				continue
+			}
+			enc, err := catalog.EncodeTuple(nil, ti.Schema, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rowBytes += 2 + int64(len(enc)) // slot header + tuple
+		}
+	}
+	limit := float64(rowBytes)/pagestore.PageSize + 2
+	t.Logf("%d NewOrders inserted %d row bytes; orders+lineitem grew %d pages (limit %.2f)", o.NewOrders, rowBytes, grown, limit)
+	if o.NewOrders < 1000 || float64(grown) > limit {
+		t.Fatalf("%d NewOrders grew orders+lineitem by %d pages, limit %.2f", o.NewOrders, grown, limit)
 	}
 }
 
