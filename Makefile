@@ -18,9 +18,10 @@ race:
 # Layer microbenchmarks — the wall-clock path: the scheduler hot path
 # (pick and grant across queue depths, the full opportunistic submit
 # path, and the same path from 1, 2 and 4 CPUs), heap
-# fetch/scan/update, B-tree lookup/seek and the executor's row path
+# fetch/scan/update, B-tree lookup/seek, the executor's row path
 # (scan-filter-aggregate, hash-join probe, nested loop, spill round
-# trip). -benchmem backs the allocs/op claims; repeated -count samples
+# trip) and the log's page-change encoding per 8 KB page (wal).
+# -benchmem backs the allocs/op claims; repeated -count samples
 # make the output benchstat-ready:
 #
 #   make bench BENCH_OUT=old.txt
@@ -28,7 +29,7 @@ race:
 #   make bench BENCH_OUT=new.txt
 #   benchstat old.txt new.txt
 bench:
-	{ $(GO) test ./internal/iosched ./internal/engine/heap ./internal/engine/btree ./internal/engine/exec \
+	{ $(GO) test ./internal/iosched ./internal/engine/heap ./internal/engine/btree ./internal/engine/exec ./internal/engine/wal \
 		-run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
 	  $(GO) test ./internal/iosched \
 		-run '^$$' -bench SubmitParallel -cpu 1,2,4 -benchmem -count $(BENCH_COUNT); } | tee $(BENCH_OUT)

@@ -17,7 +17,7 @@
 //     indexes of Table 3, all 22 queries, RF1/RF2, power and throughput
 //     test drivers,
 //   - the OLTP extension of Section 8: a write-ahead log whose segment
-//     I/O carries a pinned highest-priority log class (write-through,
+//     I/O carries a pinned highest-priority log class (kept on the SSD,
 //     non-evictable), Begin/Commit/Abort transaction sessions with group
 //     commit, checkpoints, crash injection and redo-only recovery,
 //   - experiment drivers that regenerate every figure and table of
@@ -202,8 +202,9 @@ type (
 func RequestTypes() []RequestType { return policy.RequestTypes() }
 
 // ClassLog is the pinned highest-priority class carried by write-ahead
-// log traffic (Section 8's OLTP extension): served write-through from the
-// cache device and never evicted, only TRIMmed at checkpoint truncation.
+// log traffic (Section 8's OLTP extension): kept on the cache device and
+// never evicted or written to the HDD, only TRIMmed at checkpoint
+// truncation. Its durability assumes the cache device survives a crash.
 const ClassLog = dss.ClassLog
 
 // Transactions and durability: the OLTP extension of Section 8. A

@@ -41,9 +41,13 @@ const (
 	// log traffic (the OLTP extension of Section 8). Log writes are the
 	// most latency-critical requests a DBMS issues: a transaction cannot
 	// commit before its log records are durable. A classification-aware
-	// storage system serves them write-through from the cache device and
-	// never evicts them; log blocks leave the cache only through TRIM when
-	// a checkpoint truncates the log.
+	// storage system completes them on the cache device and never evicts
+	// them: log blocks stay there, dirty, until the TRIM that a
+	// checkpoint's log truncation issues drops them, so the HDD never
+	// receives a copy of the log. A commit is therefore durable only if
+	// the cache device and its block mapping survive a crash, as a
+	// write-back flash cache with persistent metadata does; Rule 4's
+	// write buffer assumes the same of the dirty blocks it holds.
 	ClassLog Class = -2
 
 	// ClassCompaction is the band carried by storage-backend maintenance

@@ -30,16 +30,16 @@
 // The design matches the WAL's redo-only recovery contract:
 //
 //   - While a mutating transaction runs, its per-transaction capture set
-//     records, for every page it installs, the pre-image (for abort) and
-//     the post-image (for the WAL), and pins the frame on the
+//     records, for every page it installs, the first-touch pre-image (for
+//     abort) and the latest post-image, and pins the frame on the
 //     transaction's behalf: the no-steal policy that guarantees
 //     uncommitted pages never reach the storage system.
-//   - Commit appends one LSN-stamped page record per captured write plus
-//     a commit record, releases the locks, then joins a commit batch:
-//     concurrent committers share a single log force (their commit
-//     records amortize one flush), and a commit covered by the group
-//     window pays only the wait. Only after the force are the frames
-//     unpinned for lazy write-back.
+//   - Commit hands the log both images of every touched page — the log
+//     records the bytes that changed — plus a commit record, releases the
+//     locks, then joins a commit batch: concurrent committers share a
+//     single log force (their commit records amortize one flush), and a
+//     commit covered by the group window pays only the wait. Only after
+//     the force are the frames unpinned for lazy write-back.
 //   - Abort restores the pre-images in reverse order; nothing needs
 //     undoing on disk because nothing uncommitted ever got there.
 //   - Checkpoints take a drain barrier: new transactions are held at
@@ -240,20 +240,16 @@ type pageKey struct {
 	page int64
 }
 
-// pageWrite is one captured page install, in transaction order.
-type pageWrite struct {
-	tag  policy.Tag
-	page int64
-	kind wal.Kind
-	post []byte
-}
-
-// preimage is the first-touch state of a page, for abort.
+// preimage is one page the transaction wrote: its first-touch state, for
+// abort and as the base the log encodes the page's change against, and
+// its latest image with the record kind that wrote it, for the log.
 type preimage struct {
 	obj      pagestore.ObjectID
 	page     int64
 	pre      []byte // nil: the page had no frame before this transaction
 	preDirty bool
+	kind     wal.Kind
+	post     []byte
 }
 
 // Txn is one transaction. A mutating transaction is bound to its
@@ -266,8 +262,7 @@ type Txn struct {
 	id       int64
 	readOnly bool
 	op       wal.Kind
-	writes   []pageWrite
-	touched  map[pageKey]struct{}
+	touched  map[pageKey]int // index into pres
 	pres     []preimage
 	finished bool
 
@@ -302,7 +297,7 @@ func (m *Manager) Begin(sess *engine.Session) (*Txn, error) {
 		sess:    sess,
 		id:      m.log.NextTxnID(),
 		op:      wal.KindHeapUpdate,
-		touched: make(map[pageKey]struct{}),
+		touched: make(map[pageKey]int),
 	}
 	if _, err := m.log.Append(&sess.Clk, wal.Record{Txn: t.id, Kind: wal.KindBegin}); err != nil {
 		m.gate.RUnlock()
@@ -392,14 +387,14 @@ func (t *Txn) capture(tag policy.Tag, page int64, pre []byte, preDirty bool, pos
 		return false
 	}
 	k := pageKey{obj: tag.Object, page: page}
-	pin := false
-	if _, ok := t.touched[k]; !ok {
-		t.touched[k] = struct{}{}
+	i, seen := t.touched[k]
+	if !seen {
+		i = len(t.pres)
+		t.touched[k] = i
 		t.pres = append(t.pres, preimage{obj: k.obj, page: page, pre: pre, preDirty: preDirty})
-		pin = true
 	}
-	t.writes = append(t.writes, pageWrite{tag: tag, page: page, kind: t.op, post: post})
-	return pin
+	t.pres[i].kind, t.pres[i].post = t.op, post
+	return !seen
 }
 
 // Commit, Prepare and CommitPrepared compose the same steps — walPhase
@@ -499,32 +494,21 @@ func (t *Txn) CommitPrepared() error {
 	return t.releaseAndForce(lsn)
 }
 
-// walPhase is the commit path's one critical section of the log: the
-// final image of every page the transaction wrote (with images;
-// CommitPrepared's were logged by Prepare), then the decision record of
-// the given kind stamped with gtid, no other stream's record in between.
-// The phase is the log's own lock: a contended entry parks the stream.
-// A failure means the transaction cannot become durable: once the log
-// is left it is unwound, its frames rolled back unless the instance is
-// dead (then the pins die with the pool).
+// walPhase is the commit path's one critical section of the log: one
+// record per page the transaction wrote (with images; CommitPrepared's
+// were logged by Prepare), then the decision record of the given kind
+// stamped with gtid, no other stream's record in between. The phase is
+// the log's own lock: a contended entry parks the stream. A failure
+// means the transaction cannot become durable: once the log is left it
+// is unwound, its frames rolled back unless the instance is dead (then
+// the pins die with the pool).
 func (t *Txn) walPhase(kind wal.Kind, gtid int64, images bool) (lsn wal.LSN, err error) {
 	m, clk := t.m, &t.sess.Clk
-	// Only the final image of each touched page needs redo: the records
-	// carry full post-images, intermediate versions are overwritten at
-	// replay anyway, and the page locks are held until after the commit
-	// record, so the per-page version order across transactions matches
-	// the log order. Deduplicating here cuts the dominant log volume
-	// (hot pages — index meta and leaf pages — are rewritten several
-	// times per transaction).
-	var final map[pageKey]int
-	if images {
-		final = make(map[pageKey]int, len(t.writes))
-		for i, w := range t.writes {
-			final[pageKey{obj: w.tag.Object, page: w.page}] = i
-		}
-	}
 	m.log.Lock(clk)
-	last, err := t.logImages(final)
+	var last wal.LSN
+	if images {
+		last, err = t.logImages()
+	}
 	if err == nil {
 		lsn, err = t.decide(kind, gtid, images, last)
 	}
@@ -536,15 +520,16 @@ func (t *Txn) walPhase(kind wal.Kind, gtid int64, images bool) (lsn wal.LSN, err
 	return lsn, nil
 }
 
-// logImages appends the page images final selects (none for a nil
-// map), in transaction order; last is the LSN of the last one.
-func (t *Txn) logImages(final map[pageKey]int) (last wal.LSN, err error) {
-	for i, w := range t.writes {
-		if j, ok := final[pageKey{obj: w.tag.Object, page: w.page}]; !ok || j != i {
-			continue
-		}
+// logImages appends one record per touched page, in first-touch order:
+// its final image against its first-touch image, which the log encodes
+// as the bytes that changed. Intermediate images need no record, because
+// the page locks are held until after the decision record, so a page's
+// versions across transactions follow the log order. last is the LSN of
+// the last record.
+func (t *Txn) logImages() (last wal.LSN, err error) {
+	for _, p := range t.pres {
 		last, err = t.m.log.Append(&t.sess.Clk, wal.Record{
-			Txn: t.id, Kind: w.kind, Obj: w.tag.Object, Page: w.page, Image: w.post,
+			Txn: t.id, Kind: p.kind, Obj: p.obj, Page: p.page, Image: p.post, Pre: p.pre,
 		})
 		if err != nil {
 			return 0, err

@@ -8,13 +8,24 @@
 // every log page write reaches the storage system tagged policy.Log and
 // classified dss.ClassLog, the pinned highest-priority class.
 //
-// Recovery is ARIES-style redo-only under a no-steal buffer pool: each
-// data-page record carries the full post-image of the page it modified
-// (the "physical redo" of PostgreSQL's full-page writes), so replaying
-// the records of committed transactions in LSN order is idempotent no
-// matter which pages reached the disk before the crash, and uncommitted
-// transactions need no undo because their pages were pinned in memory
-// and died with it.
+// Recovery is ARIES-style redo-only under a no-steal buffer pool, with no
+// page LSNs. A data-page record carries what its transaction changed: the
+// page's new length and the byte runs of its final image that differ, at
+// the same offset, from the image the transaction first touched (redo.go
+// has the encoding). Runs only overwrite. Under strict two-phase page
+// locking a page's first-touch image is the previous committed version,
+// so take a page's committed records since the last checkpoint and replay
+// them in LSN order onto any committed version of the page since that
+// checkpoint: the result is the final image. For each byte, the last
+// record that wrote it carries its final value, and a byte no record
+// wrote is the same in every version. That is the idempotence condition,
+// and it holds no matter which versions reached the disk before the
+// crash. It assumes a page write is atomic: a torn page is no committed
+// version. Redo therefore reads each page's base from the store, unless
+// the page's first record is a whole image (a page the transaction
+// created, or one whose runs would be no smaller than the image).
+// Uncommitted transactions need no undo: their pages were pinned in
+// memory and died with it.
 //
 // Commit durability uses a group-commit window on the committing
 // session's simulated clock: flushes are spaced at least one window
@@ -55,15 +66,15 @@ const (
 	// KindAbort records a rolled-back transaction (advisory: a
 	// transaction without a commit record is never redone).
 	KindAbort Kind = 3
-	// KindHeapInsert records a heap page post-image after an insert.
+	// KindHeapInsert records the redo of a heap page after an insert.
 	KindHeapInsert Kind = 4
-	// KindHeapUpdate records a heap page post-image after an update.
+	// KindHeapUpdate records the redo of a heap page after an update.
 	KindHeapUpdate Kind = 5
-	// KindHeapDelete records a heap page post-image after a delete.
+	// KindHeapDelete records the redo of a heap page after a delete.
 	KindHeapDelete Kind = 6
-	// KindIndexInsert records an index page post-image after an insert.
+	// KindIndexInsert records the redo of an index page after an insert.
 	KindIndexInsert Kind = 7
-	// KindIndexDelete records an index page post-image after a delete.
+	// KindIndexDelete records the redo of an index page after a delete.
 	KindIndexDelete Kind = 8
 	// KindCheckpoint marks a fuzzy checkpoint: every committed effect
 	// below this LSN is on disk, so earlier segments can be truncated.
@@ -123,7 +134,7 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// PageRecord reports whether the kind carries a page post-image.
+// PageRecord reports whether the kind carries a page redo.
 func (k Kind) PageRecord() bool { return k >= KindHeapInsert && k <= KindIndexDelete }
 
 // contentOf maps a page-record kind to the content type of the page it
@@ -135,8 +146,11 @@ func contentOf(k Kind) policy.ContentType {
 	return policy.Table
 }
 
-// Record is one log record. Page records carry the full post-image of the
-// page they modified.
+// Record is one log record. A page record handed to Append carries the
+// page's final image in Image and the image the transaction first touched
+// in Pre (nil: the page had none, or the caller has only the final
+// image); the log stores the redo of one against the other. A page record
+// read back from the log carries that redo in Image.
 type Record struct {
 	LSN   LSN
 	Txn   int64
@@ -144,6 +158,7 @@ type Record struct {
 	Obj   pagestore.ObjectID
 	Page  int64
 	Image []byte
+	Pre   []byte
 }
 
 // Config sizes the log.
@@ -213,6 +228,7 @@ type Manager struct {
 	mgr *storagemgr.Manager
 
 	segBuf     []byte // active segment content, [0, segLen)
+	scratch    []byte // the page record Append is encoding
 	segLen     int
 	flushedLen int   // bytes durable in the active segment
 	activeSeg  int64 // sequence number of the active segment
@@ -426,13 +442,18 @@ func (m *Manager) Unlock() {
 
 // Append buffers one record and returns its LSN. No log I/O happens
 // unless the record forces a segment rollover; durability comes from
-// Flush. The image is copied into the segment buffer.
+// Flush. A page record is encoded as the redo of Image against Pre; the
+// images are not retained.
 func (m *Manager) Append(clk *simclock.Clock, r Record) (LSN, error) {
 	if clk == nil || m.owner.Load() != clk {
 		m.Lock(clk)
 		defer m.Unlock()
 	}
 	r.LSN = m.nextLSN
+	if r.Kind.PageRecord() {
+		m.scratch = appendRedo(m.scratch[:0], r.Pre, r.Image)
+		r.Image = m.scratch
+	}
 	size := recordSize(r)
 	if size > m.cfg.segCapacity() {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds segment capacity", size)
@@ -632,7 +653,9 @@ type RecoveryStats struct {
 	// InDoubtTxns counts prepared-but-undecided transactions: their page
 	// records are retained, not replayed, until ResolveInDoubt settles
 	// them against the coordinator's decision log.
-	InDoubtTxns  int
+	InDoubtTxns int
+	// PagesApplied counts the pages redo wrote, each once however many
+	// records it replayed onto it.
 	PagesApplied int
 	Elapsed      time.Duration
 }
@@ -772,18 +795,17 @@ func Recover(clk *simclock.Clock, mgr *storagemgr.Manager, cfg Config) (*Manager
 	// snapshots may begin at the newest recovered commit immediately.
 	m.watermark.Store(int64(maxCommit))
 
-	// Redo in LSN order: committed page images past the last checkpoint
-	// only — the checkpoint flushed everything older, and each record
-	// carries the full post-image, so replay is idempotent.
+	// Redo the committed page records past the last checkpoint only: the
+	// checkpoint flushed everything older, so the store holds a committed
+	// version of every page since it.
+	var redos []Record
 	for _, r := range records {
-		if !r.Kind.PageRecord() || !committed[r.Txn] || r.LSN <= m.checkpointLSN {
-			continue
+		if r.Kind.PageRecord() && committed[r.Txn] && r.LSN > m.checkpointLSN {
+			redos = append(redos, r)
 		}
-		tag := policy.Tag{Object: r.Obj, Content: contentOf(r.Kind), Pattern: policy.Random, Update: true}
-		if err := mgr.WritePage(clk, tag, r.Page, r.Image); err != nil {
-			return nil, nil, err
-		}
-		stats.PagesApplied++
+	}
+	if stats.PagesApplied, err = redo(clk, mgr, redos); err != nil {
+		return nil, nil, err
 	}
 	// Count transactions with activity past the checkpoint: the ones
 	// recovery actually decided about. Coordinator decision records are
@@ -858,11 +880,8 @@ func (m *Manager) ResolveInDoubt(clk *simclock.Clock, txnID int64, commit bool) 
 		return fmt.Errorf("wal: txn %d is not in doubt", txnID)
 	}
 	if commit {
-		for _, r := range d.records {
-			tag := policy.Tag{Object: r.Obj, Content: contentOf(r.Kind), Pattern: policy.Random, Update: true}
-			if err := m.mgr.WritePage(clk, tag, r.Page, r.Image); err != nil {
-				return err
-			}
+		if _, err := redo(clk, m.mgr, d.records); err != nil {
+			return err
 		}
 	}
 	kind := KindAbort

@@ -16,7 +16,7 @@ import (
 
 // testMgr builds a bare storage manager over a fresh store and an
 // HDD-only storage system.
-func testMgr(t *testing.T, store *pagestore.Store) *storagemgr.Manager {
+func testMgr(t testing.TB, store *pagestore.Store) *storagemgr.Manager {
 	t.Helper()
 	sys, err := hybrid.New(hybrid.Config{Mode: hybrid.HDDOnly})
 	if err != nil {

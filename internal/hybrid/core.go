@@ -12,7 +12,11 @@ import (
 // outcome is a placement policy's answer for one block, in the vocabulary
 // of the paper's cache actions (Section 5.1). Re-allocation and eviction
 // happen inside the policy while it decides; what is left for the core is
-// which device traffic the block causes.
+// the block's own device traffic: at most one access, plus the slot fill
+// of a read allocation. A cached write only marks the block dirty. Its
+// HDD copy is written when the block is evicted or its group flushed, or
+// never, when TRIM drops it first, as log truncation does with every log
+// block.
 type outcome uint8
 
 const (
@@ -27,9 +31,6 @@ const (
 	// has already streamed; it is served from that buffer with no device
 	// access, or from its SSD slot if the buffer let it go meanwhile.
 	prefetched
-	// through, added to hit or allocate, also copies the write to the
-	// HDD in the background, so the cached block never owes a write-back.
-	through outcome = 1 << 4
 )
 
 // placement is the seam between the shared storage shell and a cache
@@ -193,7 +194,7 @@ func (c *core) record(req dss.Request, hits int64) {
 func (c *core) block(at time.Duration, req dss.Request, lbn int64) (time.Duration, bool) {
 	c.mu.Lock()
 	out, pbn := c.pol.place(at, req, lbn)
-	wasHit := out&^through == hit
+	wasHit := out == hit
 	switch {
 	case out == bypass, out == prefetched:
 		c.base.snap.Bypasses++
@@ -215,9 +216,6 @@ func (c *core) block(at time.Duration, req dss.Request, lbn int64) (time.Duratio
 	}
 	if !wasHit && req.Op == device.Read {
 		return c.fill(at, req, lbn, pbn), false
-	}
-	if out&through != 0 {
-		c.hddS.SubmitBackground(at, device.Write, lbn, 1, req.Class, req.Tenant)
 	}
 	return submitDev(c.ssdS, at, req, req.Op, pbn, 1), wasHit
 }

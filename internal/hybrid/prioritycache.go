@@ -13,8 +13,8 @@ import (
 // the priority groups 1..N, and two pinned groups outside the ladder that
 // selective eviction never considers. wbGroup is the write buffer of
 // Rule 4, emptied by flushes; logGroup holds write-ahead-log blocks,
-// which leave the cache only through TRIM when a checkpoint truncates the
-// log.
+// dirty, which leave the cache only through TRIM when a checkpoint
+// truncates the log, and so are never written to the HDD.
 const (
 	wbGroup  = int(dss.ClassWriteBuffer)
 	logGroup = int(dss.ClassLog)
@@ -117,15 +117,18 @@ func (p *priorityPolicy) streamed(lbn int64) bool {
 // when its head stands at the block, the HDD scheduler's readahead buffer
 // when it already holds it, and only otherwise the SSD slot. Neither
 // case touches the layout, as no scan hit does. A dirty block is always
-// read from the SSD, which holds its only fresh copy.
+// read from the SSD, which holds its only fresh copy — as every log block
+// does: a log write is a dirty block in the log group and nothing more.
 func (p *priorityPolicy) place(at time.Duration, req dss.Request, lbn int64) (outcome, int64) {
 	class, write := req.Class, req.Op == device.Write
 	// The two pinned classes are only meaningful on writes. Rule 4
 	// updates win cache space over any other priority, bounded by the
 	// write-buffer budget b. Log writes are placed in the non-evictable
-	// log group and written through: the commit-critical completion time
-	// is the SSD write while the HDD copy is destaged in the background,
-	// so neither eviction nor TRIM ever owes the block a write-back.
+	// log group, dirty, and stay there until the checkpoint that
+	// truncates the log TRIMs them: the commit-critical completion time
+	// is the SSD write, and the HDD never receives a copy of a log block,
+	// which is durable because the cache device is (dss.ClassLog). A
+	// rewritten log tail costs one SSD write, not an HDD positioning.
 	buffered := write && class == dss.ClassWriteBuffer
 	logged := write && class == dss.ClassLog
 	meta := p.table[lbn]
@@ -164,7 +167,7 @@ func (p *priorityPolicy) place(at time.Duration, req dss.Request, lbn int64) (ou
 			p.reallocate(meta, class)
 		}
 		if write {
-			meta.dirty = !logged
+			meta.dirty = true
 		}
 
 	case buffered || logged:
@@ -180,14 +183,16 @@ func (p *priorityPolicy) place(at time.Duration, req dss.Request, lbn int64) (ou
 				return bypass, 0
 			}
 		}
-		out, meta = allocate, p.admit(lbn, int(class), buffered, req.Tenant)
+		out, meta = allocate, p.admit(lbn, int(class), true, req.Tenant)
 
 	case p.space.NonCaching(class) || class <= dss.ClassNone:
 		// Action 4: bypassing — low-priority blocks move directly between
 		// the OS and the level-two device, as do unclassified ones and
-		// (malformed) reads carrying a pinned class; log reads happen
-		// only during a sequential recovery scan after a restart, over a
-		// cold cache.
+		// reads carrying a pinned class. Log reads come only from the
+		// recovery scan after a restart. The log's only copy is its
+		// dirty slot in the log group, which the cache device is assumed
+		// to keep across a crash (dss.ClassLog); the simulated restart
+		// starts a cold cache, so the scan is charged as HDD reads.
 		return bypass, 0
 
 	default:
@@ -206,9 +211,6 @@ func (p *priorityPolicy) place(at time.Duration, req dss.Request, lbn int64) (ou
 		// When occupancy exceeds b, all write-buffer content is flushed
 		// into the HDD (asynchronously).
 		p.flushWriteBuffer(at)
-	}
-	if logged {
-		out |= through
 	}
 	return out, meta.pbn
 }

@@ -441,7 +441,8 @@ func TestCompactionPreservesResidency(t *testing.T) {
 
 // TestPinnedLogBlockIgnoresWriteBufferRequests: a (malformed) request
 // carrying the write-buffer class cannot demote a pinned log block — the
-// first exception re-allocation keeps.
+// first exception re-allocation keeps — nor get it flushed: the block
+// stays dirty in the log group and the HDD never sees it.
 func TestPinnedLogBlockIgnoresWriteBufferRequests(t *testing.T) {
 	c := newTestCache(t, 16)
 	c.Submit(0, write(dss.ClassLog, 5, 1))
@@ -458,6 +459,71 @@ func TestPinnedLogBlockIgnoresWriteBufferRequests(t *testing.T) {
 	if s.Reallocs != 0 || s.Hits != 2 || c.group(wbGroup).len() != 0 {
 		t.Fatalf("reallocs=%d hits=%d buffered=%d, want 0/2/0", s.Reallocs, s.Hits, c.group(wbGroup).len())
 	}
+	c.Sched().Drain()
+	if !c.table[5].dirty || c.HDD().Stats().Writes != 0 {
+		t.Fatalf("log block dirty=%v, HDD writes %d: want dirty and none", c.table[5].dirty, c.HDD().Stats().Writes)
+	}
+}
+
+// TestLogRewriteStaysOnTheSSD: a log write is a dirty block in the log
+// group and nothing more. Rewriting the log's tail block on every flush
+// costs one SSD write each and no HDD write at all.
+func TestLogRewriteStaysOnTheSSD(t *testing.T) {
+	c := newTestCache(t, 16)
+	for i := 0; i < 10; i++ {
+		c.Submit(0, write(dss.ClassLog, 5, 1))
+	}
+	c.Submit(0, write(dss.ClassLog, 6, 1))
+	c.Sched().Drain()
+	if w := c.HDD().Stats().Writes; w != 0 {
+		t.Fatalf("log writes reached the HDD %d times", w)
+	}
+	if w := c.SSD().Stats().Writes; w != 11 {
+		t.Fatalf("SSD writes = %d, want 11", w)
+	}
+	for _, lbn := range []int64{5, 6} {
+		if m := c.table[lbn]; m == nil || m.class != logGroup || !m.dirty {
+			t.Fatalf("log block %d: %+v, want dirty in the log group", lbn, m)
+		}
+	}
+	if s := c.Stats(); s.Hits != 9 || s.WriteAllocs != 2 {
+		t.Fatalf("hits=%d writeAllocs=%d, want 9/2", s.Hits, s.WriteAllocs)
+	}
+}
+
+// TestTrimDropsDirtyLogBlocks: log truncation TRIMs the segment, and its
+// dirty blocks leave the cache with no write-back: the HDD never
+// receives a log block.
+func TestTrimDropsDirtyLogBlocks(t *testing.T) {
+	c := newTestCache(t, 16)
+	c.Submit(0, write(dss.ClassLog, 0, 4))
+	c.Submit(0, dss.Request{Kind: dss.Trim, LBA: 0, Blocks: 4, Class: dss.DefaultPolicySpace().Eviction()})
+	c.Sched().Drain()
+	s := c.Stats()
+	if s.CachedBlocks != 0 || s.Trimmed != 4 || s.DirtyEvict != 0 {
+		t.Fatalf("cached=%d trimmed=%d dirtyEvict=%d, want 0/4/0", s.CachedBlocks, s.Trimmed, s.DirtyEvict)
+	}
+	if w := c.HDD().Stats().Writes; w != 0 {
+		t.Fatalf("TRIM wrote %d log blocks back to the HDD", w)
+	}
+	c.checkInvariants(t)
+}
+
+// TestFullPinnedCacheBypassesLog: with every slot held by pinned log
+// blocks there is nothing to evict, so the next log write goes to the
+// HDD directly, on the caller's time, and the cache is unchanged.
+func TestFullPinnedCacheBypassesLog(t *testing.T) {
+	c := newTestCache(t, 4)
+	c.Submit(0, write(dss.ClassLog, 0, 4))
+	done := c.Submit(0, write(dss.ClassLog, 10, 1))
+	s := c.Stats()
+	if s.Bypasses != 1 || s.CachedBlocks != 4 || c.table[10] != nil {
+		t.Fatalf("bypasses=%d cached=%d, block 10 cached %v: want 1/4/false", s.Bypasses, s.CachedBlocks, c.table[10] != nil)
+	}
+	if w := c.HDD().Stats().Writes; w != 1 || done <= 0 {
+		t.Fatalf("HDD writes %d, completion %v: want the write on the HDD, foreground", w, done)
+	}
+	c.checkInvariants(t)
 }
 
 // TestScanAndCompactionHitsLeaveLayoutAlone: a sequential or compaction

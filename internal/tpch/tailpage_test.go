@@ -283,3 +283,38 @@ func TestTailPageCrashRecovery(t *testing.T) {
 		t.Fatalf("the lost order's slot %v holds %v (%v) after recovery", lostRID, row, err)
 	}
 }
+
+// TestTailPageCrashAfterWriteBack lets the pool write a committed version
+// of the shared tail pages back to the store, commits more orders onto
+// the same pages, and crashes. The log holds each order's change against
+// the page it first touched, from the checkpoint on; recovery replays
+// them all onto the newer version the store holds and must land on the
+// final pages: every committed order is back with its lineitems.
+func TestTailPageCrashAfterWriteBack(t *testing.T) {
+	r := newTxnRig(t)
+	o := r.ds.NewOLTP(1)
+	if err := o.RunNewOrdersTxn(r.tm, r.sess, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.inst.Pool.FlushAll(&r.sess.Clk); err != nil {
+		t.Fatal(err)
+	}
+	first, _ := orderRID(t, r.sess, o, o.Committed[0])
+	if err := o.RunNewOrdersTxn(r.tm, r.sess, 3); err != nil {
+		t.Fatal(err)
+	}
+	if last, _ := orderRID(t, r.sess, o, o.Committed[len(o.Committed)-1]); last.Page != first.Page {
+		t.Fatalf("orders span pages %d..%d: the test needs them on one shared page", first.Page, last.Page)
+	}
+	r.tm.Crash()
+
+	inst, err := r.ds.DB.NewInstance(r.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := inst.NewSession()
+	if _, _, err := wal.Recover(&sess.Clk, inst.Mgr, wal.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	checkCommitted(t, sess, o)
+}
