@@ -7,7 +7,7 @@ GO ?= go
 BENCH_COUNT ?= 10
 BENCH_OUT ?= bench.txt
 
-.PHONY: test race bench hotpath lint
+.PHONY: test race bench lint
 
 test:
 	$(GO) test ./...
@@ -20,7 +20,8 @@ race:
 # path, and the same path from 1, 2 and 4 CPUs), heap
 # fetch/scan/update, B-tree lookup/seek, the executor's row path
 # (scan-filter-aggregate, hash-join probe, nested loop, spill round
-# trip) and the log's page-change encoding per 8 KB page (wal).
+# trip), the log's page-change encoding per 8 KB page (wal) and the
+# construction of the 22 TPC-H plans (tpch).
 # -benchmem backs the allocs/op claims; repeated -count samples
 # make the output benchstat-ready:
 #
@@ -31,13 +32,9 @@ race:
 bench:
 	{ $(GO) test ./internal/iosched ./internal/engine/heap ./internal/engine/btree ./internal/engine/exec ./internal/engine/wal \
 		-run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
+	  $(GO) test ./internal/tpch -run '^$$' -bench Plan -benchmem -count $(BENCH_COUNT) && \
 	  $(GO) test ./internal/iosched \
 		-run '^$$' -bench SubmitParallel -cpu 1,2,4 -benchmem -count $(BENCH_COUNT); } | tee $(BENCH_OUT)
-
-# The simulated half of the scheduler report: the deterministic
-# anticipatory HDD arm, as committed in BENCH_hotpath.json.
-hotpath:
-	$(GO) run ./cmd/hbench -exp hotpath
 
 # gofmt + vet, the fast pre-push check; the doc and clock-purity lints
 # run inside `make test` (internal/doclint).

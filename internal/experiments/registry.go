@@ -120,8 +120,6 @@ var registry = []Experiment{
 		}},
 	{"lsm", "heap vs LSM backend, compaction classification on/off (last -workers entry, -txns per arm)", NoEnv,
 		func(e *Env, p Params) (Result, error) { return LSMAll(lastWorkers(p), p.Txns, e.Cfg.Seed, e.Cfg.Obs) }},
-	{"hotpath", "anticipatory HDD dispatch, quantum off/on (simulated; wall-clock cost is make bench)", NoEnv,
-		func(*Env, Params) (Result, error) { return HotpathAll(), nil }},
 	{"table9", "Table 9: the throughput test, -streams query streams + an update stream", ThroughputEnv,
 		func(e *Env, p Params) (Result, error) { return e.throughput(p.Streams) }},
 	{"fig12", "Figure 12: Q9 and Q18 standalone vs inside the throughput test (shares table9's run)", ThroughputEnv,

@@ -50,7 +50,7 @@ func byID(t *testing.T, id string) Experiment {
 func TestRegistryOrderAndDocs(t *testing.T) {
 	want := []string{
 		"fig4", "fig5", "table4", "fig6", "table5", "table6", "fig9", "table7", "fig11",
-		"oltp", "iosched", "txnscale", "tenants", "htap", "shards", "lsm", "hotpath",
+		"oltp", "iosched", "txnscale", "tenants", "htap", "shards", "lsm",
 		"table9", "fig12",
 		"abl-trim", "abl-wb", "abl-rule5", "abl-async", "ext-arc",
 	}
@@ -70,11 +70,11 @@ func TestRegistryOrderAndDocs(t *testing.T) {
 func TestSuiteLoadsLazily(t *testing.T) {
 	var out strings.Builder
 	s := &Suite{Cfg: tinyConfig(), Out: &out}
-	if _, err := s.Run(byID(t, "hotpath"), tinyParams()); err != nil {
+	if _, err := s.Run(byID(t, "shards"), tinyParams()); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 0 || s.envs[SingleQueryEnv] != nil || s.envs[ThroughputEnv] != nil {
-		t.Fatalf("hotpath loaded a dataset: %q", out.String())
+		t.Fatalf("shards loaded a dataset: %q", out.String())
 	}
 	if _, err := s.Run(byID(t, "table4"), tinyParams()); err != nil {
 		t.Fatal(err)

@@ -47,9 +47,9 @@ func TestCompactionDispatchBetweenWriteBufferAndPriorities(t *testing.T) {
 func TestBackgroundCompactionYieldsToForeground(t *testing.T) {
 	g, s, _ := newTestSched(Config{Readahead: -1})
 	s.mu.Lock()
-	s.enqueueLocked(nil, 0, device.Write, 5000, 8, dss.ClassCompaction, dss.DefaultTenant, nil) // background
+	s.enqueueLocked(nil, 0, device.Write, 5000, 8, dss.ClassCompaction, dss.DefaultTenant) // background
 	fg := bareWaiter(seqClass, dss.DefaultTenant)
-	s.enqueueLocked(fg, 0, device.Read, 100, 1, seqClass, dss.DefaultTenant, nil)
+	s.enqueueLocked(fg, 0, device.Read, 100, 1, seqClass, dss.DefaultTenant)
 	s.mu.Unlock()
 	g.Drain()
 	solo := device.New(device.Cheetah15K()).Access(0, device.Read, 100, 1)

@@ -165,7 +165,7 @@ func TestFIFOHeadIsOldestArrival(t *testing.T) {
 	s.mu.Lock()
 	for i, at := range arrivals {
 		s.enqueueLocked(bareWaiter(dss.Class(2), dss.DefaultTenant), at,
-			device.Read, int64(1000*i), 1, dss.Class(2), dss.DefaultTenant, nil)
+			device.Read, int64(1000*i), 1, dss.Class(2), dss.DefaultTenant)
 	}
 	s.mu.Unlock()
 	g.Drain()

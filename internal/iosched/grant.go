@@ -64,15 +64,6 @@ func (s *Scheduler) grantLocked(batch []*request, start int64, total int, budget
 		s.stats.BackgroundGrants++
 		s.stats.BackgroundBlocks += int64(total)
 		s.mBgGrants.Inc()
-	} else if s.quantum > 0 {
-		// Anticipatory quantum bookkeeping: a grant for a new stream
-		// opens a fresh quantum; every foreground grant consumes its
-		// blocks from the current one.
-		if head.sid != s.antStream {
-			s.antStream = head.sid
-			s.antLeft = s.quantum
-		}
-		s.antLeft -= total
 	}
 	// Per-tenant accounting: each request's blocks are charged to its
 	// own tenant (a fair-share batch is tenant-pure, but the class-only

@@ -80,14 +80,8 @@ func (g *Group) Attach(dev *device.Device, seqClass dss.Class) *Scheduler {
 		readahead:    cfg.Readahead,
 		readaheadCap: 8 * cfg.Readahead,
 		bgShare:      cfg.BackgroundShare,
-		quantum:      cfg.AnticipatoryQuantum,
 		startAt:      make(map[int64]*request),
 		endAt:        make(map[int64]*request),
-	}
-	if cfg.FIFO {
-		// Arrival order has no elevator for the quantum to redirect;
-		// keeping the knob inert keeps FIFO a byte-for-byte reference arm.
-		s.quantum = 0
 	}
 	if cfg.Readahead > 0 && !cfg.FIFO && seqClass != NoReadahead {
 		s.ra = make(map[int64]time.Duration)

@@ -53,7 +53,7 @@ func BenchmarkSubmitGrant(b *testing.B) {
 					w.remaining = 0
 					w.completion = 0
 					s.enqueueLocked(w, at, device.Read, lbas[li&8191], 1,
-						classes[j&3], dss.DefaultTenant, nil)
+						classes[j&3], dss.DefaultTenant)
 					li++
 				}
 				s.mu.Unlock()

@@ -86,7 +86,6 @@ import (
 	"hstoragedb/internal/device"
 	"hstoragedb/internal/dss"
 	"hstoragedb/internal/obs"
-	"hstoragedb/internal/simclock"
 )
 
 // Config parameterizes a scheduler group. The zero value enables the
@@ -132,17 +131,6 @@ type Config struct {
 	// disables the budget (background runs only when the device idles —
 	// the pre-throttling behaviour).
 	BackgroundShare float64
-
-	// AnticipatoryQuantum bounds consecutive elevator service of one
-	// stream, in granted blocks. Once a stream has been granted that
-	// many blocks back to back, the picker prefers the nearest same-band
-	// request from any other stream, so a stream parked at the head's
-	// LBA neighbourhood cannot monopolize an HDD elevator for the whole
-	// stretch between aging boosts. Zero (the default) disables the
-	// policy — here zero-means-default and default-is-off coincide, so
-	// no sentinel is needed. The aging bound is checked first and is
-	// never weakened by a switch. Ignored under FIFO.
-	AnticipatoryQuantum int
 
 	// TenantWeights seeds the group's tenant fair-share weights (see
 	// Group.SetTenantWeight). Nil or empty leaves fair sharing off: the
@@ -252,7 +240,6 @@ type Scheduler struct {
 	readahead    int
 	readaheadCap int
 	bgShare      float64
-	quantum      int
 
 	// queued mirrors nFg+nBg so group-wide dispatch loops skip idle
 	// schedulers without taking their lock.
@@ -292,12 +279,6 @@ type Scheduler struct {
 	// holds per-tenant finish tags and counters (see tenantfair.go).
 	vclock  float64
 	tenants map[dss.TenantID]*tenantAcct
-
-	// antStream and antLeft drive the anticipatory quantum: the stream
-	// whose requests the elevator is currently serving and the blocks
-	// left in its quantum (index.go).
-	antStream *simclock.Clock
-	antLeft   int
 
 	// draining marks an opportunistic dispatcher round in progress on
 	// this scheduler, so concurrent drainers skip it instead of

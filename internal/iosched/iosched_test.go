@@ -32,7 +32,7 @@ func enqueue(g *Group, s *Scheduler, at time.Duration, op device.Op, lba int64, 
 	w := bareWaiter(class, dss.DefaultTenant)
 	w.arrive = at
 	s.mu.Lock()
-	s.enqueueLocked(w, at, op, lba, blocks, class, dss.DefaultTenant, nil)
+	s.enqueueLocked(w, at, op, lba, blocks, class, dss.DefaultTenant)
 	s.mu.Unlock()
 	return w
 }
@@ -215,9 +215,9 @@ func TestWriteInvalidatesReadahead(t *testing.T) {
 func TestBackgroundYields(t *testing.T) {
 	g, s, _ := newTestSched(Config{Readahead: -1})
 	s.mu.Lock()
-	s.enqueueLocked(nil, 0, device.Write, 5000, 1, dss.ClassWriteBuffer, dss.DefaultTenant, nil) // background
+	s.enqueueLocked(nil, 0, device.Write, 5000, 1, dss.ClassWriteBuffer, dss.DefaultTenant) // background
 	fg := bareWaiter(dss.Class(2), dss.DefaultTenant)
-	s.enqueueLocked(fg, 0, device.Read, 100, 1, dss.Class(2), dss.DefaultTenant, nil)
+	s.enqueueLocked(fg, 0, device.Read, 100, 1, dss.Class(2), dss.DefaultTenant)
 	s.mu.Unlock()
 	g.Drain()
 	// Foreground granted first: its completion equals its own service

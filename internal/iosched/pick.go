@@ -1,7 +1,5 @@
 package iosched
 
-import "math"
-
 // hasEligibleLocked reports whether the queue holds work a dispatch
 // round would grant: any foreground request, or background when allowed
 // by a full drain, a disabled throttle, or available budget credit.
@@ -51,16 +49,6 @@ func (s *Scheduler) pickIndexedLocked(bgOK bool) (*request, bool) {
 	if bestFg != nil {
 		if bestBg != nil && s.bgShare > 0 && s.bgCredit >= 1 && bestBg.blocks <= budgetMaxCoalesce {
 			return bestBg, true
-		}
-		if s.quantum > 0 && overdue == nil {
-			// The quantum may redirect the elevator only when no aging
-			// decision is in play: an overdue pick (even one that
-			// coincides with the elevator best) always stands, so the
-			// policy can never stretch a wait past the aging bound.
-			if alt := s.anticipatoryAltLocked(bestFg, head); alt != nil {
-				s.stats.StreamSwitches++
-				return alt, false
-			}
 		}
 		return bestFg, false
 	}
@@ -150,72 +138,4 @@ func (b *band) elevatorBest(head int64) *request {
 		return succ
 	}
 	return pred
-}
-
-// anticipatoryScan bounds the outward walk for an alternate stream so a
-// pathological band layout cannot reintroduce an O(n) pick.
-const anticipatoryScan = 64
-
-// anticipatoryAltLocked implements the quanta policy: once the stream
-// that won the elevator has been served AnticipatoryQuantum blocks
-// consecutively, prefer the nearest same-band request from any other
-// stream. Returns nil when the quantum has not expired, when best is
-// already another stream's, or when no alternate exists within the scan
-// bound — the elevator pick then stands, so the policy can only ever
-// trade seek locality it was explicitly configured to give up.
-func (s *Scheduler) anticipatoryAltLocked(best *request, head int64) *request {
-	if best.sid == nil || best.sid != s.antStream || s.antLeft > 0 {
-		return nil
-	}
-	b := best.band
-	v := best.vfinish
-	probe := treeKey{vfinish: v, lba: head, seq: 0}
-	if head < 0 {
-		probe = treeKey{vfinish: v, lba: math.MinInt64, seq: 0}
-	}
-	var right, left *request
-	n := 0
-	b.tree.ascendGE(probe, func(r *request) bool {
-		if r.vfinish != v {
-			return false
-		}
-		if r.sid != nil && r.sid != s.antStream {
-			right = r
-			return false
-		}
-		n++
-		return n < anticipatoryScan
-	})
-	n = 0
-	b.tree.descendLT(probe, func(r *request) bool {
-		if r.vfinish != v {
-			return false
-		}
-		if r.sid != nil && r.sid != s.antStream {
-			left = r
-			return false
-		}
-		n++
-		return n < anticipatoryScan
-	})
-	if right == nil {
-		return left
-	}
-	if left == nil {
-		return right
-	}
-	dr, dl := right.lba-head, head-left.lba
-	if head < 0 {
-		return right
-	}
-	if dr != dl {
-		if dr < dl {
-			return right
-		}
-		return left
-	}
-	if right.seq < left.seq {
-		return right
-	}
-	return left
 }

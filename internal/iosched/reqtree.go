@@ -5,8 +5,8 @@ package iosched
 // for the seed's linear betterThanAt scan (oracle_test.go): within a
 // band the best pick is the elevator-nearest member of the
 // minimum-vfinish group, which two seek probes around the device head
-// recover in O(log n) (see band.elevatorBest). The same tree answers coalescing and anticipatory
-// neighbor queries through seekGE/seekLT/ascendGE/descendLT.
+// recover in O(log n) through seekGE/seekLT (see band.elevatorBest, which
+// also walks the group with ascendGE before the head has a position).
 //
 // The key orders exactly like the tail of the seed comparator: vfinish
 // compared as the raw float64 (0 for class-only mode, so the order
@@ -353,34 +353,6 @@ func ascendFrom(nd *treeNode, k treeKey, fn func(*request) bool) bool {
 	}
 	if !nd.leaf {
 		return ascendFrom(nd.children[nd.n], k, fn)
-	}
-	return true
-}
-
-// descendLT visits items with key < k in descending order until fn
-// returns false.
-func (t *reqTree) descendLT(k treeKey, fn func(*request) bool) {
-	descendFrom(t.root, k, fn)
-}
-
-func descendFrom(nd *treeNode, k treeKey, fn func(*request) bool) bool {
-	if nd == nil {
-		return true
-	}
-	i := nd.n
-	for i > 0 && !reqKey(nd.items[i-1]).less(k) {
-		i--
-	}
-	for ; i > 0; i-- {
-		if !nd.leaf && !descendFrom(nd.children[i], k, fn) {
-			return false
-		}
-		if !fn(nd.items[i-1]) {
-			return false
-		}
-	}
-	if !nd.leaf {
-		return descendFrom(nd.children[0], k, fn)
 	}
 	return true
 }

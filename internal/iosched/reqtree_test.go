@@ -67,7 +67,7 @@ func TestReqTreeRandomized(t *testing.T) {
 				t.Fatalf("seed %d step %d: seekLT(%v) = %v, want %v", seed, step, k, got, wantLT)
 			}
 			if step%97 == 0 {
-				// Full ordered walks both directions.
+				// A full ordered walk.
 				var up []*request
 				tree.ascendGE(treeKey{vfinish: -1}, func(r *request) bool {
 					up = append(up, r)
@@ -79,19 +79,6 @@ func TestReqTreeRandomized(t *testing.T) {
 				for i, r := range up {
 					if r != ref[i] {
 						t.Fatalf("seed %d step %d: ascend[%d] = %v, want %v", seed, step, i, reqKey(r), reqKey(ref[i]))
-					}
-				}
-				var down []*request
-				tree.descendLT(treeKey{vfinish: 1 << 30}, func(r *request) bool {
-					down = append(down, r)
-					return true
-				})
-				if len(down) != len(ref) {
-					t.Fatalf("seed %d step %d: descend visited %d, want %d", seed, step, len(down), len(ref))
-				}
-				for i, r := range down {
-					if r != ref[len(ref)-1-i] {
-						t.Fatalf("seed %d step %d: descend[%d] = %v, want %v", seed, step, i, reqKey(r), reqKey(ref[len(ref)-1-i]))
 					}
 				}
 			}

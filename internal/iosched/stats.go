@@ -16,10 +16,6 @@ type Stats struct {
 	// Boosted counts grants where the aging bound overrode strict
 	// priority order.
 	Boosted int64
-	// StreamSwitches counts grants where the anticipatory quantum
-	// deliberately moved the elevator to another stream's request
-	// (Config.AnticipatoryQuantum).
-	StreamSwitches int64
 	// PrefetchBlocks counts blocks read ahead; PrefetchHits counts
 	// blocks later served from the readahead buffer without a device
 	// access.

@@ -92,11 +92,6 @@ type request struct {
 	seq  uint64
 	w    *waiter // nil for background work
 
-	// sid identifies the submitting stream (its session clock) for the
-	// anticipatory-quantum policy; nil for background work and
-	// streamless submitters.
-	sid *simclock.Clock
-
 	// vstart and vfinish are the request's fair-queueing tags (see
 	// tenantfair.go). Both stay 0 when fair sharing is off and for
 	// background work, which keeps the tag comparison inert.
@@ -211,7 +206,7 @@ func (s *Scheduler) Submit(at time.Duration, op device.Op, lba int64, blocks int
 		if _, ok := g.registered[stream]; ok {
 			w.barrier = true
 			s.mu.Lock()
-			s.enqueueLocked(w, at, op, lba, blocks, class, tenant, stream)
+			s.enqueueLocked(w, at, op, lba, blocks, class, tenant)
 			s.mu.Unlock()
 			if g.blocked.Add(1) >= int64(len(g.registered)) {
 				g.dispatchLocked()
@@ -222,7 +217,7 @@ func (s *Scheduler) Submit(at time.Duration, op device.Op, lba int64, blocks int
 		g.mu.Unlock()
 		s.mu.Lock()
 	}
-	s.enqueueLocked(w, at, op, lba, blocks, class, tenant, stream)
+	s.enqueueLocked(w, at, op, lba, blocks, class, tenant)
 	s.mu.Unlock()
 	g.drain(false)
 	return finishWait(w, floor)
@@ -269,7 +264,7 @@ func (s *Scheduler) SubmitBackground(at time.Duration, op device.Op, lba int64, 
 			}
 		}
 	}
-	s.enqueueLocked(nil, at, op, lba, blocks, class, tenant, nil)
+	s.enqueueLocked(nil, at, op, lba, blocks, class, tenant)
 	s.mu.Unlock()
 	if g.nRegistered.Load() == 0 {
 		g.drain(false)
@@ -283,7 +278,7 @@ func (s *Scheduler) SubmitBackground(at time.Duration, op device.Op, lba int64, 
 // tenant's lastFinish, so one big submission pays virtual time
 // proportional to all of its blocks. FIFO mode queues the submission
 // whole, as the legacy elevator would. Caller holds s.mu.
-func (s *Scheduler) enqueueLocked(w *waiter, at time.Duration, op device.Op, lba int64, blocks int, class dss.Class, tenant dss.TenantID, sid *simclock.Clock) {
+func (s *Scheduler) enqueueLocked(w *waiter, at time.Duration, op device.Op, lba int64, blocks int, class dss.Class, tenant dss.TenantID) {
 	rank := classRank(class)
 	if w == nil {
 		rank += backgroundBand
@@ -311,7 +306,7 @@ func (s *Scheduler) enqueueLocked(w *waiter, at time.Duration, op device.Op, lba
 		}
 		r := s.newRequestLocked()
 		r.op, r.lba, r.blocks, r.class, r.tenant = op, lba, n, class, tenant
-		r.rank, r.arrive, r.base, r.seq, r.w, r.sid = rank, at, base, s.seq, w, sid
+		r.rank, r.arrive, r.base, r.seq, r.w = rank, at, base, s.seq, w
 		if ta != nil {
 			start := s.vclock
 			if ta.lastFinish > start {

@@ -142,9 +142,9 @@ func TestBudgetRespectsBatchCap(t *testing.T) {
 	g, s, dev := newTestSched(Config{BackgroundShare: 0.5, Readahead: -1})
 	dev.Access(0, device.Write, 0, 16) // device busy: nothing rides idle time
 	s.mu.Lock()
-	s.enqueueLocked(nil, 0, device.Write, 500000, 2*budgetMaxCoalesce, dss.ClassWriteBuffer, dss.DefaultTenant, nil)
+	s.enqueueLocked(nil, 0, device.Write, 500000, 2*budgetMaxCoalesce, dss.ClassWriteBuffer, dss.DefaultTenant)
 	fg := bareWaiter(dss.Class(2), dss.DefaultTenant)
-	s.enqueueLocked(fg, 0, device.Read, 100, 1, dss.Class(2), dss.DefaultTenant, nil)
+	s.enqueueLocked(fg, 0, device.Read, 100, 1, dss.Class(2), dss.DefaultTenant)
 	s.bgCredit = 20 // ample credit: the old code would budget-grant the big chunk
 	s.mu.Unlock()
 	g.Drain()
@@ -230,8 +230,8 @@ func TestTenantFairSharesConverge(t *testing.T) {
 		s.mu.Lock()
 		// Stride 2 within disjoint regions: same class, never adjacent,
 		// so coalescing cannot blur the share measurement.
-		s.enqueueLocked(w1, 0, device.Read, int64(2*i), 1, dss.Class(2), 1, nil)
-		s.enqueueLocked(w2, 0, device.Read, 1_000_000+int64(2*i), 1, dss.Class(2), 2, nil)
+		s.enqueueLocked(w1, 0, device.Read, int64(2*i), 1, dss.Class(2), 1)
+		s.enqueueLocked(w2, 0, device.Read, 1_000_000+int64(2*i), 1, dss.Class(2), 2)
 		s.mu.Unlock()
 		ws = append(ws, done{1, w1}, done{2, w2})
 	}
@@ -315,8 +315,8 @@ func TestCrossTenantCoalescingRestricted(t *testing.T) {
 		w1 := bareWaiter(dss.Class(2), 1)
 		w2 := bareWaiter(dss.Class(2), 2)
 		s.mu.Lock()
-		s.enqueueLocked(w1, 0, device.Read, 100, 1, dss.Class(2), 1, nil)
-		s.enqueueLocked(w2, 0, device.Read, 101, 1, dss.Class(2), 2, nil)
+		s.enqueueLocked(w1, 0, device.Read, 100, 1, dss.Class(2), 1)
+		s.enqueueLocked(w2, 0, device.Read, 101, 1, dss.Class(2), 2)
 		s.mu.Unlock()
 		g.Drain()
 		return dev.Stats().Reads

@@ -3,7 +3,6 @@ package tpch
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"strings"
 
 	"hstoragedb/internal/engine/catalog"
@@ -16,56 +15,14 @@ import (
 //
 // Plans approximate the PostgreSQL shapes the paper reports; Q9, Q21 and
 // Q18 mirror Figures 7, 8 and 10 (the queries whose cache behaviour the
-// evaluation dissects).
+// evaluation dissects). Each plan is a declaration over the builder in
+// plan.go, which resolves every name before Query returns.
 func (ds *Dataset) Query(n int, seed int64) (exec.Operator, error) {
-	rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
-	switch n {
-	case 1:
-		return ds.q1(rng), nil
-	case 2:
-		return ds.q2(rng), nil
-	case 3:
-		return ds.q3(rng), nil
-	case 4:
-		return ds.q4(rng), nil
-	case 5:
-		return ds.q5(rng), nil
-	case 6:
-		return ds.q6(rng), nil
-	case 7:
-		return ds.q7(rng), nil
-	case 8:
-		return ds.q8(rng), nil
-	case 9:
-		return ds.q9(rng), nil
-	case 10:
-		return ds.q10(rng), nil
-	case 11:
-		return ds.q11(rng), nil
-	case 12:
-		return ds.q12(rng), nil
-	case 13:
-		return ds.q13(rng), nil
-	case 14:
-		return ds.q14(rng), nil
-	case 15:
-		return ds.q15(rng), nil
-	case 16:
-		return ds.q16(rng), nil
-	case 17:
-		return ds.q17(rng), nil
-	case 18:
-		return ds.q18(rng), nil
-	case 19:
-		return ds.q19(rng), nil
-	case 20:
-		return ds.q20(rng), nil
-	case 21:
-		return ds.q21(rng), nil
-	case 22:
-		return ds.q22(rng), nil
+	if n < 1 || n > len(queries) {
+		return nil, fmt.Errorf("tpch: no query %d", n)
 	}
-	return nil, fmt.Errorf("tpch: no query %d", n)
+	rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
+	return queries[n-1](ds.plan(fmt.Sprintf("Q%d", n)), rng), nil
 }
 
 // MustQuery is Query but panics on an invalid number.
@@ -77,1111 +34,434 @@ func (ds *Dataset) MustQuery(n int, seed int64) exec.Operator {
 	return op
 }
 
-// ---- construction helpers ----
-
-func (ds *Dataset) handle(name string) *exec.TableHandle {
-	return exec.NewTableHandle(ds.DB.Cat.MustTable(name))
+var queries = [...]func(*plan, *rand.Rand) exec.Operator{
+	q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11,
+	q12, q13, q14, q15, q16, q17, q18, q19, q20, q21, q22,
 }
 
-func (ds *Dataset) colIdx(table, column string) int {
-	return ds.DB.Cat.MustTable(table).Schema.MustCol(column)
-}
-
-func (ds *Dataset) seq(table string, pred func(catalog.Tuple) bool) *exec.SeqScan {
-	return &exec.SeqScan{Table: ds.handle(table), Pred: pred}
-}
-
-func (ds *Dataset) probe(index, table string, pred func(catalog.Tuple) bool) *exec.IndexProbe {
-	return &exec.IndexProbe{
-		Index: ds.DB.Cat.MustIndex(index),
-		Table: ds.handle(table),
-		Pred:  pred,
-	}
-}
-
-// hj builds a hash join whose build side is wrapped in the explicit
-// blocking Hash operator of the paper's plan trees.
-func hj(build, probeSide exec.Operator, bk, pk func(catalog.Tuple) int64) *exec.HashJoin {
-	return &exec.HashJoin{
-		Build:    &exec.Hash{Child: build},
-		Probe:    probeSide,
-		BuildKey: bk,
-		ProbeKey: pk,
-	}
-}
-
-func ic(i int) func(catalog.Tuple) int64 {
-	return func(t catalog.Tuple) int64 { return t[i].I }
-}
-
-// keep projects the listed columns.
-func keep(child exec.Operator, idx ...int) *exec.Project {
-	return &exec.Project{Child: child, Fn: func(dst, t catalog.Tuple) catalog.Tuple {
-		for _, j := range idx {
-			dst = append(dst, t[j])
-		}
-		return dst
-	}}
-}
-
-// Group keys are the bytes the grouping expression would print as: the
-// decimal digits of an integer column, a string column as it is, parts
-// joined by '|'. A scalar aggregate has the one group "all".
-func intKey(i int) func([]byte, catalog.Tuple) []byte {
-	return func(key []byte, t catalog.Tuple) []byte { return strconv.AppendInt(key, t[i].I, 10) }
-}
-
-func strKey(i int) func([]byte, catalog.Tuple) []byte {
-	return func(key []byte, t catalog.Tuple) []byte { return append(key, t[i].S...) }
-}
-
-func oneGroup(key []byte, _ catalog.Tuple) []byte { return append(key, "all"...) }
-
-func year(day int64) int64 { return 1970 + day/365 } // close enough for grouping
-
-// ---- the 22 queries ----
+// between is lo <= d < hi.
+func between(d, lo, hi int64) bool { return d >= lo && d < hi }
 
 // q1: pricing summary report. Pure sequential scan + aggregation.
-func (ds *Dataset) q1(rng *rand.Rand) exec.Operator {
-	lq := ds.colIdx("lineitem", "l_quantity")
-	lp := ds.colIdx("lineitem", "l_extendedprice")
-	ld := ds.colIdx("lineitem", "l_discount")
-	lt := ds.colIdx("lineitem", "l_tax")
-	lrf := ds.colIdx("lineitem", "l_returnflag")
-	lls := ds.colIdx("lineitem", "l_linestatus")
-	lsd := ds.colIdx("lineitem", "l_shipdate")
+func q1(q *plan, rng *rand.Rand) exec.Operator {
 	cutoff := Day(1998, 12, 1) - int64(60+rng.Intn(60))
-
-	scan := ds.seq("lineitem", func(t catalog.Tuple) bool { return t[lsd].I <= cutoff })
-	agg := &exec.HashAgg{
-		Child: scan,
-		GroupKey: func(key []byte, t catalog.Tuple) []byte {
-			return append(append(append(key, t[lrf].S...), '|'), t[lls].S...)
-		},
-		NewGroup: func(t catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{
-				t[lrf], t[lls],
-				catalog.FloatDatum(t[lq].F),
-				catalog.FloatDatum(t[lp].F),
-				catalog.FloatDatum(t[lp].F * (1 - t[ld].F)),
-				catalog.FloatDatum(t[lp].F * (1 - t[ld].F) * (1 + t[lt].F)),
-				catalog.IntDatum(1),
-			}
-		},
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[2].F += t[lq].F
-			acc[3].F += t[lp].F
-			acc[4].F += t[lp].F * (1 - t[ld].F)
-			acc[5].F += t[lp].F * (1 - t[ld].F) * (1 + t[lt].F)
-			acc[6].I++
-			return acc
-		},
-	}
-	return &exec.Sort{Child: agg, Less: func(a, b catalog.Tuple) bool {
-		if a[0].S != b[0].S {
-			return a[0].S < b[0].S
-		}
-		return a[1].S < b[1].S
-	}}
+	li := q.scan("lineitem")
+	sd, price, disc, tax := li.at("l_shipdate"), li.at("l_extendedprice"), li.at("l_discount"), li.at("l_tax")
+	charge := calc("charge", catalog.Float64, func(t, _ catalog.Tuple) catalog.Datum {
+		return catalog.FloatDatum(t[price].F * (1 - t[disc].F) * (1 + t[tax].F))
+	})
+	return li.where(func(t catalog.Tuple) bool { return t[sd].I <= cutoff }).
+		group(by("l_returnflag", "l_linestatus"), "l_returnflag", "l_linestatus",
+			sum("l_quantity"), sum("l_extendedprice"), sum(revenue), sum(charge), count("count_order")).
+		sort(asc("l_returnflag"), asc("l_linestatus")).op
 }
 
 // q2: minimum cost supplier. Random probes into partsupp and supplier.
-func (ds *Dataset) q2(rng *rand.Rand) exec.Operator {
-	psz := ds.colIdx("part", "p_size")
-	pty := ds.colIdx("part", "p_type")
-	pk := ds.colIdx("part", "p_partkey")
+func q2(q *plan, rng *rand.Rand) exec.Operator {
 	size := int64(1 + rng.Intn(50))
 	suffix := typeSyl3[rng.Intn(len(typeSyl3))]
 	region := int64(rng.Intn(5))
-
-	part := ds.seq("part", func(t catalog.Tuple) bool {
-		return t[psz].I == size && strings.HasSuffix(t[pty].S, suffix)
-	})
-	// part ⋈ partsupp (random).
-	nlPS := &exec.NestLoop{
-		Outer:    part,
-		Probe:    ds.probe("idx_partsupp_partkey", "partsupp", nil),
-		OuterKey: ic(pk),
-	}
-	// ⋈ supplier (random). Combined tuple: part(8) + partsupp(4) + supplier(6).
-	nlS := &exec.NestLoop{
-		Outer:    nlPS,
-		Probe:    ds.probe("idx_supplier_suppkey", "supplier", nil),
-		OuterKey: func(t catalog.Tuple) int64 { return t[8+1].I }, // ps_suppkey
-	}
+	part := q.scan("part")
+	psz, pty := part.at("p_size"), part.at("p_type")
+	part = part.where(func(t catalog.Tuple) bool { return t[psz].I == size && strings.HasSuffix(t[pty].S, suffix) })
+	// part ⋈ partsupp ⋈ supplier, both random.
+	ps := nestLoop(part, q.index("idx_partsupp_partkey"), "p_partkey").all()
+	pss := nestLoop(ps, q.index("idx_supplier_suppkey"), "ps_suppkey").all()
 	// Region restriction via nation hash.
-	nk := ds.colIdx("nation", "n_nationkey")
-	nr := ds.colIdx("nation", "n_regionkey")
-	nation := ds.seq("nation", func(t catalog.Tuple) bool { return t[nr].I == region })
-	join := hj(nation, nlS,
-		ic(nk),
-		func(t catalog.Tuple) int64 { return t[8+4+2].I }, // s_nationkey
-	)
-	// Min supply cost per part, then the "best supplier" rows.
-	agg := &exec.HashAgg{
-		Child:    join,
-		GroupKey: intKey(3 + pk),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple {
-			// partkey, min cost, supplier acctbal, supplier name
-			return catalog.Tuple{t[3+pk], t[3+8+3], t[3+8+4+3], t[3+8+4+1]}
-		},
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			if t[3+8+3].F < acc[1].F {
-				acc[1] = t[3+8+3]
-				acc[2] = t[3+8+4+3]
-				acc[3].S = strings.Clone(t[3+8+4+1].S) // t is borrowed: do not pin its frame
-			}
-			return acc
-		},
-	}
-	return &exec.TopN{Child: agg, N: 100, Less: func(a, b catalog.Tuple) bool { return a[2].F > b[2].F }}
+	nation := q.scan("nation")
+	nr := nation.at("n_regionkey")
+	nation = nation.where(func(t catalog.Tuple) bool { return t[nr].I == region })
+	// Min supply cost per part, with its "best supplier".
+	return hashJoin(nation, pss, eq{"n_nationkey", "s_nationkey"}).all().
+		group(by("p_partkey"), "p_partkey", least("ps_supplycost", "s_acctbal", "s_name")).
+		top(100, desc("s_acctbal")).op
 }
 
 // q3: shipping priority. Hash joins + random lineitem probes.
-func (ds *Dataset) q3(rng *rand.Rand) exec.Operator {
-	cseg := ds.colIdx("customer", "c_mktsegment")
-	ck := ds.colIdx("customer", "c_custkey")
-	ok := ds.colIdx("orders", "o_orderkey")
-	oc := ds.colIdx("orders", "o_custkey")
-	od := ds.colIdx("orders", "o_orderdate")
+func q3(q *plan, rng *rand.Rand) exec.Operator {
 	segment := segments[rng.Intn(len(segments))]
 	date := Day(1995, 3, 1) + int64(rng.Intn(31))
-
-	cust := ds.seq("customer", func(t catalog.Tuple) bool { return t[cseg].S == segment })
-	ords := ds.seq("orders", func(t catalog.Tuple) bool { return t[od].I < date })
-	co := hj(keep(cust, ck), ords, ic(0), ic(oc)) // [custkey | orders...]
-	lsd := ds.colIdx("lineitem", "l_shipdate")
-	lp := ds.colIdx("lineitem", "l_extendedprice")
-	ld := ds.colIdx("lineitem", "l_discount")
-	nl := &exec.NestLoop{
-		Outer:    co,
-		Probe:    ds.probe("idx_lineitem_orderkey", "lineitem", func(t catalog.Tuple) bool { return t[lsd].I > date }),
-		OuterKey: func(t catalog.Tuple) int64 { return t[1+ok].I },
-		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
-			return append(dst, o[1+ok], o[1+od], catalog.FloatDatum(i[lp].F*(1-i[ld].F)))
-		},
-	}
-	agg := &exec.HashAgg{
-		Child:    nl,
-		GroupKey: intKey(0),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple { return t.Clone() },
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[2].F += t[2].F
-			return acc
-		},
-	}
-	return &exec.TopN{Child: agg, N: 10, Less: func(a, b catalog.Tuple) bool { return a[2].F > b[2].F }}
+	cust, ords, line := q.scan("customer"), q.scan("orders"), q.index("idx_lineitem_orderkey")
+	seg, od, sd := cust.at("c_mktsegment"), ords.at("o_orderdate"), line.at("l_shipdate")
+	co := hashJoin(cust.where(func(t catalog.Tuple) bool { return t[seg].S == segment }).keep("c_custkey"),
+		ords.where(func(t catalog.Tuple) bool { return t[od].I < date }),
+		eq{"c_custkey", "o_custkey"}).all()
+	return nestLoop(co, line.where(func(t catalog.Tuple) bool { return t[sd].I > date }), "o_orderkey").
+		out("o_orderkey", "o_orderdate", revenue).
+		group(by("o_orderkey"), "o_orderkey", "o_orderdate", sum("revenue")).
+		top(10, desc("revenue")).op
 }
 
 // q4: order priority checking. Semi join via random lineitem probes.
-func (ds *Dataset) q4(rng *rand.Rand) exec.Operator {
-	od := ds.colIdx("orders", "o_orderdate")
-	ok := ds.colIdx("orders", "o_orderkey")
-	op := ds.colIdx("orders", "o_orderpriority")
-	lcd := ds.colIdx("lineitem", "l_commitdate")
-	lrd := ds.colIdx("lineitem", "l_receiptdate")
+func q4(q *plan, rng *rand.Rand) exec.Operator {
 	start := Day(1993, 1, 1) + int64(rng.Intn(20))*91
-	end := start + 91
-
-	ords := ds.seq("orders", func(t catalog.Tuple) bool { return t[od].I >= start && t[od].I < end })
-	semi := &exec.NestLoop{
-		Outer:    ords,
-		Probe:    ds.probe("idx_lineitem_orderkey", "lineitem", func(t catalog.Tuple) bool { return t[lcd].I < t[lrd].I }),
-		OuterKey: ic(ok),
-		Semi:     true,
-		Combine:  func(dst, o, i catalog.Tuple) catalog.Tuple { return append(dst, o...) },
-	}
-	agg := &exec.HashAgg{
-		Child:    semi,
-		GroupKey: strKey(op),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple { return catalog.Tuple{t[op], catalog.IntDatum(1)} },
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[1].I++
-			return acc
-		},
-	}
-	return &exec.Sort{Child: agg, Less: func(a, b catalog.Tuple) bool { return a[0].S < b[0].S }}
+	ords, line := q.scan("orders"), q.index("idx_lineitem_orderkey")
+	od, cd, rd := ords.at("o_orderdate"), line.at("l_commitdate"), line.at("l_receiptdate")
+	return nestLoop(ords.where(func(t catalog.Tuple) bool { return between(t[od].I, start, start+91) }),
+		line.where(func(t catalog.Tuple) bool { return t[cd].I < t[rd].I }), "o_orderkey").semi().
+		group(by("o_orderpriority"), "o_orderpriority", count("order_count")).
+		sort(asc("o_orderpriority")).op
 }
 
 // q5: local supplier volume. Hash-join pipeline over sequential scans —
 // one of the paper's sequential-dominated queries (Figure 5).
-func (ds *Dataset) q5(rng *rand.Rand) exec.Operator {
+func q5(q *plan, rng *rand.Rand) exec.Operator {
 	region := int64(rng.Intn(5))
-	y := 1993 + int64(rng.Intn(5))
-	start, end := Day(int(y), 1, 1), Day(int(y)+1, 1, 1)
-
-	nk := ds.colIdx("nation", "n_nationkey")
-	nn := ds.colIdx("nation", "n_name")
-	nr := ds.colIdx("nation", "n_regionkey")
-	nation := keep(ds.seq("nation", func(t catalog.Tuple) bool { return t[nr].I == region }), nk, nn)
-
-	ck := ds.colIdx("customer", "c_custkey")
-	cn := ds.colIdx("customer", "c_nationkey")
-	// nation ⋈ customer → [nationkey, nationname, custkey]
-	nc := hj(nation, keep(ds.seq("customer", nil), ck, cn),
-		ic(0),
-		func(t catalog.Tuple) int64 { return t[1].I },
-	)
-	ncp := &exec.Project{Child: nc, Fn: func(dst, t catalog.Tuple) catalog.Tuple {
-		return append(dst, t[0], t[1], t[2])
-	}}
-
-	od := ds.colIdx("orders", "o_orderdate")
-	oc := ds.colIdx("orders", "o_custkey")
-	okc := ds.colIdx("orders", "o_orderkey")
-	ords := keep(ds.seq("orders", func(t catalog.Tuple) bool { return t[od].I >= start && t[od].I < end }), okc, oc)
-	// (nation⋈customer) ⋈ orders → [nationkey, nationname, custkey, orderkey, custkey]
-	nco := hj(ncp, ords,
-		func(t catalog.Tuple) int64 { return t[2].I },
-		func(t catalog.Tuple) int64 { return t[1].I },
-	)
-
-	lk := ds.colIdx("lineitem", "l_orderkey")
-	ls := ds.colIdx("lineitem", "l_suppkey")
-	lp := ds.colIdx("lineitem", "l_extendedprice")
-	ld := ds.colIdx("lineitem", "l_discount")
-	// ⋈ lineitem on orderkey → carries suppkey + revenue
-	ncol := hj(nco, ds.seq("lineitem", nil),
-		func(t catalog.Tuple) int64 { return t[3].I },
-		ic(lk),
-	)
-
-	sk := ds.colIdx("supplier", "s_suppkey")
-	sn := ds.colIdx("supplier", "s_nationkey")
-	supp := keep(ds.seq("supplier", nil), sk, sn)
+	y := 1993 + rng.Intn(5)
+	start, end := Day(y, 1, 1), Day(y+1, 1, 1)
+	nation, ords := q.scan("nation"), q.scan("orders")
+	nr, od := nation.at("n_regionkey"), ords.at("o_orderdate")
+	nc := hashJoin(nation.where(func(t catalog.Tuple) bool { return t[nr].I == region }).keep("n_nationkey", "n_name"),
+		q.scan("customer").keep("c_custkey", "c_nationkey"),
+		eq{"n_nationkey", "c_nationkey"}).all().keep("n_nationkey", "n_name", "c_custkey")
+	nco := hashJoin(nc, ords.where(func(t catalog.Tuple) bool { return between(t[od].I, start, end) }).keep("o_orderkey", "o_custkey"),
+		eq{"c_custkey", "o_custkey"}).all()
+	ncol := hashJoin(nco, q.scan("lineitem"), eq{"o_orderkey", "l_orderkey"}).all()
 	// ⋈ supplier on suppkey, requiring s_nationkey = customer's nationkey.
-	final := &exec.HashJoin{
-		Build:    &exec.Hash{Child: supp},
-		Probe:    ncol,
-		BuildKey: ic(0),
-		ProbeKey: func(t catalog.Tuple) int64 { return t[5+ls].I },
-		Pred:     func(b, p catalog.Tuple) bool { return b[1].I == p[0].I },
-		Combine: func(dst, b, p catalog.Tuple) catalog.Tuple {
-			return append(dst, p[1], catalog.FloatDatum(p[5+lp].F*(1-p[5+ld].F)))
-		},
-	}
-	agg := &exec.HashAgg{
-		Child:    final,
-		GroupKey: strKey(0),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple { return t.Clone() },
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[1].F += t[1].F
-			return acc
-		},
-	}
-	return &exec.Sort{Child: agg, Less: func(a, b catalog.Tuple) bool { return a[1].F > b[1].F }}
+	supp := q.scan("supplier").keep("s_suppkey", "s_nationkey")
+	sn, nk := supp.at("s_nationkey"), ncol.at("n_nationkey")
+	return hashJoin(supp, ncol, eq{"s_suppkey", "l_suppkey"}).
+		match(func(b, p catalog.Tuple) bool { return b[sn].I == p[nk].I }).
+		out("n_name", revenue).
+		group(by("n_name"), "n_name", sum("revenue")).
+		sort(desc("revenue")).op
 }
 
 // q6: forecasting revenue change. Pure sequential scan, scalar aggregate.
-func (ds *Dataset) q6(rng *rand.Rand) exec.Operator {
-	lsd := ds.colIdx("lineitem", "l_shipdate")
-	ld := ds.colIdx("lineitem", "l_discount")
-	lq := ds.colIdx("lineitem", "l_quantity")
-	lp := ds.colIdx("lineitem", "l_extendedprice")
-	y := 1993 + int64(rng.Intn(5))
-	start, end := Day(int(y), 1, 1), Day(int(y)+1, 1, 1)
-	disc := 0.02 + float64(rng.Intn(8))/100
-
-	scan := ds.seq("lineitem", func(t catalog.Tuple) bool {
-		return t[lsd].I >= start && t[lsd].I < end &&
-			t[ld].F >= disc-0.011 && t[ld].F <= disc+0.011 && t[lq].F < 24
-	})
-	return &exec.HashAgg{
-		Child:    scan,
-		GroupKey: oneGroup,
-		NewGroup: func(t catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{catalog.FloatDatum(t[lp].F * t[ld].F)}
-		},
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[0].F += t[lp].F * t[ld].F
-			return acc
-		},
-	}
+func q6(q *plan, rng *rand.Rand) exec.Operator {
+	y := 1993 + rng.Intn(5)
+	start, end := Day(y, 1, 1), Day(y+1, 1, 1)
+	d := 0.02 + float64(rng.Intn(8))/100
+	li := q.scan("lineitem")
+	sd, disc, qty, price := li.at("l_shipdate"), li.at("l_discount"), li.at("l_quantity"), li.at("l_extendedprice")
+	return li.where(func(t catalog.Tuple) bool {
+		return between(t[sd].I, start, end) && t[disc].F >= d-0.011 && t[disc].F <= d+0.011 && t[qty].F < 24
+	}).group(by(), sum(calc("revenue", catalog.Float64, func(t, _ catalog.Tuple) catalog.Datum {
+		return catalog.FloatDatum(t[price].F * t[disc].F)
+	}))).op
 }
 
 // q7: volume shipping. Sequential lineitem drive with random probes into
 // orders and customer.
-func (ds *Dataset) q7(rng *rand.Rand) exec.Operator {
+func q7(q *plan, rng *rand.Rand) exec.Operator {
 	n1 := int64(6 + rng.Intn(2)) // FRANCE or GERMANY
-	n2 := int64(13 - n1 + 0)     // the other one
-	lsd := ds.colIdx("lineitem", "l_shipdate")
-	lsk := ds.colIdx("lineitem", "l_suppkey")
-	lok := ds.colIdx("lineitem", "l_orderkey")
-	lp := ds.colIdx("lineitem", "l_extendedprice")
-	ld := ds.colIdx("lineitem", "l_discount")
+	n2 := 13 - n1                // the other one
 	start, end := Day(1995, 1, 1), Day(1996, 12, 31)
-
-	sk := ds.colIdx("supplier", "s_suppkey")
-	snk := ds.colIdx("supplier", "s_nationkey")
-	supp := keep(ds.seq("supplier", func(t catalog.Tuple) bool { return t[snk].I == n1 || t[snk].I == n2 }), sk, snk)
-
-	line := ds.seq("lineitem", func(t catalog.Tuple) bool { return t[lsd].I >= start && t[lsd].I <= end })
-	// supplier ⋈ lineitem → [s_suppkey, s_nationkey | lineitem...]
-	sl := hj(supp, line, ic(0), ic(lsk))
-
-	oc := ds.colIdx("orders", "o_custkey")
-	nlO := &exec.NestLoop{
-		Outer:    sl,
-		Probe:    ds.probe("idx_orders_orderkey", "orders", nil),
-		OuterKey: func(t catalog.Tuple) int64 { return t[2+lok].I },
-		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
-			// [suppnation, shipyear, revenue, custkey]
-			return append(dst,
-				o[1],
-				catalog.IntDatum(year(o[2+lsd].I)),
-				catalog.FloatDatum(o[2+lp].F*(1-o[2+ld].F)),
-				i[oc],
-			)
-		},
-	}
-	cnk := ds.colIdx("customer", "c_nationkey")
-	nlC := &exec.NestLoop{
-		Outer:    nlO,
-		Probe:    ds.probe("idx_customer_custkey", "customer", nil),
-		OuterKey: ic(3),
-		Pred: func(o, i catalog.Tuple) bool {
-			return (o[0].I == n1 && i[cnk].I == n2) || (o[0].I == n2 && i[cnk].I == n1)
-		},
-		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
-			return append(dst, o[0], i[cnk], o[1], o[2])
-		},
-	}
-	agg := &exec.HashAgg{
-		Child: nlC,
-		GroupKey: func(key []byte, t catalog.Tuple) []byte {
-			key = append(strconv.AppendInt(key, t[0].I, 10), '|')
-			key = append(strconv.AppendInt(key, t[1].I, 10), '|')
-			return strconv.AppendInt(key, t[2].I, 10)
-		},
-		NewGroup: func(t catalog.Tuple) catalog.Tuple { return t.Clone() },
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[3].F += t[3].F
-			return acc
-		},
-	}
-	return &exec.Sort{Child: agg, Less: func(a, b catalog.Tuple) bool {
-		if a[0].I != b[0].I {
-			return a[0].I < b[0].I
-		}
-		if a[1].I != b[1].I {
-			return a[1].I < b[1].I
-		}
-		return a[2].I < b[2].I
-	}}
+	supp, line, cust := q.scan("supplier"), q.scan("lineitem"), q.index("idx_customer_custkey")
+	snk, sd, cnk := supp.at("s_nationkey"), line.at("l_shipdate"), cust.at("c_nationkey")
+	sl := hashJoin(supp.where(func(t catalog.Tuple) bool { return t[snk].I == n1 || t[snk].I == n2 }).keep("s_suppkey", "s_nationkey"),
+		line.where(func(t catalog.Tuple) bool { return t[sd].I >= start && t[sd].I <= end }),
+		eq{"s_suppkey", "l_suppkey"}).all()
+	slo := nestLoop(sl, q.index("idx_orders_orderkey"), "l_orderkey").
+		out("s_nationkey", year("l_shipdate"), revenue, "o_custkey")
+	sn := slo.at("s_nationkey")
+	return nestLoop(slo, cust, "o_custkey").
+		match(func(o, i catalog.Tuple) bool {
+			return (o[sn].I == n1 && i[cnk].I == n2) || (o[sn].I == n2 && i[cnk].I == n1)
+		}).
+		out("s_nationkey", "c_nationkey", "year", "revenue").
+		group(by("s_nationkey", "c_nationkey", "year"), "s_nationkey", "c_nationkey", "year", sum("revenue")).
+		sort(asc("s_nationkey"), asc("c_nationkey"), asc("year")).op
 }
 
 // q8: national market share. Part-driven random probes into lineitem and
 // orders.
-func (ds *Dataset) q8(rng *rand.Rand) exec.Operator {
+func q8(q *plan, rng *rand.Rand) exec.Operator {
 	ptype := typeSyl1[rng.Intn(len(typeSyl1))] + " " + typeSyl2[rng.Intn(len(typeSyl2))] + " " + typeSyl3[rng.Intn(len(typeSyl3))]
-	targetNation := int64(2) // BRAZIL
-	pk := ds.colIdx("part", "p_partkey")
-	pt := ds.colIdx("part", "p_type")
-	part := keep(ds.seq("part", func(t catalog.Tuple) bool { return t[pt].S == ptype }), pk)
-
-	lpk := ds.colIdx("lineitem", "l_partkey")
-	_ = lpk
-	lok := ds.colIdx("lineitem", "l_orderkey")
-	lsk := ds.colIdx("lineitem", "l_suppkey")
-	lp := ds.colIdx("lineitem", "l_extendedprice")
-	ld := ds.colIdx("lineitem", "l_discount")
-	nlL := &exec.NestLoop{
-		Outer:    part,
-		Probe:    ds.probe("idx_lineitem_partkey", "lineitem", nil),
-		OuterKey: ic(0),
-		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
-			return append(dst, i[lok], i[lsk], catalog.FloatDatum(i[lp].F*(1-i[ld].F)))
-		},
-	}
-	od := ds.colIdx("orders", "o_orderdate")
+	const brazil = 2
 	start, end := Day(1995, 1, 1), Day(1996, 12, 31)
-	nlO := &exec.NestLoop{
-		Outer:    nlL,
-		Probe:    ds.probe("idx_orders_orderkey", "orders", func(t catalog.Tuple) bool { return t[od].I >= start && t[od].I <= end }),
-		OuterKey: ic(0),
-		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
-			return append(dst, o[1], o[2], catalog.IntDatum(year(i[od].I)))
-		},
-	}
-	sk := ds.colIdx("supplier", "s_suppkey")
-	snk := ds.colIdx("supplier", "s_nationkey")
-	join := hj(keep(ds.seq("supplier", nil), sk, snk), nlO,
-		ic(0),
-		ic(0),
-	)
-	agg := &exec.HashAgg{
-		Child:    join,
-		GroupKey: intKey(2 + 2),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple {
-			v := t[2+1].F
-			nv := 0.0
-			if t[1].I == targetNation {
-				nv = v
-			}
-			return catalog.Tuple{t[2+2], catalog.FloatDatum(nv), catalog.FloatDatum(v)}
-		},
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			v := t[2+1].F
-			if t[1].I == targetNation {
-				acc[1].F += v
-			}
-			acc[2].F += v
-			return acc
-		},
-		Finalize: func(acc catalog.Tuple) catalog.Tuple {
-			share := 0.0
-			if acc[2].F > 0 {
-				share = acc[1].F / acc[2].F
-			}
-			return catalog.Tuple{acc[0], catalog.FloatDatum(share)}
-		},
-	}
-	return &exec.Sort{Child: agg, Less: func(a, b catalog.Tuple) bool { return a[0].I < b[0].I }}
+	part, ords := q.scan("part"), q.index("idx_orders_orderkey")
+	pt, od := part.at("p_type"), ords.at("o_orderdate")
+	pl := nestLoop(part.where(func(t catalog.Tuple) bool { return t[pt].S == ptype }).keep("p_partkey"),
+		q.index("idx_lineitem_partkey"), "p_partkey").out("l_orderkey", "l_suppkey", revenue)
+	plo := nestLoop(pl, ords.where(func(t catalog.Tuple) bool { return t[od].I >= start && t[od].I <= end }), "l_orderkey").
+		out("l_suppkey", "revenue", year("o_orderdate"))
+	all := hashJoin(q.scan("supplier").keep("s_suppkey", "s_nationkey"), plo, eq{"s_suppkey", "l_suppkey"}).all()
+	sn, rev := all.at("s_nationkey"), all.at("revenue")
+	g := all.group(by("year"), "year", sum(calc("nation_revenue", catalog.Float64, func(t, _ catalog.Tuple) catalog.Datum {
+		if t[sn].I == brazil {
+			return t[rev]
+		}
+		return catalog.FloatDatum(0)
+	})), sum("revenue"))
+	nv, v := g.at("nation_revenue"), g.at("revenue")
+	return g.finalize("year", calc("mkt_share", catalog.Float64, func(acc, _ catalog.Tuple) catalog.Datum {
+		share := 0.0
+		if acc[v].F > 0 {
+			share = acc[nv].F / acc[v].F
+		}
+		return catalog.FloatDatum(share)
+	})).sort(asc("year")).op
 }
 
 // q9: product type profit — the plan of Figure 7: hash joins over part,
 // partsupp and nation; nested-loop index scans into supplier and orders.
 // The supplier probe sits one level below the orders probe, so their
 // random requests receive priorities 2 and 3 (Table 5).
-func (ds *Dataset) q9(rng *rand.Rand) exec.Operator {
+func q9(q *plan, rng *rand.Rand) exec.Operator {
 	word := nameWords[rng.Intn(len(nameWords))]
-	pk := ds.colIdx("part", "p_partkey")
-	pn := ds.colIdx("part", "p_name")
-	part := keep(ds.seq("part", func(t catalog.Tuple) bool { return strings.Contains(t[pn].S, word) }), pk)
-
-	lpk := ds.colIdx("lineitem", "l_partkey")
-	lsk := ds.colIdx("lineitem", "l_suppkey")
-	lok := ds.colIdx("lineitem", "l_orderkey")
-	lq := ds.colIdx("lineitem", "l_quantity")
-	lp := ds.colIdx("lineitem", "l_extendedprice")
-	ld := ds.colIdx("lineitem", "l_discount")
-
+	part := q.scan("part")
+	pn := part.at("p_name")
 	// HJ1: part ⋈ lineitem (both sequential).
-	hj1 := hj(part, ds.seq("lineitem", nil), ic(0), ic(lpk))
-	// → [p_partkey | lineitem...]
-	slim := &exec.Project{Child: hj1, Fn: func(dst, t catalog.Tuple) catalog.Tuple {
-		return append(dst,
-			t[1+lpk], t[1+lsk], t[1+lok],
-			catalog.FloatDatum(t[1+lp].F*(1-t[1+ld].F)), t[1+lq],
-		)
-	}}
-
+	pl := hashJoin(part.where(func(t catalog.Tuple) bool { return strings.Contains(t[pn].S, word) }).keep("p_partkey"),
+		q.scan("lineitem"), eq{"p_partkey", "l_partkey"}).all().
+		keep("l_partkey", "l_suppkey", "l_orderkey", revenue, "l_quantity")
 	// HJ2: ⋈ partsupp on (partkey, suppkey), sequential build.
-	psk := ds.colIdx("partsupp", "ps_partkey")
-	pss := ds.colIdx("partsupp", "ps_suppkey")
-	psc := ds.colIdx("partsupp", "ps_supplycost")
-	hj2 := &exec.HashJoin{
-		Build:    &exec.Hash{Child: ds.seq("partsupp", nil)},
-		Probe:    slim,
-		BuildKey: func(t catalog.Tuple) int64 { return t[psk].I<<32 | t[pss].I },
-		ProbeKey: func(t catalog.Tuple) int64 { return t[0].I<<32 | t[1].I },
-		Combine: func(dst, b, p catalog.Tuple) catalog.Tuple {
-			// [suppkey, orderkey, profit-ish]
-			return append(dst, p[1], p[2], catalog.FloatDatum(p[3].F-b[psc].F*p[4].F))
-		},
-	}
-
-	// NL: ⋈ supplier via index (random, the paper's priority-2 stream).
-	snk := ds.colIdx("supplier", "s_nationkey")
-	nlS := &exec.NestLoop{
-		Outer:    hj2,
-		Probe:    ds.probe("idx_supplier_suppkey", "supplier", nil),
-		OuterKey: ic(0),
-		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
-			return append(dst, i[snk], o[1], o[2])
-		},
-	}
-	// NL: ⋈ orders via index (random, priority 3).
-	od := ds.colIdx("orders", "o_orderdate")
-	nlO := &exec.NestLoop{
-		Outer:    nlS,
-		Probe:    ds.probe("idx_orders_orderkey", "orders", nil),
-		OuterKey: ic(1),
-		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
-			return append(dst, o[0], catalog.IntDatum(year(i[od].I)), o[2])
-		},
-	}
+	ps := q.scan("partsupp")
+	cost, rev, qty := ps.at("ps_supplycost"), pl.at("revenue"), pl.at("l_quantity")
+	amount := calc("amount", catalog.Float64, func(b, p catalog.Tuple) catalog.Datum {
+		return catalog.FloatDatum(p[rev].F - b[cost].F*p[qty].F)
+	})
+	pls := hashJoin(ps, pl, eq{"ps_partkey", "l_partkey"}, eq{"ps_suppkey", "l_suppkey"}).
+		out("l_suppkey", "l_orderkey", amount)
+	// NL: ⋈ supplier via index (random, the paper's priority-2 stream),
+	// then ⋈ orders via index (random, priority 3).
+	s := nestLoop(pls, q.index("idx_supplier_suppkey"), "l_suppkey").out("s_nationkey", "l_orderkey", "amount")
+	so := nestLoop(s, q.index("idx_orders_orderkey"), "l_orderkey").out("s_nationkey", year("o_orderdate"), "amount")
 	// Top hash join with nation.
-	nk := ds.colIdx("nation", "n_nationkey")
-	nn := ds.colIdx("nation", "n_name")
-	top := hj(keep(ds.seq("nation", nil), nk, nn), nlO, ic(0), ic(0))
-	agg := &exec.HashAgg{
-		Child: top,
-		GroupKey: func(key []byte, t catalog.Tuple) []byte {
-			return strconv.AppendInt(append(append(key, t[1].S...), '|'), t[2+1].I, 10)
-		},
-		NewGroup: func(t catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{t[1], t[2+1], t[2+2]}
-		},
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[2].F += t[2+2].F
-			return acc
-		},
-	}
-	return &exec.Sort{Child: agg, Less: func(a, b catalog.Tuple) bool {
-		if a[0].S != b[0].S {
-			return a[0].S < b[0].S
-		}
-		return a[1].I > b[1].I
-	}}
+	return hashJoin(q.scan("nation").keep("n_nationkey", "n_name"), so, eq{"n_nationkey", "s_nationkey"}).all().
+		group(by("n_name", "year"), "n_name", "year", sum("amount")).
+		sort(asc("n_name"), desc("year")).op
 }
 
 // q10: returned item reporting. Hash joins + random customer probes.
-func (ds *Dataset) q10(rng *rand.Rand) exec.Operator {
-	od := ds.colIdx("orders", "o_orderdate")
-	ok := ds.colIdx("orders", "o_orderkey")
-	oc := ds.colIdx("orders", "o_custkey")
+func q10(q *plan, rng *rand.Rand) exec.Operator {
 	start := Day(1993, 10, 1) + int64(rng.Intn(8))*91
-	end := start + 91
-
-	ords := keep(ds.seq("orders", func(t catalog.Tuple) bool { return t[od].I >= start && t[od].I < end }), ok, oc)
-	lrf := ds.colIdx("lineitem", "l_returnflag")
-	lok := ds.colIdx("lineitem", "l_orderkey")
-	lp := ds.colIdx("lineitem", "l_extendedprice")
-	ld := ds.colIdx("lineitem", "l_discount")
-	line := ds.seq("lineitem", func(t catalog.Tuple) bool { return t[lrf].S == "R" })
-	ol := hj(ords, line, ic(0), ic(lok))
-	// [orderkey, custkey | lineitem...]
-	rev := &exec.Project{Child: ol, Fn: func(dst, t catalog.Tuple) catalog.Tuple {
-		return append(dst, t[1], catalog.FloatDatum(t[2+lp].F*(1-t[2+ld].F)))
-	}}
-	cn := ds.colIdx("customer", "c_name")
-	nlC := &exec.NestLoop{
-		Outer:    rev,
-		Probe:    ds.probe("idx_customer_custkey", "customer", nil),
-		OuterKey: ic(0),
-		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
-			return append(dst, o[0], i[cn], o[1])
-		},
-	}
-	agg := &exec.HashAgg{
-		Child:    nlC,
-		GroupKey: intKey(0),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple { return t.Clone() },
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[2].F += t[2].F
-			return acc
-		},
-	}
-	return &exec.TopN{Child: agg, N: 20, Less: func(a, b catalog.Tuple) bool { return a[2].F > b[2].F }}
+	ords, line := q.scan("orders"), q.scan("lineitem")
+	od, rf := ords.at("o_orderdate"), line.at("l_returnflag")
+	ol := hashJoin(ords.where(func(t catalog.Tuple) bool { return between(t[od].I, start, start+91) }).keep("o_orderkey", "o_custkey"),
+		line.where(func(t catalog.Tuple) bool { return t[rf].S == "R" }),
+		eq{"o_orderkey", "l_orderkey"}).all().keep("o_custkey", revenue)
+	return nestLoop(ol, q.index("idx_customer_custkey"), "o_custkey").
+		out("o_custkey", "c_name", "revenue").
+		group(by("o_custkey"), "o_custkey", "c_name", sum("revenue")).
+		top(20, desc("revenue")).op
 }
 
 // q11: important stock identification. Sequential joins + aggregation.
-func (ds *Dataset) q11(rng *rand.Rand) exec.Operator {
-	nationKey := int64(7) // GERMANY
-	_ = rng
-	snk := ds.colIdx("supplier", "s_nationkey")
-	sk := ds.colIdx("supplier", "s_suppkey")
-	supp := keep(ds.seq("supplier", func(t catalog.Tuple) bool { return t[snk].I == nationKey }), sk)
-
-	psk := ds.colIdx("partsupp", "ps_partkey")
-	pss := ds.colIdx("partsupp", "ps_suppkey")
-	psq := ds.colIdx("partsupp", "ps_availqty")
-	psc := ds.colIdx("partsupp", "ps_supplycost")
-	join := hj(supp, ds.seq("partsupp", nil), ic(0), ic(pss))
-	agg := &exec.HashAgg{
-		Child:    join,
-		GroupKey: intKey(1 + psk),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{t[1+psk], catalog.FloatDatum(t[1+psc].F * float64(t[1+psq].I))}
-		},
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[1].F += t[1+psc].F * float64(t[1+psq].I)
-			return acc
-		},
-	}
-	filter := &exec.Filter{Child: agg, Pred: func(t catalog.Tuple) bool { return t[1].F > 1000 }}
-	return &exec.Sort{Child: filter, Less: func(a, b catalog.Tuple) bool { return a[1].F > b[1].F }}
+func q11(q *plan, _ *rand.Rand) exec.Operator {
+	const germany = 7
+	supp := q.scan("supplier")
+	snk := supp.at("s_nationkey")
+	sp := hashJoin(supp.where(func(t catalog.Tuple) bool { return t[snk].I == germany }).keep("s_suppkey"),
+		q.scan("partsupp"), eq{"s_suppkey", "ps_suppkey"}).all()
+	cost, avail := sp.at("ps_supplycost"), sp.at("ps_availqty")
+	g := sp.group(by("ps_partkey"), "ps_partkey", sum(calc("value", catalog.Float64, func(t, _ catalog.Tuple) catalog.Datum {
+		return catalog.FloatDatum(t[cost].F * float64(t[avail].I))
+	})))
+	v := g.at("value")
+	return g.where(func(t catalog.Tuple) bool { return t[v].F > 1000 }).sort(desc("value")).op
 }
 
 // q12: shipping modes and order priority. Sequential lineitem drive with
 // random orders probes.
-func (ds *Dataset) q12(rng *rand.Rand) exec.Operator {
+func q12(q *plan, rng *rand.Rand) exec.Operator {
 	m1 := shipmodes[rng.Intn(len(shipmodes))]
 	m2 := shipmodes[rng.Intn(len(shipmodes))]
-	y := 1993 + int64(rng.Intn(5))
-	start, end := Day(int(y), 1, 1), Day(int(y)+1, 1, 1)
-	lsm := ds.colIdx("lineitem", "l_shipmode")
-	lrd := ds.colIdx("lineitem", "l_receiptdate")
-	lcd := ds.colIdx("lineitem", "l_commitdate")
-	lsd := ds.colIdx("lineitem", "l_shipdate")
-	lok := ds.colIdx("lineitem", "l_orderkey")
-
-	line := ds.seq("lineitem", func(t catalog.Tuple) bool {
-		return (t[lsm].S == m1 || t[lsm].S == m2) &&
-			t[lcd].I < t[lrd].I && t[lsd].I < t[lcd].I &&
-			t[lrd].I >= start && t[lrd].I < end
-	})
-	op := ds.colIdx("orders", "o_orderpriority")
-	nl := &exec.NestLoop{
-		Outer:    line,
-		Probe:    ds.probe("idx_orders_orderkey", "orders", nil),
-		OuterKey: ic(lok),
-		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
-			high := int64(0)
-			if i[op].S == "1-URGENT" || i[op].S == "2-HIGH" {
-				high = 1
-			}
-			return append(dst, o[lsm], catalog.IntDatum(high))
-		},
-	}
-	agg := &exec.HashAgg{
-		Child:    nl,
-		GroupKey: strKey(0),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{t[0], t[1], catalog.IntDatum(1 - t[1].I)}
-		},
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[1].I += t[1].I
-			acc[2].I += 1 - t[1].I
-			return acc
-		},
-	}
-	return &exec.Sort{Child: agg, Less: func(a, b catalog.Tuple) bool { return a[0].S < b[0].S }}
+	y := 1993 + rng.Intn(5)
+	start, end := Day(y, 1, 1), Day(y+1, 1, 1)
+	line, ords := q.scan("lineitem"), q.index("idx_orders_orderkey")
+	sm, rd, cd, sd, pr := line.at("l_shipmode"), line.at("l_receiptdate"), line.at("l_commitdate"), line.at("l_shipdate"), ords.at("o_orderpriority")
+	lo := nestLoop(line.where(func(t catalog.Tuple) bool {
+		return (t[sm].S == m1 || t[sm].S == m2) && t[cd].I < t[rd].I && t[sd].I < t[cd].I && between(t[rd].I, start, end)
+	}), ords, "l_orderkey").out("l_shipmode", calc("high", catalog.Int64, func(_, i catalog.Tuple) catalog.Datum {
+		high := int64(0)
+		if i[pr].S == "1-URGENT" || i[pr].S == "2-HIGH" {
+			high = 1
+		}
+		return catalog.IntDatum(high)
+	}))
+	h := lo.at("high")
+	return lo.group(by("l_shipmode"), "l_shipmode", sum("high"), sum(calc("low", catalog.Int64, func(t, _ catalog.Tuple) catalog.Datum {
+		return catalog.IntDatum(1 - t[h].I)
+	}))).sort(asc("l_shipmode")).op
 }
 
 // q13: customer distribution. Large aggregation over orders (spills) then
 // a customer join.
-func (ds *Dataset) q13(rng *rand.Rand) exec.Operator {
-	_ = rng
-	oc := ds.colIdx("orders", "o_custkey")
-	counts := &exec.HashAgg{
-		Child:    ds.seq("orders", nil),
-		GroupKey: intKey(oc),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple { return catalog.Tuple{t[oc], catalog.IntDatum(1)} },
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[1].I++
-			return acc
-		},
-	}
-	ck := ds.colIdx("customer", "c_custkey")
-	join := hj(counts, keep(ds.seq("customer", nil), ck), ic(0), ic(0))
-	dist := &exec.HashAgg{
-		Child:    join,
-		GroupKey: intKey(1),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple { return catalog.Tuple{t[1], catalog.IntDatum(1)} },
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[1].I++
-			return acc
-		},
-	}
-	return &exec.Sort{Child: dist, Less: func(a, b catalog.Tuple) bool {
-		if a[1].I != b[1].I {
-			return a[1].I > b[1].I
-		}
-		return a[0].I > b[0].I
-	}}
+func q13(q *plan, _ *rand.Rand) exec.Operator {
+	counts := q.scan("orders").group(by("o_custkey"), "o_custkey", count("c_count"))
+	return hashJoin(counts, q.scan("customer").keep("c_custkey"), eq{"o_custkey", "c_custkey"}).all().
+		group(by("c_count"), "c_count", count("custdist")).
+		sort(desc("custdist"), desc("c_count")).op
 }
 
 // q14: promotion effect. Sequential lineitem drive with random part
 // probes.
-func (ds *Dataset) q14(rng *rand.Rand) exec.Operator {
-	y := 1993 + int64(rng.Intn(5))
-	m := 1 + rng.Intn(12)
-	start := Day(int(y), m, 1)
-	end := start + 30
-	lsd := ds.colIdx("lineitem", "l_shipdate")
-	lpk := ds.colIdx("lineitem", "l_partkey")
-	lp := ds.colIdx("lineitem", "l_extendedprice")
-	ld := ds.colIdx("lineitem", "l_discount")
-	pt := ds.colIdx("part", "p_type")
-
-	line := ds.seq("lineitem", func(t catalog.Tuple) bool { return t[lsd].I >= start && t[lsd].I < end })
-	nl := &exec.NestLoop{
-		Outer:    line,
-		Probe:    ds.probe("idx_part_partkey", "part", nil),
-		OuterKey: ic(lpk),
-		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
-			rev := o[lp].F * (1 - o[ld].F)
-			promo := 0.0
-			if strings.HasPrefix(i[pt].S, "PROMO") {
-				promo = rev
-			}
-			return append(dst, catalog.FloatDatum(promo), catalog.FloatDatum(rev))
-		},
-	}
-	return &exec.HashAgg{
-		Child:    nl,
-		GroupKey: oneGroup,
-		NewGroup: func(t catalog.Tuple) catalog.Tuple { return t.Clone() },
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[0].F += t[0].F
-			acc[1].F += t[1].F
-			return acc
-		},
-		Finalize: func(acc catalog.Tuple) catalog.Tuple {
-			share := 0.0
-			if acc[1].F > 0 {
-				share = 100 * acc[0].F / acc[1].F
-			}
-			return catalog.Tuple{catalog.FloatDatum(share)}
-		},
-	}
+func q14(q *plan, rng *rand.Rand) exec.Operator {
+	y := 1993 + rng.Intn(5)
+	start := Day(y, 1+rng.Intn(12), 1)
+	line, part := q.scan("lineitem"), q.index("idx_part_partkey")
+	sd, price, disc, pt := line.at("l_shipdate"), line.at("l_extendedprice"), line.at("l_discount"), part.at("p_type")
+	promo := calc("promo", catalog.Float64, func(o, i catalog.Tuple) catalog.Datum {
+		v := 0.0
+		if strings.HasPrefix(i[pt].S, "PROMO") {
+			v = o[price].F * (1 - o[disc].F)
+		}
+		return catalog.FloatDatum(v)
+	})
+	g := nestLoop(line.where(func(t catalog.Tuple) bool { return between(t[sd].I, start, start+30) }), part, "l_partkey").
+		out(promo, revenue).
+		group(by(), sum("promo"), sum("revenue"))
+	pv, v := g.at("promo"), g.at("revenue")
+	return g.finalize(calc("promo_revenue", catalog.Float64, func(acc, _ catalog.Tuple) catalog.Datum {
+		share := 0.0
+		if acc[v].F > 0 {
+			share = 100 * acc[pv].F / acc[v].F
+		}
+		return catalog.FloatDatum(share)
+	})).op
 }
 
 // q15: top supplier. Sequential aggregation + small join.
-func (ds *Dataset) q15(rng *rand.Rand) exec.Operator {
+func q15(q *plan, rng *rand.Rand) exec.Operator {
 	start := Day(1993, 1, 1) + int64(rng.Intn(20))*91
-	end := start + 91
-	lsd := ds.colIdx("lineitem", "l_shipdate")
-	lsk := ds.colIdx("lineitem", "l_suppkey")
-	lp := ds.colIdx("lineitem", "l_extendedprice")
-	ld := ds.colIdx("lineitem", "l_discount")
-
-	revenue := &exec.HashAgg{
-		Child:    ds.seq("lineitem", func(t catalog.Tuple) bool { return t[lsd].I >= start && t[lsd].I < end }),
-		GroupKey: intKey(lsk),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{t[lsk], catalog.FloatDatum(t[lp].F * (1 - t[ld].F))}
-		},
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[1].F += t[lp].F * (1 - t[ld].F)
-			return acc
-		},
-	}
-	sk := ds.colIdx("supplier", "s_suppkey")
-	sn := ds.colIdx("supplier", "s_name")
-	join := hj(revenue, keep(ds.seq("supplier", nil), sk, sn),
-		ic(0), ic(0))
-	return &exec.TopN{Child: join, N: 1, Less: func(a, b catalog.Tuple) bool { return a[1].F > b[1].F }}
+	line := q.scan("lineitem")
+	sd := line.at("l_shipdate")
+	rev := line.where(func(t catalog.Tuple) bool { return between(t[sd].I, start, start+91) }).
+		group(by("l_suppkey"), "l_suppkey", sum(revenue))
+	return hashJoin(rev, q.scan("supplier").keep("s_suppkey", "s_name"), eq{"l_suppkey", "s_suppkey"}).all().
+		top(1, desc("revenue")).op
 }
 
 // q16: parts/supplier relationship. Sequential joins + aggregation.
-func (ds *Dataset) q16(rng *rand.Rand) exec.Operator {
+func q16(q *plan, rng *rand.Rand) exec.Operator {
 	brand := brands[rng.Intn(len(brands))]
-	pk := ds.colIdx("part", "p_partkey")
-	pb := ds.colIdx("part", "p_brand")
-	pt := ds.colIdx("part", "p_type")
-	psz := ds.colIdx("part", "p_size")
-	part := ds.seq("part", func(t catalog.Tuple) bool {
+	part := q.scan("part")
+	pb, pt, psz := part.at("p_brand"), part.at("p_type"), part.at("p_size")
+	part = part.where(func(t catalog.Tuple) bool {
 		return t[pb].S != brand && !strings.HasPrefix(t[pt].S, "MEDIUM") && t[psz].I%7 < 4
 	})
-	psk := ds.colIdx("partsupp", "ps_partkey")
-	pss := ds.colIdx("partsupp", "ps_suppkey")
-	join := hj(keep(part, pk, pb, pt, psz), ds.seq("partsupp", nil), ic(0), ic(psk))
-	agg := &exec.HashAgg{
-		Child: join,
-		GroupKey: func(key []byte, t catalog.Tuple) []byte {
-			key = append(append(append(append(key, t[1].S...), '|'), t[2].S...), '|')
-			return strconv.AppendInt(key, t[3].I, 10)
-		},
-		NewGroup: func(t catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{t[1], t[2], t[3], catalog.IntDatum(1), t[4+pss]}
-		},
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			if t[4+pss].I != acc[4].I {
-				acc[3].I++
-				acc[4] = t[4+pss]
-			}
-			return acc
-		},
-	}
-	return &exec.Sort{Child: agg, Less: func(a, b catalog.Tuple) bool {
-		if a[3].I != b[3].I {
-			return a[3].I > b[3].I
-		}
-		return a[0].S < b[0].S
-	}}
+	return hashJoin(part.keep("p_partkey", "p_brand", "p_type", "p_size"), q.scan("partsupp"), eq{"p_partkey", "ps_partkey"}).all().
+		group(by("p_brand", "p_type", "p_size"), "p_brand", "p_type", "p_size", changes("supplier_cnt", "ps_suppkey")).
+		sort(desc("supplier_cnt"), asc("p_brand")).op
 }
 
 // q17: small-quantity-order revenue. Part-driven random lineitem probes.
-func (ds *Dataset) q17(rng *rand.Rand) exec.Operator {
+func q17(q *plan, rng *rand.Rand) exec.Operator {
 	brand := brands[rng.Intn(len(brands))]
 	container := containers[rng.Intn(len(containers))]
-	pk := ds.colIdx("part", "p_partkey")
-	pb := ds.colIdx("part", "p_brand")
-	pc := ds.colIdx("part", "p_container")
-	part := keep(ds.seq("part", func(t catalog.Tuple) bool {
-		return t[pb].S == brand && t[pc].S == container
-	}), pk)
-
-	lq := ds.colIdx("lineitem", "l_quantity")
-	lp := ds.colIdx("lineitem", "l_extendedprice")
-	nl := &exec.NestLoop{
-		Outer:    part,
-		Probe:    ds.probe("idx_lineitem_partkey", "lineitem", nil),
-		OuterKey: ic(0),
-		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple {
-			return append(dst, o[0], i[lq], i[lp])
-		},
-	}
-	agg := &exec.HashAgg{
-		Child:    nl,
-		GroupKey: intKey(0),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple {
-			low := 0.0
-			if t[1].F < 5 {
-				low = t[2].F
-			}
-			return catalog.Tuple{t[0], catalog.FloatDatum(low)}
-		},
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			if t[1].F < 5 {
-				acc[1].F += t[2].F
-			}
-			return acc
-		},
-	}
-	return &exec.HashAgg{
-		Child:    agg,
-		GroupKey: oneGroup,
-		NewGroup: func(t catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{catalog.FloatDatum(t[1].F / 7)}
-		},
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[0].F += t[1].F / 7
-			return acc
-		},
-	}
+	part := q.scan("part")
+	pb, pc := part.at("p_brand"), part.at("p_container")
+	pl := nestLoop(part.where(func(t catalog.Tuple) bool { return t[pb].S == brand && t[pc].S == container }).keep("p_partkey"),
+		q.index("idx_lineitem_partkey"), "p_partkey").out("p_partkey", "l_quantity", "l_extendedprice")
+	qty, price := pl.at("l_quantity"), pl.at("l_extendedprice")
+	g := pl.group(by("p_partkey"), "p_partkey", sum(calc("small", catalog.Float64, func(t, _ catalog.Tuple) catalog.Datum {
+		if t[qty].F < 5 {
+			return t[price]
+		}
+		return catalog.FloatDatum(0)
+	})))
+	small := g.at("small")
+	return g.group(by(), sum(calc("avg_yearly", catalog.Float64, func(t, _ catalog.Tuple) catalog.Datum {
+		return catalog.FloatDatum(t[small].F / 7)
+	}))).op
 }
 
 // q18: large volume customer — the plan of Figure 10. The big hash
 // aggregate over lineitem spills to temporary files (Rule 3 traffic), and
 // every other input is scanned sequentially, so the query is the paper's
 // temp-data showcase (Table 7).
-func (ds *Dataset) q18(rng *rand.Rand) exec.Operator {
+func q18(q *plan, rng *rand.Rand) exec.Operator {
 	threshold := 180.0 + float64(rng.Intn(40))
-	lok := ds.colIdx("lineitem", "l_orderkey")
-	lq := ds.colIdx("lineitem", "l_quantity")
-
 	// Hash aggregate over all of lineitem: sum(l_quantity) by orderkey.
-	sums := &exec.HashAgg{
-		Child:    ds.seq("lineitem", nil),
-		GroupKey: intKey(lok),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple { return catalog.Tuple{t[lok], catalog.FloatDatum(t[lq].F)} },
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[1].F += t[lq].F
-			return acc
-		},
-	}
-	big := &exec.Filter{Child: sums, Pred: func(t catalog.Tuple) bool { return t[1].F > threshold }}
-
-	ok := ds.colIdx("orders", "o_orderkey")
-	oc := ds.colIdx("orders", "o_custkey")
-	od := ds.colIdx("orders", "o_orderdate")
-	op := ds.colIdx("orders", "o_totalprice")
-	// ⋈ orders (sequential probe).
-	jo := hj(big, ds.seq("orders", nil), ic(0), ic(ok))
-	// → [orderkey, qty, custkey, orderdate, totalprice]
-	slim := &exec.Project{Child: jo, Fn: func(dst, t catalog.Tuple) catalog.Tuple {
-		return append(dst, t[0], t[1], t[2+oc], t[2+od], t[2+op])
-	}}
-	ck := ds.colIdx("customer", "c_custkey")
-	cn := ds.colIdx("customer", "c_name")
-	// ⋈ customer (sequential probe).
-	jc := hj(slim, keep(ds.seq("customer", nil), ck, cn), ic(2), ic(0))
-	// → final aggregation by order.
-	agg := &exec.HashAgg{
-		Child:    jc,
-		GroupKey: intKey(0),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{t[6], t[2], t[0], t[3], t[4], t[1]}
-		},
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple { return acc },
-	}
-	return &exec.TopN{Child: agg, N: 100, Less: func(a, b catalog.Tuple) bool {
-		if a[4].F != b[4].F {
-			return a[4].F > b[4].F
-		}
-		return a[3].I < b[3].I
-	}}
+	sums := q.scan("lineitem").group(by("l_orderkey"), "l_orderkey", sum("l_quantity"))
+	qty := sums.at("l_quantity")
+	// ⋈ orders, then ⋈ customer (both sequential probes).
+	big := hashJoin(sums.where(func(t catalog.Tuple) bool { return t[qty].F > threshold }), q.scan("orders"),
+		eq{"l_orderkey", "o_orderkey"}).all().
+		keep("l_orderkey", "l_quantity", "o_custkey", "o_orderdate", "o_totalprice")
+	return hashJoin(big, q.scan("customer").keep("c_custkey", "c_name"), eq{"o_custkey", "c_custkey"}).all().
+		group(by("l_orderkey"), "c_name", "o_custkey", "l_orderkey", "o_orderdate", "o_totalprice", "l_quantity").
+		top(100, desc("o_totalprice"), asc("o_orderdate")).op
 }
 
 // q19: discounted revenue. Sequential hash join of part and lineitem.
-func (ds *Dataset) q19(rng *rand.Rand) exec.Operator {
+func q19(q *plan, rng *rand.Rand) exec.Operator {
 	b1 := brands[rng.Intn(len(brands))]
 	b2 := brands[rng.Intn(len(brands))]
 	b3 := brands[rng.Intn(len(brands))]
-	pk := ds.colIdx("part", "p_partkey")
-	pb := ds.colIdx("part", "p_brand")
-	pc := ds.colIdx("part", "p_container")
-	part := keep(ds.seq("part", nil), pk, pb, pc)
-
-	lpk := ds.colIdx("lineitem", "l_partkey")
-	lq := ds.colIdx("lineitem", "l_quantity")
-	lp := ds.colIdx("lineitem", "l_extendedprice")
-	ld := ds.colIdx("lineitem", "l_discount")
-	lsm := ds.colIdx("lineitem", "l_shipmode")
-	line := ds.seq("lineitem", func(t catalog.Tuple) bool {
-		return t[lsm].S == "AIR" || t[lsm].S == "REG AIR"
-	})
-	join := &exec.HashJoin{
-		Build:    &exec.Hash{Child: part},
-		Probe:    line,
-		BuildKey: ic(0),
-		ProbeKey: ic(lpk),
-		Pred: func(b, p catalog.Tuple) bool {
-			switch b[1].S {
+	part, line := q.scan("part").keep("p_partkey", "p_brand", "p_container"), q.scan("lineitem")
+	br, ct, sm, qty := part.at("p_brand"), part.at("p_container"), line.at("l_shipmode"), line.at("l_quantity")
+	return hashJoin(part, line.where(func(t catalog.Tuple) bool { return t[sm].S == "AIR" || t[sm].S == "REG AIR" }),
+		eq{"p_partkey", "l_partkey"}).
+		match(func(b, p catalog.Tuple) bool {
+			switch b[br].S {
 			case b1:
-				return p[lq].F >= 1 && p[lq].F <= 11 && strings.HasPrefix(b[2].S, "SM")
+				return p[qty].F >= 1 && p[qty].F <= 11 && strings.HasPrefix(b[ct].S, "SM")
 			case b2:
-				return p[lq].F >= 10 && p[lq].F <= 20 && strings.HasPrefix(b[2].S, "MED")
+				return p[qty].F >= 10 && p[qty].F <= 20 && strings.HasPrefix(b[ct].S, "MED")
 			case b3:
-				return p[lq].F >= 20 && p[lq].F <= 30 && strings.HasPrefix(b[2].S, "LG")
+				return p[qty].F >= 20 && p[qty].F <= 30 && strings.HasPrefix(b[ct].S, "LG")
 			}
 			return false
-		},
-		Combine: func(dst, b, p catalog.Tuple) catalog.Tuple {
-			return append(dst, catalog.FloatDatum(p[lp].F*(1-p[ld].F)))
-		},
-	}
-	return &exec.HashAgg{
-		Child:    join,
-		GroupKey: oneGroup,
-		NewGroup: func(t catalog.Tuple) catalog.Tuple { return t.Clone() },
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[0].F += t[0].F
-			return acc
-		},
-	}
+		}).
+		out(revenue).
+		group(by(), sum("revenue")).op
 }
 
 // q20: potential part promotion. Part-driven random probes into partsupp
 // and lineitem.
-func (ds *Dataset) q20(rng *rand.Rand) exec.Operator {
+func q20(q *plan, rng *rand.Rand) exec.Operator {
 	word := nameWords[rng.Intn(len(nameWords))]
-	y := 1993 + int64(rng.Intn(5))
-	start, end := Day(int(y), 1, 1), Day(int(y)+1, 1, 1)
-	pk := ds.colIdx("part", "p_partkey")
-	pn := ds.colIdx("part", "p_name")
-	part := keep(ds.seq("part", func(t catalog.Tuple) bool { return strings.HasPrefix(t[pn].S, word) }), pk)
-
+	y := 1993 + rng.Intn(5)
+	start, end := Day(y, 1, 1), Day(y+1, 1, 1)
+	part, line := q.scan("part"), q.index("idx_lineitem_partkey")
+	pn, sd, lsk := part.at("p_name"), line.at("l_shipdate"), line.at("l_suppkey")
 	// ⋈ partsupp via index (random).
-	nlPS := &exec.NestLoop{
-		Outer:    part,
-		Probe:    ds.probe("idx_partsupp_partkey", "partsupp", nil),
-		OuterKey: ic(0),
-	}
-	lsd := ds.colIdx("lineitem", "l_shipdate")
+	pps := nestLoop(part.where(func(t catalog.Tuple) bool { return strings.HasPrefix(t[pn].S, word) }).keep("p_partkey"),
+		q.index("idx_partsupp_partkey"), "p_partkey").all()
+	pss := pps.at("ps_suppkey")
 	// Existence check on shipped lineitems via index (random).
-	semi := &exec.NestLoop{
-		Outer: nlPS,
-		Probe: ds.probe("idx_lineitem_partkey", "lineitem", func(t catalog.Tuple) bool {
-			return t[lsd].I >= start && t[lsd].I < end
-		}),
-		OuterKey: ic(0),
-		Semi:     true,
-		Pred: func(o, i catalog.Tuple) bool {
-			return i[ds.colIdx("lineitem", "l_suppkey")].I == o[1+1].I
-		},
-		Combine: func(dst, o, i catalog.Tuple) catalog.Tuple { return append(dst, o...) },
-	}
-	sk := ds.colIdx("supplier", "s_suppkey")
-	sn := ds.colIdx("supplier", "s_name")
-	snk := ds.colIdx("supplier", "s_nationkey")
-	join := hj(keep(ds.seq("supplier", nil), sk, sn, snk), semi,
-		ic(0),
-		func(t catalog.Tuple) int64 { return t[1+1].I })
-	agg := &exec.HashAgg{
-		Child:    join,
-		GroupKey: strKey(1),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple { return catalog.Tuple{t[1]} },
-		Merge:    func(acc, t catalog.Tuple) catalog.Tuple { return acc },
-	}
-	return &exec.Sort{Child: agg, Less: func(a, b catalog.Tuple) bool { return a[0].S < b[0].S }}
+	shipped := nestLoop(pps, line.where(func(t catalog.Tuple) bool { return between(t[sd].I, start, end) }), "p_partkey").
+		match(func(o, i catalog.Tuple) bool { return i[lsk].I == o[pss].I }).semi()
+	return hashJoin(q.scan("supplier").keep("s_suppkey", "s_name", "s_nationkey"), shipped, eq{"s_suppkey", "ps_suppkey"}).all().
+		group(by("s_name"), "s_name").
+		sort(asc("s_name")).op
 }
 
 // q21: suppliers who kept orders waiting — the plan of Figure 8: a
 // sequential scan of lineitem hash-joined with supplier, then nested-loop
 // index scans into orders (priority 2) and lineitem (priority 3).
-func (ds *Dataset) q21(rng *rand.Rand) exec.Operator {
+func q21(q *plan, rng *rand.Rand) exec.Operator {
 	nationKey := int64(rng.Intn(25))
-	sk := ds.colIdx("supplier", "s_suppkey")
-	sn := ds.colIdx("supplier", "s_name")
-	snk := ds.colIdx("supplier", "s_nationkey")
-	supp := keep(ds.seq("supplier", func(t catalog.Tuple) bool { return t[snk].I == nationKey }), sk, sn)
-
-	lok := ds.colIdx("lineitem", "l_orderkey")
-	lsk := ds.colIdx("lineitem", "l_suppkey")
-	lcd := ds.colIdx("lineitem", "l_commitdate")
-	lrd := ds.colIdx("lineitem", "l_receiptdate")
-	l1 := ds.seq("lineitem", func(t catalog.Tuple) bool { return t[lrd].I > t[lcd].I })
-	// supplier ⋈ l1 → [s_suppkey, s_name, orderkey]
-	sl := hj(supp, l1, ic(0), ic(lsk))
-	slim := &exec.Project{Child: sl, Fn: func(dst, t catalog.Tuple) catalog.Tuple {
-		return append(dst, t[0], t[1], t[2+lok])
-	}}
-
+	supp, l1, ords := q.scan("supplier"), q.scan("lineitem"), q.index("idx_orders_orderkey")
+	snk, st := supp.at("s_nationkey"), ords.at("o_orderstatus")
+	rd, cd, lsk := l1.at("l_receiptdate"), l1.at("l_commitdate"), l1.at("l_suppkey")
+	late := func(t catalog.Tuple) bool { return t[rd].I > t[cd].I }
+	sl := hashJoin(supp.where(func(t catalog.Tuple) bool { return t[snk].I == nationKey }).keep("s_suppkey", "s_name"),
+		l1.where(late), eq{"s_suppkey", "l_suppkey"}).all().
+		keep("s_suppkey", "s_name", "l_orderkey")
 	// ⋈ orders via index (random, priority 2), keeping status 'F'.
-	ost := ds.colIdx("orders", "o_orderstatus")
-	nlO := &exec.NestLoop{
-		Outer:    slim,
-		Probe:    ds.probe("idx_orders_orderkey", "orders", func(t catalog.Tuple) bool { return t[ost].S == "F" }),
-		OuterKey: ic(2),
-		Combine:  func(dst, o, i catalog.Tuple) catalog.Tuple { return append(dst, o...) },
-	}
+	slo := nestLoop(sl, ords.where(func(t catalog.Tuple) bool { return t[st].S == "F" }), "l_orderkey").
+		out("s_suppkey", "s_name", "l_orderkey")
+	ssk := slo.at("s_suppkey")
+	other := func(o, i catalog.Tuple) bool { return i[lsk].I != o[ssk].I }
 	// exists: another supplier shipped the same order (random lineitem,
-	// priority 3).
-	semi := &exec.NestLoop{
-		Outer:    nlO,
-		Probe:    ds.probe("idx_lineitem_orderkey", "lineitem", nil),
-		OuterKey: ic(2),
-		Semi:     true,
-		Pred:     func(o, i catalog.Tuple) bool { return i[lsk].I != o[0].I },
-		Combine:  func(dst, o, i catalog.Tuple) catalog.Tuple { return append(dst, o...) },
-	}
-	// not exists: no other supplier was late on that order.
-	anti := &exec.NestLoop{
-		Outer:    semi,
-		Probe:    ds.probe("idx_lineitem_orderkey", "lineitem", func(t catalog.Tuple) bool { return t[lrd].I > t[lcd].I }),
-		OuterKey: ic(2),
-		Anti:     true,
-		Pred:     func(o, i catalog.Tuple) bool { return i[lsk].I != o[0].I },
-	}
-	agg := &exec.HashAgg{
-		Child:    anti,
-		GroupKey: strKey(1),
-		NewGroup: func(t catalog.Tuple) catalog.Tuple { return catalog.Tuple{t[1], catalog.IntDatum(1)} },
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[1].I++
-			return acc
-		},
-	}
-	return &exec.TopN{Child: agg, N: 100, Less: func(a, b catalog.Tuple) bool {
-		if a[1].I != b[1].I {
-			return a[1].I > b[1].I
-		}
-		return a[0].S < b[0].S
-	}}
+	// priority 3); not exists: no other supplier was late on that order.
+	multi := nestLoop(slo, q.index("idx_lineitem_orderkey"), "l_orderkey").match(other).semi()
+	return nestLoop(multi, q.index("idx_lineitem_orderkey").where(late), "l_orderkey").match(other).anti().
+		group(by("s_name"), "s_name", count("numwait")).
+		top(100, desc("numwait"), asc("s_name")).op
 }
 
 // q22: global sales opportunity. Anti join against a large orders build
 // (spills) plus sequential customer scan.
-func (ds *Dataset) q22(rng *rand.Rand) exec.Operator {
-	_ = rng
-	cph := ds.colIdx("customer", "c_phone")
-	cab := ds.colIdx("customer", "c_acctbal")
-	ck := ds.colIdx("customer", "c_custkey")
-	cust := ds.seq("customer", func(t catalog.Tuple) bool {
-		if t[cab].F <= 0 {
+func q22(q *plan, _ *rand.Rand) exec.Operator {
+	cust := q.scan("customer")
+	phone, bal := cust.at("c_phone"), cust.at("c_acctbal")
+	cust = cust.where(func(t catalog.Tuple) bool {
+		if t[bal].F <= 0 {
 			return false
 		}
-		cc := t[cph].S[:2]
-		switch cc {
+		switch t[phone].S[:2] {
 		case "13", "31", "23", "29", "30", "18", "17":
 			return true
 		}
 		return false
 	})
-	oc := ds.colIdx("orders", "o_custkey")
-	anti := &exec.HashJoin{
-		Build:    &exec.Hash{Child: keep(ds.seq("orders", nil), oc)},
-		Probe:    cust,
-		BuildKey: ic(0),
-		ProbeKey: ic(ck),
-		Anti:     true,
-	}
-	agg := &exec.HashAgg{
-		Child:    anti,
-		GroupKey: func(key []byte, t catalog.Tuple) []byte { return append(key, t[cph].S[:2]...) },
-		NewGroup: func(t catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{catalog.StringDatum(t[cph].S[:2]), catalog.IntDatum(1), t[cab]}
-		},
-		Merge: func(acc, t catalog.Tuple) catalog.Tuple {
-			acc[1].I++
-			acc[2].F += t[cab].F
-			return acc
-		},
-	}
-	return &exec.Sort{Child: agg, Less: func(a, b catalog.Tuple) bool { return a[0].S < b[0].S }}
+	code := calc("cntrycode", catalog.String, func(t, _ catalog.Tuple) catalog.Datum { return catalog.StringDatum(t[phone].S[:2]) })
+	return hashJoin(q.scan("orders").keep("o_custkey"), cust, eq{"o_custkey", "c_custkey"}).anti().
+		group(by(code), code, count("numcust"), sum("c_acctbal")).
+		sort(asc("cntrycode")).op
 }

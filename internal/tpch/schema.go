@@ -1,8 +1,9 @@
 // Package tpch provides the workload substrate of the paper's evaluation:
 // a deterministic, scaled-down TPC-H data generator, the nine indexes of
-// Table 3, plan builders for all 22 queries (with the plan shapes of
-// Figures 7, 8 and 10 for Q9, Q21 and Q18), the RF1/RF2 update functions,
-// and the power-test / throughput-test stream drivers.
+// Table 3, the plans of all 22 queries, declared over the builder in
+// plan.go (with the plan shapes of Figures 7, 8 and 10 for Q9, Q21 and
+// Q18), the RF1/RF2 update functions, and the power-test /
+// throughput-test stream drivers.
 package tpch
 
 import (
