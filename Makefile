@@ -18,7 +18,7 @@ race:
 # Layer microbenchmarks — the wall-clock path: the scheduler hot path
 # (pick and grant across queue depths, the full opportunistic submit
 # path, and the same path from 1, 2 and 4 CPUs), heap
-# fetch/scan/update, B-tree lookup/seek, the executor's row path
+# fetch/scan/update, B-tree lookup/seek/insert/delete, the executor's row path
 # (scan-filter-aggregate, hash-join probe, nested loop, spill round
 # trip), the log's page-change encoding per 8 KB page (wal) and the
 # construction of the 22 TPC-H plans (tpch).

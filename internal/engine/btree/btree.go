@@ -7,6 +7,9 @@
 // Page 0 is a meta page holding the root pointer; node pages follow.
 // Leaves are chained for range scans. Deletion is lazy (no rebalancing),
 // which is sufficient for the RF2 update function.
+//
+// A node has one representation, its encoded page image: searches read it
+// in the frame, and writes splice a new image from its bytes.
 package btree
 
 import (
@@ -61,96 +64,19 @@ func (t *Tree) tag(level int) policy.Tag {
 	return policy.Tag{Object: t.Object, Content: policy.Index, Pattern: policy.Random, Level: level}
 }
 
-// ---- node encoding ----
+// ---- node images ----
 
-type leafNode struct {
-	next    int64
-	entries []Entry
-}
-
-type internalNode struct {
-	children []int64 // len(keys)+1
-	keys     []int64
-}
-
-func encodeLeaf(n *leafNode) []byte {
-	buf := make([]byte, leafHeader, leafHeader+len(n.entries)*leafEntrySize)
-	buf[0] = nodeLeaf
-	binary.LittleEndian.PutUint16(buf[1:], uint16(len(n.entries)))
-	binary.LittleEndian.PutUint64(buf[3:], uint64(n.next))
-	var w [leafEntrySize]byte
-	for _, e := range n.entries {
-		binary.LittleEndian.PutUint64(w[0:], uint64(e.Key))
-		binary.LittleEndian.PutUint64(w[8:], uint64(e.RID.Page))
-		binary.LittleEndian.PutUint16(w[16:], e.RID.Slot)
-		buf = append(buf, w[:]...)
-	}
-	return buf
-}
-
-func encodeInternal(n *internalNode) []byte {
-	buf := make([]byte, internalHeader, internalHeader+len(n.keys)*internalEntrySize)
-	buf[0] = nodeInternal
-	binary.LittleEndian.PutUint16(buf[1:], uint16(len(n.keys)))
-	binary.LittleEndian.PutUint64(buf[3:], uint64(n.children[0]))
-	var w [internalEntrySize]byte
-	for i, k := range n.keys {
-		binary.LittleEndian.PutUint64(w[0:], uint64(k))
-		binary.LittleEndian.PutUint64(w[8:], uint64(n.children[i+1]))
-		buf = append(buf, w[:]...)
-	}
-	return buf
-}
-
-func decodeNode(data []byte) (*leafNode, *internalNode, error) {
-	if len(data) < leafHeader {
-		return nil, nil, fmt.Errorf("btree: short node page")
-	}
-	count := int(binary.LittleEndian.Uint16(data[1:]))
-	switch data[0] {
-	case nodeLeaf:
-		n := &leafNode{next: int64(binary.LittleEndian.Uint64(data[3:]))}
-		n.entries = make([]Entry, count)
-		off := leafHeader
-		for i := 0; i < count; i++ {
-			if off+leafEntrySize > len(data) {
-				return nil, nil, fmt.Errorf("btree: truncated leaf entry %d", i)
-			}
-			n.entries[i] = Entry{
-				Key: int64(binary.LittleEndian.Uint64(data[off:])),
-				RID: catalog.RID{
-					Page: int64(binary.LittleEndian.Uint64(data[off+8:])),
-					Slot: binary.LittleEndian.Uint16(data[off+16:]),
-				},
-			}
-			off += leafEntrySize
-		}
-		return n, nil, nil
-	case nodeInternal:
-		n := &internalNode{
-			children: make([]int64, 1, count+1),
-			keys:     make([]int64, count),
-		}
-		n.children[0] = int64(binary.LittleEndian.Uint64(data[3:]))
-		off := internalHeader
-		for i := 0; i < count; i++ {
-			if off+internalEntrySize > len(data) {
-				return nil, nil, fmt.Errorf("btree: truncated internal entry %d", i)
-			}
-			n.keys[i] = int64(binary.LittleEndian.Uint64(data[off:]))
-			n.children = append(n.children, int64(binary.LittleEndian.Uint64(data[off+8:])))
-			off += internalEntrySize
-		}
-		return nil, n, nil
-	}
-	return nil, nil, fmt.Errorf("btree: unknown node type %d", data[0])
-}
-
-// node is a validated view of an encoded node in its page frame: the
-// search path reads keys, children and entries by offset instead of
-// building a leafNode/internalNode (decodeNode stays for the paths that
-// modify a node). Frames are immutable (see bufferpool.Get), so a node
-// stays valid, as the image it was opened on, across later pool calls.
+// node is the one representation of a B-tree node: a validated view of
+// its encoded page image. Search reads keys, children and entries by
+// offset; Insert and Delete build a changed node as a new image spliced
+// from the old one's bytes. Frames are immutable (see bufferpool.Get), so
+// a node stays valid, as the image it was opened on, across later pool
+// calls.
+//
+// Both kinds share one header, type(1) count(2) word(8), where the word is
+// a leaf's right sibling (-1 at the end of the chain) or an internal
+// node's child 0. Entry i follows at leafHeader + i*size: a leaf entry is
+// key, RID page, RID slot; an internal entry is separator i and child i+1.
 type node struct {
 	data  []byte
 	count int
@@ -163,26 +89,48 @@ func openNode(data []byte) (node, error) {
 		return node{}, fmt.Errorf("btree: short node page")
 	}
 	n := node{data: data, count: int(binary.LittleEndian.Uint16(data[1:]))}
-	size := internalEntrySize
 	switch data[0] {
 	case nodeLeaf:
 		n.leaf = true
-		size = leafEntrySize
 	case nodeInternal:
 	default:
 		return node{}, fmt.Errorf("btree: unknown node type %d", data[0])
 	}
-	if leafHeader+n.count*size > len(data) {
+	if n.end() > len(data) {
 		return node{}, fmt.Errorf("btree: truncated node (%d entries)", n.count)
 	}
 	return n, nil
 }
+
+// size is the width of one entry.
+func (n node) size() int {
+	if n.leaf {
+		return leafEntrySize
+	}
+	return internalEntrySize
+}
+
+// end is the image's length: a frame read back from the store carries
+// padding beyond it, which no edit copies.
+func (n node) end() int { return leafHeader + n.count*n.size() }
 
 // i64 reads the little-endian word at off.
 func (n node) i64(off int) int64 { return int64(binary.LittleEndian.Uint64(n.data[off:])) }
 
 // next is a leaf's right sibling (-1 at the end of the chain).
 func (n node) next() int64 { return n.i64(3) }
+
+// key is entry i's key (a leaf key or a separator).
+func (n node) key(i int) int64 { return n.i64(leafHeader + i*n.size()) }
+
+// child is an internal node's child i: 0 sits in the header, i > 0
+// follows separator i-1.
+func (n node) child(i int) int64 {
+	if i == 0 {
+		return n.next()
+	}
+	return n.i64(internalHeader + (i-1)*internalEntrySize + 8)
+}
 
 // entry is a leaf's entry i.
 func (n node) entry(i int) Entry {
@@ -193,12 +141,14 @@ func (n node) entry(i int) Entry {
 	}
 }
 
-// lowerBound is the first leaf entry with key >= key (count if none).
-func (n node) lowerBound(key int64) int {
+// rank is the number of leading keys below key, or at or below it with
+// orEqual: for a leaf the first entry >= key, for an internal node the
+// child left of the first separator > key.
+func (n node) rank(key int64, orEqual bool) int {
 	lo, hi := 0, n.count
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if n.i64(leafHeader+mid*leafEntrySize) < key {
+		if k := n.key(mid); k < key || orEqual && k == key {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -207,23 +157,63 @@ func (n node) lowerBound(key int64) int {
 	return lo
 }
 
-// childFor is the child of an internal node that may hold key: the one
-// left of the first separator strictly greater than key.
-func (n node) childFor(key int64) int64 {
-	lo, hi := 0, n.count
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if n.i64(internalHeader+mid*internalEntrySize) <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// splice returns a new image of n, in one allocation, with del entries
+// removed at i and the encoded entries ins put in their place.
+func (n node) splice(i, del int, ins []byte) []byte {
+	off := leafHeader + i*n.size()
+	buf := make([]byte, 0, n.end()-del*n.size()+len(ins))
+	buf = append(buf, n.data[:off]...)
+	buf = append(buf, ins...)
+	buf = append(buf, n.data[off+del*n.size():n.end()]...)
+	binary.LittleEndian.PutUint16(buf[1:], uint16(n.count-del+len(ins)/n.size()))
+	return buf
+}
+
+// cut returns a new image of entries [from, to) of n under header word.
+func (n node) cut(from, to int, word int64) []byte {
+	buf := image(n.data[0], to-from, word)
+	copy(buf[leafHeader:], n.data[leafHeader+from*n.size():leafHeader+to*n.size()])
+	return buf
+}
+
+// split cuts an overfull node in two. A leaf keeps entries [0, mid) and
+// chains to rightPage; the right half starts with the separator. An
+// internal node's middle separator moves up, and its child becomes the
+// right half's child 0.
+func (n node) split(rightPage int64) (left, right []byte, sep int64) {
+	mid := n.count / 2
+	if n.leaf {
+		return n.cut(0, mid, rightPage), n.cut(mid, n.count, n.next()), n.key(mid)
 	}
-	// Child 0 sits in the header; child i > 0 follows separator i-1.
-	if lo == 0 {
-		return n.i64(3)
+	return n.cut(0, mid, n.next()), n.cut(mid+1, n.count, n.child(mid+1)), n.key(mid)
+}
+
+// image allocates a node image of count entries under a set header; the
+// entries are the caller's to fill.
+func image(typ byte, count int, word int64) []byte {
+	size := internalEntrySize
+	if typ == nodeLeaf {
+		size = leafEntrySize
 	}
-	return n.i64(internalHeader + (lo-1)*internalEntrySize + 8)
+	buf := make([]byte, leafHeader+count*size)
+	buf[0] = typ
+	binary.LittleEndian.PutUint16(buf[1:], uint16(count))
+	binary.LittleEndian.PutUint64(buf[3:], uint64(word))
+	return buf
+}
+
+// putEntry encodes a leaf entry into b.
+func putEntry(b []byte, e Entry) {
+	binary.LittleEndian.PutUint64(b, uint64(e.Key))
+	binary.LittleEndian.PutUint64(b[8:], uint64(e.RID.Page))
+	binary.LittleEndian.PutUint16(b[16:], e.RID.Slot)
+}
+
+// putSep encodes an internal entry, a separator and the child right of
+// it, into b.
+func putSep(b []byte, key, child int64) {
+	binary.LittleEndian.PutUint64(b, uint64(key))
+	binary.LittleEndian.PutUint64(b[8:], uint64(child))
 }
 
 func encodeMeta(root int64, pages int64) []byte {
@@ -253,14 +243,6 @@ func (t *Tree) readMeta(clk *simclock.Clock, level int) (root, pages int64, err 
 
 func (t *Tree) writeMeta(clk *simclock.Clock, root, pages int64) error {
 	return t.pool.Put(clk, t.tag(0), 0, encodeMeta(root, pages))
-}
-
-func (t *Tree) readNode(clk *simclock.Clock, page int64, level int) (*leafNode, *internalNode, error) {
-	data, err := t.pool.Get(clk, t.tag(level), page)
-	if err != nil {
-		return nil, nil, err
-	}
-	return decodeNode(data)
 }
 
 // openNode reads a page and opens the encoded node in its frame.
@@ -305,7 +287,7 @@ func Build(clk *simclock.Clock, pool *bufferpool.Pool, obj pagestore.ObjectID, e
 
 	if len(entries) == 0 {
 		// Empty tree: a single empty leaf as root.
-		if err := pool.Put(clk, t.tag(0), 1, encodeLeaf(&leafNode{next: -1})); err != nil {
+		if err := pool.Put(clk, t.tag(0), 1, image(nodeLeaf, 0, -1)); err != nil {
 			return nil, 0, err
 		}
 		if err := t.writeMeta(clk, 1, 2); err != nil {
@@ -326,8 +308,11 @@ func Build(clk *simclock.Clock, pool *bufferpool.Pool, obj pagestore.ObjectID, e
 		if end < len(entries) {
 			next = nextPage // the following leaf
 		}
-		n := &leafNode{next: next, entries: entries[i:end]}
-		if err := pool.Put(clk, t.tag(0), page, encodeLeaf(n)); err != nil {
+		img := image(nodeLeaf, end-i, next)
+		for j, e := range entries[i:end] {
+			putEntry(img[leafHeader+j*leafEntrySize:], e)
+		}
+		if err := pool.Put(clk, t.tag(0), page, img); err != nil {
 			return nil, 0, err
 		}
 		level = append(level, childRef{firstKey: entries[i].Key, page: page})
@@ -347,15 +332,13 @@ func Build(clk *simclock.Clock, pool *bufferpool.Pool, obj pagestore.ObjectID, e
 				end = len(level)
 			}
 			group := level[i:end]
-			n := &internalNode{}
-			n.children = append(n.children, group[0].page)
-			for _, c := range group[1:] {
-				n.keys = append(n.keys, c.firstKey)
-				n.children = append(n.children, c.page)
+			img := image(nodeInternal, len(group)-1, group[0].page)
+			for j, c := range group[1:] {
+				putSep(img[internalHeader+j*internalEntrySize:], c.firstKey, c.page)
 			}
 			page := nextPage
 			nextPage++
-			if err := pool.Put(clk, t.tag(0), page, encodeInternal(n)); err != nil {
+			if err := pool.Put(clk, t.tag(0), page, img); err != nil {
 				return nil, 0, err
 			}
 			up = append(up, childRef{firstKey: group[0].firstKey, page: page})
@@ -387,7 +370,7 @@ func (t *Tree) descend(clk *simclock.Clock, key int64, level int) (int64, error)
 		if n.leaf {
 			return page, nil
 		}
-		page = n.childFor(key)
+		page = n.child(n.rank(key, true))
 	}
 }
 
@@ -426,7 +409,7 @@ func (t *Tree) seek(it *Iterator, clk *simclock.Clock, lo, hi int64, level int) 
 	if !leaf.leaf {
 		return fmt.Errorf("btree: page %d turned internal under a seek", page)
 	}
-	*it = Iterator{t: t, clk: clk, level: level, hi: hi, leaf: leaf, idx: leaf.lowerBound(lo)}
+	*it = Iterator{t: t, clk: clk, level: level, hi: hi, leaf: leaf, idx: leaf.rank(lo, false)}
 	return nil
 }
 

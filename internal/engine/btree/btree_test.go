@@ -22,7 +22,10 @@ type harness struct {
 	clk  simclock.Clock
 }
 
-func newHarness(t testing.TB) *harness {
+func newHarness(t testing.TB) *harness { return newHarnessFrames(t, 256) }
+
+// newHarnessFrames is a harness whose pool holds frames pages.
+func newHarnessFrames(t testing.TB, frames int) *harness {
 	t.Helper()
 	store := pagestore.NewStore()
 	if err := store.Create(1); err != nil {
@@ -33,7 +36,7 @@ func newHarness(t testing.TB) *harness {
 		t.Fatal(err)
 	}
 	mgr := storagemgr.New(store, sys, policy.NewAssignmentTable(dss.DefaultPolicySpace()))
-	return &harness{pool: bufferpool.New(mgr, 256)}
+	return &harness{pool: bufferpool.New(mgr, frames)}
 }
 
 func rid(i int64) catalog.RID {
@@ -525,5 +528,100 @@ func TestLookupAllocationBudget(t *testing.T) {
 		k += 7919
 	}); n > 2 {
 		t.Errorf("Lookup of a unique key allocates %.1f times, want <= 2", n)
+	}
+}
+
+// TestInsertAllocationBudget: an insert that splits nothing allocates the
+// new leaf image and the meta image, nothing else.
+func TestInsertAllocationBudget(t *testing.T) {
+	h := newHarness(t)
+	tree := buildTree(t, h, 20000)
+	k := int64(0)
+	if n := testing.AllocsPerRun(200, func() {
+		if err := tree.Insert(&h.clk, Entry{Key: k % 20000, RID: rid(20000 + k)}, 0); err != nil {
+			t.Fatal(err)
+		}
+		k += 7919
+	}); n > 2 {
+		t.Errorf("Insert without a split allocates %.1f times, want <= 2", n)
+	}
+}
+
+// BenchmarkInsert is one index insert into a tree held by the pool.
+// "nosplit" adds duplicates of existing keys across the 50 leaves of a
+// built tree, rebuilt every 2,000 inserts, before any leaf fills;
+// "sequential" appends past the largest key, splitting the rightmost leaf
+// every half leaf of inserts.
+func BenchmarkInsert(b *testing.B) {
+	b.Run("nosplit", func(b *testing.B) {
+		const n = 20000
+		h := newHarness(b)
+		tree := buildTree(b, h, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i > 0 && i%2000 == 0 {
+				b.StopTimer()
+				tree = buildTree(b, h, n)
+				b.StartTimer()
+			}
+			k := int64(i*7919) % n
+			if err := tree.Insert(&h.clk, Entry{Key: k, RID: rid(n + int64(i))}, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("sequential", func(b *testing.B) {
+		h := newHarness(b)
+		tree, _, err := Build(&h.clk, h.pool, 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := tree.Insert(&h.clk, Entry{Key: int64(i), RID: rid(int64(i))}, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkDelete removes one key ("key", Delete) or one entry ("entry",
+// DeleteEntry) from a built tree of unique keys, rebuilt once every key
+// is gone.
+func BenchmarkDelete(b *testing.B) {
+	const n = 20000
+	for _, byEntry := range []bool{false, true} {
+		name := "key"
+		if byEntry {
+			name = "entry"
+		}
+		b.Run(name, func(b *testing.B) {
+			h := newHarness(b)
+			tree := buildTree(b, h, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%n == 0 {
+					b.StopTimer()
+					tree = buildTree(b, h, n)
+					b.StartTimer()
+				}
+				k := int64(i*7919) % n
+				var found bool
+				var err error
+				if byEntry {
+					found, err = tree.DeleteEntry(&h.clk, Entry{Key: k, RID: rid(k)}, 0)
+				} else {
+					var removed int
+					removed, err = tree.Delete(&h.clk, k, 0)
+					found = removed == 1
+				}
+				if err != nil || !found {
+					b.Fatal(k, found, err)
+				}
+			}
+		})
 	}
 }

@@ -21,10 +21,11 @@ func (t *Tree) Insert(clk *simclock.Clock, e Entry, level int) error {
 	pages = newPages
 	if newChild >= 0 {
 		// Root split: grow the tree by one level.
-		n := &internalNode{children: []int64{root, newChild}, keys: []int64{sepKey}}
+		img := image(nodeInternal, 1, root)
+		putSep(img[internalHeader:], sepKey, newChild)
 		newRoot := pages
 		pages++
-		if err := t.pool.Put(clk, t.tag(level), newRoot, encodeInternal(n)); err != nil {
+		if err := t.pool.Put(clk, t.tag(level), newRoot, img); err != nil {
 			return err
 		}
 		root = newRoot
@@ -37,14 +38,16 @@ func (t *Tree) Insert(clk *simclock.Clock, e Entry, level int) error {
 // returned page is -1. It threads the tree's page count through for new
 // allocations.
 func (t *Tree) insertInto(clk *simclock.Clock, page int64, e Entry, level int, pages int64) (int64, int64, int64, error) {
-	leaf, internal, err := t.readNode(clk, page, level)
+	n, err := t.openNode(clk, page, level)
 	if err != nil {
 		return -1, 0, pages, err
 	}
 
-	if leaf != nil {
-		idx := sort.Search(len(leaf.entries), func(i int) bool {
-			le := leaf.entries[i]
+	var img []byte
+	if n.leaf {
+		// Before the first entry ordered at or after e by key, page, slot.
+		idx := sort.Search(n.count, func(i int) bool {
+			le := n.entry(i)
 			if le.Key != e.Key {
 				return le.Key > e.Key
 			}
@@ -53,65 +56,39 @@ func (t *Tree) insertInto(clk *simclock.Clock, page int64, e Entry, level int, p
 			}
 			return le.RID.Slot >= e.RID.Slot
 		})
-		leaf.entries = append(leaf.entries, Entry{})
-		copy(leaf.entries[idx+1:], leaf.entries[idx:])
-		leaf.entries[idx] = e
-
-		if len(leaf.entries) <= LeafCap {
-			return -1, 0, pages, t.pool.Put(clk, t.tag(level), page, encodeLeaf(leaf))
+		var w [leafEntrySize]byte
+		putEntry(w[:], e)
+		img = n.splice(idx, 0, w[:])
+		if n.count < LeafCap {
+			return -1, 0, pages, t.pool.Put(clk, t.tag(level), page, img)
 		}
-		// Split the leaf.
-		mid := len(leaf.entries) / 2
-		right := &leafNode{next: leaf.next, entries: append([]Entry(nil), leaf.entries[mid:]...)}
-		rightPage := pages
-		pages++
-		leaf.entries = leaf.entries[:mid]
-		leaf.next = rightPage
-		if err := t.pool.Put(clk, t.tag(level), rightPage, encodeLeaf(right)); err != nil {
+	} else {
+		idx := n.rank(e.Key, true)
+		newChild, sepKey, newPages, err := t.insertInto(clk, n.child(idx), e, level, pages)
+		pages = newPages
+		if err != nil || newChild < 0 {
 			return -1, 0, pages, err
 		}
-		if err := t.pool.Put(clk, t.tag(level), page, encodeLeaf(leaf)); err != nil {
-			return -1, 0, pages, err
+		// Child split: install the separator.
+		var w [internalEntrySize]byte
+		putSep(w[:], sepKey, newChild)
+		img = n.splice(idx, 0, w[:])
+		if n.count < InternalCap {
+			return -1, 0, pages, t.pool.Put(clk, t.tag(level), page, img)
 		}
-		return rightPage, right.entries[0].Key, pages, nil
 	}
-
-	idx := sort.Search(len(internal.keys), func(i int) bool { return internal.keys[i] > e.Key })
-	newChild, sepKey, newPages, err := t.insertInto(clk, internal.children[idx], e, level, pages)
-	pages = newPages
-	if err != nil || newChild < 0 {
-		return -1, 0, pages, err
-	}
-
-	// Child split: install the separator.
-	internal.keys = append(internal.keys, 0)
-	copy(internal.keys[idx+1:], internal.keys[idx:])
-	internal.keys[idx] = sepKey
-	internal.children = append(internal.children, 0)
-	copy(internal.children[idx+2:], internal.children[idx+1:])
-	internal.children[idx+1] = newChild
-
-	if len(internal.keys) <= InternalCap {
-		return -1, 0, pages, t.pool.Put(clk, t.tag(level), page, encodeInternal(internal))
-	}
-	// Split the internal node; the middle key moves up.
-	mid := len(internal.keys) / 2
-	upKey := internal.keys[mid]
-	right := &internalNode{
-		keys:     append([]int64(nil), internal.keys[mid+1:]...),
-		children: append([]int64(nil), internal.children[mid+1:]...),
-	}
-	internal.keys = internal.keys[:mid]
-	internal.children = internal.children[:mid+1]
+	// Split the overfull image; the right sibling is written first.
+	full := node{data: img, count: n.count + 1, leaf: n.leaf}
 	rightPage := pages
 	pages++
-	if err := t.pool.Put(clk, t.tag(level), rightPage, encodeInternal(right)); err != nil {
+	left, right, sep := full.split(rightPage)
+	if err := t.pool.Put(clk, t.tag(level), rightPage, right); err != nil {
 		return -1, 0, pages, err
 	}
-	if err := t.pool.Put(clk, t.tag(level), page, encodeInternal(internal)); err != nil {
+	if err := t.pool.Put(clk, t.tag(level), page, left); err != nil {
 		return -1, 0, pages, err
 	}
-	return rightPage, upKey, pages, nil
+	return rightPage, sep, pages, nil
 }
 
 // DeleteEntry removes the single entry (key, rid), returning whether it
@@ -123,25 +100,20 @@ func (t *Tree) DeleteEntry(clk *simclock.Clock, e Entry, level int) (bool, error
 		return false, err
 	}
 	for page >= 0 {
-		leaf, _, err := t.readNode(clk, page, level)
+		leaf, err := t.openNode(clk, page, level)
 		if err != nil {
 			return false, err
 		}
-		past := false
-		for i, le := range leaf.entries {
-			if le.Key == e.Key && le.RID == e.RID {
-				leaf.entries = append(leaf.entries[:i], leaf.entries[i+1:]...)
-				return true, t.pool.Put(clk, t.tag(level), page, encodeLeaf(leaf))
-			}
-			if le.Key > e.Key {
-				past = true
-				break
+		i := leaf.rank(e.Key, false)
+		for ; i < leaf.count && leaf.key(i) == e.Key; i++ {
+			if leaf.entry(i).RID == e.RID {
+				return true, t.pool.Put(clk, t.tag(level), page, leaf.splice(i, 1, nil))
 			}
 		}
-		if past || leaf.next < 0 {
-			return false, nil
+		if i < leaf.count {
+			return false, nil // past the key
 		}
-		page = leaf.next
+		page = leaf.next()
 	}
 	return false, nil
 }
@@ -155,34 +127,26 @@ func (t *Tree) Delete(clk *simclock.Clock, key int64, level int) (int, error) {
 	}
 	removed := 0
 	for page >= 0 {
-		leaf, _, err := t.readNode(clk, page, level)
+		leaf, err := t.openNode(clk, page, level)
 		if err != nil {
 			return removed, err
 		}
-		kept := leaf.entries[:0]
-		before := len(leaf.entries)
-		past := false
-		for _, e := range leaf.entries {
-			if e.Key == key {
-				continue
-			}
-			if e.Key > key {
-				past = true
-			}
-			kept = append(kept, e)
+		lo := leaf.rank(key, false)
+		hi := lo
+		for hi < leaf.count && leaf.key(hi) == key {
+			hi++
 		}
-		leaf.entries = kept
-		if len(kept) != before {
-			removed += before - len(kept)
-			if err := t.pool.Put(clk, t.tag(level), page, encodeLeaf(leaf)); err != nil {
+		if hi > lo {
+			removed += hi - lo
+			if err := t.pool.Put(clk, t.tag(level), page, leaf.splice(lo, hi-lo, nil)); err != nil {
 				return removed, err
 			}
 		}
-		if past || leaf.next < 0 {
-			break
+		if hi < leaf.count {
+			break // past the key
 		}
 		// Duplicates may spill into the next leaf.
-		page = leaf.next
+		page = leaf.next()
 	}
 	return removed, nil
 }
