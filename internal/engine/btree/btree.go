@@ -142,8 +142,9 @@ func (n node) entry(i int) Entry {
 }
 
 // rank is the number of leading keys below key, or at or below it with
-// orEqual: for a leaf the first entry >= key, for an internal node the
-// child left of the first separator > key.
+// orEqual. In a leaf it is the first entry >= key; in an internal node,
+// the child left of the first separator >= key (where a search starts) or
+// > key with orEqual (where an insert goes).
 func (n node) rank(key int64, orEqual bool) int {
 	lo, hi := 0, n.count
 	for lo < hi {
@@ -355,7 +356,10 @@ func Build(clk *simclock.Clock, pool *bufferpool.Pool, obj pagestore.ObjectID, e
 
 // ---- search ----
 
-// descend returns the page number of the leaf that may contain key.
+// descend returns the page number of the first leaf that may contain key.
+// A split or Build can leave a run of duplicates on both sides of a
+// separator equal to their key, so a search goes left of it and walks
+// the leaf chain from there.
 func (t *Tree) descend(clk *simclock.Clock, key int64, level int) (int64, error) {
 	root, _, err := t.readMeta(clk, level)
 	if err != nil {
@@ -370,7 +374,7 @@ func (t *Tree) descend(clk *simclock.Clock, key int64, level int) (int64, error)
 		if n.leaf {
 			return page, nil
 		}
-		page = n.child(n.rank(key, true))
+		page = n.child(n.rank(key, false))
 	}
 }
 

@@ -239,45 +239,31 @@ func TestDeleteEntry(t *testing.T) {
 	}
 }
 
-// refRange is the search path as it was before it read the encoded node
-// in place: decodeNode on every page, sort.Search on the decoded slices.
-// The in-page search must return exactly what it returns.
-func refRange(t testing.TB, h *harness, tree *Tree, lo, hi int64) []Entry {
-	t.Helper()
-	page, _, err := tree.readMeta(&h.clk, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var leaf *leafNode
-	for {
-		l, internal, err := tree.readNode(&h.clk, page, 0)
-		if err != nil {
-			t.Fatal(err)
+// sortEntries orders entries by key, RID page and RID slot.
+func sortEntries(es []Entry) {
+	sort.Slice(es, func(i, j int) bool {
+		a, b := es[i], es[j]
+		if a.Key != b.Key {
+			return a.Key < b.Key
 		}
-		if l != nil {
-			leaf = l
-			break
+		if a.RID.Page != b.RID.Page {
+			return a.RID.Page < b.RID.Page
 		}
-		idx := sort.Search(len(internal.keys), func(i int) bool { return internal.keys[i] > lo })
-		page = internal.children[idx]
-	}
+		return a.RID.Slot < b.RID.Slot
+	})
+}
+
+// truthRange is what a search of [lo, hi] must find among all, the
+// tree's contents: every entry in range, sorted.
+func truthRange(all []Entry, lo, hi int64) []Entry {
 	var out []Entry
-	idx := sort.Search(len(leaf.entries), func(i int) bool { return leaf.entries[i].Key >= lo })
-	for {
-		for ; idx < len(leaf.entries); idx++ {
-			if leaf.entries[idx].Key > hi {
-				return out
-			}
-			out = append(out, leaf.entries[idx])
+	for _, e := range all {
+		if lo <= e.Key && e.Key <= hi {
+			out = append(out, e)
 		}
-		if leaf.next < 0 {
-			return out
-		}
-		if leaf, _, err = tree.readNode(&h.clk, leaf.next, 0); err != nil {
-			t.Fatal(err)
-		}
-		idx = 0
 	}
+	sortEntries(out)
+	return out
 }
 
 // separators collects every separator key of the tree's internal nodes.
@@ -306,15 +292,15 @@ func separators(t testing.TB, h *harness, tree *Tree) []int64 {
 	return out
 }
 
-// spanningRuns counts the leaf boundaries that fall inside a run of
-// duplicates (the left leaf ends with the key the right one starts with).
-func spanningRuns(t testing.TB, h *harness, tree *Tree) int {
+// spanningRuns lists the keys whose run of duplicates crosses a leaf
+// boundary (the left leaf ends with the key the right one starts with).
+func spanningRuns(t testing.TB, h *harness, tree *Tree) []int64 {
 	t.Helper()
 	page, err := tree.descend(&h.clk, -1<<62, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := 0
+	var spans []int64
 	for last, first := int64(0), true; page >= 0; first = false {
 		leaf, _, err := tree.readNode(&h.clk, page, 0)
 		if err != nil {
@@ -322,7 +308,7 @@ func spanningRuns(t testing.TB, h *harness, tree *Tree) int {
 		}
 		if len(leaf.entries) > 0 {
 			if !first && leaf.entries[0].Key == last {
-				spans++
+				spans = append(spans, last)
 			}
 			last = leaf.entries[len(leaf.entries)-1].Key
 		}
@@ -331,10 +317,13 @@ func spanningRuns(t testing.TB, h *harness, tree *Tree) int {
 	return spans
 }
 
-// checkSearchMatchesRef compares Seek and Lookup with refRange on [lo, hi].
-func checkSearchMatchesRef(t testing.TB, h *harness, tree *Tree, lo, hi int64) {
+// checkSearch compares Seek, and Lookup for a single key, with the
+// entries of all in [lo, hi]. Seek returns keys in order; duplicates of
+// one key may come in any RID order, since a run split across leaves is
+// not sorted by RID across them.
+func checkSearch(t testing.TB, h *harness, tree *Tree, all []Entry, lo, hi int64) {
 	t.Helper()
-	want := refRange(t, h, tree, lo, hi)
+	want := truthRange(all, lo, hi)
 	it, err := tree.Seek(&h.clk, lo, hi, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -348,10 +337,15 @@ func checkSearchMatchesRef(t testing.TB, h *harness, tree *Tree, lo, hi int64) {
 		if !ok {
 			break
 		}
+		if len(got) > 0 && e.Key < got[len(got)-1].Key {
+			t.Fatalf("Seek(%d, %d): key %d after %d", lo, hi, e.Key, got[len(got)-1].Key)
+		}
 		got = append(got, e)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Seek(%d, %d): %d entries %v, reference %d entries %v", lo, hi, len(got), got, len(want), want)
+	seen := append([]Entry(nil), got...)
+	sortEntries(seen)
+	if !reflect.DeepEqual(seen, want) {
+		t.Fatalf("Seek(%d, %d): %d entries %v, truth %d entries %v", lo, hi, len(got), got, len(want), want)
 	}
 	if lo != hi {
 		return
@@ -360,18 +354,54 @@ func checkSearchMatchesRef(t testing.TB, h *harness, tree *Tree, lo, hi int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rids) != len(want) {
-		t.Fatalf("Lookup(%d): %d rids, reference %d", lo, len(rids), len(want))
+	if len(rids) != len(got) {
+		t.Fatalf("Lookup(%d): %d rids, Seek %d", lo, len(rids), len(got))
 	}
-	for i, e := range want {
+	for i, e := range got {
 		if rids[i] != e.RID {
-			t.Fatalf("Lookup(%d)[%d] = %v, reference %v", lo, i, rids[i], e.RID)
+			t.Fatalf("Lookup(%d)[%d] = %v, Seek %v", lo, i, rids[i], e.RID)
 		}
 	}
 }
 
-// Property: the tree agrees with a sorted reference on random workloads,
-// and the in-page search agrees with decodeNode + sort.Search.
+// straddleTree is a multi-level tree, bulk-built or grown by shuffled
+// inserts, of 2*LeafCap keys 0, 10, 20, ... each five times over, so that
+// runs of duplicates straddle leaf boundaries. It returns the entries.
+func straddleTree(t testing.TB, grow bool) (*harness, *Tree, []Entry) {
+	t.Helper()
+	h := newHarness(t)
+	const n = 2 * LeafCap
+	var entries []Entry
+	for i := int64(0); i < n; i++ {
+		for d := int64(0); d < 5; d++ {
+			entries = append(entries, Entry{Key: 10 * i, RID: rid(5*i + d)})
+		}
+	}
+	var tree *Tree
+	var err error
+	if grow {
+		if tree, _, err = Build(&h.clk, h.pool, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		rand.New(rand.NewSource(5)).Shuffle(len(entries), func(i, j int) {
+			entries[i], entries[j] = entries[j], entries[i]
+		})
+		for _, e := range entries {
+			if err := tree.Insert(&h.clk, e, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	} else if tree, _, err = Build(&h.clk, h.pool, 1, append([]Entry(nil), entries...)); err != nil {
+		t.Fatal(err)
+	}
+	if len(spanningRuns(t, h, tree)) == 0 {
+		t.Fatal("no run of duplicates spans two leaves: the case is not covered")
+	}
+	return h, tree, entries
+}
+
+// Property: every search agrees with a sorted-slice truth, on random
+// insert workloads and on multi-level trees with straddling runs.
 func TestTreeMatchesReference(t *testing.T) {
 	f := func(keysRaw []int16) bool {
 		h := newHarness(t)
@@ -379,25 +409,16 @@ func TestTreeMatchesReference(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ref := map[int64]int{}
+		var all []Entry
 		for i, kr := range keysRaw {
-			k := int64(kr)
-			if err := tree.Insert(&h.clk, Entry{Key: k, RID: rid(int64(i))}, 0); err != nil {
+			e := Entry{Key: int64(kr), RID: rid(int64(i))}
+			if err := tree.Insert(&h.clk, e, 0); err != nil {
 				return false
 			}
-			ref[k]++
+			all = append(all, e)
 		}
-		keys := make([]int64, 0, len(ref))
-		for k := range ref {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			rids, err := tree.Lookup(&h.clk, k, 0)
-			if err != nil || len(rids) != ref[k] {
-				return false
-			}
-			checkSearchMatchesRef(t, h, tree, k, k)
+		for _, e := range all {
+			checkSearch(t, h, tree, all, e.Key, e.Key)
 		}
 		return true
 	}
@@ -406,38 +427,13 @@ func TestTreeMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Multi-level trees, bulk-built and grown by inserts, each key five
-	// times over so runs of duplicates straddle leaf boundaries. Probed:
-	// below the first separator and the smallest key, on and around every
-	// separator, above the last separator and the largest key, and ranges
-	// across leaves.
+	// Probed: below the first separator and the smallest key, on and
+	// around every separator, above the last separator and the largest
+	// key, and ranges across leaves.
 	for name, grow := range map[string]bool{"built": false, "inserted": true} {
 		t.Run(name, func(t *testing.T) {
-			h := newHarness(t)
+			h, tree, all := straddleTree(t, grow)
 			const n = 2 * LeafCap
-			var entries []Entry
-			for i := int64(0); i < n; i++ {
-				for d := int64(0); d < 5; d++ {
-					entries = append(entries, Entry{Key: 10 * i, RID: rid(5*i + d)})
-				}
-			}
-			var tree *Tree
-			var err error
-			if grow {
-				if tree, _, err = Build(&h.clk, h.pool, 1, nil); err != nil {
-					t.Fatal(err)
-				}
-				rand.New(rand.NewSource(5)).Shuffle(len(entries), func(i, j int) {
-					entries[i], entries[j] = entries[j], entries[i]
-				})
-				for _, e := range entries {
-					if err := tree.Insert(&h.clk, e, 0); err != nil {
-						t.Fatal(err)
-					}
-				}
-			} else if tree, _, err = Build(&h.clk, h.pool, 1, entries); err != nil {
-				t.Fatal(err)
-			}
 			seps := separators(t, h, tree)
 			if len(seps) < 3 {
 				t.Fatalf("tree has %d separators", len(seps))
@@ -448,14 +444,78 @@ func TestTreeMatchesReference(t *testing.T) {
 				probes = append(probes, s-1, s, s+1)
 			}
 			for _, k := range probes {
-				checkSearchMatchesRef(t, h, tree, k, k)
-				checkSearchMatchesRef(t, h, tree, k, k+10*LeafCap/2)
+				checkSearch(t, h, tree, all, k, k)
+				checkSearch(t, h, tree, all, k, k+10*LeafCap/2)
 			}
-			checkSearchMatchesRef(t, h, tree, -100, 10*n+100)
-			if spans := spanningRuns(t, h, tree); spans == 0 {
-				t.Fatal("no run of duplicates spans two leaves: the case is not covered")
-			}
+			checkSearch(t, h, tree, all, -100, 10*n+100)
 		})
+	}
+}
+
+// TestSearchesSeeAStraddlingRun: every search finds the whole of a run of
+// duplicates that a split or Build left on both sides of a separator
+// equal to its key, the left leaf's copies included.
+func TestSearchesSeeAStraddlingRun(t *testing.T) {
+	ops := []struct {
+		name    string
+		deletes bool
+		// run finds or removes key's copies and counts them.
+		run func(tree *Tree, clk *simclock.Clock, key int64, copies []Entry) (int, error)
+	}{
+		{"Lookup", false, func(tree *Tree, clk *simclock.Clock, key int64, _ []Entry) (int, error) {
+			rids, err := tree.Lookup(clk, key, 0)
+			return len(rids), err
+		}},
+		{"Seek", false, func(tree *Tree, clk *simclock.Clock, key int64, _ []Entry) (int, error) {
+			it, err := tree.Seek(clk, key, key, 0)
+			for n := 0; err == nil; n++ {
+				var ok bool
+				if _, ok, err = it.Next(); !ok {
+					return n, err
+				}
+			}
+			return 0, err
+		}},
+		{"DeleteEntry", true, func(tree *Tree, clk *simclock.Clock, _ int64, copies []Entry) (int, error) {
+			n := 0
+			for _, e := range copies {
+				ok, err := tree.DeleteEntry(clk, e, 0)
+				if err != nil {
+					return n, err
+				}
+				if ok {
+					n++
+				}
+			}
+			return n, nil
+		}},
+		{"Delete", true, func(tree *Tree, clk *simclock.Clock, key int64, _ []Entry) (int, error) {
+			return tree.Delete(clk, key, 0)
+		}},
+	}
+	for name, grow := range map[string]bool{"built": false, "inserted": true} {
+		for _, op := range ops {
+			t.Run(name+"/"+op.name, func(t *testing.T) {
+				h, tree, all := straddleTree(t, grow)
+				for _, k := range spanningRuns(t, h, tree) {
+					copies := truthRange(all, k, k)
+					if n, err := op.run(tree, &h.clk, k, copies); err != nil || n != len(copies) {
+						t.Fatalf("key %d: %s saw %d of %d copies (%v)", k, op.name, n, len(copies), err)
+					}
+					if !op.deletes {
+						continue
+					}
+					if rids, err := tree.Lookup(&h.clk, k, 0); err != nil || len(rids) != 0 {
+						t.Fatalf("key %d: %d copies left after %s (%v)", k, len(rids), op.name, err)
+					}
+					for _, nb := range []int64{k - 10, k + 10} {
+						if rids, _ := tree.Lookup(&h.clk, nb, 0); len(rids) != len(truthRange(all, nb, nb)) {
+							t.Fatalf("key %d: neighbour %d lost entries to %s", k, nb, op.name)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

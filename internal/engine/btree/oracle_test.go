@@ -482,7 +482,7 @@ func TestEditsMatchDecodeEncode(t *testing.T) {
 			live = append(live, e)
 		}
 		// Walked on both sides, so both pools keep one LRU order.
-		if spanningRuns(t, p.edit, p.et) == 0 || spanningRuns(t, p.ref, p.rt) == 0 {
+		if len(spanningRuns(t, p.edit, p.et)) == 0 || len(spanningRuns(t, p.ref, p.rt)) == 0 {
 			t.Fatal("no run of duplicates spans two leaves")
 		}
 		p.check("walk the leaf chain", true)
