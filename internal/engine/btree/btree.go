@@ -146,10 +146,10 @@ func (n node) entry(i int) Entry {
 // the child left of the first separator >= key (where a search starts) or
 // > key with orEqual (where an insert goes).
 func (n node) rank(key int64, orEqual bool) int {
-	lo, hi := 0, n.count
+	lo, hi, size := 0, n.count, n.size()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if k := n.key(mid); k < key || orEqual && k == key {
+		if k := n.i64(leafHeader + mid*size); k < key || orEqual && k == key {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -192,11 +192,7 @@ func (n node) split(rightPage int64) (left, right []byte, sep int64) {
 // image allocates a node image of count entries under a set header; the
 // entries are the caller's to fill.
 func image(typ byte, count int, word int64) []byte {
-	size := internalEntrySize
-	if typ == nodeLeaf {
-		size = leafEntrySize
-	}
-	buf := make([]byte, leafHeader+count*size)
+	buf := make([]byte, leafHeader+count*node{leaf: typ == nodeLeaf}.size())
 	buf[0] = typ
 	binary.LittleEndian.PutUint16(buf[1:], uint16(count))
 	binary.LittleEndian.PutUint64(buf[3:], uint64(word))
