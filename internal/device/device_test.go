@@ -1,6 +1,7 @@
 package device
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -152,5 +153,41 @@ func TestCompletionMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSingleChannelBusyWithinHorizon: a single-channel device serves one
+// request at a time, so its BusyTime never exceeds its busy horizon, and
+// its utilization (BusyTime over elapsed time) never exceeds 1. The
+// stream saturates the disk (arrivals every 100 µs, services of ms) and
+// mixes reads and writes, sequential runs, near and far seeks.
+func TestSingleChannelBusyWithinHorizon(t *testing.T) {
+	d := New(Cheetah15K())
+	rng := rand.New(rand.NewSource(8))
+	lba := int64(0)
+	for i := 0; i < 5000; i++ {
+		op := Read
+		if rng.Intn(3) == 0 {
+			op = Write
+		}
+		switch rng.Intn(3) {
+		case 0: // continue the run
+		case 1:
+			lba += rng.Int63n(2000)
+		default:
+			lba = rng.Int63n(1 << 24)
+		}
+		blocks := 1 + rng.Intn(32)
+		at := time.Duration(i) * 100 * time.Microsecond
+		if end := d.Access(at, op, lba, blocks); end < at {
+			t.Fatalf("request %d ends at %v before it arrives at %v", i, end, at)
+		}
+		lba += int64(blocks)
+		if busy, horizon := d.Stats().BusyTime, d.BusyUntil(); busy > horizon {
+			t.Fatalf("after %d requests: busy %v beyond the horizon %v", i+1, busy, horizon)
+		}
+	}
+	if busy, horizon := d.Stats().BusyTime, d.BusyUntil(); busy < horizon*9/10 {
+		t.Fatalf("stream did not saturate the disk: busy %v of %v", busy, horizon)
 	}
 }

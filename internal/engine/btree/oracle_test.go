@@ -351,7 +351,7 @@ func newEditPair(t *testing.T, frames int, entries []Entry) *editPair {
 		t.Fatal(err)
 	}
 	// Build writes images directly: each must be what the decoded node
-	// encodes to.
+	// encodes to. Every page is still in its frame, as Build put it.
 	for page, pages := int64(1), p.pages(); page < pages; page++ {
 		data, _ := p.get(page)
 		l, in, err := decodeNode(data)
@@ -364,7 +364,7 @@ func newEditPair(t *testing.T, frames int, entries []Entry) *editPair {
 		} else {
 			want = encodeInternal(in)
 		}
-		sameImage(t, fmt.Sprintf("built page %d", page), data[:len(want):len(want)], want)
+		sameImage(t, fmt.Sprintf("built page %d", page), data, want)
 	}
 	p.elog, p.rlog = recorder(p.edit), recorder(p.ref)
 	return p
@@ -394,8 +394,9 @@ func (p *editPair) pages() int64 {
 	return pages
 }
 
-// check compares the two access logs of the last operation, and with all
-// every page of both trees, then clears the logs.
+// check compares the two access logs of the last operation, then clears
+// them; with all it also compares every page of both trees. Every change
+// to a page is a Put, so equal Puts keep every page equal.
 func (p *editPair) check(op string, all bool) {
 	t := p.t
 	t.Helper()
