@@ -20,8 +20,11 @@ race:
 # path, and the same path from 1, 2 and 4 CPUs), heap
 # fetch/scan/update, B-tree lookup/seek/insert/delete, the executor's row path
 # (scan-filter-aggregate, hash-join probe, nested loop, spill round
-# trip), the log's page-change encoding per 8 KB page (wal) and the
-# construction of the 22 TPC-H plans (tpch).
+# trip), the log's page-change encoding per 8 KB page (wal), the LSM's
+# page write through flushes and compactions and its memtable and tree
+# reads (lsm), and the construction of the 22 TPC-H plans (tpch). The
+# scheduler set includes a superseding background write against 1k-100k
+# queued requests. CI runs every one of them once (-benchtime 1x).
 # -benchmem backs the allocs/op claims; repeated -count samples
 # make the output benchstat-ready:
 #
@@ -31,7 +34,7 @@ race:
 #   benchstat old.txt new.txt
 bench:
 	{ $(GO) test ./internal/iosched ./internal/engine/heap ./internal/engine/btree ./internal/engine/exec ./internal/engine/wal \
-		-run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
+		./internal/lsm -run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
 	  $(GO) test ./internal/tpch -run '^$$' -bench Plan -benchmem -count $(BENCH_COUNT) && \
 	  $(GO) test ./internal/iosched \
 		-run '^$$' -bench SubmitParallel -cpu 1,2,4 -benchmem -count $(BENCH_COUNT); } | tee $(BENCH_OUT)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -86,11 +87,46 @@ func grantLine(batch []*request, start int64, total int, budget bool) string {
 // returns the grant sequence.
 func grantTrace(t *testing.T, cfg Config, fair bool, seed int64) []string {
 	t.Helper()
-	g, s, dev := newTestSched(cfg)
+	g, s, _ := newTestSched(cfg)
 	if fair {
 		g.SetTenantWeight(1, 4)
 		g.SetTenantWeight(2, 1)
 	}
+	grants := checkGrants(t, s, cfg, fair, seed)
+	rng := rand.New(rand.NewSource(seed))
+	classes := []dss.Class{dss.ClassLog, dss.ClassWriteBuffer, dss.Class(1),
+		dss.Class(2), seqClass, dss.ClassNone}
+	var at time.Duration
+	for i := 0; i < 200; i++ {
+		at += time.Duration(rng.Intn(300)) * time.Microsecond
+		if rng.Intn(4) == 0 {
+			// Background destages over a small LBA range, mostly
+			// single-block, so absorption collisions actually happen.
+			blocks := 1
+			if rng.Intn(4) == 0 {
+				blocks = 1 + rng.Intn(3)
+			}
+			s.SubmitBackground(at, device.Write, int64(rng.Intn(400)+100000), blocks,
+				dss.ClassWriteBuffer, dss.TenantID(rng.Intn(3)))
+			continue
+		}
+		op := device.Read
+		if rng.Intn(3) == 0 {
+			op = device.Write
+		}
+		s.Submit(at, op, int64(rng.Intn(4000)), 1+rng.Intn(12),
+			classes[rng.Intn(len(classes))], dss.TenantID(rng.Intn(3)), nil)
+	}
+	g.Drain()
+	return *grants
+}
+
+// checkGrants installs a grant hook on s that checks every grant against
+// the reference picker run over the queue as it stood, and appends each
+// grant's line to the returned sequence.
+func checkGrants(t *testing.T, s *Scheduler, cfg Config, fair bool, seed int64) *[]string {
+	t.Helper()
+	dev := s.dev
 	var grants []string
 	var boosts int64
 	s.grantHook = func(batch []*request, start int64, total int, budget, bgOK bool) {
@@ -121,32 +157,141 @@ func grantTrace(t *testing.T, cfg Config, fair bool, seed int64) []string {
 		boosts = s.stats.Boosted
 		grants = append(grants, got)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	classes := []dss.Class{dss.ClassLog, dss.ClassWriteBuffer, dss.Class(1),
-		dss.Class(2), seqClass, dss.ClassNone}
-	var at time.Duration
-	for i := 0; i < 200; i++ {
-		at += time.Duration(rng.Intn(300)) * time.Microsecond
-		if rng.Intn(4) == 0 {
-			// Background destages over a small LBA range, mostly
-			// single-block, so absorption collisions actually happen.
-			blocks := 1
-			if rng.Intn(4) == 0 {
-				blocks = 1 + rng.Intn(3)
+	return &grants
+}
+
+// TestAbsorptionAgainstDeepChains runs write absorption against the
+// shape of a deep deferred backlog: thousands of background reads piled
+// on a few LBAs, so every LBA's boundary list is hundreds of requests
+// long, with single-block background writes landing on the same LBAs
+// over and over and the one-block tail chunks of longer background
+// writes queueing second and third destages at them. Every absorption
+// must drop the request the seed's scan (referenceAbsorb) picks from the
+// queue as it stood, and every grant must still match the reference
+// picker. The workload is not part of grants.golden.
+func TestAbsorptionAgainstDeepChains(t *testing.T) {
+	const (
+		hot     = 6    // LBAs the backlog and the destages share
+		backlog = 1200 // background reads queued before the first write
+	)
+	// FIFO mode grants background work in arrival order like any other,
+	// so it never builds the backlog: class-only and fair sharing only.
+	for seed := int64(0); seed < 2; seed++ {
+		cfg := Config{Readahead: DisableReadahead, BackgroundShare: 0.2}
+		fair := seed == 1
+		g, s, dev := newTestSched(cfg)
+		if fair {
+			g.SetTenantWeight(1, 4)
+			g.SetTenantWeight(2, 1)
+		}
+		grants := checkGrants(t, s, cfg, fair, seed)
+		check := s.grantHook
+		var granted []uint64
+		s.grantHook = func(batch []*request, start int64, total int, budget, bgOK bool) {
+			check(batch, start, total, budget, bgOK)
+			for _, r := range batch {
+				granted = append(granted, r.seq)
 			}
-			s.SubmitBackground(at, device.Write, int64(rng.Intn(400)+100000), blocks,
-				dss.ClassWriteBuffer, dss.TenantID(rng.Intn(3)))
-			continue
 		}
-		op := device.Read
-		if rng.Intn(3) == 0 {
-			op = device.Write
+		// A busy device defers background work arriving at t=0 until
+		// foreground grants deposit write-back credit.
+		dev.Access(0, device.Write, 0, 4096)
+		rng := rand.New(rand.NewSource(seed))
+		base := int64(200000)
+		lbaOf := func() int64 { return base + 2*int64(rng.Intn(hot)) }
+		bgClasses := []dss.Class{dss.ClassWriteBuffer, dss.Class(2), seqClass}
+		for i := 0; i < backlog; i++ {
+			s.SubmitBackground(0, device.Read, lbaOf(), 1, seqClass, dss.DefaultTenant)
 		}
-		s.Submit(at, op, int64(rng.Intn(4000)), 1+rng.Intn(12),
-			classes[rng.Intn(len(classes))], dss.TenantID(rng.Intn(3)), nil)
+		deepest, longestList, absorbed := 0, 0, 0
+		for i := 0; i < 600; i++ {
+			lba := lbaOf()
+			cls := bgClasses[rng.Intn(len(bgClasses))]
+			tenant := dss.TenantID(rng.Intn(3))
+			switch k := rng.Intn(10); {
+			case k == 0:
+				// A foreground read deposits credit for budget grants.
+				s.Submit(0, device.Read, int64(rng.Intn(4000)), 1+rng.Intn(8),
+					dss.Class(2), tenant, nil)
+			case k <= 2:
+				// A longer background write whose last chunk is one
+				// block at lba: a destage that absorbs nothing.
+				mc := int64(s.maxCoalesce)
+				s.SubmitBackground(0, device.Write, lba-mc, int(mc)+1, cls, tenant)
+			default:
+				before := queuedSeqs(s)
+				// The absorbed request is recycled into the new one, so
+				// only the seq outlives the call.
+				want := referenceAbsorb(pendingSnapshot(s, nil), lba)
+				var wantSeq uint64
+				if want != nil {
+					wantSeq = want.seq
+				}
+				granted = granted[:0]
+				n := s.stats.Absorbed
+				s.SubmitBackground(0, device.Write, lba, 1, cls, tenant)
+				gone := goneSeqs(before, queuedSeqs(s), granted)
+				switch {
+				case want == nil && (s.stats.Absorbed != n || len(gone) != 0):
+					t.Fatalf("seed %d write %d at %d: nothing to absorb, yet Absorbed %d→%d and seqs %v left the queue ungranted",
+						seed, i, lba, n, s.stats.Absorbed, gone)
+				case want != nil && (s.stats.Absorbed != n+1 || len(gone) != 1 || gone[0] != wantSeq):
+					t.Fatalf("seed %d write %d at %d: reference absorbs seq %d, scheduler dropped %v (Absorbed %d→%d)",
+						seed, i, lba, wantSeq, gone, n, s.stats.Absorbed)
+				case want != nil:
+					absorbed++
+				}
+			}
+			for l := base; l < base+2*hot; l += 2 {
+				n := 0
+				for r := s.startAt[l]; r != nil; r = r.sNext {
+					n++
+				}
+				if n > deepest {
+					deepest = n
+				}
+				n = 0
+				for r := s.destageAt[l]; r != nil; r = r.dNext {
+					n++
+				}
+				if n > longestList {
+					longestList = n
+				}
+			}
+		}
+		g.Drain()
+		t.Logf("seed %d: longest LBA chain %d, longest destage list %d, %d absorptions, %d grants",
+			seed, deepest, longestList, absorbed, len(*grants))
+		if deepest < backlog/hot/2 || longestList < 2 || absorbed < 100 {
+			t.Fatalf("seed %d: workload too shallow: longest LBA chain %d, longest destage list %d, %d absorptions",
+				seed, deepest, longestList, absorbed)
+		}
+		if len(s.destageAt) != 0 {
+			t.Fatalf("seed %d: %d destage lists left after Drain", seed, len(s.destageAt))
+		}
 	}
-	g.Drain()
-	return grants
+}
+
+// queuedSeqs returns the seqs of every queued request.
+func queuedSeqs(s *Scheduler) map[uint64]bool {
+	m := make(map[uint64]bool)
+	for _, r := range pendingSnapshot(s, nil) {
+		m[r.seq] = true
+	}
+	return m
+}
+
+// goneSeqs returns, sorted, the seqs queued before a call that are
+// queued no longer and were not granted by it.
+func goneSeqs(before, after map[uint64]bool, granted []uint64) []uint64 {
+	var gone []uint64
+	for seq := range before {
+		if !after[seq] && !slices.Contains(granted, seq) {
+			gone = append(gone, seq)
+		}
+	}
+	slices.Sort(gone)
+	return gone
 }
 
 // TestFIFOHeadIsOldestArrival is the FIFO-mode regression for the

@@ -82,6 +82,7 @@ func (g *Group) Attach(dev *device.Device, seqClass dss.Class) *Scheduler {
 		bgShare:      cfg.BackgroundShare,
 		startAt:      make(map[int64]*request),
 		endAt:        make(map[int64]*request),
+		destageAt:    make(map[int64]*request),
 	}
 	if cfg.Readahead > 0 && !cfg.FIFO && seqClass != NoReadahead {
 		s.ra = make(map[int64]time.Duration)

@@ -116,3 +116,36 @@ func BenchmarkSubmitParallel(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSubmitBackgroundBacklog measures one superseding background
+// write against a deferred backlog of `depth` background reads queued at
+// the same LBA: each op absorbs the previous op's pending destage and
+// queues its own, so the depth holds and nothing is granted (the device
+// is busy far past the arrivals and no foreground deposits write-back
+// credit). Absorption takes the head of the LBA's destage list, so ns/op
+// should not grow with depth; a walk over the LBA's boundary list would
+// make it linear.
+func BenchmarkSubmitBackgroundBacklog(b *testing.B) {
+	for _, depth := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			dev := device.New(device.Cheetah15K())
+			g := NewGroup(Config{Readahead: DisableReadahead})
+			s := g.Attach(dev, seqClass)
+			dev.Access(0, device.Write, 0, 4096)
+			const lba = 1 << 20
+			for i := 0; i < depth; i++ {
+				s.SubmitBackground(0, device.Read, lba, 1, seqClass, dss.DefaultTenant)
+			}
+			s.SubmitBackground(0, device.Write, lba, 1, dss.ClassWriteBuffer, dss.DefaultTenant)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.SubmitBackground(0, device.Write, lba, 1, dss.ClassWriteBuffer, dss.DefaultTenant)
+			}
+			b.StopTimer()
+			if q := s.queued.Load(); q != int64(depth)+1 {
+				b.Fatalf("queue depth %d, want %d: the backlog was granted", q, depth+1)
+			}
+		})
+	}
+}

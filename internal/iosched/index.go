@@ -16,8 +16,12 @@ import "hstoragedb/internal/device"
 //   - outside FIFO mode every pending request is in exactly one band
 //     tree (keyed (vfinish, lba, seq)), bands kept sorted by rank;
 //   - every pending request is on the boundary lists at its start LBA
-//     and end LBA, newest-first, for O(1)-per-candidate coalescing and
-//     background-write absorption lookups.
+//     and end LBA, newest-first, for O(1)-per-candidate coalescing
+//     lookups;
+//   - every pending single-block background write is on the destage
+//     list at its LBA, oldest-first, so write absorption takes the head
+//     instead of walking the boundary list (a deep background backlog
+//     piles up thousands of requests at one start LBA).
 
 // band is one rank level (one priority class, or a background shadow of
 // one) with its ordered request index. bg marks the background side
@@ -60,6 +64,9 @@ func (s *Scheduler) indexInsertLocked(r *request) {
 		r.band = b
 	}
 	s.boundInsertLocked(r)
+	if isDestage(r) {
+		s.destageInsertLocked(r)
+	}
 }
 
 func (s *Scheduler) indexRemoveLocked(r *request) {
@@ -71,6 +78,9 @@ func (s *Scheduler) indexRemoveLocked(r *request) {
 		r.band = nil
 	}
 	s.boundRemoveLocked(r)
+	if isDestage(r) {
+		s.destageRemoveLocked(r)
+	}
 	s.noteRemovedLocked(r)
 }
 
@@ -82,13 +92,6 @@ func (s *Scheduler) noteRemovedLocked(r *request) {
 		s.nFg--
 	} else {
 		s.nBg--
-		if r.op == device.Write && r.blocks == 1 {
-			if n := s.bgWriteLBA[r.lba]; n > 1 {
-				s.bgWriteLBA[r.lba] = n - 1
-			} else {
-				delete(s.bgWriteLBA, r.lba)
-			}
-		}
 	}
 }
 
@@ -137,17 +140,48 @@ func (s *Scheduler) boundRemoveLocked(r *request) {
 	r.eNext, r.ePrev = nil, nil
 }
 
-// absorbCandidateLocked finds the oldest pending single-block background
-// write at lba, for write absorption. nil when none is pending.
-func (s *Scheduler) absorbCandidateLocked(lba int64) *request {
-	var p *request
-	for r := s.startAt[lba]; r != nil; r = r.sNext {
-		if r.w != nil || r.op != device.Write || r.blocks != 1 {
-			continue
-		}
-		if p == nil || r.seq < p.seq {
-			p = r
-		}
+// Destage lists: one intrusive singly-linked list per LBA of the
+// pending single-block background writes there, headed in a map and
+// linked oldest-first. Enqueue appends and enqueue order is seq order,
+// so the head is the minimum seq: the request the seed's
+// first-in-pending-order scan chose to absorb. A list rarely holds more
+// than one request, because every single-block background write absorbs
+// its predecessor before it joins; only the one-block tail chunk of a
+// longer background write joins without absorbing. So insert and remove
+// walk the list itself, and a request carries one link, not two: the
+// scheduler pools every request it ever queued, and a second pointer
+// would cost each of them a larger allocation size class.
+
+// isDestage reports whether r is a single-block background write, the
+// only kind a newer background write to its block absorbs.
+func isDestage(r *request) bool {
+	return r.w == nil && r.op == device.Write && r.blocks == 1
+}
+
+func (s *Scheduler) destageInsertLocked(r *request) {
+	p := s.destageAt[r.lba]
+	if p == nil {
+		s.destageAt[r.lba] = r
+		return
 	}
-	return p
+	for p.dNext != nil {
+		p = p.dNext
+	}
+	p.dNext = r
+}
+
+func (s *Scheduler) destageRemoveLocked(r *request) {
+	p := s.destageAt[r.lba]
+	switch {
+	case p != r:
+		for p.dNext != r {
+			p = p.dNext
+		}
+		p.dNext = r.dNext
+	case r.dNext == nil:
+		delete(s.destageAt, r.lba)
+	default:
+		s.destageAt[r.lba] = r.dNext
+	}
+	r.dNext = nil
 }

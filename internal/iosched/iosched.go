@@ -248,23 +248,22 @@ type Scheduler struct {
 	mu sync.Mutex
 
 	// The pending queue, as the ordered indexes the picker reads (see
-	// index.go for the invariants).
-	bands   []*band
-	age     ageHeap
-	startAt map[int64]*request
-	endAt   map[int64]*request
+	// index.go for the invariants). destageAt heads, per LBA, the list
+	// of pending single-block background writes that write absorption
+	// takes the oldest of.
+	bands     []*band
+	age       ageHeap
+	startAt   map[int64]*request
+	endAt     map[int64]*request
+	destageAt map[int64]*request
 
 	seq   uint64
 	stats Stats
 
 	// nFg and nBg count pending foreground/background requests, so
-	// eligibility probes stay O(1) against a deep deferred backlog;
-	// bgWriteLBAs counts pending single-block background writes per
-	// LBA, so the absorption check looks up the queue only on an actual
-	// duplicate.
-	nFg        int
-	nBg        int
-	bgWriteLBA map[int64]int
+	// eligibility probes stay O(1) against a deep deferred backlog.
+	nFg int
+	nBg int
 
 	// bgCredit is the write-back budget balance in blocks: foreground
 	// grants deposit BackgroundShare of their blocks, budget-forced

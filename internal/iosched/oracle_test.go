@@ -3,6 +3,8 @@ package iosched
 import (
 	"sort"
 	"time"
+
+	"hstoragedb/internal/device"
 )
 
 // This file is the picker's reference implementation: the seed's O(n)
@@ -192,4 +194,17 @@ func referenceGrant(pending []*request, st oracleState) (batch []*request, start
 		total += p.blocks
 	}
 	return batch, start, total, budget, boosted
+}
+
+// referenceAbsorb is the seed's write-absorption scan: the first request
+// in pending (seq) order that is a single-block background write at lba,
+// which a newer single-block background write to that block supersedes.
+// nil when none is pending.
+func referenceAbsorb(pending []*request, lba int64) *request {
+	for _, r := range pending {
+		if r.w == nil && r.op == device.Write && r.blocks == 1 && r.lba == lba {
+			return r
+		}
+	}
+	return nil
 }

@@ -99,11 +99,13 @@ type request struct {
 
 	// Index state: position in the aging heap (-1 when not a member),
 	// owning band tree, and the boundary-list links at the request's
-	// start and end LBAs (index.go).
+	// start and end LBAs, and for a single-block background write the
+	// destage-list link at its LBA (index.go).
 	ageIdx       int
 	band         *band
 	sNext, sPrev *request
 	eNext, ePrev *request
+	dNext        *request
 
 	// next chains the scheduler's request freelist.
 	next *request
@@ -255,9 +257,10 @@ func (s *Scheduler) SubmitBackground(at time.Duration, op device.Op, lba int64, 
 		// Write absorption: a queued background write to the same block
 		// is superseded by this one — the device only needs the latest
 		// copy, so the stale destage is dropped before it costs a
-		// positioning penalty.
-		if blocks == 1 && s.bgWriteLBA[lba] > 0 {
-			if r := s.absorbCandidateLocked(lba); r != nil {
+		// positioning penalty. The oldest pending copy goes, found at the
+		// head of the LBA's destage list (index.go).
+		if blocks == 1 {
+			if r := s.destageAt[lba]; r != nil {
 				s.indexRemoveLocked(r)
 				s.putRequestLocked(r)
 				s.stats.Absorbed++
@@ -321,12 +324,6 @@ func (s *Scheduler) enqueueLocked(w *waiter, at time.Duration, op device.Op, lba
 			s.nFg++
 		} else {
 			s.nBg++
-			if op == device.Write && n == 1 {
-				if s.bgWriteLBA == nil {
-					s.bgWriteLBA = make(map[int64]int)
-				}
-				s.bgWriteLBA[lba]++
-			}
 		}
 		s.indexInsertLocked(r)
 		s.queued.Add(1)

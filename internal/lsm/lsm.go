@@ -29,6 +29,18 @@
 // manifest intact; blocks referenced by neither are orphans that
 // Crash() discards. Writes absorbed since the last Sync are lost with
 // the memtable and come back through the engine's WAL replay.
+//
+// # Stored blocks are immutable
+//
+// A page's bytes are copied once, when Write pads the caller's buffer
+// into a PageSize block for the memtable. From then on the block is
+// never written to: a flush hands the memtable's slices to the new L0
+// table by reference, a compaction hands the input tables' data blocks
+// to its output the same way, and Read and Iter return the memtable's
+// or the table's slice itself. A rewrite of the page replaces the map
+// entry, and a freed table only drops its LBAs from the disk image, so
+// every slice handed out earlier keeps its bytes. Callers must not
+// write into what they read (the pagestore.Backend contract).
 package lsm
 
 import (
@@ -298,7 +310,8 @@ func (s *Store) Extend(id pagestore.ObjectID, pages int64) error {
 
 // Read implements pagestore.Backend. A memtable hit returns an empty
 // plan; a tree probe charges one bloom block per candidate table, one
-// index block per bloom maybe, and one data block on the hit.
+// index block per bloom maybe, and one data block on the hit. The slice
+// is the stored block itself, not a copy.
 func (s *Store) Read(id pagestore.ObjectID, page int64) ([]byte, []pagestore.Access, error) {
 	if s.isDirect(id) {
 		if err := s.alive(); err != nil {
@@ -326,9 +339,7 @@ func (s *Store) Read(id pagestore.ObjectID, page int64) ([]byte, []pagestore.Acc
 	}
 	k := key{obj: id, gen: o.gen, page: page}
 	if d, ok := s.mem[k]; ok {
-		buf := make([]byte, pagestore.PageSize)
-		copy(buf, d)
-		return buf, nil, nil
+		return d, nil, nil
 	}
 	data, plan := s.probeLocked(k)
 	if data == nil {
@@ -354,10 +365,8 @@ func (s *Store) probeLocked(k key) ([]byte, []pagestore.Access) {
 		if !ok {
 			return nil, false // bloom false positive
 		}
-		buf := make([]byte, pagestore.PageSize)
-		copy(buf, s.disk[t.dataStart+int64(i)])
 		plan = append(plan, pagestore.Access{LBA: t.dataStart + int64(i), Blocks: 1})
-		return buf, true
+		return s.disk[t.dataStart+int64(i)], true
 	}
 	l0 := s.levels[0]
 	for i := len(l0) - 1; i >= 0; i-- {
@@ -376,7 +385,8 @@ func (s *Store) probeLocked(k key) ([]byte, []pagestore.Access) {
 // Write implements pagestore.Backend: the page is absorbed by the
 // memtable (empty plan — the caller waits on no device). Crossing the
 // flush threshold builds an SSTable and queues the flush, and possibly
-// a compaction, as maintenance.
+// a compaction, as maintenance. The padded copy made here is the only
+// one: the block then travels by reference through flush and compaction.
 func (s *Store) Write(id pagestore.ObjectID, page int64, data []byte) ([]pagestore.Access, error) {
 	if s.isDirect(id) {
 		if err := s.alive(); err != nil {
@@ -526,13 +536,11 @@ func (it *lsmIter) Next() (int64, []byte, bool, error) {
 	}
 	p := it.page
 	k := key{obj: it.id, gen: it.gen, page: p}
-	var buf []byte
-	if d, ok := it.s.mem[k]; ok {
-		buf = make([]byte, pagestore.PageSize)
-		copy(buf, d)
-	} else if d, _ := it.s.probeLocked(k); d != nil {
-		buf = d
-	} else {
+	buf, ok := it.s.mem[k]
+	if !ok {
+		buf, _ = it.s.probeLocked(k)
+	}
+	if buf == nil {
 		buf = make([]byte, pagestore.PageSize)
 	}
 	it.page++

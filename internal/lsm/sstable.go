@@ -27,7 +27,8 @@ const (
 	bloomProbes = 4
 )
 
-// entry is one (key, page content) pair bound for an SSTable.
+// entry is one (key, page content) pair bound for an SSTable. data is a
+// PageSize block from the memtable or an input table, shared, not copied.
 type entry struct {
 	k    key
 	data []byte
@@ -130,7 +131,9 @@ func (t *table) find(k key) (int, bool) {
 
 // writeTableLocked allocates and writes a new SSTable for the sorted
 // entries, honouring an armed kill point, and returns its handle plus
-// the single sequential write access it cost.
+// the single sequential write access it cost. Each data block is the
+// entry's slice itself: stored blocks are immutable (see the package
+// doc), so a flush or compaction moves a page without copying it.
 func (s *Store) writeTableLocked(entries []entry) (*table, pagestore.Access, error) {
 	n := len(entries)
 	bloomBits := int64(n * bloomBitsPerKey)
@@ -183,9 +186,7 @@ func (s *Store) writeTableLocked(entries []entry) (*table, pagestore.Access, err
 		blocks = append(blocks, idx[b*pagestore.PageSize:(b+1)*pagestore.PageSize])
 	}
 	for _, e := range entries {
-		buf := make([]byte, pagestore.PageSize)
-		copy(buf, e.data)
-		blocks = append(blocks, buf)
+		blocks = append(blocks, e.data)
 	}
 
 	for i, blk := range blocks {

@@ -27,7 +27,8 @@ type Access struct {
 }
 
 // Iterator walks one object's pages in page order. Next returns ok=false
-// after the last page.
+// after the last page. Like Backend.Read, data may be the stored block
+// itself: callers must not write into it.
 type Iterator interface {
 	Next() (page int64, data []byte, ok bool, err error)
 }
@@ -57,11 +58,15 @@ type Backend interface {
 	Extend(id ObjectID, pages int64) error
 	// Read returns the content of (object, page) — never-written pages
 	// read as zeroes — plus the access plan that produced it. The slice
-	// may be the backend's own copy, shared between readers: callers must
-	// not write into it.
+	// may be the stored block itself, shared between readers: callers
+	// must not write into it.
 	Read(id ObjectID, page int64) ([]byte, []Access, error)
 	// Write stores the content of (object, page), copying data, and
-	// returns the access plan.
+	// returns the access plan. The copy is the stored block, and a stored
+	// block is immutable: the backend replaces it on the next Write and
+	// never writes into it, so it may hand the same slice to every reader
+	// and, like the LSM through its flushes and compactions, move it
+	// between its own structures by reference.
 	Write(id ObjectID, page int64, data []byte) ([]Access, error)
 	// Truncate discards the object's content but keeps it registered,
 	// reporting any synchronously freed extents.
