@@ -7,7 +7,7 @@ GO ?= go
 BENCH_COUNT ?= 10
 BENCH_OUT ?= bench.txt
 
-.PHONY: test race bench lint
+.PHONY: test race bench lint size
 
 test:
 	$(GO) test ./...
@@ -44,3 +44,10 @@ bench:
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+
+# The size ledger: non-test Go lines outside bench/ (tracked files only),
+# per package directory and in total.
+size:
+	@git ls-files -- '*.go' ':!:*_test.go' ':!:bench/' | xargs wc -l | \
+	  awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); if (d == $$2) d = "."; n[d] += $$1; t += $$1 } \
+	  END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'

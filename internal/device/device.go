@@ -230,32 +230,17 @@ func (d *Device) Use(set *obs.Set) {
 	d.mTenantLat = make(map[int]*obs.HistVar)
 }
 
-// classLatLocked returns (caching on first use) the registry mirror of
-// the per-class latency histogram. Caller holds d.mu.
-func (d *Device) classLatLocked(class int) *obs.HistVar {
+// latMirrorLocked returns (caching in mirrors on first use) the registry
+// mirror of the latency histogram labelled label=key. Caller holds d.mu.
+func (d *Device) latMirrorLocked(mirrors map[int]*obs.HistVar, label string, key int) *obs.HistVar {
 	if d.reg == nil {
 		return nil
 	}
-	hv := d.mClassLat[class]
+	hv := mirrors[key]
 	if hv == nil {
 		hv = d.reg.Histogram("device.latency",
-			obs.L("dev", d.spec.Name), obs.LInt("class", int64(class)))
-		d.mClassLat[class] = hv
-	}
-	return hv
-}
-
-// tenantLatLocked returns (caching on first use) the registry mirror of
-// the per-tenant latency histogram. Caller holds d.mu.
-func (d *Device) tenantLatLocked(tenant int) *obs.HistVar {
-	if d.reg == nil {
-		return nil
-	}
-	hv := d.mTenantLat[tenant]
-	if hv == nil {
-		hv = d.reg.Histogram("device.latency",
-			obs.L("dev", d.spec.Name), obs.LInt("tenant", int64(tenant)))
-		d.mTenantLat[tenant] = hv
+			obs.L("dev", d.spec.Name), obs.LInt(label, int64(key)))
+		mirrors[key] = hv
 	}
 	return hv
 }
@@ -402,90 +387,45 @@ func (d *Device) HeadLBA() int64 {
 	return d.nextLBA
 }
 
-// ObserveLatency records one end-to-end request latency for a class in
-// the device's histogram set. Class keys are dss.Class values; the
-// scheduler owns the mapping.
-func (d *Device) ObserveLatency(class int, lat time.Duration) {
-	d.mu.Lock()
-	h := d.hists[class]
-	if h == nil {
-		if d.hists == nil {
-			d.hists = make(map[int]*LatencyHist)
-		}
-		h = &LatencyHist{}
-		d.hists[class] = h
-	}
-	h.Observe(lat)
-	hv := d.classLatLocked(class)
-	d.mu.Unlock()
-	hv.Observe(lat)
-}
-
-// ObserveTenantLatency records one end-to-end request latency for a
-// tenant in the device's per-tenant histogram set. Tenant keys are
-// dss.TenantID values; the scheduler owns the mapping and the decision
-// of which requests are attributed.
-func (d *Device) ObserveTenantLatency(tenant int, lat time.Duration) {
-	d.mu.Lock()
-	h := d.tenantHists[tenant]
-	if h == nil {
-		if d.tenantHists == nil {
-			d.tenantHists = make(map[int]*LatencyHist)
-		}
-		h = &LatencyHist{}
-		d.tenantHists[tenant] = h
-	}
-	h.Observe(lat)
-	hv := d.tenantLatLocked(tenant)
-	d.mu.Unlock()
-	hv.Observe(lat)
-}
-
-// LatencySample is one completed-request latency for ObserveLatencyBatch.
-// A negative Tenant marks an unattributed request: its latency is
-// recorded per class only.
+// LatencySample is one completed-request latency. Class keys are
+// dss.Class values and Tenant keys dss.TenantID values; the scheduler owns
+// both mappings and the decision of which requests are attributed: a
+// negative Tenant is recorded per class only.
 type LatencySample struct {
 	Class  int
 	Tenant int
 	Lat    time.Duration
 }
 
-// ObserveLatencyBatch records a batch of request latencies under a
-// single lock acquisition — the completion-flush path of the I/O
-// scheduler, which otherwise pays one lock round-trip per completed
-// request in a coalesced grant. Equivalent to ObserveLatency (plus
-// ObserveTenantLatency for attributed samples) per entry.
-func (d *Device) ObserveLatencyBatch(samples []LatencySample) {
-	if len(samples) == 0 {
-		return
-	}
+// ObserveLatency records end-to-end request latencies in the device's
+// per-class and per-tenant histogram sets under one lock acquisition:
+// one sample from a readahead hit, or every request a coalesced grant
+// completed.
+func (d *Device) ObserveLatency(samples ...LatencySample) {
 	d.mu.Lock()
 	for _, s := range samples {
-		h := d.hists[s.Class]
-		if h == nil {
-			if d.hists == nil {
-				d.hists = make(map[int]*LatencyHist)
-			}
-			h = &LatencyHist{}
-			d.hists[s.Class] = h
+		histLocked(&d.hists, s.Class).Observe(s.Lat)
+		d.latMirrorLocked(d.mClassLat, "class", s.Class).Observe(s.Lat)
+		if s.Tenant >= 0 {
+			histLocked(&d.tenantHists, s.Tenant).Observe(s.Lat)
+			d.latMirrorLocked(d.mTenantLat, "tenant", s.Tenant).Observe(s.Lat)
 		}
-		h.Observe(s.Lat)
-		d.classLatLocked(s.Class).Observe(s.Lat)
-		if s.Tenant < 0 {
-			continue
-		}
-		th := d.tenantHists[s.Tenant]
-		if th == nil {
-			if d.tenantHists == nil {
-				d.tenantHists = make(map[int]*LatencyHist)
-			}
-			th = &LatencyHist{}
-			d.tenantHists[s.Tenant] = th
-		}
-		th.Observe(s.Lat)
-		d.tenantLatLocked(s.Tenant).Observe(s.Lat)
 	}
 	d.mu.Unlock()
+}
+
+// histLocked returns the histogram under key in *hists, creating the map
+// and the histogram on first use. Caller holds d.mu.
+func histLocked(hists *map[int]*LatencyHist, key int) *LatencyHist {
+	h := (*hists)[key]
+	if h == nil {
+		if *hists == nil {
+			*hists = make(map[int]*LatencyHist)
+		}
+		h = &LatencyHist{}
+		(*hists)[key] = h
+	}
+	return h
 }
 
 // Stats returns a snapshot of the device counters, including per-class

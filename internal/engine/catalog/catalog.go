@@ -122,9 +122,6 @@ type IndexInfo struct {
 	KeyCol  int
 }
 
-// tempIDBase is the start of the reserved temporary-object ID range.
-const tempIDBase pagestore.ObjectID = 1 << 30
-
 // Catalog is the registry of tables and indexes. It is safe for
 // concurrent use.
 type Catalog struct {
@@ -143,7 +140,7 @@ func New() *Catalog {
 		indexes: make(map[string]*IndexInfo),
 		byID:    make(map[pagestore.ObjectID]string),
 		nextOID: 1,
-		nextTmp: tempIDBase,
+		nextTmp: pagestore.TempBase,
 	}
 }
 
@@ -237,8 +234,8 @@ func (c *Catalog) IndexFor(tableID pagestore.ObjectID, keyCol int) (*IndexInfo, 
 // NameOf resolves an object ID to its catalog name (for reports); temp
 // objects render as tmp<N>.
 func (c *Catalog) NameOf(id pagestore.ObjectID) string {
-	if id >= tempIDBase {
-		return fmt.Sprintf("tmp%d", id-tempIDBase)
+	if id >= pagestore.TempBase {
+		return fmt.Sprintf("tmp%d", id-pagestore.TempBase)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -258,7 +255,7 @@ func (c *Catalog) NewTempID() pagestore.ObjectID {
 }
 
 // IsTemp reports whether an object ID belongs to the temporary range.
-func IsTemp(id pagestore.ObjectID) bool { return id >= tempIDBase }
+func IsTemp(id pagestore.ObjectID) bool { return id >= pagestore.TempBase }
 
 // Tables returns descriptors of all tables sorted by name.
 func (c *Catalog) Tables() []*TableInfo {

@@ -10,7 +10,6 @@ import (
 	"hstoragedb/internal/engine"
 	"hstoragedb/internal/engine/btree"
 	"hstoragedb/internal/engine/catalog"
-	"hstoragedb/internal/engine/wal"
 	"hstoragedb/internal/lsm"
 )
 
@@ -19,7 +18,6 @@ import (
 func (f *fixture) write(t *testing.T, tx *Txn, id int64, rows int, val string) {
 	t.Helper()
 	for i := int64(0); i < int64(rows); i++ {
-		tx.Op(wal.KindHeapInsert)
 		app := f.file.NewAppender(&f.sess.Clk, f.inst.Pool, f.db.Store.Pages(f.info.ID))
 		rid, err := app.Append(catalog.Tuple{catalog.IntDatum(id + i), catalog.StringDatum(val)})
 		if err == nil {
@@ -28,7 +26,6 @@ func (f *fixture) write(t *testing.T, tx *Txn, id int64, rows int, val string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tx.Op(wal.KindIndexInsert)
 		if err := f.ix.Insert(&f.sess.Clk, btree.Entry{Key: id + i, RID: rid}, 0); err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,6 @@ func (f *fixture) insertOn(sess *engine.Session, id int64, val string) error {
 	if err != nil {
 		return err
 	}
-	tx.Op(wal.KindHeapInsert)
 	if err := tx.LockAppend(f.info.ID); err != nil {
 		_ = tx.Abort()
 		return err
@@ -37,7 +36,6 @@ func (f *fixture) insertOn(sess *engine.Session, id int64, val string) error {
 		_ = tx.Abort()
 		return err
 	}
-	tx.Op(wal.KindIndexInsert)
 	if err := f.ix.Insert(&sess.Clk, btree.Entry{Key: id, RID: rid}, 0); err != nil {
 		_ = tx.Abort()
 		return err
@@ -269,7 +267,6 @@ func TestNoStealConcurrentMutators(t *testing.T) {
 						if err != nil {
 							return err
 						}
-						tx.Op(wal.KindHeapInsert)
 						if err := tx.LockAppend(f.info.ID); err != nil {
 							return tx.Abort()
 						}

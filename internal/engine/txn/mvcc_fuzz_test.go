@@ -81,7 +81,6 @@ func newFuzzFixture(t *testing.T, poolPages int) *fuzzFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx.Op(wal.KindHeapInsert)
 	app := z.file.NewAppender(&z.sess.Clk, inst.Pool, 0)
 	for id := int64(0); id < fuzzAccounts; id++ {
 		rid, err := app.Append(catalog.Tuple{catalog.IntDatum(id), catalog.IntDatum(fuzzInitBalance)})
@@ -93,7 +92,6 @@ func newFuzzFixture(t *testing.T, poolPages int) *fuzzFixture {
 	if err := app.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tx.Op(wal.KindIndexInsert)
 	for id := int64(0); id < fuzzAccounts; id++ {
 		if err := z.ix.Insert(&z.sess.Clk, btree.Entry{Key: id, RID: z.rids[id]}, 0); err != nil {
 			t.Fatal(err)
@@ -114,7 +112,6 @@ func (z *fuzzFixture) transfer(sess *engine.Session, a, b, amt int64) error {
 	if err != nil {
 		return err
 	}
-	tx.Op(wal.KindHeapUpdate)
 	step := func(id, delta int64) error {
 		row, err := z.file.Fetch(&sess.Clk, z.inst.Pool, z.rids[id], 0)
 		if err != nil {

@@ -15,12 +15,10 @@ import (
 
 	"hstoragedb/internal/engine"
 	"hstoragedb/internal/engine/catalog"
-	"hstoragedb/internal/engine/wal"
 )
 
 // updateIn rewrites id's row to val inside an already-begun transaction.
 func (f *fixture) updateIn(tx *Txn, sess *engine.Session, id int64, val string) error {
-	tx.Op(wal.KindHeapUpdate)
 	rids, err := f.ix.Lookup(&sess.Clk, id, 0)
 	if err != nil {
 		return err

@@ -6,7 +6,6 @@ import (
 
 	"hstoragedb/internal/engine/btree"
 	"hstoragedb/internal/engine/catalog"
-	"hstoragedb/internal/engine/wal"
 )
 
 // The log records what a transaction changed on each page, against the
@@ -25,7 +24,6 @@ func (f *fixture) insertTail(val string, keys ...int64) (*Txn, error) {
 		return nil, err
 	}
 	for _, k := range keys {
-		tx.Op(wal.KindHeapInsert)
 		app, err := f.file.NewTailAppender(&f.sess.Clk, f.inst.Pool, f.db.Store.Pages(f.info.ID))
 		if err != nil {
 			return nil, err
@@ -37,7 +35,6 @@ func (f *fixture) insertTail(val string, keys ...int64) (*Txn, error) {
 		if err != nil {
 			return nil, err
 		}
-		tx.Op(wal.KindIndexInsert)
 		if err := f.ix.Insert(&f.sess.Clk, btree.Entry{Key: k, RID: rid}, 0); err != nil {
 			return nil, err
 		}

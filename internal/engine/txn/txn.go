@@ -242,13 +242,12 @@ type pageKey struct {
 
 // preimage is one page the transaction wrote: its first-touch state, for
 // abort and as the base the log encodes the page's change against, and
-// its latest image with the record kind that wrote it, for the log.
+// its latest image, for the log.
 type preimage struct {
 	obj      pagestore.ObjectID
 	page     int64
 	pre      []byte // nil: the page had no frame before this transaction
 	preDirty bool
-	kind     wal.Kind
 	post     []byte
 }
 
@@ -261,7 +260,6 @@ type Txn struct {
 	sess     *engine.Session
 	id       int64
 	readOnly bool
-	op       wal.Kind
 	touched  map[pageKey]int // index into pres
 	pres     []preimage
 	finished bool
@@ -296,7 +294,6 @@ func (m *Manager) Begin(sess *engine.Session) (*Txn, error) {
 		m:       m,
 		sess:    sess,
 		id:      m.log.NextTxnID(),
-		op:      wal.KindHeapUpdate,
 		touched: make(map[pageKey]int),
 	}
 	if _, err := m.log.Append(&sess.Clk, wal.Record{Txn: t.id, Kind: wal.KindBegin}); err != nil {
@@ -320,15 +317,6 @@ func (m *Manager) BeginRead(sess *engine.Session) *Txn {
 
 // ID returns the transaction identifier (0 for read-only transactions).
 func (t *Txn) ID() int64 { return t.id }
-
-// Op declares the logical operation the next page writes belong to (one
-// of the heap/index record kinds); it labels the WAL records so the log
-// reads like the logical history it is.
-func (t *Txn) Op(k wal.Kind) {
-	if k.PageRecord() {
-		t.op = k
-	}
-}
 
 // acquire is the buffer pool lock hook: it takes the page lock (shared
 // for reads, exclusive for writes) before the frame access. Temporary
@@ -393,7 +381,7 @@ func (t *Txn) capture(tag policy.Tag, page int64, pre []byte, preDirty bool, pos
 		t.touched[k] = i
 		t.pres = append(t.pres, preimage{obj: k.obj, page: page, pre: pre, preDirty: preDirty})
 	}
-	t.pres[i].kind, t.pres[i].post = t.op, post
+	t.pres[i].post = post
 	return !seen
 }
 
@@ -529,7 +517,7 @@ func (t *Txn) walPhase(kind wal.Kind, gtid int64, images bool) (lsn wal.LSN, err
 func (t *Txn) logImages() (last wal.LSN, err error) {
 	for _, p := range t.pres {
 		last, err = t.m.log.Append(&t.sess.Clk, wal.Record{
-			Txn: t.id, Kind: p.kind, Obj: p.obj, Page: p.page, Image: p.post, Pre: p.pre,
+			Txn: t.id, Kind: wal.KindPage, Obj: p.obj, Page: p.page, Image: p.post, Pre: p.pre,
 		})
 		if err != nil {
 			return 0, err

@@ -96,7 +96,6 @@ func (f *fixture) insert(id int64, val string) error {
 	if err != nil {
 		return err
 	}
-	tx.Op(wal.KindHeapInsert)
 	app := f.file.NewAppender(&f.sess.Clk, f.inst.Pool, f.db.Store.Pages(f.info.ID))
 	rid, err := app.Append(catalog.Tuple{catalog.IntDatum(id), catalog.StringDatum(val)})
 	if err == nil {
@@ -106,7 +105,6 @@ func (f *fixture) insert(id int64, val string) error {
 		_ = tx.Abort()
 		return err
 	}
-	tx.Op(wal.KindIndexInsert)
 	if err := f.ix.Insert(&f.sess.Clk, btree.Entry{Key: id, RID: rid}, 0); err != nil {
 		_ = tx.Abort()
 		return err
@@ -166,7 +164,6 @@ func TestCommitAndAbortVisibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx.Op(wal.KindHeapInsert)
 	app := f.file.NewAppender(&f.sess.Clk, f.inst.Pool, f.db.Store.Pages(f.info.ID))
 	rid, err := app.Append(catalog.Tuple{catalog.IntDatum(99), catalog.StringDatum("ghost")})
 	if err == nil {
@@ -175,7 +172,6 @@ func TestCommitAndAbortVisibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx.Op(wal.KindIndexInsert)
 	if err := f.ix.Insert(&f.sess.Clk, btree.Entry{Key: 99, RID: rid}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +199,6 @@ func TestNoStealUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx.Op(wal.KindHeapInsert)
 	app := f.file.NewAppender(&f.sess.Clk, f.inst.Pool, f.db.Store.Pages(f.info.ID))
 	rids := make([]catalog.RID, 0, 200)
 	bulk := catalog.StringDatum(string(make([]byte, 400)))
@@ -217,7 +212,6 @@ func TestNoStealUnderPressure(t *testing.T) {
 	if err := app.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tx.Op(wal.KindIndexInsert)
 	for i, rid := range rids {
 		if err := f.ix.Insert(&f.sess.Clk, btree.Entry{Key: int64(1000 + i), RID: rid}, 0); err != nil {
 			t.Fatal(err)

@@ -17,7 +17,7 @@ func TestRecoverOutcomes(t *testing.T) {
 	const obj = pagestore.ObjectID(42)
 	img := func(b byte) []byte { return bytes.Repeat([]byte{b}, 3000) }
 	page := func(txn, pg int64, b byte) Record {
-		return Record{Txn: txn, Kind: KindHeapUpdate, Obj: obj, Page: pg, Image: img(b)}
+		return Record{Txn: txn, Kind: KindPage, Obj: obj, Page: pg, Image: img(b)}
 	}
 	rec := func(txn int64, k Kind, gtid int64) Record { return Record{Txn: txn, Kind: k, Page: gtid} }
 	// checkpoint is a script step, not a record: Manager.Checkpoint.

@@ -136,23 +136,28 @@ func wholeImage(redo []byte) bool {
 	return n2 > 0 && gap == 0 && l == size
 }
 
-// redo applies page records, all committed and in LSN order, to the
-// store: every page is read at most once, in (object, page) order — not
-// at all when its first record is a whole image — brought forward in
-// memory, and written once. Base reads classify as random reads of the
-// page's content, writes as updates (Rule 4). It sorts recs in place and
-// returns the number of pages written.
+// redo applies committed page records, in any order, to the store: every
+// page is read at most once, in (object, page) order — not at all when
+// its first record is a whole image — brought forward in memory by its
+// records in LSN order, and written once. Base reads classify as random
+// reads, writes as updates (Rule 4): a table page and an index page get
+// the same classes. It sorts recs in place and returns the number of
+// pages written.
 func redo(clk *simclock.Clock, mgr *storagemgr.Manager, recs []Record) (int, error) {
-	sort.SliceStable(recs, func(i, j int) bool {
-		if recs[i].Obj != recs[j].Obj {
-			return recs[i].Obj < recs[j].Obj
+	sort.Slice(recs, func(i, j int) bool {
+		a, b := recs[i], recs[j]
+		if a.Obj != b.Obj {
+			return a.Obj < b.Obj
 		}
-		return recs[i].Page < recs[j].Page
+		if a.Page != b.Page {
+			return a.Page < b.Page
+		}
+		return a.LSN < b.LSN
 	})
 	pages := 0
 	for i := 0; i < len(recs); {
 		first := recs[i]
-		tag := policy.Tag{Object: first.Obj, Content: contentOf(first.Kind), Pattern: policy.Random}
+		tag := policy.Tag{Object: first.Obj, Content: policy.Table, Pattern: policy.Random}
 		var page []byte
 		if !wholeImage(first.Image) {
 			base, err := mgr.ReadPage(clk, tag, first.Page)

@@ -196,11 +196,11 @@ func TestRedoReadsBaseOnce(t *testing.T) {
 		post := append([]byte(nil), pre...)
 		post[100*i] = byte(10 + i)
 		id := m.NextTxnID()
-		if _, err := m.Append(&clk, Record{Txn: id, Kind: KindHeapUpdate, Obj: 5, Page: 0, Image: post, Pre: pre}); err != nil {
+		if _, err := m.Append(&clk, Record{Txn: id, Kind: KindPage, Obj: 5, Page: 0, Image: post, Pre: pre}); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			if _, err := m.Append(&clk, Record{Txn: id, Kind: KindHeapInsert, Obj: 5, Page: 1, Image: v0}); err != nil {
+			if _, err := m.Append(&clk, Record{Txn: id, Kind: KindPage, Obj: 5, Page: 1, Image: v0}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -255,7 +255,7 @@ func BenchmarkAppendPageDelta(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Append(&clk, Record{Txn: 1, Kind: KindHeapUpdate, Obj: 1, Page: int64(i), Image: post, Pre: pre}); err != nil {
+		if _, err := m.Append(&clk, Record{Txn: 1, Kind: KindPage, Obj: 1, Page: int64(i), Image: post, Pre: pre}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,10 +6,12 @@
 // segment files laid out on the simulated device through the same
 // classification-enabled storage manager every other object uses — so
 // every log page write reaches the storage system tagged policy.Log and
-// classified dss.ClassLog, the pinned highest-priority class.
+// classified dss.ClassLog, the pinned highest-priority class. The log
+// owns its record format: callers hand it page images and outcomes, and
+// every data page, table or index, is one KindPage record.
 //
 // Recovery is ARIES-style redo-only under a no-steal buffer pool, with no
-// page LSNs. A data-page record carries what its transaction changed: the
+// page LSNs. A page record carries what its transaction changed: the
 // page's new length and the byte runs of its final image that differ, at
 // the same offset, from the image the transaction first touched (redo.go
 // has the encoding). Runs only overwrite. Under strict two-phase page
@@ -51,14 +53,14 @@ import (
 // LSN is a log sequence number: the position of a record in the log.
 type LSN int64
 
-// Kind enumerates log record types.
+// Kind is a log record's type, its first byte. The log alone decides it:
+// callers choose among transaction outcomes, and every page change is a
+// KindPage record whatever wrote it, because nothing below the log acts on
+// more. Byte values are part of the format; any other byte, zero included,
+// reads as the end of the log.
 type Kind uint8
 
 const (
-	// kindEnd (zero) marks the end of the durable log: unwritten log
-	// pages read as zeroes, so the recovery scan stops there naturally.
-	kindEnd Kind = 0
-
 	// KindBegin opens a transaction.
 	KindBegin Kind = 1
 	// KindCommit makes a transaction's effects durable.
@@ -66,16 +68,12 @@ const (
 	// KindAbort records a rolled-back transaction (advisory: a
 	// transaction without a commit record is never redone).
 	KindAbort Kind = 3
-	// KindHeapInsert records the redo of a heap page after an insert.
-	KindHeapInsert Kind = 4
-	// KindHeapUpdate records the redo of a heap page after an update.
-	KindHeapUpdate Kind = 5
-	// KindHeapDelete records the redo of a heap page after a delete.
-	KindHeapDelete Kind = 6
-	// KindIndexInsert records the redo of an index page after an insert.
-	KindIndexInsert Kind = 7
-	// KindIndexDelete records the redo of an index page after a delete.
-	KindIndexDelete Kind = 8
+	// KindPage carries the redo of one data page: the bytes its
+	// transaction changed (redo.go has the encoding).
+	KindPage Kind = 5
+	// KindHeapUpdate is another name for KindPage, kept for callers
+	// written against the per-operation page kinds.
+	KindHeapUpdate = KindPage
 	// KindCheckpoint marks a fuzzy checkpoint: every committed effect
 	// below this LSN is on disk, so earlier segments can be truncated.
 	KindCheckpoint Kind = 9
@@ -97,53 +95,25 @@ const (
 	// missing decision as abort anyway, but logging it lets the decision
 	// log read like the history it is.
 	KindDecideAbort Kind = 12
-
-	// maxKind is the highest valid kind; parseRecord treats anything
-	// above it as the torn tail of a crashed write.
-	maxKind = KindDecideAbort
 )
+
+var kindNames = [...]string{
+	KindBegin: "begin", KindCommit: "commit", KindAbort: "abort", KindPage: "page",
+	KindCheckpoint: "checkpoint", KindPrepare: "prepare",
+	KindDecideCommit: "decide-commit", KindDecideAbort: "decide-abort",
+}
+
+// defined reports whether k is a record kind. Unwritten log pages read as
+// zeroes and a crashed write leaves a torn tail, so anything else ends
+// the recovery scan.
+func (k Kind) defined() bool { return int(k) < len(kindNames) && kindNames[k] != "" }
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case KindBegin:
-		return "begin"
-	case KindCommit:
-		return "commit"
-	case KindAbort:
-		return "abort"
-	case KindHeapInsert:
-		return "heap-insert"
-	case KindHeapUpdate:
-		return "heap-update"
-	case KindHeapDelete:
-		return "heap-delete"
-	case KindIndexInsert:
-		return "index-insert"
-	case KindIndexDelete:
-		return "index-delete"
-	case KindCheckpoint:
-		return "checkpoint"
-	case KindPrepare:
-		return "prepare"
-	case KindDecideCommit:
-		return "decide-commit"
-	case KindDecideAbort:
-		return "decide-abort"
+	if k.defined() {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
-}
-
-// PageRecord reports whether the kind carries a page redo.
-func (k Kind) PageRecord() bool { return k >= KindHeapInsert && k <= KindIndexDelete }
-
-// contentOf maps a page-record kind to the content type of the page it
-// redoes, so replay writes classify like the original update traffic.
-func contentOf(k Kind) policy.ContentType {
-	if k == KindIndexInsert || k == KindIndexDelete {
-		return policy.Index
-	}
-	return policy.Table
 }
 
 // Record is one log record. A page record handed to Append carries the
@@ -173,9 +143,8 @@ type Config struct {
 	GroupCommitWindow time.Duration
 }
 
-// DefaultBaseObject starts the reserved WAL object range (below the
-// temporary-file range at 1<<30).
-const DefaultBaseObject pagestore.ObjectID = 1 << 29
+// DefaultBaseObject starts the reserved WAL object range.
+const DefaultBaseObject = pagestore.LogBase
 
 // DefaultConfig returns the sizing used by tests and experiments.
 func DefaultConfig() Config {
@@ -227,12 +196,11 @@ type Manager struct {
 	cfg Config
 	mgr *storagemgr.Manager
 
-	segBuf     []byte // active segment content, [0, segLen)
-	scratch    []byte // the page record Append is encoding
-	segLen     int
-	flushedLen int   // bytes durable in the active segment
-	activeSeg  int64 // sequence number of the active segment
-	oldestSeg  int64 // first live segment
+	segBuf     []byte // active segment content
+	scratch    []byte // the page redo Append is encoding
+	flushedLen int    // bytes durable in the active segment
+	activeSeg  int64  // sequence number of the active segment
+	oldestSeg  int64  // first live segment
 
 	nextLSN       LSN
 	lastLSN       LSN // last appended
@@ -290,72 +258,46 @@ func (m *Manager) Use(set *obs.Set) {
 
 // ---- record encoding ----
 
+// A record is its kind byte, five varint fields (transaction, LSN,
+// object, page, image length; the signed ones zigzag-encoded as
+// binary.AppendVarint does) and the image bytes.
+
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
 func appendRecord(dst []byte, r Record) []byte {
 	dst = append(dst, byte(r.Kind))
-	dst = binary.AppendVarint(dst, r.Txn)
-	dst = binary.AppendVarint(dst, int64(r.LSN))
-	dst = binary.AppendUvarint(dst, uint64(r.Obj))
-	dst = binary.AppendVarint(dst, r.Page)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Image)))
-	dst = append(dst, r.Image...)
-	return dst
+	for _, v := range [...]uint64{zigzag(r.Txn), zigzag(int64(r.LSN)), uint64(r.Obj), zigzag(r.Page), uint64(len(r.Image))} {
+		dst = binary.AppendUvarint(dst, v)
+	}
+	return append(dst, r.Image...)
 }
 
-// recordSize returns the encoded size of r without materializing it.
-func recordSize(r Record) int {
-	var w [binary.MaxVarintLen64]byte
-	n := 1
-	n += binary.PutVarint(w[:], r.Txn)
-	n += binary.PutVarint(w[:], int64(r.LSN))
-	n += binary.PutUvarint(w[:], uint64(r.Obj))
-	n += binary.PutVarint(w[:], r.Page)
-	n += binary.PutUvarint(w[:], uint64(len(r.Image)))
-	return n + len(r.Image)
-}
-
-// parseRecord decodes one record at the head of src. A zero kind byte (or
-// a truncated record: the torn tail of a crashed write) consumes nothing,
-// signalling the end of the durable log.
+// parseRecord decodes one record at the head of src. A byte that is no
+// kind, or a truncated record (the torn tail of a crashed write),
+// consumes nothing, signalling the end of the durable log.
 func parseRecord(src []byte) (Record, int) {
-	if len(src) == 0 || Kind(src[0]) == kindEnd || Kind(src[0]) > maxKind {
+	if len(src) == 0 || !Kind(src[0]).defined() {
 		return Record{}, 0
 	}
-	r := Record{Kind: Kind(src[0])}
+	var f [5]uint64
 	off := 1
-	v, n := binary.Varint(src[off:])
-	if n <= 0 {
+	for i := range f {
+		v, n := binary.Uvarint(src[off:])
+		if n <= 0 {
+			return Record{}, 0
+		}
+		f[i], off = v, off+n
+	}
+	if f[4] > uint64(len(src)-off) {
 		return Record{}, 0
 	}
-	r.Txn = v
-	off += n
-	v, n = binary.Varint(src[off:])
-	if n <= 0 {
-		return Record{}, 0
+	r := Record{Kind: Kind(src[0]), Txn: unzigzag(f[0]), LSN: LSN(unzigzag(f[1])),
+		Obj: pagestore.ObjectID(f[2]), Page: unzigzag(f[3])}
+	if f[4] > 0 {
+		r.Image = src[off : off+int(f[4])]
 	}
-	r.LSN = LSN(v)
-	off += n
-	u, n := binary.Uvarint(src[off:])
-	if n <= 0 {
-		return Record{}, 0
-	}
-	r.Obj = pagestore.ObjectID(u)
-	off += n
-	v, n = binary.Varint(src[off:])
-	if n <= 0 {
-		return Record{}, 0
-	}
-	r.Page = v
-	off += n
-	u, n = binary.Uvarint(src[off:])
-	if n <= 0 || off+n+int(u) > len(src) {
-		return Record{}, 0
-	}
-	off += n
-	if u > 0 {
-		r.Image = src[off : off+int(u)]
-		off += int(u)
-	}
-	return r, off
+	return r, off + int(f[4])
 }
 
 // ---- metadata page ----
@@ -390,14 +332,23 @@ func Exists(store pagestore.Backend, cfg Config) bool {
 	return store.Exists(cfg.withDefaults().BaseObject)
 }
 
+// newManager is the manager New and Recover start from: an empty active
+// segment, LSNs and transaction IDs from 1.
+func newManager(mgr *storagemgr.Manager, cfg Config) *Manager {
+	cfg = cfg.withDefaults()
+	// A page of room past the segment holds the record Append encodes
+	// before finding it does not fit.
+	m := &Manager{cfg: cfg, mgr: mgr, nextLSN: 1,
+		segBuf: make([]byte, 0, cfg.segCapacity()+pagestore.PageSize), mu: simclock.NewMutex()}
+	m.nextTxn.Store(1)
+	return m
+}
+
 // New creates a fresh log: metadata page plus the first segment. It fails
 // if a WAL already exists in the store (use Recover instead).
 func New(clk *simclock.Clock, mgr *storagemgr.Manager, cfg Config) (*Manager, error) {
-	cfg = cfg.withDefaults()
-	m := &Manager{cfg: cfg, mgr: mgr, nextLSN: 1,
-		segBuf: make([]byte, 0, cfg.segCapacity()), mu: simclock.NewMutex()}
-	m.nextTxn.Store(1)
-	if err := mgr.Store().Create(cfg.BaseObject); err != nil {
+	m := newManager(mgr, cfg)
+	if err := mgr.Store().Create(m.cfg.BaseObject); err != nil {
 		return nil, fmt.Errorf("wal: log already exists (recover it instead): %w", err)
 	}
 	if err := mgr.Store().Create(m.segObject(0)); err != nil {
@@ -450,23 +401,24 @@ func (m *Manager) Append(clk *simclock.Clock, r Record) (LSN, error) {
 		defer m.Unlock()
 	}
 	r.LSN = m.nextLSN
-	if r.Kind.PageRecord() {
+	if r.Kind == KindPage {
 		m.scratch = appendRedo(m.scratch[:0], r.Pre, r.Image)
 		r.Image = m.scratch
 	}
-	size := recordSize(r)
-	if size > m.cfg.segCapacity() {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds segment capacity", size)
-	}
-	if m.segLen+size > m.cfg.segCapacity() {
+	start := len(m.segBuf)
+	if m.segBuf = appendRecord(m.segBuf, r); len(m.segBuf) > m.cfg.segCapacity() {
+		size := len(m.segBuf) - start
+		m.segBuf = m.segBuf[:start]
+		if size > m.cfg.segCapacity() {
+			return 0, fmt.Errorf("wal: record of %d bytes exceeds segment capacity", size)
+		}
 		if err := m.rollover(clk); err != nil {
 			return 0, err
 		}
+		m.segBuf = appendRecord(m.segBuf, r)
 	}
 	m.nextLSN++
 	m.lastLSN = r.LSN
-	m.segBuf = appendRecord(m.segBuf, r)
-	m.segLen = len(m.segBuf)
 	m.stats.Appends++
 	m.mAppends.Inc()
 	return r.LSN, nil
@@ -483,7 +435,7 @@ func (m *Manager) rollover(clk *simclock.Clock) error {
 		return err
 	}
 	m.segBuf = m.segBuf[:0]
-	m.segLen, m.flushedLen = 0, 0
+	m.flushedLen = 0
 	return m.writeMeta(clk)
 }
 
@@ -493,27 +445,25 @@ func (m *Manager) rollover(clk *simclock.Clock) error {
 // someone else's flush advances to a meaningful instant. Caller holds
 // m.mu.
 func (m *Manager) flushLocked(clk *simclock.Clock) error {
-	if m.flushedLen >= m.segLen {
+	segLen := len(m.segBuf)
+	if m.flushedLen >= segLen {
 		m.durableLSN = m.lastLSN
 		return nil
 	}
 	obj := m.segObject(m.activeSeg)
 	first := int64(m.flushedLen / pagestore.PageSize)
-	last := int64((m.segLen - 1) / pagestore.PageSize)
+	last := int64((segLen - 1) / pagestore.PageSize)
 	flushStart := clk.Now()
 	for p := first; p <= last; p++ {
 		lo := int(p) * pagestore.PageSize
-		hi := lo + pagestore.PageSize
-		if hi > m.segLen {
-			hi = m.segLen
-		}
+		hi := min(lo+pagestore.PageSize, segLen)
 		if err := m.mgr.WritePage(clk, logTag(obj), p, m.segBuf[lo:hi]); err != nil {
 			return err
 		}
 		m.stats.PageWrites++
 		m.mPageWrites.Inc()
 	}
-	m.flushedLen = m.segLen
+	m.flushedLen = segLen
 	m.durableLSN = m.lastLSN
 	m.lastFlushDone = clk.Now()
 	m.stats.Flushes++
@@ -676,6 +626,15 @@ type InDoubtTxn struct {
 	GTID int64
 }
 
+// txnFate is what recovery's walk of the log learns about one
+// transaction.
+type txnFate struct {
+	committed, aborted, prepared bool
+	gtid                         int64
+	active                       bool     // has a record past the checkpoint
+	pages                        []Record // its page records, in LSN order
+}
+
 // Recover opens an existing WAL after a crash: it scans every live
 // segment, redoes the page records of committed transactions in LSN
 // order, and returns a manager positioned at the end of the log. Log
@@ -683,11 +642,9 @@ type InDoubtTxn struct {
 // updates (Rule 4). The caller's instance must be fresh: a cold buffer
 // pool over the surviving page store.
 func Recover(clk *simclock.Clock, mgr *storagemgr.Manager, cfg Config) (*Manager, *RecoveryStats, error) {
-	cfg = cfg.withDefaults()
 	start := clk.Now()
-	m := &Manager{cfg: cfg, mgr: mgr, nextLSN: 1,
-		segBuf: make([]byte, 0, cfg.segCapacity()), mu: simclock.NewMutex()}
-	m.nextTxn.Store(1)
+	m := newManager(mgr, cfg)
+	cfg = m.cfg
 	meta, err := mgr.ReadPage(clk, logTag(cfg.BaseObject), 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: no log to recover: %w", err)
@@ -714,10 +671,10 @@ func Recover(clk *simclock.Clock, mgr *storagemgr.Manager, cfg Config) (*Manager
 			for {
 				r, n := parseRecord(stream[parsed:])
 				if n == 0 {
-					// A zero kind byte is the end of the durable log; a
-					// nonzero stall is a record spanning into the next
-					// page — keep reading.
-					if parsed < len(stream) && stream[parsed] == 0 {
+					// A byte that is no kind is the end of the durable
+					// log; a stall on a kind is a record spanning into
+					// the next page — keep reading.
+					if parsed < len(stream) && !Kind(stream[parsed]).defined() {
 						end = true
 					}
 					break
@@ -730,111 +687,86 @@ func Recover(clk *simclock.Clock, mgr *storagemgr.Manager, cfg Config) (*Manager
 		if seq == m.activeSeg {
 			// Reposition the manager at the end of the recovered stream.
 			m.segBuf = append(m.segBuf, stream[:parsed]...)
-			m.segLen, m.flushedLen = parsed, parsed
+			m.flushedLen = parsed
 		}
 	}
 	stats.Records = len(records)
 
-	committed := make(map[int64]bool)
-	aborted := make(map[int64]bool)
-	prepared := make(map[int64]int64) // local txn -> GTID
-	maxCommit := m.checkpointLSN
+	// One walk classifies every record: the LSN and transaction
+	// horizons, the coordinator's decisions, and each transaction's
+	// outcome and page records. A decide record's Txn is a GTID, not a
+	// transaction of this log.
+	fates := make(map[int64]*txnFate)
+	m.indoubt, m.decisions = make(map[int64]inDoubt), make(map[int64]bool)
+	maxCommit, maxTxn := m.checkpointLSN, int64(0)
 	for _, r := range records {
-		if r.LSN >= m.nextLSN {
-			m.nextLSN = r.LSN + 1
-		}
-		if r.Txn >= m.nextTxn.Load() {
-			m.nextTxn.Store(r.Txn + 1)
-		}
-		switch r.Kind {
-		case KindCommit:
-			committed[r.Txn] = true
-			if r.LSN > maxCommit {
-				maxCommit = r.LSN
-			}
-		case KindAbort:
-			aborted[r.Txn] = true
-		case KindPrepare:
-			prepared[r.Txn] = r.Page
-		case KindDecideCommit:
-			if m.decisions == nil {
-				m.decisions = make(map[int64]bool)
-			}
-			m.decisions[r.Txn] = true
-		case KindDecideAbort:
-			if m.decisions == nil {
-				m.decisions = make(map[int64]bool)
-			}
-			m.decisions[r.Txn] = false
-		}
-	}
-	// Prepared transactions without a decision are in-doubt: their page
-	// records are held back (neither replayed nor discarded) until the
-	// coordinator's decision log settles them through ResolveInDoubt.
-	for id, gtid := range prepared {
-		if committed[id] || aborted[id] {
+		m.nextLSN = max(m.nextLSN, r.LSN+1)
+		maxTxn = max(maxTxn, r.Txn)
+		if r.Kind == KindDecideCommit || r.Kind == KindDecideAbort {
+			m.decisions[r.Txn] = r.Kind == KindDecideCommit
 			continue
 		}
-		d := inDoubt{gtid: gtid}
-		for _, r := range records {
-			if r.Txn == id && r.Kind.PageRecord() {
-				d.records = append(d.records, r)
-			}
+		f := fates[r.Txn]
+		if f == nil {
+			f = &txnFate{}
+			fates[r.Txn] = f
 		}
-		if m.indoubt == nil {
-			m.indoubt = make(map[int64]inDoubt)
+		f.active = f.active || r.LSN > m.checkpointLSN
+		switch r.Kind {
+		case KindCommit:
+			f.committed = true
+			maxCommit = max(maxCommit, r.LSN)
+		case KindAbort:
+			f.aborted = true
+		case KindPrepare:
+			f.prepared, f.gtid = true, r.Page
+		case KindPage:
+			f.pages = append(f.pages, r)
 		}
-		m.indoubt[id] = d
 	}
-	if m.checkpointLSN >= m.nextLSN {
-		m.nextLSN = m.checkpointLSN + 1
-	}
+	m.nextTxn.Store(max(1, maxTxn+1))
+	m.nextLSN = max(m.nextLSN, m.checkpointLSN+1)
 	m.lastLSN = m.nextLSN - 1
 	m.durableLSN = m.lastLSN
 	// The recovered state is exactly the committed single-version state:
 	// snapshots may begin at the newest recovered commit immediately.
 	m.watermark.Store(int64(maxCommit))
 
-	// Redo the committed page records past the last checkpoint only: the
-	// checkpoint flushed everything older, so the store holds a committed
-	// version of every page since it.
+	// Committed transactions are redone past the last checkpoint only:
+	// the checkpoint flushed everything older, so the store holds a
+	// committed version of every page since it. Prepared transactions
+	// without a decision are in-doubt: their page records are held back
+	// (neither replayed nor discarded) until the coordinator's decision
+	// log settles them through ResolveInDoubt. The counts cover the
+	// transactions with activity past the checkpoint: the ones recovery
+	// actually decided about.
 	var redos []Record
-	for _, r := range records {
-		if r.Kind.PageRecord() && committed[r.Txn] && r.LSN > m.checkpointLSN {
-			redos = append(redos, r)
+	for id, f := range fates {
+		counted := f.active && id != 0
+		switch {
+		case f.committed:
+			for _, r := range f.pages {
+				if r.LSN > m.checkpointLSN {
+					redos = append(redos, r)
+				}
+			}
+			if counted {
+				stats.CommittedTxns++
+			}
+		case f.prepared && !f.aborted:
+			m.indoubt[id] = inDoubt{gtid: f.gtid, records: f.pages}
+			if counted {
+				stats.InDoubtTxns++
+			}
+		case counted:
+			stats.LoserTxns++
 		}
 	}
 	if stats.PagesApplied, err = redo(clk, mgr, redos); err != nil {
 		return nil, nil, err
 	}
-	// Count transactions with activity past the checkpoint: the ones
-	// recovery actually decided about. Coordinator decision records are
-	// not transaction activity in this log (their Txn field is a GTID),
-	// so they are excluded.
-	active := make(map[int64]bool)
-	for _, r := range records {
-		if r.Txn != 0 && r.LSN > m.checkpointLSN &&
-			r.Kind != KindDecideCommit && r.Kind != KindDecideAbort {
-			active[r.Txn] = true
-		}
-	}
-	for id := range active {
-		switch {
-		case committed[id]:
-			stats.CommittedTxns++
-		case m.indoubt != nil && hasInDoubt(m.indoubt, id):
-			stats.InDoubtTxns++
-		default:
-			stats.LoserTxns++
-		}
-	}
 	stats.Elapsed = clk.Now() - start
 	return m, stats, nil
-}
-
-func hasInDoubt(m map[int64]inDoubt, id int64) bool {
-	_, ok := m[id]
-	return ok
 }
 
 // InDoubt lists the prepared-but-undecided transactions Recover held

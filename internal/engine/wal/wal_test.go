@@ -32,8 +32,8 @@ func newTestPool(mgr *storagemgr.Manager) *bufferpool.Pool {
 func TestRecordRoundtrip(t *testing.T) {
 	recs := []Record{
 		{LSN: 1, Txn: 7, Kind: KindBegin},
-		{LSN: 2, Txn: 7, Kind: KindHeapInsert, Obj: 12, Page: 99, Image: bytes.Repeat([]byte{0xAB}, 5000)},
-		{LSN: 3, Txn: 7, Kind: KindIndexInsert, Obj: 13, Page: 3, Image: []byte{1, 2, 3}},
+		{LSN: 2, Txn: 7, Kind: KindPage, Obj: 12, Page: 99, Image: bytes.Repeat([]byte{0xAB}, 5000)},
+		{LSN: 3, Txn: 7, Kind: KindPage, Obj: 13, Page: 3, Image: []byte{1, 2, 3}},
 		{LSN: 4, Txn: 7, Kind: KindCommit},
 		{LSN: 5, Txn: 0, Kind: KindCheckpoint},
 	}
@@ -89,14 +89,14 @@ func TestAppendFlushRecover(t *testing.T) {
 		return lsn
 	}
 	mustAppend(Record{Txn: 1, Kind: KindBegin})
-	mustAppend(Record{Txn: 1, Kind: KindHeapInsert, Obj: 42, Page: 0, Image: img1})
-	mustAppend(Record{Txn: 1, Kind: KindHeapUpdate, Obj: 42, Page: 1, Image: img2})
+	mustAppend(Record{Txn: 1, Kind: KindPage, Obj: 42, Page: 0, Image: img1})
+	mustAppend(Record{Txn: 1, Kind: KindPage, Obj: 42, Page: 1, Image: img2})
 	commitLSN := mustAppend(Record{Txn: 1, Kind: KindCommit})
 	if err := m.Flush(&clk, commitLSN); err != nil {
 		t.Fatal(err)
 	}
 	mustAppend(Record{Txn: 2, Kind: KindBegin})
-	loserLSN := mustAppend(Record{Txn: 2, Kind: KindHeapInsert, Obj: 42, Page: 0, Image: loser})
+	loserLSN := mustAppend(Record{Txn: 2, Kind: KindPage, Obj: 42, Page: 0, Image: loser})
 	if err := m.Flush(&clk, loserLSN); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestSegmentRolloverAndCheckpoint(t *testing.T) {
 	img := bytes.Repeat([]byte{0x5A}, 6000)
 	for i := 0; i < 10; i++ {
 		id := m.NextTxnID()
-		if _, err := m.Append(&clk, Record{Txn: id, Kind: KindHeapUpdate, Obj: 7, Page: int64(i), Image: img}); err != nil {
+		if _, err := m.Append(&clk, Record{Txn: id, Kind: KindPage, Obj: 7, Page: int64(i), Image: img}); err != nil {
 			t.Fatal(err)
 		}
 		lsn, err := m.Append(&clk, Record{Txn: id, Kind: KindCommit})
@@ -201,7 +201,7 @@ func TestSegmentRolloverAndCheckpoint(t *testing.T) {
 		t.Fatalf("after checkpoint, live segments = %d", s.Segments)
 	}
 	id := m.NextTxnID()
-	if _, err := m.Append(&clk, Record{Txn: id, Kind: KindHeapUpdate, Obj: 7, Page: 20, Image: img}); err != nil {
+	if _, err := m.Append(&clk, Record{Txn: id, Kind: KindPage, Obj: 7, Page: 20, Image: img}); err != nil {
 		t.Fatal(err)
 	}
 	lsn, err := m.Append(&clk, Record{Txn: id, Kind: KindCommit})
@@ -238,7 +238,7 @@ func TestLogTrafficClassified(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := m.NextTxnID()
-	if _, err := m.Append(&clk, Record{Txn: id, Kind: KindHeapUpdate, Obj: 99, Page: 0, Image: bytes.Repeat([]byte{1}, 3000)}); err != nil {
+	if _, err := m.Append(&clk, Record{Txn: id, Kind: KindPage, Obj: 99, Page: 0, Image: bytes.Repeat([]byte{1}, 3000)}); err != nil {
 		t.Fatal(err)
 	}
 	lsn, err := m.Append(&clk, Record{Txn: id, Kind: KindCommit})

@@ -180,7 +180,7 @@ func (s *Scheduler) grantLocked(batch []*request, start int64, total int, budget
 		s.putRequestLocked(r)
 	}
 	if len(s.latBatch) > 0 {
-		s.dev.ObserveLatencyBatch(s.latBatch)
+		s.dev.ObserveLatency(s.latBatch...)
 		s.latBatch = s.latBatch[:0]
 	}
 	// Wake the completed submitters last: signal is the granter's final

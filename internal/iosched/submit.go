@@ -173,10 +173,11 @@ func (s *Scheduler) Submit(at time.Duration, op device.Op, lba int64, blocks int
 			blocks--
 		}
 		if blocks == 0 {
-			s.dev.ObserveLatency(int(class), floor-at)
+			sample := device.LatencySample{Class: int(class), Tenant: -1, Lat: floor - at}
 			if trackTenant(tenant, fair) {
-				s.dev.ObserveTenantLatency(int(tenant), floor-at)
+				sample.Tenant = int(tenant)
 			}
+			s.dev.ObserveLatency(sample)
 			if tr := g.obs.Trace(); tr.SampleRequest() {
 				var tid int64
 				if stream != nil {

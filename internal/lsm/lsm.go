@@ -105,13 +105,6 @@ const (
 	// bloomBitsPerKey sizes each table's bloom filter (~1%
 	// false-positive rate at four probes).
 	bloomBitsPerKey = 10
-	// directBase is the first object ID of the direct pass-through
-	// region: objects at or above it (WAL segments, the 2PC decision
-	// log, temporary files) bypass the tree and live on an embedded
-	// heap store with in-place writes. The WAL cannot ride the
-	// memtable it is responsible for making durable. Equals
-	// wal.DefaultBaseObject.
-	directBase pagestore.ObjectID = 1 << 29
 )
 
 func (c Config) withDefaults() Config {
@@ -212,8 +205,12 @@ func New(cfg Config) *Store {
 	}
 }
 
-// isDirect reports whether the object lives in the pass-through region.
-func (s *Store) isDirect(id pagestore.ObjectID) bool { return id >= directBase }
+// isDirect reports whether the object lives in the pass-through region:
+// the reserved ranges from pagestore.LogBase up (WAL segments, the 2PC
+// decision log, temporary files) bypass the tree and live on an embedded
+// heap store with in-place writes. The WAL cannot ride the memtable it is
+// responsible for making durable.
+func (s *Store) isDirect(id pagestore.ObjectID) bool { return id >= pagestore.LogBase }
 
 // alive gates direct-region operations on the dead flag: a killed
 // process serves nothing, including its pass-through objects.

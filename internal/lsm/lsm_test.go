@@ -349,53 +349,65 @@ func TestManifestAlternatesSlots(t *testing.T) {
 	}
 }
 
+// TestDirectRegionPassThrough: the first object of each reserved range
+// bypasses the tree.
 func TestDirectRegionPassThrough(t *testing.T) {
-	s := New(Config{})
-	const walObj = pagestore.ObjectID(1 << 29)
-	if err := s.Create(walObj); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := s.Write(walObj, 0, []byte("log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Direct writes hit the device immediately — the WAL cannot sit in
-	// the memtable it is responsible for making durable.
-	if len(plan) != 1 || !plan[0].Write {
-		t.Fatalf("direct write plan = %+v", plan)
-	}
-	if plan[0].LBA < directLBAOffset {
-		t.Fatalf("direct LBA %d not offset into the direct region", plan[0].LBA)
-	}
-	data, plan, err := s.Read(walObj, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data[:3]) != "log" {
-		t.Fatal("direct read corrupt")
-	}
-	if len(plan) != 1 || plan[0].LBA < directLBAOffset {
-		t.Fatalf("direct read plan = %+v", plan)
-	}
-	// Direct objects survive Crash untouched (in-place durability).
-	if err := s.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	data, _, err = s.Read(walObj, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data[:3]) != "log" {
-		t.Fatal("direct page lost in crash")
-	}
-	exts, err := s.Delete(walObj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range exts {
-		if e.Start < directLBAOffset {
-			t.Fatalf("direct delete extent %+v not offset", e)
-		}
+	for _, tc := range []struct {
+		name string
+		obj  pagestore.ObjectID
+	}{
+		{"wal segment", pagestore.LogBase + 1},
+		{"coordinator log", pagestore.CoordLogBase},
+		{"temp file", pagestore.TempBase},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{})
+			if err := s.Create(tc.obj); err != nil {
+				t.Fatal(err)
+			}
+			plan, err := s.Write(tc.obj, 0, []byte("log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Direct writes hit the device immediately — the WAL cannot
+			// sit in the memtable it is responsible for making durable.
+			if len(plan) != 1 || !plan[0].Write {
+				t.Fatalf("direct write plan = %+v", plan)
+			}
+			if plan[0].LBA < directLBAOffset {
+				t.Fatalf("direct LBA %d not offset into the direct region", plan[0].LBA)
+			}
+			data, plan, err := s.Read(tc.obj, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(data[:3]) != "log" {
+				t.Fatal("direct read corrupt")
+			}
+			if len(plan) != 1 || plan[0].LBA < directLBAOffset {
+				t.Fatalf("direct read plan = %+v", plan)
+			}
+			// Direct objects survive Crash untouched (in-place durability).
+			if err := s.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			data, _, err = s.Read(tc.obj, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(data[:3]) != "log" {
+				t.Fatal("direct page lost in crash")
+			}
+			exts, err := s.Delete(tc.obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range exts {
+				if e.Start < directLBAOffset {
+					t.Fatalf("direct delete extent %+v not offset", e)
+				}
+			}
+		})
 	}
 }
 

@@ -33,9 +33,23 @@ const PageSize = 8192
 // extent by extent, keeping their LBA runs contiguous.
 const ExtentPages = 256
 
-// ObjectID identifies a storage object. IDs are assigned by the catalog;
-// temporary files receive IDs from a reserved high range.
+// ObjectID identifies a storage object. The catalog assigns tables and
+// indexes IDs from 1 upward, below the reserved ranges, and temporary
+// files IDs from TempBase.
 type ObjectID uint32
+
+// The reserved object-ID ranges. A backend may treat everything from
+// LogBase up as outside the database proper, as the LSM store does.
+const (
+	// LogBase starts the write-ahead log range: the log's metadata page,
+	// then its segments.
+	LogBase ObjectID = 1 << 29
+	// CoordLogBase starts the range of a 2PC coordinator's decision log,
+	// above the data log's segments.
+	CoordLogBase ObjectID = LogBase + 1<<28
+	// TempBase starts the temporary-file range.
+	TempBase ObjectID = 1 << 30
+)
 
 // Extent is a contiguous LBA range [Start, Start+Pages).
 type Extent struct {

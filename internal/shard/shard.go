@@ -56,9 +56,8 @@ import (
 )
 
 // CoordBaseObject is the reserved object range of the coordinator's
-// decision log on shard 0's page store, disjoint from the data WAL range
-// at wal.DefaultBaseObject (1<<29) and below the temp range (1<<30).
-const CoordBaseObject pagestore.ObjectID = wal.DefaultBaseObject + 1<<28
+// decision log on shard 0's page store.
+const CoordBaseObject = pagestore.CoordLogBase
 
 // Config sizes one cluster. Every shard gets an identical stack: scaling
 // out adds whole nodes, it does not split one node's resources.

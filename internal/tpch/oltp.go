@@ -14,7 +14,6 @@ import (
 	"hstoragedb/internal/engine/heap"
 	"hstoragedb/internal/engine/policy"
 	"hstoragedb/internal/engine/txn"
-	"hstoragedb/internal/engine/wal"
 )
 
 // maxDeadlockRetries bounds how often one logical transaction is retried
@@ -254,7 +253,6 @@ func (o *OLTP) newOrder(sess *engine.Session, tx *txn.Txn, key int64, order cata
 	inst := sess.Instance()
 
 	if tx != nil {
-		tx.Op(wal.KindHeapInsert)
 		// Appenders claim their page from the file's logical size and
 		// resume its last page, so concurrent appenders must serialize on
 		// the append lock, held until the transaction finishes.
@@ -290,9 +288,6 @@ func (o *OLTP) newOrder(sess *engine.Session, tx *txn.Txn, key int64, order cata
 		return err
 	}
 
-	if tx != nil {
-		tx.Op(wal.KindIndexInsert)
-	}
 	chargeCPU(sess, 1+len(lines)) // heap rows appended
 	ixOrders := btree.Open(o.ds.DB.Cat.MustIndex("idx_orders_orderkey").ID, inst.Pool)
 	if err := ixOrders.Insert(&sess.Clk, btree.Entry{Key: key, RID: rid}, 0); err != nil {
@@ -405,9 +400,6 @@ func (o *OLTP) payment(sess *engine.Session, tx *txn.Txn, p paymentPick) error {
 	rids, err := ixOrders.Lookup(&sess.Clk, p.orderKey, 0)
 	if err != nil {
 		return err
-	}
-	if tx != nil {
-		tx.Op(wal.KindHeapUpdate)
 	}
 	totalCol := o.ordersInfo.Schema.MustCol("o_totalprice")
 	for _, rid := range rids {
