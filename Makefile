@@ -20,13 +20,15 @@ race:
 # path, and the same path from 1, 2 and 4 CPUs), heap
 # fetch/scan/update, B-tree lookup/seek/insert/delete, the executor's row path
 # (scan-filter-aggregate, hash-join probe, nested loop, spill round
-# trip), the log's page-change encoding per 8 KB page (wal), the LSM's
-# page write through flushes and compactions and its memtable and tree
-# reads (lsm), and the construction of the 22 TPC-H plans (tpch). The
-# scheduler set includes a superseding background write against 1k-100k
-# queued requests. CI runs every one of them once (-benchtime 1x).
-# -benchmem backs the allocs/op claims; repeated -count samples
-# make the output benchstat-ready:
+# trip), the log's page-change encoder alone per page shape (sparse
+# edits, a shifted B-tree leaf, a heap append, an unchanged page, no
+# pre-image; with the redo bytes) and with the record append around it
+# (wal), the LSM's page write through flushes and compactions and its
+# memtable and tree reads (lsm), and the construction of the 22 TPC-H
+# plans (tpch). The scheduler set includes a superseding background
+# write against 1k-100k queued requests. CI runs every one of them once
+# (-benchtime 1x). -benchmem backs the allocs/op claims; repeated -count
+# samples make the output benchstat-ready:
 #
 #   make bench BENCH_OUT=old.txt
 #   ... edit ...

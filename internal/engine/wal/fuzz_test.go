@@ -40,3 +40,25 @@ func FuzzParseRecord(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAppendRedo holds the page encoder to the byte-at-a-time reference
+// (redo_ref_test.go): for any pre- and post-image, the same runs, the
+// same fallback to the whole image, the same bytes; and the redo
+// replayed onto the pre-image gives the post-image.
+func FuzzAppendRedo(f *testing.F) {
+	f.Add([]byte(nil), []byte(nil))
+	f.Add([]byte{1, 2, 3}, []byte{1, 2, 3})
+	f.Add(bytes.Repeat([]byte{0}, 64), append(bytes.Repeat([]byte{0}, 30), 1, 0, 0, 2, 0, 0, 0, 0, 3))
+	f.Add(leafImage(40, -1), leafImage(40, 10))
+	f.Add(bytes.Repeat([]byte{1, 2}, 50), bytes.Repeat([]byte{2, 2, 1}, 40))
+	f.Fuzz(func(t *testing.T, pre, post []byte) {
+		if len(post) > pagestore.PageSize {
+			post = post[:pagestore.PageSize]
+		}
+		checkAgainstRef(t, pre, post)
+		page, err := applyRedo(append([]byte(nil), pre...), appendRedo(nil, pre, post))
+		if err != nil || !bytes.Equal(page, post) {
+			t.Fatalf("replay onto the pre-image: %v, equal %v", err, bytes.Equal(page, post))
+		}
+	})
+}

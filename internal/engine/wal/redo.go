@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/bits"
 	"sort"
 
 	"hstoragedb/internal/engine/policy"
@@ -19,10 +21,28 @@ import (
 // never shift bytes, which is what makes replay idempotent (see the
 // package comment). A nil pre-image, or runs that would take no less room
 // than the image, give one run covering the whole image.
+//
+// The encoder finds its runs a word at a time; the bytes it writes are
+// those of a byte-at-a-time scan (redo_ref_test.go keeps one as the
+// reference). A run starts at the first differing byte and ends at the
+// start of the first stretch of at least runGap equal bytes, else of an
+// equal stretch that reaches the end of the post-image, else at the end
+// of the post-image. nextDiff compares a few words, then skips equal
+// blocks with bytes.Equal, and locates the differing byte in the first
+// unequal word; runEnd tests the starts of a word at once on the zero
+// bytes of pre^post. A run whose gap and length are both below 0x80
+// writes each as the single byte that is its varint.
 
 // runGap is the shortest stretch of equal bytes that ends a run: a
 // shorter one costs less carried inside the run than a second run header.
 const runGap = 4
+
+// leadWords is how many words nextDiff compares one at a time before it
+// skips by blocks.
+const leadWords = 4
+
+// equalBlock is the stride at which nextDiff skips equal bytes.
+const equalBlock = 256
 
 var errBadRedo = errors.New("wal: malformed page redo")
 
@@ -44,28 +64,46 @@ func appendRedo(dst, pre, post []byte) []byte {
 func appendRuns(dst, pre, post []byte) ([]byte, bool) {
 	limit := len(dst) + len(post)
 	end := 0
-	for i := nextDiff(pre, post, 0); i < len(post); {
-		j := nextSame(pre, post, i)
-		k := nextDiff(pre, post, j)
-		for k < len(post) && k-j < runGap {
-			j = nextSame(pre, post, k)
-			k = nextDiff(pre, post, j)
-		}
+	for i := nextDiff(pre, post, 0); i < len(post); i = nextDiff(pre, post, end) {
+		j := runEnd(pre, post, i)
 		if len(dst)+j-i >= limit {
 			return dst, false
 		}
-		dst = binary.AppendUvarint(dst, uint64(i-end))
-		dst = binary.AppendUvarint(dst, uint64(j-i))
+		if gap, n := i-end, j-i; gap < 0x80 && n < 0x80 {
+			dst = append(dst, byte(gap), byte(n))
+		} else {
+			dst = binary.AppendUvarint(dst, uint64(gap))
+			dst = binary.AppendUvarint(dst, uint64(n))
+		}
 		dst = append(dst, post[i:j]...)
-		end, i = j, k
+		end = j
 	}
 	return dst, len(dst) < limit
 }
 
+// word loads the 8 bytes of b at i, little-endian, so byte i+k of b is
+// byte k of the word.
+func word(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i:]) }
+
 // nextDiff returns the first offset at or after i where post differs from
-// pre, len(post) if there is none.
+// pre: min(len(pre), len(post)) if there is none, so every offset past
+// the shorter image differs.
 func nextDiff(pre, post []byte, i int) int {
 	n := min(len(pre), len(post))
+	// A few words first: most equal stretches between runs are short.
+	for stop := min(n, i+leadWords*8); i+8 <= stop; i += 8 {
+		if x := word(pre, i) ^ word(post, i); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for i+equalBlock <= n && bytes.Equal(pre[i:i+equalBlock], post[i:i+equalBlock]) {
+		i += equalBlock
+	}
+	for ; i+8 <= n; i += 8 {
+		if x := word(pre, i) ^ word(post, i); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
 	for ; i < n; i++ {
 		if pre[i] != post[i] {
 			return i
@@ -74,15 +112,52 @@ func nextDiff(pre, post []byte, i int) int {
 	return i
 }
 
-// nextSame returns the first offset at or after i where post equals pre,
-// len(post) if there is none.
-func nextSame(pre, post []byte, i int) int {
-	for n := min(len(pre), len(post)); i < n; i++ {
-		if pre[i] == post[i] {
-			return i
+// runEnd returns the end of the run that starts at the differing offset
+// i: the start of the first stretch of at least runGap equal bytes after
+// i, else the start of the equal stretch that reaches len(post) (there is
+// one only when pre is at least as long as post), else len(post).
+func runEnd(pre, post []byte, i int) int {
+	n := min(len(pre), len(post))
+	p := i + 1
+	if p+16 <= n {
+		// z0 flags the equal bytes at p..p+7, z1 those at p+8..p+15; a
+		// start at p+k qualifies when the runGap flags from byte k on
+		// are all set.
+		z0 := equalBytes(word(pre, p) ^ word(post, p))
+		for ; p+16 <= n; p += 8 {
+			z1 := equalBytes(word(pre, p+8) ^ word(post, p+8))
+			f := z0
+			for s := 8; s < 8*runGap; s += 8 {
+				f &= z0>>s | z1<<(64-s)
+			}
+			if f != 0 {
+				return p + bits.TrailingZeros64(f)/8
+			}
+			z0 = z1
 		}
 	}
+	// No start before p qualified. If the word loop ran, at least 8 bytes
+	// are left, so an equal stretch reaching n starts at or after p and
+	// equal counts all of it.
+	equal := 0
+	for ; p < n; p++ {
+		if pre[p] != post[p] {
+			equal = 0
+		} else if equal++; equal == runGap {
+			return p + 1 - runGap
+		}
+	}
+	if n == len(post) {
+		return n - equal
+	}
 	return len(post)
+}
+
+// equalBytes sets the high bit of each byte of the result whose byte in
+// x is zero, and clears every other bit (exact: no carry crosses a byte).
+func equalBytes(x uint64) uint64 {
+	const low7 = 0x7F7F7F7F7F7F7F7F
+	return ^((x&low7 + low7) | x | low7)
 }
 
 // applyRedo replays one redo onto page, any committed version of the page

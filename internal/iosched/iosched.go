@@ -265,6 +265,11 @@ type Scheduler struct {
 	nFg int
 	nBg int
 
+	// bgArriveMax is the latest arrival of any background request ever
+	// queued (never lowered), so an idle-device grant is ruled out
+	// without searching the backlog (pickIndexedLocked).
+	bgArriveMax time.Duration
+
 	// bgCredit is the write-back budget balance in blocks: foreground
 	// grants deposit BackgroundShare of their blocks, budget-forced
 	// background grants withdraw what they carried, floored at zero —

@@ -312,6 +312,26 @@ func TestBackgroundBudgetUnderSaturation(t *testing.T) {
 	}
 }
 
+// TestIdleDeviceGrantsUncreditedBackground: with no credit and a
+// deferred backlog, a background write arriving once the device has gone
+// idle is granted at once, and the backlog that arrived while it was busy
+// stays queued.
+func TestIdleDeviceGrantsUncreditedBackground(t *testing.T) {
+	_, s, dev := newTestSched(Config{BackgroundShare: 0.2, Readahead: -1})
+	dev.Access(0, device.Write, 0, 64) // busy past t=0, head left at LBA 64
+	s.SubmitBackground(0, device.Write, 900000, 1, dss.ClassWriteBuffer, dss.DefaultTenant)
+	if q := s.queued.Load(); q != 1 {
+		t.Fatalf("a destage arriving at a busy device was not deferred: %d queued", q)
+	}
+	s.SubmitBackground(dev.BusyUntil()+time.Millisecond, device.Write, 100, 1, dss.ClassWriteBuffer, dss.DefaultTenant)
+	if q, w := s.queued.Load(), dev.Stats().BlocksWrite; q != 1 || w != 65 {
+		t.Fatalf("idle device: %d queued, %d blocks written (want 1 and 65)", q, w)
+	}
+	if st := s.Stats(); st.BudgetGrants != 0 || st.BudgetDeposits != 0 {
+		t.Fatalf("the idle grant used credit: %+v", st)
+	}
+}
+
 // TestBackgroundShareDisabled is the pre-throttling ablation: with a
 // negative share, background is granted eagerly (never deferred past the
 // drain that follows its submission), reproducing the old behaviour.

@@ -26,6 +26,13 @@ func (s *Scheduler) pickIndexedLocked(bgOK bool) (*request, bool) {
 		return s.age.min(), false
 	}
 	busy := s.dev.BusyUntil()
+	// Only background is queued, it is not forced out and it has no
+	// credit: the pick could grant only a request arriving at or after
+	// the busy horizon, and none has. Skips the band search a deep
+	// deferred backlog makes expensive.
+	if s.nFg == 0 && !bgOK && s.bgShare > 0 && s.bgCredit < 1 && busy > s.bgArriveMax {
+		return nil, false
+	}
 	head := s.dev.HeadLBA()
 
 	// Aging first. The overdue set {fg r : busy - r.arrive > bound} is

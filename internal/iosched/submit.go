@@ -299,6 +299,9 @@ func (s *Scheduler) enqueueLocked(w *waiter, at time.Duration, op device.Op, lba
 	if s.fifo {
 		max = blocks
 	}
+	if w == nil && at > s.bgArriveMax {
+		s.bgArriveMax = at
+	}
 	base := at
 	if b := s.dev.BusyUntil(); b > base {
 		base = b
