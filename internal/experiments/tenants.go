@@ -88,9 +88,6 @@ type TenantsRun struct {
 	Makespan     time.Duration
 	// Commits aggregates OLTP transactions across tenants.
 	Commits int64
-	// ShareEvictions reports how often the priority cache redirected an
-	// eviction to an over-share tenant's block (HStorage mode only).
-	ShareEvictions int64
 }
 
 // RunTenants runs the multi-tenant contention workload on one storage
@@ -256,7 +253,6 @@ func (e *Env) RunTenants(mode hybrid.Mode, specs []TenantSpec, scanBlocks, txnsP
 		run.Jain = sumX * sumX / (float64(len(specs)) * sumX2)
 	}
 	run.WindowBlocks = totalWin
-	run.ShareEvictions = inst.Sys.Stats().ShareEvictions
 
 	ends := []time.Duration{workersRes.Elapsed, settle.Clk.Now()}
 	for _, clk := range clocks {
@@ -272,8 +268,9 @@ type TenantsRuns []TenantsRun
 // TenantsAll runs the tenants experiment across the flagship modes,
 // fair shares off (the class-only baseline) and on, in that order: the
 // SSD-only pair isolates scheduler fairness on a device where
-// interleaving tenants is nearly free, and the hStorage pair adds the
-// hybrid cache (per-tenant capacity shares) over the seek-bound HDD.
+// interleaving tenants is nearly free, and the hStorage pair puts the
+// same scheduler in front of the seek-bound HDD, behind the hybrid
+// cache (which the tenants' Rule 1 scans bypass).
 func (e *Env) TenantsAll(specs []TenantSpec, scanBlocks, txnsPerTenant int) (TenantsRuns, error) {
 	if scanBlocks <= 0 {
 		scanBlocks = 3000
@@ -305,8 +302,8 @@ func (runs TenantsRuns) Format() string {
 		if r.Fair {
 			arm = "fair-shares"
 		}
-		fmt.Fprintf(&b, "\n%s, %s: Jain=%.3f maxShareErr=%.1f%% windowBlocks=%d commits=%d makespan=%s aging=%s shareEvict=%d\n",
-			r.Mode, arm, r.Jain, 100*r.MaxShareErr, r.WindowBlocks, r.Commits, fmtDur(r.Makespan), r.AgingBound, r.ShareEvictions)
+		fmt.Fprintf(&b, "\n%s, %s: Jain=%.3f maxShareErr=%.1f%% windowBlocks=%d commits=%d makespan=%s aging=%s\n",
+			r.Mode, arm, r.Jain, 100*r.MaxShareErr, r.WindowBlocks, r.Commits, fmtDur(r.Makespan), r.AgingBound)
 		fmt.Fprintf(&b, "  %-8s %-7s %11s %11s %11s %10s %12s %12s %12s\n",
 			"tenant", "weight", "share-want", "share-got", "scan-blk", "commits/s", "p50", "p99", "max-wait")
 		for _, t := range r.Tenants {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -24,12 +25,15 @@ import (
 // position of a background submission shows up here.
 //
 // Nine of the files were generated before the four System implementations
-// were folded into one core and have not changed since. The three arms of
-// the priority policy that have a write buffer (hstorage-db, its _async
-// twin and hstorage-db_noshares) were regenerated when a flush stopped
-// demoting what it flushes to RandHigh; hstorage-db_b0, which never
-// flushes, was not. A missing file is written and the test fails, so
-// deleting a file and running the test once regenerates it.
+// were folded into one core, and since then have only lost a zero counter
+// of the snapshot line with the cache's per-tenant capacity shares. The
+// three arms of the priority policy that have a write buffer (hstorage-db,
+// its _async twin and hstorage-db_noshares) were regenerated when a flush
+// stopped demoting what it flushes to RandHigh; hstorage-db_b0, which
+// never flushes, was not. hstorage-db and hstorage-db_async were
+// regenerated again when the cache stopped reading tenant weights. A
+// missing file is written and the test fails, so deleting a file and
+// running the test once regenerates it.
 
 const (
 	goldenCache    = 256
@@ -126,7 +130,7 @@ func goldenTrace() []dss.Request {
 			r = dss.Request{Kind: dss.Trim, LBA: data(n), Blocks: n, Class: space.Eviction()}
 		}
 		// Tenant 1 issues most of the traffic but holds the smaller
-		// capacity share; some requests are unattributed.
+		// weight; some requests are unattributed.
 		switch t := rng.Intn(10); {
 		case t < 6:
 			r.Tenant = 1
@@ -156,24 +160,35 @@ func fmtHists(b *strings.Builder, label string, m map[int]obs.Histogram) {
 	}
 }
 
-// goldenRun replays the trace through one configuration and renders
-// everything observable about the run.
-func goldenRun(t *testing.T, cfg Config, reqs []dss.Request) string {
+// replay drives the trace through a new system of configuration cfg,
+// calls each with every request's completion time, and drains the
+// schedulers.
+func replay(t *testing.T, cfg Config, reqs []dss.Request, each func(i int, at time.Duration)) System {
 	t.Helper()
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
 	var at time.Duration
-	b.WriteString("completion of every 97th request (ns):\n")
 	for i, r := range reqs {
 		at = sys.Submit(at, r)
+		each(i, at)
+	}
+	sys.Sched().Drain()
+	return sys
+}
+
+// goldenRun replays the trace through one configuration and renders
+// everything observable about the run.
+func goldenRun(t *testing.T, cfg Config, reqs []dss.Request) string {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("completion of every 97th request (ns):\n")
+	sys := replay(t, cfg, reqs, func(i int, at time.Duration) {
 		if i%97 == 0 {
 			fmt.Fprintf(&b, "  %d %d\n", i, at)
 		}
-	}
-	sys.Sched().Drain()
+	})
 
 	s := sys.Stats()
 	per := s.PerClass
@@ -203,9 +218,12 @@ func goldenRun(t *testing.T, cfg Config, reqs []dss.Request) string {
 	return b.String()
 }
 
+// goldenWeights are the tenant weights of every arm but the b = 0 and
+// the unweighted ones.
+var goldenWeights = map[dss.TenantID]float64{1: 1, 2: 3}
+
 func TestGoldenReplay(t *testing.T) {
 	reqs := goldenTrace()
-	weights := map[dss.TenantID]float64{1: 1, 2: 3}
 	noBuffer := dss.DefaultPolicySpace()
 	noBuffer.WriteBufferFrac = 0
 	type arm struct {
@@ -216,7 +234,7 @@ func TestGoldenReplay(t *testing.T) {
 	for _, mode := range []Mode{HDDOnly, LRU, HStorage, SSDOnly, ARC} {
 		for _, async := range []bool{false, true} {
 			cfg := Config{Mode: mode, CacheBlocks: goldenCache, AsyncReadAlloc: async}
-			cfg.Sched.TenantWeights = weights
+			cfg.Sched.TenantWeights = goldenWeights
 			name := strings.ToLower(mode.String())
 			if async {
 				name += "_async"
@@ -224,8 +242,10 @@ func TestGoldenReplay(t *testing.T) {
 			arms = append(arms, arm{name, cfg})
 		}
 	}
-	// The b = 0 ablation and the class-only cache (no tenant shares) take
-	// paths of the priority policy the default arms never reach.
+	// The b = 0 ablation takes paths of the priority policy the default
+	// arms never reach; hstorage-db_noshares is the hStorage arm without
+	// scheduler weights, whose cache counters the weighted arm must
+	// repeat (TestTenantWeightsLeaveCacheAlone).
 	arms = append(arms,
 		arm{"hstorage-db_b0", Config{Mode: HStorage, CacheBlocks: goldenCache, Policy: noBuffer}},
 		arm{"hstorage-db_noshares", Config{Mode: HStorage, CacheBlocks: goldenCache}},
@@ -259,5 +279,22 @@ func TestGoldenReplay(t *testing.T) {
 			}
 			t.Fatalf("%s: %d lines, want %d", path, len(gl), len(wl))
 		})
+	}
+}
+
+// TestTenantWeightsLeaveCacheAlone: tenant weights are a property of the
+// I/O scheduler. They reorder grants inside a class band, but the cache
+// does not read them, so the golden trace under HStorage leaves the same
+// counters with and without them.
+func TestTenantWeightsLeaveCacheAlone(t *testing.T) {
+	reqs := goldenTrace()
+	stats := func(weights map[dss.TenantID]float64) Snapshot {
+		cfg := Config{Mode: HStorage, CacheBlocks: goldenCache}
+		cfg.Sched.TenantWeights = weights
+		return replay(t, cfg, reqs, func(int, time.Duration) {}).Stats()
+	}
+	weighted, plain := stats(goldenWeights), stats(nil)
+	if !reflect.DeepEqual(weighted, plain) {
+		t.Fatalf("tenant weights moved the cache:\n weighted %+v\n plain    %+v", weighted, plain)
 	}
 }

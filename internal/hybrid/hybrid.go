@@ -90,9 +90,8 @@ type Config struct {
 	// configuration routes its accesses through. The zero value enables
 	// it with defaults; set Sched.FIFO for the scheduler-off ablation.
 	// Sched.TenantWeights additionally turns on tenant-weighted fair
-	// sharing: device time within each class band (iosched) and, under
-	// HStorage mode, cache capacity (the priority cache prefers
-	// evicting blocks of tenants holding more than their weight share).
+	// sharing of device time within each class band; the cache itself
+	// never reads the weights, it only bills each destage to a tenant.
 	Sched iosched.Config
 
 	// Obs attaches the observability layer to the whole storage system:
@@ -153,11 +152,6 @@ type Snapshot struct {
 	DirtyEvict  int64
 	Trimmed     int64
 	WBFlushes   int64
-	// ShareEvictions counts evictions the tenant capacity shares
-	// redirected away from the plain LRU victim to a block of a tenant
-	// exceeding its weight share (HStorage mode with tenant weights
-	// configured).
-	ShareEvictions int64
 }
 
 // HitRatio returns total hits over total accessed blocks.
@@ -261,8 +255,8 @@ func New(cfg Config) (System, error) {
 
 // statsBase carries the counters of a storage system, plus their
 // registry mirrors (`cache.hits`, `cache.misses`, `cache.evictions`,
-// `cache.evictions.dirty`, `cache.evictions.share`, labeled by mode; nil
-// and inert without Config.Obs).
+// `cache.evictions.dirty`, labeled by mode; nil and inert without
+// Config.Obs).
 type statsBase struct {
 	mode     Mode
 	perClass map[dss.Class]*ClassStats
@@ -272,7 +266,6 @@ type statsBase struct {
 	mMisses     *obs.Counter
 	mEvict      *obs.Counter
 	mDirtyEvict *obs.Counter
-	mShareEvict *obs.Counter
 }
 
 func newStatsBase(mode Mode, set *obs.Set) statsBase {
@@ -283,7 +276,6 @@ func newStatsBase(mode Mode, set *obs.Set) statsBase {
 		sb.mMisses = reg.Counter("cache.misses", l)
 		sb.mEvict = reg.Counter("cache.evictions", l)
 		sb.mDirtyEvict = reg.Counter("cache.evictions.dirty", l)
-		sb.mShareEvict = reg.Counter("cache.evictions.share", l)
 	}
 	return sb
 }

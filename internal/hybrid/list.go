@@ -10,7 +10,7 @@ type blockMeta struct {
 	pbn    int64
 	class  int // the policy's list the entry is on: a priority group, an ARC list
 	dirty  bool
-	tenant dss.TenantID // last tenant charged for the block's capacity
+	tenant dss.TenantID // tenant the block's destage is billed to
 
 	prev, next *blockMeta
 }

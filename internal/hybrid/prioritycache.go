@@ -34,39 +34,17 @@ type priorityPolicy struct {
 
 	groups  []lruList // group g at index g-logGroup; ClassNone's slot stays empty
 	wbLimit int       // b * capacity
-
-	// cachedBy counts cached blocks per tenant (each block charged to
-	// the last tenant that touched it). With tenant weights configured
-	// (Config.Sched.TenantWeights), eviction prefers victims of tenants
-	// holding more than their weight share of capacity, so a heavy
-	// tenant recycles its own blocks instead of everyone else's.
-	// tenantW/tenantWSum snapshot the construction-time weights so the
-	// eviction path never takes the scheduler group's mutex; capacity
-	// shares follow the Config, not later SetTenantWeight calls.
-	cachedBy   map[dss.TenantID]int
-	tenantW    map[dss.TenantID]float64
-	tenantWSum float64
 }
 
 func newPriorityPolicy(c *core, cfg Config) *priorityPolicy {
 	p := &priorityPolicy{
-		core:     c,
-		space:    cfg.Policy,
-		groups:   make([]lruList, cfg.Policy.N+1-logGroup),
-		wbLimit:  int(float64(cfg.CacheBlocks) * cfg.Policy.WriteBufferFrac),
-		cachedBy: make(map[dss.TenantID]int),
+		core:    c,
+		space:   cfg.Policy,
+		groups:  make([]lruList, cfg.Policy.N+1-logGroup),
+		wbLimit: int(float64(cfg.CacheBlocks) * cfg.Policy.WriteBufferFrac),
 	}
 	for i := range p.groups {
 		p.groups[i].init()
-	}
-	for id, w := range cfg.Sched.TenantWeights {
-		if w > 0 {
-			if p.tenantW == nil {
-				p.tenantW = make(map[dss.TenantID]float64, len(cfg.Sched.TenantWeights))
-			}
-			p.tenantW[id] = w
-			p.tenantWSum += w
-		}
 	}
 	return p
 }
@@ -156,8 +134,10 @@ func (p *priorityPolicy) place(at time.Duration, req dss.Request, lbn int64) (ou
 		return prefetched, meta.pbn
 
 	case meta != nil:
-		// Action 1: cache hit, possibly followed by re-allocation.
-		p.retagTenant(meta, req.Tenant)
+		// Action 1: cache hit, possibly followed by re-allocation. The
+		// block's later destage is billed to the tenant that touched it
+		// last.
+		meta.tenant = req.Tenant
 		switch {
 		case buffered:
 			p.retarget(meta, class) // joining the buffer is not counted as a re-allocation
@@ -290,13 +270,6 @@ func (p *priorityPolicy) reallocate(meta *blockMeta, class dss.Class) {
 	}
 }
 
-// victimScan bounds how far from the LRU end of the victim group the
-// tenant-share preference looks for an over-share tenant's block. A
-// small constant keeps eviction O(1) against a large group while still
-// catching the common case: a churning heavy tenant's blocks dominate
-// the cold end of the lowest-priority group.
-const victimScan = 16
-
 // ensureSpace guarantees a free slot for an incoming block of group k (a
 // pinned group is negative and so outranks everything). It returns false
 // when no cached block has priority >= k, i.e. selective allocation
@@ -306,9 +279,7 @@ func (p *priorityPolicy) ensureSpace(at time.Duration, k int) bool {
 		return true
 	}
 	// Selective eviction: find the group whose priority is numerically
-	// largest (all other blocks outrank it) and evict its LRU block —
-	// or, under tenant fair shares, the coldest nearby block of a
-	// tenant that exceeds its capacity share.
+	// largest (all other blocks outrank it) and evict its LRU block.
 	for prio := p.space.N; prio >= 1; prio-- {
 		g := p.group(prio)
 		if g.len() == 0 {
@@ -319,7 +290,7 @@ func (p *priorityPolicy) ensureSpace(at time.Duration, k int) bool {
 			// one: admission denied.
 			return false
 		}
-		victim := p.pickVictim(g)
+		victim := g.back()
 		p.evicted(at, victim, dss.Class(victim.class))
 		p.unlink(victim)
 		return true
@@ -328,55 +299,10 @@ func (p *priorityPolicy) ensureSpace(at time.Duration, k int) bool {
 	return false
 }
 
-// pickVictim chooses the eviction victim within a priority group: plain
-// LRU, unless tenant fair shares are configured — then the scan from the
-// LRU end prefers (within victimScan entries) a block of a tenant holding
-// more cached blocks than its weight share of capacity, so over-share
-// tenants recycle their own footprint before touching anyone else's.
-// Class rank still dominates: shares redirect the victim only inside the
-// group selective eviction already chose. g is non-empty.
-func (p *priorityPolicy) pickVictim(g *lruList) *blockMeta {
-	lru := g.back()
-	if len(p.tenantW) == 0 {
-		return lru
-	}
-	over := func(t dss.TenantID) bool {
-		w, ok := p.tenantW[t]
-		if !ok || p.tenantWSum <= 0 {
-			// Tenants without a configured weight are not governed.
-			return false
-		}
-		return float64(p.cachedBy[t]) > w/p.tenantWSum*float64(p.capacity)
-	}
-	n := 0
-	for b := lru; b != &g.root && n < victimScan; b = b.prev {
-		if over(b.tenant) {
-			if b != lru {
-				p.base.snap.ShareEvictions++
-				p.base.mShareEvict.Inc()
-			}
-			return b
-		}
-		n++
-	}
-	return lru
-}
-
-// unchargeTenant releases one cached block's capacity charge from
-// tenant t.
-func (p *priorityPolicy) unchargeTenant(t dss.TenantID) {
-	if n := p.cachedBy[t]; n > 1 {
-		p.cachedBy[t] = n - 1
-	} else {
-		delete(p.cachedBy, t)
-	}
-}
-
 // unlink forgets a block whose slot is already released.
 func (p *priorityPolicy) unlink(meta *blockMeta) {
 	p.group(meta.class).remove(meta)
 	delete(p.table, meta.lbn)
-	p.unchargeTenant(meta.tenant)
 }
 
 // drop invalidates a block without writing it back.
@@ -385,23 +311,10 @@ func (p *priorityPolicy) drop(meta *blockMeta) {
 	p.unlink(meta)
 }
 
-// admit adds a new block to group g, charged to tenant t. The caller has
-// ensured space.
+// admit adds a new block to group g, its destage billed to tenant t.
+// The caller has ensured space.
 func (p *priorityPolicy) admit(lbn int64, g int, dirty bool, t dss.TenantID) *blockMeta {
-	p.cachedBy[t]++
 	return p.insert(p.group(g), lbn, g, dirty, t)
-}
-
-// retagTenant re-attributes a cached block to the tenant of the latest
-// request that touched it, so capacity charges follow actual use of
-// shared blocks.
-func (p *priorityPolicy) retagTenant(meta *blockMeta, t dss.TenantID) {
-	if meta.tenant == t {
-		return
-	}
-	p.unchargeTenant(meta.tenant)
-	meta.tenant = t
-	p.cachedBy[t]++
 }
 
 // moveGroup transfers a block between groups.

@@ -27,7 +27,7 @@ func (s *Scheduler) grantBestLocked(bgOK bool) bool {
 	case budget && max > budgetMaxCoalesce:
 		max = budgetMaxCoalesce
 	}
-	fair := len(s.g.weights()) > 0
+	fair := len(s.g.tenantW) > 0
 	for total < max {
 		p, prepend := s.coalesceCandidateLocked(head, start, end, max-total, fair)
 		if p == nil {

@@ -82,16 +82,18 @@ func grantLine(batch []*request, start int64, total int, budget bool) string {
 	return sb.String()
 }
 
+// fairWeights are the tenant weights of the fair-sharing workloads.
+var fairWeights = map[dss.TenantID]float64{1: 4, 2: 1}
+
 // grantTrace runs one randomized single-threaded workload against a
 // fresh scheduler, checks every grant against the reference picker and
 // returns the grant sequence.
 func grantTrace(t *testing.T, cfg Config, fair bool, seed int64) []string {
 	t.Helper()
-	g, s, _ := newTestSched(cfg)
 	if fair {
-		g.SetTenantWeight(1, 4)
-		g.SetTenantWeight(2, 1)
+		cfg.TenantWeights = fairWeights
 	}
+	g, s, _ := newTestSched(cfg)
 	grants := checkGrants(t, s, cfg, fair, seed)
 	rng := rand.New(rand.NewSource(seed))
 	classes := []dss.Class{dss.ClassLog, dss.ClassWriteBuffer, dss.Class(1),
@@ -179,11 +181,10 @@ func TestAbsorptionAgainstDeepChains(t *testing.T) {
 	for seed := int64(0); seed < 2; seed++ {
 		cfg := Config{Readahead: DisableReadahead, BackgroundShare: 0.2}
 		fair := seed == 1
-		g, s, dev := newTestSched(cfg)
 		if fair {
-			g.SetTenantWeight(1, 4)
-			g.SetTenantWeight(2, 1)
+			cfg.TenantWeights = fairWeights
 		}
+		g, s, dev := newTestSched(cfg)
 		grants := checkGrants(t, s, cfg, fair, seed)
 		check := s.grantHook
 		var granted []uint64

@@ -19,7 +19,7 @@ func (s *Scheduler) grantLocked(batch []*request, start int64, total int, budget
 			arrive = r.arrive
 		}
 	}
-	wm := s.g.weights()
+	wm := s.g.tenantW
 	fair := len(wm) > 0
 	// Readahead: extend a sequential-class read past the run so the
 	// scan's next request is served from the buffer.

@@ -37,11 +37,11 @@ type Group struct {
 	// Attach, for lock-free iteration by the opportunistic drain loop.
 	schedList atomic.Pointer[[]*Scheduler]
 
-	// tenantW is the copy-on-write tenant fair-share weight table (see
-	// tenantfair.go): hot paths snapshot it with one atomic load,
-	// writers replace it wholesale under g.mu. A nil pointer or empty
-	// map means fair sharing is off.
-	tenantW atomic.Pointer[map[dss.TenantID]float64]
+	// tenantW is the tenant fair-share weight table (see tenantfair.go),
+	// the positive weights of Config.TenantWeights. It is built once and
+	// never written, so hot paths read it without a lock. Empty means
+	// fair sharing is off.
+	tenantW map[dss.TenantID]float64
 
 	// obs is the attached observability set (nil-safe throughout).
 	obs *obs.Set
@@ -50,17 +50,13 @@ type Group struct {
 // NewGroup creates an empty scheduling domain.
 func NewGroup(cfg Config) *Group {
 	g := &Group{cfg: cfg.withDefaults(), registered: make(map[*simclock.Clock]struct{}), obs: cfg.Obs}
-	var tw map[dss.TenantID]float64
 	for id, w := range cfg.TenantWeights {
 		if w > 0 {
-			if tw == nil {
-				tw = make(map[dss.TenantID]float64, len(cfg.TenantWeights))
+			if g.tenantW == nil {
+				g.tenantW = make(map[dss.TenantID]float64, len(cfg.TenantWeights))
 			}
-			tw[id] = w
+			g.tenantW[id] = w
 		}
-	}
-	if tw != nil {
-		g.tenantW.Store(&tw)
 	}
 	return g
 }

@@ -132,8 +132,11 @@ type Config struct {
 	// the pre-throttling behaviour).
 	BackgroundShare float64
 
-	// TenantWeights seeds the group's tenant fair-share weights (see
-	// Group.SetTenantWeight). Nil or empty leaves fair sharing off: the
+	// TenantWeights are the group's tenant fair-share weights (see
+	// tenantfair.go), fixed for the group's life: a weight-4 tenant is
+	// entitled to four times the device blocks of a weight-1 tenant while
+	// both are backlogged, and a tenant without a positive weight has the
+	// implicit weight 1. Nil or empty leaves fair sharing off: the
 	// class-only scheduler, which is also the tenants experiment's
 	// baseline arm.
 	TenantWeights map[dss.TenantID]float64

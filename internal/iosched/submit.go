@@ -144,7 +144,7 @@ func (s *Scheduler) Submit(at time.Duration, op device.Op, lba int64, blocks int
 		return at
 	}
 	g := s.g
-	fair := len(g.weights()) > 0
+	fair := len(g.tenantW) > 0
 	s.mu.Lock()
 	s.stats.Submitted++
 	s.mSubmitted.Inc()
@@ -290,7 +290,7 @@ func (s *Scheduler) enqueueLocked(w *waiter, at time.Duration, op device.Op, lba
 	var ta *tenantAcct
 	var weight float64
 	if w != nil {
-		if wm := s.g.weights(); len(wm) > 0 {
+		if wm := s.g.tenantW; len(wm) > 0 {
 			ta = s.acctLocked(tenant)
 			weight = weightOf(wm, tenant)
 		}

@@ -21,7 +21,7 @@
 // AgingBound.
 //
 // Fair sharing activates only when at least one tenant weight is
-// configured (Config.TenantWeights or Group.SetTenantWeight). Without
+// configured (Config.TenantWeights, fixed when the group is built). Without
 // weights every tag is zero and dispatch degenerates to the class-only
 // scheduler, which doubles as the experiment baseline. Background work
 // is never tagged: it already sits in a band below all foreground, and
@@ -63,48 +63,6 @@ type tenantAcct struct {
 	stats      TenantStats
 }
 
-// SetTenantWeight configures tenant id's fair-share weight across every
-// scheduler of the group. Weights are relative: a weight-4 tenant is
-// entitled to four times the device blocks of a weight-1 tenant while
-// both are backlogged. A weight w <= 0 removes the tenant (it falls
-// back to the implicit weight 1); removing the last configured tenant
-// turns fair sharing off entirely. The hybrid priority cache's
-// capacity shares snapshot Config.TenantWeights at construction and do
-// not follow later SetTenantWeight calls.
-//
-// The weight table is copy-on-write: hot paths snapshot it with one
-// atomic load, so a weight change applies to submissions that start
-// after it, never mid-grant.
-func (g *Group) SetTenantWeight(id dss.TenantID, w float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	old := g.weights()
-	if w <= 0 {
-		if _, ok := old[id]; !ok {
-			return
-		}
-	}
-	nw := make(map[dss.TenantID]float64, len(old)+1)
-	for k, v := range old {
-		nw[k] = v
-	}
-	if w <= 0 {
-		delete(nw, id)
-	} else {
-		nw[id] = w
-	}
-	g.tenantW.Store(&nw)
-}
-
-// weights returns the current tenant weight table (shared; do not
-// mutate). Nil or empty means fair sharing is off.
-func (g *Group) weights() map[dss.TenantID]float64 {
-	if p := g.tenantW.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
 // weightOf returns id's weight in table wm with the implicit default
 // of 1.
 func weightOf(wm map[dss.TenantID]float64, id dss.TenantID) float64 {
@@ -112,43 +70,6 @@ func weightOf(wm map[dss.TenantID]float64, id dss.TenantID) float64 {
 		return w
 	}
 	return 1
-}
-
-// TenantWeight reports tenant id's configured weight; tenants without a
-// configured weight have the implicit weight 1.
-func (g *Group) TenantWeight(id dss.TenantID) float64 {
-	return weightOf(g.weights(), id)
-}
-
-// TenantShare reports tenant id's fraction of the total configured
-// weight — its fair share of a saturated device and of tenant-governed
-// cache capacity. It returns 0 when fair sharing is off or the tenant
-// has no configured weight.
-func (g *Group) TenantShare(id dss.TenantID) float64 {
-	wm := g.weights()
-	w, ok := wm[id]
-	if !ok {
-		return 0
-	}
-	var sum float64
-	for _, v := range wm {
-		sum += v
-	}
-	if sum <= 0 {
-		return 0
-	}
-	return w / sum
-}
-
-// TenantWeights returns a copy of the configured tenant weights. An
-// empty map means fair sharing is off (the class-only scheduler).
-func (g *Group) TenantWeights() map[dss.TenantID]float64 {
-	wm := g.weights()
-	out := make(map[dss.TenantID]float64, len(wm))
-	for id, w := range wm {
-		out[id] = w
-	}
-	return out
 }
 
 // TenantStats returns a snapshot of the per-tenant counters of this

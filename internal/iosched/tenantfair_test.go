@@ -215,9 +215,8 @@ func TestAgedRequestKeepsElevatorAndCoalescing(t *testing.T) {
 // among the first 100 granted requests, the weight-9 tenant holds its
 // 90% share within ±10%.
 func TestTenantFairSharesConverge(t *testing.T) {
-	g, s, _ := newTestSched(Config{AgingBound: DisableAging, Readahead: -1})
-	g.SetTenantWeight(1, 9)
-	g.SetTenantWeight(2, 1)
+	g, s, _ := newTestSched(Config{AgingBound: DisableAging, Readahead: -1,
+		TenantWeights: map[dss.TenantID]float64{1: 9, 2: 1}})
 
 	type done struct {
 		tenant dss.TenantID
@@ -258,9 +257,8 @@ func TestTenantFairSharesConverge(t *testing.T) {
 // heavily skewed toward the heavy tenant.
 func TestTenantStarvationFreedom(t *testing.T) {
 	bound := 5 * time.Millisecond
-	g, s, _ := newTestSched(Config{AgingBound: bound, Readahead: -1})
-	g.SetTenantWeight(1, 100)
-	g.SetTenantWeight(2, 1)
+	g, s, _ := newTestSched(Config{AgingBound: bound, Readahead: -1,
+		TenantWeights: map[dss.TenantID]float64{1: 100, 2: 1}})
 
 	var light, heavy simclock.Clock
 	g.Register(&heavy)
@@ -307,11 +305,11 @@ func TestTenantStarvationFreedom(t *testing.T) {
 // off they merge as before.
 func TestCrossTenantCoalescingRestricted(t *testing.T) {
 	run := func(fair bool) int64 {
-		g, s, dev := newTestSched(Config{Readahead: -1})
+		cfg := Config{Readahead: -1}
 		if fair {
-			g.SetTenantWeight(1, 1)
-			g.SetTenantWeight(2, 1)
+			cfg.TenantWeights = map[dss.TenantID]float64{1: 1, 2: 1}
 		}
+		g, s, dev := newTestSched(cfg)
 		w1 := bareWaiter(dss.Class(2), 1)
 		w2 := bareWaiter(dss.Class(2), 2)
 		s.mu.Lock()
