@@ -23,7 +23,8 @@ race:
 # trip), the log's page-change encoder alone per page shape (sparse
 # edits, a shifted B-tree leaf, a heap append, an unchanged page, no
 # pre-image; with the redo bytes) and with the record append around it
-# (wal), the LSM's page write through flushes and compactions and its
+# (wal), a transaction's commit and abort over 1, 8 and 64 pages (txn),
+# the LSM's page write through flushes and compactions and its
 # memtable and tree reads (lsm), and the construction of the 22 TPC-H
 # plans (tpch). The scheduler set includes a superseding background
 # write against 1k-100k queued requests. CI runs every one of them once
@@ -36,7 +37,7 @@ race:
 #   benchstat old.txt new.txt
 bench:
 	{ $(GO) test ./internal/iosched ./internal/engine/heap ./internal/engine/btree ./internal/engine/exec ./internal/engine/wal \
-		./internal/lsm -run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
+		./internal/engine/txn ./internal/lsm -run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
 	  $(GO) test ./internal/tpch -run '^$$' -bench Plan -benchmem -count $(BENCH_COUNT) && \
 	  $(GO) test ./internal/iosched \
 		-run '^$$' -bench SubmitParallel -cpu 1,2,4 -benchmem -count $(BENCH_COUNT); } | tee $(BENCH_OUT)

@@ -27,7 +27,7 @@ type fixture struct {
 	cfg  wal.Config
 }
 
-func newFixture(t *testing.T, poolPages int) *fixture {
+func newFixture(t testing.TB, poolPages int) *fixture {
 	t.Helper()
 	return newFixtureOn(t, poolPages, engine.NewDatabase())
 }
@@ -35,13 +35,13 @@ func newFixture(t *testing.T, poolPages int) *fixture {
 // newFixtureOn builds the fixture over a caller-supplied database, so
 // the same transaction tests run against any storage backend. Its log
 // has small segments, so rollovers are part of every test.
-func newFixtureOn(t *testing.T, poolPages int, db *engine.Database) *fixture {
+func newFixtureOn(t testing.TB, poolPages int, db *engine.Database) *fixture {
 	t.Helper()
 	return newFixtureWAL(t, poolPages, db, wal.Config{SegmentPages: 8})
 }
 
 // newFixtureWAL is newFixtureOn with the log's sizing given.
-func newFixtureWAL(t *testing.T, poolPages int, db *engine.Database, cfg wal.Config) *fixture {
+func newFixtureWAL(t testing.TB, poolPages int, db *engine.Database, cfg wal.Config) *fixture {
 	t.Helper()
 	schema := catalog.NewSchema(
 		catalog.Column{Name: "id", Type: catalog.Int64},
@@ -58,7 +58,7 @@ func newFixtureWAL(t *testing.T, poolPages int, db *engine.Database, cfg wal.Con
 
 // attach builds a fresh instance (and, when create is set, a fresh WAL;
 // otherwise it recovers the existing one).
-func (f *fixture) attach(t *testing.T, poolPages int, create bool) *wal.RecoveryStats {
+func (f *fixture) attach(t testing.TB, poolPages int, create bool) *wal.RecoveryStats {
 	t.Helper()
 	inst, err := f.db.NewInstance(engine.InstanceConfig{
 		Storage:         hybrid.Config{Mode: hybrid.HStorage, CacheBlocks: 512},
