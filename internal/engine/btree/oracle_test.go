@@ -302,21 +302,48 @@ type access struct {
 	img   []byte
 }
 
-// recorder logs every access a harness's clock makes to its pool.
-func recorder(h *harness) *[]access {
-	log := &[]access{}
-	h.pool.BindTxn(&h.clk, &bufferpool.TxnHooks{
+// recording logs every access a harness's clock makes to its pool.
+type recording struct {
+	t     testing.TB
+	h     *harness
+	hooks *bufferpool.TxnHooks
+	log   []access
+}
+
+// recorder binds a recording to the harness's clock as a transaction, so
+// its Acquire hook sees every access before the pool does.
+func recorder(t testing.TB, h *harness) *recording {
+	r := &recording{t: t, h: h}
+	r.hooks = &bufferpool.TxnHooks{
 		ID: 1,
 		Acquire: func(tag policy.Tag, page int64, write bool) error {
-			*log = append(*log, access{tag: tag, page: page, write: write})
+			r.settle()
+			r.log = append(r.log, access{tag: tag, page: page, write: write})
 			return nil
 		},
-		Capture: func(_ policy.Tag, _ int64, _ []byte, _ bool, post []byte) bool {
-			(*log)[len(*log)-1].img = post
-			return false
-		},
-	})
-	return log
+	}
+	h.pool.BindTxn(&h.clk, r.hooks)
+	return r
+}
+
+// settle completes the last access: a Put's image is read back from its
+// frame, through a clock with no bound transaction, before the next
+// access and before a check. The Put's first touch is then sealed and
+// released, so the pool pins nothing across accesses and evicts as it
+// would without a bound transaction.
+func (r *recording) settle() {
+	n := len(r.log)
+	if n == 0 || !r.log[n-1].write || r.log[n-1].img != nil {
+		return
+	}
+	var clk simclock.Clock
+	img, err := r.h.pool.Get(&clk, r.log[n-1].tag, r.log[n-1].page)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.log[n-1].img = img
+	r.h.pool.CommitVersions(r.hooks, 1, 1)
+	r.h.pool.Release(r.hooks)
 }
 
 // sameImage fails unless got equals want byte for byte, with the same
@@ -336,7 +363,7 @@ type editPair struct {
 	t          *testing.T
 	edit, ref  *harness
 	et, rt     *Tree
-	elog, rlog *[]access
+	elog, rlog *recording
 	splits     int // operations that wrote more than a leaf and the meta page
 	walks      int // deletes that read on along the leaf chain
 }
@@ -366,7 +393,7 @@ func newEditPair(t *testing.T, frames int, entries []Entry) *editPair {
 		}
 		sameImage(t, fmt.Sprintf("built page %d", page), data, want)
 	}
-	p.elog, p.rlog = recorder(p.edit), recorder(p.ref)
+	p.elog, p.rlog = recorder(t, p.edit), recorder(t, p.ref)
 	return p
 }
 
@@ -400,7 +427,9 @@ func (p *editPair) pages() int64 {
 func (p *editPair) check(op string, all bool) {
 	t := p.t
 	t.Helper()
-	e, r := *p.elog, *p.rlog
+	p.elog.settle()
+	p.rlog.settle()
+	e, r := p.elog.log, p.rlog.log
 	if len(e) != len(r) {
 		t.Fatalf("%s: %d pool accesses, reference %d", op, len(e), len(r))
 	}
@@ -425,7 +454,7 @@ func (p *editPair) check(op string, all bool) {
 	if walked && strings.HasPrefix(op, "delete") {
 		p.walks++
 	}
-	*p.elog, *p.rlog = (*p.elog)[:0], (*p.rlog)[:0]
+	p.elog.log, p.rlog.log = p.elog.log[:0], p.rlog.log[:0]
 	if !all {
 		return
 	}

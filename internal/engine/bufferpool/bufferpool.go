@@ -13,21 +13,25 @@
 // # Transactions
 //
 // Mutating transactions register per-stream hooks with BindTxn, keyed by
-// the session clock that accompanies every Get/Put. Each bound
-// transaction supplies:
+// the session clock that accompanies every Get/Put. On a bound stream,
+// for table and index pages (the only transactional content):
 //
-//   - an Acquire hook, called before the frame operation (no pool latch
+//   - the Acquire hook runs before the frame operation (no pool latch
 //     held, so it may block): the transaction layer takes its page locks
 //     here, and a lock-manager deadlock surfaces as an error from
 //     Get/Put;
-//   - a Capture hook, called under the pool latch for every page the
-//     transaction installs: it records pre-image and post-image and, by
-//     returning true, pins the frame on behalf of that transaction.
+//   - the transaction's first Put of a page records the first touch:
+//     the frame's content becomes the page's pending version (mvcc.go),
+//     which is at once the transaction's undo image, the base its redo
+//     is encoded against and what snapshot readers see; the frame gains
+//     one pin; and the page joins the transaction's first-touch list.
 //
-// Pins are owned: each frame tracks which transaction holds how many
-// pins, so concurrent mutators coexist under the no-steal contract —
-// a frame with any pins is never evicted or flushed, and only the owner
-// can release its pins (Unpin on commit, Restore on abort).
+// The page's exclusive lock is held from the first touch until the
+// version is sealed, so a transaction's pending version is always the
+// newest on its chain. Touched walks the list for the log, CommitVersions
+// seals it, Release drops the pins after the commit force, and Rollback
+// restores the pre-images on abort. A frame with any pins is never
+// evicted or flushed (no-steal).
 //
 // Frames being written back are latched (entry.flushing): they stay
 // visible in the table during the I/O so concurrent readers never fetch
@@ -78,22 +82,13 @@ type entry struct {
 	uncommitted bool
 
 	// pins counts active transactions holding the frame under the
-	// no-steal policy: a pinned frame is never evicted or flushed, so an
-	// uncommitted page can never reach the storage system before its log
-	// records are durable. owners tracks the per-transaction pin counts
-	// behind the sum.
-	pins   int
-	owners map[int64]int
+	// no-steal policy, one per first touch: a pinned frame is never
+	// evicted or flushed, so an uncommitted page can never reach the
+	// storage system before its log records are durable.
+	pins int
 
 	prev, next *entry
 }
-
-// CaptureFunc observes page installs while a transaction is active. It is
-// called by Put under the pool mutex with the frame's previous content
-// (nil if the page had no frame) and dirty flag, plus the newly installed
-// data; the callback must not call back into the pool. Returning true
-// pins the frame for the owning transaction until Unpin or Restore.
-type CaptureFunc func(tag policy.Tag, page int64, pre []byte, preDirty bool, post []byte) (pin bool)
 
 // AcquireFunc takes the transaction's page lock before a frame access;
 // write selects exclusive mode. It is called without the pool mutex, may
@@ -101,15 +96,17 @@ type CaptureFunc func(tag policy.Tag, page int64, pre []byte, preDirty bool, pos
 type AcquireFunc func(tag policy.Tag, page int64, write bool) error
 
 // TxnHooks bind one active transaction to the pool: its identity, its
-// lock acquisition, and its capture set.
+// lock acquisition, and its first-touch list.
 type TxnHooks struct {
-	// ID is the transaction identifier owning the pins.
+	// ID is the transaction identifier owning the pending versions.
 	ID int64
 	// Acquire, when non-nil, is invoked before every Get (read) and Put
-	// (write) on the bound stream.
+	// (write) of a table or index page on the bound stream.
 	Acquire AcquireFunc
-	// Capture, when non-nil, observes every Put on the bound stream.
-	Capture CaptureFunc
+
+	// touched lists the frames the transaction first-touched, in order.
+	// Only the transaction's own stream appends to it (under p.mu).
+	touched []*entry
 }
 
 // Stats are cumulative buffer pool counters.
@@ -211,7 +208,7 @@ func (p *Pool) Use(set *obs.Set) {
 // BindTxn associates transaction hooks with a session stream: every
 // Get/Put carrying clk runs the hooks until UnbindTxn. One stream runs
 // at most one transaction at a time; concurrent transactions live on
-// distinct streams, each with its own capture set.
+// distinct streams, each with its own first-touch list.
 func (p *Pool) BindTxn(clk *simclock.Clock, h *TxnHooks) {
 	p.txnMu.Lock()
 	p.txns[clk] = h
@@ -258,29 +255,6 @@ func (p *Pool) unlink(e *entry) {
 func (p *Pool) touch(e *entry) {
 	p.unlink(e)
 	p.pushFront(e)
-}
-
-// pin adds one owned pin to the frame. Caller holds p.mu.
-func (e *entry) pin(txn int64) {
-	e.pins++
-	if e.owners == nil {
-		e.owners = make(map[int64]int, 1)
-	}
-	e.owners[txn]++
-}
-
-// unpin releases one pin owned by txn, reporting whether one was held.
-// Caller holds p.mu.
-func (e *entry) unpin(txn int64) bool {
-	if e.owners[txn] <= 0 {
-		return false
-	}
-	e.owners[txn]--
-	if e.owners[txn] == 0 {
-		delete(e.owners, txn)
-	}
-	e.pins--
-	return true
 }
 
 // evictOne writes back the least recently used unpinned page if dirty and
@@ -386,10 +360,10 @@ func (p *Pool) Get(clk *simclock.Clock, tag policy.Tag, page int64) ([]byte, err
 			// bypassing the lock manager entirely.
 			return p.getSnapshot(clk, tag, page, s)
 		}
-	}
-	if h := p.txnFor(clk); h != nil && h.Acquire != nil {
-		if err := h.Acquire(tag, page, false); err != nil {
-			return nil, err
+		if h := p.txnFor(clk); h != nil && h.Acquire != nil {
+			if err := h.Acquire(tag, page, false); err != nil {
+				return nil, err
+			}
 		}
 	}
 	k := key{obj: tag.Object, page: page}
@@ -439,59 +413,42 @@ func (p *Pool) Get(clk *simclock.Clock, tag policy.Tag, page int64) ([]byte, err
 // Put stores new content for (tag.Object, page) and marks the frame
 // dirty. The data is installed by reference; the pool owns it afterwards
 // and the caller must not write into it again (see Get).
-// On a stream with a bound transaction, the transaction's Acquire hook
-// runs first (exclusive mode) and its Capture hook observes the install.
+// On a stream with a bound transaction, a table or index page's Acquire
+// hook runs first (exclusive mode), and the transaction's first Put of
+// the page records its first touch.
 func (p *Pool) Put(clk *simclock.Clock, tag policy.Tag, page int64, data []byte) error {
+	var h *TxnHooks
 	if versioned(tag.Content) {
 		if s, ok := p.snapFor(clk); ok {
 			return fmt.Errorf("bufferpool: snapshot %d: write to page %d/%d on a read-only snapshot stream", s, tag.Object, page)
 		}
-	}
-	h := p.txnFor(clk)
-	if h != nil && h.Acquire != nil {
-		if err := h.Acquire(tag, page, true); err != nil {
-			return err
+		if h = p.txnFor(clk); h != nil && h.Acquire != nil {
+			if err := h.Acquire(tag, page, true); err != nil {
+				return err
+			}
 		}
 	}
 	k := key{obj: tag.Object, page: page}
 	p.mu.Lock()
-	if e, ok := p.table[k]; ok {
-		if h != nil && h.Capture != nil && h.Capture(tag, page, e.data, e.dirty, data) {
-			e.pin(h.ID)
-			if versioned(tag.Content) {
-				// First touch: the frame's committed content becomes a
-				// pending chain version for concurrent snapshot readers.
-				p.pushPendingLocked(h.ID, k, e.verLSN, e.data, false)
-				e.uncommitted = true
-			}
+	e, had := p.table[k]
+	if !had {
+		if err := p.makeRoom(clk); err != nil {
+			p.mu.Unlock()
+			return err
 		}
-		e.data = data
-		e.dirty = true
-		e.version++
-		e.content = tag.Content
+		e = &entry{key: k}
+		p.table[k] = e
+		p.pushFront(e)
+	} else {
 		p.touch(e)
-		p.mu.Unlock()
-		return nil
 	}
-	if err := p.makeRoom(clk); err != nil {
-		p.mu.Unlock()
-		return err
+	if h != nil {
+		p.firstTouchLocked(h, e, had)
 	}
-	e := &entry{key: k, data: data, dirty: true, content: tag.Content, version: 1}
-	if h != nil && h.Capture != nil && h.Capture(tag, page, nil, false, data) {
-		e.pin(h.ID)
-		if versioned(tag.Content) {
-			// No frame held the pre-image. Either the page does not exist
-			// yet (an append extends the object only after this Put), in
-			// which case snapshot readers see zeroes, or its committed
-			// content lives on disk: a nil guard defers to the disk image.
-			absent := page >= p.mgr.Store().Pages(tag.Object)
-			p.pushPendingLocked(h.ID, k, 0, nil, absent)
-			e.uncommitted = true
-		}
-	}
-	p.table[k] = e
-	p.pushFront(e)
+	e.data = data
+	e.dirty = true
+	e.version++
+	e.content = tag.Content
 	p.mu.Unlock()
 	return nil
 }
@@ -556,49 +513,6 @@ func (p *Pool) Invalidate(obj pagestore.ObjectID) {
 			p.unlink(e)
 			delete(p.table, k)
 		}
-	}
-	p.mu.Unlock()
-}
-
-// Unpin releases one pin txn holds on a frame (commit path: the page
-// stays dirty and is flushed lazily now that its log records are
-// durable). Pins the transaction does not own, and unknown pages, are
-// ignored.
-func (p *Pool) Unpin(txn int64, obj pagestore.ObjectID, page int64) {
-	p.mu.Lock()
-	if e, ok := p.table[key{obj: obj, page: page}]; ok {
-		e.unpin(txn)
-	}
-	p.mu.Unlock()
-}
-
-// Restore rewinds a frame to its pre-transaction content and releases
-// txn's pin (abort path). pre == nil means the page had no frame before
-// the transaction touched it: the frame is dropped without write-back, so
-// the storage system never sees the aborted content.
-func (p *Pool) Restore(txn int64, obj pagestore.ObjectID, page int64, pre []byte, preDirty bool) {
-	p.mu.Lock()
-	k := key{obj: obj, page: page}
-	created := p.dropPendingLocked(txn, k)
-	e, ok := p.table[k]
-	if !ok {
-		p.mu.Unlock()
-		return
-	}
-	e.unpin(txn)
-	if pre == nil {
-		p.unlink(e)
-		delete(p.table, e.key)
-	} else {
-		e.data = pre
-		e.dirty = preDirty
-		e.version++
-		if created >= 0 {
-			// The dropped pending version guarded this very content:
-			// restore its commit stamp alongside it.
-			e.verLSN = created
-		}
-		e.uncommitted = false
 	}
 	p.mu.Unlock()
 }

@@ -1,6 +1,7 @@
 package bufferpool
 
 import (
+	"bytes"
 	"testing"
 
 	"hstoragedb/internal/dss"
@@ -214,5 +215,215 @@ func TestDropAll(t *testing.T) {
 	}
 	if p.Capacity() != 8 {
 		t.Fatal("capacity changed")
+	}
+}
+
+// TestFirstTouch holds the pool's first-touch record: a bound
+// transaction's pending version is its undo image and redo base, and the
+// frame pin its no-steal hold, until CommitVersions and Release or
+// Rollback.
+func TestFirstTouch(t *testing.T) {
+	img := func(b byte) []byte { return bytes.Repeat([]byte{b}, 16) }
+	type record struct {
+		page      int64
+		pre, post []byte
+	}
+	touched := func(t *testing.T, p *Pool, h *TxnHooks) []record {
+		t.Helper()
+		var got []record
+		if err := p.Touched(h, func(obj pagestore.ObjectID, page int64, pre, post []byte) error {
+			got = append(got, record{page, pre, post})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	bind := func(p *Pool, id int64) (*simclock.Clock, *TxnHooks) {
+		clk, h := &simclock.Clock{}, &TxnHooks{ID: id}
+		p.BindTxn(clk, h)
+		return clk, h
+	}
+	put := func(t *testing.T, p *Pool, clk *simclock.Clock, page int64, data []byte) {
+		t.Helper()
+		if err := p.Put(clk, tag(1), page, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := func(t *testing.T, p *Pool, page int64) *entry {
+		t.Helper()
+		e, ok := p.table[key{obj: 1, page: page}]
+		if !ok {
+			t.Fatalf("page %d has no frame", page)
+		}
+		return e
+	}
+	// clean installs committed content for pages and writes it back, so
+	// the frames hold it clean.
+	clean := func(t *testing.T, h *harness, p *Pool, pages ...int64) {
+		t.Helper()
+		for _, page := range pages {
+			put(t, p, &h.clk, page, img(byte(page+1)))
+		}
+		if err := p.FlushAll(&h.clk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drained := func(t *testing.T, p *Pool) {
+		t.Helper()
+		if n, vs := p.PinnedFrames(), p.VersionStats(); n != 0 || vs.Versions != 0 || vs.Bytes != 0 {
+			t.Fatalf("%d pinned frames, %+v left", n, vs)
+		}
+	}
+
+	cases := []struct {
+		name string
+		run  func(t *testing.T, h *harness, p *Pool)
+	}{
+		{"re-touch keeps the first pre-image and dirty bit", func(t *testing.T, h *harness, p *Pool) {
+			clean(t, h, p, 0)
+			clk, tx := bind(p, 1)
+			put(t, p, clk, 0, img(7))
+			put(t, p, clk, 0, img(8))
+			got := touched(t, p, tx)
+			if len(got) != 1 || !bytes.Equal(got[0].pre, img(1)) || !bytes.Equal(got[0].post, img(8)) {
+				t.Fatalf("touched %v, want page 0 from %v to %v", got, img(1), img(8))
+			}
+			if e := frame(t, p, 0); e.pins != 1 || !e.uncommitted {
+				t.Fatalf("frame pins %d, uncommitted %v", e.pins, e.uncommitted)
+			}
+			p.Rollback(tx)
+			if e := frame(t, p, 0); !bytes.Equal(e.data, img(1)) || e.dirty || e.uncommitted {
+				t.Fatalf("rolled back to %v (dirty %v, uncommitted %v)", e.data, e.dirty, e.uncommitted)
+			}
+			drained(t, p)
+		}},
+		{"a page with no frame has a nil pre-image and is dropped", func(t *testing.T, h *harness, p *Pool) {
+			clk, tx := bind(p, 1)
+			put(t, p, clk, 0, img(7))
+			if got := touched(t, p, tx); len(got) != 1 || got[0].pre != nil || !bytes.Equal(got[0].post, img(7)) {
+				t.Fatalf("touched %v, want page 0 from nil to %v", got, img(7))
+			}
+			p.Rollback(tx)
+			if p.Len() != 0 {
+				t.Fatal("the aborted page kept its frame")
+			}
+			if err := p.FlushAll(&h.clk); err != nil {
+				t.Fatal(err)
+			}
+			if h.store.Pages(1) != 0 {
+				t.Fatal("the aborted page was written back")
+			}
+			drained(t, p)
+		}},
+		{"a touch after a seal, before the release", func(t *testing.T, h *harness, p *Pool) {
+			clk1, t1 := bind(p, 1)
+			put(t, p, clk1, 0, img(1))
+			p.CommitVersions(t1, 10, 0)
+			clk2, t2 := bind(p, 2)
+			put(t, p, clk2, 0, img(2))
+			if e := frame(t, p, 0); e.pins != 2 {
+				t.Fatalf("%d pins, want one per transaction", e.pins)
+			}
+			p.Release(t1)
+			if e := frame(t, p, 0); e.pins != 1 {
+				t.Fatalf("T1's release left %d pins, want T2's", e.pins)
+			}
+			if got := touched(t, p, t2); len(got) != 1 || !bytes.Equal(got[0].pre, img(1)) {
+				t.Fatalf("T2 touched %v, want page 0 from T1's image", got)
+			}
+			p.Rollback(t2)
+			if e := frame(t, p, 0); !bytes.Equal(e.data, img(1)) || e.verLSN != 10 || e.pins != 0 || e.uncommitted {
+				t.Fatalf("rolled back to %v at LSN %d (pins %d, uncommitted %v), want T1's image at 10",
+					e.data, e.verLSN, e.pins, e.uncommitted)
+			}
+			if vs := p.VersionStats(); vs.Versions != 1 {
+				t.Fatalf("%d versions, want T1's sealed one", vs.Versions)
+			}
+		}},
+		{"a reloaded frame rolls back to the chain horizon", func(t *testing.T, h *harness, p *Pool) {
+			clk1, t1 := bind(p, 1)
+			put(t, p, clk1, 0, img(1))
+			p.CommitVersions(t1, 10, 0)
+			p.Release(t1)
+			// Page 0 is written back and read in again: the frame no
+			// longer knows it was committed at 10, the chain does.
+			for page := int64(1); page <= 8; page++ {
+				if _, err := p.Get(&h.clk, tag(1), page); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := p.Get(&h.clk, tag(1), 0); err != nil {
+				t.Fatal(err)
+			}
+			if e := frame(t, p, 0); e.verLSN != 0 {
+				t.Fatalf("reloaded frame at LSN %d", e.verLSN)
+			}
+			clk2, t2 := bind(p, 2)
+			put(t, p, clk2, 0, img(2))
+			p.Rollback(t2)
+			if e := frame(t, p, 0); !bytes.Equal(e.data[:16], img(1)) || e.verLSN != 10 {
+				t.Fatalf("rolled back to %v at LSN %d, want T1's image at 10", e.data[:16], e.verLSN)
+			}
+		}},
+		{"rollback runs in reverse first-touch order", func(t *testing.T, h *harness, p *Pool) {
+			// One record per page: the order leaves no trace in the frames,
+			// so the row holds the list's order as Touched reports it, and
+			// that the reverse walk restores every record on it.
+			clean(t, h, p, 0, 2)
+			clk, tx := bind(p, 1)
+			for _, page := range []int64{2, 1, 0} {
+				put(t, p, clk, page, img(9))
+			}
+			got := touched(t, p, tx)
+			if len(got) != 3 || got[0].page != 2 || got[1].page != 1 || got[2].page != 0 ||
+				!bytes.Equal(got[0].pre, img(3)) || got[1].pre != nil || !bytes.Equal(got[2].pre, img(1)) {
+				t.Fatalf("touched %v, want pages 2, 1, 0 from their first images", got)
+			}
+			p.Rollback(tx)
+			if p.Len() != 2 || !bytes.Equal(frame(t, p, 0).data, img(1)) || !bytes.Equal(frame(t, p, 2).data, img(3)) {
+				t.Fatal("rollback did not restore every first-touch image")
+			}
+			drained(t, p)
+		}},
+		{"after DropAll every call skips the missing records", func(t *testing.T, h *harness, p *Pool) {
+			clean(t, h, p, 0, 1)
+			clk1, t1 := bind(p, 1)
+			put(t, p, clk1, 0, img(7))
+			put(t, p, clk1, 2, img(7))
+			clk2, t2 := bind(p, 2)
+			put(t, p, clk2, 1, img(7))
+			p.DropAll()
+			// A reader brings pages 0 and 1 back in new frames.
+			for _, page := range []int64{0, 1} {
+				if _, err := p.Get(&h.clk, tag(1), page); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := touched(t, p, t1); len(got) != 0 {
+				t.Fatalf("touched %v after DropAll", got)
+			}
+			p.CommitVersions(t1, 10, 0)
+			if e := frame(t, p, 0); e.verLSN != 0 {
+				t.Fatalf("a gone record stamped the new frame with LSN %d", e.verLSN)
+			}
+			p.Rollback(t1)
+			p.Release(t2)
+			for _, page := range []int64{0, 1} {
+				if e := frame(t, p, page); !bytes.Equal(e.data[:16], img(byte(page+1))) || e.pins != 0 {
+					t.Fatalf("new frame of page %d: %v with %d pins", page, e.data[:16], e.pins)
+				}
+			}
+			if p.Len() != 2 {
+				t.Fatalf("%d frames, want the reader's two", p.Len())
+			}
+			drained(t, p)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h := newHarness(t)
+			c.run(t, h, New(h.mgr, 8))
+		})
 	}
 }

@@ -1,12 +1,14 @@
 // Version store: copy-on-write page snapshots for MVCC snapshot reads.
 //
 // The buffer pool keeps, per page, a chain of superseded committed
-// images. A mutating transaction's first touch of a page (the same
-// first-touch event that records its no-steal pre-image) pushes the
+// images. A mutating transaction's first touch of a page pushes the
 // frame's committed content onto the page's chain as a *pending*
-// version; commit seals it with the transaction's commit LSN, abort
-// removes it. A snapshot reader bound with BindSnapshot resolves every
-// Get of transactional content against its snapshot LSN S:
+// version, the transaction's one record of that page: its undo image,
+// the base its redo is encoded against, and (with the frame pin) its
+// no-steal hold. Commit seals it with the transaction's commit LSN,
+// abort restores the frame from it and removes it. A snapshot reader
+// bound with BindSnapshot resolves every Get of transactional content
+// against its snapshot LSN S:
 //
 //   - the newest chain version with created <= S decides: if its
 //     superseded LSN is still open (pending) or past S, that version IS
@@ -44,14 +46,6 @@ import (
 	"hstoragedb/internal/simclock"
 )
 
-// PageRef names one page whose pending version a commit seals.
-type PageRef struct {
-	// Obj is the owning storage object.
-	Obj pagestore.ObjectID
-	// Page is the page number within the object.
-	Page int64
-}
-
 // pageVersion is one entry of a page's version chain: a committed image
 // superseded (or about to be superseded) by a later commit.
 type pageVersion struct {
@@ -59,6 +53,7 @@ type pageVersion struct {
 	superseded int64 // commit LSN that replaced it; 0 while the owner runs
 	owner      int64 // transaction holding the pending entry (0 once sealed)
 	absent     bool  // the page did not exist at this version
+	preDirty   bool  // pending: the frame was dirty at the first touch
 	data       []byte
 }
 
@@ -138,48 +133,81 @@ func (p *Pool) activeSnaps() []int64 {
 	return out
 }
 
-// pushPendingLocked opens a pending version holding the frame's
-// pre-transaction content. frameLSN is the LSN the content was committed
-// at (raised to the chain horizon when the frame had been evicted and
-// reloaded since, which loses the stamp). Caller holds p.mu.
-func (p *Pool) pushPendingLocked(txn int64, k key, frameLSN int64, pre []byte, absent bool) {
-	created := frameLSN
-	chain := p.versions[k]
-	if n := len(chain); n > 0 && chain[n-1].superseded > created {
-		created = chain[n-1].superseded
+// firstTouchLocked records h's first touch of frame e's page, before a
+// Put installs over it: the frame's content becomes the page's pending
+// version, the frame gains a pin, and the page joins h's first-touch
+// list. A page whose newest version h already owns was touched before.
+// had reports whether the frame existed before this Put; without one,
+// either the page does not exist yet (an append extends the object only
+// after this Put), so snapshot readers see zeroes, or its committed
+// content lives on disk: a nil guard defers to the disk image. The
+// pending version's created LSN is the frame's commit stamp, raised to
+// the chain horizon (a frame evicted and reloaded since loses the stamp).
+// Caller holds p.mu.
+func (p *Pool) firstTouchLocked(h *TxnHooks, e *entry, had bool) {
+	chain := p.versions[e.key]
+	n := len(chain)
+	if n > 0 && chain[n-1].owner == h.ID {
+		return
 	}
-	p.versions[k] = append(chain, pageVersion{
-		created: created, owner: txn, absent: absent, data: pre,
-	})
-	p.verBytes += int64(len(pre))
+	v := pageVersion{owner: h.ID}
+	if had {
+		v.created, v.data, v.preDirty = e.verLSN, e.data, e.dirty
+	} else {
+		v.absent = e.key.page >= p.mgr.Store().Pages(e.key.obj)
+	}
+	if n > 0 && chain[n-1].superseded > v.created {
+		v.created = chain[n-1].superseded
+	}
+	p.versions[e.key] = append(chain, v)
+	p.verBytes += int64(len(v.data))
 	p.mVersions.Add(1)
-	p.mVerBytes.Add(int64(len(pre)))
+	p.mVerBytes.Add(int64(len(v.data)))
+	e.pins++
+	e.uncommitted = true
+	h.touched = append(h.touched, e)
 }
 
-// dropPendingLocked removes txn's pending version of a page (abort path)
-// and returns the created LSN it guarded, or -1 if none was open.
-// Caller holds p.mu.
-func (p *Pool) dropPendingLocked(txn int64, k key) int64 {
-	chain := p.versions[k]
-	for i := len(chain) - 1; i >= 0; i-- {
-		if chain[i].superseded == 0 && chain[i].owner == txn {
-			created := chain[i].created
-			p.verBytes -= int64(len(chain[i].data))
-			p.mVersions.Add(-1)
-			p.mVerBytes.Add(-int64(len(chain[i].data)))
-			chain = append(chain[:i], chain[i+1:]...)
-			if len(chain) == 0 {
-				delete(p.versions, k)
-			} else {
-				p.versions[k] = chain
-			}
-			return created
+// pendingLocked returns h's pending version of frame e's page: the
+// newest on its chain, since the page lock is held from the first touch
+// until the seal. It returns nil when the record is gone, because a
+// crash dropped the pool (chains and frames together) under the running
+// transaction; while the record stands, the pin keeps e in the pool.
+// The pointer is valid only while p.mu is held: pruning compacts chains
+// in place.
+func (p *Pool) pendingLocked(h *TxnHooks, e *entry) *pageVersion {
+	chain := p.versions[e.key]
+	if n := len(chain); n > 0 && chain[n-1].owner == h.ID {
+		return &chain[n-1]
+	}
+	return nil
+}
+
+// Touched calls fn for every page the transaction bound by h has
+// first-touched, in first-touch order, with the page's pre-image (nil:
+// the page had no frame) and its current frame content, and stops at
+// fn's first error. fn runs without the pool latch, so it may do I/O.
+// Records that are gone (see pendingLocked) are skipped.
+func (p *Pool) Touched(h *TxnHooks, fn func(obj pagestore.ObjectID, page int64, pre, post []byte) error) error {
+	for _, e := range h.touched {
+		p.mu.Lock()
+		var pre, post []byte
+		v := p.pendingLocked(h, e)
+		if v != nil {
+			pre, post = v.data, e.data
+		}
+		p.mu.Unlock()
+		if v == nil {
+			continue
+		}
+		if err := fn(e.key.obj, e.key.page, pre, post); err != nil {
+			return err
 		}
 	}
-	return -1
+	return nil
 }
 
-// CommitVersions seals txn's pending versions with its commit LSN and
+// CommitVersions seals h's pending versions with its commit LSN and
 // stamps the frames as committed at that LSN. It must be called while
 // the commit order is still pinned (the transaction layer holds its
 // commit-sequence mutex), so chain seal order matches commit-LSN order:
@@ -187,30 +215,78 @@ func (p *Pool) dropPendingLocked(txn int64, k key) int64 {
 // seal could miss a version it is entitled to. watermark is the current
 // published commit watermark, used to opportunistically prune the
 // just-sealed chains; it must have been read before the call, i.e.
-// before activeSnaps below (BindSnapshot relies on that order).
-func (p *Pool) CommitVersions(txn, commitLSN, watermark int64, pages []PageRef) {
-	if len(pages) == 0 {
+// before activeSnaps below (BindSnapshot relies on that order). The
+// pins stay until Release.
+func (p *Pool) CommitVersions(h *TxnHooks, commitLSN, watermark int64) {
+	if len(h.touched) == 0 {
 		return
 	}
 	snaps := p.activeSnaps()
 	p.mu.Lock()
-	for _, r := range pages {
-		k := key{obj: r.Obj, page: r.Page}
-		if e, ok := p.table[k]; ok {
-			e.verLSN = commitLSN
-			e.uncommitted = false
+	for _, e := range h.touched {
+		v := p.pendingLocked(h, e)
+		if v == nil {
+			continue
 		}
-		chain := p.versions[k]
-		for i := len(chain) - 1; i >= 0; i-- {
-			if chain[i].superseded == 0 && chain[i].owner == txn {
-				chain[i].superseded = commitLSN
-				chain[i].owner = 0
-				break
-			}
-		}
-		p.pruneChainLocked(k, watermark, snaps)
+		v.superseded, v.owner = commitLSN, 0
+		e.verLSN = commitLSN
+		e.uncommitted = false
+		p.pruneChainLocked(e.key, watermark, snaps)
 	}
 	p.mu.Unlock()
+}
+
+// Release drops the pins of h's first touches and empties its list
+// (commit path, once the log records are durable: the frames stay dirty
+// and are flushed lazily). A frame a crash dropped is out of the pool,
+// so its count no longer matters; a new frame of the page is another
+// entry and keeps its own pins.
+func (p *Pool) Release(h *TxnHooks) {
+	p.mu.Lock()
+	for _, e := range h.touched {
+		e.pins--
+	}
+	p.mu.Unlock()
+	h.touched = h.touched[:0]
+}
+
+// Rollback rewinds every page h first-touched to its pre-image, newest
+// first, dropping the pending versions and the pins, and empties the
+// list (abort path). A page that had no frame before the transaction is
+// dropped without write-back, so the storage system never sees the
+// aborted content. Records that are gone (see pendingLocked) are skipped.
+func (p *Pool) Rollback(h *TxnHooks) {
+	p.mu.Lock()
+	for i := len(h.touched) - 1; i >= 0; i-- {
+		e := h.touched[i]
+		v := p.pendingLocked(h, e)
+		if v == nil {
+			continue
+		}
+		pre, preDirty, created := v.data, v.preDirty, v.created
+		chain := p.versions[e.key]
+		if len(chain) == 1 {
+			delete(p.versions, e.key)
+		} else {
+			p.versions[e.key] = chain[:len(chain)-1]
+		}
+		p.verBytes -= int64(len(pre))
+		p.mVersions.Add(-1)
+		p.mVerBytes.Add(-int64(len(pre)))
+		e.pins--
+		if pre == nil {
+			p.unlink(e)
+			delete(p.table, e.key)
+			continue
+		}
+		e.data = pre
+		e.dirty = preDirty
+		e.version++
+		e.verLSN = created
+		e.uncommitted = false
+	}
+	p.mu.Unlock()
+	h.touched = h.touched[:0]
 }
 
 // PruneVersions sweeps every chain, dropping versions no active snapshot
@@ -322,7 +398,7 @@ func (p *Pool) getSnapshot(clk *simclock.Clock, tag policy.Tag, page int64, s in
 }
 
 // readSnapshotMiss reads the page from the storage system for a snapshot
-// reader and re-resolves afterwards: a writer may have captured or
+// reader and re-resolves afterwards: a writer may have first-touched or
 // committed the page while the I/O was in flight, in which case the
 // chain — which then covers the snapshot — wins over the possibly-newer
 // disk image. install controls whether the frame is populated (a

@@ -19,7 +19,7 @@ type HashAgg struct {
 	GroupKey func(key []byte, t catalog.Tuple) []byte
 	// NewGroup builds the initial accumulator, a new tuple, from a group's
 	// first tuple. It may copy string datums of t as they are: HashAgg
-	// takes ownership of the accumulator's strings once per group.
+	// makes the accumulator's strings its own once per group.
 	NewGroup func(catalog.Tuple) catalog.Tuple
 	// Merge folds a tuple into an accumulator (in place or returning a
 	// new accumulator). t is borrowed.

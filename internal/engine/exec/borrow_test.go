@@ -14,7 +14,7 @@ func kvRow(k int64) catalog.Tuple {
 	return catalog.Tuple{catalog.IntDatum(k), catalog.StringDatum(fmt.Sprintf("v%d", k)), catalog.IntDatum(k % 7)}
 }
 
-// TestKeptRowsAreOwned is the ownership contract of the executor: a row
+// TestKeptRowsAreOwned is the row-keeping contract of the executor: a row
 // crossing Operator.Next is borrowed, and every place that keeps one
 // (Run's result, a hash join's build table in memory and reloaded from a
 // partition, Sort in memory and merging runs, TopN, HashAgg's

@@ -27,19 +27,22 @@
 // wait at all, and a snapshot observes exactly the transactions whose
 // commit records were durable when it began.
 //
-// The design matches the WAL's redo-only recovery contract:
+// The design matches the WAL's redo-only recovery contract. A Txn keeps
+// no page state of its own: the buffer pool records each page's first
+// touch as its pending version, and the Txn holds only the hooks that
+// name it (bufferpool.TxnHooks).
 //
-//   - While a mutating transaction runs, its per-transaction capture set
-//     records, for every page it installs, the first-touch pre-image (for
-//     abort) and the latest post-image, and pins the frame on the
-//     transaction's behalf: the no-steal policy that guarantees
-//     uncommitted pages never reach the storage system.
-//   - Commit hands the log both images of every touched page — the log
-//     records the bytes that changed — plus a commit record, releases the
-//     locks, then joins a commit batch: concurrent committers share a
-//     single log force (their commit records amortize one flush), and a
-//     commit covered by the group window pays only the wait. Only after
-//     the force are the frames unpinned for lazy write-back.
+//   - While a mutating transaction runs, the pool keeps, for every page
+//     it installs, the first-touch pre-image as the pending version and
+//     pins the frame on the transaction's behalf: the no-steal policy
+//     that guarantees uncommitted pages never reach the storage system.
+//   - Commit hands the log both images of every touched page — the
+//     pending version and the frame; the log records the bytes that
+//     changed — plus a commit record, releases the locks, then joins a
+//     commit batch: concurrent committers share a single log force
+//     (their commit records amortize one flush), and a commit covered by
+//     the group window pays only the wait. Only after the force are the
+//     frames unpinned for lazy write-back.
 //   - Abort restores the pre-images in reverse order; nothing needs
 //     undoing on disk because nothing uncommitted ever got there.
 //   - Checkpoints take a drain barrier: new transactions are held at
@@ -235,22 +238,6 @@ func (m *Manager) Checkpoint(sess *engine.Session) error {
 	return nil
 }
 
-type pageKey struct {
-	obj  pagestore.ObjectID
-	page int64
-}
-
-// preimage is one page the transaction wrote: its first-touch state, for
-// abort and as the base the log encodes the page's change against, and
-// its latest image, for the log.
-type preimage struct {
-	obj      pagestore.ObjectID
-	page     int64
-	pre      []byte // nil: the page had no frame before this transaction
-	preDirty bool
-	post     []byte
-}
-
 // Txn is one transaction. A mutating transaction is bound to its
 // session's stream and holds its page locks from first touch until
 // Commit or Abort (strict two-phase locking). A Txn is driven by one
@@ -260,9 +247,10 @@ type Txn struct {
 	sess     *engine.Session
 	id       int64
 	readOnly bool
-	touched  map[pageKey]int // index into pres
-	pres     []preimage
 	finished bool
+	// hooks bind the transaction to its stream; the pool keeps its
+	// first-touch list there.
+	hooks *bufferpool.TxnHooks
 
 	// 2PC participant state: set by Prepare, cleared by CommitPrepared
 	// or Abort. While prepared, the transaction holds its locks and pins
@@ -290,21 +278,13 @@ func (m *Manager) Begin(sess *engine.Session) (*Txn, error) {
 		m.gate.RUnlock()
 		return nil, ErrCrashed
 	}
-	t := &Txn{
-		m:       m,
-		sess:    sess,
-		id:      m.log.NextTxnID(),
-		touched: make(map[pageKey]int),
-	}
+	t := &Txn{m: m, sess: sess, id: m.log.NextTxnID()}
 	if _, err := m.log.Append(&sess.Clk, wal.Record{Txn: t.id, Kind: wal.KindBegin}); err != nil {
 		m.gate.RUnlock()
 		return nil, err
 	}
-	m.inst.Pool.BindTxn(&sess.Clk, &bufferpool.TxnHooks{
-		ID:      t.id,
-		Acquire: t.acquire,
-		Capture: t.capture,
-	})
+	t.hooks = &bufferpool.TxnHooks{ID: t.id, Acquire: t.acquire}
+	m.inst.Pool.BindTxn(&sess.Clk, t.hooks)
 	return t, nil
 }
 
@@ -319,13 +299,10 @@ func (m *Manager) BeginRead(sess *engine.Session) *Txn {
 func (t *Txn) ID() int64 { return t.id }
 
 // acquire is the buffer pool lock hook: it takes the page lock (shared
-// for reads, exclusive for writes) before the frame access. Temporary
-// and log pages are not transactional data and are never locked. A
-// deadlock propagates out of the pool call as lockmgr.ErrDeadlock.
+// for reads, exclusive for writes) before the access to a table or index
+// frame. A deadlock propagates out of the pool call as
+// lockmgr.ErrDeadlock.
 func (t *Txn) acquire(tag policy.Tag, page int64, write bool) error {
-	if tag.Content == policy.Temp || tag.Content == policy.Log {
-		return nil
-	}
 	mode := lockmgr.Shared
 	if write {
 		mode = lockmgr.Exclusive
@@ -361,28 +338,6 @@ func (t *Txn) LockScan(obj pagestore.ObjectID) error {
 		return nil
 	}
 	return t.m.lm.AcquireClk(t.id, lockmgr.PageID{Obj: obj, Page: -1}, lockmgr.Shared, &t.sess.Clk)
-}
-
-// capture is the buffer pool hook: it runs under the pool mutex for every
-// page installed while this transaction is active. The returned pin keeps
-// first-touched frames in memory until the commit force (no-steal).
-func (t *Txn) capture(tag policy.Tag, page int64, pre []byte, preDirty bool, post []byte) bool {
-	if tag.Content == policy.Temp || tag.Content == policy.Log {
-		// Not transactional data: temporary spills may belong to a
-		// concurrent query session (pinning, logging, or rolling them
-		// back would corrupt it), and WAL pages manage their own
-		// durability.
-		return false
-	}
-	k := pageKey{obj: tag.Object, page: page}
-	i, seen := t.touched[k]
-	if !seen {
-		i = len(t.pres)
-		t.touched[k] = i
-		t.pres = append(t.pres, preimage{obj: k.obj, page: page, pre: pre, preDirty: preDirty})
-	}
-	t.pres[i].post = post
-	return !seen
 }
 
 // Commit, Prepare and CommitPrepared compose the same steps — walPhase
@@ -509,21 +464,19 @@ func (t *Txn) walPhase(kind wal.Kind, gtid int64, images bool) (lsn wal.LSN, err
 }
 
 // logImages appends one record per touched page, in first-touch order:
-// its final image against its first-touch image, which the log encodes
-// as the bytes that changed. Intermediate images need no record, because
-// the page locks are held until after the decision record, so a page's
-// versions across transactions follow the log order. last is the LSN of
-// the last record.
+// its final image (the frame) against its first-touch image (the pending
+// version), which the log encodes as the bytes that changed.
+// Intermediate images need no record, because the page locks are held
+// until after the decision record, so a page's versions across
+// transactions follow the log order. last is the LSN of the last record.
 func (t *Txn) logImages() (last wal.LSN, err error) {
-	for _, p := range t.pres {
+	err = t.m.inst.Pool.Touched(t.hooks, func(obj pagestore.ObjectID, page int64, pre, post []byte) (err error) {
 		last, err = t.m.log.Append(&t.sess.Clk, wal.Record{
-			Txn: t.id, Kind: wal.KindPage, Obj: p.obj, Page: p.page, Image: p.post, Pre: p.pre,
+			Txn: t.id, Kind: wal.KindPage, Obj: obj, Page: page, Image: post, Pre: pre,
 		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	return last, nil
+		return err
+	})
+	return last, err
 }
 
 // decide is the commit decision point, inside walPhase: under seqMu the
@@ -560,7 +513,7 @@ func (t *Txn) decide(kind wal.Kind, gtid int64, flushImages bool, last wal.LSN) 
 		// while the commit order is still pinned by seqMu: chains then seal
 		// in commit-LSN order, so a snapshot taken at any watermark observes
 		// a prefix-consistent version history.
-		m.inst.Pool.CommitVersions(t.id, int64(lsn), int64(m.log.CommitWatermark()), t.pageRefs())
+		m.inst.Pool.CommitVersions(t.hooks, int64(lsn), int64(m.log.CommitWatermark()))
 	}
 	m.seqMu.Unlock()
 	return lsn, err
@@ -585,9 +538,7 @@ func (t *Txn) releaseAndForce(lsn wal.LSN) error {
 		// snapshots may begin at (or past) this commit.
 		m.log.PublishCommit(lsn)
 	}
-	for _, p := range t.pres {
-		m.inst.Pool.Unpin(t.id, p.obj, p.page)
-	}
+	m.inst.Pool.Release(t.hooks)
 	m.gate.RUnlock()
 	return err
 }
@@ -602,23 +553,10 @@ func (t *Txn) releaseAndForce(lsn wal.LSN) error {
 func (t *Txn) unwind(restore bool) {
 	t.finished = true
 	if restore {
-		t.restoreFrames()
+		t.m.inst.Pool.Rollback(t.hooks)
 	}
 	t.m.lm.ReleaseAllAt(t.id, t.sess.Clk.Now())
 	t.m.gate.RUnlock()
-}
-
-// pageRefs lists the pages of the transaction's first-touch capture set
-// (the pages whose pending chain versions it owns).
-func (t *Txn) pageRefs() []bufferpool.PageRef {
-	if len(t.pres) == 0 {
-		return nil
-	}
-	refs := make([]bufferpool.PageRef, 0, len(t.pres))
-	for _, p := range t.pres {
-		refs = append(refs, bufferpool.PageRef{Obj: p.obj, Page: p.page})
-	}
-	return refs
 }
 
 // groupFlush makes lsn durable through the commit batch: the first
@@ -667,15 +605,6 @@ func (m *Manager) groupFlush(clk *simclock.Clock, lsn wal.LSN) error {
 	return b.err
 }
 
-// restoreFrames rewinds every touched frame to its pre-image in reverse
-// order, releasing the pins.
-func (t *Txn) restoreFrames() {
-	for i := len(t.pres) - 1; i >= 0; i-- {
-		p := t.pres[i]
-		t.m.inst.Pool.Restore(t.id, p.obj, p.page, p.pre, p.preDirty)
-	}
-}
-
 // Abort rolls the transaction back by restoring every touched frame to
 // its pre-image (reverse order), releasing the pins and the page locks.
 // The disk needs no undo: the no-steal pool never let uncommitted pages
@@ -692,7 +621,7 @@ func (t *Txn) Abort() error {
 	}
 	m := t.m
 	m.inst.Pool.UnbindTxn(&t.sess.Clk)
-	t.restoreFrames()
+	m.inst.Pool.Rollback(t.hooks)
 	m.lm.ReleaseAllAt(t.id, t.sess.Clk.Now())
 	rec := wal.Record{Txn: t.id, Kind: wal.KindAbort}
 	if t.prepared {

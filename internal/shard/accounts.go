@@ -152,10 +152,12 @@ func (a *Accounts) Add(t *Txn, key, delta int64) error {
 }
 
 // Transfer moves amount from one account to another inside the routed
-// transaction, touching the two accounts in ascending key order — the
-// global ordering discipline that keeps cross-shard lock acquisition
-// cycle-free (per-shard deadlock detectors cannot see a cycle that
-// spans shards).
+// transaction, touching the two accounts in ascending key order. The
+// order does not keep cross-shard lock acquisition cycle-free: locks are
+// on pages, and ascending keys need not give ascending heap or
+// index-leaf pages on each shard, so two transfers can wait on each
+// other across shards, where no per-shard deadlock detector sees the
+// cycle (see the package comment).
 func (a *Accounts) Transfer(t *Txn, from, to, amount int64) error {
 	lo, loDelta, hi, hiDelta := from, -amount, to, amount
 	if hi < lo {

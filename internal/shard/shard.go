@@ -32,12 +32,13 @@
 // log — commit if a durable decide-commit record exists for its GTID,
 // abort otherwise.
 //
-// Cross-shard transactions must touch shards in a consistent global
-// order (the router's Transfer-style workloads sort keys first): each
-// shard's lock manager detects deadlocks only within its own wait
-// graph, so an ordering discipline — not distributed detection — is
-// what excludes cross-shard cycles, exactly as in production systems
-// that shard a single-node lock manager.
+// Each shard's lock manager detects deadlocks only within its own wait
+// graph, and nothing detects a cycle that spans shards: cross-shard
+// cycles go undetected today (ROADMAP.md, item 1). Touching keys in
+// ascending order (Accounts.Transfer does) does not exclude them,
+// because locks are on pages, and ascending keys do not give ascending
+// heap or index-leaf pages on each shard. Such a cycle is why
+// TestConcurrentTransfersConserveTotal can hang.
 package shard
 
 import (
