@@ -24,7 +24,8 @@ race:
 # edits, a shifted B-tree leaf, a heap append, an unchanged page, no
 # pre-image; with the redo bytes) and with the record append around it
 # (wal), a transaction's commit and abort over 1, 8 and 64 pages (txn),
-# the LSM's page write through flushes and compactions and its
+# a dirty page's Put, eviction and write-back into the store
+# (bufferpool), the LSM's page write through flushes and compactions and its
 # memtable and tree reads (lsm), and the construction of the 22 TPC-H
 # plans (tpch). The scheduler set includes a superseding background
 # write against 1k-100k queued requests. CI runs every one of them once
@@ -37,7 +38,7 @@ race:
 #   benchstat old.txt new.txt
 bench:
 	{ $(GO) test ./internal/iosched ./internal/engine/heap ./internal/engine/btree ./internal/engine/exec ./internal/engine/wal \
-		./internal/engine/txn ./internal/lsm -run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
+		./internal/engine/txn ./internal/engine/bufferpool ./internal/lsm -run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
 	  $(GO) test ./internal/tpch -run '^$$' -bench Plan -benchmem -count $(BENCH_COUNT) && \
 	  $(GO) test ./internal/iosched \
 		-run '^$$' -bench SubmitParallel -cpu 1,2,4 -benchmem -count $(BENCH_COUNT); } | tee $(BENCH_OUT)

@@ -162,7 +162,7 @@ func (n node) rank(key int64, orEqual bool) int {
 // removed at i and the encoded entries ins put in their place.
 func (n node) splice(i, del int, ins []byte) []byte {
 	off := leafHeader + i*n.size()
-	buf := make([]byte, 0, n.end()-del*n.size()+len(ins))
+	buf := pagestore.NewPage(n.end() - del*n.size() + len(ins))[:0]
 	buf = append(buf, n.data[:off]...)
 	buf = append(buf, ins...)
 	buf = append(buf, n.data[off+del*n.size():n.end()]...)
@@ -192,7 +192,7 @@ func (n node) split(rightPage int64) (left, right []byte, sep int64) {
 // image allocates a node image of count entries under a set header; the
 // entries are the caller's to fill.
 func image(typ byte, count int, word int64) []byte {
-	buf := make([]byte, leafHeader+count*node{leaf: typ == nodeLeaf}.size())
+	buf := pagestore.NewPage(leafHeader + count*node{leaf: typ == nodeLeaf}.size())
 	buf[0] = typ
 	binary.LittleEndian.PutUint16(buf[1:], uint16(count))
 	binary.LittleEndian.PutUint64(buf[3:], uint64(word))
@@ -214,7 +214,7 @@ func putSep(b []byte, key, child int64) {
 }
 
 func encodeMeta(root int64, pages int64) []byte {
-	buf := make([]byte, 20)
+	buf := make([]byte, 20) // Put on every Insert: a page each costs more than the store's copy
 	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
 	binary.LittleEndian.PutUint64(buf[4:], uint64(root))
 	binary.LittleEndian.PutUint64(buf[12:], uint64(pages))

@@ -17,6 +17,7 @@ import (
 	"hstoragedb/internal/engine/bufferpool"
 	"hstoragedb/internal/engine/catalog"
 	"hstoragedb/internal/engine/policy"
+	"hstoragedb/internal/pagestore"
 	"hstoragedb/internal/simclock"
 )
 
@@ -347,12 +348,21 @@ func (r *recording) settle() {
 }
 
 // sameImage fails unless got equals want byte for byte, with the same
-// length and capacity.
+// length, and has the capacity every node image is built with: a page, or
+// its length if longer (an over-full image a split cuts in two), so that
+// the store keeps a written-back node instead of copying it.
 func sameImage(t testing.TB, what string, got, want []byte) {
 	t.Helper()
-	if !bytes.Equal(got, want) || len(got) != len(want) || cap(got) != cap(want) {
-		t.Fatalf("%s: image of %d bytes (cap %d), reference %d (cap %d)\n got %x\nwant %x",
-			what, len(got), cap(got), len(want), cap(want), got, want)
+	sameBytes(t, what, got, want, max(pagestore.PageSize, len(want)))
+}
+
+// sameBytes fails unless got equals want byte for byte, with the same
+// length, and has capacity wantCap.
+func sameBytes(t testing.TB, what string, got, want []byte, wantCap int) {
+	t.Helper()
+	if !bytes.Equal(got, want) || len(got) != len(want) || cap(got) != wantCap {
+		t.Fatalf("%s: image of %d bytes (cap %d), reference %d (want cap %d)\n got %x\nwant %x",
+			what, len(got), cap(got), len(want), wantCap, got, want)
 	}
 }
 
@@ -440,7 +450,13 @@ func (p *editPair) check(op string, all bool) {
 				op, i, e[i].tag, e[i].page, e[i].write, r[i].tag, r[i].page, r[i].write)
 		}
 		if e[i].write {
-			sameImage(t, fmt.Sprintf("%s: put %d (page %d)", op, i, e[i].page), e[i].img, r[i].img)
+			what := fmt.Sprintf("%s: put %d (page %d)", op, i, e[i].page)
+			if e[i].page == 0 {
+				// The meta page, Put on every insert, keeps its length.
+				sameBytes(t, what, e[i].img, r[i].img, len(r[i].img))
+			} else {
+				sameImage(t, what, e[i].img, r[i].img)
+			}
 			puts++
 		} else if leaf < 0 && i > 0 && e[i].page == e[i-1].page {
 			leaf = e[i].page // a delete opens the leaf its descent ended on

@@ -412,7 +412,8 @@ func (p *Pool) Get(clk *simclock.Clock, tag policy.Tag, page int64) ([]byte, err
 
 // Put stores new content for (tag.Object, page) and marks the frame
 // dirty. The data is installed by reference; the pool owns it afterwards
-// and the caller must not write into it again (see Get).
+// and the caller must not write into it again (see Get); the store keeps
+// it too on write-back if it was built in pagestore.NewPage.
 // On a stream with a bound transaction, a table or index page's Acquire
 // hook runs first (exclusive mode), and the transaction's first Put of
 // the page records its first touch.

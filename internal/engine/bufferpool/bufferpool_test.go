@@ -19,7 +19,7 @@ type harness struct {
 	clk   simclock.Clock
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t testing.TB) *harness {
 	t.Helper()
 	store := pagestore.NewStore()
 	if err := store.Create(1); err != nil {

@@ -149,7 +149,7 @@ func (tf *TempFile) Append(c *Ctx, t catalog.Tuple) error {
 		return fmt.Errorf("exec: append to deleted temp file %d", tf.ID)
 	}
 	if tf.buf == nil {
-		tf.buf = make([]byte, tempHeader, pagestore.PageSize)
+		tf.buf = pagestore.NewPage(tempHeader)
 	}
 	l := recordLen(t)
 	need := 2 + l
@@ -173,7 +173,7 @@ func (tf *TempFile) flush(c *Ctx) error {
 		return err
 	}
 	tf.pages++
-	tf.buf = make([]byte, tempHeader, pagestore.PageSize)
+	tf.buf = pagestore.NewPage(tempHeader)
 	tf.count = 0
 	return nil
 }

@@ -104,7 +104,7 @@ func (f *File) NewTailAppender(clk *simclock.Clock, pool *bufferpool.Pool, pages
 		}
 	}
 	a.page = pages - 1
-	a.buf = append(make([]byte, 0, pagestore.PageSize), data[:c.off]...)
+	a.buf = append(pagestore.NewPage(0), data[:c.off]...)
 	a.count = uint16(c.n)
 	a.base = a.count
 	a.started = true
@@ -112,7 +112,7 @@ func (f *File) NewTailAppender(clk *simclock.Clock, pool *bufferpool.Pool, pages
 }
 
 func (a *Appender) reset() {
-	a.buf = make([]byte, pageHeader, pagestore.PageSize)
+	a.buf = pagestore.NewPage(pageHeader)
 	a.count = 0
 	a.base = 0
 	a.started = true
@@ -286,7 +286,7 @@ func replaceSlot(data []byte, rid catalog.RID, enc []byte, tomb bool) (page []by
 	if size > pagestore.PageSize {
 		return nil, false, fmt.Errorf("heap: rewritten page overflows (%d bytes)", size)
 	}
-	page = make([]byte, 0, size)
+	page = pagestore.NewPage(size)[:0]
 	page = append(page, data[:start]...)
 	page = binary.LittleEndian.AppendUint16(page, l)
 	page = append(page, enc...)

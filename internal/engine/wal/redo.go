@@ -233,13 +233,13 @@ func redo(clk *simclock.Clock, mgr *storagemgr.Manager, recs []Record) (int, err
 	for i := 0; i < len(recs); {
 		first := recs[i]
 		tag := policy.Tag{Object: first.Obj, Content: policy.Table, Pattern: policy.Random}
-		var page []byte
+		page := pagestore.NewPage(0)
 		if !wholeImage(first.Image) {
 			base, err := mgr.ReadPage(clk, tag, first.Page)
 			if err != nil {
 				return pages, err
 			}
-			page = append(make([]byte, 0, pagestore.PageSize), base...)
+			page = append(page, base...)
 		}
 		for ; i < len(recs) && recs[i].Obj == first.Obj && recs[i].Page == first.Page; i++ {
 			var err error

@@ -457,7 +457,9 @@ func (m *Manager) flushLocked(clk *simclock.Clock) error {
 	for p := first; p <= last; p++ {
 		lo := int(p) * pagestore.PageSize
 		hi := min(lo+pagestore.PageSize, segLen)
-		if err := m.mgr.WritePage(clk, logTag(obj), p, m.segBuf[lo:hi]); err != nil {
+		// Hand over a copy: the store keeps it, and segBuf is written again.
+		page := append(pagestore.NewPage(0), m.segBuf[lo:hi]...)
+		if err := m.mgr.WritePage(clk, logTag(obj), p, page); err != nil {
 			return err
 		}
 		m.stats.PageWrites++

@@ -32,9 +32,10 @@
 //
 // # Stored blocks are immutable
 //
-// A page's bytes are copied once, when Write pads the caller's buffer
-// into a PageSize block for the memtable. From then on the block is
-// never written to: a flush hands the memtable's slices to the new L0
+// Write puts the caller's buffer into the memtable as it is when it is
+// a zero-tailed page-capacity image, and a padded PageSize copy of it
+// otherwise (pagestore.KeepPage). From then on the block is never
+// written to: a flush hands the memtable's slices to the new L0
 // table by reference, a compaction hands the input tables' data blocks
 // to its output the same way, and Read and Iter return the memtable's
 // or the table's slice itself. A rewrite of the page replaces the map
@@ -382,8 +383,9 @@ func (s *Store) probeLocked(k key) ([]byte, []pagestore.Access) {
 // Write implements pagestore.Backend: the page is absorbed by the
 // memtable (empty plan — the caller waits on no device). Crossing the
 // flush threshold builds an SSTable and queues the flush, and possibly
-// a compaction, as maintenance. The padded copy made here is the only
-// one: the block then travels by reference through flush and compaction.
+// a compaction, as maintenance. The caller hands data over: the memtable
+// keeps it (pagestore.KeepPage), and the block then travels by
+// reference through flush and compaction.
 func (s *Store) Write(id pagestore.ObjectID, page int64, data []byte) ([]pagestore.Access, error) {
 	if s.isDirect(id) {
 		if err := s.alive(); err != nil {
@@ -410,9 +412,7 @@ func (s *Store) Write(id pagestore.ObjectID, page int64, data []byte) ([]pagesto
 	if page >= o.pages {
 		o.pages = page + 1
 	}
-	buf := make([]byte, pagestore.PageSize)
-	copy(buf, data)
-	s.mem[key{obj: id, gen: o.gen, page: page}] = buf
+	s.mem[key{obj: id, gen: o.gen, page: page}] = pagestore.KeepPage(data)
 	if len(s.mem) >= s.cfg.MemtablePages {
 		if err := s.flushLocked(); err != nil {
 			return nil, err

@@ -13,10 +13,10 @@ func sameBlock(a, b []byte) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
-// TestBlocksAreShared pins the immutable-block rule (package doc): a
-// page's bytes are copied once, by Write, and from then on the memtable,
-// every table the page passes through and every reader hold the same
-// slice. Pages are read from the memtable and from the tree, then
+// TestBlocksAreShared pins the immutable-block rule (package doc): Write
+// keeps a page's bytes or copies them once, and from then on the
+// memtable, every table the page passes through and every reader hold
+// the same slice. Pages are read from the memtable and from the tree, then
 // overwritten, flushed and compacted; every slice handed out must still
 // hold its bytes, and the compaction's output data blocks must be the
 // very slices its inputs held.

@@ -61,12 +61,12 @@ type Backend interface {
 	// may be the stored block itself, shared between readers: callers
 	// must not write into it.
 	Read(id ObjectID, page int64) ([]byte, []Access, error)
-	// Write stores the content of (object, page), copying data, and
-	// returns the access plan. The copy is the stored block, and a stored
-	// block is immutable: the backend replaces it on the next Write and
-	// never writes into it, so it may hand the same slice to every reader
-	// and, like the LSM through its flushes and compactions, move it
-	// between its own structures by reference.
+	// Write stores the content of (object, page) and returns the access
+	// plan. The caller hands data over, capacity included, and never
+	// writes into it again (KeepPage). A stored block is immutable: the
+	// backend replaces it on the next Write and never writes into it, so
+	// it may hand it to every reader and, like the LSM through flushes
+	// and compactions, move it between its own structures by reference.
 	Write(id ObjectID, page int64, data []byte) ([]Access, error)
 	// Truncate discards the object's content but keeps it registered,
 	// reporting any synchronously freed extents.

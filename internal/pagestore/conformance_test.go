@@ -383,3 +383,53 @@ func TestConformanceObjectsAndTotals(t *testing.T) {
 		})
 	}
 }
+
+// TestConformanceKeepOrCopy: a backend keeps a page-capacity image with
+// a zero tail as it is, the same backing array, and stores a padded copy
+// of anything else. Either way a read returns the padded payload.
+func TestConformanceKeepOrCopy(t *testing.T) {
+	filled := func(n, c int) []byte {
+		b := make([]byte, n, c)
+		for i := range b {
+			b[i] = byte(i%251 + 1)
+		}
+		return b
+	}
+	dirtyTail := filled(pagestore.PageSize, pagestore.PageSize)[:100]
+	cases := []struct {
+		name string
+		data []byte
+		kept bool
+	}{
+		{"page capacity, zero tail", filled(100, pagestore.PageSize), true},
+		{"full page", filled(pagestore.PageSize, pagestore.PageSize), true},
+		{"short capacity", filled(100, 100), false},
+		{"over capacity", filled(100, 2*pagestore.PageSize), false},
+		{"dirty tail", dirtyTail, false},
+	}
+	for _, bc := range backends() {
+		t.Run(bc.name, func(t *testing.T) {
+			b := bc.make()
+			if err := b.Create(1); err != nil {
+				t.Fatal(err)
+			}
+			for i, tc := range cases {
+				want := make([]byte, pagestore.PageSize)
+				copy(want, tc.data)
+				if _, err := b.Write(1, int64(i), tc.data); err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := b.Read(1, int64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != pagestore.PageSize || string(got) != string(want) {
+					t.Fatalf("%s: read %d bytes, not the padded payload", tc.name, len(got))
+				}
+				if kept := &got[0] == &tc.data[0]; kept != tc.kept {
+					t.Fatalf("%s: kept by reference = %v, want %v", tc.name, kept, tc.kept)
+				}
+			}
+		})
+	}
+}

@@ -14,6 +14,7 @@
 package pagestore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -168,6 +169,21 @@ func (s *Store) Extend(id ObjectID, pages int64) error {
 // zeroPage is what every never-written page reads as.
 var zeroPage = make([]byte, PageSize)
 
+// NewPage returns a zeroed image of n bytes with capacity max(PageSize,
+// n): a backend keeps such an image instead of copying it.
+func NewPage(n int) []byte { return make([]byte, n, max(PageSize, n)) }
+
+// KeepPage returns the block a backend stores for data (at most PageSize
+// bytes): data[:PageSize] itself when data has a page of capacity and a
+// zero tail, a padded copy otherwise. Either way the caller hands data
+// over, capacity included, and never writes into it again.
+func KeepPage(data []byte) []byte {
+	if cap(data) != PageSize || !bytes.Equal(data[len(data):PageSize], zeroPage[len(data):]) {
+		return append(NewPage(0), data...)[:PageSize]
+	}
+	return data[:PageSize]
+}
+
 // ReadPage returns the content of (object, page). Pages never written
 // read as zeroes. The slice is the stored page itself, shared with every
 // other reader: stored pages are immutable (WritePage replaces, nothing
@@ -186,7 +202,7 @@ func (s *Store) ReadPage(id ObjectID, page int64) ([]byte, int64, error) {
 	return data, lba, nil
 }
 
-// WritePage stores the content of (object, page). The data is copied.
+// WritePage stores the content of (object, page), keeping data (KeepPage).
 func (s *Store) WritePage(id ObjectID, page int64, data []byte) (int64, error) {
 	if len(data) > PageSize {
 		return 0, fmt.Errorf("pagestore: page payload %d exceeds %d", len(data), PageSize)
@@ -195,8 +211,7 @@ func (s *Store) WritePage(id ObjectID, page int64, data []byte) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, PageSize)
-	copy(buf, data)
+	buf := KeepPage(data)
 	s.mu.Lock()
 	s.pages[lba] = buf
 	s.mu.Unlock()
