@@ -138,13 +138,17 @@ func (co *Coordinator) commit(rs *Session, parts []*Part) error {
 	clk := &rs.sess[0].Clk // coordinator co-located with shard 0
 
 	start := rs.Now()
-	// Phase 1: prepare every participant concurrently and gate on all
-	// acks. Each force rides its own shard's group-commit batch; issuing
-	// them together means every participant joins its shard's *current*
-	// batch, so the phase costs one parallel round of prepares instead
-	// of a chain — issued sequentially, each later prepare would join a
-	// later batch on a clock that concurrent traffic kept advancing,
-	// making commit latency grow linearly in the participant count.
+	// Phase 1: prepare every participant and gate on all acks. Each
+	// participant prepares on its own shard's clock, where the
+	// transaction's work on that shard left it, and its force rides that
+	// shard's group-commit batch; the decision below waits for the
+	// latest one. So the phase costs one round of prepares in virtual
+	// time, whatever the participant count. The goroutines only overlap
+	// the host work: issued one after another on the same clocks, the
+	// prepares cost the same virtual time. A chain, growing linearly in
+	// the participant count, arises only if each prepare starts at the
+	// previous one's completion, or if concurrent streams run ahead of
+	// this commit in real time and its clocks catch up to them.
 	prepErrs := make([]error, len(parts))
 	var wg sync.WaitGroup
 	for i, p := range parts {
