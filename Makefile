@@ -26,9 +26,11 @@ race:
 # (wal), a transaction's commit and abort over 1, 8 and 64 pages (txn),
 # a dirty page's Put, eviction and write-back into the store
 # (bufferpool), the LSM's page write through flushes and compactions and its
-# memtable and tree reads (lsm), and the construction of the 22 TPC-H
-# plans (tpch). The scheduler set includes a superseding background
-# write against 1k-100k queued requests. CI runs every one of them once
+# memtable and tree reads (lsm), the stream clock's Advance, AdvanceTo
+# and Now (simclock), one HDD and one SSD access and the busy-horizon
+# read (device), and the construction of the 22 TPC-H plans (tpch).
+# The scheduler set includes a superseding background write against
+# 1k-100k queued requests. CI runs every one of them once
 # (-benchtime 1x). -benchmem backs the allocs/op claims; repeated -count
 # samples make the output benchstat-ready:
 #
@@ -38,7 +40,7 @@ race:
 #   benchstat old.txt new.txt
 bench:
 	{ $(GO) test ./internal/iosched ./internal/engine/heap ./internal/engine/btree ./internal/engine/exec ./internal/engine/wal \
-		./internal/engine/txn ./internal/engine/bufferpool ./internal/lsm -run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
+		./internal/engine/txn ./internal/engine/bufferpool ./internal/lsm ./internal/simclock ./internal/device -run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
 	  $(GO) test ./internal/tpch -run '^$$' -bench Plan -benchmem -count $(BENCH_COUNT) && \
 	  $(GO) test ./internal/iosched \
 		-run '^$$' -bench SubmitParallel -cpu 1,2,4 -benchmem -count $(BENCH_COUNT); } | tee $(BENCH_OUT)

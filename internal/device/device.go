@@ -21,6 +21,7 @@ package device
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hstoragedb/internal/obs"
@@ -161,6 +162,11 @@ type Device struct {
 	res  []*simclock.Resource
 	bw   *simclock.Resource // shared transfer stage (Channels > 1)
 
+	// horizon is the latest completion any Access has returned: the
+	// instant the device becomes fully idle. Written under mu, read
+	// without a lock.
+	horizon atomic.Int64
+
 	mu          sync.Mutex
 	nextLBA     int64 // LBA immediately after the last access; -1 initially
 	stats       Stats
@@ -245,15 +251,10 @@ func (d *Device) latMirrorLocked(mirrors map[int]*obs.HistVar, label string, key
 	return hv
 }
 
-// serviceTime computes the positioning and transfer components of an
-// access of `blocks` blocks at `lba`, and updates the
-// sequential-detection cursor. It does not schedule the access on the
-// device's queue; Access does both.
-func (d *Device) serviceTime(op Op, lba int64, blocks int) (pos, xfer time.Duration) {
-	if blocks <= 0 {
-		return 0, 0
-	}
-	d.mu.Lock()
+// serviceTimeLocked computes the positioning and transfer components of
+// an access of `blocks` blocks at `lba`, updates the
+// sequential-detection cursor and counts the access. Caller holds d.mu.
+func (d *Device) serviceTimeLocked(op Op, lba int64, blocks int) (pos, xfer time.Duration) {
 	sequential := d.nextLBA == lba
 	near := false
 	if !sequential && d.spec.NearSeekLat > 0 && d.nextLBA >= 0 {
@@ -269,6 +270,8 @@ func (d *Device) serviceTime(op Op, lba int64, blocks int) (pos, xfer time.Durat
 	} else {
 		d.stats.RandAccess++
 	}
+	bytes := float64(blocks) * BlockSize
+	bps, randLat := d.spec.SeqReadBps, d.spec.RandReadLat
 	switch op {
 	case Read:
 		d.stats.Reads++
@@ -276,38 +279,22 @@ func (d *Device) serviceTime(op Op, lba int64, blocks int) (pos, xfer time.Durat
 		d.mReads.Inc()
 		d.mBlocksRead.Add(int64(blocks))
 	case Write:
+		bps, randLat = d.spec.SeqWriteBps, d.spec.RandWriteLat
 		d.stats.Writes++
 		d.stats.BlocksWrite += int64(blocks)
 		d.mWrites.Inc()
 		d.mBlocksWr.Add(int64(blocks))
 	}
-	d.mu.Unlock()
-
-	bytes := float64(blocks) * BlockSize
-	switch op {
-	case Read:
-		xfer = time.Duration(bytes / d.spec.SeqReadBps * float64(time.Second))
-		switch {
-		case sequential:
-		case near:
-			pos = d.spec.NearSeekLat
-		default:
-			pos = d.spec.RandReadLat
-		}
-	case Write:
-		xfer = time.Duration(bytes / d.spec.SeqWriteBps * float64(time.Second))
-		switch {
-		case sequential:
-		case near:
-			pos = d.spec.NearSeekLat
-		default:
-			pos = d.spec.RandWriteLat
-		}
+	xfer = time.Duration(bytes / bps * float64(time.Second))
+	switch {
+	case sequential:
+	case near:
+		pos = d.spec.NearSeekLat
+	default:
+		pos = randLat
 	}
-	d.mu.Lock()
 	d.stats.BusyTime += pos + xfer
 	d.mBusyTime.Add(int64(pos + xfer))
-	d.mu.Unlock()
 	return pos, xfer
 }
 
@@ -334,48 +321,33 @@ func (d *Device) channelFor() *simclock.Resource {
 // the device's busy horizon without occupying anything.
 func (d *Device) Access(at time.Duration, op Op, lba int64, blocks int) time.Duration {
 	if blocks <= 0 {
-		if t := d.BusyUntil(); t > at {
-			return t
-		}
-		return at
+		return max(at, d.BusyUntil())
 	}
-	pos, xfer := d.serviceTime(op, lba, blocks)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	pos, xfer := d.serviceTimeLocked(op, lba, blocks)
 	var end time.Duration
 	if d.bw == nil {
 		end = d.res[0].Serve(at, pos+xfer)
 	} else {
 		end = d.bw.Serve(d.channelFor().Serve(at, pos), xfer)
 	}
-	d.busyGauge().SetMax(int64(end))
+	// A Resource never ends a request before its own horizon, and every
+	// access ends on the same resource (the transfer stage, or the one
+	// channel), so end is the latest completion yet.
+	d.horizon.Store(int64(end))
+	d.mBusy.SetMax(int64(end))
 	return end
 }
 
-// busyGauge fetches the device.busy gauge under the device lock so a
-// concurrent Use cannot race the read.
-func (d *Device) busyGauge() *obs.Gauge {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.mBusy
-}
-
 // BusyUntil reports the virtual time at which the device becomes fully
-// idle (the latest channel's horizon). The I/O scheduler consults it to
-// measure how long a queued request has effectively been waiting (its
-// aging bound); the storage manager settles end-of-run clocks against it.
-func (d *Device) BusyUntil() time.Duration {
-	var until time.Duration
-	for _, r := range d.res {
-		if t := r.BusyUntil(); t > until {
-			until = t
-		}
-	}
-	if d.bw != nil {
-		if t := d.bw.BusyUntil(); t > until {
-			until = t
-		}
-	}
-	return until
-}
+// idle: the latest completion any Access has returned (every resource's
+// horizon is the end its last Serve returned, and a channel's end never
+// passes the transfer-stage end of the same access). It takes no lock.
+// The I/O scheduler consults it to measure how long a queued request has
+// effectively been waiting (its aging bound); the storage manager
+// settles end-of-run clocks against it.
+func (d *Device) BusyUntil() time.Duration { return time.Duration(d.horizon.Load()) }
 
 // HeadLBA reports the LBA immediately after the last access (-1 before
 // any): the position the next positioning cost is measured from. The
@@ -457,13 +429,14 @@ func (d *Device) Reset() {
 	d.hists = nil
 	d.tenantHists = nil
 	d.nextLBA = -1
-	d.mu.Unlock()
 	for _, r := range d.res {
 		r.Reset()
 	}
 	if d.bw != nil {
 		d.bw.Reset()
 	}
+	d.horizon.Store(0)
+	d.mu.Unlock()
 }
 
 // String implements fmt.Stringer.

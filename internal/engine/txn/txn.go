@@ -17,13 +17,12 @@
 // so a closed scheduler population keeps dispatching; the manager knows
 // no scheduler. A new wait must do the same.
 //
-// Read-only transactions (BeginSnapshot, and BeginRead as its alias) run
-// under snapshot isolation without touching the lock manager at all:
-// each binds its session stream to the WAL's commit-LSN watermark and
-// resolves every page read against the buffer pool's version store —
-// per-page chains of superseded committed images that mutating
-// transactions push at first touch and seal at commit (see
-// bufferpool's mvcc.go). Writers never wait for readers, readers never
+// Read-only transactions (BeginSnapshot) run under snapshot isolation
+// without touching the lock manager at all: each binds its session
+// stream to the WAL's commit-LSN watermark and resolves every page read
+// against the buffer pool's version store — per-page chains of
+// superseded committed images that mutating transactions push at first
+// touch and seal at commit (see bufferpool's mvcc.go). Writers never wait for readers, readers never
 // wait at all, and a snapshot observes exactly the transactions whose
 // commit records were durable when it began.
 //
@@ -286,13 +285,6 @@ func (m *Manager) Begin(sess *engine.Session) (*Txn, error) {
 	t.hooks = &bufferpool.TxnHooks{ID: t.id, Acquire: t.acquire}
 	m.inst.Pool.BindTxn(&sess.Clk, t.hooks)
 	return t, nil
-}
-
-// BeginRead starts a read-only transaction: no locks, no log records. It
-// is BeginSnapshot under a historical name — every read-only transaction
-// runs under snapshot isolation.
-func (m *Manager) BeginRead(sess *engine.Session) *Txn {
-	return m.BeginSnapshot(sess)
 }
 
 // ID returns the transaction identifier (0 for read-only transactions).

@@ -73,6 +73,8 @@
 // (the group lock covers only the closed-population registry and
 // barrier rounds, so streams on different devices never serialize), the
 // picker runs on ordered indexes (index.go) instead of queue scans,
+// the device's busy horizon, read at every enqueue and pick, is one word
+// the device's last access wrote (device.Device.BusyUntil),
 // request/waiter/batch memory is pooled, and a grant's completion
 // latencies reach the device in one batched observation. Lock order is
 // Group.mu → Scheduler.mu → device/histogram internals.

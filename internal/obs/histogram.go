@@ -22,12 +22,6 @@ var defaultLatencyBounds = []time.Duration{
 // keeps updating share nothing mutable.
 const MaxHistogramBuckets = 24
 
-// DefaultLatencyBounds returns (a copy of) the default bucket-bound
-// table used by the zero-value Histogram.
-func DefaultLatencyBounds() []time.Duration {
-	return append([]time.Duration(nil), defaultLatencyBounds...)
-}
-
 // CountBounds returns a power-of-two bound table for histograms over
 // small integer samples (group-commit batch sizes, queue depths)
 // recorded as time.Duration(n). Quantiles then interpolate between

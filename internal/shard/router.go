@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -175,9 +174,3 @@ func (t *Txn) Abort() error {
 	}
 	return firstErr
 }
-
-// IsDeadlock reports whether err is a shard-local deadlock loss: the
-// routed transaction should abort and retry, like an unsharded one. A
-// cycle that spans shards is never reported: it goes undetected today
-// (see the package comment).
-func IsDeadlock(err error) bool { return errors.Is(err, txn.ErrDeadlock) }

@@ -259,11 +259,6 @@ func (c *Cluster) Crash() {
 	}
 }
 
-// CrashShard kills a single shard, leaving the rest of the cluster
-// running: in-flight transactions touching it fail with ErrCrashed,
-// single-shard traffic elsewhere continues.
-func (c *Cluster) CrashShard(i int) { c.shards[i].TM.Crash() }
-
 // Dead reports whether Crash has been called.
 func (c *Cluster) Dead() bool { return c.dead.Load() }
 
@@ -330,7 +325,7 @@ func Recover(cfg Config, dbs []*engine.Database) (*Cluster, *RecoveryStats, erro
 	coordLog.Use(cfg.Obs.With(obs.L("shard", "coord")))
 	decisions := coordLog.Decisions()
 	c.coord = newCoordinator(coordLog, cfg.Obs)
-	c.coord.seedDecisions(decisions)
+	c.coord.resumeAfter(decisions)
 
 	for i, s := range c.shards {
 		sess := s.Inst.NewSession()

@@ -300,6 +300,88 @@ func TestParticipantCrashInPhaseTwo(t *testing.T) {
 	}
 }
 
+// TestPrepareFailureAbortsEveryParticipant covers presumed abort: one
+// participant's shard dies before Phase 1, so its Prepare fails. Every
+// participant still prepares, no decision is made, and the surviving
+// participant rolls its row back and releases its locks.
+func TestPrepareFailureAbortsEveryParticipant(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		failed int
+	}{
+		{"shard 0 fails", 0},
+		{"shard 1 fails", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(testConfig(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := c.LoadAccounts(64, 100, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := keysOnShards(t, c, 64, 0, 1)
+			tx, err := c.NewSession().Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Transfer(tx, keys[0], keys[1], 40); err != nil {
+				t.Fatal(err)
+			}
+			c.Shard(tc.failed).TM.Crash()
+			if err := tx.Commit(); err == nil {
+				t.Fatal("commit with a dead participant succeeded")
+			}
+			if st, want := c.Coordinator().Stats(), (TwoPCStats{Commits: 0, Aborts: 1, Prepares: 2}); st != want {
+				t.Fatalf("coordinator stats = %+v, want %+v", st, want)
+			}
+
+			// The survivor's row is back at its old value, and a new
+			// transaction reads and writes it without waiting on a lock.
+			survivor := c.Shard(1 - tc.failed).TM
+			key := keys[1-tc.failed]
+			waits := survivor.LockStats().Waits
+			type result struct {
+				bal int64
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				tx, err := c.NewSession().Begin()
+				if err != nil {
+					done <- result{err: err}
+					return
+				}
+				bal, err := a.Balance(tx, key)
+				if err == nil {
+					err = a.Add(tx, key, 1)
+				}
+				if err == nil {
+					err = tx.Commit()
+				} else {
+					_ = tx.Abort()
+				}
+				done <- result{bal, err}
+			}()
+			select {
+			case r := <-done:
+				if r.err != nil {
+					t.Fatalf("new transaction on the survivor: %v", r.err)
+				}
+				if r.bal != 100 {
+					t.Fatalf("survivor balance after presumed abort = %d, want 100", r.bal)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("new transaction still waits on the survivor's row: the aborted participant kept its lock")
+			}
+			if got := survivor.LockStats().Waits; got != waits {
+				t.Fatalf("new transaction waited %d times for a lock, want 0", got-waits)
+			}
+		})
+	}
+}
+
 // TestConcurrentTransfersConserveTotal is the race-detector workhorse:
 // concurrent workers run mixed single- and cross-shard transfers with a
 // checkpoint in between, and the global balance must be conserved.

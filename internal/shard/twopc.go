@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"hstoragedb/internal/engine/txn"
@@ -30,16 +29,12 @@ type Coordinator struct {
 
 	nextGTID atomic.Int64
 
-	mu      sync.Mutex
-	decided map[int64]bool // GTID -> committed
-
 	commits  atomic.Int64
 	aborts   atomic.Int64
 	prepares atomic.Int64
 
 	// Crash injection: arm to kill the cluster at the corresponding
-	// protocol point of the next cross-shard commit. The pointer is the
-	// cluster's Crash, set by the router on first use.
+	// protocol point of the next cross-shard commit.
 	crashBeforeDecide atomic.Bool
 	crashAfterDecide  atomic.Bool
 
@@ -49,7 +44,7 @@ type Coordinator struct {
 }
 
 func newCoordinator(log *wal.Manager, set *obs.Set) *Coordinator {
-	co := &Coordinator{log: log, decided: make(map[int64]bool)}
+	co := &Coordinator{log: log}
 	co.nextGTID.Store(1)
 	co.tracer = set.Trace()
 	if reg := set.Registry(); reg != nil {
@@ -59,13 +54,10 @@ func newCoordinator(log *wal.Manager, set *obs.Set) *Coordinator {
 	return co
 }
 
-// seedDecisions installs the decision map a recovery read back from the
-// decision log, and bumps the GTID allocator past every recovered one.
-func (co *Coordinator) seedDecisions(d map[int64]bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	for gtid, commit := range d {
-		co.decided[gtid] = commit
+// resumeAfter bumps the GTID allocator past every GTID of the decision
+// map a recovery read back from the decision log.
+func (co *Coordinator) resumeAfter(decisions map[int64]bool) {
+	for gtid := range decisions {
 		if gtid >= co.nextGTID.Load() {
 			co.nextGTID.Store(gtid + 1)
 		}
@@ -74,14 +66,6 @@ func (co *Coordinator) seedDecisions(d map[int64]bool) {
 
 // NextGTID allocates a global transaction ID.
 func (co *Coordinator) NextGTID() int64 { return co.nextGTID.Add(1) - 1 }
-
-// Decided reports the durable decision for a GTID, if one exists.
-func (co *Coordinator) Decided(gtid int64) (commit, ok bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	commit, ok = co.decided[gtid]
-	return commit, ok
-}
 
 // Stats returns a snapshot of the coordinator counters.
 func (co *Coordinator) Stats() TwoPCStats {
@@ -103,28 +87,15 @@ func (co *Coordinator) CrashBeforeDecide() { co.crashBeforeDecide.Store(true) }
 // must resolve the in-doubt participants to commit.
 func (co *Coordinator) CrashAfterDecide() { co.crashAfterDecide.Store(true) }
 
-// decide makes the outcome durable: a decide record in the decision log,
-// forced for commits (the commit point), lazily appended for aborts
-// (presumed abort never needs to read them back — they only tighten
-// recovery's in-doubt classification if they happen to be on disk).
-func (co *Coordinator) decide(clk *simclock.Clock, gtid int64, commit bool) error {
-	kind := wal.KindDecideAbort
-	if commit {
-		kind = wal.KindDecideCommit
-	}
-	lsn, err := co.log.Append(clk, wal.Record{Txn: gtid, Kind: kind})
+// decide makes the commit decision durable: a forced decide-commit
+// record in the decision log is the commit point. An abort writes no
+// record (presumed abort).
+func (co *Coordinator) decide(clk *simclock.Clock, gtid int64) error {
+	lsn, err := co.log.Append(clk, wal.Record{Txn: gtid, Kind: wal.KindDecideCommit})
 	if err != nil {
 		return err
 	}
-	if commit {
-		if err := co.log.Flush(clk, lsn); err != nil {
-			return err
-		}
-	}
-	co.mu.Lock()
-	co.decided[gtid] = commit
-	co.mu.Unlock()
-	return nil
+	return co.log.Flush(clk, lsn)
 }
 
 // commit drives one cross-shard transaction through the protocol. The
@@ -138,42 +109,36 @@ func (co *Coordinator) commit(rs *Session, parts []*Part) error {
 	clk := &rs.sess[0].Clk // coordinator co-located with shard 0
 
 	start := rs.Now()
-	// Phase 1: prepare every participant and gate on all acks. Each
-	// participant prepares on its own shard's clock, where the
-	// transaction's work on that shard left it, and its force rides that
-	// shard's group-commit batch; the decision below waits for the
-	// latest one. So the phase costs one round of prepares in virtual
-	// time, whatever the participant count. The goroutines only overlap
-	// the host work: issued one after another on the same clocks, the
-	// prepares cost the same virtual time. A chain, growing linearly in
-	// the participant count, arises only if each prepare starts at the
+	// Phase 1: prepare every participant in shard order, then gate on
+	// all acks. Each participant prepares on its own shard's clock,
+	// where the transaction's work on that shard left it, and its force
+	// rides that shard's group-commit batch; the decision below waits
+	// for the latest one. So the phase costs one round of prepares in
+	// virtual time, whatever the participant count, although the calls
+	// run one after another. A chain, growing linearly in the
+	// participant count, arises only if each prepare starts at the
 	// previous one's completion, or if concurrent streams run ahead of
-	// this commit in real time and its clocks catch up to them.
-	prepErrs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
+	// this commit in real time and its clocks catch up to them. Every
+	// participant prepares even after one fails, so a failure anywhere
+	// leads to the same presumed abort.
+	var prepErr error
+	for _, p := range parts {
 		co.prepares.Add(1)
-		wg.Add(1)
-		go func(i int, p *Part) {
-			defer wg.Done()
-			prepErrs[i] = p.T.Prepare(gtid)
-		}(i, p)
-	}
-	wg.Wait()
-	for _, err := range prepErrs {
-		if err == nil {
-			continue
+		if err := p.T.Prepare(gtid); err != nil && prepErr == nil {
+			prepErr = err
 		}
+	}
+	if prepErr != nil {
 		// Presumed abort: no decision record needed. Failed participants
 		// already released; the prepared ones roll back.
-		for i, q := range parts {
-			if prepErrs[i] == nil {
-				_ = q.T.Abort()
+		for _, p := range parts {
+			if p.T.Prepared() {
+				_ = p.T.Abort()
 			}
 		}
 		co.aborts.Add(1)
 		co.mAborts.Inc()
-		return err
+		return prepErr
 	}
 
 	// The decision happens-after every prepare: advance the coordinator
@@ -190,7 +155,7 @@ func (co *Coordinator) commit(rs *Session, parts []*Part) error {
 		return ErrCoordinatorCrashed
 	}
 
-	if err := co.decide(clk, gtid, true); err != nil {
+	if err := co.decide(clk, gtid); err != nil {
 		return fmt.Errorf("shard: decide gtid %d: %w", gtid, err)
 	}
 

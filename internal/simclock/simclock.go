@@ -15,6 +15,7 @@ package simclock
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -26,12 +27,18 @@ type Duration = time.Duration
 // Clock is a monotonically advancing virtual clock for one request stream.
 // The zero value is a clock at time zero, ready to use. A Clock is also
 // the stream's identity, and the handle the stream waits through (Park).
+// Each piece of its state is one atomic word and no method takes a lock:
+// the stream advances its clock once per tuple, while other streams and
+// the scheduler read it.
 type Clock struct {
-	mu  sync.Mutex
-	now Duration
-	id  int64
-	pop Population
+	now atomic.Int64 // a Duration
+	id  atomic.Int64
+	pop atomic.Pointer[member]
 }
+
+// member holds the population a stream belongs to, so that one pointer
+// swaps it.
+type member struct{ p Population }
 
 // Population is a closed set of streams that makes progress only once
 // every member is blocked (iosched.Group dispatches that way): it has to
@@ -46,19 +53,16 @@ type Population interface {
 
 // SetPopulation makes the stream a member of p (nil: of none). A
 // population calls it when the stream enrolls and leaves.
-func (c *Clock) SetPopulation(p Population) {
-	c.mu.Lock()
-	c.pop = p
-	c.mu.Unlock()
-}
+func (c *Clock) SetPopulation(p Population) { c.pop.Store(&member{p}) }
 
 func (c *Clock) population() Population {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pop
+	if m := c.pop.Load(); m != nil {
+		return m.p
+	}
+	return nil
 }
 
 // Park tells the stream's population that the stream is about to block
@@ -108,55 +112,39 @@ func (m Mutex) Unlock() { <-m.slot }
 // SetID assigns the stream identity used as the trace track for
 // requests submitted on this clock. Sessions number their clocks
 // sequentially at creation so traces of a fixed-seed run are stable.
-func (c *Clock) SetID(id int64) {
-	c.mu.Lock()
-	c.id = id
-	c.mu.Unlock()
-}
+func (c *Clock) SetID(id int64) { c.id.Store(id) }
 
 // ID reports the stream identity assigned by SetID (0 if none).
-func (c *Clock) ID() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.id
-}
+func (c *Clock) ID() int64 { return c.id.Load() }
 
 // Now returns the current virtual time.
-func (c *Clock) Now() Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() Duration { return Duration(c.now.Load()) }
 
 // Advance moves the clock forward by d. Negative d is ignored so callers
 // can pass raw deltas without clamping.
 func (c *Clock) Advance(d Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		c.now.Add(int64(d))
 	}
-	c.mu.Lock()
-	c.now += d
-	c.mu.Unlock()
 }
 
 // AdvanceTo moves the clock to t if t is later than the current time and
 // returns the resulting time.
 func (c *Clock) AdvanceTo(t Duration) Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
+	for {
+		now := c.now.Load()
+		if int64(t) <= now {
+			return Duration(now)
+		}
+		if c.now.CompareAndSwap(now, int64(t)) {
+			return t
+		}
 	}
-	return c.now
 }
 
 // Reset rewinds the clock to zero. Intended for reusing a clock between
 // experiment runs.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	c.now = 0
-	c.mu.Unlock()
-}
+func (c *Clock) Reset() { c.now.Store(0) }
 
 // Resource is a serially shared facility (a disk, an SSD, a network link).
 // Concurrent streams that use the same Resource queue behind one another:

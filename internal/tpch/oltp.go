@@ -153,7 +153,7 @@ func (o *OLTP) RunTxn(tm *txn.Manager, sess *engine.Session, n int) error {
 		case r < 90:
 			err = o.runPaymentTxn(tm, sess)
 		default:
-			tx := tm.BeginRead(sess)
+			tx := tm.BeginSnapshot(sess)
 			err = o.orderStatus(sess)
 			if cerr := tx.Commit(); err == nil {
 				err = cerr
