@@ -28,7 +28,9 @@ race:
 # (bufferpool), the LSM's page write through flushes and compactions and its
 # memtable and tree reads (lsm), the stream clock's Advance, AdvanceTo
 # and Now (simclock), one HDD and one SSD access and the busy-horizon
-# read (device), and the construction of the 22 TPC-H plans (tpch).
+# read (device), one lineitem row decoded whole and for Q6's and Q1's
+# column sets (catalog), and the construction of the 22 TPC-H plans
+# (tpch).
 # The scheduler set includes a superseding background write against
 # 1k-100k queued requests. CI runs every one of them once
 # (-benchtime 1x). -benchmem backs the allocs/op claims; repeated -count
@@ -40,7 +42,7 @@ race:
 #   benchstat old.txt new.txt
 bench:
 	{ $(GO) test ./internal/iosched ./internal/engine/heap ./internal/engine/btree ./internal/engine/exec ./internal/engine/wal \
-		./internal/engine/txn ./internal/engine/bufferpool ./internal/lsm ./internal/simclock ./internal/device -run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
+		./internal/engine/txn ./internal/engine/bufferpool ./internal/lsm ./internal/simclock ./internal/device ./internal/engine/catalog -run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
 	  $(GO) test ./internal/tpch -run '^$$' -bench Plan -benchmem -count $(BENCH_COUNT) && \
 	  $(GO) test ./internal/iosched \
 		-run '^$$' -bench SubmitParallel -cpu 1,2,4 -benchmem -count $(BENCH_COUNT); } | tee $(BENCH_OUT)

@@ -159,8 +159,10 @@ type Stats struct {
 // the single-channel service times.
 type Device struct {
 	spec Spec
-	res  []*simclock.Resource
-	bw   *simclock.Resource // shared transfer stage (Channels > 1)
+	// The service channels and, with Channels > 1, the shared transfer
+	// stage. Resources take no lock: every call is made under mu.
+	res []simclock.Resource
+	bw  *simclock.Resource
 
 	// horizon is the latest completion any Access has returned: the
 	// instant the device becomes fully idle. Written under mu, read
@@ -194,11 +196,7 @@ func New(spec Spec) *Device {
 	if n < 1 {
 		n = 1
 	}
-	res := make([]*simclock.Resource, n)
-	for i := range res {
-		res[i] = &simclock.Resource{}
-	}
-	d := &Device{spec: spec, res: res, nextLBA: -1}
+	d := &Device{spec: spec, res: make([]simclock.Resource, n), nextLBA: -1}
 	if n > 1 {
 		d.bw = &simclock.Resource{}
 	}
@@ -301,16 +299,13 @@ func (d *Device) serviceTimeLocked(op Op, lba int64, blocks int) (pos, xfer time
 // channelFor returns the service channel a new request should occupy:
 // the one that frees up first.
 func (d *Device) channelFor() *simclock.Resource {
-	best := d.res[0]
-	if len(d.res) > 1 {
-		bu := best.BusyUntil()
-		for _, r := range d.res[1:] {
-			if t := r.BusyUntil(); t < bu {
-				best, bu = r, t
-			}
+	best := 0
+	for i := 1; i < len(d.res); i++ {
+		if d.res[i].BusyUntil() < d.res[best].BusyUntil() {
+			best = i
 		}
 	}
-	return best
+	return &d.res[best]
 }
 
 // Access schedules a request arriving at virtual time `at` and returns its
@@ -429,8 +424,8 @@ func (d *Device) Reset() {
 	d.hists = nil
 	d.tenantHists = nil
 	d.nextLBA = -1
-	for _, r := range d.res {
-		r.Reset()
+	for i := range d.res {
+		d.res[i].Reset()
 	}
 	if d.bw != nil {
 		d.bw.Reset()

@@ -13,9 +13,10 @@
 package btree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hstoragedb/internal/engine/bufferpool"
 	"hstoragedb/internal/engine/catalog"
@@ -259,14 +260,14 @@ func (t *Tree) openNode(clk *simclock.Clock, page int64, level int) (node, error
 // afterwards.
 func Build(clk *simclock.Clock, pool *bufferpool.Pool, obj pagestore.ObjectID, entries []Entry) (*Tree, int64, error) {
 	t := Open(obj, pool)
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Key != entries[j].Key {
-			return entries[i].Key < entries[j].Key
+	slices.SortFunc(entries, func(a, b Entry) int {
+		if c := cmp.Compare(a.Key, b.Key); c != 0 {
+			return c
 		}
-		if entries[i].RID.Page != entries[j].RID.Page {
-			return entries[i].RID.Page < entries[j].RID.Page
+		if c := cmp.Compare(a.RID.Page, b.RID.Page); c != 0 {
+			return c
 		}
-		return entries[i].RID.Slot < entries[j].RID.Slot
+		return cmp.Compare(a.RID.Slot, b.RID.Slot)
 	})
 
 	nextPage := int64(1)

@@ -292,9 +292,12 @@ func (inst *Instance) BuildIndex(name, table, column string) (*catalog.IndexInfo
 	sess := inst.NewSession()
 	file := heap.NewFile(info.ID, info.Schema, policy.Table)
 	sc := file.NewScanner(&sess.Clk, inst.Pool, inst.DB.Store.Pages(info.ID))
+	key := make([]bool, len(info.Schema.Cols))
+	key[col] = true
+	sc.Decode(catalog.NewDecoder(info.Schema, key)) // only the key is kept
 	var entries []btree.Entry
 	for {
-		t, rid, ok, err := sc.NextBorrowed() // only the key is kept
+		t, rid, ok, err := sc.NextBorrowed()
 		if err != nil {
 			return nil, err
 		}

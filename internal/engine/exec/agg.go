@@ -124,6 +124,11 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 			continue
 		}
 		a.addGroup(t)
+		if ctx.WorkMem > 0 && len(a.groups) == ctx.WorkMem {
+			// The next row that starts a group spills: from here on the
+			// input is full width.
+			widen(a.Child)
+		}
 	}
 	if a.spilled {
 		for _, tf := range a.spills {

@@ -151,6 +151,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	if !j.spilled {
 		return nil
 	}
+	widen(j.Probe) // its rows go to the partition files
 	for _, tf := range j.buildParts {
 		if err := tf.Finish(ctx); err != nil {
 			return err

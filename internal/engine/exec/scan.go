@@ -35,6 +35,43 @@ func (h *TableHandle) Pages(ctx *Ctx) int64 {
 // until an operator keeps it. The returned tuple is valid until the next
 // call of Next on the same operator; whoever keeps a row (and Pred must
 // not) takes Tuple.Owned.
+//
+// SeqScan and IndexProbe decode only the columns of Cols, the set their
+// plan reads (nil: every column); the others hold catalog's poison
+// datum. A row that reaches a temp file must be full width, because its
+// encoded size drives Rule 3 and simulated time, so an operator that is
+// about to spill rows widens its input first (see widen).
+
+// widen makes the rows op returns full width from the next one on. It
+// widens the scans whose rows op passes on as they are: a Filter's child,
+// a hash join's probe side when the join returns probe rows whole
+// (Combine nil, or an anti join), a nested loop's outer side when it
+// returns outer rows (Combine nil, anti, or semi, whose Combine copies
+// the outer row) and its inner side when Combine is nil and the join is
+// not anti. It stops at an operator that builds its own rows. The rows an
+// operator keeps (a hash join's build, Sort, TopN) are full width
+// already: the plan marks every column they carry.
+func widen(op Operator) {
+	switch o := op.(type) {
+	case *SeqScan:
+		o.widen()
+	case *IndexProbe:
+		o.widen()
+	case *Filter:
+		widen(o.Child)
+	case *HashJoin:
+		if o.Combine == nil || o.Anti {
+			widen(o.Probe)
+		}
+	case *NestLoop:
+		if o.Semi || o.Anti || o.Combine == nil {
+			widen(o.Outer)
+		}
+		if o.Combine == nil && !o.Anti {
+			widen(o.Probe)
+		}
+	}
+}
 
 // SeqScan is the sequential-scan leaf operator: Rule 1 traffic.
 type SeqScan struct {
@@ -42,8 +79,11 @@ type SeqScan struct {
 	Table *TableHandle
 	// Pred filters tuples (nil = all).
 	Pred func(catalog.Tuple) bool
+	// Cols are the columns the plan reads (nil = all).
+	Cols []bool
 
 	scanner *heap.Scanner
+	wide    bool
 }
 
 // Children implements Operator.
@@ -60,7 +100,21 @@ func (s *SeqScan) Access() (AccessInfo, bool) {
 // Open implements Operator.
 func (s *SeqScan) Open(ctx *Ctx) error {
 	s.scanner = s.Table.File.NewScanner(ctx.Clk, ctx.Pool, s.Table.Pages(ctx))
+	if s.Cols != nil && !s.wide {
+		s.scanner.Decode(catalog.NewDecoder(s.Table.Info.Schema, s.Cols))
+	}
 	return nil
+}
+
+// widen decodes every column from the next row on.
+func (s *SeqScan) widen() {
+	if s.Cols == nil || s.wide {
+		return
+	}
+	s.wide = true
+	if s.scanner != nil {
+		s.scanner.Decode(nil)
+	}
 }
 
 // Next implements Operator.
@@ -136,7 +190,7 @@ func (s *IndexScan) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 			s.scratch = append(s.scratch[:0], catalog.IntDatum(e.Key))
 			return s.scratch, true, nil
 		}
-		t, err := s.Table.File.FetchBorrowed(ctx.Clk, ctx.Pool, e.RID, s.Level(), s.scratch)
+		t, err := s.Table.File.FetchBorrowed(ctx.Clk, ctx.Pool, e.RID, s.Level(), nil, s.scratch)
 		if err != nil {
 			return nil, false, err
 		}
@@ -167,11 +221,15 @@ type IndexProbe struct {
 	Table *TableHandle
 	// Pred filters fetched tuples (nil = all).
 	Pred func(catalog.Tuple) bool
+	// Cols are the columns the plan reads (nil = all).
+	Cols []bool
 
 	tree    *btree.Tree
 	key     int64
 	rids    []catalog.RID
 	idx     int
+	dec     *catalog.Decoder // nil: every column
+	wide    bool
 	scratch catalog.Tuple
 }
 
@@ -192,7 +250,19 @@ func (p *IndexProbe) Access() (AccessInfo, bool) {
 // Open implements Operator.
 func (p *IndexProbe) Open(ctx *Ctx) error {
 	p.tree = btree.Open(p.Index.ID, ctx.Pool)
+	if p.Cols != nil && !p.wide && p.dec == nil {
+		p.dec = catalog.NewDecoder(p.Table.Info.Schema, p.Cols)
+	}
 	return nil
+}
+
+// widen decodes every column from the next row on.
+func (p *IndexProbe) widen() {
+	if p.Cols == nil || p.wide {
+		return
+	}
+	p.wide = true
+	p.dec, p.scratch = nil, nil
 }
 
 // Bind positions the probe on a new key.
@@ -219,7 +289,7 @@ func (p *IndexProbe) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 		rid := p.rids[p.idx]
 		p.idx++
 		ctx.ChargeTuples(1)
-		t, err := p.Table.File.FetchBorrowed(ctx.Clk, ctx.Pool, rid, p.Level(), p.scratch)
+		t, err := p.Table.File.FetchBorrowed(ctx.Clk, ctx.Pool, rid, p.Level(), p.dec, p.scratch)
 		if err != nil {
 			return nil, false, err
 		}

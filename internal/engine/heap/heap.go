@@ -41,11 +41,13 @@ type File struct {
 	// Content distinguishes regular tables from temporary data; it rides
 	// on every page tag.
 	Content policy.ContentType
+
+	all *catalog.Decoder // every column of Schema
 }
 
 // NewFile describes an existing (or about-to-be-created) heap file.
 func NewFile(obj pagestore.ObjectID, schema catalog.Schema, content policy.ContentType) *File {
-	return &File{Object: obj, Schema: schema, Content: content}
+	return &File{Object: obj, Schema: schema, Content: content, all: catalog.NewDecoder(schema, nil)}
 }
 
 // Appender buffers tuples into pages and writes full pages through the
@@ -303,12 +305,24 @@ type Scanner struct {
 
 	page    int64 // next page to fetch
 	cur     slots // cursor on page-1
+	dec     *catalog.Decoder
 	scratch catalog.Tuple
 }
 
-// NewScanner creates a full-file sequential scanner over `pages` pages.
+// NewScanner creates a full-file sequential scanner over `pages` pages
+// that decodes every column.
 func (f *File) NewScanner(clk *simclock.Clock, pool *bufferpool.Pool, pages int64) *Scanner {
-	return &Scanner{f: f, pool: pool, clk: clk, pages: pages}
+	return &Scanner{f: f, pool: pool, clk: clk, pages: pages, dec: f.all}
+}
+
+// Decode makes NextBorrowed decode through d from the next row on (nil:
+// every column). Its rows are a new scratch of d, so the row the last
+// call returned stays as it was.
+func (s *Scanner) Decode(d *catalog.Decoder) {
+	if d == nil {
+		d = s.f.all
+	}
+	s.dec, s.scratch = d, d.Scratch()
 }
 
 // Next returns the next tuple with its RID; ok=false at end of file. The
@@ -318,7 +332,7 @@ func (s *Scanner) Next() (catalog.Tuple, catalog.RID, bool, error) {
 	if err != nil || !ok {
 		return nil, catalog.RID{}, false, err
 	}
-	t, _, err := catalog.DecodeTuple(payload, s.f.Schema)
+	t, _, err := s.f.all.DecodeOwned(payload)
 	return t, rid, err == nil, err
 }
 
@@ -331,7 +345,7 @@ func (s *Scanner) NextBorrowed() (catalog.Tuple, catalog.RID, bool, error) {
 	if err != nil || !ok {
 		return nil, catalog.RID{}, false, err
 	}
-	s.scratch, _, err = catalog.DecodeTupleBorrowed(s.scratch, payload, s.f.Schema)
+	s.scratch, _, err = s.dec.Decode(s.scratch, payload)
 	return s.scratch, rid, err == nil, err
 }
 
@@ -373,20 +387,24 @@ func (f *File) Fetch(clk *simclock.Clock, pool *bufferpool.Pool, rid catalog.RID
 	if err != nil || !live {
 		return nil, err
 	}
-	t, _, err := catalog.DecodeTuple(payload, f.Schema)
+	t, _, err := f.all.DecodeOwned(payload)
 	return t, err
 }
 
-// FetchBorrowed is Fetch decoding into the caller's scratch tuple, with
-// strings aliasing the page frame: the result is valid until the scratch
-// is decoded into again (see catalog.DecodeTupleBorrowed). It returns the
-// (possibly grown) scratch, or nil for a row that is not visible.
-func (f *File) FetchBorrowed(clk *simclock.Clock, pool *bufferpool.Pool, rid catalog.RID, level int, scratch catalog.Tuple) (catalog.Tuple, error) {
+// FetchBorrowed is Fetch decoding the columns of d (nil: every column)
+// into the caller's scratch tuple, with strings aliasing the page frame:
+// the result is valid until the scratch is decoded into again (see
+// catalog.Decoder.Decode). It returns the scratch (a new one of d if it
+// was short), or nil for a row that is not visible.
+func (f *File) FetchBorrowed(clk *simclock.Clock, pool *bufferpool.Pool, rid catalog.RID, level int, d *catalog.Decoder, scratch catalog.Tuple) (catalog.Tuple, error) {
 	payload, live, err := f.fetchSlot(clk, pool, rid, level)
 	if err != nil || !live {
 		return nil, err
 	}
-	t, _, err := catalog.DecodeTupleBorrowed(scratch, payload, f.Schema)
+	if d == nil {
+		d = f.all
+	}
+	t, _, err := d.Decode(scratch, payload)
 	return t, err
 }
 

@@ -14,7 +14,6 @@ package simclock
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -147,69 +146,29 @@ func (c *Clock) AdvanceTo(t Duration) Duration {
 func (c *Clock) Reset() { c.now.Store(0) }
 
 // Resource is a serially shared facility (a disk, an SSD, a network link).
-// Concurrent streams that use the same Resource queue behind one another:
-// service is granted in call order, and each call returns the completion
-// time of the request. Device traffic normally reaches a Resource through
-// the QoS I/O scheduler (package iosched), which decides the call order —
-// and therefore the service order — by class priority rather than by
-// submission order.
+// Requests that use the same Resource queue behind one another: service
+// is granted in call order, and each call returns the completion time of
+// the request. Device traffic normally reaches a Resource through the QoS
+// I/O scheduler (package iosched), which decides the call order — and
+// therefore the service order — by class priority rather than by
+// submission order. A Resource is one word and takes no lock: its caller
+// serialises the calls (a device.Device holds its own mutex across them).
 type Resource struct {
-	mu        sync.Mutex
 	busyUntil Duration
-	busyTime  Duration // total time spent serving
-	served    int64
 }
 
 // Serve schedules a request arriving at time `at` that needs `service`
 // time. It returns the completion time. Service is never negative.
 func (r *Resource) Serve(at, service Duration) Duration {
-	if service < 0 {
-		service = 0
-	}
-	r.mu.Lock()
-	start := at
-	if r.busyUntil > start {
-		start = r.busyUntil
-	}
-	end := start + service
-	r.busyUntil = end
-	r.busyTime += service
-	r.served++
-	r.mu.Unlock()
-	return end
-}
-
-// BusyUntil reports the time at which the resource becomes idle.
-func (r *Resource) BusyUntil() Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.busyUntil = max(at, r.busyUntil) + max(service, 0)
 	return r.busyUntil
 }
 
-// BusyTime reports cumulative service time delivered by the resource.
-func (r *Resource) BusyTime() Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.busyTime
-}
-
-// Served reports how many requests the resource has completed.
-func (r *Resource) Served() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.served
-}
+// BusyUntil reports the time at which the resource becomes idle.
+func (r *Resource) BusyUntil() Duration { return r.busyUntil }
 
 // Reset returns the resource to idle at time zero.
-func (r *Resource) Reset() {
-	r.mu.Lock()
-	r.busyUntil, r.busyTime, r.served = 0, 0, 0
-	r.mu.Unlock()
-}
+func (r *Resource) Reset() { r.busyUntil = 0 }
 
 // String implements fmt.Stringer for debugging.
-func (r *Resource) String() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return fmt.Sprintf("resource{busyUntil=%v busy=%v served=%d}", r.busyUntil, r.busyTime, r.served)
-}
+func (r *Resource) String() string { return fmt.Sprintf("resource{busyUntil=%v}", r.busyUntil) }

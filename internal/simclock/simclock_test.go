@@ -80,27 +80,9 @@ func TestResourceNegativeServiceClamped(t *testing.T) {
 	}
 }
 
-func TestResourceCounters(t *testing.T) {
-	var r Resource
-	r.Serve(0, 2*time.Millisecond)
-	r.Serve(0, 3*time.Millisecond)
-	if r.Served() != 2 {
-		t.Fatalf("served = %d", r.Served())
-	}
-	if r.BusyTime() != 5*time.Millisecond {
-		t.Fatalf("busy = %v", r.BusyTime())
-	}
-	if r.BusyUntil() != 5*time.Millisecond {
-		t.Fatalf("busyUntil = %v", r.BusyUntil())
-	}
-	r.Reset()
-	if r.Served() != 0 || r.BusyTime() != 0 || r.BusyUntil() != 0 {
-		t.Fatalf("reset left %v", r.String())
-	}
-}
-
-// Property: completions never precede arrival + service, and busy time
-// equals the sum of services.
+// Property: a request starts at its arrival or when the previous one
+// ends, whichever is later, and ends its service time after that; the
+// horizon is the last completion.
 func TestResourceProperties(t *testing.T) {
 	f := func(arrivals []uint16, services []uint16) bool {
 		var r Resource
@@ -108,26 +90,29 @@ func TestResourceProperties(t *testing.T) {
 		if len(services) < n {
 			n = len(services)
 		}
-		var total time.Duration
+		var prev time.Duration
 		for i := 0; i < n; i++ {
 			at := time.Duration(arrivals[i]) * time.Microsecond
 			svc := time.Duration(services[i]) * time.Microsecond
 			done := r.Serve(at, svc)
-			if done < at+svc {
+			if done != max(at, prev)+svc || r.BusyUntil() != done {
 				return false
 			}
-			total += svc
+			prev = done
 		}
-		return r.BusyTime() == total
+		r.Reset()
+		return r.BusyUntil() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Concurrent use must not race or lose work.
+// A Resource takes no lock: callers serialise their calls. Concurrent
+// callers that do so lose no work (and -race sees no race).
 func TestResourceConcurrent(t *testing.T) {
 	var r Resource
+	var mu sync.Mutex
 	var wg sync.WaitGroup
 	const workers = 8
 	const each = 100
@@ -136,16 +121,15 @@ func TestResourceConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < each; j++ {
+				mu.Lock()
 				r.Serve(0, time.Microsecond)
+				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	if r.Served() != workers*each {
-		t.Fatalf("served %d, want %d", r.Served(), workers*each)
-	}
-	if r.BusyTime() != workers*each*time.Microsecond {
-		t.Fatalf("busy %v", r.BusyTime())
+	if r.BusyUntil() != workers*each*time.Microsecond {
+		t.Fatalf("busy until %v, want %v", r.BusyUntil(), workers*each*time.Microsecond)
 	}
 }
 

@@ -19,6 +19,17 @@ import (
 // column name is resolved once, while the plan is built; a name that does
 // not resolve panics naming the query. The closures the operators run read
 // tuple positions only.
+//
+// Resolving a name also records what a scan must decode. Each column a
+// rel passes on unchanged from a scan or index probe points at that
+// leaf's entry of its Cols set, and every resolution marks the entry it
+// reaches. So do the inputs of the operators that keep rows whole (a hash
+// join's build, sort, top) and the query's output, for every column they
+// carry: a row that is kept or spilled is full width. Columns a rel
+// computes (keep, out, group, finalize) have no leaf entry; the columns
+// they were computed from were marked when they were resolved. A closure
+// that reads a position resolved on another rel reads a column its scan
+// may not have decoded, and sees catalog's poison datum.
 
 // plan builds one query.
 type plan struct {
@@ -32,11 +43,14 @@ func (p *plan) fail(format string, args ...any) {
 	panic(fmt.Sprintf("tpch: %s: %s", p.q, fmt.Sprintf(format, args...)))
 }
 
-// rel is a relation under construction.
+// rel is a relation under construction. src[i], when src is not nil and
+// the entry is not, is the Cols entry of the scan or probe that column i
+// passes through unchanged.
 type rel struct {
 	p    *plan
 	op   exec.Operator
 	cols []catalog.Column
+	src  []*bool
 }
 
 func (p *plan) table(name string) *catalog.TableInfo {
@@ -50,7 +64,40 @@ func (p *plan) table(name string) *catalog.TableInfo {
 // scan is a sequential scan of table.
 func (p *plan) scan(table string) rel {
 	info := p.table(table)
-	return rel{p, &exec.SeqScan{Table: exec.NewTableHandle(info)}, info.Schema.Cols}
+	op := &exec.SeqScan{Table: exec.NewTableHandle(info), Cols: make([]bool, len(info.Schema.Cols))}
+	return rel{p, op, info.Schema.Cols, leaf(op.Cols)}
+}
+
+// leaf points at each entry of a scan's column set.
+func leaf(cols []bool) []*bool {
+	src := make([]*bool, len(cols))
+	for i := range cols {
+		src[i] = &cols[i]
+	}
+	return src
+}
+
+// mark records that column i of a rel with sources src is read.
+func mark(src []*bool, i int) {
+	if i < len(src) && src[i] != nil {
+		*src[i] = true
+	}
+}
+
+// whole marks every column of r: r's rows are kept or leave the plan.
+func (r rel) whole() rel {
+	for i := range r.src {
+		mark(r.src, i)
+	}
+	return r
+}
+
+// sources is r.src at r's arity, for a layout that concatenates rels.
+func (r rel) sources() []*bool {
+	if r.src == nil {
+		return make([]*bool, len(r.cols))
+	}
+	return r.src
 }
 
 // index is the inner side of an index nested loop: a probe of the named
@@ -61,13 +108,14 @@ func (p *plan) index(name string) rel {
 		p.fail("no index %q", name)
 	}
 	info := p.table(p.ds.DB.Cat.NameOf(ix.TableID))
-	return rel{p, &exec.IndexProbe{Index: ix, Table: exec.NewTableHandle(info)}, info.Schema.Cols}
+	op := &exec.IndexProbe{Index: ix, Table: exec.NewTableHandle(info), Cols: make([]bool, len(info.Schema.Cols))}
+	return rel{p, op, info.Schema.Cols, leaf(op.Cols)}
 }
 
 // at is the position of a column, for a closure that reads it.
 func (r rel) at(name string) int { return r.in().at(name).i }
 
-func (r rel) in() layout { return layout{p: r.p, left: r.cols} }
+func (r rel) in() layout { return layout{p: r.p, left: r.cols, lsrc: r.src} }
 
 // where filters r: the predicate of a scan or probe, a Filter above
 // anything else.
@@ -86,7 +134,7 @@ func (r rel) where(pred func(catalog.Tuple) bool) rel {
 // keep projects r onto the listed columns and values (see layout.out).
 func (r rel) keep(items ...any) rel {
 	cols, fn := r.in().out(items)
-	return rel{r.p, &exec.Project{Child: r.op, Fn: func(dst, t catalog.Tuple) catalog.Tuple { return fn(dst, t, nil) }}, cols}
+	return rel{r.p, &exec.Project{Child: r.op, Fn: func(dst, t catalog.Tuple) catalog.Tuple { return fn(dst, t, nil) }}, cols, nil}
 }
 
 // pos is where a column is read: a join's right-hand (probe or inner) row
@@ -103,20 +151,25 @@ func (c pos) of(a, b catalog.Tuple) catalog.Datum {
 	return a[c.i]
 }
 
-// layout is what a value can read: one row's columns, or a join's two.
+// layout is what a value can read: one row's columns, or a join's two,
+// with their sources.
 type layout struct {
 	p           *plan
 	left, right []catalog.Column
+	lsrc, rsrc  []*bool
 }
 
+// col resolves a column and marks it read.
 func (l layout) col(name string) (catalog.Column, pos) {
 	for i, c := range l.left {
 		if c.Name == name {
+			mark(l.lsrc, i)
 			return c, pos{false, i}
 		}
 	}
 	for i, c := range l.right {
 		if c.Name == name {
+			mark(l.rsrc, i)
 			return c, pos{true, i}
 		}
 	}
@@ -218,6 +271,7 @@ type join struct {
 	hj          *exec.HashJoin
 	nl          *exec.NestLoop
 	left, right []catalog.Column
+	lsrc, rsrc  []*bool
 }
 
 // eq is one equality of a hash join: a build column and a probe column.
@@ -225,8 +279,10 @@ type eq [2]string
 
 // hashJoin joins build, below the blocking Hash node of the paper's plan
 // trees, with probe. Two equalities pack into one key, the first high.
+// The build rows are kept, so they are whole.
 func hashJoin(build, probe rel, on ...eq) join {
-	return join{p: build.p, left: build.cols, right: probe.cols, hj: &exec.HashJoin{
+	build.whole()
+	return join{p: build.p, left: build.cols, right: probe.cols, lsrc: build.sources(), rsrc: probe.sources(), hj: &exec.HashJoin{
 		Build:    &exec.Hash{Child: build.op},
 		Probe:    probe.op,
 		BuildKey: build.key(on, 0),
@@ -254,7 +310,7 @@ func nestLoop(outer, inner rel, key string) join {
 		outer.p.fail("a nested loop's inner side is an index probe, not %T", inner.op)
 	}
 	i := outer.at(key)
-	return join{p: outer.p, left: outer.cols, right: inner.cols, nl: &exec.NestLoop{
+	return join{p: outer.p, left: outer.cols, right: inner.cols, lsrc: outer.sources(), rsrc: inner.sources(), nl: &exec.NestLoop{
 		Outer:    outer.op,
 		Probe:    probe,
 		OuterKey: func(t catalog.Tuple) int64 { return t[i].I },
@@ -271,25 +327,26 @@ func (j join) match(pred func(a, b catalog.Tuple) bool) join {
 	return j
 }
 
-func (j join) rel(cols []catalog.Column, combine func(dst, a, b catalog.Tuple) catalog.Tuple) rel {
+func (j join) rel(cols []catalog.Column, src []*bool, combine func(dst, a, b catalog.Tuple) catalog.Tuple) rel {
 	if j.hj != nil {
 		j.hj.Combine = combine
-		return rel{j.p, j.hj, cols}
+		return rel{j.p, j.hj, cols, src}
 	}
 	j.nl.Combine = combine
-	return rel{j.p, j.nl, cols}
+	return rel{j.p, j.nl, cols, src}
 }
 
 // all keeps both sides' columns, left then right.
 func (j join) all() rel {
-	return j.rel(j.p.distinct(append(append([]catalog.Column(nil), j.left...), j.right...)), nil)
+	return j.rel(j.p.distinct(append(append([]catalog.Column(nil), j.left...), j.right...)),
+		append(append([]*bool(nil), j.lsrc...), j.rsrc...), nil)
 }
 
 // out lists the joined row's columns and values, read from either side.
 func (j join) out(items ...any) rel {
 	j.p.distinct(append(append([]catalog.Column(nil), j.left...), j.right...))
-	cols, fn := layout{j.p, j.left, j.right}.out(items)
-	return j.rel(cols, fn)
+	cols, fn := layout{j.p, j.left, j.right, j.lsrc, j.rsrc}.out(items)
+	return j.rel(cols, nil, fn)
 }
 
 // semi keeps each outer row that has a match, once.
@@ -298,7 +355,7 @@ func (j join) semi() rel {
 		j.p.fail("semi join of a hash join")
 	}
 	j.nl.Semi = true
-	return j.rel(j.left, func(dst, o, _ catalog.Tuple) catalog.Tuple { return append(dst, o...) })
+	return j.rel(j.left, j.lsrc, func(dst, o, _ catalog.Tuple) catalog.Tuple { return append(dst, o...) })
 }
 
 // anti keeps the rows that have no match: a nested loop's outer rows, a
@@ -306,10 +363,10 @@ func (j join) semi() rel {
 func (j join) anti() rel {
 	if j.hj != nil {
 		j.hj.Anti = true
-		return rel{j.p, j.hj, j.right}
+		return rel{j.p, j.hj, j.right, j.rsrc}
 	}
 	j.nl.Anti = true
-	return rel{j.p, j.nl, j.left}
+	return rel{j.p, j.nl, j.left, j.lsrc}
 }
 
 // ---- aggregation ----
@@ -471,7 +528,7 @@ func (r rel) group(k keys, items ...any) rel {
 			}
 			return acc
 		},
-	}, r.p.distinct(cols)}
+	}, r.p.distinct(cols), nil}
 }
 
 // finalize rewrites each row of r, a group, as it is emitted.
@@ -483,7 +540,7 @@ func (r rel) finalize(items ...any) rel {
 	cols, fn := r.in().out(items)
 	w := len(cols)
 	a.Finalize = func(acc catalog.Tuple) catalog.Tuple { return fn(make(catalog.Tuple, 0, w), acc, nil) }
-	return rel{r.p, a, cols}
+	return rel{r.p, a, cols, nil}
 }
 
 // ---- order ----
@@ -522,12 +579,13 @@ func (r rel) less(by []order) func(a, b catalog.Tuple) bool {
 	}
 }
 
-// sort orders r.
+// sort orders r. It keeps its rows, so they are whole.
 func (r rel) sort(by ...order) rel {
-	return rel{r.p, &exec.Sort{Child: r.op, Less: r.less(by)}, r.cols}
+	return rel{r.p, &exec.Sort{Child: r.op, Less: r.whole().less(by)}, r.cols, r.src}
 }
 
-// top keeps r's first n rows in order.
+// top keeps r's first n rows in order. It keeps its rows, so they are
+// whole.
 func (r rel) top(n int, by ...order) rel {
-	return rel{r.p, &exec.TopN{Child: r.op, N: n, Less: r.less(by)}, r.cols}
+	return rel{r.p, &exec.TopN{Child: r.op, N: n, Less: r.whole().less(by)}, r.cols, r.src}
 }

@@ -35,7 +35,7 @@ func catalogOnly(t testing.TB) *Dataset {
 func TestPlanBuilder(t *testing.T) {
 	ds := catalogOnly(t)
 	typed := func(q *plan) rel { // i, s: one integer and one string column
-		return rel{q, &exec.Values{}, []catalog.Column{{Name: "i", Type: catalog.Int64}, {Name: "s", Type: catalog.String}}}
+		return rel{p: q, op: &exec.Values{}, cols: []catalog.Column{{Name: "i", Type: catalog.Int64}, {Name: "s", Type: catalog.String}}}
 	}
 	row := catalog.Tuple{catalog.IntDatum(-42), catalog.StringDatum("")}
 	for _, tc := range []struct {
@@ -104,6 +104,78 @@ func TestPlanBuilder(t *testing.T) {
 				return names(r.cols)
 			}()
 			if got != tc.want && !(strings.HasPrefix(tc.want, "panic: ") && strings.HasPrefix(got, tc.want)) {
+				t.Errorf("got %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestPlanColumnSets pins the column sets the builder hands its scans and
+// probes: what is resolved, every column of a hash join's build, of a
+// sort's input and of the query's output, and nothing a projection drops.
+func TestPlanColumnSets(t *testing.T) {
+	ds := catalogOnly(t)
+	for _, tc := range []struct {
+		name  string
+		build func(q *plan) rel
+		want  string // each leaf's table and the columns it decodes, in plan order
+	}{
+		{"predicate and aggregate", func(q *plan) rel {
+			li := q.scan("lineitem")
+			sd := li.at("l_shipdate")
+			return li.where(func(t catalog.Tuple) bool { return t[sd].I > 0 }).group(by(), sum("l_quantity"))
+		}, "lineitem[l_quantity l_shipdate]"},
+		{"the output is whole", func(q *plan) rel { return q.scan("region") }, "region[r_regionkey r_name]"},
+		{"a sort's input is whole", func(q *plan) rel {
+			return q.scan("nation").sort(asc("n_name")).keep("n_name")
+		}, "nation[n_nationkey n_name n_regionkey]"},
+		{"a top's input is whole", func(q *plan) rel {
+			return q.scan("nation").top(3, asc("n_name")).keep("n_name")
+		}, "nation[n_nationkey n_name n_regionkey]"},
+		{"a hash build is whole, a probe reads its key and outputs", func(q *plan) rel {
+			return hashJoin(q.scan("region"), q.scan("nation"), eq{"r_regionkey", "n_regionkey"}).out("n_name").group(by(), count("n"))
+		}, "region[r_regionkey r_name] nation[n_name n_regionkey]"},
+		{"keep reads what it keeps", func(q *plan) rel {
+			return hashJoin(q.scan("orders").keep("o_custkey"), q.scan("customer"), eq{"o_custkey", "c_custkey"}).anti().
+				group(by(), sum("c_acctbal"))
+		}, "orders[o_custkey] customer[c_custkey c_acctbal]"},
+		{"a probe reads its predicate and outputs", func(q *plan) rel {
+			ps := q.index("idx_partsupp_partkey")
+			aq := ps.at("ps_availqty")
+			return nestLoop(q.scan("part").keep("p_partkey"), ps.where(func(t catalog.Tuple) bool { return t[aq].I > 0 }), "p_partkey").
+				out("ps_supplycost").group(by(), sum("ps_supplycost"))
+		}, "part[p_partkey] partsupp[ps_availqty ps_supplycost]"},
+		{"a semi join passes its outer rows on", func(q *plan) rel {
+			return nestLoop(q.scan("orders"), q.index("idx_lineitem_orderkey"), "o_orderkey").semi().top(1, asc("o_orderdate"))
+		}, "orders[o_orderkey o_custkey o_orderstatus o_totalprice o_orderdate o_orderpriority o_shippriority] lineitem[]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var leaves []string
+			var walk func(op exec.Operator)
+			walk = func(op exec.Operator) {
+				var cols []bool
+				var table *catalog.TableInfo
+				switch o := op.(type) {
+				case *exec.SeqScan:
+					cols, table = o.Cols, o.Table.Info
+				case *exec.IndexProbe:
+					cols, table = o.Cols, o.Table.Info
+				}
+				if table != nil {
+					var read []catalog.Column
+					for i, c := range table.Schema.Cols {
+						if cols[i] {
+							read = append(read, c)
+						}
+					}
+					leaves = append(leaves, table.Name+names(read))
+				}
+				for _, c := range op.Children() {
+					walk(c)
+				}
+			}
+			walk(tc.build(ds.plan("Qt")).whole().op)
+			if got := strings.Join(leaves, " "); got != tc.want {
 				t.Errorf("got %s, want %s", got, tc.want)
 			}
 		})

@@ -22,7 +22,7 @@ func (ds *Dataset) Query(n int, seed int64) (exec.Operator, error) {
 		return nil, fmt.Errorf("tpch: no query %d", n)
 	}
 	rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
-	return queries[n-1](ds.plan(fmt.Sprintf("Q%d", n)), rng), nil
+	return queries[n-1](ds.plan(fmt.Sprintf("Q%d", n)), rng).whole().op, nil
 }
 
 // MustQuery is Query but panics on an invalid number.
@@ -34,7 +34,7 @@ func (ds *Dataset) MustQuery(n int, seed int64) exec.Operator {
 	return op
 }
 
-var queries = [...]func(*plan, *rand.Rand) exec.Operator{
+var queries = [...]func(*plan, *rand.Rand) rel{
 	q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11,
 	q12, q13, q14, q15, q16, q17, q18, q19, q20, q21, q22,
 }
@@ -43,7 +43,7 @@ var queries = [...]func(*plan, *rand.Rand) exec.Operator{
 func between(d, lo, hi int64) bool { return d >= lo && d < hi }
 
 // q1: pricing summary report. Pure sequential scan + aggregation.
-func q1(q *plan, rng *rand.Rand) exec.Operator {
+func q1(q *plan, rng *rand.Rand) rel {
 	cutoff := Day(1998, 12, 1) - int64(60+rng.Intn(60))
 	li := q.scan("lineitem")
 	sd, price, disc, tax := li.at("l_shipdate"), li.at("l_extendedprice"), li.at("l_discount"), li.at("l_tax")
@@ -53,11 +53,11 @@ func q1(q *plan, rng *rand.Rand) exec.Operator {
 	return li.where(func(t catalog.Tuple) bool { return t[sd].I <= cutoff }).
 		group(by("l_returnflag", "l_linestatus"), "l_returnflag", "l_linestatus",
 			sum("l_quantity"), sum("l_extendedprice"), sum(revenue), sum(charge), count("count_order")).
-		sort(asc("l_returnflag"), asc("l_linestatus")).op
+		sort(asc("l_returnflag"), asc("l_linestatus"))
 }
 
 // q2: minimum cost supplier. Random probes into partsupp and supplier.
-func q2(q *plan, rng *rand.Rand) exec.Operator {
+func q2(q *plan, rng *rand.Rand) rel {
 	size := int64(1 + rng.Intn(50))
 	suffix := typeSyl3[rng.Intn(len(typeSyl3))]
 	region := int64(rng.Intn(5))
@@ -74,11 +74,11 @@ func q2(q *plan, rng *rand.Rand) exec.Operator {
 	// Min supply cost per part, with its "best supplier".
 	return hashJoin(nation, pss, eq{"n_nationkey", "s_nationkey"}).all().
 		group(by("p_partkey"), "p_partkey", least("ps_supplycost", "s_acctbal", "s_name")).
-		top(100, desc("s_acctbal")).op
+		top(100, desc("s_acctbal"))
 }
 
 // q3: shipping priority. Hash joins + random lineitem probes.
-func q3(q *plan, rng *rand.Rand) exec.Operator {
+func q3(q *plan, rng *rand.Rand) rel {
 	segment := segments[rng.Intn(len(segments))]
 	date := Day(1995, 3, 1) + int64(rng.Intn(31))
 	cust, ords, line := q.scan("customer"), q.scan("orders"), q.index("idx_lineitem_orderkey")
@@ -89,23 +89,23 @@ func q3(q *plan, rng *rand.Rand) exec.Operator {
 	return nestLoop(co, line.where(func(t catalog.Tuple) bool { return t[sd].I > date }), "o_orderkey").
 		out("o_orderkey", "o_orderdate", revenue).
 		group(by("o_orderkey"), "o_orderkey", "o_orderdate", sum("revenue")).
-		top(10, desc("revenue")).op
+		top(10, desc("revenue"))
 }
 
 // q4: order priority checking. Semi join via random lineitem probes.
-func q4(q *plan, rng *rand.Rand) exec.Operator {
+func q4(q *plan, rng *rand.Rand) rel {
 	start := Day(1993, 1, 1) + int64(rng.Intn(20))*91
 	ords, line := q.scan("orders"), q.index("idx_lineitem_orderkey")
 	od, cd, rd := ords.at("o_orderdate"), line.at("l_commitdate"), line.at("l_receiptdate")
 	return nestLoop(ords.where(func(t catalog.Tuple) bool { return between(t[od].I, start, start+91) }),
 		line.where(func(t catalog.Tuple) bool { return t[cd].I < t[rd].I }), "o_orderkey").semi().
 		group(by("o_orderpriority"), "o_orderpriority", count("order_count")).
-		sort(asc("o_orderpriority")).op
+		sort(asc("o_orderpriority"))
 }
 
 // q5: local supplier volume. Hash-join pipeline over sequential scans —
 // one of the paper's sequential-dominated queries (Figure 5).
-func q5(q *plan, rng *rand.Rand) exec.Operator {
+func q5(q *plan, rng *rand.Rand) rel {
 	region := int64(rng.Intn(5))
 	y := 1993 + rng.Intn(5)
 	start, end := Day(y, 1, 1), Day(y+1, 1, 1)
@@ -124,11 +124,11 @@ func q5(q *plan, rng *rand.Rand) exec.Operator {
 		match(func(b, p catalog.Tuple) bool { return b[sn].I == p[nk].I }).
 		out("n_name", revenue).
 		group(by("n_name"), "n_name", sum("revenue")).
-		sort(desc("revenue")).op
+		sort(desc("revenue"))
 }
 
 // q6: forecasting revenue change. Pure sequential scan, scalar aggregate.
-func q6(q *plan, rng *rand.Rand) exec.Operator {
+func q6(q *plan, rng *rand.Rand) rel {
 	y := 1993 + rng.Intn(5)
 	start, end := Day(y, 1, 1), Day(y+1, 1, 1)
 	d := 0.02 + float64(rng.Intn(8))/100
@@ -138,12 +138,12 @@ func q6(q *plan, rng *rand.Rand) exec.Operator {
 		return between(t[sd].I, start, end) && t[disc].F >= d-0.011 && t[disc].F <= d+0.011 && t[qty].F < 24
 	}).group(by(), sum(calc("revenue", catalog.Float64, func(t, _ catalog.Tuple) catalog.Datum {
 		return catalog.FloatDatum(t[price].F * t[disc].F)
-	}))).op
+	})))
 }
 
 // q7: volume shipping. Sequential lineitem drive with random probes into
 // orders and customer.
-func q7(q *plan, rng *rand.Rand) exec.Operator {
+func q7(q *plan, rng *rand.Rand) rel {
 	n1 := int64(6 + rng.Intn(2)) // FRANCE or GERMANY
 	n2 := 13 - n1                // the other one
 	start, end := Day(1995, 1, 1), Day(1996, 12, 31)
@@ -161,12 +161,12 @@ func q7(q *plan, rng *rand.Rand) exec.Operator {
 		}).
 		out("s_nationkey", "c_nationkey", "year", "revenue").
 		group(by("s_nationkey", "c_nationkey", "year"), "s_nationkey", "c_nationkey", "year", sum("revenue")).
-		sort(asc("s_nationkey"), asc("c_nationkey"), asc("year")).op
+		sort(asc("s_nationkey"), asc("c_nationkey"), asc("year"))
 }
 
 // q8: national market share. Part-driven random probes into lineitem and
 // orders.
-func q8(q *plan, rng *rand.Rand) exec.Operator {
+func q8(q *plan, rng *rand.Rand) rel {
 	ptype := typeSyl1[rng.Intn(len(typeSyl1))] + " " + typeSyl2[rng.Intn(len(typeSyl2))] + " " + typeSyl3[rng.Intn(len(typeSyl3))]
 	const brazil = 2
 	start, end := Day(1995, 1, 1), Day(1996, 12, 31)
@@ -191,14 +191,14 @@ func q8(q *plan, rng *rand.Rand) exec.Operator {
 			share = acc[nv].F / acc[v].F
 		}
 		return catalog.FloatDatum(share)
-	})).sort(asc("year")).op
+	})).sort(asc("year"))
 }
 
 // q9: product type profit — the plan of Figure 7: hash joins over part,
 // partsupp and nation; nested-loop index scans into supplier and orders.
 // The supplier probe sits one level below the orders probe, so their
 // random requests receive priorities 2 and 3 (Table 5).
-func q9(q *plan, rng *rand.Rand) exec.Operator {
+func q9(q *plan, rng *rand.Rand) rel {
 	word := nameWords[rng.Intn(len(nameWords))]
 	part := q.scan("part")
 	pn := part.at("p_name")
@@ -221,11 +221,11 @@ func q9(q *plan, rng *rand.Rand) exec.Operator {
 	// Top hash join with nation.
 	return hashJoin(q.scan("nation").keep("n_nationkey", "n_name"), so, eq{"n_nationkey", "s_nationkey"}).all().
 		group(by("n_name", "year"), "n_name", "year", sum("amount")).
-		sort(asc("n_name"), desc("year")).op
+		sort(asc("n_name"), desc("year"))
 }
 
 // q10: returned item reporting. Hash joins + random customer probes.
-func q10(q *plan, rng *rand.Rand) exec.Operator {
+func q10(q *plan, rng *rand.Rand) rel {
 	start := Day(1993, 10, 1) + int64(rng.Intn(8))*91
 	ords, line := q.scan("orders"), q.scan("lineitem")
 	od, rf := ords.at("o_orderdate"), line.at("l_returnflag")
@@ -235,11 +235,11 @@ func q10(q *plan, rng *rand.Rand) exec.Operator {
 	return nestLoop(ol, q.index("idx_customer_custkey"), "o_custkey").
 		out("o_custkey", "c_name", "revenue").
 		group(by("o_custkey"), "o_custkey", "c_name", sum("revenue")).
-		top(20, desc("revenue")).op
+		top(20, desc("revenue"))
 }
 
 // q11: important stock identification. Sequential joins + aggregation.
-func q11(q *plan, _ *rand.Rand) exec.Operator {
+func q11(q *plan, _ *rand.Rand) rel {
 	const germany = 7
 	supp := q.scan("supplier")
 	snk := supp.at("s_nationkey")
@@ -250,12 +250,12 @@ func q11(q *plan, _ *rand.Rand) exec.Operator {
 		return catalog.FloatDatum(t[cost].F * float64(t[avail].I))
 	})))
 	v := g.at("value")
-	return g.where(func(t catalog.Tuple) bool { return t[v].F > 1000 }).sort(desc("value")).op
+	return g.where(func(t catalog.Tuple) bool { return t[v].F > 1000 }).sort(desc("value"))
 }
 
 // q12: shipping modes and order priority. Sequential lineitem drive with
 // random orders probes.
-func q12(q *plan, rng *rand.Rand) exec.Operator {
+func q12(q *plan, rng *rand.Rand) rel {
 	m1 := shipmodes[rng.Intn(len(shipmodes))]
 	m2 := shipmodes[rng.Intn(len(shipmodes))]
 	y := 1993 + rng.Intn(5)
@@ -274,21 +274,21 @@ func q12(q *plan, rng *rand.Rand) exec.Operator {
 	h := lo.at("high")
 	return lo.group(by("l_shipmode"), "l_shipmode", sum("high"), sum(calc("low", catalog.Int64, func(t, _ catalog.Tuple) catalog.Datum {
 		return catalog.IntDatum(1 - t[h].I)
-	}))).sort(asc("l_shipmode")).op
+	}))).sort(asc("l_shipmode"))
 }
 
 // q13: customer distribution. Large aggregation over orders (spills) then
 // a customer join.
-func q13(q *plan, _ *rand.Rand) exec.Operator {
+func q13(q *plan, _ *rand.Rand) rel {
 	counts := q.scan("orders").group(by("o_custkey"), "o_custkey", count("c_count"))
 	return hashJoin(counts, q.scan("customer").keep("c_custkey"), eq{"o_custkey", "c_custkey"}).all().
 		group(by("c_count"), "c_count", count("custdist")).
-		sort(desc("custdist"), desc("c_count")).op
+		sort(desc("custdist"), desc("c_count"))
 }
 
 // q14: promotion effect. Sequential lineitem drive with random part
 // probes.
-func q14(q *plan, rng *rand.Rand) exec.Operator {
+func q14(q *plan, rng *rand.Rand) rel {
 	y := 1993 + rng.Intn(5)
 	start := Day(y, 1+rng.Intn(12), 1)
 	line, part := q.scan("lineitem"), q.index("idx_part_partkey")
@@ -310,22 +310,22 @@ func q14(q *plan, rng *rand.Rand) exec.Operator {
 			share = 100 * acc[pv].F / acc[v].F
 		}
 		return catalog.FloatDatum(share)
-	})).op
+	}))
 }
 
 // q15: top supplier. Sequential aggregation + small join.
-func q15(q *plan, rng *rand.Rand) exec.Operator {
+func q15(q *plan, rng *rand.Rand) rel {
 	start := Day(1993, 1, 1) + int64(rng.Intn(20))*91
 	line := q.scan("lineitem")
 	sd := line.at("l_shipdate")
 	rev := line.where(func(t catalog.Tuple) bool { return between(t[sd].I, start, start+91) }).
 		group(by("l_suppkey"), "l_suppkey", sum(revenue))
 	return hashJoin(rev, q.scan("supplier").keep("s_suppkey", "s_name"), eq{"l_suppkey", "s_suppkey"}).all().
-		top(1, desc("revenue")).op
+		top(1, desc("revenue"))
 }
 
 // q16: parts/supplier relationship. Sequential joins + aggregation.
-func q16(q *plan, rng *rand.Rand) exec.Operator {
+func q16(q *plan, rng *rand.Rand) rel {
 	brand := brands[rng.Intn(len(brands))]
 	part := q.scan("part")
 	pb, pt, psz := part.at("p_brand"), part.at("p_type"), part.at("p_size")
@@ -334,11 +334,11 @@ func q16(q *plan, rng *rand.Rand) exec.Operator {
 	})
 	return hashJoin(part.keep("p_partkey", "p_brand", "p_type", "p_size"), q.scan("partsupp"), eq{"p_partkey", "ps_partkey"}).all().
 		group(by("p_brand", "p_type", "p_size"), "p_brand", "p_type", "p_size", changes("supplier_cnt", "ps_suppkey")).
-		sort(desc("supplier_cnt"), asc("p_brand")).op
+		sort(desc("supplier_cnt"), asc("p_brand"))
 }
 
 // q17: small-quantity-order revenue. Part-driven random lineitem probes.
-func q17(q *plan, rng *rand.Rand) exec.Operator {
+func q17(q *plan, rng *rand.Rand) rel {
 	brand := brands[rng.Intn(len(brands))]
 	container := containers[rng.Intn(len(containers))]
 	part := q.scan("part")
@@ -355,14 +355,14 @@ func q17(q *plan, rng *rand.Rand) exec.Operator {
 	small := g.at("small")
 	return g.group(by(), sum(calc("avg_yearly", catalog.Float64, func(t, _ catalog.Tuple) catalog.Datum {
 		return catalog.FloatDatum(t[small].F / 7)
-	}))).op
+	})))
 }
 
 // q18: large volume customer — the plan of Figure 10. The big hash
 // aggregate over lineitem spills to temporary files (Rule 3 traffic), and
 // every other input is scanned sequentially, so the query is the paper's
 // temp-data showcase (Table 7).
-func q18(q *plan, rng *rand.Rand) exec.Operator {
+func q18(q *plan, rng *rand.Rand) rel {
 	threshold := 180.0 + float64(rng.Intn(40))
 	// Hash aggregate over all of lineitem: sum(l_quantity) by orderkey.
 	sums := q.scan("lineitem").group(by("l_orderkey"), "l_orderkey", sum("l_quantity"))
@@ -373,11 +373,11 @@ func q18(q *plan, rng *rand.Rand) exec.Operator {
 		keep("l_orderkey", "l_quantity", "o_custkey", "o_orderdate", "o_totalprice")
 	return hashJoin(big, q.scan("customer").keep("c_custkey", "c_name"), eq{"o_custkey", "c_custkey"}).all().
 		group(by("l_orderkey"), "c_name", "o_custkey", "l_orderkey", "o_orderdate", "o_totalprice", "l_quantity").
-		top(100, desc("o_totalprice"), asc("o_orderdate")).op
+		top(100, desc("o_totalprice"), asc("o_orderdate"))
 }
 
 // q19: discounted revenue. Sequential hash join of part and lineitem.
-func q19(q *plan, rng *rand.Rand) exec.Operator {
+func q19(q *plan, rng *rand.Rand) rel {
 	b1 := brands[rng.Intn(len(brands))]
 	b2 := brands[rng.Intn(len(brands))]
 	b3 := brands[rng.Intn(len(brands))]
@@ -397,12 +397,12 @@ func q19(q *plan, rng *rand.Rand) exec.Operator {
 			return false
 		}).
 		out(revenue).
-		group(by(), sum("revenue")).op
+		group(by(), sum("revenue"))
 }
 
 // q20: potential part promotion. Part-driven random probes into partsupp
 // and lineitem.
-func q20(q *plan, rng *rand.Rand) exec.Operator {
+func q20(q *plan, rng *rand.Rand) rel {
 	word := nameWords[rng.Intn(len(nameWords))]
 	y := 1993 + rng.Intn(5)
 	start, end := Day(y, 1, 1), Day(y+1, 1, 1)
@@ -417,37 +417,44 @@ func q20(q *plan, rng *rand.Rand) exec.Operator {
 		match(func(o, i catalog.Tuple) bool { return i[lsk].I == o[pss].I }).semi()
 	return hashJoin(q.scan("supplier").keep("s_suppkey", "s_name", "s_nationkey"), shipped, eq{"s_suppkey", "ps_suppkey"}).all().
 		group(by("s_name"), "s_name").
-		sort(asc("s_name")).op
+		sort(asc("s_name"))
 }
 
 // q21: suppliers who kept orders waiting — the plan of Figure 8: a
 // sequential scan of lineitem hash-joined with supplier, then nested-loop
 // index scans into orders (priority 2) and lineitem (priority 3).
-func q21(q *plan, rng *rand.Rand) exec.Operator {
+func q21(q *plan, rng *rand.Rand) rel {
 	nationKey := int64(rng.Intn(25))
 	supp, l1, ords := q.scan("supplier"), q.scan("lineitem"), q.index("idx_orders_orderkey")
+	l2, l3 := q.index("idx_lineitem_orderkey"), q.index("idx_lineitem_orderkey")
 	snk, st := supp.at("s_nationkey"), ords.at("o_orderstatus")
-	rd, cd, lsk := l1.at("l_receiptdate"), l1.at("l_commitdate"), l1.at("l_suppkey")
-	late := func(t catalog.Tuple) bool { return t[rd].I > t[cd].I }
+	// late and other read lineitem columns of the rel they filter.
+	late := func(l rel) func(catalog.Tuple) bool {
+		rd, cd := l.at("l_receiptdate"), l.at("l_commitdate")
+		return func(t catalog.Tuple) bool { return t[rd].I > t[cd].I }
+	}
 	sl := hashJoin(supp.where(func(t catalog.Tuple) bool { return t[snk].I == nationKey }).keep("s_suppkey", "s_name"),
-		l1.where(late), eq{"s_suppkey", "l_suppkey"}).all().
+		l1.where(late(l1)), eq{"s_suppkey", "l_suppkey"}).all().
 		keep("s_suppkey", "s_name", "l_orderkey")
 	// ⋈ orders via index (random, priority 2), keeping status 'F'.
 	slo := nestLoop(sl, ords.where(func(t catalog.Tuple) bool { return t[st].S == "F" }), "l_orderkey").
 		out("s_suppkey", "s_name", "l_orderkey")
 	ssk := slo.at("s_suppkey")
-	other := func(o, i catalog.Tuple) bool { return i[lsk].I != o[ssk].I }
+	other := func(l rel) func(o, i catalog.Tuple) bool {
+		lsk := l.at("l_suppkey")
+		return func(o, i catalog.Tuple) bool { return i[lsk].I != o[ssk].I }
+	}
 	// exists: another supplier shipped the same order (random lineitem,
 	// priority 3); not exists: no other supplier was late on that order.
-	multi := nestLoop(slo, q.index("idx_lineitem_orderkey"), "l_orderkey").match(other).semi()
-	return nestLoop(multi, q.index("idx_lineitem_orderkey").where(late), "l_orderkey").match(other).anti().
+	multi := nestLoop(slo, l2, "l_orderkey").match(other(l2)).semi()
+	return nestLoop(multi, l3.where(late(l3)), "l_orderkey").match(other(l3)).anti().
 		group(by("s_name"), "s_name", count("numwait")).
-		top(100, desc("numwait"), asc("s_name")).op
+		top(100, desc("numwait"), asc("s_name"))
 }
 
 // q22: global sales opportunity. Anti join against a large orders build
 // (spills) plus sequential customer scan.
-func q22(q *plan, _ *rand.Rand) exec.Operator {
+func q22(q *plan, _ *rand.Rand) rel {
 	cust := q.scan("customer")
 	phone, bal := cust.at("c_phone"), cust.at("c_acctbal")
 	cust = cust.where(func(t catalog.Tuple) bool {
@@ -463,5 +470,5 @@ func q22(q *plan, _ *rand.Rand) exec.Operator {
 	code := calc("cntrycode", catalog.String, func(t, _ catalog.Tuple) catalog.Datum { return catalog.StringDatum(t[phone].S[:2]) })
 	return hashJoin(q.scan("orders").keep("o_custkey"), cust, eq{"o_custkey", "c_custkey"}).anti().
 		group(by(code), code, count("numcust"), sum("c_acctbal")).
-		sort(asc("cntrycode")).op
+		sort(asc("cntrycode"))
 }
