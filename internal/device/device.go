@@ -217,12 +217,6 @@ func (d *Device) Use(set *obs.Set) {
 	defer d.mu.Unlock()
 	reg := set.Registry()
 	d.reg = reg
-	if reg == nil {
-		d.mReads, d.mWrites, d.mBlocksRead, d.mBlocksWr = nil, nil, nil, nil
-		d.mBusyTime, d.mBusy = nil, nil
-		d.mClassLat, d.mTenantLat = nil, nil
-		return
-	}
 	dev := obs.L("dev", d.spec.Name)
 	d.mReads = reg.Counter("device.reads", dev)
 	d.mWrites = reg.Counter("device.writes", dev)

@@ -190,11 +190,6 @@ func (p *Pool) Use(set *obs.Set) {
 	defer p.mu.Unlock()
 	p.tracer = set.Trace()
 	reg := set.Registry()
-	if reg == nil {
-		p.mHit, p.mMiss, p.mEvict, p.mWB, p.mSnapReads = nil, nil, nil, nil, nil
-		p.mVersions, p.mVerBytes, p.mSnaps = nil, nil, nil
-		return
-	}
 	p.mHit = reg.Counter("bufferpool.hit")
 	p.mMiss = reg.Counter("bufferpool.miss")
 	p.mEvict = reg.Counter("bufferpool.evictions")

@@ -160,10 +160,6 @@ func (m *Manager) Use(set *obs.Set) {
 	defer m.mu.Unlock()
 	m.tracer = set.Trace()
 	reg := set.Registry()
-	if reg == nil {
-		m.mAcquired, m.mWaits, m.mDeadlocks, m.mUpgrades = nil, nil, nil, nil
-		return
-	}
 	m.mAcquired = reg.Counter("lockmgr.acquired")
 	m.mWaits = reg.Counter("lockmgr.wait")
 	m.mDeadlocks = reg.Counter("lockmgr.deadlocks")

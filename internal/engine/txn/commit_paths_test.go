@@ -95,7 +95,7 @@ func TestCommitPathsUnwind(t *testing.T) {
 				}
 			}
 			// Committed pages into the memtable, so a later Sync has a
-			// table to write and the armed kill point something to fire in.
+			// table to write and the armed kill a block write to fire on.
 			if err := f.inst.Pool.FlushAll(&f.sess.Clk); err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestCommitPathsUnwind(t *testing.T) {
 			case crashAtCommit:
 				f.tm.CrashAtCommit(1)
 			case ioAtForce, ioAtAppend:
-				ls.Kill(lsm.KillMidSSTable)
+				ls.KillAfter(0)
 				if err := f.inst.Mgr.Sync(&f.sess.Clk); !errors.Is(err, lsm.ErrKilled) || !ls.Dead() {
 					t.Fatalf("sync over the armed store: %v, dead=%v", err, ls.Dead())
 				}

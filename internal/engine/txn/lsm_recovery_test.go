@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"hstoragedb/internal/engine"
@@ -77,51 +78,84 @@ func TestCrashRecoveryLSMBackend(t *testing.T) {
 	}
 }
 
-// TestCheckpointKilledMidFlush arms an LSM kill point so the checkpoint's
-// backend sync dies half-way through writing an SSTable. The checkpoint
-// must fail, and after crash recovery every committed transaction must
-// still be present — the interrupted flush's orphan blocks discarded,
-// redo replaying from the previous checkpoint.
-func TestCheckpointKilledMidFlush(t *testing.T) {
-	for _, point := range []lsm.KillPoint{lsm.KillMidSSTable, lsm.KillBeforeManifest, lsm.KillMidManifest} {
-		t.Run(fmt.Sprint(point), func(t *testing.T) {
-			ls := lsm.New(lsm.Config{MemtablePages: 1 << 20, L0Tables: 2})
-			f := newFixtureOn(t, 64, engine.NewDatabaseOn(ls))
-			if err := f.tm.Checkpoint(f.sess); err != nil {
-				t.Fatal(err)
-			}
-			for i := int64(1); i <= 10; i++ {
-				if err := f.insert(i, fmt.Sprintf("v%d", i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ls.Kill(point)
-			if err := f.tm.Checkpoint(f.sess); !errors.Is(err, lsm.ErrKilled) {
-				t.Fatalf("checkpoint over killed store: %v, want ErrKilled", err)
-			}
-			if !ls.Dead() {
-				t.Fatal("store survived the kill point")
-			}
-			f.tm.Crash()
+// crashSweepRows rows of crashSweepVal bytes roll the fixture's 8-page
+// log segments at least once, so a checkpoint has a segment to truncate.
+const (
+	crashSweepRows = 24
+	crashSweepVal  = 3000
+)
 
-			stats := f.attach(t, 64, false)
-			if stats.CommittedTxns == 0 {
-				t.Fatalf("recovery stats: %+v", stats)
-			}
-			if ls.OrphansDiscarded() == 0 {
-				// Every point fires after at least part of the SSTable
-				// is on disk but before the manifest commits it.
-				t.Fatal("recovery discarded no orphans")
-			}
-			for i := int64(1); i <= 10; i++ {
-				if got, want := f.lookup(t, i), fmt.Sprintf("v%d", i); got != want {
-					t.Fatalf("committed key %d after kill+recover: got %q want %q", i, got, want)
-				}
-			}
-			// The store is alive again: a full checkpoint now succeeds.
-			if err := f.tm.Checkpoint(f.sess); err != nil {
-				t.Fatal(err)
-			}
-		})
+func sweepVal(id int64) string {
+	return fmt.Sprintf("%d:%s", id, strings.Repeat("x", crashSweepVal))
+}
+
+// TestCheckpointKilledMidFlush kills an LSM-backed database at each
+// durable block write of an insert run and the checkpoint after it in
+// turn (subtest k arms KillAfter(k), for every k below the clean run's
+// write count): WAL page forces, the segment rollover's meta page, the
+// checkpoint's SSTable and manifest, its checkpoint record and the meta
+// page that truncates the log. After every kill the database recovers.
+// Every committed key must read back and no other, a checkpoint must
+// succeed, and the log must then roll a segment again.
+func TestCheckpointKilledMidFlush(t *testing.T) {
+	n := killCheckpointAt(t, -1)
+	for k := int64(0); k < n; k++ {
+		t.Run(fmt.Sprint(k), func(t *testing.T) { killCheckpointAt(t, k) })
 	}
+	t.Logf("swept %d kill points", n)
+}
+
+// killCheckpointAt runs the insert run and checkpoint under KillAfter(k)
+// and checks the recovery. A negative k is the clean run: it must
+// succeed, and it returns the durable block writes the run made.
+func killCheckpointAt(t *testing.T, k int64) int64 {
+	ls := lsm.New(lsm.Config{MemtablePages: 1 << 20, L0Tables: 2})
+	f := newFixtureOn(t, 64, engine.NewDatabaseOn(ls))
+	if err := f.tm.Checkpoint(f.sess); err != nil {
+		t.Fatal(err)
+	}
+	base := ls.Writes()
+	ls.KillAfter(k)
+	committed := int64(0)
+	var err error
+	for committed < crashSweepRows {
+		if err = f.insert(committed+1, sweepVal(committed+1)); err != nil {
+			break
+		}
+		committed++
+	}
+	if err == nil {
+		err = f.tm.Checkpoint(f.sess)
+	}
+	if k < 0 {
+		if err != nil {
+			t.Fatalf("clean run: %v", err)
+		}
+		return ls.Writes() - base
+	}
+	if !errors.Is(err, lsm.ErrKilled) || !ls.Dead() {
+		t.Fatalf("run returned %v (dead=%v), want ErrKilled", err, ls.Dead())
+	}
+	f.tm.Crash()
+
+	f.attach(t, 64, false)
+	for i := int64(1); i <= crashSweepRows; i++ {
+		want := ""
+		if i <= committed {
+			want = sweepVal(i)
+		}
+		if got := f.lookup(t, i); got != want {
+			t.Fatalf("after %d commits: key %d = %.12q, want %.12q", committed, i, got, want)
+		}
+	}
+	if err := f.tm.Checkpoint(f.sess); err != nil {
+		t.Fatalf("checkpoint after recovery: %v", err)
+	}
+	segs := f.tm.log.Stats().Segments
+	for i := int64(1); f.tm.log.Stats().Segments == segs; i++ {
+		if err := f.insert(1000+i, sweepVal(1000+i)); err != nil {
+			t.Fatalf("insert after recovery: %v", err)
+		}
+	}
+	return 0
 }

@@ -246,10 +246,6 @@ func (m *Manager) Use(set *obs.Set) {
 	defer m.mu.Unlock()
 	m.tracer = set.Trace()
 	reg := set.Registry()
-	if reg == nil {
-		m.mAppends, m.mFlushes, m.mPageWrites, m.mCheckpoints = nil, nil, nil, nil
-		return
-	}
 	m.mAppends = reg.Counter("wal.appends")
 	m.mFlushes = reg.Counter("wal.flushes")
 	m.mPageWrites = reg.Counter("wal.pagewrites")
@@ -531,17 +527,24 @@ func (m *Manager) Checkpoint(clk *simclock.Clock, pool *bufferpool.Pool) error {
 	// Everything below the checkpoint is committed and on disk: the
 	// snapshot watermark may advance past any pre-checkpoint commit.
 	m.PublishCommit(lsn)
-	for seq := m.oldestSeg; seq < m.activeSeg; seq++ {
+	// The meta page stops naming the truncated segments before they are
+	// deleted: a crash in between leaves segments no meta page names,
+	// which Recover deletes, never a meta page naming deleted ones.
+	truncated := m.oldestSeg
+	m.oldestSeg = m.activeSeg
+	if err := m.writeMeta(clk); err != nil {
+		return err
+	}
+	for seq := truncated; seq < m.activeSeg; seq++ {
 		if err := m.mgr.DeleteObject(clk, m.segObject(seq)); err != nil {
 			return err
 		}
 	}
-	m.oldestSeg = m.activeSeg
 	if m.tracer != nil {
 		m.tracer.Span("wal", "checkpoint", clk.ID(), ckptStart, clk.Now()-ckptStart,
 			map[string]any{"lsn": int64(lsn)})
 	}
-	return m.writeMeta(clk)
+	return nil
 }
 
 // Destroy deletes every WAL object (segments and metadata), TRIMming
@@ -656,6 +659,21 @@ func Recover(clk *simclock.Clock, mgr *storagemgr.Manager, cfg Config) (*Manager
 		return nil, nil, err
 	}
 	m.oldestSeg, m.activeSeg, m.checkpointLSN = oldest, next-1, ckpt
+	// A crash can leave segments the meta page does not name: one a
+	// rollover created before its meta write, or the truncated ones a
+	// checkpoint had not finished deleting. A later rollover or checkpoint
+	// would trip over them, so they go now.
+	store := mgr.Store()
+	for seq := next; store.Exists(m.segObject(seq)); seq++ {
+		if err := mgr.DeleteObject(clk, m.segObject(seq)); err != nil {
+			return nil, nil, err
+		}
+	}
+	for seq := oldest - 1; seq >= 0 && store.Exists(m.segObject(seq)); seq-- {
+		if err := mgr.DeleteObject(clk, m.segObject(seq)); err != nil {
+			return nil, nil, err
+		}
+	}
 
 	stats := &RecoveryStats{}
 	var records []Record

@@ -225,6 +225,66 @@ func TestSegmentRolloverAndCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRecoverDropsUnnamedSegments leaves behind, on the heap store, the
+// segment objects a crash inside a rollover (the next segment, created
+// before the meta page names it) or a checkpoint (a truncated segment not
+// yet deleted) can leave. Recovery must delete both, so the recovered
+// log rolls over again.
+func TestRecoverDropsUnnamedSegments(t *testing.T) {
+	store := pagestore.NewStore()
+	mgr := testMgr(t, store)
+	var clk simclock.Clock
+	cfg := Config{SegmentPages: 2}
+	m, err := New(&clk, mgr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := bytes.Repeat([]byte{0x5A}, 6000)
+	commit := func(m *Manager, clk *simclock.Clock) {
+		t.Helper()
+		id := m.NextTxnID()
+		if _, err := m.Append(clk, Record{Txn: id, Kind: KindPage, Obj: 7, Image: img}); err != nil {
+			t.Fatal(err)
+		}
+		lsn, err := m.Append(clk, Record{Txn: id, Kind: KindCommit})
+		if err == nil {
+			err = m.Flush(clk, lsn)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Create(7); err != nil {
+		t.Fatal(err)
+	}
+	for m.Stats().Segments < 3 {
+		commit(m, &clk)
+	}
+	if err := m.Checkpoint(&clk, newTestPool(mgr)); err != nil {
+		t.Fatal(err)
+	}
+	below, next := m.segObject(m.oldestSeg-1), m.segObject(m.activeSeg+1)
+	for _, id := range []pagestore.ObjectID{below, next} {
+		if err := store.Create(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var clk2 simclock.Clock
+	m2, _, err := Recover(&clk2, testMgr(t, store), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []pagestore.ObjectID{below, next} {
+		if store.Exists(id) {
+			t.Fatalf("recovery kept segment object %d, which the meta page does not name", id)
+		}
+	}
+	for segs := m2.Stats().Segments; m2.Stats().Segments == segs; {
+		commit(m2, &clk2)
+	}
+}
+
 func TestLogTrafficClassified(t *testing.T) {
 	store := pagestore.NewStore()
 	sys, err := hybrid.New(hybrid.Config{Mode: hybrid.HStorage, CacheBlocks: 256})

@@ -15,7 +15,7 @@ func (s *Scheduler) grantBestLocked(bgOK bool) bool {
 	// Coalesce LBA-adjacent queued requests of the same class and
 	// direction into one access; FIFO grants the head alone. A
 	// budget-forced background grant runs ahead of waiting foreground, so
-	// its batch is capped well below MaxCoalesce: the throttle must bound
+	// its batch is capped well below maxCoalesce: the throttle must bound
 	// the latency it injects, not just the share it consumes. Under tenant
 	// fair sharing the batch is also tenant-pure — letting tenant B's
 	// blocks ride in tenant A's grant would hand B device time its finish

@@ -27,7 +27,7 @@ func TestCompactionRank(t *testing.T) {
 // priorities: queued together, the write buffer wins the device, then
 // compaction, then the random read.
 func TestCompactionDispatchBetweenWriteBufferAndPriorities(t *testing.T) {
-	g, s, _ := newTestSched(Config{Readahead: -1})
+	g, s, _ := newTestSched(Config{})
 	rnd := enqueue(g, s, 0, device.Read, 9000, 1, dss.Class(2))
 	comp := enqueue(g, s, 0, device.Write, 5000, 1, dss.ClassCompaction)
 	wb := enqueue(g, s, 0, device.Write, 1000, 1, dss.ClassWriteBuffer)
@@ -45,7 +45,7 @@ func TestCompactionDispatchBetweenWriteBufferAndPriorities(t *testing.T) {
 // its high class rank — a foreground read of the lowest caching
 // priority is still granted first.
 func TestBackgroundCompactionYieldsToForeground(t *testing.T) {
-	g, s, _ := newTestSched(Config{Readahead: -1})
+	g, s, _ := newTestSched(Config{})
 	s.mu.Lock()
 	s.enqueueLocked(nil, 0, device.Write, 5000, 8, dss.ClassCompaction, dss.DefaultTenant) // background
 	fg := bareWaiter(seqClass, dss.DefaultTenant)
@@ -63,7 +63,7 @@ func TestBackgroundCompactionYieldsToForeground(t *testing.T) {
 // of fresher log writes instead of starving.
 func TestCompactionAgingBoost(t *testing.T) {
 	bound := 2 * time.Millisecond
-	g, s, dev := newTestSched(Config{AgingBound: bound, Readahead: -1})
+	g, s, dev := newTestSched(Config{AgingBound: bound})
 	dev.Access(0, device.Write, 0, 64) // occupy the device so waits accumulate
 
 	comp := enqueue(g, s, 0, device.Write, 5000, 1, dss.ClassCompaction)
@@ -87,7 +87,7 @@ func TestCompactionAgingBoost(t *testing.T) {
 // on age — it drains through the token budget or the final Drain.
 func TestBackgroundCompactionExemptFromAging(t *testing.T) {
 	bound := time.Millisecond
-	g, s, dev := newTestSched(Config{AgingBound: bound, Readahead: -1})
+	g, s, dev := newTestSched(Config{AgingBound: bound})
 	dev.Access(0, device.Write, 0, 64)
 	s.SubmitBackground(0, device.Write, 5000, 1, dss.ClassCompaction, dss.DefaultTenant)
 	for i := 0; i < 8; i++ {
@@ -106,7 +106,7 @@ func TestBackgroundCompactionExemptFromAging(t *testing.T) {
 // saturated foreground, its deferred writes still get a bounded share
 // of device time like any other background traffic.
 func TestCompactionUnderBackgroundBudget(t *testing.T) {
-	g, s, dev := newTestSched(Config{BackgroundShare: 0.2, Readahead: -1})
+	g, s, dev := newTestSched(Config{BackgroundShare: 0.2})
 	for i := 0; i < 300; i++ {
 		s.SubmitBackground(0, device.Write, 500000+int64(i), 1, dss.ClassCompaction, dss.DefaultTenant)
 		s.Submit(0, device.Read, int64((i*7919)%100000), 1, dss.Class(2), dss.DefaultTenant, nil)

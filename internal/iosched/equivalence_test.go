@@ -49,25 +49,24 @@ func TestPickerEquivalence(t *testing.T) {
 		case 0:
 			cfg.AgingBound = time.Millisecond
 		case 1:
-			cfg.AgingBound = DisableAging
+			cfg.AgingBound = agingOff
 		}
+		k := knobs{maxCoalesce: maxCoalesce}
 		if cfgRng.Intn(2) == 0 {
-			cfg.MaxCoalesce = 8
+			k.maxCoalesce = 8
 		}
-		if cfgRng.Intn(2) == 0 {
-			cfg.Readahead = DisableReadahead
-		} else {
-			cfg.Readahead = 8
+		if cfgRng.Intn(2) != 0 {
+			k.readahead = 8
 		}
 		if cfgRng.Intn(3) == 0 {
 			cfg.BackgroundShare = DisableBackgroundShare
 		}
 
-		grants := grantTrace(t, cfg, fair, seed)
+		grants := grantTrace(t, cfg, k, fair, seed)
 		sum := sha256.Sum256([]byte(strings.Join(grants, "\n")))
 		if got := fmt.Sprintf("%d %x", seed, sum[:8]); got != golden[seed] {
-			t.Fatalf("seed %d (%+v fair=%v): grant sequence hashes to %q, golden has %q",
-				seed, cfg, fair, got, golden[seed])
+			t.Fatalf("seed %d (%+v %+v fair=%v): grant sequence hashes to %q, golden has %q",
+				seed, cfg, k, fair, got, golden[seed])
 		}
 	}
 }
@@ -85,15 +84,20 @@ func grantLine(batch []*request, start int64, total int, budget bool) string {
 // fairWeights are the tenant weights of the fair-sharing workloads.
 var fairWeights = map[dss.TenantID]float64{1: 4, 2: 1}
 
+// knobs are the scheduler constants a grant workload varies in-package:
+// the coalescing cap and the readahead depth (0: no readahead).
+type knobs struct{ maxCoalesce, readahead int }
+
 // grantTrace runs one randomized single-threaded workload against a
 // fresh scheduler, checks every grant against the reference picker and
 // returns the grant sequence.
-func grantTrace(t *testing.T, cfg Config, fair bool, seed int64) []string {
+func grantTrace(t *testing.T, cfg Config, k knobs, fair bool, seed int64) []string {
 	t.Helper()
 	if fair {
 		cfg.TenantWeights = fairWeights
 	}
-	g, s, _ := newTestSched(cfg)
+	g, s, _ := newReadaheadSched(cfg, k.readahead)
+	s.maxCoalesce = k.maxCoalesce
 	grants := checkGrants(t, s, cfg, fair, seed)
 	rng := rand.New(rand.NewSource(seed))
 	classes := []dss.Class{dss.ClassLog, dss.ClassWriteBuffer, dss.Class(1),
@@ -179,7 +183,7 @@ func TestAbsorptionAgainstDeepChains(t *testing.T) {
 	// FIFO mode grants background work in arrival order like any other,
 	// so it never builds the backlog: class-only and fair sharing only.
 	for seed := int64(0); seed < 2; seed++ {
-		cfg := Config{Readahead: DisableReadahead, BackgroundShare: 0.2}
+		cfg := Config{BackgroundShare: 0.2}
 		fair := seed == 1
 		if fair {
 			cfg.TenantWeights = fairWeights
@@ -300,7 +304,7 @@ func goneSeqs(before, after map[uint64]bool, granted []uint64) []uint64 {
 // enqueue order is not arrival order, and the grant must follow the
 // (arrive, seq) minimum — the aging-heap head — not the queue head.
 func TestFIFOHeadIsOldestArrival(t *testing.T) {
-	g, s, _ := newTestSched(Config{FIFO: true, Readahead: DisableReadahead})
+	g, s, _ := newTestSched(Config{FIFO: true})
 	var order []time.Duration
 	s.grantHook = func(batch []*request, start int64, total int, budget, bgOK bool) {
 		order = append(order, batch[0].arrive)

@@ -34,7 +34,7 @@ func (s *Scheduler) grantLocked(batch []*request, start int64, total int, budget
 	// Idle and drain grants ride free device time and touch no credit.
 	if share := s.bgShare; share > 0 {
 		// The credit cap is one coalesced batch: a budget grant can put
-		// at most MaxCoalesce blocks ahead of waiting foreground, and
+		// at most maxCoalesce blocks ahead of waiting foreground, and
 		// the floor at zero keeps bursts from borrowing against the
 		// future. The ledger records effective movements — the credited
 		// part of a capped deposit, the consumed part of a floored

@@ -72,15 +72,15 @@ func (g *Group) Attach(dev *device.Device, seqClass dss.Class) *Scheduler {
 		g: g, dev: dev, seqClass: seqClass,
 		fifo:         cfg.FIFO,
 		agingBound:   cfg.AgingBound,
-		maxCoalesce:  cfg.MaxCoalesce,
-		readahead:    cfg.Readahead,
-		readaheadCap: 8 * cfg.Readahead,
+		maxCoalesce:  maxCoalesce,
+		readahead:    readahead,
+		readaheadCap: 8 * readahead,
 		bgShare:      cfg.BackgroundShare,
 		startAt:      make(map[int64]*request),
 		endAt:        make(map[int64]*request),
 		destageAt:    make(map[int64]*request),
 	}
-	if cfg.Readahead > 0 && !cfg.FIFO && seqClass != NoReadahead {
+	if !cfg.FIFO && seqClass != NoReadahead {
 		s.ra = make(map[int64]time.Duration)
 	}
 	if reg := g.obs.Registry(); reg != nil {

@@ -19,11 +19,8 @@ func BenchmarkSubmitGrant(b *testing.B) {
 	for _, depth := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			dev := device.New(device.Cheetah15K())
-			g := NewGroup(Config{
-				Readahead:       DisableReadahead,
-				BackgroundShare: DisableBackgroundShare,
-			})
-			s := g.Attach(dev, seqClass)
+			g := NewGroup(Config{BackgroundShare: DisableBackgroundShare})
+			s := g.Attach(dev, NoReadahead)
 			// Reused waiters: the benchmark isolates scheduler cost,
 			// not waiter construction (Submit pools those).
 			ws := make([]*waiter, depth)
@@ -71,8 +68,8 @@ func BenchmarkSubmitGrant(b *testing.B) {
 // is this benchmark's.
 func BenchmarkSubmitOpportunistic(b *testing.B) {
 	dev := device.New(device.Cheetah15K())
-	g := NewGroup(Config{Readahead: DisableReadahead, BackgroundShare: DisableBackgroundShare})
-	s := g.Attach(dev, seqClass)
+	g := NewGroup(Config{BackgroundShare: DisableBackgroundShare})
+	s := g.Attach(dev, NoReadahead)
 	rng := rand.New(rand.NewSource(1))
 	lbas := make([]int64, 8192)
 	for i := range lbas {
@@ -94,10 +91,10 @@ func BenchmarkSubmitOpportunistic(b *testing.B) {
 // (`make bench` does); with fewer host cores than -cpu it measures
 // contention overhead, not parallel speedup.
 func BenchmarkSubmitParallel(b *testing.B) {
-	g := NewGroup(Config{Readahead: DisableReadahead})
+	g := NewGroup(Config{})
 	scheds := []*Scheduler{
-		g.Attach(device.New(device.Cheetah15K()), seqClass),
-		g.Attach(device.New(device.Intel320()), seqClass),
+		g.Attach(device.New(device.Cheetah15K()), NoReadahead),
+		g.Attach(device.New(device.Intel320()), NoReadahead),
 	}
 	var workers atomic.Int64
 	b.ReportAllocs()
@@ -129,8 +126,8 @@ func BenchmarkSubmitBackgroundBacklog(b *testing.B) {
 	for _, depth := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			dev := device.New(device.Cheetah15K())
-			g := NewGroup(Config{Readahead: DisableReadahead})
-			s := g.Attach(dev, seqClass)
+			g := NewGroup(Config{})
+			s := g.Attach(dev, NoReadahead)
 			dev.Access(0, device.Write, 0, 4096)
 			const lba = 1 << 20
 			for i := 0; i < depth; i++ {

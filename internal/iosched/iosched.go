@@ -24,10 +24,10 @@
 //     neighbours. Off until tenant weights are configured.
 //   - Coalescing: LBA-adjacent pending requests of the same class and
 //     direction are merged into a single larger device access (bounded
-//     by MaxCoalesce blocks), turning interleaved per-block traffic
+//     by maxCoalesce blocks), turning interleaved per-block traffic
 //     back into the sequential runs the HDD model rewards.
 //   - Readahead: a granted read carrying the sequential-scan class
-//     (Rule 1 traffic) is extended by Readahead blocks into a prefetch
+//     (Rule 1 traffic) is extended by readahead blocks into a prefetch
 //     buffer; subsequent scan reads are served from the buffer without
 //     re-occupying the device.
 //
@@ -103,23 +103,9 @@ type Config struct {
 
 	// AgingBound is the longest a queued request may wait (virtual
 	// time, measured against the device's busy horizon) before it is
-	// granted regardless of its class rank. Zero means the default of
-	// 10ms; any negative value (use the DisableAging sentinel) disables
-	// aging. "Aging off" is not representable as 0 — 0 is the
-	// zero-value-means-default convention every other knob follows.
+	// granted regardless of its class rank. Zero (or less) means the
+	// default of 10ms. A bound longer than the run turns aging off.
 	AgingBound time.Duration
-
-	// MaxCoalesce caps the size in blocks of one coalesced device
-	// access. Larger accesses amortize positioning cost but hold the
-	// device longer, delaying high-priority arrivals. Zero means the
-	// default of 64 blocks (512 KB).
-	MaxCoalesce int
-
-	// Readahead is the number of blocks prefetched past a granted
-	// sequential-class read. Zero means the default of 32; any negative
-	// value (use the DisableReadahead sentinel) disables readahead. The
-	// prefetch buffer holds 8 * Readahead blocks.
-	Readahead int
 
 	// BackgroundShare is the write-back throttling budget: the fraction
 	// of foreground-granted device blocks earned as credit by queued
@@ -150,43 +136,33 @@ type Config struct {
 	Obs *obs.Set
 }
 
-// Sentinels for the Config knobs whose zero value means "use the
-// default": disabling those mechanisms is expressed with an explicitly
-// negative value, never with 0. Assigning the sentinel reads as intent
-// at the call site and round-trips through withDefaults untouched.
-const (
-	// DisableAging turns the starvation aging bound off entirely: class
-	// rank (and, under fair sharing, tenant finish tags) alone decide
-	// dispatch, and a low class can wait without bound.
-	DisableAging = time.Duration(-1)
-
-	// DisableReadahead turns sequential-class prefetching off for the
-	// whole group (per-device opt-out is Attach's NoReadahead class).
-	DisableReadahead = -1
-)
-
 // DisableBackgroundShare turns the write-back token budget off:
 // background work still yields to queued foreground but is otherwise
 // dispatched eagerly instead of accumulating in the deferred backlog —
-// the pre-throttling behaviour.
+// the pre-throttling behaviour. Zero already means the default, so
+// "off" is this explicitly negative value, which round-trips through
+// withDefaults untouched.
 const DisableBackgroundShare = float64(-1)
 
 const (
 	defaultAgingBound      = 10 * time.Millisecond
-	defaultMaxCoalesce     = 64
-	defaultReadahead       = 32
 	defaultBackgroundShare = 0.3
 )
 
+const (
+	// maxCoalesce caps the size in blocks of one coalesced device
+	// access (512 KB). Larger accesses amortize positioning cost but
+	// hold the device longer, delaying high-priority arrivals.
+	maxCoalesce = 64
+	// readahead is the number of blocks prefetched past a granted
+	// sequential-class read; the prefetch buffer holds 8 times as many.
+	// Attach's NoReadahead class turns it off for a device.
+	readahead = 32
+)
+
 func (c Config) withDefaults() Config {
-	if c.AgingBound == 0 {
+	if c.AgingBound <= 0 {
 		c.AgingBound = defaultAgingBound
-	}
-	if c.MaxCoalesce <= 0 {
-		c.MaxCoalesce = defaultMaxCoalesce
-	}
-	if c.Readahead == 0 {
-		c.Readahead = defaultReadahead
 	}
 	if c.BackgroundShare == 0 {
 		c.BackgroundShare = defaultBackgroundShare

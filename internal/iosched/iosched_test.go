@@ -12,10 +12,28 @@ import (
 
 const seqClass = dss.Class(7) // DefaultPolicySpace().Sequential()
 
+// agingOff is an aging bound longer than any test's virtual time: aging
+// never fires, so class rank alone decides dispatch.
+const agingOff = 1000 * time.Hour
+
+// newTestSched attaches one HDD without readahead.
 func newTestSched(cfg Config) (*Group, *Scheduler, *device.Device) {
 	dev := device.New(device.Cheetah15K())
 	g := NewGroup(cfg)
+	s := g.Attach(dev, NoReadahead)
+	return g, s, dev
+}
+
+// newReadaheadSched is newTestSched with sequential-class reads
+// prefetching n blocks past the run (0: none).
+func newReadaheadSched(cfg Config, n int) (*Group, *Scheduler, *device.Device) {
+	if n == 0 {
+		return newTestSched(cfg)
+	}
+	dev := device.New(device.Cheetah15K())
+	g := NewGroup(cfg)
 	s := g.Attach(dev, seqClass)
+	s.readahead, s.readaheadCap = n, 8*n
 	return g, s, dev
 }
 
@@ -45,7 +63,7 @@ func drain(g *Group) {
 // the log write is granted the device first even though the scan was
 // enqueued first.
 func TestPriorityOrder(t *testing.T) {
-	g, s, _ := newTestSched(Config{Readahead: -1})
+	g, s, _ := newTestSched(Config{})
 	scan := enqueue(g, s, 0, device.Read, 1000, 1, seqClass)
 	logw := enqueue(g, s, 0, device.Write, 2000, 1, dss.ClassLog)
 	drain(g)
@@ -59,7 +77,7 @@ func TestPriorityOrder(t *testing.T) {
 // its total wait is bounded even under a continuous high-priority flood.
 func TestAgingBound(t *testing.T) {
 	bound := 2 * time.Millisecond
-	g, s, dev := newTestSched(Config{AgingBound: bound, Readahead: -1})
+	g, s, dev := newTestSched(Config{AgingBound: bound})
 	// Occupy the device so queued requests accumulate virtual wait.
 	dev.Access(0, device.Write, 0, 64) // ~8.9ms busy
 
@@ -84,7 +102,7 @@ func TestAgingBound(t *testing.T) {
 // Without the aging pressure, strict priority holds: the same scenario
 // with an idle device grants the log writes first.
 func TestStrictPriorityWhenFresh(t *testing.T) {
-	g, s, _ := newTestSched(Config{AgingBound: time.Hour, Readahead: -1})
+	g, s, _ := newTestSched(Config{AgingBound: time.Hour})
 	low := enqueue(g, s, 0, device.Read, 5000, 1, seqClass)
 	high := enqueue(g, s, 0, device.Write, 9000, 1, dss.ClassLog)
 	drain(g)
@@ -98,7 +116,7 @@ func TestStrictPriorityWhenFresh(t *testing.T) {
 // (completions are non-decreasing in queue order; merged requests share
 // their batch's completion).
 func TestCoalescingPreservesOrdering(t *testing.T) {
-	g, s, dev := newTestSched(Config{Readahead: -1})
+	g, s, dev := newTestSched(Config{})
 	var ws []*waiter
 	for i := 0; i < 8; i++ {
 		ws = append(ws, enqueue(g, s, 0, device.Read, int64(i), 1, seqClass))
@@ -122,9 +140,10 @@ func TestCoalescingPreservesOrdering(t *testing.T) {
 	}
 }
 
-// Coalescing must not merge across classes or leave MaxCoalesce behind.
+// Coalescing must not merge across classes or leave maxCoalesce behind.
 func TestCoalesceBounds(t *testing.T) {
-	g, s, dev := newTestSched(Config{MaxCoalesce: 4, Readahead: -1})
+	g, s, dev := newTestSched(Config{})
+	s.maxCoalesce = 4
 	for i := 0; i < 8; i++ {
 		enqueue(g, s, 0, device.Read, int64(i), 1, seqClass)
 	}
@@ -140,7 +159,7 @@ func TestCoalesceBounds(t *testing.T) {
 // buffer; the following reads are served from the buffer without
 // touching the device, and the stats count the run.
 func TestReadahead(t *testing.T) {
-	g, s, dev := newTestSched(Config{Readahead: 16})
+	g, s, dev := newReadaheadSched(Config{}, 16)
 	first := enqueue(g, s, 0, device.Read, 100, 1, seqClass)
 	drain(g)
 	st := dev.Stats()
@@ -163,7 +182,7 @@ func TestReadahead(t *testing.T) {
 // consuming it: the entry is still there for Submit, which then serves it
 // (and only then counts a prefetch hit) without touching the device.
 func TestBufferedLeavesTheEntry(t *testing.T) {
-	g, s, dev := newTestSched(Config{Readahead: 8})
+	g, s, dev := newReadaheadSched(Config{}, 8)
 	if _, ok := s.Buffered(101); ok {
 		t.Fatal("empty buffer reports block 101")
 	}
@@ -199,7 +218,7 @@ func TestBufferedLeavesTheEntry(t *testing.T) {
 // A write through the scheduler invalidates overlapping prefetched
 // blocks, so a later read pays for the fresh copy.
 func TestWriteInvalidatesReadahead(t *testing.T) {
-	g, s, dev := newTestSched(Config{Readahead: 8})
+	g, s, dev := newReadaheadSched(Config{}, 8)
 	w := enqueue(g, s, 0, device.Read, 100, 1, seqClass)
 	drain(g)
 	s.Submit(w.completion, device.Write, 103, 1, dss.ClassWriteBuffer, dss.DefaultTenant, nil)
@@ -213,7 +232,7 @@ func TestWriteInvalidatesReadahead(t *testing.T) {
 // Background work yields to foreground: destages queued alongside a
 // foreground read are granted after it.
 func TestBackgroundYields(t *testing.T) {
-	g, s, _ := newTestSched(Config{Readahead: -1})
+	g, s, _ := newTestSched(Config{})
 	s.mu.Lock()
 	s.enqueueLocked(nil, 0, device.Write, 5000, 1, dss.ClassWriteBuffer, dss.DefaultTenant) // background
 	fg := bareWaiter(dss.Class(2), dss.DefaultTenant)
@@ -233,7 +252,7 @@ func TestBackgroundYields(t *testing.T) {
 // log write wins the device regardless of which goroutine called first.
 func TestBarrierPriority(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
-		g, s, _ := newTestSched(Config{Readahead: -1})
+		g, s, _ := newTestSched(Config{})
 		var scanClk, logClk simclock.Clock
 		g.Register(&scanClk)
 		g.Register(&logClk)
@@ -260,7 +279,7 @@ func TestBarrierPriority(t *testing.T) {
 // Latency histograms: the scheduler records per-class end-to-end
 // latency on the device for foreground requests.
 func TestPerClassLatencyRecorded(t *testing.T) {
-	g, s, dev := newTestSched(Config{Readahead: -1})
+	g, s, dev := newTestSched(Config{})
 	enqueue(g, s, 0, device.Write, 0, 1, dss.ClassLog)
 	enqueue(g, s, 0, device.Read, 100, 2, seqClass)
 	drain(g)
@@ -283,7 +302,7 @@ func TestPerClassLatencyRecorded(t *testing.T) {
 // bounded share of device time — while deferred adjacent destages
 // coalesce instead of paying one positioning penalty each.
 func TestBackgroundBudgetUnderSaturation(t *testing.T) {
-	g, s, dev := newTestSched(Config{BackgroundShare: 0.2, Readahead: -1})
+	g, s, dev := newTestSched(Config{BackgroundShare: 0.2})
 	// Everything arrives at t=0: the device's busy horizon races ahead of
 	// the arrivals, which is what saturation means in virtual time (a
 	// destage arriving on an idle device would simply be granted).
@@ -317,7 +336,7 @@ func TestBackgroundBudgetUnderSaturation(t *testing.T) {
 // idle is granted at once, and the backlog that arrived while it was busy
 // stays queued.
 func TestIdleDeviceGrantsUncreditedBackground(t *testing.T) {
-	_, s, dev := newTestSched(Config{BackgroundShare: 0.2, Readahead: -1})
+	_, s, dev := newTestSched(Config{BackgroundShare: 0.2})
 	dev.Access(0, device.Write, 0, 64) // busy past t=0, head left at LBA 64
 	s.SubmitBackground(0, device.Write, 900000, 1, dss.ClassWriteBuffer, dss.DefaultTenant)
 	if q := s.queued.Load(); q != 1 {
@@ -336,7 +355,7 @@ func TestIdleDeviceGrantsUncreditedBackground(t *testing.T) {
 // negative share, background is granted eagerly (never deferred past the
 // drain that follows its submission), reproducing the old behaviour.
 func TestBackgroundShareDisabled(t *testing.T) {
-	_, s, dev := newTestSched(Config{BackgroundShare: -1, Readahead: -1})
+	_, s, dev := newTestSched(Config{BackgroundShare: -1})
 	for i := 0; i < 50; i++ {
 		s.SubmitBackground(0, device.Write, 500000+int64(i), 1, dss.ClassWriteBuffer, dss.DefaultTenant)
 	}
@@ -352,7 +371,7 @@ func TestBackgroundShareDisabled(t *testing.T) {
 // block supersedes a deferred one; only the latest copy reaches the
 // device.
 func TestBackgroundWriteAbsorption(t *testing.T) {
-	g, s, dev := newTestSched(Config{BackgroundShare: 0.5, Readahead: -1})
+	g, s, dev := newTestSched(Config{BackgroundShare: 0.5})
 	for i := 0; i < 10; i++ {
 		s.SubmitBackground(0, device.Write, 700000, 1, dss.ClassWriteBuffer, dss.DefaultTenant)
 	}
@@ -378,7 +397,7 @@ func TestBackgroundWriteAbsorption(t *testing.T) {
 // Only when both really leave does everything drain.
 func TestParkedStreamHasNotLeft(t *testing.T) {
 	const backlog = 10
-	g, s, dev := newTestSched(Config{BackgroundShare: 0.2, Readahead: -1})
+	g, s, dev := newTestSched(Config{BackgroundShare: 0.2})
 	dev.Access(0, device.Write, 0, 64) // a busy device defers background arriving at t=0
 	var a, b simclock.Clock
 	g.Register(&a)

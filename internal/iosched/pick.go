@@ -41,7 +41,7 @@ func (s *Scheduler) pickIndexedLocked(bgOK bool) (*request, bool) {
 	// seed's min-olderThan scan over the overdue subset and over all
 	// foreground requests agree.
 	var overdue *request
-	if oldest := s.age.min(); oldest != nil && s.agingBound > 0 && busy-oldest.arrive > s.agingBound {
+	if oldest := s.age.min(); oldest != nil && busy-oldest.arrive > s.agingBound {
 		overdue = oldest
 	}
 

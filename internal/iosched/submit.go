@@ -275,7 +275,7 @@ func (s *Scheduler) SubmitBackground(at time.Duration, op device.Op, lba int64, 
 	}
 }
 
-// enqueueLocked splits a submission into MaxCoalesce-sized chunks (so a
+// enqueueLocked splits a submission into maxCoalesce-sized chunks (so a
 // long scan run cannot monopolize the device between grants) and queues
 // them. Under fair sharing, each foreground chunk is stamped with its
 // tenant's start/finish tags: consecutive chunks chain through the

@@ -11,9 +11,10 @@ import (
 	"hstoragedb/internal/simclock"
 )
 
-// Zero config values mean the documented defaults; the Disable*
-// sentinels round-trip through withDefaults untouched, so "aging off"
-// and "no background share" are representable.
+// Zero config values mean the documented defaults, and so does a
+// negative AgingBound; the DisableBackgroundShare sentinel round-trips
+// through withDefaults untouched, so "no background share" is
+// representable.
 func TestConfigZeroAndSentinels(t *testing.T) {
 	def := Config{}.withDefaults()
 	if def.AgingBound != defaultAgingBound {
@@ -22,30 +23,20 @@ func TestConfigZeroAndSentinels(t *testing.T) {
 	if def.BackgroundShare != defaultBackgroundShare {
 		t.Errorf("zero BackgroundShare = %v, want default %v", def.BackgroundShare, defaultBackgroundShare)
 	}
-	if def.Readahead != defaultReadahead {
-		t.Errorf("zero Readahead = %v, want default %v", def.Readahead, defaultReadahead)
-	}
-	off := Config{
-		AgingBound:      DisableAging,
-		BackgroundShare: DisableBackgroundShare,
-		Readahead:       DisableReadahead,
-	}.withDefaults()
-	if off.AgingBound != DisableAging {
-		t.Errorf("DisableAging clobbered to %v", off.AgingBound)
+	off := Config{AgingBound: -time.Second, BackgroundShare: DisableBackgroundShare}.withDefaults()
+	if off.AgingBound != defaultAgingBound {
+		t.Errorf("negative AgingBound = %v, want default %v", off.AgingBound, defaultAgingBound)
 	}
 	if off.BackgroundShare != DisableBackgroundShare {
 		t.Errorf("DisableBackgroundShare clobbered to %v", off.BackgroundShare)
 	}
-	if off.Readahead != DisableReadahead {
-		t.Errorf("DisableReadahead clobbered to %v", off.Readahead)
-	}
 }
 
-// With aging disabled, the TestAgingBound scenario inverts: the stale
+// With aging off (a bound longer than the test), the TestAgingBound scenario inverts: the stale
 // low-priority request keeps waiting behind fresher high-priority ones
 // and no boost is ever recorded.
 func TestAgingDisabled(t *testing.T) {
-	g, s, dev := newTestSched(Config{AgingBound: DisableAging, Readahead: -1})
+	g, s, dev := newTestSched(Config{AgingBound: agingOff})
 	dev.Access(0, device.Write, 0, 64) // busy horizon well past any bound
 
 	low := enqueue(g, s, 0, device.Read, 5000, 1, seqClass)
@@ -63,7 +54,7 @@ func TestAgingDisabled(t *testing.T) {
 // zero-means-default: a Config that sets BackgroundShare to 0 gets the
 // 0.3 budget (budget grants happen under saturation), not "no share".
 func TestBackgroundShareZeroIsDefault(t *testing.T) {
-	_, s, _ := newTestSched(Config{BackgroundShare: 0, Readahead: -1})
+	_, s, _ := newTestSched(Config{BackgroundShare: 0})
 	for i := 0; i < 200; i++ {
 		s.SubmitBackground(0, device.Write, 500000+int64(i), 1, dss.ClassWriteBuffer, dss.DefaultTenant)
 		s.Submit(0, device.Read, int64((i*7919)%100000), 1, dss.Class(2), dss.DefaultTenant, nil)
@@ -82,7 +73,7 @@ func TestBackgroundShareZeroIsDefault(t *testing.T) {
 // per grant. Coalesced background blocks are never double-counted:
 // each budget grant withdraws at most the blocks it carried, once.
 func TestBudgetLedgerBalances(t *testing.T) {
-	g, s, _ := newTestSched(Config{BackgroundShare: 0.25, Readahead: -1})
+	g, s, _ := newTestSched(Config{BackgroundShare: 0.25})
 	for i := 0; i < 400; i++ {
 		s.SubmitBackground(0, device.Write, 500000+int64(i), 1, dss.ClassWriteBuffer, dss.DefaultTenant)
 		s.Submit(0, device.Read, int64((i*7919)%100000), 1, dss.Class(2), dss.DefaultTenant, nil)
@@ -139,7 +130,7 @@ func TestBudgetLedgerBalances(t *testing.T) {
 // cap bounds the latency a budget grant injects, and the head request
 // must obey it like the coalescing loop does.
 func TestBudgetRespectsBatchCap(t *testing.T) {
-	g, s, dev := newTestSched(Config{BackgroundShare: 0.5, Readahead: -1})
+	g, s, dev := newTestSched(Config{BackgroundShare: 0.5})
 	dev.Access(0, device.Write, 0, 16) // device busy: nothing rides idle time
 	s.mu.Lock()
 	s.enqueueLocked(nil, 0, device.Write, 500000, 2*budgetMaxCoalesce, dss.ClassWriteBuffer, dss.DefaultTenant)
@@ -170,7 +161,8 @@ func TestBudgetRespectsBatchCap(t *testing.T) {
 // multi-chunk same-tenant write drains in LBA order (no same-tenant
 // write reordering through the aging path).
 func TestAgedRequestKeepsElevatorAndCoalescing(t *testing.T) {
-	g, s, dev := newTestSched(Config{AgingBound: 2 * time.Millisecond, MaxCoalesce: 8, Readahead: -1})
+	g, s, dev := newTestSched(Config{AgingBound: 2 * time.Millisecond})
+	s.maxCoalesce = 8
 	dev.Access(0, device.Write, 0, 128) // ~18ms busy: queued work is instantly overdue
 
 	// One multi-chunk, far-away, low-class write submission (3 chunks)
@@ -195,7 +187,7 @@ func TestAgedRequestKeepsElevatorAndCoalescing(t *testing.T) {
 		}
 	}
 	// The aged grant still coalesced: 24 adjacent seq-class blocks in
-	// MaxCoalesce-sized batches that continue each other's LBA run
+	// maxCoalesce-sized batches that continue each other's LBA run
 	// (SeqAccesses counts continuations), so same-tenant write order is
 	// LBA order, not scrambled by the boost.
 	st := dev.Stats()
@@ -215,7 +207,7 @@ func TestAgedRequestKeepsElevatorAndCoalescing(t *testing.T) {
 // among the first 100 granted requests, the weight-9 tenant holds its
 // 90% share within ±10%.
 func TestTenantFairSharesConverge(t *testing.T) {
-	g, s, _ := newTestSched(Config{AgingBound: DisableAging, Readahead: -1,
+	g, s, _ := newTestSched(Config{AgingBound: agingOff,
 		TenantWeights: map[dss.TenantID]float64{1: 9, 2: 1}})
 
 	type done struct {
@@ -257,7 +249,7 @@ func TestTenantFairSharesConverge(t *testing.T) {
 // heavily skewed toward the heavy tenant.
 func TestTenantStarvationFreedom(t *testing.T) {
 	bound := 5 * time.Millisecond
-	g, s, _ := newTestSched(Config{AgingBound: bound, Readahead: -1,
+	g, s, _ := newTestSched(Config{AgingBound: bound,
 		TenantWeights: map[dss.TenantID]float64{1: 100, 2: 1}})
 
 	var light, heavy simclock.Clock
@@ -305,7 +297,7 @@ func TestTenantStarvationFreedom(t *testing.T) {
 // off they merge as before.
 func TestCrossTenantCoalescingRestricted(t *testing.T) {
 	run := func(fair bool) int64 {
-		cfg := Config{Readahead: -1}
+		cfg := Config{}
 		if fair {
 			cfg.TenantWeights = map[dss.TenantID]float64{1: 1, 2: 1}
 		}
@@ -331,7 +323,7 @@ func TestCrossTenantCoalescingRestricted(t *testing.T) {
 // scheduler counters and the device's per-tenant latency histograms;
 // unattributed single-tenant traffic stays off both.
 func TestTenantAccountingThreads(t *testing.T) {
-	g, s, dev := newTestSched(Config{Readahead: -1})
+	g, s, dev := newTestSched(Config{})
 	s.Submit(0, device.Read, 100, 1, dss.Class(2), dss.DefaultTenant, nil)
 	if n := len(s.TenantStats()); n != 0 {
 		t.Fatalf("default tenant tracked without fair sharing: %d entries", n)

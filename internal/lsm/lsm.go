@@ -30,6 +30,14 @@
 // Crash() discards. Writes absorbed since the last Sync are lost with
 // the memtable and come back through the engine's WAL replay.
 //
+// The crash tests check this promise at every durable block write, as
+// ALICE and CrashMonkey enumerate crash points. KillAfter(n) is the one
+// fault the store injects: it lets n more block writes through (SSTable
+// blocks, manifest-slot blocks, direct-region pages) and dies at the
+// next, which does not happen. A sweep counts its scenario's writes in a
+// clean run (Writes), then runs it under every n below that count,
+// recovering and checking invariants after each.
+//
 // # Stored blocks are immutable
 //
 // Write puts the caller's buffer into the memtable as it is when it is
@@ -54,29 +62,9 @@ import (
 )
 
 // ErrKilled marks operations on a store whose simulated process was
-// killed at a crash point. The store stays dead until Crash() recovers
-// it from its durable image.
+// killed by KillAfter. The store stays dead until Crash() recovers it
+// from its durable image.
 var ErrKilled = errors.New("lsm: store killed")
-
-// KillPoint selects where a simulated kill fires inside the next
-// flush or compaction. Used by the crash-safety tests.
-type KillPoint int
-
-const (
-	// KillNone disarms the kill switch.
-	KillNone KillPoint = iota
-	// KillMidSSTable kills after half of an SSTable's blocks are on
-	// disk: recovery must discard the half-written orphan.
-	KillMidSSTable
-	// KillBeforeManifest kills after the SSTable is fully written but
-	// before the manifest names it: recovery must fall back to the
-	// previous manifest and discard the complete-but-unreferenced table.
-	KillBeforeManifest
-	// KillMidManifest kills after half of a manifest slot's blocks are
-	// written: the slot fails its checksum and recovery must use the
-	// other slot.
-	KillMidManifest
-)
 
 const (
 	// manifestSlotBlocks is the size of one manifest slot; slots A and B
@@ -182,7 +170,10 @@ type Store struct {
 	// direct serves the pass-through object region.
 	direct *pagestore.Store
 
-	kill    KillPoint
+	// writes counts durable block writes; kill is one more than the
+	// writes an armed KillAfter still lets through (0 or less: disarmed).
+	writes  int64
+	kill    int64
 	dead    bool
 	orphans int64
 }
@@ -221,6 +212,24 @@ func (s *Store) alive() error {
 	if s.dead {
 		return ErrKilled
 	}
+	return nil
+}
+
+// blockWriteLocked is the kill rule. Every durable block write (an
+// SSTable block, a manifest-slot block, a direct-region page) asks it
+// first, and the write happens only on a nil return. After KillAfter(n)
+// the (n+1)-th asker is refused and the store dies.
+func (s *Store) blockWriteLocked() error {
+	if s.dead {
+		return ErrKilled
+	}
+	if s.kill > 0 {
+		if s.kill--; s.kill == 0 {
+			s.dead = true
+			return ErrKilled
+		}
+	}
+	s.writes++
 	return nil
 }
 
@@ -388,7 +397,10 @@ func (s *Store) probeLocked(k key) ([]byte, []pagestore.Access) {
 // reference through flush and compaction.
 func (s *Store) Write(id pagestore.ObjectID, page int64, data []byte) ([]pagestore.Access, error) {
 	if s.isDirect(id) {
-		if err := s.alive(); err != nil {
+		s.mu.Lock()
+		err := s.blockWriteLocked()
+		s.mu.Unlock()
+		if err != nil {
 			return nil, err
 		}
 		plan, err := s.direct.Write(id, page, data)
@@ -590,16 +602,26 @@ func (s *Store) Sync() error {
 	return s.flushLocked()
 }
 
-// Kill arms a crash point: the next flush or compaction stops at the
-// selected point and the store goes dead (every operation returns
-// ErrKilled) until Crash() recovers it.
-func (s *Store) Kill(p KillPoint) {
+// KillAfter arms the kill rule: the store lets n more durable block
+// writes through and dies at the next one, which does not happen. From
+// then on every operation returns ErrKilled until Crash() recovers the
+// store. A negative n disarms.
+func (s *Store) KillAfter(n int64) {
 	s.mu.Lock()
-	s.kill = p
+	s.kill = n + 1
 	s.mu.Unlock()
 }
 
-// Dead reports whether the store is dead from a fired kill point.
+// Writes reports the durable block writes the store has made since New.
+// A crash test counts a scenario's writes in a clean run, then runs it
+// once per n below that count under KillAfter(n).
+func (s *Store) Writes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.writes
+}
+
+// Dead reports whether the store is dead from a fired kill.
 func (s *Store) Dead() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -801,7 +823,7 @@ func (s *Store) Crash() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dead = false
-	s.kill = KillNone
+	s.kill = 0
 	s.mem = make(map[key][]byte)
 	s.maint = nil
 	s.orphans = 0

@@ -267,66 +267,182 @@ func TestCrashLosesMemtableKeepsSynced(t *testing.T) {
 	}
 }
 
+// crashSteps is the sweep's flush-then-compaction sequence under
+// smallConfig: each step rewrites these pages of object 1 and Syncs. The
+// second and fourth flushes fill L0 and compact it into L1.
+var crashSteps = [][]int64{{0, 1, 2}, {2, 3, 4, 5}, {5, 6}, {0, 6, 7}}
+
+// runCrashSteps writes and Syncs the steps in order. It returns the
+// index of the step whose Sync failed (len(steps) when none did) and
+// the manifest version after each completed step.
+func runCrashSteps(t *testing.T, s *Store) (int, []uint64) {
+	t.Helper()
+	var versions []uint64
+	for i, pages := range crashSteps {
+		for _, p := range pages {
+			mustWrite(t, s, 1, p, pat(1, p, i+1))
+		}
+		if err := s.Sync(); err != nil {
+			if !errors.Is(err, ErrKilled) {
+				t.Fatalf("step %d: Sync = %v, want ErrKilled", i, err)
+			}
+			return i, versions
+		}
+		versions = append(versions, s.Version())
+	}
+	return len(crashSteps), versions
+}
+
+// TestKillPoints kills the flush-then-compaction sequence at each of its
+// durable block writes in turn: subtest k runs it under KillAfter(k),
+// for every k below the clean run's write count. After recovery, the
+// manifest version is one the sequence durably wrote, every page of a
+// completed Sync reads back, the interrupted Sync's pages are visible
+// all together exactly when its flush's manifest landed, no block
+// outside the live tables and the two manifest slots survives, and the
+// store round-trips a write again.
 func TestKillPoints(t *testing.T) {
-	for _, tc := range []struct {
-		point   KillPoint
-		orphans bool
-	}{
-		{KillMidSSTable, true},
-		{KillBeforeManifest, true},
-		{KillMidManifest, true},
-	} {
-		t.Run(fmt.Sprint(tc.point), func(t *testing.T) {
-			s := New(smallConfig())
-			if err := s.Create(1); err != nil {
-				t.Fatal(err)
-			}
-			mustWrite(t, s, 1, 0, pat(1, 0, 1))
-			if err := s.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			versionBefore := s.Version()
+	clean := New(smallConfig())
+	if err := clean.Create(1); err != nil {
+		t.Fatal(err)
+	}
+	_, full := runCrashSteps(t, clean)
+	n := clean.Writes()
+	var lastVersion uint64
+	for k := int64(0); k < n; k++ {
+		t.Run(fmt.Sprint(k), func(t *testing.T) { killFlushCompactionAt(t, k, full, &lastVersion) })
+	}
+	t.Logf("swept %d kill points", n)
+}
 
-			mustWrite(t, s, 1, 1, pat(1, 1, 1))
-			s.Kill(tc.point)
-			if err := s.Sync(); !errors.Is(err, ErrKilled) {
-				t.Fatalf("Sync with kill point = %v, want ErrKilled", err)
-			}
-			if !s.Dead() {
-				t.Fatal("store not dead after kill")
-			}
-			if _, _, err := s.Read(1, 0); !errors.Is(err, ErrKilled) {
-				t.Fatalf("Read on dead store = %v, want ErrKilled", err)
-			}
+// killFlushCompactionAt runs one point of TestKillPoints. full holds the
+// clean run's version after each step; lastVersion the version recovered
+// at the previous k run.
+func killFlushCompactionAt(t *testing.T, k int64, full []uint64, lastVersion *uint64) {
+	s := New(smallConfig())
+	if err := s.Create(1); err != nil {
+		t.Fatal(err)
+	}
+	s.KillAfter(k)
+	step, versions := runCrashSteps(t, s)
+	if step == len(crashSteps) || !s.Dead() {
+		t.Fatalf("the kill did not fire (step %d, dead=%v)", step, s.Dead())
+	}
+	if _, _, err := s.Read(1, 0); !errors.Is(err, ErrKilled) {
+		t.Fatalf("Read on a dead store = %v, want ErrKilled", err)
+	}
+	if _, err := s.Write(pagestore.LogBase+1, 0, nil); !errors.Is(err, ErrKilled) {
+		t.Fatalf("direct Write on a dead store = %v, want ErrKilled", err)
+	}
+	if err := s.Crash(); err != nil {
+		t.Fatalf("Crash: %v", err)
+	}
 
-			if err := s.Crash(); err != nil {
-				t.Fatal(err)
+	// The version is the last manifest the sequence wrote durably: at
+	// least the last completed Sync's, short of the interrupted one's,
+	// and never older than at a smaller k.
+	var before uint64
+	if step > 0 {
+		before = versions[step-1]
+	}
+	v := s.Version()
+	if v < before || v >= full[step] || v < *lastVersion {
+		t.Fatalf("recovered version %d, want in [%d, %d) and >= %d", v, before, full[step], *lastVersion)
+	}
+	*lastVersion = v
+
+	// Completed Syncs read back; the interrupted one is all or none.
+	want := map[int64][]byte{}
+	for i := 0; i < step; i++ {
+		for _, p := range crashSteps[i] {
+			want[p] = pat(1, p, i+1)
+		}
+	}
+	landed := v > before
+	if landed {
+		for _, p := range crashSteps[step] {
+			want[p] = pat(1, p, step+1)
+		}
+	}
+	for p := int64(0); p < 8; p++ {
+		got, _, err := s.Read(1, p)
+		if err != nil {
+			t.Fatalf("Read(%d): %v", p, err)
+		}
+		w, ok := want[p]
+		if !ok {
+			w = make([]byte, len(pat(1, p, 0)))
+		}
+		if string(got[:len(w)]) != string(w) {
+			t.Fatalf("step %d (flush landed %v): page %d = %q, want %q", step, landed, p, got[:len(w)], w)
+		}
+	}
+
+	// Only the live tables and the manifest slots hold blocks.
+	s.mu.Lock()
+	for lba := range s.disk {
+		live := lba < dataBase
+		for _, lvl := range s.levels {
+			for _, tb := range lvl {
+				live = live || lba >= tb.base && lba < tb.base+tb.blocks
 			}
-			// The interrupted flush never committed: recovery loads the
-			// previous manifest and discards the partial output.
-			if got := s.Version(); got != versionBefore {
-				t.Fatalf("version after recovery = %d, want %d", got, versionBefore)
-			}
-			if tc.orphans && s.OrphansDiscarded() == 0 {
-				t.Fatal("recovery discarded no orphans")
-			}
-			checkPage(t, s, 1, 0, pat(1, 0, 1))
-			data, _, err := s.Read(1, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, b := range data {
-				if b != 0 {
-					t.Fatal("killed flush's page visible after recovery")
-				}
-			}
-			// The store works again.
-			mustWrite(t, s, 1, 1, pat(1, 1, 2))
-			if err := s.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			checkPage(t, s, 1, 1, pat(1, 1, 2))
-		})
+		}
+		if !live {
+			s.mu.Unlock()
+			t.Fatalf("block %d survived recovery outside every live table", lba)
+		}
+	}
+	s.mu.Unlock()
+
+	mustWrite(t, s, 1, 9, pat(1, 9, 9))
+	if err := s.Sync(); err != nil {
+		t.Fatalf("Sync after recovery: %v", err)
+	}
+	checkPage(t, s, 1, 9, pat(1, 9, 9))
+}
+
+// TestManifestChecksumFallback corrupts the newest manifest slot: Crash()
+// must load the older slot's version, with its tables, and discard the
+// newer flush's table as orphans.
+func TestManifestChecksumFallback(t *testing.T) {
+	s := New(Config{MemtablePages: 8, L0Tables: 4})
+	if err := s.Create(1); err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, s, 1, 0, pat(1, 0, 1))
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, s, 1, 1, pat(1, 1, 2))
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	newest := s.Version()
+	s.mu.Lock()
+	slot := s.disk[int64(newest%2)*manifestSlotBlocks]
+	bad := append([]byte(nil), slot...)
+	bad[8] ^= 0xff // inside the payload the checksum covers
+	s.disk[int64(newest%2)*manifestSlotBlocks] = bad
+	s.mu.Unlock()
+
+	if err := s.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Version(); got != newest-1 {
+		t.Fatalf("version after a corrupt newest slot = %d, want %d", got, newest-1)
+	}
+	if s.OrphansDiscarded() == 0 {
+		t.Fatal("the newer flush's table survived as a live table")
+	}
+	checkPage(t, s, 1, 0, pat(1, 0, 1))
+	data, _, err := s.Read(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range data {
+		if b != 0 {
+			t.Fatal("page of the corrupt manifest's flush visible after recovery")
+		}
 	}
 }
 

@@ -33,13 +33,10 @@ type manifestRec struct {
 const manifestRecSize = 4 + 8 + 8
 
 // writeManifestLocked persists the next manifest version into its slot,
-// honouring armed kill points, and returns the slot write access.
+// block by block under the kill rule, and returns the slot write access.
+// A kill leaves the version bumped in memory only: the store is dead,
+// and Crash() reloads the version from the slots.
 func (s *Store) writeManifestLocked() (pagestore.Access, error) {
-	if s.kill == KillBeforeManifest {
-		s.dead = true
-		s.kill = KillNone
-		return pagestore.Access{}, ErrKilled
-	}
 	s.version++
 	var recs []manifestRec
 	for level, lvl := range s.levels {
@@ -70,14 +67,10 @@ func (s *Store) writeManifestLocked() (pagestore.Access, error) {
 	}
 	slotBase := int64(s.version%2) * manifestSlotBlocks
 	for b := int64(0); b < used; b++ {
-		if s.kill == KillMidManifest && b >= used/2 {
-			// Torn slot: its checksum will not verify, so recovery
-			// falls back to the other slot. Roll the version back so
-			// the in-memory state matches what recovery will see.
-			s.version--
-			s.dead = true
-			s.kill = KillNone
-			return pagestore.Access{}, ErrKilled
+		if err := s.blockWriteLocked(); err != nil {
+			// A torn slot fails its checksum, so recovery falls back
+			// to the other slot.
+			return pagestore.Access{}, err
 		}
 		blk := make([]byte, pagestore.PageSize)
 		end := (b + 1) * pagestore.PageSize

@@ -130,7 +130,7 @@ func (t *table) find(k key) (int, bool) {
 }
 
 // writeTableLocked allocates and writes a new SSTable for the sorted
-// entries, honouring an armed kill point, and returns its handle plus
+// entries, block by block under the kill rule, and returns its handle plus
 // the single sequential write access it cost. Each data block is the
 // entry's slice itself: stored blocks are immutable (see the package
 // doc), so a flush or compaction moves a page without copying it.
@@ -190,12 +190,10 @@ func (s *Store) writeTableLocked(entries []entry) (*table, pagestore.Access, err
 	}
 
 	for i, blk := range blocks {
-		if s.kill == KillMidSSTable && int64(i) >= total/2 {
-			// Half-written table: the blocks stay as orphans for
+		if err := s.blockWriteLocked(); err != nil {
+			// The blocks already written stay as orphans for
 			// recovery to discard.
-			s.dead = true
-			s.kill = KillNone
-			return nil, pagestore.Access{}, ErrKilled
+			return nil, pagestore.Access{}, err
 		}
 		s.disk[base+int64(i)] = blk
 	}

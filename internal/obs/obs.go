@@ -85,25 +85,10 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// smallInts interns the rendered strings of the small non-negative
-// integers, which cover essentially every class rank, tenant ID and
-// shard number a run ever labels: hot paths that build labels per
-// lookup (per-class histograms, per-tenant counters) must not allocate
-// for the common values.
-var smallInts = func() [256]string {
-	var a [256]string
-	for i := range a {
-		a[i] = strconv.Itoa(i)
-	}
-	return a
-}()
-
 // LInt is shorthand for a Label with an integer value (class ranks,
-// tenant IDs). Small non-negative values render allocation-free.
+// tenant IDs). Callers build it once per instrument and cache the
+// instrument, never per lookup.
 func LInt(key string, value int64) Label {
-	if value >= 0 && value < int64(len(smallInts)) {
-		return Label{Key: key, Value: smallInts[value]}
-	}
 	return Label{Key: key, Value: strconv.FormatInt(value, 10)}
 }
 

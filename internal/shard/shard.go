@@ -233,7 +233,8 @@ func mix64(x uint64) uint64 {
 
 // Checkpoint drains every routed transaction (cluster gate), then
 // checkpoints each shard in turn: committed work flushes, logs truncate,
-// version stores prune. The caller's router session provides the clocks.
+// version stores prune. With nothing left in doubt, the decision log
+// truncates too. The caller's router session provides the clocks.
 func (c *Cluster) Checkpoint(rs *Session) error {
 	c.gate.Lock()
 	defer c.gate.Unlock()
@@ -244,6 +245,9 @@ func (c *Cluster) Checkpoint(rs *Session) error {
 		if err := s.TM.Checkpoint(rs.sess[i]); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
+	}
+	if err := c.coord.truncate(&rs.sess[0].Clk, c.shards[0].Inst.Pool); err != nil {
+		return fmt.Errorf("shard: coordinator log: %w", err)
 	}
 	return nil
 }

@@ -2,13 +2,17 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"hstoragedb/internal/engine/txn"
 	"hstoragedb/internal/engine/wal"
 	"hstoragedb/internal/hybrid"
+	"hstoragedb/internal/iosched"
+	"hstoragedb/internal/lsm"
 	"hstoragedb/internal/obs"
+	"hstoragedb/internal/pagestore"
 )
 
 func testConfig(shards int) Config {
@@ -151,12 +155,131 @@ func TestCrossShardCommit(t *testing.T) {
 	}
 }
 
-// TestCoordinatorCrashBeforeDecide covers the prepare→decide window: the
-// coordinator dies with every participant prepared and no decision
-// record, so recovery must presume abort and the transfer must not have
-// happened.
-func TestCoordinatorCrashBeforeDecide(t *testing.T) {
+// lsmBankConfig is a two-shard cluster on the LSM backend, shaped like
+// the bank workload's.
+func lsmBankConfig() Config {
 	cfg := testConfig(2)
+	cfg.Storage.CacheBlocks = 1024
+	cfg.Storage.Sched = iosched.Config{BackgroundShare: 0.1}
+	cfg.BufferPoolPages = 256
+	cfg.Backend = func() pagestore.Backend {
+		return lsm.New(lsm.Config{MemtablePages: 64, L0Tables: 4})
+	}
+	return cfg
+}
+
+// TestCrashSweepTransfer kills one shard of an LSM cluster at each of its
+// durable block writes in turn (subtest shard<i>/k arms KillAfter(k) on
+// shard i, for every k below the clean run's write count there) while a
+// cross-shard transfer commits and the cluster checkpoints: the prepare
+// and phase-2 log forces, the decision record (shard 0 holds the
+// decision log), the checkpoint's SSTables, manifests and log pages.
+// After every kill the cluster crashes and recovers. The total balance
+// must be conserved, the transfer applied on both shards or on neither
+// (on both if Commit succeeded), nothing left in doubt, and a new
+// transfer must commit.
+func TestCrashSweepTransfer(t *testing.T) {
+	for victim := 0; victim < 2; victim++ {
+		n := crashTransferAt(t, victim, -1)
+		for k := int64(0); k < n; k++ {
+			t.Run(fmt.Sprintf("shard%d/%d", victim, k), func(t *testing.T) { crashTransferAt(t, victim, k) })
+		}
+		t.Logf("shard %d: swept %d kill points", victim, n)
+	}
+}
+
+// crashTransferAt runs the transfer and checkpoint under KillAfter(k) on
+// shard victim and checks the recovery. A negative k is the clean run:
+// it must succeed, and it returns the durable block writes it made on
+// the victim.
+func crashTransferAt(t *testing.T, victim int, k int64) int64 {
+	const n, balance, amount = 64, 100, 40
+	cfg := lsmBankConfig()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.LoadAccounts(n, balance, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := c.NewSession()
+	if err := c.Checkpoint(rs); err != nil {
+		t.Fatal(err)
+	}
+	keys := keysOnShards(t, c, n, 0, 1)
+	ls := c.Shard(victim).DB.Store.(*lsm.Store)
+	base := ls.Writes()
+	ls.KillAfter(k)
+
+	tx, err := rs.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Transfer(tx, keys[0], keys[1], amount); err != nil {
+		t.Fatal(err)
+	}
+	commitErr := tx.Commit()
+	err = commitErr
+	if err == nil {
+		err = c.Checkpoint(rs)
+	}
+	if k < 0 {
+		if err != nil {
+			t.Fatalf("clean run: %v", err)
+		}
+		return ls.Writes() - base
+	}
+	if !errors.Is(err, lsm.ErrKilled) || !ls.Dead() {
+		t.Fatalf("run returned %v (dead=%v), want ErrKilled", err, ls.Dead())
+	}
+	c.Crash()
+
+	c2, stats, err := Recover(cfg, c.Databases())
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if stats.ResolvedCommit+stats.ResolvedAbort != stats.InDoubt {
+		t.Fatalf("recovery stats = %+v: not every in-doubt transaction resolved", stats)
+	}
+	for i := 0; i < c2.Shards(); i++ {
+		if d := c2.Shard(i).Log.InDoubt(); len(d) != 0 {
+			t.Fatalf("shard %d left in doubt: %+v", i, d)
+		}
+	}
+	a2 := a.Attach(c2)
+	src, dst := balanceOf(t, c2, a2, keys[0]), balanceOf(t, c2, a2, keys[1])
+	switch {
+	case src == balance-amount && dst == balance+amount:
+	case src == balance && dst == balance && commitErr != nil:
+	default:
+		t.Fatalf("balances %d, %d after commit error %v: transfer applied on one shard, or lost", src, dst, commitErr)
+	}
+	if total, err := a2.TotalBalance(c2.NewSession()); err != nil || total != n*balance {
+		t.Fatalf("total = %d (err %v), want %d", total, err, n*balance)
+	}
+	tx, err = c2.NewSession().Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a2.Transfer(tx, keys[1], keys[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("transfer after recovery: %v", err)
+	}
+	if got := balanceOf(t, c2, a2, keys[0]); got != src+1 {
+		t.Fatalf("source balance after a new transfer = %d, want %d", got, src+1)
+	}
+	return 0
+}
+
+// TestCheckpointTruncatesDecisionLog: once the decision log rolls past
+// its first segment, a cluster checkpoint truncates it, and GTIDs stay
+// unique across the truncation and a recovery.
+func TestCheckpointTruncatesDecisionLog(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.WAL.SegmentPages = 2
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -166,38 +289,38 @@ func TestCoordinatorCrashBeforeDecide(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := keysOnShards(t, c, 64, 0, 1)
-	c.Coordinator().CrashBeforeDecide()
-
 	rs := c.NewSession()
-	tx, err := rs.Begin()
-	if err != nil {
+	for i := 0; c.Coordinator().log.Stats().Segments < 3; i++ {
+		tx, err := rs.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Transfer(tx, keys[i%2], keys[1-i%2], 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("transfer %d: %v", i, err)
+		}
+	}
+	if err := c.Checkpoint(rs); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Transfer(tx, keys[0], keys[1], 40); err != nil {
-		t.Fatal(err)
+	if got := c.Coordinator().log.Stats().Segments; got != 1 {
+		t.Fatalf("decision log holds %d segments after a checkpoint, want 1", got)
 	}
-	err = tx.Commit()
-	if !errors.Is(err, txn.ErrCrashed) {
-		t.Fatalf("commit after armed coordinator crash: err = %v, want ErrCrashed", err)
-	}
-	if !c.Dead() {
-		t.Fatal("cluster should be dead after the coordinator crash")
-	}
-
-	c2, stats, err := Recover(cfg, c.Databases())
+	used := c.Coordinator().nextGTID.Load()
+	c.Crash()
+	c2, _, err := Recover(cfg, c.Databases())
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	if stats.InDoubt != 2 || stats.ResolvedAbort != 2 || stats.ResolvedCommit != 0 {
-		t.Fatalf("recovery stats = %+v, want 2 in-doubt all resolved abort", stats)
+	if got := c2.Coordinator().log.Stats().Segments; got != 1 {
+		t.Fatalf("recovered decision log holds %d segments, want 1", got)
+	}
+	if got := c2.Coordinator().NextGTID(); got < used {
+		t.Fatalf("first GTID after recovery = %d, below the %d already handed out", got, used)
 	}
 	a2 := a.Attach(c2)
-	if got := balanceOf(t, c2, a2, keys[0]); got != 100 {
-		t.Fatalf("source balance after presumed abort = %d, want 100", got)
-	}
-	if got := balanceOf(t, c2, a2, keys[1]); got != 100 {
-		t.Fatalf("destination balance after presumed abort = %d, want 100", got)
-	}
 	if total, err := a2.TotalBalance(c2.NewSession()); err != nil || total != 6400 {
 		t.Fatalf("total = %d (err %v), want 6400", total, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"hstoragedb/internal/engine/bufferpool"
 	"hstoragedb/internal/engine/txn"
 	"hstoragedb/internal/engine/wal"
 	"hstoragedb/internal/obs"
@@ -33,10 +34,9 @@ type Coordinator struct {
 	aborts   atomic.Int64
 	prepares atomic.Int64
 
-	// Crash injection: arm to kill the cluster at the corresponding
-	// protocol point of the next cross-shard commit.
-	crashBeforeDecide atomic.Bool
-	crashAfterDecide  atomic.Bool
+	// Crash injection: arm to kill the cluster after the next
+	// cross-shard commit's durable decision.
+	crashAfterDecide atomic.Bool
 
 	tracer   *obs.Tracer
 	mCommits *obs.Counter
@@ -76,12 +76,6 @@ func (co *Coordinator) Stats() TwoPCStats {
 	}
 }
 
-// CrashBeforeDecide arms a simulated coordinator crash after the next
-// cross-shard transaction's prepare phase, before its decision record:
-// participants are left holding prepared locks, and recovery must
-// presume abort.
-func (co *Coordinator) CrashBeforeDecide() { co.crashBeforeDecide.Store(true) }
-
 // CrashAfterDecide arms a simulated crash after the next cross-shard
 // transaction's decision record is durable, before phase 2: recovery
 // must resolve the in-doubt participants to commit.
@@ -96,6 +90,22 @@ func (co *Coordinator) decide(clk *simclock.Clock, gtid int64) error {
 		return err
 	}
 	return co.log.Flush(clk, lsn)
+}
+
+// truncate drops the decided history from the decision log. The caller
+// holds the cluster gate and every shard has checkpointed, so no
+// participant is in doubt and no recovery needs a decision. The log is
+// checkpointed only once it has rolled past its first segment. It first
+// logs an abort decision for a fresh GTID that no transaction uses, so a
+// recovery still resumes GTIDs above every one handed out before.
+func (co *Coordinator) truncate(clk *simclock.Clock, pool *bufferpool.Pool) error {
+	if co.log.Stats().Segments < 2 {
+		return nil
+	}
+	if _, err := co.log.Append(clk, wal.Record{Txn: co.NextGTID(), Kind: wal.KindDecideAbort}); err != nil {
+		return err
+	}
+	return co.log.Checkpoint(clk, pool)
 }
 
 // commit drives one cross-shard transaction through the protocol. The
@@ -145,14 +155,6 @@ func (co *Coordinator) commit(rs *Session, parts []*Part) error {
 	// clock to the latest participant before the decision I/O.
 	for _, p := range parts {
 		clk.AdvanceTo(p.Sess.Clk.Now())
-	}
-
-	if co.crashBeforeDecide.CompareAndSwap(true, false) {
-		// Simulated coordinator crash between prepare and decide: no
-		// decision exists, participants hold prepared locks until
-		// recovery presumes abort.
-		rs.c.Crash()
-		return ErrCoordinatorCrashed
 	}
 
 	if err := co.decide(clk, gtid); err != nil {
