@@ -138,11 +138,10 @@ type Pool struct {
 	versions map[key][]pageVersion
 	verBytes int64
 
-	txnMu sync.RWMutex
-	txns  map[*simclock.Clock]*TxnHooks
-	// snaps binds session streams to snapshot LSNs (read-only
-	// transactions). Guarded by txnMu.
-	snaps map[*simclock.Clock]int64
+	// binds holds each session stream's one binding: a mutating
+	// transaction's hooks or a read-only transaction's snapshot LSN.
+	bindMu sync.RWMutex
+	binds  map[*simclock.Clock]binding
 
 	// Registry instruments and tracer, nil (inert) until Use attaches a
 	// set.
@@ -168,8 +167,7 @@ func New(mgr *storagemgr.Manager, frames int) *Pool {
 		cap:      frames,
 		table:    make(map[key]*entry, frames),
 		versions: make(map[key][]pageVersion),
-		txns:     make(map[*simclock.Clock]*TxnHooks),
-		snaps:    make(map[*simclock.Clock]int64),
+		binds:    make(map[*simclock.Clock]binding),
 	}
 	p.head.prev = &p.head
 	p.head.next = &p.head
@@ -200,38 +198,48 @@ func (p *Pool) Use(set *obs.Set) {
 	p.mSnaps = reg.Gauge("bufferpool.snapshots")
 }
 
-// BindTxn associates transaction hooks with a session stream: every
-// Get/Put carrying clk runs the hooks until UnbindTxn. One stream runs
-// at most one transaction at a time; concurrent transactions live on
-// distinct streams, each with its own first-touch list.
-func (p *Pool) BindTxn(clk *simclock.Clock, h *TxnHooks) {
-	p.txnMu.Lock()
-	p.txns[clk] = h
-	p.txnMu.Unlock()
+// binding is what a session stream is bound to: a mutating
+// transaction's hooks, or, with txn nil, the snapshot LSN of a read-only
+// transaction (BindSnapshot).
+type binding struct {
+	txn  *TxnHooks
+	snap int64
 }
 
-// UnbindTxn removes the stream's transaction hooks (commit/abort path).
+// BindTxn binds a mutating transaction's hooks (non-nil) to a session
+// stream: every Get/Put of a table or index page carrying clk runs the
+// hooks until UnbindTxn. A stream has one binding, so it runs at most one
+// transaction at a time; concurrent transactions live on distinct
+// streams, each with its own first-touch list.
+func (p *Pool) BindTxn(clk *simclock.Clock, h *TxnHooks) {
+	p.bindMu.Lock()
+	p.binds[clk] = binding{txn: h}
+	p.bindMu.Unlock()
+}
+
+// UnbindTxn removes the stream's binding (commit/abort path; a
+// snapshot's too, for UnbindSnapshot).
 func (p *Pool) UnbindTxn(clk *simclock.Clock) {
-	p.txnMu.Lock()
-	delete(p.txns, clk)
-	p.txnMu.Unlock()
+	p.bindMu.Lock()
+	delete(p.binds, clk)
+	p.bindMu.Unlock()
 }
 
 // UnbindAll removes every transaction and snapshot binding (crash path).
 func (p *Pool) UnbindAll() {
-	p.txnMu.Lock()
-	p.txns = make(map[*simclock.Clock]*TxnHooks)
-	p.snaps = make(map[*simclock.Clock]int64)
-	p.txnMu.Unlock()
+	p.bindMu.Lock()
+	clear(p.binds)
+	p.bindMu.Unlock()
 	p.mSnaps.Set(0)
 }
 
-// txnFor returns the hooks bound to a stream, or nil.
-func (p *Pool) txnFor(clk *simclock.Clock) *TxnHooks {
-	p.txnMu.RLock()
-	h := p.txns[clk]
-	p.txnMu.RUnlock()
-	return h
+// bindingFor returns the stream's binding, if it has one: one read lock
+// per versioned access.
+func (p *Pool) bindingFor(clk *simclock.Clock) (binding, bool) {
+	p.bindMu.RLock()
+	b, ok := p.binds[clk]
+	p.bindMu.RUnlock()
+	return b, ok
 }
 
 func (p *Pool) pushFront(e *entry) {
@@ -350,13 +358,14 @@ func (p *Pool) makeRoom(clk *simclock.Clock) error {
 // is returned unchanged.
 func (p *Pool) Get(clk *simclock.Clock, tag policy.Tag, page int64) ([]byte, error) {
 	if versioned(tag.Content) {
-		if s, ok := p.snapFor(clk); ok {
+		switch b, ok := p.bindingFor(clk); {
+		case !ok:
+		case b.txn == nil:
 			// Snapshot-bound stream: resolve against the version store,
 			// bypassing the lock manager entirely.
-			return p.getSnapshot(clk, tag, page, s)
-		}
-		if h := p.txnFor(clk); h != nil && h.Acquire != nil {
-			if err := h.Acquire(tag, page, false); err != nil {
+			return p.getSnapshot(clk, tag, page, b.snap)
+		case b.txn.Acquire != nil:
+			if err := b.txn.Acquire(tag, page, false); err != nil {
 				return nil, err
 			}
 		}
@@ -415,12 +424,16 @@ func (p *Pool) Get(clk *simclock.Clock, tag policy.Tag, page int64) ([]byte, err
 func (p *Pool) Put(clk *simclock.Clock, tag policy.Tag, page int64, data []byte) error {
 	var h *TxnHooks
 	if versioned(tag.Content) {
-		if s, ok := p.snapFor(clk); ok {
-			return fmt.Errorf("bufferpool: snapshot %d: write to page %d/%d on a read-only snapshot stream", s, tag.Object, page)
-		}
-		if h = p.txnFor(clk); h != nil && h.Acquire != nil {
-			if err := h.Acquire(tag, page, true); err != nil {
-				return err
+		switch b, ok := p.bindingFor(clk); {
+		case !ok:
+		case b.txn == nil:
+			return fmt.Errorf("bufferpool: snapshot %d: write to page %d/%d on a read-only snapshot stream", b.snap, tag.Object, page)
+		default:
+			h = b.txn
+			if h.Acquire != nil {
+				if err := h.Acquire(tag, page, true); err != nil {
+					return err
+				}
 			}
 		}
 	}

@@ -419,6 +419,36 @@ func TestFirstTouch(t *testing.T) {
 			}
 			drained(t, p)
 		}},
+		{"a snapshot-bound stream skips the lock hook and cannot Put", func(t *testing.T, h *harness, p *Pool) {
+			clean(t, h, p, 0)
+			clk, tx := bind(p, 1)
+			hooked := 0
+			tx.Acquire = func(policy.Tag, int64, bool) error { hooked++; return nil }
+			if lsn := p.BindSnapshot(clk, func() int64 { return 5 }); lsn != 5 {
+				t.Fatalf("bound snapshot %d, want 5", lsn)
+			}
+			if vs := p.VersionStats(); vs.Snapshots != 1 || vs.OldestSnapshot != 5 {
+				t.Fatalf("%+v, want one snapshot at 5", vs)
+			}
+			if got, err := p.Get(clk, tag(1), 0); err != nil || !bytes.Equal(got[:16], img(1)) {
+				t.Fatalf("snapshot Get = %v, %v; want %v", got, err, img(1))
+			}
+			if err := p.Put(clk, tag(1), 0, img(7)); err == nil {
+				t.Fatal("Put on a snapshot-bound stream succeeded")
+			}
+			if hooked != 0 {
+				t.Fatalf("the replaced transaction's hook ran %d times", hooked)
+			}
+			p.UnbindSnapshot(clk)
+			if vs := p.VersionStats(); vs.Snapshots != 0 {
+				t.Fatalf("%+v after UnbindSnapshot", vs)
+			}
+			// Unbound, the stream writes again, and no hook runs.
+			put(t, p, clk, 0, img(8))
+			if hooked != 0 || len(touched(t, p, tx)) != 0 {
+				t.Fatalf("an unbound Put reached the transaction (%d hooks)", hooked)
+			}
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -80,9 +80,11 @@ func versioned(c policy.ContentType) bool {
 	return c == policy.Table || c == policy.Index
 }
 
-// BindSnapshot pins a snapshot LSN to a session stream: every Get
-// carrying clk resolves transactional pages as of that LSN until
-// UnbindSnapshot. A bound stream must not Put transactional content.
+// BindSnapshot binds a snapshot LSN to a session stream, replacing any
+// binding it had: every Get of a table or index page carrying clk
+// resolves as of that LSN, without running any transaction's hooks,
+// until UnbindSnapshot. A snapshot-bound stream's Put of such a page
+// fails.
 //
 // The LSN is what read returns — the log's commit watermark — read
 // inside the critical section that installs the binding. A pruner
@@ -92,43 +94,33 @@ func versioned(c policy.ContentType) bool {
 // drop. Read first and bound second, a commit and a prune in between
 // would take away the version the snapshot is about to need.
 func (p *Pool) BindSnapshot(clk *simclock.Clock, read func() int64) int64 {
-	p.txnMu.Lock()
+	p.bindMu.Lock()
 	lsn := read()
-	p.snaps[clk] = lsn
-	n := int64(len(p.snaps))
-	p.txnMu.Unlock()
-	p.mSnaps.Set(n)
+	p.binds[clk] = binding{snap: lsn}
+	p.bindMu.Unlock()
+	p.mSnaps.Set(int64(len(p.activeSnaps())))
 	return lsn
 }
 
 // UnbindSnapshot releases the stream's snapshot binding (end of the
 // read-only transaction). Unknown streams are ignored (crash path).
 func (p *Pool) UnbindSnapshot(clk *simclock.Clock) {
-	p.txnMu.Lock()
-	delete(p.snaps, clk)
-	n := int64(len(p.snaps))
-	p.txnMu.Unlock()
-	p.mSnaps.Set(n)
-}
-
-// snapFor returns the snapshot LSN bound to a stream.
-func (p *Pool) snapFor(clk *simclock.Clock) (int64, bool) {
-	p.txnMu.RLock()
-	lsn, ok := p.snaps[clk]
-	p.txnMu.RUnlock()
-	return lsn, ok
+	p.UnbindTxn(clk)
+	p.mSnaps.Set(int64(len(p.activeSnaps())))
 }
 
 // activeSnaps returns the bound snapshot LSNs, sorted ascending. Called
-// without p.mu held (txnMu nests inside p.mu nowhere, so gathering the
+// without p.mu held (bindMu nests inside p.mu nowhere, so gathering the
 // snapshot set first keeps the lock order single-level).
 func (p *Pool) activeSnaps() []int64 {
-	p.txnMu.RLock()
-	out := make([]int64, 0, len(p.snaps))
-	for _, lsn := range p.snaps {
-		out = append(out, lsn)
+	var out []int64
+	p.bindMu.RLock()
+	for _, b := range p.binds {
+		if b.txn == nil {
+			out = append(out, b.snap)
+		}
 	}
-	p.txnMu.RUnlock()
+	p.bindMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

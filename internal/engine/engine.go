@@ -9,6 +9,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -216,6 +217,28 @@ func (s *Session) ExecuteDiscard(root exec.Operator) (int64, time.Duration, erro
 		return n, 0, err
 	}
 	return n, s.Clk.Now() - start, nil
+}
+
+// RunStreams runs every stream on its own goroutine, waits for all of
+// them and returns the first error, in stream order. It is how every
+// concurrent workload starts its streams.
+func RunStreams(streams ...func() error) error {
+	errs := make([]error, len(streams))
+	var wg sync.WaitGroup
+	wg.Add(len(streams))
+	for i, stream := range streams {
+		go func() {
+			defer wg.Done()
+			errs[i] = stream()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ---- schema & loading ----

@@ -1,8 +1,10 @@
 package engine_test
 
 import (
-	"sync"
+	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hstoragedb/internal/engine"
 	"hstoragedb/internal/engine/catalog"
@@ -116,28 +118,48 @@ func TestSessionsShareDevices(t *testing.T) {
 	// Two fresh sessions race for the same devices; the buffer pool is
 	// dropped so both generate real I/O.
 	inst.DropBufferPool()
-	var wg sync.WaitGroup
 	times := make([]int64, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+	stream := func(i int) func() error {
+		return func() error {
 			sess := inst.NewSession()
 			_, elapsed, err := sess.ExecuteDiscard(scan())
-			if err != nil {
-				t.Error(err)
-				return
-			}
 			times[i] = int64(elapsed)
-		}(i)
+			return err
+		}
 	}
-	wg.Wait()
+	if err := engine.RunStreams(stream(0), stream(1)); err != nil {
+		t.Fatal(err)
+	}
 	// At least one of the contending scans must take longer than the
 	// solo cold scan would (device queueing), modulo buffer pool hits.
 	if times[0] == 0 || times[1] == 0 {
 		t.Fatalf("contending scans took no time: %v", times)
 	}
 	_ = soloTime
+}
+
+// TestRunStreamsReturnsFirstError checks the stream runner: every
+// stream runs, it returns only once all have, and of several errors it
+// returns the first in stream order, not the first to happen.
+func TestRunStreamsReturnsFirstError(t *testing.T) {
+	errA, errB := errors.New("a"), errors.New("b")
+	var ran atomic.Int32
+	bDone := make(chan struct{})
+	err := engine.RunStreams(
+		func() error { ran.Add(1); return nil },
+		func() error { <-bDone; ran.Add(1); return errA },
+		func() error { defer close(bDone); ran.Add(1); return errB },
+		func() error { time.Sleep(10 * time.Millisecond); ran.Add(1); return nil },
+	)
+	if err != errA {
+		t.Fatalf("RunStreams = %v, want %v", err, errA)
+	}
+	if n := ran.Load(); n != 4 {
+		t.Fatalf("%d streams had finished at return, want 4", n)
+	}
+	if err := engine.RunStreams(); err != nil {
+		t.Fatalf("no streams: %v", err)
+	}
 }
 
 func TestInstanceConfigDefaults(t *testing.T) {

@@ -9,13 +9,16 @@
 // touches through the buffer pool, holds them to commit or abort (strict
 // two-phase locking), and releases them all at once.
 //
-// Deadlocks are resolved by cycle detection on the waits-for graph: a
-// blocked request records edges to every transaction it waits behind
-// (conflicting holders plus earlier waiters in the same queue), and
-// whenever the graph changes the manager searches for cycles and wakes
-// one member of each — the youngest, i.e. highest transaction ID — with
-// ErrDeadlock. The victim is expected to abort (releasing its locks,
-// which unblocks the rest of the cycle) and retry.
+// Deadlocks are resolved by cycle detection on the waits-for graph. The
+// lock table is that graph; no edge is recorded anywhere else: a
+// blocked transaction's edges are read at search time from the page it
+// queues on — every conflicting holder plus every waiter ahead of it in
+// the queue. Whenever a request blocks or locks are released the
+// manager searches for cycles and wakes one member of each — the
+// youngest, i.e. highest transaction ID — with ErrDeadlock. The victim
+// is expected to abort (releasing its locks, which unblocks the rest of
+// the cycle) and retry. WaitsFor reports the same edges, for a caller
+// diagnosing a wait that never ends.
 //
 // Lock waits block the calling goroutine in real time and, through the
 // clock-aware entry points (AcquireClk/ReleaseAllAt), consume simulated
@@ -35,6 +38,7 @@ package lockmgr
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -81,6 +85,7 @@ func (p PageID) String() string { return fmt.Sprintf("%d/%d", p.Obj, p.Page) }
 // waiter is one blocked Acquire call.
 type waiter struct {
 	txn     int64
+	id      PageID // the lock it queues on
 	mode    Mode
 	upgrade bool // holds Shared already, wants Exclusive
 	done    chan error
@@ -117,10 +122,16 @@ type Stats struct {
 type Manager struct {
 	mu    sync.Mutex
 	locks map[PageID]*lockState
-	held  map[int64]map[PageID]Mode    // txn -> held locks
-	waits map[int64]map[int64]struct{} // txn -> txns it waits behind
-	blkd  map[int64]*blocked           // txn -> its blocked request
+	held  map[int64]map[PageID]Mode // txn -> held locks
+	blkd  map[int64]*waiter         // txn -> its blocked request
 	stats Stats
+
+	// Scratch of the cycle search, reused under mu: the DFS path, the
+	// transactions seen (true while on the path) and a stack of the
+	// derived edges of every transaction on the path.
+	path  []int64
+	seen  map[int64]bool
+	edges []int64
 
 	// Registry instruments and tracer, nil (inert) until Use attaches a
 	// set. The `lockmgr`/`wait` trace event is an instant stamped at the
@@ -133,20 +144,13 @@ type Manager struct {
 	mUpgrades  *obs.Counter
 }
 
-// blocked pairs a waiter with the lock it queues on, so a victim can be
-// removed from the right queue.
-type blocked struct {
-	w  *waiter
-	id PageID
-}
-
 // New creates an empty lock table.
 func New() *Manager {
 	return &Manager{
 		locks: make(map[PageID]*lockState),
 		held:  make(map[int64]map[PageID]Mode),
-		waits: make(map[int64]map[int64]struct{}),
-		blkd:  make(map[int64]*blocked),
+		blkd:  make(map[int64]*waiter),
+		seen:  make(map[int64]bool),
 	}
 }
 
@@ -203,10 +207,9 @@ func (m *Manager) AcquireClk(txn int64, id PageID, mode Mode, clk *simclock.Cloc
 }
 
 // acquire is the common lock-request core. It returns the waiter the
-// request blocked on — armed in the waits-for graph, with m.mu
-// released; the caller must then receive on its done channel (grantAt
-// is stamped before the send) — or nil for an immediate grant, or the
-// refusal error.
+// request blocked on — queued, with m.mu released; the caller must then
+// receive on its done channel (grantAt is stamped before the send) — or
+// nil for an immediate grant, or the refusal error.
 func (m *Manager) acquire(txn int64, id PageID, mode Mode, at time.Duration) (*waiter, error) {
 	if txn <= 0 {
 		// Mutating transactions carry WAL-allocated positive IDs;
@@ -242,9 +245,9 @@ func (m *Manager) acquire(txn int64, id PageID, mode Mode, at time.Duration) (*w
 		}
 		// Queue the upgrade at the front: it already holds Shared, so
 		// nothing behind it can be granted first anyway.
-		w := &waiter{txn: txn, mode: Exclusive, upgrade: true, done: make(chan error, 1), at: at}
+		w := &waiter{txn: txn, id: id, mode: Exclusive, upgrade: true, done: make(chan error, 1), at: at}
 		ls.queue = append([]*waiter{w}, ls.queue...)
-		m.armWaitLocked(w, id, ls, at)
+		m.armWaitLocked(w, at)
 		return w, nil
 	}
 
@@ -257,25 +260,24 @@ func (m *Manager) acquire(txn int64, id PageID, mode Mode, at time.Duration) (*w
 		return nil, nil
 	}
 
-	w := &waiter{txn: txn, mode: mode, done: make(chan error, 1), at: at}
+	w := &waiter{txn: txn, id: id, mode: mode, done: make(chan error, 1), at: at}
 	ls.queue = append(ls.queue, w)
-	m.armWaitLocked(w, id, ls, at)
+	m.armWaitLocked(w, at)
 	return w, nil
 }
 
-// armWaitLocked registers the waiter in the waits-for graph and
-// resolves any cycle it creates. Called with m.mu held; returns with it
-// released. The caller then parks by receiving on w.done.
-func (m *Manager) armWaitLocked(w *waiter, id PageID, ls *lockState, at time.Duration) {
-	m.blkd[w.txn] = &blocked{w: w, id: id}
+// armWaitLocked marks the queued waiter's transaction blocked and
+// resolves any cycle its wait closes. Called with m.mu held; returns
+// with it released. The caller then parks by receiving on w.done.
+func (m *Manager) armWaitLocked(w *waiter, at time.Duration) {
+	m.blkd[w.txn] = w
 	m.stats.Waits++
 	m.mWaits.Inc()
 	if m.tracer != nil && at >= 0 {
 		m.tracer.Instant("lockmgr", "wait", w.txn, at, map[string]any{
-			"page": id.String(), "mode": w.mode.String()})
+			"page": w.id.String(), "mode": w.mode.String()})
 	}
-	m.rebuildEdgesLocked(id, ls)
-	m.resolveDeadlocksLocked(id, at)
+	m.resolveDeadlocksLocked(w.id, at)
 	m.mu.Unlock()
 }
 
@@ -311,27 +313,48 @@ func (m *Manager) noteHeld(txn int64, id PageID, mode Mode) {
 	h[id] = mode
 }
 
-// rebuildEdgesLocked recomputes the waits-for edges of every waiter
-// queued on id: a waiter waits behind each conflicting holder and behind
-// every waiter ahead of it in the queue. Caller holds m.mu.
-func (m *Manager) rebuildEdgesLocked(id PageID, ls *lockState) {
-	for i, w := range ls.queue {
-		edges := make(map[int64]struct{})
-		for h, hm := range ls.holders {
-			if h == w.txn {
-				continue // its own Shared hold (upgrade) is not a wait
-			}
-			if w.mode == Exclusive || hm == Exclusive {
-				edges[h] = struct{}{}
-			}
-		}
-		for _, ahead := range ls.queue[:i] {
-			if ahead.txn != w.txn {
-				edges[ahead.txn] = struct{}{}
-			}
-		}
-		m.waits[w.txn] = edges
+// appendEdgesLocked appends the waits-for edges of txn to dst: none
+// unless txn is blocked; otherwise every holder of the page it queues on
+// whose mode conflicts with its request (its own Shared hold, when it
+// waits to upgrade, is not a wait) and every waiter ahead of it in that
+// page's queue. A transaction may appear twice (an upgrader holds and
+// queues). Caller holds m.mu.
+func (m *Manager) appendEdgesLocked(dst []int64, txn int64) []int64 {
+	w := m.blkd[txn]
+	if w == nil {
+		return dst
 	}
+	ls := m.locks[w.id]
+	for h, hm := range ls.holders {
+		if h != txn && (w.mode == Exclusive || hm == Exclusive) {
+			dst = append(dst, h)
+		}
+	}
+	for _, ahead := range ls.queue {
+		if ahead == w {
+			break
+		}
+		if ahead.txn != txn {
+			dst = append(dst, ahead.txn)
+		}
+	}
+	return dst
+}
+
+// WaitsFor returns the waits-for graph: for every blocked transaction,
+// the transactions it waits behind, ascending. These are the edges the
+// deadlock detector searches, so a wait that never ends shows here as a
+// chain whose last member is not blocked in this manager.
+func (m *Manager) WaitsFor() map[int64][]int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make(map[int64][]int64, len(m.blkd))
+	for txn := range m.blkd {
+		edges := m.appendEdgesLocked(nil, txn)
+		slices.Sort(edges)
+		out[txn] = slices.Compact(edges)
+	}
+	return out
 }
 
 // resolveDeadlocksLocked finds cycles reachable from the waiters of one
@@ -368,63 +391,65 @@ func (m *Manager) resolveDeadlocksLocked(id PageID, at time.Duration) {
 }
 
 // findCycleLocked returns the transactions of a waits-for cycle through
-// start, or nil. Caller holds m.mu.
+// start, or nil. The slice is scratch, valid until the next search.
+// Caller holds m.mu.
 func (m *Manager) findCycleLocked(start int64) []int64 {
-	var path []int64
-	onPath := make(map[int64]bool)
-	visited := make(map[int64]bool)
-	var dfs func(t int64) []int64
-	dfs = func(t int64) []int64 {
-		if onPath[t] {
-			// Cycle: the suffix of path from t.
-			for i, p := range path {
-				if p == t {
-					return append([]int64(nil), path[i:]...)
-				}
-			}
-			return append([]int64(nil), t)
-		}
-		if visited[t] {
+	clear(m.seen)
+	m.path = m.path[:0]
+	m.edges = m.edges[:0]
+	return m.dfsLocked(start)
+}
+
+// dfsLocked continues the cycle search at t: a transaction met again
+// while on the path closes a cycle, the path's suffix from it. Caller
+// holds m.mu.
+func (m *Manager) dfsLocked(t int64) []int64 {
+	if onPath, seen := m.seen[t]; seen {
+		if !onPath {
 			return nil
 		}
-		visited[t] = true
-		onPath[t] = true
-		path = append(path, t)
-		for next := range m.waits[t] {
-			if c := dfs(next); c != nil {
-				return c
+		for i, p := range m.path {
+			if p == t {
+				return m.path[i:]
 			}
 		}
-		path = path[:len(path)-1]
-		onPath[t] = false
-		return nil
 	}
-	return dfs(start)
+	m.seen[t] = true
+	m.path = append(m.path, t)
+	lo := len(m.edges)
+	m.edges = m.appendEdgesLocked(m.edges, t)
+	for i, hi := lo, len(m.edges); i < hi; i++ {
+		if c := m.dfsLocked(m.edges[i]); c != nil {
+			return c
+		}
+	}
+	m.edges = m.edges[:lo]
+	m.path = m.path[:len(m.path)-1]
+	m.seen[t] = false
+	return nil
 }
 
 // refuseLocked wakes the blocked transaction txn with ErrDeadlock and
-// removes it from its queue and from the graph, carrying at to any
+// removes it from its queue, carrying at to any
 // grants its removal enables. Caller holds m.mu.
 func (m *Manager) refuseLocked(txn int64, at time.Duration) {
-	b := m.blkd[txn]
-	if b == nil {
+	w := m.blkd[txn]
+	if w == nil {
 		return
 	}
 	delete(m.blkd, txn)
-	delete(m.waits, txn)
-	if ls := m.locks[b.id]; ls != nil {
-		for i, w := range ls.queue {
-			if w == b.w {
+	if ls := m.locks[w.id]; ls != nil {
+		for i, q := range ls.queue {
+			if q == w {
 				ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
 				break
 			}
 		}
-		m.rebuildEdgesLocked(b.id, ls)
-		m.grantQueueLocked(b.id, ls, at)
+		m.grantQueueLocked(w.id, ls, at)
 	}
 	m.stats.Deadlocks++
 	m.mDeadlocks.Inc()
-	b.w.done <- ErrDeadlock
+	w.done <- ErrDeadlock
 }
 
 // grantQueueLocked grants the longest compatible prefix of the wait
@@ -432,7 +457,6 @@ func (m *Manager) refuseLocked(txn int64, at time.Duration) {
 // (negative when unknown): each granted waiter is stamped with it, never
 // below its own request time, before it is woken. Caller holds m.mu.
 func (m *Manager) grantQueueLocked(id PageID, ls *lockState, at time.Duration) {
-	changed := false
 	for len(ls.queue) > 0 {
 		w := ls.queue[0]
 		if w.upgrade {
@@ -452,7 +476,6 @@ func (m *Manager) grantQueueLocked(id PageID, ls *lockState, at time.Duration) {
 		}
 		ls.queue = ls.queue[1:]
 		delete(m.blkd, w.txn)
-		delete(m.waits, w.txn)
 		m.stats.Acquired++
 		m.mAcquired.Inc()
 		w.grantAt = w.at
@@ -460,14 +483,9 @@ func (m *Manager) grantQueueLocked(id PageID, ls *lockState, at time.Duration) {
 			w.grantAt = at
 		}
 		w.done <- nil
-		changed = true
 	}
 	if len(ls.holders) == 0 && len(ls.queue) == 0 {
 		delete(m.locks, id)
-		return
-	}
-	if changed {
-		m.rebuildEdgesLocked(id, ls)
 	}
 }
 
@@ -486,14 +504,12 @@ func (m *Manager) ReleaseAllAt(txn int64, at time.Duration) {
 	defer m.mu.Unlock()
 	held := m.held[txn]
 	delete(m.held, txn)
-	delete(m.waits, txn)
 	for id := range held {
 		ls := m.locks[id]
 		if ls == nil {
 			continue
 		}
 		delete(ls.holders, txn)
-		m.rebuildEdgesLocked(id, ls)
 		m.grantQueueLocked(id, ls, at)
 		m.resolveDeadlocksLocked(id, at)
 	}

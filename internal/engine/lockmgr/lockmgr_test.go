@@ -2,6 +2,7 @@ package lockmgr
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,6 +21,14 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 	}
 }
 
+// wantWaits checks the waits-for graph the manager reports.
+func wantWaits(t *testing.T, m *Manager, want map[int64][]int64) {
+	t.Helper()
+	if got := m.WaitsFor(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("WaitsFor = %v, want %v", got, want)
+	}
+}
+
 func TestSharedCompatibleExclusiveNot(t *testing.T) {
 	m := New()
 	a := PageID{Obj: 1, Page: 0}
@@ -33,6 +42,14 @@ func TestSharedCompatibleExclusiveNot(t *testing.T) {
 	got := make(chan error, 1)
 	go func() { got <- m.Acquire(3, a, Exclusive) }()
 	waitFor(t, func() bool { return m.Waiting() == 1 }, "X request to queue")
+	wantWaits(t, m, map[int64][]int64{3: {1, 2}})
+
+	// A Shared request queues behind the Exclusive one (no barging), so
+	// it waits behind it, not behind the compatible holders.
+	got4 := make(chan error, 1)
+	go func() { got4 <- m.Acquire(4, a, Shared) }()
+	waitFor(t, func() bool { return m.Waiting() == 2 }, "S request to queue")
+	wantWaits(t, m, map[int64][]int64{3: {1, 2}, 4: {3}})
 
 	m.ReleaseAll(1)
 	select {
@@ -47,7 +64,12 @@ func TestSharedCompatibleExclusiveNot(t *testing.T) {
 	if m.Held(3) != 1 {
 		t.Fatalf("held=%d", m.Held(3))
 	}
+	wantWaits(t, m, map[int64][]int64{4: {3}})
 	m.ReleaseAll(3)
+	if err := <-got4; err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseAll(4)
 }
 
 func TestReentrantAndUpgrade(t *testing.T) {
@@ -91,12 +113,15 @@ func TestDeadlockTwoTxns(t *testing.T) {
 	got1 := make(chan error, 1)
 	go func() { got1 <- m.Acquire(1, b, Exclusive) }()
 	waitFor(t, func() bool { return m.Waiting() == 1 }, "txn 1 to block")
+	wantWaits(t, m, map[int64][]int64{1: {2}})
 
 	// Txn 2 closes the cycle; being the youngest it is the victim.
 	err := m.Acquire(2, a, Exclusive)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("want ErrDeadlock, got %v", err)
 	}
+	// The refused request left no edge behind.
+	wantWaits(t, m, map[int64][]int64{1: {2}})
 	m.ReleaseAll(2) // victim aborts
 	if err := <-got1; err != nil {
 		t.Fatalf("survivor's request failed: %v", err)
@@ -122,11 +147,14 @@ func TestDeadlockUpgrade(t *testing.T) {
 	got1 := make(chan error, 1)
 	go func() { got1 <- m.Acquire(1, a, Exclusive) }()
 	waitFor(t, func() bool { return m.Waiting() == 1 }, "txn 1 upgrade to block")
+	// The upgrader waits behind the other Shared holder, not itself.
+	wantWaits(t, m, map[int64][]int64{1: {2}})
 
 	err := m.Acquire(2, a, Exclusive)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("want ErrDeadlock, got %v", err)
 	}
+	wantWaits(t, m, map[int64][]int64{1: {2}})
 	m.ReleaseAll(2)
 	if err := <-got1; err != nil {
 		t.Fatalf("survivor upgrade failed: %v", err)
@@ -149,15 +177,18 @@ func TestDeadlockThreeTxns(t *testing.T) {
 	waitFor(t, func() bool { return m.Waiting() == 1 }, "txn 1 to block")
 	go func() { got2 <- m.Acquire(2, p[2], Exclusive) }()
 	waitFor(t, func() bool { return m.Waiting() == 2 }, "txn 2 to block")
+	wantWaits(t, m, map[int64][]int64{1: {2}, 2: {3}})
 
 	// Txn 3 closes the 3-cycle and, as the youngest, is refused.
 	if err := m.Acquire(3, p[0], Exclusive); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("want ErrDeadlock, got %v", err)
 	}
+	wantWaits(t, m, map[int64][]int64{1: {2}, 2: {3}})
 	m.ReleaseAll(3)
 	if err := <-got2; err != nil {
 		t.Fatal(err)
 	}
+	wantWaits(t, m, map[int64][]int64{1: {2}})
 	m.ReleaseAll(2)
 	if err := <-got1; err != nil {
 		t.Fatal(err)
@@ -208,6 +239,7 @@ func TestConcurrentHammer(t *testing.T) {
 	if m.Waiting() != 0 {
 		t.Fatalf("waiters leaked: %d", m.Waiting())
 	}
+	wantWaits(t, m, map[int64][]int64{})
 	if len(m.locks) != 0 {
 		t.Fatalf("lock states leaked: %d", len(m.locks))
 	}

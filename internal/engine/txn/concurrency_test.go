@@ -53,6 +53,50 @@ func (f *fixture) insertRetry(sess *engine.Session, id int64, val string) error 
 	}
 }
 
+// TestRetryDeadlocks pins the one retry rule: an attempt that succeeds
+// or fails with anything but a deadlock is not rerun; a deadlock loss is
+// counted and rerun, up to maxDeadlockRetries times, after which the
+// last error is returned.
+func TestRetryDeadlocks(t *testing.T) {
+	other := errors.New("not a deadlock")
+	for _, c := range []struct {
+		name     string
+		losses   int   // attempts lost to a deadlock before the outcome
+		outcome  error // of the attempt after the losses
+		retries  int64
+		attempts int
+	}{
+		{"success", 0, nil, 0, 1},
+		{"other error", 0, other, 0, 1},
+		{"success after losses", 3, nil, 3, 4},
+		{"other error after losses", 2, other, 2, 3},
+		{"gives up", maxDeadlockRetries + 10, nil, maxDeadlockRetries, maxDeadlockRetries + 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			attempts := 0
+			var retries int64
+			err := RetryDeadlocks(&retries, func() error {
+				attempts++
+				if attempts <= c.losses {
+					return fmt.Errorf("attempt %d: %w", attempts, ErrDeadlock)
+				}
+				return c.outcome
+			})
+			if retries != c.retries || attempts != c.attempts {
+				t.Fatalf("%d retries over %d attempts, want %d over %d", retries, attempts, c.retries, c.attempts)
+			}
+			want := c.outcome
+			if c.losses >= attempts {
+				// Gave up: the last attempt's own error comes back.
+				want = fmt.Errorf("attempt %d: %w", attempts, ErrDeadlock)
+			}
+			if fmt.Sprint(err) != fmt.Sprint(want) {
+				t.Fatalf("err = %v, want %v", err, want)
+			}
+		})
+	}
+}
+
 // TestStatsNonBlocking asserts the satellite fix: Commits/Aborts/Dead
 // must answer while a transaction is in flight (the seed serialized them
 // behind the big transaction mutex, so a long-running transaction froze

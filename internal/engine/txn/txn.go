@@ -10,6 +10,10 @@
 // waits are charged to the waiter's session clock (lockmgr.AcquireClk),
 // so blocking behind a long transaction costs simulated latency.
 //
+// Every caller retries a deadlock loss by one rule, RetryDeadlocks:
+// count the loss, yield the processor, rerun the transaction, and give
+// up after 50 retries with the last error.
+//
 // A session blocks outside the device scheduler in three places: on a
 // page lock, as a follower of a commit batch, and on the log while
 // another session's force holds it. Each wait parks the stream through
@@ -80,6 +84,25 @@ var ErrCrashed = errors.New("txn: simulated crash")
 // ErrDeadlock re-exports the lock manager's deadlock error: transactions
 // refused with it should abort and retry.
 var ErrDeadlock = lockmgr.ErrDeadlock
+
+// maxDeadlockRetries bounds how often RetryDeadlocks reruns an attempt.
+const maxDeadlockRetries = 50
+
+// RetryDeadlocks runs attempt, one transaction that aborts itself on
+// error, until it returns anything but ErrDeadlock or has been retried
+// maxDeadlockRetries times, and returns the last error. Each retry is
+// counted in *retries and first yields the processor, so the
+// transactions that won the conflict can drain.
+func RetryDeadlocks(retries *int64, attempt func() error) error {
+	for try := 0; ; try++ {
+		err := attempt()
+		if !errors.Is(err, ErrDeadlock) || try == maxDeadlockRetries {
+			return err
+		}
+		*retries++
+		runtime.Gosched()
+	}
+}
 
 // GroupCommitStats summarize the commit-batching coordinator.
 type GroupCommitStats struct {
@@ -181,6 +204,10 @@ func (m *Manager) Aborts() int64 { return m.aborts.Load() }
 
 // LockStats returns a snapshot of the lock manager's counters.
 func (m *Manager) LockStats() lockmgr.Stats { return m.lm.Stats() }
+
+// WaitsFor returns the lock manager's waits-for graph: each blocked
+// transaction and the transactions it waits behind (lockmgr.WaitsFor).
+func (m *Manager) WaitsFor() map[int64][]int64 { return m.lm.WaitsFor() }
 
 // GroupCommit returns a snapshot of the commit-batching counters.
 func (m *Manager) GroupCommit() GroupCommitStats {

@@ -151,7 +151,7 @@ func (e *Env) AblRule5() (Ablation, error) {
 				return nil
 			}
 		}
-		if err := runStreams(fns...); err != nil {
+		if err := engine.RunStreams(fns...); err != nil {
 			return 0, err
 		}
 		return makespan(ends...), nil

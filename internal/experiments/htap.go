@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -29,10 +28,6 @@ const (
 
 // HTAPArms lists the arms in presentation order.
 func HTAPArms() []string { return []string{HTAPBaseline, HTAPLocked, HTAPSnapshot} }
-
-// htapScanRetryCap bounds deadlock retries of one locked sweep before
-// the arm is declared livelocked.
-const htapScanRetryCap = 100
 
 // HTAP tenant bindings: the OLTP mix and the analytics stream run as
 // separate tenants with an 8:1 fair-share split, the paper's QoS story
@@ -90,7 +85,7 @@ type HTAPRun struct {
 	// virtual elapsed time. ScanRetries counts deadlock-aborted sweeps
 	// (locked arm only).
 	Scans       int
-	ScanRetries int
+	ScanRetries int64
 	ScanElapsed time.Duration
 	ScansPerSec float64
 
@@ -200,7 +195,7 @@ func (e *Env) RunHTAP(mode hybrid.Mode, arm string, workers, txnsPerWorker, scan
 			return nil
 		})
 	}
-	if err := runStreams(fns...); err != nil {
+	if err := engine.RunStreams(fns...); err != nil {
 		return run, err
 	}
 
@@ -266,30 +261,23 @@ func (e *Env) htapRevenueSweep(sess *engine.Session) (float64, error) {
 // transaction: the orders scan lock blocks appenders, the per-page
 // shared locks block in-place payment updates, and a deadlock loss
 // restarts the whole sweep.
-func (e *Env) htapLockedSweep(tm *txn.Manager, sess *engine.Session, retries *int) error {
+func (e *Env) htapLockedSweep(tm *txn.Manager, sess *engine.Session, retries *int64) error {
 	ordersObj := e.DS.DB.Cat.MustTable("orders").ID
-	for try := 0; ; try++ {
+	return txn.RetryDeadlocks(retries, func() error {
 		tx, err := tm.Begin(sess)
 		if err != nil {
 			return err
 		}
-		err = func() error {
-			if err := tx.LockScan(ordersObj); err != nil {
-				return err
-			}
-			_, err := e.htapRevenueSweep(sess)
-			return err
-		}()
-		if err != nil {
+		if err := tx.LockScan(ordersObj); err != nil {
 			_ = tx.Abort()
-			if errors.Is(err, txn.ErrDeadlock) && try < htapScanRetryCap {
-				*retries++
-				continue
-			}
+			return err
+		}
+		if _, err := e.htapRevenueSweep(sess); err != nil {
+			_ = tx.Abort()
 			return err
 		}
 		return tx.Commit()
-	}
+	})
 }
 
 // htapSnapshotSweep runs one revenue sweep inside a snapshot

@@ -102,7 +102,7 @@ func (e *Env) RunIOSched(mode hybrid.Mode, streams, txns int, sched bool) (IOSch
 		oltpElapsed = oltpSess.Clk.Now() - start
 		return nil
 	})
-	if err := runStreams(fns...); err != nil {
+	if err := engine.RunStreams(fns...); err != nil {
 		return run, err
 	}
 

@@ -1,16 +1,15 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"hstoragedb/internal/dss"
+	"hstoragedb/internal/engine"
 	"hstoragedb/internal/engine/txn"
 	"hstoragedb/internal/hybrid"
 	"hstoragedb/internal/iosched"
@@ -229,8 +228,7 @@ func lsmWorkers(c *shard.Cluster, a *shard.Accounts, workers, txnsPerWorker int,
 			mine := make([]time.Duration, 0, txnsPerWorker)
 			var uerr error
 			for k := 0; k < txnsPerWorker; k++ {
-				lat, rr, err := lsmUpdate(rs, a, rng.Int63n(a.N))
-				r += rr
+				lat, err := lsmUpdate(rs, a, rng.Int63n(a.N), &r)
 				if err != nil {
 					uerr = err
 					break
@@ -248,7 +246,7 @@ func lsmWorkers(c *shard.Cluster, a *shard.Accounts, workers, txnsPerWorker int,
 			return uerr
 		}
 	}
-	if err := runStreams(fns...); err != nil {
+	if err := engine.RunStreams(fns...); err != nil {
 		return txns, retries, 0, lats, err
 	}
 	for _, s := range sessions {
@@ -258,34 +256,31 @@ func lsmWorkers(c *shard.Cluster, a *shard.Accounts, workers, txnsPerWorker int,
 }
 
 // lsmUpdate runs one unit increment, retrying deadlock losses with the
-// same key, and returns the virtual latency of the successful attempt.
-func lsmUpdate(rs *shard.Session, a *shard.Accounts, key int64) (time.Duration, int64, error) {
-	var retries int64
-	for {
+// same key and counting them in *retries, and returns the virtual
+// latency of the successful attempt.
+func lsmUpdate(rs *shard.Session, a *shard.Accounts, key int64, retries *int64) (time.Duration, error) {
+	var lat time.Duration
+	err := txn.RetryDeadlocks(retries, func() error {
 		t, err := rs.Begin()
 		if err != nil {
-			return 0, retries, err
+			return err
 		}
 		// The latency clock starts at admission: Begin blocks on the
 		// cluster's checkpoint drain barrier, a stall every arm pays
 		// identically, which would otherwise bury the backend-dependent
 		// tail (cache-miss reads, group-commit forces) under it.
 		start := rs.Now()
-		err = a.Add(t, key, 1)
-		if err == nil {
-			err = t.Commit()
-		} else {
+		if err := a.Add(t, key, 1); err != nil {
 			_ = t.Abort()
+			return err
 		}
-		if err == nil {
-			return rs.Now() - start, retries, nil
+		if err := t.Commit(); err != nil {
+			return err
 		}
-		if !errors.Is(err, txn.ErrDeadlock) || retries >= 50 {
-			return 0, retries, err
-		}
-		retries++
-		runtime.Gosched()
-	}
+		lat = rs.Now() - start
+		return nil
+	})
+	return lat, err
 }
 
 // LSMRuns is the storage-backend report.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"hstoragedb/internal/engine"
@@ -95,27 +94,6 @@ func checkpointEvery(commits func() int64, n int64, ckpt func() error) (stop fun
 		close(quit)
 		return <-done
 	}
-}
-
-// runStreams runs every stream on its own goroutine, waits for all of
-// them and returns the first error any reported.
-func runStreams(streams ...func() error) error {
-	var (
-		wg    sync.WaitGroup
-		once  sync.Once
-		first error
-	)
-	for _, stream := range streams {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := stream(); err != nil {
-				once.Do(func() { first = err })
-			}
-		}()
-	}
-	wg.Wait()
-	return first
 }
 
 // perSec is the rate of n events over the simulated interval d, 0 for an

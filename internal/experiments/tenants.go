@@ -8,6 +8,7 @@ import (
 
 	"hstoragedb/internal/device"
 	"hstoragedb/internal/dss"
+	"hstoragedb/internal/engine"
 	"hstoragedb/internal/hybrid"
 	"hstoragedb/internal/iosched"
 	"hstoragedb/internal/simclock"
@@ -188,7 +189,7 @@ func (e *Env) RunTenants(mode hybrid.Mode, specs []TenantSpec, scanBlocks, txnsP
 		workersRes, err = e.DS.RunOLTPWorkers(tm, inst, len(specs), txnsPerTenant, e.Cfg.Seed, 0, ids...)
 		return err
 	})
-	if err := runStreams(fns...); err != nil {
+	if err := engine.RunStreams(fns...); err != nil {
 		return run, err
 	}
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"hstoragedb/internal/engine"
 	"hstoragedb/internal/hybrid"
 	"hstoragedb/internal/tpch"
 )
@@ -90,7 +91,7 @@ func (e *Env) Table9(streams int) (*ThroughputResult, error) {
 			ends[streams] = sess.Clk.Now()
 			return nil
 		})
-		if err := runStreams(fns...); err != nil {
+		if err := engine.RunStreams(fns...); err != nil {
 			return nil, err
 		}
 

@@ -13,23 +13,24 @@ import (
 )
 
 // Group is the scheduling domain of one storage system: the schedulers
-// of its devices plus the registry of closed-population streams. Each
+// of its devices plus the closed population of streams, whose members
+// are the clocks whose simclock.Population is the group. Each
 // scheduler orders its own queue under its own lock; the group lock
-// covers only the stream registry and barrier dispatch rounds, so
+// covers only enrolment and barrier dispatch rounds, so
 // streams submitting to different devices do not serialize. Lock order
 // is Group.mu → Scheduler.mu.
 type Group struct {
 	cfg Config
 
-	mu         sync.Mutex
-	scheds     []*Scheduler
-	registered map[*simclock.Clock]struct{}
+	mu     sync.Mutex
+	scheds []*Scheduler
 
-	// nRegistered mirrors len(registered) so the opportunistic submit
-	// path can skip g.mu entirely; blocked counts the registered streams
-	// that cannot run: waiting on a barrier submission (incremented
-	// under g.mu when a registered stream submits, decremented from
-	// grant completions under scheduler locks) or parked (Park/Unpark).
+	// nRegistered counts the members, written under g.mu and read
+	// without it so the opportunistic submit path can skip g.mu
+	// entirely; blocked counts the members that cannot run: waiting on a
+	// barrier submission (incremented under g.mu when a member submits,
+	// decremented from grant completions under scheduler locks) or
+	// parked (Park/Unpark).
 	nRegistered atomic.Int64
 	blocked     atomic.Int64
 
@@ -49,7 +50,7 @@ type Group struct {
 
 // NewGroup creates an empty scheduling domain.
 func NewGroup(cfg Config) *Group {
-	g := &Group{cfg: cfg.withDefaults(), registered: make(map[*simclock.Clock]struct{}), obs: cfg.Obs}
+	g := &Group{cfg: cfg.withDefaults(), obs: cfg.Obs}
 	for id, w := range cfg.TenantWeights {
 		if w > 0 {
 			if g.tenantW == nil {
@@ -105,33 +106,38 @@ func (g *Group) Attach(dev *device.Device, seqClass dss.Class) *Scheduler {
 }
 
 // Register enrolls a stream (identified by its session clock) into the
-// closed population. While any stream is registered, grants happen only
-// when every registered stream is blocked — in Submit, or parked through
-// its clock — which makes priority order authoritative regardless of
-// goroutine timing. Streams must Unregister (typically via defer) when
-// their workload ends.
+// closed population: the group becomes the clock's simclock.Population,
+// which is the membership record. While the population has members,
+// grants happen only when every member is blocked — in Submit, or
+// parked through its clock — which makes priority order authoritative
+// regardless of goroutine timing. Registering a member again changes
+// nothing. Streams must Unregister (typically via defer) when their
+// workload ends.
 func (g *Group) Register(clk *simclock.Clock) {
 	g.mu.Lock()
-	g.registered[clk] = struct{}{}
-	g.nRegistered.Store(int64(len(g.registered)))
+	if clk.Population() != g {
+		clk.SetPopulation(g)
+		g.nRegistered.Add(1)
+	}
 	g.mu.Unlock()
-	clk.SetPopulation(g)
 }
 
-// Unregister withdraws a stream from the closed population. The stream
-// must have no submission in flight and must not be parked. When the
-// last stream leaves, any queued work is drained.
+// Unregister withdraws a stream from the closed population (a stream
+// that is no member leaves the count as it is). The stream must have no
+// submission in flight and must not be parked. When the last stream
+// leaves, any queued work is drained.
 func (g *Group) Unregister(clk *simclock.Clock) {
-	clk.SetPopulation(nil)
 	g.mu.Lock()
-	delete(g.registered, clk)
-	g.nRegistered.Store(int64(len(g.registered)))
-	empty := len(g.registered) == 0
-	if !empty && g.blocked.Load() >= int64(len(g.registered)) {
+	if clk.Population() == g {
+		clk.SetPopulation(nil)
+		g.nRegistered.Add(-1)
+	}
+	n := g.nRegistered.Load()
+	if n > 0 && g.blocked.Load() >= n {
 		g.dispatchLocked()
 	}
 	g.mu.Unlock()
-	if empty {
+	if n == 0 {
 		g.drain(true)
 	}
 }
@@ -143,7 +149,7 @@ func (g *Group) Unregister(clk *simclock.Clock) {
 // work stays deferred.
 func (g *Group) Park() {
 	g.mu.Lock()
-	if g.blocked.Add(1) >= int64(len(g.registered)) {
+	if g.blocked.Add(1) >= g.nRegistered.Load() {
 		g.dispatchLocked()
 	}
 	g.mu.Unlock()
@@ -177,7 +183,7 @@ func (g *Group) schedulers() []*Scheduler {
 // trickle onto the device. Caller holds g.mu; scheduler locks are taken
 // per grant underneath it.
 func (g *Group) dispatchLocked() {
-	n := int64(len(g.registered))
+	n := g.nRegistered.Load()
 	for n > 0 && g.blocked.Load() >= n {
 		progress := false
 		for _, s := range g.scheds {

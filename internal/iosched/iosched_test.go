@@ -394,7 +394,9 @@ func TestBackgroundWriteAbsorption(t *testing.T) {
 // The same holds when the second stream parks too: the last runnable
 // stream going to sleep is not the last stream leaving (parking by
 // Unregister made it look that way and force-granted the whole backlog).
-// Only when both really leave does everything drain.
+// Only when both really leave does everything drain. Membership is the
+// clock's population, so registering or unregistering a stream twice
+// changes nothing.
 func TestParkedStreamHasNotLeft(t *testing.T) {
 	const backlog = 10
 	g, s, dev := newTestSched(Config{BackgroundShare: 0.2})
@@ -402,6 +404,10 @@ func TestParkedStreamHasNotLeft(t *testing.T) {
 	var a, b simclock.Clock
 	g.Register(&a)
 	g.Register(&b)
+	g.Register(&a)
+	if a.Population() != g || g.nRegistered.Load() != 2 {
+		t.Fatalf("population %v, %d members; want the group, 2", a.Population(), g.nRegistered.Load())
+	}
 	for i := 0; i < backlog; i++ {
 		s.SubmitBackground(0, device.Write, 500000+1000*int64(i), 1, dss.ClassWriteBuffer, dss.DefaultTenant)
 	}
@@ -432,6 +438,10 @@ func TestParkedStreamHasNotLeft(t *testing.T) {
 	b.Unpark()
 
 	g.Unregister(&a)
+	g.Unregister(&a)
+	if a.Population() != nil || g.nRegistered.Load() != 1 {
+		t.Fatalf("population %v, %d members after leaving; want none, 1", a.Population(), g.nRegistered.Load())
+	}
 	if q := s.queued.Load(); q < backlog-2 {
 		t.Fatalf("one stream left, one runnable: %d of %d background requests left queued", q, backlog)
 	}

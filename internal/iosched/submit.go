@@ -206,12 +206,12 @@ func (s *Scheduler) Submit(at time.Duration, op device.Op, lba int64, blocks int
 		// barrier request whose park was not counted yet.
 		s.mu.Unlock()
 		g.mu.Lock()
-		if _, ok := g.registered[stream]; ok {
+		if stream.Population() == g {
 			w.barrier = true
 			s.mu.Lock()
 			s.enqueueLocked(w, at, op, lba, blocks, class, tenant)
 			s.mu.Unlock()
-			if g.blocked.Add(1) >= int64(len(g.registered)) {
+			if g.blocked.Add(1) >= g.nRegistered.Load() {
 				g.dispatchLocked()
 			}
 			g.mu.Unlock()

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -24,6 +25,28 @@ func testConfig(shards int) Config {
 		CPUPerTuple:     300 * time.Nanosecond,
 		WAL:             wal.Config{SegmentPages: 256, GroupCommitWindow: 50 * time.Microsecond},
 	}
+}
+
+// watchdog bounds a test that may hang on a wait no detector sees (a
+// waits-for cycle through two shards' lock managers; ROADMAP item 1).
+// If the returned stop has not been called after d, it panics with every
+// shard's waits-for graph and all goroutine stacks, which fails the test
+// binary at once instead of at the suite's timeout.
+func watchdog(t *testing.T, c *Cluster, d time.Duration) (stop func()) {
+	done := make(chan struct{})
+	go func() {
+		select {
+		case <-done:
+		case <-time.After(d):
+			msg := fmt.Sprintf("%s: still running after %v; waits-for edges (blocked txn -> txns it waits behind):", t.Name(), d)
+			for i := 0; i < c.Shards(); i++ {
+				msg += fmt.Sprintf("\n  shard %d: %v", i, c.Shard(i).TM.WaitsFor())
+			}
+			debug.SetTraceback("all")
+			panic(msg)
+		}
+	}()
+	return func() { close(done) }
 }
 
 // keysOnShards returns one account key per requested shard, in order.
@@ -519,6 +542,7 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer watchdog(t, c, 10*time.Second)()
 	res, err := a.RunWorkers(4, 15, 0.5, 7, 0)
 	if err != nil {
 		t.Fatalf("workers: %v", err)
@@ -562,6 +586,7 @@ func TestRecoverCommittedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer watchdog(t, c, 10*time.Second)()
 	if _, err := a.RunWorkers(2, 12, 0.5, 11, 0); err != nil {
 		t.Fatalf("workers: %v", err)
 	}

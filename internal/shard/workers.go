@@ -1,18 +1,12 @@
 package shard
 
 import (
-	"errors"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
+	"hstoragedb/internal/engine"
 	"hstoragedb/internal/engine/txn"
 )
-
-// maxDeadlockRetries bounds how often one logical transfer is retried
-// after losing a (shard-local) deadlock before the error surfaces.
-const maxDeadlockRetries = 50
 
 // WorkersResult summarizes one multi-worker transfer run.
 type WorkersResult struct {
@@ -40,63 +34,44 @@ func (a *Accounts) RunWorkers(workers, txnsPerWorker int, xshard float64, seed i
 	if workers < 1 {
 		workers = 1
 	}
-	var (
-		res    WorkersResult
-		mu     sync.Mutex
-		wg     sync.WaitGroup
-		runErr error
-	)
 	sessions := make([]*Session, workers)
+	counts := make([]WorkersResult, workers)
+	streams := make([]func() error, workers)
 	for i := range sessions {
 		sessions[i] = a.c.NewSession()
 		sessions[i].AdvanceTo(startAt)
-	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+		streams[i] = func() error {
 			rng := rand.New(rand.NewSource(41000 + seed + int64(i)))
-			var txns, cross, retries int64
+			n := &counts[i]
 			for k := 0; k < txnsPerWorker; k++ {
-				wasCross, r, err := a.runTransfer(sessions[i], rng, xshard)
-				retries += r
+				wasCross, err := a.runTransfer(sessions[i], rng, xshard, &n.Retries)
 				if err != nil {
-					mu.Lock()
-					if runErr == nil {
-						runErr = err
-					}
-					mu.Unlock()
-					break
+					return err
 				}
-				txns++
+				n.Txns++
 				if wasCross {
-					cross++
+					n.CrossShard++
 				}
 			}
-			mu.Lock()
-			res.Txns += txns
-			res.CrossShard += cross
-			res.Retries += retries
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	if runErr != nil {
-		return res, runErr
-	}
-	for _, s := range sessions {
-		if t := s.Now() - startAt; t > res.Elapsed {
-			res.Elapsed = t
+			return nil
 		}
 	}
-	return res, nil
+	err := engine.RunStreams(streams...)
+	var res WorkersResult
+	for i, n := range counts {
+		res.Txns += n.Txns
+		res.CrossShard += n.CrossShard
+		res.Retries += n.Retries
+		res.Elapsed = max(res.Elapsed, sessions[i].Now()-startAt)
+	}
+	return res, err
 }
 
 // runTransfer performs one unit transfer between distinct random
 // accounts — same-shard by default, cross-shard with probability xshard
 // (when the cluster has more than one shard) — retrying deadlock losses
-// with the same pair.
-func (a *Accounts) runTransfer(rs *Session, rng *rand.Rand, xshard float64) (cross bool, retries int64, err error) {
+// with the same pair and counting them in *retries.
+func (a *Accounts) runTransfer(rs *Session, rng *rand.Rand, xshard float64, retries *int64) (cross bool, err error) {
 	from := rng.Int63n(a.N)
 	cross = len(a.c.shards) > 1 && rng.Float64() < xshard
 	var to int64
@@ -109,22 +84,15 @@ func (a *Accounts) runTransfer(rs *Session, rng *rand.Rand, xshard float64) (cro
 			break
 		}
 	}
-	for try := 0; ; try++ {
-		t, berr := rs.Begin()
-		if berr != nil {
-			return cross, retries, berr
+	return cross, txn.RetryDeadlocks(retries, func() error {
+		t, err := rs.Begin()
+		if err != nil {
+			return err
 		}
-		err = a.Transfer(t, from, to, 1)
-		if err == nil {
-			err = t.Commit()
-		} else {
+		if err := a.Transfer(t, from, to, 1); err != nil {
 			_ = t.Abort()
+			return err
 		}
-		if err == nil || !errors.Is(err, txn.ErrDeadlock) || try >= maxDeadlockRetries {
-			return cross, retries, err
-		}
-		retries++
-		// Let the conflicting transactions drain before retrying.
-		runtime.Gosched()
-	}
+		return t.Commit()
+	})
 }

@@ -51,10 +51,13 @@ type Population interface {
 }
 
 // SetPopulation makes the stream a member of p (nil: of none). A
-// population calls it when the stream enrolls and leaves.
+// population calls it when the stream enrolls and leaves; it is the only
+// record of the membership.
 func (c *Clock) SetPopulation(p Population) { c.pop.Store(&member{p}) }
 
-func (c *Clock) population() Population {
+// Population returns the population the stream is a member of (nil:
+// none, or a nil clock).
+func (c *Clock) Population() Population {
 	if c == nil {
 		return nil
 	}
@@ -70,14 +73,14 @@ func (c *Clock) population() Population {
 // wait of an engine stream is bracketed by the pair, or is a Mutex.
 // Both cost nothing for a stream in no population, or for a nil clock.
 func (c *Clock) Park() {
-	if p := c.population(); p != nil {
+	if p := c.Population(); p != nil {
 		p.Park()
 	}
 }
 
 // Unpark ends the wait Park announced.
 func (c *Clock) Unpark() {
-	if p := c.population(); p != nil {
+	if p := c.Population(); p != nil {
 		p.Unpark()
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -15,10 +14,6 @@ import (
 	"hstoragedb/internal/engine/policy"
 	"hstoragedb/internal/engine/txn"
 )
-
-// maxDeadlockRetries bounds how often one logical transaction is retried
-// after losing a deadlock before the error is surfaced.
-const maxDeadlockRetries = 50
 
 // rowCPU is the simulated CPU cost per row operation on the OLTP path
 // (encode/decode, lock acquisition, index maintenance, log insert): a
@@ -185,27 +180,12 @@ func (o *OLTP) RunNewOrdersTxn(tm *txn.Manager, sess *engine.Session, n int) err
 	return nil
 }
 
-// retryTxn runs one attempt function until it succeeds or fails with
-// anything but a deadlock. Deadlock attempts were aborted by the
-// attempt; the retry simply re-runs it against the post-abort state.
-func (o *OLTP) retryTxn(attempt func() error) error {
-	for try := 0; ; try++ {
-		err := attempt()
-		if err == nil || !errors.Is(err, txn.ErrDeadlock) || try >= maxDeadlockRetries {
-			return err
-		}
-		o.Retries++
-		// Let the conflicting transactions drain before retrying.
-		runtime.Gosched()
-	}
-}
-
 // runNewOrderTxn generates one order and commits it transactionally,
 // retrying deadlock losses with the same generated rows and key.
 func (o *OLTP) runNewOrderTxn(tm *txn.Manager, sess *engine.Session) error {
 	key := o.ds.AllocOrderKey()
 	order, lines := genOrder(o.rng, o.rngL, key, o.ds.Customers, o.ds.Parts, o.ds.Suppliers)
-	err := o.retryTxn(func() error {
+	err := txn.RetryDeadlocks(&o.Retries, func() error {
 		tx, err := tm.Begin(sess)
 		if err != nil {
 			return err
@@ -230,7 +210,7 @@ func (o *OLTP) runNewOrderTxn(tm *txn.Manager, sess *engine.Session) error {
 // transactionally, retrying deadlock losses with the same picks.
 func (o *OLTP) runPaymentTxn(tm *txn.Manager, sess *engine.Session) error {
 	p := o.pickPayment()
-	return o.retryTxn(func() error {
+	return txn.RetryDeadlocks(&o.Retries, func() error {
 		tx, err := tm.Begin(sess)
 		if err != nil {
 			return err

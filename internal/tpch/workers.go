@@ -1,7 +1,6 @@
 package tpch
 
 import (
-	"sync"
 	"time"
 
 	"hstoragedb/internal/dss"
@@ -69,6 +68,8 @@ func (ds *Dataset) RunOLTPWorkers(tm *txn.Manager, inst *engine.Instance, worker
 	}
 	res := WorkersResult{Drivers: make([]*OLTP, workers)}
 	sessions := make([]*engine.Session, workers)
+	streams := make([]func() error, workers)
+	reg := inst.Mgr.Registry()
 	for i := range res.Drivers {
 		res.Drivers[i] = ds.NewOLTP(seed + int64(i))
 		sessions[i] = inst.NewSession()
@@ -76,33 +77,15 @@ func (ds *Dataset) RunOLTPWorkers(tm *txn.Manager, inst *engine.Instance, worker
 		if i < len(tenants) {
 			sessions[i].BindTenant(tenants[i])
 		}
-	}
-
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		runErr error
-	)
-	reg := inst.Mgr.Registry()
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+		streams[i] = func() error {
 			info := oltpFootprint(ds)
 			reg.Register(info)
 			defer reg.Unregister(info)
-			if err := res.Drivers[i].RunTxn(tm, sessions[i], txnsPerWorker); err != nil {
-				mu.Lock()
-				if runErr == nil {
-					runErr = err
-				}
-				mu.Unlock()
-			}
-		}(i)
+			return res.Drivers[i].RunTxn(tm, sessions[i], txnsPerWorker)
+		}
 	}
-	wg.Wait()
-	if runErr != nil {
-		return res, runErr
+	if err := engine.RunStreams(streams...); err != nil {
+		return res, err
 	}
 	for i, d := range res.Drivers {
 		res.Txns += d.NewOrders + d.Payments + d.OrderStatuses
