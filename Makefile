@@ -27,7 +27,10 @@ race:
 # a dirty page's Put, eviction and write-back into the store
 # (bufferpool), the lock table's uncontended acquire and release of 1, 8
 # and 64 pages, an upgrade, a handoff and a deadlock found at depth 2
-# and 8 (lockmgr), the LSM's page write through flushes and compactions and its
+# and 8 (lockmgr), the priority cache's read hit, read miss admitted into
+# free space, eviction and write-buffer destage per request, driven from
+# one goroutine as the golden replay is (hybrid), the LSM's page write
+# through flushes and compactions and its
 # memtable and tree reads (lsm), the stream clock's Advance, AdvanceTo
 # and Now (simclock), one HDD and one SSD access and the busy-horizon
 # read (device), one lineitem row decoded whole and for Q6's and Q1's
@@ -44,7 +47,7 @@ race:
 #   benchstat old.txt new.txt
 bench:
 	{ $(GO) test ./internal/iosched ./internal/engine/heap ./internal/engine/btree ./internal/engine/exec ./internal/engine/wal \
-		./internal/engine/txn ./internal/engine/bufferpool ./internal/engine/lockmgr ./internal/lsm ./internal/simclock ./internal/device ./internal/engine/catalog -run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
+		./internal/engine/txn ./internal/engine/bufferpool ./internal/engine/lockmgr ./internal/hybrid ./internal/lsm ./internal/simclock ./internal/device ./internal/engine/catalog -run '^$$' -bench . -skip SubmitParallel -benchmem -count $(BENCH_COUNT) && \
 	  $(GO) test ./internal/tpch -run '^$$' -bench Plan -benchmem -count $(BENCH_COUNT) && \
 	  $(GO) test ./internal/iosched \
 		-run '^$$' -bench SubmitParallel -cpu 1,2,4 -benchmem -count $(BENCH_COUNT); } | tee $(BENCH_OUT)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"hstoragedb/internal/engine/btree"
 	"hstoragedb/internal/engine/catalog"
 	"hstoragedb/internal/engine/wal"
+	"hstoragedb/internal/simclock"
 )
 
 // insertOn runs one transaction appending (id, val) on the given session
@@ -506,9 +508,10 @@ func (c *parkCase) begun(i int, id int64) *Txn {
 }
 
 // TestEveryEngineSideWaitParks: a session of a closed scheduler
-// population that blocks outside the scheduler — on a page lock, on a
-// commit batch's leader, on the log while another session's force or
-// rollover holds it — must count as blocked, or the device submission
+// population that blocks outside the scheduler — on a page lock, or on
+// the log while another session's force or rollover holds it, a
+// committer whose record that force carries included — must count as
+// blocked, or the device submission
 // of the session it waits for (dispatched only once everybody is
 // blocked) never completes and the process hangs. Every row builds one
 // such wait while another session is inside a device submission and
@@ -540,28 +543,50 @@ func TestEveryEngineSideWaitParks(t *testing.T) {
 			}
 		}},
 		{"group-commit follower", func(c *parkCase) [3]func() error {
-			// An open commit batch whose leader, played by s0 from the
-			// force on, lets both committers join before it forces.
+			// s1 and s2 have appended their commit records, and s0 holds
+			// the log from before they run: its force carries both, and
+			// they wait for it on the log's lock.
 			tm := c.f.tm
-			b := &gcBatch{n: 1, done: make(chan struct{})}
-			tm.gcCur = b
+			var last wal.LSN
+			var forced atomic.Int64 // s0's clock once its force completed
+			committer := func(i int, id int64) func() error {
+				tx := c.begun(i, id)
+				tx.finished = true
+				tm.inst.Pool.UnbindTxn(&tx.sess.Clk)
+				lsn, err := tx.walPhase(wal.KindCommit, 0, true)
+				if err != nil {
+					c.t.Fatal(err)
+				}
+				last = lsn
+				return func() error {
+					if err := tx.releaseAndForce(lsn); err != nil {
+						return err
+					}
+					if now, done := tx.sess.Clk.Now(), simclock.Duration(forced.Load()); now < done {
+						return fmt.Errorf("commit returned at %v, before the force that carried it completed at %v", now, done)
+					}
+					return nil
+				}
+			}
+			commit1, commit2 := committer(1, 2), committer(2, 3)
+			before := tm.GroupCommit()
+			clk0 := &c.s[0].Clk
+			tm.log.Lock(clk0)
 			return [3]func() error{
 				func() error {
-					await(func() bool {
-						tm.gcMu.Lock()
-						defer tm.gcMu.Unlock()
-						return b.n == 3
-					})
-					tm.gcMu.Lock()
-					tm.gcCur = nil
-					tm.gcMu.Unlock()
-					b.err = tm.log.Flush(&c.s[0].Clk, b.maxLSN)
-					b.doneAt = c.s[0].Clk.Now()
-					close(b.done)
-					return b.err
+					err := tm.log.Flush(clk0, last)
+					forced.Store(int64(clk0.Now()))
+					tm.log.Unlock()
+					if err != nil {
+						return err
+					}
+					if gc := tm.GroupCommit(); gc.Batches != before.Batches+1 || gc.Txns != before.Txns+2 {
+						return fmt.Errorf("group commit went %+v -> %+v, want one batch of 2", before, gc)
+					}
+					return nil
 				},
-				func() error { return c.f.updateOn(c.s[1], 2, "follower") },
-				func() error { return c.f.updateOn(c.s[2], 3, "follower") },
+				commit1,
+				commit2,
 			}
 		}},
 		{"abort and begin behind a force", func(c *parkCase) [3]func() error {

@@ -14,12 +14,13 @@
 // count the loss, yield the processor, rerun the transaction, and give
 // up after 50 retries with the last error.
 //
-// A session blocks outside the device scheduler in three places: on a
-// page lock, as a follower of a commit batch, and on the log while
-// another session's force holds it. Each wait parks the stream through
-// its session clock (simclock.Clock.Park; the log's simclock.Mutex),
-// so a closed scheduler population keeps dispatching; the manager knows
-// no scheduler. A new wait must do the same.
+// A session blocks outside the device scheduler in two places: on a
+// page lock, and on the log while another session's force holds it
+// (which is also where a committer waits for a force that covers its
+// record). Each wait parks the stream through its session clock
+// (simclock.Clock.Park; the log's simclock.Mutex), so a closed
+// scheduler population keeps dispatching; the manager knows no
+// scheduler. A new wait must do the same.
 //
 // Read-only transactions (BeginSnapshot) run under snapshot isolation
 // without touching the lock manager at all: each binds its session
@@ -41,11 +42,12 @@
 //     that guarantees uncommitted pages never reach the storage system.
 //   - Commit hands the log both images of every touched page — the
 //     pending version and the frame; the log records the bytes that
-//     changed — plus a commit record, releases the locks, then joins a
-//     commit batch: concurrent committers share a single log force
-//     (their commit records amortize one flush), and a commit covered by
-//     the group window pays only the wait. Only after the force are the
-//     frames unpinned for lazy write-back.
+//     changed — plus a commit record, releases the locks, then forces
+//     the log. The log groups committers: a force writes every record
+//     appended before it, so concurrent commit records amortize one
+//     device write, and a commit an earlier force covered pays only the
+//     wait. Only after the force are the frames unpinned for lazy
+//     write-back.
 //   - Abort restores the pre-images in reverse order; nothing needs
 //     undoing on disk because nothing uncommitted ever got there.
 //   - Checkpoints take a drain barrier: new transactions are held at
@@ -104,33 +106,6 @@ func RetryDeadlocks(retries *int64, attempt func() error) error {
 	}
 }
 
-// GroupCommitStats summarize the commit-batching coordinator.
-type GroupCommitStats struct {
-	// Batches counts log forces performed by batch leaders; Txns counts
-	// the commits that rode them. Txns/Batches is the mean number of
-	// commit records amortizing one force.
-	Batches int64
-	Txns    int64
-}
-
-// MeanBatch returns the mean commits per force (0 with no batches).
-func (g GroupCommitStats) MeanBatch() float64 {
-	if g.Batches == 0 {
-		return 0
-	}
-	return float64(g.Txns) / float64(g.Batches)
-}
-
-// gcBatch is one in-formation commit batch: committers that arrive while
-// it is open share its leader's flush.
-type gcBatch struct {
-	maxLSN wal.LSN
-	n      int
-	err    error
-	doneAt simclock.Duration
-	done   chan struct{}
-}
-
 // Manager coordinates transactions over one engine instance and one log.
 // All methods are safe for concurrent use.
 type Manager struct {
@@ -143,26 +118,19 @@ type Manager struct {
 	// write side, so it runs with no transaction in flight.
 	gate sync.RWMutex
 
-	// seqMu serializes the commit decision point: the crash-harness
-	// check and the commit-record append happen atomically, so the n-th
-	// commit is well-defined under concurrency and no commit record is
-	// appended after the simulated kill.
-	seqMu         sync.Mutex
-	crashAtCommit int64 // 1-based commit ordinal to kill at; 0 = disarmed
+	// crashAtCommit is the 1-based commit ordinal to kill at (0 =
+	// disarmed). It is armed and read under the log's lock, which also
+	// orders every decision record, so the n-th commit is well-defined
+	// under concurrency.
+	crashAtCommit int64
 
 	commits atomic.Int64
 	aborts  atomic.Int64
 	dead    atomic.Bool
 
-	gcMu      sync.Mutex
-	gcCur     *gcBatch
-	gcBatches atomic.Int64
-	gcTxns    atomic.Int64
-
-	tracer     *obs.Tracer
-	mCommits   *obs.Counter
-	mAborts    *obs.Counter
-	mBatchHist *obs.HistVar
+	tracer   *obs.Tracer
+	mCommits *obs.Counter
+	mAborts  *obs.Counter
 }
 
 // NewManager builds a transaction manager over an instance and its log,
@@ -175,12 +143,12 @@ func NewManager(inst *engine.Instance, log *wal.Manager) *Manager {
 }
 
 // Use attaches an observability set: txn.commits and txn.aborts
-// counters, the wal.groupcommit.batch histogram (commits amortized per
-// log force), and a txn/groupcommit span recorded by each batch leader.
-// The set is forwarded to the lock manager and the WAL, so wiring the
-// transaction layer instruments the whole engine-side stack. NewManager
-// calls it with the instance's set; a nil set detaches. Not safe to
-// call concurrently with running transactions.
+// counters and the txn/snapshot span. The set is forwarded to the lock
+// manager and the WAL (whose group commits record the
+// wal.groupcommit.batch histogram and the txn/groupcommit span), so
+// wiring the transaction layer instruments the whole engine-side stack.
+// NewManager calls it with the instance's set; a nil set detaches. Not
+// safe to call concurrently with running transactions.
 func (m *Manager) Use(set *obs.Set) {
 	m.lm.Use(set)
 	m.log.Use(set)
@@ -188,7 +156,6 @@ func (m *Manager) Use(set *obs.Set) {
 	m.tracer = set.Trace()
 	m.mCommits = reg.Counter("txn.commits")
 	m.mAborts = reg.Counter("txn.aborts")
-	m.mBatchHist = reg.HistogramWith(obs.CountBounds(), "count", "wal.groupcommit.batch")
 }
 
 // WAL exposes the log manager.
@@ -209,23 +176,21 @@ func (m *Manager) LockStats() lockmgr.Stats { return m.lm.Stats() }
 // transaction and the transactions it waits behind (lockmgr.WaitsFor).
 func (m *Manager) WaitsFor() map[int64][]int64 { return m.lm.WaitsFor() }
 
-// GroupCommit returns a snapshot of the commit-batching counters.
-func (m *Manager) GroupCommit() GroupCommitStats {
-	return GroupCommitStats{Batches: m.gcBatches.Load(), Txns: m.gcTxns.Load()}
-}
+// GroupCommit returns a snapshot of the log's group-commit counters.
+func (m *Manager) GroupCommit() wal.GroupCommitStats { return m.log.GroupCommit() }
 
 // CrashAtCommit arms the crash-injection harness: the n-th commit (counted
 // from the next one) writes its page records to the log but dies before
 // its commit record, and every later operation fails with ErrCrashed.
 // n <= 0 disarms.
 func (m *Manager) CrashAtCommit(n int64) {
-	m.seqMu.Lock()
+	m.log.Lock(nil)
 	if n <= 0 {
 		m.crashAtCommit = 0
 	} else {
 		m.crashAtCommit = m.commits.Load() + n
 	}
-	m.seqMu.Unlock()
+	m.log.Unlock()
 }
 
 // Crash kills the instance: volatile state (the buffer pool, including
@@ -361,9 +326,9 @@ func (t *Txn) LockScan(obj pagestore.ObjectID) error {
 // images are still to be logged, what is still held afterwards.
 
 // Commit appends the transaction's page records and a commit record,
-// releases the page locks, then joins the group-commit batch and returns
-// once the commit is durable — usually via a flush a batch leader
-// performed for several committers at once. If the crash harness is
+// releases the page locks, then forces the log and returns once the
+// commit is durable — often through a force another committer made for
+// several commit records at once. If the crash harness is
 // armed for this commit, the page records reach the log but the commit
 // record does not, and ErrCrashed is returned.
 func (t *Txn) Commit() error {
@@ -388,8 +353,8 @@ func (t *Txn) Commit() error {
 
 // Prepare runs the participant's first phase of two-phase commit: the
 // transaction's page records and a prepare record carrying the global
-// transaction ID reach the log and are forced durable, riding the same
-// group-commit batch as ordinary commit records. The page locks, the
+// transaction ID reach the log and are forced durable, grouped with
+// ordinary commit records like one of them. The page locks, the
 // frame pins, and the drain-barrier hold all stay — the transaction is
 // in doubt until the coordinator's decision arrives via CommitPrepared
 // or Abort. After a successful Prepare the participant has promised it
@@ -494,25 +459,22 @@ func (t *Txn) logImages() (last wal.LSN, err error) {
 	return last, err
 }
 
-// decide is the commit decision point, inside walPhase: under seqMu the
-// crash-harness check and the append of the decision record are atomic,
-// so the n-th commit is well-defined and nothing commits after the
-// simulated kill. With flushImages the harness first forces the page
+// decide is the commit decision point, inside walPhase: under the log's
+// lock the crash-harness check and the append of the decision record are
+// atomic, so the n-th commit is well-defined and nothing commits after
+// the simulated kill. With flushImages the harness first forces the page
 // images this phase logged (through last): the log then knows the
 // transaction but recovery must treat it as a loser.
 func (t *Txn) decide(kind wal.Kind, gtid int64, flushImages bool, last wal.LSN) (wal.LSN, error) {
 	m, clk := t.m, &t.sess.Clk
 	commit := kind == wal.KindCommit
-	m.seqMu.Lock()
 	if m.dead.Load() {
 		// The instance died (crash harness) while this transaction was
 		// running: its decision record must not be appended.
-		m.seqMu.Unlock()
 		return 0, ErrCrashed
 	}
 	if commit && m.crashAtCommit != 0 && m.commits.Load()+1 >= m.crashAtCommit {
 		m.dead.Store(true)
-		m.seqMu.Unlock()
 		if flushImages {
 			if err := m.log.Flush(clk, last); err != nil {
 				return 0, err
@@ -525,12 +487,11 @@ func (t *Txn) decide(kind wal.Kind, gtid int64, flushImages bool, last wal.LSN) 
 		m.commits.Add(1)
 		m.mCommits.Inc()
 		// Seal this transaction's pending page versions with its commit LSN
-		// while the commit order is still pinned by seqMu: chains then seal
-		// in commit-LSN order, so a snapshot taken at any watermark observes
-		// a prefix-consistent version history.
+		// while the commit order is still pinned by the log's lock: chains
+		// then seal in commit-LSN order, so a snapshot taken at any
+		// watermark observes a prefix-consistent version history.
 		m.inst.Pool.CommitVersions(t.hooks, int64(lsn), int64(m.log.CommitWatermark()))
 	}
-	m.seqMu.Unlock()
 	return lsn, err
 }
 
@@ -539,7 +500,7 @@ func (t *Txn) decide(kind wal.Kind, gtid int64, flushImages bool, last wal.LSN) 
 // sealed in the log, so the locks can be released while the force is
 // still pending — a transaction that reads the freshly committed data
 // and commits flushes the log through a later LSN, which covers this
-// one. The force is batched: concurrent committers share one flush.
+// one. The log groups the force: concurrent committers share one flush.
 // Frames stay pinned until the records are durable; they are released
 // even on a flush error (the commit record is appended, so rolling the
 // frames back could contradict a log that did reach the device), which
@@ -574,53 +535,20 @@ func (t *Txn) unwind(restore bool) {
 	t.m.gate.RUnlock()
 }
 
-// groupFlush makes lsn durable through the commit batch: the first
-// committer to open a batch becomes its leader and forces the log to the
-// batch's highest LSN; committers arriving while the batch is open ride
-// the same force and only advance their clocks to its completion.
+// groupFlush makes lsn durable. The log groups committers: a force
+// writes every record appended before it, and a committer whose record
+// an earlier force covered only advances its clock to that force's
+// completion (wal.Manager.Flush). The yields let committers racing this
+// one append their records before it forces. They decide oltp_2w's
+// simulated results: how many records one force carries depends on the
+// host's goroutine scheduling, not on virtual time (ROADMAP item 3).
+// Forcing without them cost that workload about 10% of its simulated
+// throughput.
 func (m *Manager) groupFlush(clk *simclock.Clock, lsn wal.LSN) error {
-	m.gcMu.Lock()
-	if b := m.gcCur; b != nil {
-		if lsn > b.maxLSN {
-			b.maxLSN = lsn
-		}
-		b.n++
-		m.gcMu.Unlock()
-		clk.Park()
-		<-b.done
-		clk.Unpark()
-		clk.AdvanceTo(b.doneAt)
-		return b.err
-	}
-	b := &gcBatch{maxLSN: lsn, n: 1, done: make(chan struct{})}
-	m.gcCur = b
-	m.gcMu.Unlock()
-	// Yield a few times so committers racing this one can join the batch
-	// before the leader claims it. These yields decide oltp_2w's simulated
-	// results: how many committers join depends on the host's goroutine
-	// scheduling, not on virtual time (ROADMAP item 3). Flushing directly
-	// instead cost that workload about 10% of its simulated throughput.
 	for i := 0; i < 4; i++ {
 		runtime.Gosched()
 	}
-	m.gcMu.Lock()
-	m.gcCur = nil
-	maxLSN := b.maxLSN
-	m.gcMu.Unlock()
-	forceStart := clk.Now()
-	b.err = m.log.Flush(clk, maxLSN)
-	b.doneAt = clk.Now()
-	m.gcBatches.Add(1)
-	m.gcTxns.Add(int64(b.n))
-	if hv := m.mBatchHist; hv != nil {
-		hv.Observe(simclock.Duration(b.n))
-	}
-	if m.tracer != nil {
-		m.tracer.Span("txn", "groupcommit", clk.ID(), forceStart, b.doneAt-forceStart,
-			map[string]any{"txns": b.n, "lsn": int64(maxLSN)})
-	}
-	close(b.done)
-	return b.err
+	return m.log.Flush(clk, lsn)
 }
 
 // Abort rolls the transaction back by restoring every touched frame to

@@ -29,10 +29,13 @@
 // Uncommitted transactions need no undo: their pages were pinned in
 // memory and died with it.
 //
-// Commit durability uses a group-commit window on the committing
-// session's simulated clock: flushes are spaced at least one window
-// apart, and a commit whose records were already covered by another
-// session's flush pays only the wait, not another device write.
+// The log is where committers group. A force writes the whole unflushed
+// tail, whoever asked for it, so every commit record appended before it
+// shares its device write. Forces are spaced at least one group-commit
+// window apart on the forcing session's simulated clock, and a commit
+// whose record an earlier force covered pays only the wait for it, not
+// another device write. Each force that makes commit or prepare records
+// durable is one group-commit batch of that many records (GroupCommit).
 package wal
 
 import (
@@ -173,6 +176,24 @@ func logTag(obj pagestore.ObjectID) policy.Tag {
 	return policy.Tag{Object: obj, Content: policy.Log, Pattern: policy.Sequential}
 }
 
+// GroupCommitStats count the log's group commits. Batches is the forces
+// that made at least one commit or prepare record durable, whichever
+// call forced (Flush, a rollover inside Append, a checkpoint); Txns is
+// the records those forces made durable. Txns/Batches is the mean
+// number of commit records amortizing one force.
+type GroupCommitStats struct {
+	Batches int64
+	Txns    int64
+}
+
+// MeanBatch returns the mean commits per force (0 with no batches).
+func (g GroupCommitStats) MeanBatch() float64 {
+	if g.Batches == 0 {
+		return 0
+	}
+	return float64(g.Txns) / float64(g.Batches)
+}
+
 // Stats are cumulative log-manager counters.
 type Stats struct {
 	Appends     int64
@@ -227,25 +248,37 @@ type Manager struct {
 	decisions map[int64]bool
 
 	stats Stats
+	// unforced counts the commit and prepare records appended since the
+	// last force: the batch the next force makes durable.
+	unforced int64
+	gc       GroupCommitStats
 
 	// Registry instruments and tracer, nil (inert) until Use attaches a
-	// set.
+	// set. mBatch is registered at the log's first group commit, so a
+	// log that carries no transactions (a 2PC coordinator's decision
+	// log) reports none.
 	tracer       *obs.Tracer
+	reg          *obs.Registry
 	mAppends     *obs.Counter
 	mFlushes     *obs.Counter
 	mPageWrites  *obs.Counter
 	mCheckpoints *obs.Counter
+	mBatch       *obs.HistVar
 }
 
 // Use attaches an observability set: the log manager registers its
 // counters (`wal.appends`, `wal.flushes`, `wal.pagewrites`,
-// `wal.checkpoints`) and records `wal`/`flush` and `wal`/`checkpoint`
-// spans on the simulated timeline. A nil set detaches.
+// `wal.checkpoints`; at its first group commit, the
+// `wal.groupcommit.batch` histogram of commit and prepare records per
+// force) and records `wal`/`flush`, `wal`/`checkpoint` and
+// `txn`/`groupcommit` spans on the simulated timeline. A nil set
+// detaches.
 func (m *Manager) Use(set *obs.Set) {
 	m.mu.Lock(nil)
 	defer m.mu.Unlock()
 	m.tracer = set.Trace()
 	reg := set.Registry()
+	m.reg, m.mBatch = reg, nil
 	m.mAppends = reg.Counter("wal.appends")
 	m.mFlushes = reg.Counter("wal.flushes")
 	m.mPageWrites = reg.Counter("wal.pagewrites")
@@ -417,13 +450,16 @@ func (m *Manager) Append(clk *simclock.Clock, r Record) (LSN, error) {
 	m.lastLSN = r.LSN
 	m.stats.Appends++
 	m.mAppends.Inc()
+	if r.Kind == KindCommit || r.Kind == KindPrepare {
+		m.unforced++
+	}
 	return r.LSN, nil
 }
 
 // rollover finalizes the active segment and opens the next one. Caller
 // holds m.mu.
 func (m *Manager) rollover(clk *simclock.Clock) error {
-	if err := m.flushLocked(clk); err != nil {
+	if err := m.flushLocked(clk, clk.Now()); err != nil {
 		return err
 	}
 	m.activeSeg++
@@ -438,9 +474,11 @@ func (m *Manager) rollover(clk *simclock.Clock) error {
 // flushLocked writes every unflushed page of the active segment and
 // stamps the flush completion time — whoever triggered it (an explicit
 // Flush, a rollover inside Append, a checkpoint), so a commit covered by
-// someone else's flush advances to a meaningful instant. Caller holds
-// m.mu.
-func (m *Manager) flushLocked(clk *simclock.Clock) error {
+// someone else's flush advances to a meaningful instant. A flush that
+// makes commit or prepare records durable is their group-commit batch;
+// its span starts at since, when the forcing caller began waiting for
+// it. Caller holds m.mu.
+func (m *Manager) flushLocked(clk *simclock.Clock, since simclock.Duration) error {
 	segLen := len(m.segBuf)
 	if m.flushedLen >= segLen {
 		m.durableLSN = m.lastLSN
@@ -470,14 +508,29 @@ func (m *Manager) flushLocked(clk *simclock.Clock) error {
 		m.tracer.Span("wal", "flush", clk.ID(), flushStart, clk.Now()-flushStart,
 			map[string]any{"pages": last - first + 1, "durable_lsn": int64(m.durableLSN)})
 	}
+	if n := m.unforced; n > 0 {
+		m.unforced = 0
+		m.gc.Batches++
+		m.gc.Txns += n
+		if m.mBatch == nil {
+			m.mBatch = m.reg.HistogramWith(obs.CountBounds(), "count", "wal.groupcommit.batch")
+		}
+		m.mBatch.Observe(simclock.Duration(n))
+		if m.tracer != nil {
+			m.tracer.Span("txn", "groupcommit", clk.ID(), since, clk.Now()-since,
+				map[string]any{"txns": n, "lsn": int64(m.durableLSN)})
+		}
+	}
 	return nil
 }
 
 // Flush makes every record up to lsn durable. If an earlier flush already
 // covered lsn, the caller only advances to that flush's completion time
 // (the group-commit case); otherwise the flush is gated to at least one
-// GroupCommitWindow after the previous one and writes the segment tail.
+// GroupCommitWindow after the previous one and writes the segment tail,
+// so it carries every record appended before it.
 func (m *Manager) Flush(clk *simclock.Clock, lsn LSN) error {
+	since := clk.Now()
 	if clk == nil || m.owner.Load() != clk {
 		m.Lock(clk)
 		defer m.Unlock()
@@ -492,7 +545,7 @@ func (m *Manager) Flush(clk *simclock.Clock, lsn LSN) error {
 	}
 	clk.AdvanceTo(tick)
 	m.lastFlushStart = tick
-	return m.flushLocked(clk)
+	return m.flushLocked(clk, since)
 }
 
 // Checkpoint flushes the buffer pool's committed dirty pages, appends a
@@ -518,7 +571,7 @@ func (m *Manager) Checkpoint(clk *simclock.Clock, pool *bufferpool.Pool) error {
 	if err != nil {
 		return err
 	}
-	if err := m.flushLocked(clk); err != nil {
+	if err := m.flushLocked(clk, clk.Now()); err != nil {
 		return err
 	}
 	m.checkpointLSN = lsn
@@ -558,6 +611,13 @@ func (m *Manager) Destroy(clk *simclock.Clock) error {
 		}
 	}
 	return m.mgr.DeleteObject(clk, m.cfg.BaseObject)
+}
+
+// GroupCommit returns a snapshot of the group-commit counters.
+func (m *Manager) GroupCommit() GroupCommitStats {
+	m.mu.Lock(nil)
+	defer m.mu.Unlock()
+	return m.gc
 }
 
 // DurableLSN returns the durability horizon.

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"hstoragedb/internal/engine/policy"
 	"hstoragedb/internal/engine/storagemgr"
 	"hstoragedb/internal/hybrid"
+	"hstoragedb/internal/obs"
 	"hstoragedb/internal/pagestore"
 	"hstoragedb/internal/simclock"
 )
@@ -222,6 +224,96 @@ func TestSegmentRolloverAndCheckpoint(t *testing.T) {
 	}
 	if stats.Elapsed <= 0 {
 		t.Fatal("recovery consumed no simulated time")
+	}
+}
+
+// TestGroupCommitBatches: a force that makes commit or prepare records
+// durable is one group-commit batch of that many records, whichever call
+// forced; a force that carries none, and a Flush an earlier force
+// covered, is no batch.
+func TestGroupCommitBatches(t *testing.T) {
+	store := pagestore.NewStore()
+	mgr := testMgr(t, store)
+	var clk simclock.Clock
+	m, err := New(&clk, mgr, Config{SegmentPages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := obs.NewSet()
+	m.Use(set)
+	mustAppend := func(r Record) LSN {
+		t.Helper()
+		lsn, err := m.Append(&clk, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lsn
+	}
+	flush := func(lsn LSN) {
+		t.Helper()
+		if err := m.Flush(&clk, lsn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	page := func(txn int64, size int) Record {
+		return Record{Txn: txn, Kind: KindPage, Obj: 7, Image: bytes.Repeat([]byte{byte(txn)}, size)}
+	}
+	want := func(step string, batches, txns int64) {
+		t.Helper()
+		if got := m.GroupCommit(); got != (GroupCommitStats{Batches: batches, Txns: txns}) {
+			t.Fatalf("%s: %+v, want %d batches carrying %d records", step, got, batches, txns)
+		}
+	}
+	batchHist := func() *obs.Histogram {
+		for _, mt := range set.Reg.Snapshot() {
+			if mt.Name == "wal.groupcommit.batch" {
+				return &mt.Hist
+			}
+		}
+		return nil
+	}
+
+	mustAppend(page(1, 100))
+	mustAppend(Record{Txn: 1, Kind: KindCommit})
+	mustAppend(page(2, 100))
+	mustAppend(Record{Txn: 2, Kind: KindPrepare, Page: 77})
+	last := mustAppend(Record{Txn: 3, Kind: KindCommit})
+	if batchHist() != nil {
+		t.Fatal("wal.groupcommit.batch registered before the first group commit")
+	}
+	flush(last)
+	want("two commits and a prepare, one Flush", 1, 3)
+
+	flush(mustAppend(page(4, 100)))
+	if err := m.Checkpoint(&clk, newTestPool(mgr)); err != nil {
+		t.Fatal(err)
+	}
+	want("a flush of page records and a checkpoint", 1, 3)
+
+	commit := mustAppend(Record{Txn: 5, Kind: KindCommit})
+	for seg := m.activeSeg; m.activeSeg == seg; {
+		mustAppend(page(5, 6000))
+	}
+	want("a rollover inside Append", 2, 4)
+
+	flushes := m.Stats().Flushes
+	flush(commit)
+	if got := m.Stats().Flushes; got != flushes {
+		t.Fatalf("a Flush of a covered LSN forced the log: %d flushes, want %d", got, flushes)
+	}
+	want("a Flush of the covered commit", 2, 4)
+
+	if h := batchHist(); h == nil || h.Count != 2 || h.Sum != 4 || h.Max != 3 {
+		t.Fatalf("wal.groupcommit.batch = %+v, want 2 samples, 4 records, max 3", h)
+	}
+	var spans []any
+	for _, sp := range set.Tracer.Spans() {
+		if sp.Cat == "txn" && sp.Name == "groupcommit" {
+			spans = append(spans, sp.Args["txns"])
+		}
+	}
+	if !reflect.DeepEqual(spans, []any{int64(3), int64(1)}) {
+		t.Fatalf("txn/groupcommit spans carried %v records, want [3 1]", spans)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"hstoragedb/internal/engine/txn"
+	"hstoragedb/internal/engine/wal"
 	"hstoragedb/internal/hybrid"
 )
 
@@ -33,11 +33,12 @@ type TxnScaleRun struct {
 	CommitsPerSec float64
 
 	// LogFlushes counts the log forces of the measured phase; MeanBatch
-	// is commits per force — the group-commit amortization (the
-	// coordinator's own batch accounting is GroupCommit).
+	// is commits per force — the group-commit amortization (the log's
+	// own batch accounting, over the forces that carried a commit, is
+	// GroupCommit).
 	LogFlushes  int64
 	MeanBatch   float64
-	GroupCommit txn.GroupCommitStats
+	GroupCommit wal.GroupCommitStats
 }
 
 // txnScaleCkptEvery is the checkpoint cadence of the scaling runs: a
@@ -129,7 +130,7 @@ func (e *Env) RunTxnScale(mode hybrid.Mode, workers, txnsPerWorker int) (TxnScal
 		run.MeanBatch = float64(run.Commits) / float64(run.LogFlushes)
 	}
 	gc := tm.GroupCommit()
-	run.GroupCommit = txn.GroupCommitStats{Batches: gc.Batches - gc0.Batches, Txns: gc.Txns - gc0.Txns}
+	run.GroupCommit = wal.GroupCommitStats{Batches: gc.Batches - gc0.Batches, Txns: gc.Txns - gc0.Txns}
 
 	return run, rig.close()
 }
@@ -192,6 +193,6 @@ func (runs TxnScaleRuns) Format() string {
 			r.Mode, r.Workers, r.Txns, r.CommitsPerSec, speedup,
 			r.MeanBatch, r.GroupCommit.MeanBatch(), r.DeadlockRetries, 100*r.AbortRate)
 	}
-	b.WriteString("batch = commits per log force; gc-batch = commits per leader flush in the commit coordinator\n")
+	b.WriteString("batch = commits per log force; gc-batch = commit records per force that carried one (the log's group commit)\n")
 	return b.String()
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // TestTxnScaleSmoke runs the scaling experiment small: one and four
-// workers in hStorage mode must complete, commit, and show the
-// group-commit coordinator batching concurrent committers.
+// workers in hStorage mode must complete, commit, and show the log's
+// forces grouping concurrent committers.
 func TestTxnScaleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long experiment driver")
@@ -30,7 +30,7 @@ func TestTxnScaleSmoke(t *testing.T) {
 	}
 	// Batch formation needs committers to overlap in real time, which a
 	// loaded or single-core runner cannot guarantee — so assert only the
-	// coordinator's accounting invariants here; the hbench sweep is
+	// log's group-commit accounting invariants here; the hbench sweep is
 	// where the amortization itself is demonstrated.
 	gc := r4.GroupCommit
 	if gc.Batches <= 0 || gc.Batches > gc.Txns {
