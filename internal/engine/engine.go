@@ -356,10 +356,11 @@ func (inst *Instance) DropBufferPool() { inst.Pool.DropAll() }
 
 // Crash simulates killing the instance: every volatile page (the buffer
 // pool, including pinned uncommitted pages) is discarded without
-// write-back, and a backend holding volatile state (an LSM memtable)
-// drops it and reloads from its durable image. The durable medium
-// survives; a fresh instance attached to the same Database plays the
-// role of the restarted server and recovers from the WAL.
+// write-back, a store its pagestore.Cut killed revives, and a backend
+// holding volatile state (an LSM memtable) drops it and reloads from its
+// durable image. The durable medium survives; a fresh instance attached
+// to the same Database plays the role of the restarted server and
+// recovers from the WAL.
 func (inst *Instance) Crash() {
 	inst.Pool.DropAll()
 	if v, ok := inst.DB.Store.(pagestore.Volatile); ok {

@@ -11,6 +11,7 @@ import (
 	"hstoragedb/internal/engine/btree"
 	"hstoragedb/internal/engine/catalog"
 	"hstoragedb/internal/lsm"
+	"hstoragedb/internal/pagestore"
 )
 
 // write appends rows (id+i, val) and their index entries inside tx
@@ -67,19 +68,19 @@ func TestCommitPathsUnwind(t *testing.T) {
 		{"Commit", none, nil, false, released},
 		{"Commit", crashed, ErrCrashed, false, released}, // Crash dropped the pool
 		{"Commit", crashAtCommit, ErrCrashed, false, kept},
-		{"Commit", ioAtForce, lsm.ErrKilled, false, released},
-		{"Commit", ioAtAppend, lsm.ErrKilled, false, released},
+		{"Commit", ioAtForce, pagestore.ErrKilled, false, released},
+		{"Commit", ioAtAppend, pagestore.ErrKilled, false, released},
 
 		{"Prepare", none, nil, true, kept},
 		{"Prepare", crashed, ErrCrashed, false, released},
 		{"Prepare", crashAtCommit, nil, true, kept},
-		{"Prepare", ioAtForce, lsm.ErrKilled, false, kept}, // pins die with the pool
-		{"Prepare", ioAtAppend, lsm.ErrKilled, false, released},
+		{"Prepare", ioAtForce, pagestore.ErrKilled, false, kept}, // pins die with the pool
+		{"Prepare", ioAtAppend, pagestore.ErrKilled, false, released},
 
 		{"CommitPrepared", none, nil, false, released},
 		{"CommitPrepared", crashed, ErrCrashed, false, released},
 		{"CommitPrepared", crashAtCommit, ErrCrashed, false, kept},
-		{"CommitPrepared", ioAtForce, lsm.ErrKilled, false, released},
+		{"CommitPrepared", ioAtForce, pagestore.ErrKilled, false, released},
 	}
 	for _, c := range cases {
 		c := c
@@ -126,7 +127,7 @@ func TestCommitPathsUnwind(t *testing.T) {
 				f.tm.CrashAtCommit(1)
 			case ioAtForce, ioAtAppend:
 				ls.KillAfter(0)
-				if err := f.inst.Mgr.Sync(&f.sess.Clk); !errors.Is(err, lsm.ErrKilled) || !ls.Dead() {
+				if err := f.inst.Mgr.Sync(&f.sess.Clk); !errors.Is(err, pagestore.ErrKilled) || !ls.Dead() {
 					t.Fatalf("sync over the armed store: %v, dead=%v", err, ls.Dead())
 				}
 			}
@@ -174,7 +175,7 @@ func TestCommitPathsUnwind(t *testing.T) {
 				case f.tm.Dead():
 					wantErr = ErrCrashed
 				case ls.Dead():
-					wantErr = lsm.ErrKilled
+					wantErr = pagestore.ErrKilled
 				}
 				if !errors.Is(err, wantErr) {
 					t.Fatalf("checkpoint after the call: %v, want %v", err, wantErr)

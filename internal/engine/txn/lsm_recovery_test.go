@@ -8,6 +8,7 @@ import (
 
 	"hstoragedb/internal/engine"
 	"hstoragedb/internal/lsm"
+	"hstoragedb/internal/pagestore"
 )
 
 // TestCrashRecoveryLSMBackend runs the end-to-end crash acceptance test
@@ -89,33 +90,57 @@ func sweepVal(id int64) string {
 	return fmt.Sprintf("%d:%s", id, strings.Repeat("x", crashSweepVal))
 }
 
-// TestCheckpointKilledMidFlush kills an LSM-backed database at each
-// durable block write of an insert run and the checkpoint after it in
-// turn (subtest k arms KillAfter(k), for every k below the clean run's
-// write count): WAL page forces, the segment rollover's meta page, the
-// checkpoint's SSTable and manifest, its checkpoint record and the meta
-// page that truncates the log. After every kill the database recovers.
-// Every committed key must read back and no other, a checkpoint must
-// succeed, and the log must then roll a segment again.
+// killable is a backend with a crash cut: both pagestore.Store and
+// lsm.Store embed a pagestore.Cut.
+type killable interface {
+	KillAfter(n int64)
+	Writes() int64
+	Dead() bool
+}
+
+// sweepBackends are the backends the crash sweeps kill, in one table.
+// The LSM's subtests keep their bare kill-point names; the heap store's
+// sit under "heap/".
+var sweepBackends = []struct {
+	name, prefix string
+	open         func() pagestore.Backend
+}{
+	{"lsm", "", func() pagestore.Backend { return lsm.New(lsm.Config{MemtablePages: 1 << 20, L0Tables: 2}) }},
+	{"heap", "heap/", func() pagestore.Backend { return pagestore.NewStore() }},
+}
+
+// TestCheckpointKilledMidFlush kills a database at each durable block
+// write of an insert run and the checkpoint after it in turn (subtest k
+// arms KillAfter(k), for every k below the clean run's write count),
+// once over each backend: WAL page forces, the segment rollover's meta
+// page, the checkpoint's write-back (the LSM's SSTable and manifest, the
+// heap store's pages), its checkpoint record and the meta page that
+// truncates the log. After every kill the database recovers. Every
+// committed key must read back and no other, a checkpoint must succeed,
+// and the log must then roll a segment again.
 func TestCheckpointKilledMidFlush(t *testing.T) {
-	n := killCheckpointAt(t, -1)
-	for k := int64(0); k < n; k++ {
-		t.Run(fmt.Sprint(k), func(t *testing.T) { killCheckpointAt(t, k) })
+	for _, b := range sweepBackends {
+		n := killCheckpointAt(t, b.open, -1)
+		for k := int64(0); k < n; k++ {
+			t.Run(b.prefix+fmt.Sprint(k), func(t *testing.T) { killCheckpointAt(t, b.open, k) })
+		}
+		t.Logf("%s: swept %d kill points", b.name, n)
 	}
-	t.Logf("swept %d kill points", n)
 }
 
 // killCheckpointAt runs the insert run and checkpoint under KillAfter(k)
-// and checks the recovery. A negative k is the clean run: it must
-// succeed, and it returns the durable block writes the run made.
-func killCheckpointAt(t *testing.T, k int64) int64 {
-	ls := lsm.New(lsm.Config{MemtablePages: 1 << 20, L0Tables: 2})
-	f := newFixtureOn(t, 64, engine.NewDatabaseOn(ls))
+// on a fresh backend from open and checks the recovery. A negative k is
+// the clean run: it must succeed, and it returns the durable block
+// writes the run made.
+func killCheckpointAt(t *testing.T, open func() pagestore.Backend, k int64) int64 {
+	store := open()
+	cut := store.(killable)
+	f := newFixtureOn(t, 64, engine.NewDatabaseOn(store))
 	if err := f.tm.Checkpoint(f.sess); err != nil {
 		t.Fatal(err)
 	}
-	base := ls.Writes()
-	ls.KillAfter(k)
+	base := cut.Writes()
+	cut.KillAfter(k)
 	committed := int64(0)
 	var err error
 	for committed < crashSweepRows {
@@ -131,10 +156,10 @@ func killCheckpointAt(t *testing.T, k int64) int64 {
 		if err != nil {
 			t.Fatalf("clean run: %v", err)
 		}
-		return ls.Writes() - base
+		return cut.Writes() - base
 	}
-	if !errors.Is(err, lsm.ErrKilled) || !ls.Dead() {
-		t.Fatalf("run returned %v (dead=%v), want ErrKilled", err, ls.Dead())
+	if !errors.Is(err, pagestore.ErrKilled) || !cut.Dead() {
+		t.Fatalf("run returned %v (dead=%v), want ErrKilled", err, cut.Dead())
 	}
 	f.tm.Crash()
 

@@ -115,8 +115,8 @@ func (e *Env) htapSnapReads() int64 {
 // page and scan locks collide with writer exclusives in both
 // directions, while the snapshot arm reads version chains and never
 // waits. All sessions run as a closed population on the device
-// scheduler; a session waiting for a page lock, a commit batch's leader
-// or the log parks through its clock, so it cannot stall dispatch.
+// scheduler; a session waiting for a page lock or for the log's lock
+// parks through its clock, so it cannot stall dispatch.
 func (e *Env) RunHTAP(mode hybrid.Mode, arm string, workers, txnsPerWorker, scanRounds int) (HTAPRun, error) {
 	run := HTAPRun{Mode: mode, Arm: arm, Workers: workers}
 	rig, err := e.newTxnRig(e.htapConfig(mode))

@@ -48,8 +48,8 @@
 //     population: the highest-ranked request wins the device no matter
 //     which goroutine called first. Blocked means waiting in Submit or
 //     parked: a stream that waits outside the scheduler — on a page
-//     lock, a commit batch's leader, a mutex another stream holds across
-//     a submission — says so through its clock (Clock.Park/Unpark, or a
+//     lock, or on the log's lock, which another stream holds across its
+//     force — says so through its clock (Clock.Park/Unpark, or a
 //     simclock.Mutex for a lock), stays registered and counts as blocked.
 //     A registered stream must never sleep uncounted.
 //   - Opportunistic mode (nothing registered): the first submitter

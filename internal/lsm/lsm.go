@@ -31,12 +31,12 @@
 // the memtable and come back through the engine's WAL replay.
 //
 // The crash tests check this promise at every durable block write, as
-// ALICE and CrashMonkey enumerate crash points. KillAfter(n) is the one
-// fault the store injects: it lets n more block writes through (SSTable
-// blocks, manifest-slot blocks, direct-region pages) and dies at the
-// next, which does not happen. A sweep counts its scenario's writes in a
-// clean run (Writes), then runs it under every n below that count,
-// recovering and checking invariants after each.
+// ALICE and CrashMonkey enumerate crash points. The store embeds a
+// pagestore.Cut, the kill rule the heap store applies too, and hands
+// the same Cut to the heap store it embeds for the reserved object
+// range: KillAfter(n) lets n more block writes through (SSTable blocks,
+// manifest-slot blocks, direct-region pages), numbered in one sequence,
+// and dies at the next, which does not happen.
 //
 // # Stored blocks are immutable
 //
@@ -53,18 +53,12 @@
 package lsm
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
 	"hstoragedb/internal/pagestore"
 )
-
-// ErrKilled marks operations on a store whose simulated process was
-// killed by KillAfter. The store stays dead until Crash() recovers it
-// from its durable image.
-var ErrKilled = errors.New("lsm: store killed")
 
 const (
 	// manifestSlotBlocks is the size of one manifest slot; slots A and B
@@ -139,7 +133,9 @@ type span struct {
 }
 
 // Store is an LSM-tree storage backend. It is safe for concurrent use.
+// The embedded Cut is its kill rule, shared with the direct region.
 type Store struct {
+	*pagestore.Cut
 	mu  sync.Mutex
 	cfg Config
 
@@ -170,11 +166,6 @@ type Store struct {
 	// direct serves the pass-through object region.
 	direct *pagestore.Store
 
-	// writes counts durable block writes; kill is one more than the
-	// writes an armed KillAfter still lets through (0 or less: disarmed).
-	writes  int64
-	kill    int64
-	dead    bool
 	orphans int64
 }
 
@@ -187,13 +178,15 @@ var (
 
 // New creates an empty LSM store.
 func New(cfg Config) *Store {
+	cut := new(pagestore.Cut)
 	return &Store{
+		Cut:     cut,
 		cfg:     cfg.withDefaults(),
 		reg:     make(map[pagestore.ObjectID]*objMeta),
 		disk:    make(map[int64][]byte),
 		mem:     make(map[key][]byte),
 		nextLBA: dataBase,
-		direct:  pagestore.NewStore(),
+		direct:  pagestore.NewStoreOn(cut, directLBAOffset),
 	}
 }
 
@@ -204,61 +197,28 @@ func New(cfg Config) *Store {
 // responsible for making durable.
 func (s *Store) isDirect(id pagestore.ObjectID) bool { return id >= pagestore.LogBase }
 
-// alive gates direct-region operations on the dead flag: a killed
-// process serves nothing, including its pass-through objects.
-func (s *Store) alive() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead {
-		return ErrKilled
+// objectLocked is the preamble of every tree-object operation: a dead
+// store serves nothing, and an unregistered object is ErrUnknownObject.
+func (s *Store) objectLocked(id pagestore.ObjectID) (*objMeta, error) {
+	if err := s.Check(); err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-// blockWriteLocked is the kill rule. Every durable block write (an
-// SSTable block, a manifest-slot block, a direct-region page) asks it
-// first, and the write happens only on a nil return. After KillAfter(n)
-// the (n+1)-th asker is refused and the store dies.
-func (s *Store) blockWriteLocked() error {
-	if s.dead {
-		return ErrKilled
+	o := s.reg[id]
+	if o == nil {
+		return nil, fmt.Errorf("lsm: %w %d", pagestore.ErrUnknownObject, id)
 	}
-	if s.kill > 0 {
-		if s.kill--; s.kill == 0 {
-			s.dead = true
-			return ErrKilled
-		}
-	}
-	s.writes++
-	return nil
-}
-
-func offsetPlan(plan []pagestore.Access) []pagestore.Access {
-	for i := range plan {
-		plan[i].LBA += directLBAOffset
-	}
-	return plan
-}
-
-func offsetExtents(exts []pagestore.Extent) []pagestore.Extent {
-	for i := range exts {
-		exts[i].Start += directLBAOffset
-	}
-	return exts
+	return o, nil
 }
 
 // Create implements pagestore.Backend.
 func (s *Store) Create(id pagestore.ObjectID) error {
 	if s.isDirect(id) {
-		if err := s.alive(); err != nil {
-			return err
-		}
 		return s.direct.Create(id)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead {
-		return ErrKilled
+	if err := s.Check(); err != nil {
+		return err
 	}
 	if _, ok := s.reg[id]; ok {
 		return fmt.Errorf("lsm: object %d already exists", id)
@@ -295,19 +255,13 @@ func (s *Store) Pages(id pagestore.ObjectID) int64 {
 // Extend implements pagestore.Backend.
 func (s *Store) Extend(id pagestore.ObjectID, pages int64) error {
 	if s.isDirect(id) {
-		if err := s.alive(); err != nil {
-			return err
-		}
 		return s.direct.Extend(id, pages)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead {
-		return ErrKilled
-	}
-	o := s.reg[id]
-	if o == nil {
-		return fmt.Errorf("lsm: %w %d", pagestore.ErrUnknownObject, id)
+	o, err := s.objectLocked(id)
+	if err != nil {
+		return err
 	}
 	if pages > o.pages {
 		o.pages = pages
@@ -321,20 +275,13 @@ func (s *Store) Extend(id pagestore.ObjectID, pages int64) error {
 // is the stored block itself, not a copy.
 func (s *Store) Read(id pagestore.ObjectID, page int64) ([]byte, []pagestore.Access, error) {
 	if s.isDirect(id) {
-		if err := s.alive(); err != nil {
-			return nil, nil, err
-		}
-		data, plan, err := s.direct.Read(id, page)
-		return data, offsetPlan(plan), err
+		return s.direct.Read(id, page)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead {
-		return nil, nil, ErrKilled
-	}
-	o := s.reg[id]
-	if o == nil {
-		return nil, nil, fmt.Errorf("lsm: %w %d", pagestore.ErrUnknownObject, id)
+	o, err := s.objectLocked(id)
+	if err != nil {
+		return nil, nil, err
 	}
 	if page < 0 {
 		return nil, nil, fmt.Errorf("lsm: object %d: negative page %d", id, page)
@@ -397,26 +344,16 @@ func (s *Store) probeLocked(k key) ([]byte, []pagestore.Access) {
 // reference through flush and compaction.
 func (s *Store) Write(id pagestore.ObjectID, page int64, data []byte) ([]pagestore.Access, error) {
 	if s.isDirect(id) {
-		s.mu.Lock()
-		err := s.blockWriteLocked()
-		s.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		plan, err := s.direct.Write(id, page, data)
-		return offsetPlan(plan), err
+		return s.direct.Write(id, page, data)
 	}
 	if len(data) > pagestore.PageSize {
 		return nil, fmt.Errorf("lsm: page payload %d exceeds %d", len(data), pagestore.PageSize)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead {
-		return nil, ErrKilled
-	}
-	o := s.reg[id]
-	if o == nil {
-		return nil, fmt.Errorf("lsm: %w %d", pagestore.ErrUnknownObject, id)
+	o, err := s.objectLocked(id)
+	if err != nil {
+		return nil, err
 	}
 	if page < 0 {
 		return nil, fmt.Errorf("lsm: object %d: negative page %d", id, page)
@@ -439,20 +376,13 @@ func (s *Store) Write(id pagestore.ObjectID, page int64, data []byte) ([]pagesto
 // TRIMmed by the compaction that rewrites it.
 func (s *Store) Truncate(id pagestore.ObjectID) ([]pagestore.Extent, error) {
 	if s.isDirect(id) {
-		if err := s.alive(); err != nil {
-			return nil, err
-		}
-		exts, err := s.direct.Truncate(id)
-		return offsetExtents(exts), err
+		return s.direct.Truncate(id)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead {
-		return nil, ErrKilled
-	}
-	o := s.reg[id]
-	if o == nil {
-		return nil, fmt.Errorf("lsm: %w %d", pagestore.ErrUnknownObject, id)
+	o, err := s.objectLocked(id)
+	if err != nil {
+		return nil, err
 	}
 	s.scrubMemLocked(id)
 	s.nextGen++
@@ -465,19 +395,12 @@ func (s *Store) Truncate(id pagestore.ObjectID) ([]pagestore.Extent, error) {
 // back through compaction rather than through the returned extents.
 func (s *Store) Delete(id pagestore.ObjectID) ([]pagestore.Extent, error) {
 	if s.isDirect(id) {
-		if err := s.alive(); err != nil {
-			return nil, err
-		}
-		exts, err := s.direct.Delete(id)
-		return offsetExtents(exts), err
+		return s.direct.Delete(id)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead {
-		return nil, ErrKilled
-	}
-	if s.reg[id] == nil {
-		return nil, fmt.Errorf("lsm: %w %d", pagestore.ErrUnknownObject, id)
+	if _, err := s.objectLocked(id); err != nil {
+		return nil, err
 	}
 	s.scrubMemLocked(id)
 	delete(s.reg, id)
@@ -536,11 +459,11 @@ func (it *lsmIter) Next() (int64, []byte, bool, error) {
 	}
 	it.s.mu.Lock()
 	defer it.s.mu.Unlock()
-	if it.s.dead {
-		return 0, nil, false, ErrKilled
+	o, err := it.s.objectLocked(it.id)
+	if err != nil {
+		return 0, nil, false, err
 	}
-	o := it.s.reg[it.id]
-	if o == nil || o.gen != it.gen {
+	if o.gen != it.gen {
 		return 0, nil, false, fmt.Errorf("lsm: %w %d", pagestore.ErrUnknownObject, it.id)
 	}
 	p := it.page
@@ -560,19 +483,13 @@ func (it *lsmIter) Next() (int64, []byte, bool, error) {
 // creation, matching the heap iterator.
 func (s *Store) Iter(id pagestore.ObjectID) (pagestore.Iterator, error) {
 	if s.isDirect(id) {
-		if err := s.alive(); err != nil {
-			return nil, err
-		}
 		return s.direct.Iter(id)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead {
-		return nil, ErrKilled
-	}
-	o := s.reg[id]
-	if o == nil {
-		return nil, fmt.Errorf("lsm: %w %d", pagestore.ErrUnknownObject, id)
+	o, err := s.objectLocked(id)
+	if err != nil {
+		return nil, err
 	}
 	return &lsmIter{s: s, id: id, gen: o.gen, pages: o.pages}, nil
 }
@@ -593,39 +510,13 @@ func (s *Store) DrainMaintenance() []pagestore.Maint {
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead {
-		return ErrKilled
+	if err := s.Check(); err != nil {
+		return err
 	}
 	if len(s.mem) == 0 {
 		return nil
 	}
 	return s.flushLocked()
-}
-
-// KillAfter arms the kill rule: the store lets n more durable block
-// writes through and dies at the next one, which does not happen. From
-// then on every operation returns ErrKilled until Crash() recovers the
-// store. A negative n disarms.
-func (s *Store) KillAfter(n int64) {
-	s.mu.Lock()
-	s.kill = n + 1
-	s.mu.Unlock()
-}
-
-// Writes reports the durable block writes the store has made since New.
-// A crash test counts a scenario's writes in a clean run, then runs it
-// once per n below that count under KillAfter(n).
-func (s *Store) Writes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writes
-}
-
-// Dead reports whether the store is dead from a fired kill.
-func (s *Store) Dead() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dead
 }
 
 // OrphansDiscarded reports how many orphaned blocks the last Crash()
@@ -814,7 +705,7 @@ func (s *Store) compactLocked() error {
 }
 
 // Crash implements pagestore.Volatile: volatile state (memtable,
-// undrained maintenance, the dead flag) is discarded and the tree is
+// undrained maintenance, a fired Cut) is discarded and the tree is
 // reloaded from the newest valid manifest slot. Blocks referenced by no
 // live table or manifest slot are orphans from interrupted flushes or
 // compactions; they are discarded and their space returns to the
@@ -822,8 +713,7 @@ func (s *Store) compactLocked() error {
 func (s *Store) Crash() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.dead = false
-	s.kill = 0
+	s.Revive()
 	s.mem = make(map[key][]byte)
 	s.maint = nil
 	s.orphans = 0

@@ -283,7 +283,7 @@ func runCrashSteps(t *testing.T, s *Store) (int, []uint64) {
 			mustWrite(t, s, 1, p, pat(1, p, i+1))
 		}
 		if err := s.Sync(); err != nil {
-			if !errors.Is(err, ErrKilled) {
+			if !errors.Is(err, pagestore.ErrKilled) {
 				t.Fatalf("step %d: Sync = %v, want ErrKilled", i, err)
 			}
 			return i, versions
@@ -328,10 +328,10 @@ func killFlushCompactionAt(t *testing.T, k int64, full []uint64, lastVersion *ui
 	if step == len(crashSteps) || !s.Dead() {
 		t.Fatalf("the kill did not fire (step %d, dead=%v)", step, s.Dead())
 	}
-	if _, _, err := s.Read(1, 0); !errors.Is(err, ErrKilled) {
+	if _, _, err := s.Read(1, 0); !errors.Is(err, pagestore.ErrKilled) {
 		t.Fatalf("Read on a dead store = %v, want ErrKilled", err)
 	}
-	if _, err := s.Write(pagestore.LogBase+1, 0, nil); !errors.Is(err, ErrKilled) {
+	if _, err := s.Write(pagestore.LogBase+1, 0, nil); !errors.Is(err, pagestore.ErrKilled) {
 		t.Fatalf("direct Write on a dead store = %v, want ErrKilled", err)
 	}
 	if err := s.Crash(); err != nil {

@@ -190,7 +190,7 @@ func (s *Store) writeTableLocked(entries []entry) (*table, pagestore.Access, err
 	}
 
 	for i, blk := range blocks {
-		if err := s.blockWriteLocked(); err != nil {
+		if err := s.Pass(); err != nil {
 			// The blocks already written stay as orphans for
 			// recovery to discard.
 			return nil, pagestore.Access{}, err

@@ -128,16 +128,21 @@ type Syncer interface {
 	Sync() error
 }
 
-// Volatile is implemented by backends that lose state on a crash.
-// Crash discards all volatile state (memtable, in-memory structure
-// caches) and reloads the backend from its durable image, discarding
-// orphaned blocks no manifest references. The engine's WAL recovery
-// then replays committed work lost from the volatile state.
+// Volatile is implemented by backends that go through a crash: both
+// stores, since both can be killed by their Cut. Crash revives the Cut,
+// discards all volatile state (memtable, in-memory structure caches) and
+// reloads the backend from its durable image, discarding orphaned blocks
+// no manifest references; the heap store writes in place and has nothing
+// to discard. The engine's WAL recovery then replays committed work lost
+// from the volatile state.
 type Volatile interface {
 	Crash() error
 }
 
-var _ Backend = (*Store)(nil)
+var (
+	_ Backend  = (*Store)(nil)
+	_ Volatile = (*Store)(nil)
+)
 
 // Read implements Backend: one page read is one block access at the
 // page's LBA.
@@ -184,6 +189,9 @@ func (it *storeIter) Next() (int64, []byte, bool, error) {
 // Iter implements Backend. The page count is snapshotted at creation;
 // pages appended during iteration are not visited.
 func (s *Store) Iter(id ObjectID) (Iterator, error) {
+	if err := s.Check(); err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	o := s.objects[id]
 	s.mu.Unlock()

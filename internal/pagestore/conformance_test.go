@@ -433,3 +433,102 @@ func TestConformanceKeepOrCopy(t *testing.T) {
 		})
 	}
 }
+
+// TestConformanceKill: both backends apply the one kill rule, a
+// pagestore.Cut. After KillAfter(0) the next durable write (a page of a
+// reserved-range object, which the LSM writes through to its embedded
+// heap store) is refused and kills the store; from then on every
+// operation on a tree object and on a reserved-range object returns
+// ErrKilled, until Crash revives the store. Writes counts only the
+// writes that passed.
+func TestConformanceKill(t *testing.T) {
+	type killable interface {
+		pagestore.Volatile
+		KillAfter(n int64)
+		Writes() int64
+		Dead() bool
+	}
+	const tree, reserved = pagestore.ObjectID(1), pagestore.LogBase + 1
+	ids := []pagestore.ObjectID{tree, reserved}
+	for _, bc := range backends() {
+		t.Run(bc.name, func(t *testing.T) {
+			b := bc.make()
+			k := b.(killable)
+			for _, id := range ids {
+				if err := b.Create(id); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.Write(id, 0, payload(id, 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			open, err := b.Iter(tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := k.Writes()
+			if _, err := b.Write(reserved, 1, payload(reserved, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if got := k.Writes(); got != n+1 {
+				t.Fatalf("Writes = %d after one durable write, want %d", got, n+1)
+			}
+
+			k.KillAfter(0)
+			if _, err := b.Write(reserved, 2, payload(reserved, 2)); !errors.Is(err, pagestore.ErrKilled) || !k.Dead() {
+				t.Fatalf("the write after KillAfter(0): %v, dead=%v", err, k.Dead())
+			}
+			if got := k.Writes(); got != n+1 {
+				t.Fatalf("Writes = %d after a refused write, want %d", got, n+1)
+			}
+			for _, id := range ids {
+				killed := func(op string, err error) {
+					t.Helper()
+					if !errors.Is(err, pagestore.ErrKilled) {
+						t.Fatalf("%s(%d) on a dead store = %v, want ErrKilled", op, id, err)
+					}
+				}
+				killed("Create", b.Create(id+1))
+				killed("Extend", b.Extend(id, 9))
+				_, _, err := b.Read(id, 0)
+				killed("Read", err)
+				_, err = b.Write(id, 0, payload(id, 0))
+				killed("Write", err)
+				_, err = b.Iter(id)
+				killed("Iter", err)
+				_, err = b.Truncate(id)
+				killed("Truncate", err)
+				_, err = b.Delete(id)
+				killed("Delete", err)
+			}
+			if _, _, _, err := open.Next(); !errors.Is(err, pagestore.ErrKilled) {
+				t.Fatalf("Next of an open iterator on a dead store = %v, want ErrKilled", err)
+			}
+			if sy, ok := b.(pagestore.Syncer); ok {
+				if err := sy.Sync(); !errors.Is(err, pagestore.ErrKilled) {
+					t.Fatalf("Sync on a dead store = %v, want ErrKilled", err)
+				}
+			}
+
+			if err := k.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			if k.Dead() {
+				t.Fatal("Crash left the store dead")
+			}
+			readBack(t, b, reserved, 1, payload(reserved, 1))
+			for _, id := range ids {
+				if !b.Exists(id) {
+					t.Fatalf("object %d lost across the kill", id)
+				}
+				if _, err := b.Write(id, 3, payload(id, 3)); err != nil {
+					t.Fatal(err)
+				}
+				readBack(t, b, id, 3, payload(id, 3))
+			}
+			if got := k.Writes(); got <= n+1 {
+				t.Fatalf("Writes = %d: the revived store's writes did not count", got)
+			}
+		})
+	}
+}

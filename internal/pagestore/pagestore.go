@@ -11,6 +11,12 @@
 //
 // Deleting an object releases its extents and reports them to the caller
 // so the storage manager can issue TRIM commands (Section 4.2.3).
+//
+// A Cut kills a store at a chosen durable write, so crash tests sweep
+// every write of a scenario in turn. The extent Store holds one, as the
+// LSM store does (package lsm): every page write passes it, and a killed
+// store serves nothing until Crash() revives it. Page writes are in
+// place and immediately durable, so a revived Store has lost nothing.
 package pagestore
 
 import (
@@ -64,8 +70,11 @@ type object struct {
 	pages   int64   // logical page count
 }
 
-// Store is the page store. It is safe for concurrent use.
+// Store is the page store. It is safe for concurrent use. The embedded
+// Cut is its kill rule: WritePage passes it, every other operation that
+// can fail refuses with ErrKilled once it has fired.
 type Store struct {
+	*Cut
 	mu      sync.Mutex
 	objects map[ObjectID]*object
 	pages   map[int64][]byte // LBA -> content
@@ -73,17 +82,35 @@ type Store struct {
 	nextLBA int64
 }
 
-// NewStore creates an empty store.
-func NewStore() *Store {
+// NewStore creates an empty store with its own Cut, allocating from LBA 0.
+func NewStore() *Store { return NewStoreOn(new(Cut), 0) }
+
+// NewStoreOn creates an empty store whose writes pass cut and whose
+// extents start at LBA base. A store that embeds this one for part of
+// its objects hands it its own Cut, so both count writes in one
+// sequence, and a base above its own address space.
+func NewStoreOn(cut *Cut, base int64) *Store {
 	return &Store{
+		Cut:     cut,
 		objects: make(map[ObjectID]*object),
 		pages:   make(map[int64][]byte),
+		nextLBA: base,
 	}
+}
+
+// Crash implements Volatile: pages are written in place, so nothing is
+// lost, and the store only revives from a fired Cut.
+func (s *Store) Crash() error {
+	s.Revive()
+	return nil
 }
 
 // Create registers a new empty object. Creating an existing object is an
 // error.
 func (s *Store) Create(id ObjectID) error {
+	if err := s.Check(); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.objects[id]; ok {
@@ -128,6 +155,9 @@ func (s *Store) allocExtent() int64 {
 // pages in arbitrary order), so growth past the current end is allowed;
 // the intervening pages read as zeroes until written.
 func (s *Store) LBA(id ObjectID, page int64) (int64, error) {
+	if err := s.Check(); err != nil {
+		return 0, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o := s.objects[id]
@@ -154,6 +184,9 @@ func (s *Store) LBA(id ObjectID, page int64) (int64, error) {
 // concurrent scanner — sees the logical end of the file rather than the
 // write-back horizon.
 func (s *Store) Extend(id ObjectID, pages int64) error {
+	if err := s.Check(); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o := s.objects[id]
@@ -203,9 +236,13 @@ func (s *Store) ReadPage(id ObjectID, page int64) ([]byte, int64, error) {
 }
 
 // WritePage stores the content of (object, page), keeping data (KeepPage).
+// The write passes the Cut before anything is allocated.
 func (s *Store) WritePage(id ObjectID, page int64, data []byte) (int64, error) {
 	if len(data) > PageSize {
 		return 0, fmt.Errorf("pagestore: page payload %d exceeds %d", len(data), PageSize)
+	}
+	if err := s.Pass(); err != nil {
+		return 0, err
 	}
 	lba, err := s.LBA(id, page)
 	if err != nil {
@@ -220,6 +257,9 @@ func (s *Store) WritePage(id ObjectID, page int64, data []byte) (int64, error) {
 
 // Truncate discards the object's content but keeps it registered.
 func (s *Store) Truncate(id ObjectID) ([]Extent, error) {
+	if err := s.Check(); err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o := s.objects[id]
@@ -235,6 +275,9 @@ func (s *Store) Truncate(id ObjectID) ([]Extent, error) {
 // Delete removes the object and returns the freed extents so the caller
 // can TRIM them.
 func (s *Store) Delete(id ObjectID) ([]Extent, error) {
+	if err := s.Check(); err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o := s.objects[id]

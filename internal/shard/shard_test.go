@@ -191,33 +191,42 @@ func lsmBankConfig() Config {
 	return cfg
 }
 
-// TestCrashSweepTransfer kills one shard of an LSM cluster at each of its
+// TestCrashSweepTransfer kills one shard of a cluster at each of its
 // durable block writes in turn (subtest shard<i>/k arms KillAfter(k) on
 // shard i, for every k below the clean run's write count there) while a
 // cross-shard transfer commits and the cluster checkpoints: the prepare
 // and phase-2 log forces, the decision record (shard 0 holds the
-// decision log), the checkpoint's SSTables, manifests and log pages.
-// After every kill the cluster crashes and recovers. The total balance
-// must be conserved, the transfer applied on both shards or on neither
-// (on both if Commit succeeded), nothing left in doubt, and a new
+// decision log), the checkpoint's write-back (SSTables and manifests on
+// the LSM, pages on the heap store) and log pages. It sweeps the LSM
+// cluster, then the same cluster on the heap store (subtests under
+// "heap/"). After every kill the cluster crashes and recovers. The total
+// balance must be conserved, the transfer applied on both shards or on
+// neither (on both if Commit succeeded), nothing left in doubt, and a new
 // transfer must commit.
 func TestCrashSweepTransfer(t *testing.T) {
-	for victim := 0; victim < 2; victim++ {
-		n := crashTransferAt(t, victim, -1)
-		for k := int64(0); k < n; k++ {
-			t.Run(fmt.Sprintf("shard%d/%d", victim, k), func(t *testing.T) { crashTransferAt(t, victim, k) })
+	heapCfg := lsmBankConfig()
+	heapCfg.Backend = func() pagestore.Backend { return pagestore.NewStore() }
+	for _, b := range []struct {
+		prefix string
+		cfg    Config
+	}{{"", lsmBankConfig()}, {"heap/", heapCfg}} {
+		for victim := 0; victim < 2; victim++ {
+			name := fmt.Sprintf("%sshard%d", b.prefix, victim)
+			n := crashTransferAt(t, b.cfg, victim, -1)
+			for k := int64(0); k < n; k++ {
+				t.Run(fmt.Sprintf("%s/%d", name, k), func(t *testing.T) { crashTransferAt(t, b.cfg, victim, k) })
+			}
+			t.Logf("%s: swept %d kill points", name, n)
 		}
-		t.Logf("shard %d: swept %d kill points", victim, n)
 	}
 }
 
 // crashTransferAt runs the transfer and checkpoint under KillAfter(k) on
-// shard victim and checks the recovery. A negative k is the clean run:
-// it must succeed, and it returns the durable block writes it made on
-// the victim.
-func crashTransferAt(t *testing.T, victim int, k int64) int64 {
+// shard victim of a cluster built from cfg and checks the recovery. A
+// negative k is the clean run: it must succeed, and it returns the
+// durable block writes it made on the victim.
+func crashTransferAt(t *testing.T, cfg Config, victim int, k int64) int64 {
 	const n, balance, amount = 64, 100, 40
-	cfg := lsmBankConfig()
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +240,12 @@ func crashTransferAt(t *testing.T, victim int, k int64) int64 {
 		t.Fatal(err)
 	}
 	keys := keysOnShards(t, c, n, 0, 1)
-	ls := c.Shard(victim).DB.Store.(*lsm.Store)
+	// Both backends embed a pagestore.Cut.
+	ls := c.Shard(victim).DB.Store.(interface {
+		KillAfter(n int64)
+		Writes() int64
+		Dead() bool
+	})
 	base := ls.Writes()
 	ls.KillAfter(k)
 
@@ -253,7 +267,7 @@ func crashTransferAt(t *testing.T, victim int, k int64) int64 {
 		}
 		return ls.Writes() - base
 	}
-	if !errors.Is(err, lsm.ErrKilled) || !ls.Dead() {
+	if !errors.Is(err, pagestore.ErrKilled) || !ls.Dead() {
 		t.Fatalf("run returned %v (dead=%v), want ErrKilled", err, ls.Dead())
 	}
 	c.Crash()

@@ -68,9 +68,9 @@ func (c *Clock) Population() Population {
 }
 
 // Park tells the stream's population that the stream is about to block
-// on something other than the population's own queues — a page lock, a
-// commit batch's leader — and Unpark that it runs again. Every such
-// wait of an engine stream is bracketed by the pair, or is a Mutex.
+// on something other than the population's own queues — a page lock —
+// and Unpark that it runs again. Every such wait of an engine stream is
+// bracketed by the pair, or is a Mutex (the log's lock).
 // Both cost nothing for a stream in no population, or for a nil clock.
 func (c *Clock) Park() {
 	if p := c.Population(); p != nil {

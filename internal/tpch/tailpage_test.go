@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"hstoragedb/internal/engine/txn"
 	"hstoragedb/internal/engine/wal"
 	"hstoragedb/internal/hybrid"
+	"hstoragedb/internal/pagestore"
 )
 
 // NewOrder resumes the heaps' last pages, so an order's rows share a page
@@ -317,4 +319,81 @@ func TestTailPageCrashAfterWriteBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkCommitted(t, sess, o)
+}
+
+// The phases of TestOLTPKilledAtEveryWrite: transactions, a write-back
+// of every dirty page, more transactions, a checkpoint, more
+// transactions.
+const killSweepTxns = 6
+
+// TestOLTPKilledAtEveryWrite kills the heap store under the OLTP mix
+// (NewOrder, Payment, OrderStatus) at each of its durable writes in turn
+// (subtest k arms KillAfter(k), for every k below the clean run's write
+// count): log forces and segment rollovers, the pool's write-back of
+// shared tail pages, the checkpoint's pages, record and log meta page.
+// After every kill the database crashes and recovers from the log. Every
+// committed order must be back with its lineitems, and no order whose
+// transaction did not commit may be visible.
+func TestOLTPKilledAtEveryWrite(t *testing.T) {
+	n := killOLTPAt(t, -1)
+	for k := int64(0); k < n; k++ {
+		t.Run(fmt.Sprint(k), func(t *testing.T) { killOLTPAt(t, k) })
+	}
+	t.Logf("swept %d kill points", n)
+}
+
+// killOLTPAt runs the scenario under KillAfter(k) and checks the
+// recovery. A negative k is the clean run: it must succeed, and it
+// returns the durable writes the scenario made.
+func killOLTPAt(t *testing.T, k int64) int64 {
+	r := newTxnRig(t)
+	cut := r.ds.DB.Store.(*pagestore.Store)
+	o := r.ds.NewOLTP(1)
+	first := r.ds.OrderKeyHorizon()
+	base := cut.Writes()
+	cut.KillAfter(k)
+	err := o.RunTxn(r.tm, r.sess, killSweepTxns)
+	if err == nil {
+		err = r.inst.Pool.FlushAll(&r.sess.Clk)
+	}
+	if err == nil {
+		err = o.RunTxn(r.tm, r.sess, killSweepTxns)
+	}
+	if err == nil {
+		err = r.tm.Checkpoint(r.sess)
+	}
+	if err == nil {
+		err = o.RunTxn(r.tm, r.sess, killSweepTxns)
+	}
+	if k < 0 {
+		if err != nil {
+			t.Fatalf("clean run: %v", err)
+		}
+		t.Logf("clean run: %d NewOrder, %d Payment, %d OrderStatus", o.NewOrders, o.Payments, o.OrderStatuses)
+		return cut.Writes() - base
+	}
+	if !errors.Is(err, pagestore.ErrKilled) || !cut.Dead() {
+		t.Fatalf("run returned %v (dead=%v), want ErrKilled", err, cut.Dead())
+	}
+	r.tm.Crash()
+
+	inst, err := r.ds.DB.NewInstance(r.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := inst.NewSession()
+	if _, _, err := wal.Recover(&sess.Clk, inst.Mgr, wal.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	checkCommitted(t, sess, o)
+	committed := make(map[int64]bool, len(o.Committed))
+	for _, key := range o.Committed {
+		committed[key] = true
+	}
+	for key := first; key < r.ds.OrderKeyHorizon(); key++ {
+		if _, ok := orderRID(t, sess, o, key); ok && !committed[key] {
+			t.Fatalf("order %d visible after recovery, but its transaction did not commit", key)
+		}
+	}
+	return 0
 }
