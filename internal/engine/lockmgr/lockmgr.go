@@ -98,10 +98,47 @@ type waiter struct {
 	grantAt time.Duration
 }
 
-// lockState is the holder set and wait queue of one page.
+// holder is one transaction holding a page lock.
+type holder struct {
+	txn  int64
+	mode Mode
+}
+
+// lockState is the lock head of one page: its holders in grant order (one
+// but under shared reads) and its wait queue. A head whose last holder
+// and waiter have left goes onto the manager's freelist, empty, for the
+// next page locked.
 type lockState struct {
-	holders map[int64]Mode
+	holders []holder
 	queue   []*waiter
+}
+
+// holding returns the index of txn's entry in the holders, or -1.
+func (ls *lockState) holding(txn int64) int {
+	for i, h := range ls.holders {
+		if h.txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+// txnLocks is one transaction's row: the pages it holds, in acquisition
+// order (an upgrade adds none). ReleaseAllAt empties it onto the
+// manager's freelist.
+type txnLocks struct {
+	pages []PageID
+}
+
+// reuse pops an entry of a freelist, or allocates one when it is empty.
+func reuse[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return x
 }
 
 // Stats are cumulative lock manager counters.
@@ -122,9 +159,14 @@ type Stats struct {
 type Manager struct {
 	mu    sync.Mutex
 	locks map[PageID]*lockState
-	held  map[int64]map[PageID]Mode // txn -> held locks
-	blkd  map[int64]*waiter         // txn -> its blocked request
+	held  map[int64]*txnLocks // txn -> held locks
+	blkd  map[int64]*waiter   // txn -> its blocked request
 	stats Stats
+
+	// Freelists of emptied lock heads and transaction rows, so a warm
+	// table allocates nothing per lock.
+	freeLocks []*lockState
+	freeRows  []*txnLocks
 
 	// Scratch of the cycle search, reused under mu: the DFS path, the
 	// transactions seen (true while on the path) and a stack of the
@@ -148,7 +190,7 @@ type Manager struct {
 func New() *Manager {
 	return &Manager{
 		locks: make(map[PageID]*lockState),
-		held:  make(map[int64]map[PageID]Mode),
+		held:  make(map[int64]*txnLocks),
 		blkd:  make(map[int64]*waiter),
 		seen:  make(map[int64]bool),
 	}
@@ -221,12 +263,12 @@ func (m *Manager) acquire(txn int64, id PageID, mode Mode, at time.Duration) (*w
 	m.mu.Lock()
 	ls := m.locks[id]
 	if ls == nil {
-		ls = &lockState{holders: make(map[int64]Mode)}
+		ls = reuse(&m.freeLocks)
 		m.locks[id] = ls
 	}
 
-	if have, ok := ls.holders[txn]; ok {
-		if have >= mode {
+	if i := ls.holding(txn); i >= 0 {
+		if ls.holders[i].mode >= mode {
 			m.stats.Acquired++
 			m.mAcquired.Inc()
 			m.mu.Unlock()
@@ -234,8 +276,7 @@ func (m *Manager) acquire(txn int64, id PageID, mode Mode, at time.Duration) (*w
 		}
 		// Upgrade: grant immediately when txn is the sole holder.
 		if len(ls.holders) == 1 {
-			ls.holders[txn] = Exclusive
-			m.held[txn][id] = Exclusive
+			ls.holders[i].mode = Exclusive
 			m.stats.Acquired++
 			m.stats.Upgrades++
 			m.mAcquired.Inc()
@@ -246,14 +287,14 @@ func (m *Manager) acquire(txn int64, id PageID, mode Mode, at time.Duration) (*w
 		// Queue the upgrade at the front: it already holds Shared, so
 		// nothing behind it can be granted first anyway.
 		w := &waiter{txn: txn, id: id, mode: Exclusive, upgrade: true, done: make(chan error, 1), at: at}
-		ls.queue = append([]*waiter{w}, ls.queue...)
+		ls.queue = slices.Insert(ls.queue, 0, w)
 		m.armWaitLocked(w, at)
 		return w, nil
 	}
 
 	if m.grantableLocked(ls, txn, mode) {
-		ls.holders[txn] = mode
-		m.noteHeld(txn, id, mode)
+		ls.holders = append(ls.holders, holder{txn, mode})
+		m.noteHeld(txn, id)
 		m.stats.Acquired++
 		m.mAcquired.Inc()
 		m.mu.Unlock()
@@ -288,8 +329,8 @@ func holdersAllow(ls *lockState, mode Mode) bool {
 	if mode == Exclusive {
 		return len(ls.holders) == 0
 	}
-	for _, hm := range ls.holders {
-		if hm == Exclusive {
+	for _, h := range ls.holders {
+		if h.mode == Exclusive {
 			return false
 		}
 	}
@@ -303,14 +344,14 @@ func (m *Manager) grantableLocked(ls *lockState, txn int64, mode Mode) bool {
 	return len(ls.queue) == 0 && holdersAllow(ls, mode)
 }
 
-// noteHeld records a granted lock in the per-txn index. Caller holds m.mu.
-func (m *Manager) noteHeld(txn int64, id PageID, mode Mode) {
-	h := m.held[txn]
-	if h == nil {
-		h = make(map[PageID]Mode)
-		m.held[txn] = h
+// noteHeld appends a newly granted page to txn's row. Caller holds m.mu.
+func (m *Manager) noteHeld(txn int64, id PageID) {
+	row := m.held[txn]
+	if row == nil {
+		row = reuse(&m.freeRows)
+		m.held[txn] = row
 	}
-	h[id] = mode
+	row.pages = append(row.pages, id)
 }
 
 // appendEdgesLocked appends the waits-for edges of txn to dst: none
@@ -325,9 +366,9 @@ func (m *Manager) appendEdgesLocked(dst []int64, txn int64) []int64 {
 		return dst
 	}
 	ls := m.locks[w.id]
-	for h, hm := range ls.holders {
-		if h != txn && (w.mode == Exclusive || hm == Exclusive) {
-			dst = append(dst, h)
+	for _, h := range ls.holders {
+		if h.txn != txn && (w.mode == Exclusive || h.mode == Exclusive) {
+			dst = append(dst, h.txn)
 		}
 	}
 	for _, ahead := range ls.queue {
@@ -439,11 +480,8 @@ func (m *Manager) refuseLocked(txn int64, at time.Duration) {
 	}
 	delete(m.blkd, txn)
 	if ls := m.locks[w.id]; ls != nil {
-		for i, q := range ls.queue {
-			if q == w {
-				ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-				break
-			}
+		if i := slices.Index(ls.queue, w); i >= 0 {
+			ls.queue = slices.Delete(ls.queue, i, i+1)
 		}
 		m.grantQueueLocked(w.id, ls, at)
 	}
@@ -455,26 +493,26 @@ func (m *Manager) refuseLocked(txn int64, at time.Duration) {
 // grantQueueLocked grants the longest compatible prefix of the wait
 // queue. at is the virtual time of the release enabling the grants
 // (negative when unknown): each granted waiter is stamped with it, never
-// below its own request time, before it is woken. Caller holds m.mu.
+// below its own request time, before it is woken. A head left with no
+// holder and no waiter goes onto the freelist. Caller holds m.mu.
 func (m *Manager) grantQueueLocked(id PageID, ls *lockState, at time.Duration) {
-	for len(ls.queue) > 0 {
-		w := ls.queue[0]
+	granted := 0
+	for _, w := range ls.queue {
 		if w.upgrade {
 			if len(ls.holders) != 1 {
 				break // other Shared holders still present
 			}
-			ls.holders[w.txn] = Exclusive
-			m.held[w.txn][id] = Exclusive
+			ls.holders[0].mode = Exclusive // the sole holder is w.txn
 			m.stats.Upgrades++
 			m.mUpgrades.Inc()
 		} else {
 			if !holdersAllow(ls, w.mode) {
 				break
 			}
-			ls.holders[w.txn] = w.mode
-			m.noteHeld(w.txn, id, w.mode)
+			ls.holders = append(ls.holders, holder{w.txn, w.mode})
+			m.noteHeld(w.txn, id)
 		}
-		ls.queue = ls.queue[1:]
+		granted++
 		delete(m.blkd, w.txn)
 		m.stats.Acquired++
 		m.mAcquired.Inc()
@@ -484,8 +522,11 @@ func (m *Manager) grantQueueLocked(id PageID, ls *lockState, at time.Duration) {
 		}
 		w.done <- nil
 	}
+	// Delete clears the vacated slots, so no granted waiter stays reachable.
+	ls.queue = slices.Delete(ls.queue, 0, granted)
 	if len(ls.holders) == 0 && len(ls.queue) == 0 {
 		delete(m.locks, id)
+		m.freeLocks = append(m.freeLocks, ls)
 	}
 }
 
@@ -499,27 +540,38 @@ func (m *Manager) ReleaseAll(txn int64) {
 // ReleaseAllAt is ReleaseAll with the releaser's virtual time attached:
 // every waiter granted by this release observes at as its grant time, so
 // an AcquireClk blocked behind txn pays the wait in simulated latency.
+// Pages are released in the order txn acquired them.
 func (m *Manager) ReleaseAllAt(txn int64, at time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	held := m.held[txn]
+	row := m.held[txn]
+	if row == nil {
+		return
+	}
 	delete(m.held, txn)
-	for id := range held {
+	for _, id := range row.pages {
 		ls := m.locks[id]
 		if ls == nil {
 			continue
 		}
-		delete(ls.holders, txn)
+		if i := ls.holding(txn); i >= 0 {
+			ls.holders = slices.Delete(ls.holders, i, i+1)
+		}
 		m.grantQueueLocked(id, ls, at)
 		m.resolveDeadlocksLocked(id, at)
 	}
+	row.pages = row.pages[:0]
+	m.freeRows = append(m.freeRows, row)
 }
 
 // Held reports how many locks txn currently holds.
 func (m *Manager) Held(txn int64) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.held[txn])
+	if row := m.held[txn]; row != nil {
+		return len(row.pages)
+	}
+	return 0
 }
 
 // Waiting reports how many lock requests are currently blocked.

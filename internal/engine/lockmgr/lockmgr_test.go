@@ -244,3 +244,91 @@ func TestConcurrentHammer(t *testing.T) {
 		t.Fatalf("lock states leaked: %d", len(m.locks))
 	}
 }
+
+// TestWarmTableAllocatesNothing holds the lock table to zero allocations
+// per lock once warm: a transaction takes 8 pages in mixed modes,
+// upgrades one of them in place and releases them all.
+func TestWarmTableAllocatesNothing(t *testing.T) {
+	m := New()
+	var txn int64
+	run := func() {
+		txn++
+		for p := int64(0); p < 8; p++ {
+			mode := Shared
+			if p%2 == 1 {
+				mode = Exclusive
+			}
+			if err := m.Acquire(txn, PageID{Obj: 1, Page: p}, mode); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Acquire(txn, PageID{Obj: 1, Page: 0}, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		m.ReleaseAll(txn)
+	}
+	run()
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Fatalf("%v allocations per transaction on a warm table, want 0", n)
+	}
+	if s := m.Stats(); s.Upgrades != txn {
+		t.Fatalf("upgrades=%d after %d transactions", s.Upgrades, txn)
+	}
+}
+
+// TestRecycledHeadCarriesNothingStale drives a lock head through a
+// shared pair, an upgrade refused as a deadlock and a full release, then
+// checks that the next page locked gets the head back with no holder,
+// waiter or edge of its past.
+func TestRecycledHeadCarriesNothingStale(t *testing.T) {
+	m := New()
+	a, b := PageID{Obj: 3, Page: 0}, PageID{Obj: 4, Page: 9}
+	if err := m.Acquire(1, a, Shared); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Acquire(2, a, Shared); err != nil {
+		t.Fatal(err)
+	}
+	head := m.locks[a]
+	got1 := make(chan error, 1)
+	go func() { got1 <- m.Acquire(1, a, Exclusive) }()
+	waitFor(t, func() bool { return m.Waiting() == 1 }, "txn 1 upgrade to block")
+	if err := m.Acquire(2, a, Exclusive); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("want ErrDeadlock, got %v", err)
+	}
+	m.ReleaseAll(2)
+	if err := <-got1; err != nil {
+		t.Fatalf("survivor upgrade failed: %v", err)
+	}
+	m.ReleaseAll(1)
+	if len(m.locks) != 0 || len(m.freeLocks) != 1 || m.freeLocks[0] != head {
+		t.Fatalf("released head not recycled: %d live, %d free", len(m.locks), len(m.freeLocks))
+	}
+
+	waits := m.Stats().Waits
+	if err := m.Acquire(3, b, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	if m.locks[b] != head {
+		t.Fatal("new page did not reuse the freed head")
+	}
+	if s := m.Stats(); s.Waits != waits {
+		t.Fatalf("grant on a recycled head waited (%d waits, want %d)", s.Waits, waits)
+	}
+	if want := []holder{{3, Exclusive}}; !reflect.DeepEqual(head.holders, want) {
+		t.Fatalf("holders = %v, want %v", head.holders, want)
+	}
+	for i, w := range head.queue[:cap(head.queue)] {
+		if w != nil {
+			t.Fatalf("queue slot %d still holds txn %d's request", i, w.txn)
+		}
+	}
+	if m.Held(3) != 1 || m.Held(1) != 0 || m.Held(2) != 0 {
+		t.Fatalf("held = %d/%d/%d, want 1/0/0", m.Held(3), m.Held(1), m.Held(2))
+	}
+	if m.Waiting() != 0 {
+		t.Fatalf("waiting = %d", m.Waiting())
+	}
+	wantWaits(t, m, map[int64][]int64{})
+	m.ReleaseAll(3)
+}

@@ -13,6 +13,7 @@ import (
 	"hstoragedb/internal/engine/heap"
 	"hstoragedb/internal/engine/policy"
 	"hstoragedb/internal/engine/txn"
+	"hstoragedb/internal/pagestore"
 )
 
 // rowCPU is the simulated CPU cost per row operation on the OLTP path
@@ -78,8 +79,9 @@ type OLTP struct {
 
 	// Committed collects the order keys of NewOrder transactions whose
 	// commit is durable; Lost collects keys whose transaction was killed
-	// by the crash harness before its commit record. The crash-recovery
-	// verification checks the former are present and the latter absent.
+	// by the crash harness or the store's cut before its commit returned
+	// (see RunTxn). The crash-recovery verification checks the former are
+	// present and the latter absent.
 	Committed []int64
 	Lost      []int64
 }
@@ -137,8 +139,9 @@ func (o *OLTP) Run(sess *engine.Session, n int) error {
 // the transaction manager. NewOrder and Payment run as mutating
 // transactions whose page writes are logged; OrderStatus runs read-only.
 // Deadlock losers are aborted and retried transparently. When the
-// manager's crash harness fires, RunTxn records the in-flight NewOrder
-// key (if any) in Lost and returns txn.ErrCrashed.
+// manager's crash harness fires (txn.ErrCrashed) or the store's cut
+// kills it (pagestore.ErrKilled), RunTxn records the in-flight NewOrder
+// key (if any) in Lost and returns that error unwrapped.
 func (o *OLTP) RunTxn(tm *txn.Manager, sess *engine.Session, n int) error {
 	for i := 0; i < n; i++ {
 		var err error
@@ -155,7 +158,7 @@ func (o *OLTP) RunTxn(tm *txn.Manager, sess *engine.Session, n int) error {
 			}
 		}
 		if err != nil {
-			if errors.Is(err, txn.ErrCrashed) {
+			if crashed(err) {
 				return err
 			}
 			return fmt.Errorf("tpch: oltp txn %d: %w", i, err)
@@ -171,7 +174,7 @@ func (o *OLTP) RunTxn(tm *txn.Manager, sess *engine.Session, n int) error {
 func (o *OLTP) RunNewOrdersTxn(tm *txn.Manager, sess *engine.Session, n int) error {
 	for i := 0; i < n; i++ {
 		if err := o.runNewOrderTxn(tm, sess); err != nil {
-			if errors.Is(err, txn.ErrCrashed) {
+			if crashed(err) {
 				return err
 			}
 			return fmt.Errorf("tpch: oltp neworder %d: %w", i, err)
@@ -197,13 +200,19 @@ func (o *OLTP) runNewOrderTxn(tm *txn.Manager, sess *engine.Session) error {
 		return tx.Commit()
 	})
 	if err != nil {
-		if errors.Is(err, txn.ErrCrashed) {
+		if crashed(err) {
 			o.Lost = append(o.Lost, key)
 		}
 		return err
 	}
 	o.Committed = append(o.Committed, key)
 	return nil
+}
+
+// crashed reports whether err is a simulated crash: the transaction
+// manager's harness or the store's cut.
+func crashed(err error) bool {
+	return errors.Is(err, txn.ErrCrashed) || errors.Is(err, pagestore.ErrKilled)
 }
 
 // runPaymentTxn picks the payment's keys once and commits it

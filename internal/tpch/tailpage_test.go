@@ -390,7 +390,14 @@ func killOLTPAt(t *testing.T, k int64) int64 {
 	for _, key := range o.Committed {
 		committed[key] = true
 	}
+	lost := make(map[int64]bool, len(o.Lost))
+	for _, key := range o.Lost {
+		lost[key] = true
+	}
 	for key := first; key < r.ds.OrderKeyHorizon(); key++ {
+		if !committed[key] && !lost[key] {
+			t.Fatalf("order %d is neither committed nor lost", key)
+		}
 		if _, ok := orderRID(t, sess, o, key); ok && !committed[key] {
 			t.Fatalf("order %d visible after recovery, but its transaction did not commit", key)
 		}
