@@ -24,8 +24,9 @@ race:
 # edits, a shifted B-tree leaf, a heap append, an unchanged page, no
 # pre-image; with the redo bytes) and with the record append around it
 # (wal), a transaction's commit and abort over 1, 8 and 64 pages (txn),
-# a dirty page's Put, eviction and write-back into the store
-# (bufferpool), the lock table's uncontended acquire and release of 1, 8
+# a dirty page's Put, eviction and write-back into the store, and a Get
+# that hits, misses, or on a snapshot stream is served by the version
+# chain, the frame or a read (bufferpool), the lock table's uncontended acquire and release of 1, 8
 # and 64 pages, an upgrade, a handoff and a deadlock found at depth 2
 # and 8 (lockmgr), the priority cache's read hit, read miss admitted into
 # free space, eviction and write-buffer destage per request, driven from

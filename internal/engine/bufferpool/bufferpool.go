@@ -21,10 +21,11 @@
 //     here, and a lock-manager deadlock surfaces as an error from
 //     Get/Put;
 //   - the transaction's first Put of a page records the first touch:
-//     the frame's content becomes the page's pending version (mvcc.go),
-//     which is at once the transaction's undo image, the base its redo
-//     is encoded against and what snapshot readers see; the frame gains
-//     one pin; and the page joins the transaction's first-touch list.
+//     the page's content (the frame's, or with no frame the stored
+//     page) becomes its pending version (mvcc.go), which is at once the
+//     transaction's undo image, the base its redo is encoded against and
+//     what snapshot readers see; the frame gains one pin; and the page
+//     joins the transaction's first-touch list.
 //
 // The page's exclusive lock is held from the first touch until the
 // version is sealed, so a transaction's pending version is always the
@@ -294,17 +295,12 @@ func (p *Pool) evictOne(clk *simclock.Clock) (bool, error) {
 	version := lru.version
 	pageNo := lru.key.page
 	p.mu.Unlock()
-	// Nil version guards defer to the disk image this write-back is about
-	// to replace: materialize them first.
-	err := p.materializeGuards(clk, lru.key, lru.content)
-	if err == nil {
-		// Dirty pages are flushed by the background writer: the flush
-		// occupies the storage system but the query does not wait for it. A
-		// write-back can race the deletion of its object (another stream
-		// just dropped the temp file this frame belongs to); the data is
-		// dead, so the write is simply discarded.
-		err = p.mgr.WritePageBackground(clk, tag, pageNo, data)
-	}
+	// Dirty pages are flushed by the background writer: the flush occupies
+	// the storage system but the query does not wait for it. A write-back
+	// can race the deletion of its object (another stream just dropped the
+	// temp file this frame belongs to); the data is dead, so the write is
+	// simply discarded.
+	err := p.mgr.WritePageBackground(clk, tag, pageNo, data)
 	if errors.Is(err, pagestore.ErrUnknownObject) {
 		err = nil
 	}
@@ -353,17 +349,22 @@ func (p *Pool) makeRoom(clk *simclock.Clock) error {
 // in place (tuples and node entries are read by offset in the frame), and
 // a slice kept across later pool calls stays valid — as the image the
 // page had at this Get, not as the page's current content. On a stream
-// with a bound transaction, the transaction's
-// Acquire hook runs first (shared mode) and its error — e.g. a deadlock —
-// is returned unchanged.
+// with a bound transaction, the transaction's Acquire hook runs first
+// (shared mode) and its error — e.g. a deadlock — is returned unchanged;
+// on a snapshot-bound stream, a table or index page resolves as of the
+// snapshot (mvcc.go) and no hook runs.
+//
+// Each pass checks the version chain (snapshot streams only), then the
+// frame, and otherwise reads the page outside the latch and checks again.
+// A frame found before the read counts a hit, each read a miss.
 func (p *Pool) Get(clk *simclock.Clock, tag policy.Tag, page int64) ([]byte, error) {
+	snapshot, snap := false, int64(0)
 	if versioned(tag.Content) {
 		switch b, ok := p.bindingFor(clk); {
 		case !ok:
 		case b.txn == nil:
-			// Snapshot-bound stream: resolve against the version store,
-			// bypassing the lock manager entirely.
-			return p.getSnapshot(clk, tag, page, b.snap)
+			snapshot, snap = true, b.snap
+			p.mSnapReads.Inc()
 		case b.txn.Acquire != nil:
 			if err := b.txn.Acquire(tag, page, false); err != nil {
 				return nil, err
@@ -371,47 +372,59 @@ func (p *Pool) Get(clk *simclock.Clock, tag policy.Tag, page int64) ([]byte, err
 		}
 	}
 	k := key{obj: tag.Object, page: page}
+	var read []byte // the page as read from storage, once a pass read it
 	p.mu.Lock()
-	if e, ok := p.table[k]; ok {
-		p.touch(e)
-		p.stats.Hits++
-		p.mHit.Inc()
-		data := e.data
+	for {
+		if snapshot {
+			if data, ok := p.chainResolveLocked(k, snap); ok {
+				p.mu.Unlock()
+				return data, nil
+			}
+		}
+		if e, ok := p.table[k]; ok {
+			if snapshot && e.uncommitted {
+				// An uncommitted frame is always covered by its owner's
+				// pending chain version, which the resolve above serves.
+				p.mu.Unlock()
+				return nil, fmt.Errorf("bufferpool: snapshot %d: page %d/%d has uncommitted frame and no covering version", snap, tag.Object, page)
+			}
+			p.touch(e)
+			if read == nil {
+				p.stats.Hits++
+				p.mHit.Inc()
+			}
+			data := e.data
+			p.mu.Unlock()
+			return data, nil
+		}
+		if read != nil {
+			e := &entry{key: k, data: read, content: tag.Content}
+			p.table[k] = e
+			p.pushFront(e)
+			p.mu.Unlock()
+			return read, nil
+		}
+		p.stats.Misses++
+		p.mMiss.Inc()
+		tr := p.tracer
+		if err := p.makeRoom(clk); err != nil {
+			p.mu.Unlock()
+			return nil, err
+		}
 		p.mu.Unlock()
-		return data, nil
-	}
-	p.stats.Misses++
-	p.mMiss.Inc()
-	tr := p.tracer
-	if err := p.makeRoom(clk); err != nil {
-		p.mu.Unlock()
-		return nil, err
-	}
-	p.mu.Unlock()
 
-	fillStart := clk.Now()
-	data, err := p.mgr.ReadPage(clk, tag, page)
-	if err != nil {
-		return nil, err
+		fillStart := clk.Now()
+		data, err := p.mgr.ReadPage(clk, tag, page)
+		if err != nil {
+			return nil, err
+		}
+		if tr.SampleRequest() {
+			tr.Span("bufferpool", "miss.fill", clk.ID(), fillStart, clk.Now()-fillStart,
+				map[string]any{"obj": int64(tag.Object), "page": page})
+		}
+		read = data
+		p.mu.Lock()
 	}
-	if tr.SampleRequest() {
-		tr.Span("bufferpool", "miss.fill", clk.ID(), fillStart, clk.Now()-fillStart,
-			map[string]any{"obj": int64(tag.Object), "page": page})
-	}
-
-	p.mu.Lock()
-	if e, ok := p.table[k]; ok {
-		// A concurrent query loaded the page while we were reading.
-		p.touch(e)
-		data = e.data
-		p.mu.Unlock()
-		return data, nil
-	}
-	e := &entry{key: k, data: data, content: tag.Content}
-	p.table[k] = e
-	p.pushFront(e)
-	p.mu.Unlock()
-	return data, nil
 }
 
 // Put stores new content for (tag.Object, page) and marks the frame
@@ -446,13 +459,20 @@ func (p *Pool) Put(clk *simclock.Clock, tag policy.Tag, page int64, data []byte)
 			return err
 		}
 		e = &entry{key: k}
+	}
+	// The first touch comes before a new frame is installed, so a store
+	// error leaves the pool as it was.
+	if h != nil {
+		if err := p.firstTouchLocked(h, e, had); err != nil {
+			p.mu.Unlock()
+			return err
+		}
+	}
+	if had {
+		p.touch(e)
+	} else {
 		p.table[k] = e
 		p.pushFront(e)
-	} else {
-		p.touch(e)
-	}
-	if h != nil {
-		p.firstTouchLocked(h, e, had)
 	}
 	e.data = data
 	e.dirty = true
@@ -493,9 +513,6 @@ func (p *Pool) FlushAll(clk *simclock.Clock) error {
 	for _, s := range dirty {
 		e := s.e
 		tag := policy.Tag{Object: e.key.obj, Content: e.content}
-		if err := p.materializeGuards(clk, e.key, e.content); err != nil {
-			return err
-		}
 		if err := p.mgr.WritePage(clk, tag, e.key.page, s.data); err != nil {
 			if errors.Is(err, pagestore.ErrUnknownObject) {
 				continue // the object was dropped while we flushed

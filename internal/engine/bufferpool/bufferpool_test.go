@@ -2,6 +2,7 @@ package bufferpool
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"hstoragedb/internal/dss"
@@ -41,6 +42,15 @@ func newHarness(t testing.TB) *harness {
 
 func tag(obj pagestore.ObjectID) policy.Tag {
 	return policy.Tag{Object: obj, Content: policy.Table, Pattern: policy.Sequential}
+}
+
+// blockIO sums the blocks the storage system has read and written.
+func blockIO(h *harness) (reads, writes int64) {
+	for _, c := range h.sys.Stats().PerClass {
+		reads += c.ReadBlocks
+		writes += c.WriteBlocks
+	}
+	return reads, writes
 }
 
 func TestGetMissThenHit(t *testing.T) {
@@ -298,7 +308,7 @@ func TestFirstTouch(t *testing.T) {
 			}
 			drained(t, p)
 		}},
-		{"a page with no frame has a nil pre-image and is dropped", func(t *testing.T, h *harness, p *Pool) {
+		{"a page with no frame has a nil pre-image and is dropped only past the object's end", func(t *testing.T, h *harness, p *Pool) {
 			clk, tx := bind(p, 1)
 			put(t, p, clk, 0, img(7))
 			if got := touched(t, p, tx); len(got) != 1 || got[0].pre != nil || !bytes.Equal(got[0].post, img(7)) {
@@ -369,22 +379,112 @@ func TestFirstTouch(t *testing.T) {
 		{"rollback runs in reverse first-touch order", func(t *testing.T, h *harness, p *Pool) {
 			// One record per page: the order leaves no trace in the frames,
 			// so the row holds the list's order as Touched reports it, and
-			// that the reverse walk restores every record on it.
+			// that the reverse walk restores every record on it. Page 1
+			// lies between two written pages, so it exists with no frame.
 			clean(t, h, p, 0, 2)
+			stored, _, err := h.store.ReadPage(1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			clk, tx := bind(p, 1)
 			for _, page := range []int64{2, 1, 0} {
 				put(t, p, clk, page, img(9))
 			}
 			got := touched(t, p, tx)
 			if len(got) != 3 || got[0].page != 2 || got[1].page != 1 || got[2].page != 0 ||
-				!bytes.Equal(got[0].pre, img(3)) || got[1].pre != nil || !bytes.Equal(got[2].pre, img(1)) {
-				t.Fatalf("touched %v, want pages 2, 1, 0 from their first images", got)
+				!bytes.Equal(got[0].pre, img(3)) || !bytes.Equal(got[1].pre, stored) || !bytes.Equal(got[2].pre, img(1)) {
+				t.Fatal("touched records are not pages 2, 1, 0 from their first images")
 			}
 			p.Rollback(tx)
-			if p.Len() != 2 || !bytes.Equal(frame(t, p, 0).data, img(1)) || !bytes.Equal(frame(t, p, 2).data, img(3)) {
-				t.Fatal("rollback did not restore every first-touch image")
+			for page, want := range [][]byte{img(1), stored, img(3)} {
+				if e := frame(t, p, int64(page)); !bytes.Equal(e.data, want) || e.dirty {
+					t.Fatalf("page %d not restored clean to its first image (dirty %v)", page, e.dirty)
+				}
 			}
 			drained(t, p)
+		}},
+		{"a first touch with no frame takes the stored page", func(t *testing.T, h *harness, p *Pool) {
+			clean(t, h, p, 0)
+			p.DropAll()
+			stored, _, err := h.store.ReadPage(1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sclk := &simclock.Clock{}
+			p.BindSnapshot(sclk, func() int64 { return 5 })
+			same := func(a, b []byte) bool { return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] }
+
+			// T1 touches the page with no frame, and rolls back.
+			clk1, t1 := bind(p, 1)
+			r0, w0 := blockIO(h)
+			put(t, p, clk1, 0, img(7))
+			if got := touched(t, p, t1); len(got) != 1 || !same(got[0].pre, stored) {
+				t.Fatal("the pre-image is not the stored page itself")
+			}
+			if got, err := p.Get(sclk, tag(1), 0); err != nil || !same(got, stored) {
+				t.Fatalf("snapshot Get = %v; want the stored page", err)
+			}
+			if r, w := blockIO(h); r != r0 || w != w0 || sclk.Now() != 0 {
+				t.Fatalf("the touch and the snapshot read cost %d reads, %d writes, %v", r-r0, w-w0, sclk.Now())
+			}
+			p.Rollback(t1)
+			if e := frame(t, p, 0); !same(e.data, stored) || e.dirty || e.uncommitted {
+				t.Fatalf("rolled back to dirty %v, uncommitted %v, not the stored page", e.dirty, e.uncommitted)
+			}
+			drained(t, p)
+
+			// T2 touches it with no frame again and commits; the snapshot
+			// keeps the version alive, and the write-back has nothing to read.
+			p.DropAll()
+			clk2, t2 := bind(p, 2)
+			put(t, p, clk2, 0, img(8))
+			p.CommitVersions(t2, 10, 10)
+			p.Release(t2)
+			if got, err := p.Get(sclk, tag(1), 0); err != nil || !same(got, stored) {
+				t.Fatalf("snapshot Get after the commit = %v; want the stored page", err)
+			}
+			r0, w0 = blockIO(h)
+			for page := int64(1); page <= 8; page++ {
+				put(t, p, &h.clk, page, img(byte(page)))
+			}
+			if _, ok := p.table[key{obj: 1, page: 0}]; ok {
+				t.Fatal("page 0 was not evicted")
+			}
+			if r, w := blockIO(h); r != r0 || w != w0+1 {
+				t.Fatalf("the eviction read %d and wrote %d blocks, want 0 and 1", r-r0, w-w0)
+			}
+		}},
+		{"a store error on a first touch leaves the pool as it was", func(t *testing.T, h *harness, p *Pool) {
+			clean(t, h, p, 0)
+			p.DropAll()
+			h.store.KillAfter(0)
+			if _, err := h.store.WritePage(1, 1, img(1)); !errors.Is(err, pagestore.ErrKilled) {
+				t.Fatalf("the cut let a write through: %v", err)
+			}
+			clk, tx := bind(p, 1)
+			if err := p.Put(clk, tag(1), 0, img(7)); !errors.Is(err, pagestore.ErrKilled) {
+				t.Fatalf("Put on a killed store = %v, want ErrKilled", err)
+			}
+			if p.Len() != 0 || len(touched(t, p, tx)) != 0 {
+				t.Fatal("the failed Put left a frame or a record")
+			}
+			drained(t, p)
+		}},
+		{"a snapshot stream counts a miss and a hit as a plain stream does", func(t *testing.T, h *harness, p *Pool) {
+			sclk := &simclock.Clock{}
+			p.BindSnapshot(sclk, func() int64 { return 5 })
+			for _, clk := range []*simclock.Clock{&h.clk, sclk} {
+				p.DropAll()
+				p.ResetStats()
+				for i := 0; i < 2; i++ {
+					if _, err := p.Get(clk, tag(1), 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if s := p.Stats(); s.Misses != 1 || s.Hits != 1 {
+					t.Fatalf("stats %+v, want one miss, then one hit", s)
+				}
+			}
 		}},
 		{"after DropAll every call skips the missing records", func(t *testing.T, h *harness, p *Pool) {
 			clean(t, h, p, 0, 1)

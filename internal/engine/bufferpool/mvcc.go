@@ -15,17 +15,16 @@
 //     the content at S;
 //   - otherwise a committed version at or below S superseded it, which
 //     means the page's *current* committed content is the visible one:
-//     the frame (when not uncommitted) or the disk image.
+//     the frame (when not uncommitted) or the stored page.
 //
 // The chain, not the frame, is authoritative: a frame may be evicted
 // after a commit and reloaded from disk with an unknown version LSN, and
 // a frame holding uncommitted content must never be served to a reader.
 //
-// A pending version may carry nil data: the page had no frame when the
-// writer first touched it, so the committed image it guards is the one
-// on disk. Every write-back materializes such guards first (reads the
-// old disk image into the chain before overwriting it), so a nil guard
-// always denotes the *current* disk content.
+// Every version holds its image: a first touch of a page with no frame
+// takes the stored page by reference (stored pages are immutable, so it
+// costs no copy and no I/O). Only a version of a page past the object's
+// end has no data; it is absent, and reads as zeroes.
 //
 // Garbage collection: a sealed version is prunable once no active
 // snapshot falls inside its [created, superseded) validity window and
@@ -37,8 +36,6 @@
 package bufferpool
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 
 	"hstoragedb/internal/engine/policy"
@@ -126,27 +123,32 @@ func (p *Pool) activeSnaps() []int64 {
 }
 
 // firstTouchLocked records h's first touch of frame e's page, before a
-// Put installs over it: the frame's content becomes the page's pending
-// version, the frame gains a pin, and the page joins h's first-touch
-// list. A page whose newest version h already owns was touched before.
-// had reports whether the frame existed before this Put; without one,
-// either the page does not exist yet (an append extends the object only
-// after this Put), so snapshot readers see zeroes, or its committed
-// content lives on disk: a nil guard defers to the disk image. The
-// pending version's created LSN is the frame's commit stamp, raised to
-// the chain horizon (a frame evicted and reloaded since loses the stamp).
-// Caller holds p.mu.
-func (p *Pool) firstTouchLocked(h *TxnHooks, e *entry, had bool) {
+// Put installs over it: the page's content becomes its pending version,
+// the frame gains a pin, and the page joins h's first-touch list. A page
+// whose newest version h already owns was touched before. had reports
+// whether the frame existed before this Put; without one, the content is
+// the stored page, or, past the object's end (an append extends the
+// object only after this Put), absent. The pending version's created LSN
+// is the frame's commit stamp, raised to the chain horizon (a frame
+// evicted and reloaded since loses the stamp). A store error changes
+// nothing. Caller holds p.mu.
+func (p *Pool) firstTouchLocked(h *TxnHooks, e *entry, had bool) error {
 	chain := p.versions[e.key]
 	n := len(chain)
 	if n > 0 && chain[n-1].owner == h.ID {
-		return
+		return nil
 	}
 	v := pageVersion{owner: h.ID}
-	if had {
+	switch store := p.mgr.Store(); {
+	case had:
 		v.created, v.data, v.preDirty = e.verLSN, e.data, e.dirty
-	} else {
-		v.absent = e.key.page >= p.mgr.Store().Pages(e.key.obj)
+	case e.key.page >= store.Pages(e.key.obj):
+		v.absent = true
+	default:
+		var err error
+		if v.data, _, err = store.Read(e.key.obj, e.key.page); err != nil {
+			return err
+		}
 	}
 	if n > 0 && chain[n-1].superseded > v.created {
 		v.created = chain[n-1].superseded
@@ -158,6 +160,7 @@ func (p *Pool) firstTouchLocked(h *TxnHooks, e *entry, had bool) {
 	e.pins++
 	e.uncommitted = true
 	h.touched = append(h.touched, e)
+	return nil
 }
 
 // pendingLocked returns h's pending version of frame e's page: the
@@ -177,9 +180,9 @@ func (p *Pool) pendingLocked(h *TxnHooks, e *entry) *pageVersion {
 
 // Touched calls fn for every page the transaction bound by h has
 // first-touched, in first-touch order, with the page's pre-image (nil:
-// the page had no frame) and its current frame content, and stops at
-// fn's first error. fn runs without the pool latch, so it may do I/O.
-// Records that are gone (see pendingLocked) are skipped.
+// the page lay past the object's end) and its current frame content,
+// and stops at fn's first error. fn runs without the pool latch, so it
+// may do I/O. Records that are gone (see pendingLocked) are skipped.
 func (p *Pool) Touched(h *TxnHooks, fn func(obj pagestore.ObjectID, page int64, pre, post []byte) error) error {
 	for _, e := range h.touched {
 		p.mu.Lock()
@@ -201,14 +204,14 @@ func (p *Pool) Touched(h *TxnHooks, fn func(obj pagestore.ObjectID, page int64, 
 
 // CommitVersions seals h's pending versions with its commit LSN and
 // stamps the frames as committed at that LSN. It must be called while
-// the commit order is still pinned (the transaction layer holds its
-// commit-sequence mutex), so chain seal order matches commit-LSN order:
-// otherwise a snapshot taken between a later commit record and this
-// seal could miss a version it is entitled to. watermark is the current
-// published commit watermark, used to opportunistically prune the
-// just-sealed chains; it must have been read before the call, i.e.
-// before activeSnaps below (BindSnapshot relies on that order). The
-// pins stay until Release.
+// the commit order is still pinned (the transaction layer calls it under
+// the log's lock, inside walPhase), so chain seal order matches
+// commit-LSN order: otherwise a snapshot taken between a later commit
+// record and this seal could miss a version it is entitled to.
+// watermark is the current published commit watermark, used to
+// opportunistically prune the just-sealed chains; it must have been read
+// before the call, i.e. before activeSnaps below (BindSnapshot relies on
+// that order). The pins stay until Release.
 func (p *Pool) CommitVersions(h *TxnHooks, commitLSN, watermark int64) {
 	if len(h.touched) == 0 {
 		return
@@ -244,9 +247,10 @@ func (p *Pool) Release(h *TxnHooks) {
 
 // Rollback rewinds every page h first-touched to its pre-image, newest
 // first, dropping the pending versions and the pins, and empties the
-// list (abort path). A page that had no frame before the transaction is
-// dropped without write-back, so the storage system never sees the
-// aborted content. Records that are gone (see pendingLocked) are skipped.
+// list (abort path). A page that lay past the object's end (nil
+// pre-image) is dropped without write-back, so the storage system never
+// sees the aborted content. Records that are gone (see pendingLocked)
+// are skipped.
 func (p *Pool) Rollback(h *TxnHooks) {
 	p.mu.Lock()
 	for i := len(h.touched) - 1; i >= 0; i-- {
@@ -333,9 +337,7 @@ func snapInWindow(snaps []int64, lo, hi int64) bool {
 // chain is authoritative for it: the newest version with created <= s
 // whose superseded LSN is open or past s. ok=false means the page's
 // current committed content is the visible one (possibly because the
-// chain is empty). A true result with nil data means the visible image
-// is the current disk content (a guard whose frame had been evicted).
-// Caller holds p.mu.
+// chain is empty). Caller holds p.mu.
 func (p *Pool) chainResolveLocked(k key, s int64) (data []byte, ok bool) {
 	chain := p.versions[k]
 	for i := len(chain) - 1; i >= 0; i-- {
@@ -353,129 +355,6 @@ func (p *Pool) chainResolveLocked(k key, s int64) (data []byte, ok bool) {
 		return nil, false
 	}
 	return nil, false
-}
-
-// getSnapshot serves a Get on a snapshot-bound stream: the version chain
-// decides first; when the current committed content is the visible
-// version, the frame (or the disk image) serves it like an ordinary Get.
-func (p *Pool) getSnapshot(clk *simclock.Clock, tag policy.Tag, page int64, s int64) ([]byte, error) {
-	p.mSnapReads.Inc()
-	k := key{obj: tag.Object, page: page}
-	p.mu.Lock()
-	if data, ok := p.chainResolveLocked(k, s); ok {
-		p.mu.Unlock()
-		if data == nil {
-			// Nil guard: the committed image lives on disk (and stays
-			// there — write-backs materialize guards before overwriting).
-			return p.readSnapshotMiss(clk, tag, page, s, false)
-		}
-		return data, nil
-	}
-	if e, ok := p.table[k]; ok {
-		if !e.uncommitted {
-			p.touch(e)
-			p.stats.Hits++
-			p.mHit.Inc()
-			data := e.data
-			p.mu.Unlock()
-			return data, nil
-		}
-		// An uncommitted frame is always guarded by its owner's pending
-		// chain version, which the resolve above would have served.
-		p.mu.Unlock()
-		return nil, fmt.Errorf("bufferpool: snapshot %d: page %d/%d has uncommitted frame and no covering version", s, tag.Object, page)
-	}
-	p.mu.Unlock()
-	return p.readSnapshotMiss(clk, tag, page, s, true)
-}
-
-// readSnapshotMiss reads the page from the storage system for a snapshot
-// reader and re-resolves afterwards: a writer may have first-touched or
-// committed the page while the I/O was in flight, in which case the
-// chain — which then covers the snapshot — wins over the possibly-newer
-// disk image. install controls whether the frame is populated (a
-// guard-directed disk read must not install: the frame, if any, is
-// newer content).
-func (p *Pool) readSnapshotMiss(clk *simclock.Clock, tag policy.Tag, page int64, s int64, install bool) ([]byte, error) {
-	k := key{obj: tag.Object, page: page}
-	if install {
-		p.mu.Lock()
-		p.stats.Misses++
-		p.mMiss.Inc()
-		if err := p.makeRoom(clk); err != nil {
-			p.mu.Unlock()
-			return nil, err
-		}
-		p.mu.Unlock()
-	}
-
-	data, err := p.mgr.ReadPage(clk, tag, page)
-	if err != nil {
-		return nil, err
-	}
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if vdata, ok := p.chainResolveLocked(k, s); ok {
-		if vdata != nil {
-			return vdata, nil
-		}
-		// Still a nil guard: the disk image we read is the guarded
-		// committed content — any write-back that would have replaced it
-		// must first have materialized the guard, turning vdata non-nil.
-		return data, nil
-	}
-	if e, ok := p.table[k]; ok {
-		if !e.uncommitted {
-			p.touch(e)
-			return e.data, nil
-		}
-		return nil, fmt.Errorf("bufferpool: snapshot %d: page %d/%d has uncommitted frame and no covering version", s, tag.Object, page)
-	}
-	if install {
-		e := &entry{key: k, data: data, content: tag.Content}
-		p.table[k] = e
-		p.pushFront(e)
-	}
-	return data, nil
-}
-
-// materializeGuards backfills every nil-data version of a page with the
-// current disk image. Write-back paths call it before overwriting the
-// disk copy, preserving the invariant that a nil guard denotes content
-// still readable from disk. Called without p.mu held.
-func (p *Pool) materializeGuards(clk *simclock.Clock, k key, content policy.ContentType) error {
-	p.mu.Lock()
-	guarded := false
-	for _, v := range p.versions[k] {
-		if v.data == nil && !v.absent {
-			guarded = true
-			break
-		}
-	}
-	p.mu.Unlock()
-	if !guarded {
-		return nil
-	}
-	tag := policy.Tag{Object: k.obj, Content: content}
-	data, err := p.mgr.ReadPage(clk, tag, k.page)
-	if errors.Is(err, pagestore.ErrUnknownObject) {
-		return nil // the object was dropped: its versions are dead anyway
-	}
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	chain := p.versions[k]
-	for i := range chain {
-		if chain[i].data == nil && !chain[i].absent {
-			chain[i].data = data
-			p.verBytes += int64(len(data))
-			p.mVerBytes.Add(int64(len(data)))
-		}
-	}
-	p.mu.Unlock()
-	return nil
 }
 
 // VersionStats returns a snapshot of the version store.

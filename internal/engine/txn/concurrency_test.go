@@ -230,7 +230,7 @@ func (f *fixture) mustRID(t *testing.T, id int64) catalog.RID {
 
 // TestConcurrentCommits runs 8 mutating workers concurrently and checks
 // every committed row is visible, the counters add up, no pins leak, and
-// the group-commit coordinator accounted for every force.
+// the log's group-commit counters account for every commit.
 func TestConcurrentCommits(t *testing.T) {
 	f := newFixture(t, 128)
 	const workers = 8

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -173,9 +174,13 @@ func TestJSONLeafNamesMatchCommittedBENCH(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs seven experiment drivers")
 	}
+	// The committed files sit at the repository root, two levels above
+	// this file, wherever the test binary runs.
+	_, self, _, _ := runtime.Caller(0)
+	root := filepath.Join(filepath.Dir(self), "..", "..")
 	suite := &Suite{Cfg: tinyConfig()}
 	for _, id := range []string{"oltp", "iosched", "txnscale", "tenants", "htap", "shards", "lsm"} {
-		buf, err := os.ReadFile("../../BENCH_" + id + ".json")
+		buf, err := os.ReadFile(filepath.Join(root, "BENCH_"+id+".json"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,8 +67,7 @@ func (a *arcPolicy) demote(at time.Duration, m *blockMeta, ghost int) {
 
 // dropGhost removes a ghost entry entirely.
 func (a *arcPolicy) dropGhost(m *blockMeta) {
-	a.lists[m.class].remove(m)
-	delete(a.table, m.lbn)
+	a.forget(&a.lists[m.class], m)
 }
 
 func (a *arcPolicy) place(at time.Duration, req dss.Request, lbn int64) (outcome, int64) {

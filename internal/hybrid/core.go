@@ -80,6 +80,7 @@ type core struct {
 	asyncAlloc bool
 
 	table   map[int64]*blockMeta // lbn -> metadata, ghosts of the policy included
+	spare   *blockMeta           // entries forget took out of table, chained through next
 	cached  int                  // blocks holding an SSD slot
 	freePBN []int64              // recycled SSD slots
 	nextPBN int64
@@ -253,13 +254,29 @@ func (c *core) freeSlot(m *blockMeta) {
 }
 
 // insert enters a new block into the lookup table with a fresh slot, at
-// the MRU end of list l, which must be the list class names. Caller holds
-// c.mu and has made room.
+// the MRU end of list l, which must be the list class names. The entry is
+// a spare one when forget left any. Caller holds c.mu and has made room.
 func (c *core) insert(l *lruList, lbn int64, class int, dirty bool, t dss.TenantID) *blockMeta {
-	m := &blockMeta{lbn: lbn, pbn: c.allocSlot(), class: class, dirty: dirty, tenant: t}
+	m := c.spare
+	if m != nil {
+		c.spare = m.next
+	} else {
+		m = new(blockMeta)
+	}
+	*m = blockMeta{lbn: lbn, pbn: c.allocSlot(), class: class, dirty: dirty, tenant: t}
 	c.table[lbn] = m
 	l.pushFront(m)
 	return m
+}
+
+// forget is the one place a block leaves the lookup table: it unlinks m
+// from its policy list l and keeps the entry for the next insert, so the
+// caller must not use m afterwards. Caller holds c.mu.
+func (c *core) forget(l *lruList, m *blockMeta) {
+	l.remove(m)
+	delete(c.table, m.lbn)
+	m.next = c.spare
+	c.spare = m
 }
 
 // evicted takes the SSD slot from a policy's victim (Action 6): a dirty

@@ -37,8 +37,7 @@ func (l *lruPolicy) place(at time.Duration, req dss.Request, lbn int64) (outcome
 	if l.cached >= l.capacity {
 		victim := l.stack.back()
 		l.evicted(at, victim, dss.ClassNone)
-		l.stack.remove(victim)
-		delete(l.table, victim.lbn)
+		l.forget(&l.stack, victim)
 	}
 	return allocate, l.insert(&l.stack, lbn, 0, write, req.Tenant).pbn
 }

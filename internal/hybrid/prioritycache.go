@@ -301,8 +301,7 @@ func (p *priorityPolicy) ensureSpace(at time.Duration, k int) bool {
 
 // unlink forgets a block whose slot is already released.
 func (p *priorityPolicy) unlink(meta *blockMeta) {
-	p.group(meta.class).remove(meta)
-	delete(p.table, meta.lbn)
+	p.forget(p.group(meta.class), meta)
 }
 
 // drop invalidates a block without writing it back.
