@@ -70,9 +70,10 @@ func (t *Tree) tag(level int) policy.Tag {
 // node is the one representation of a B-tree node: a validated view of
 // its encoded page image. Search reads keys, children and entries by
 // offset; Insert and Delete build a changed node as a new image spliced
-// from the old one's bytes. Frames are immutable (see bufferpool.Get), so
-// a node stays valid, as the image it was opened on, across later pool
-// calls.
+// from the old one's bytes, except that an Insert into a leaf image its
+// transaction already wrote splices in place (Tree.edit). Every other
+// frame is immutable (see bufferpool.Get), so a node stays valid, as the
+// image it was opened on, across later pool calls.
 //
 // Both kinds share one header, type(1) count(2) word(8), where the word is
 // a leaf's right sibling (-1 at the end of the chain) or an internal
@@ -160,7 +161,9 @@ func (n node) rank(key int64, orEqual bool) int {
 }
 
 // splice returns a new image of n, in one allocation, with del entries
-// removed at i and the encoded entries ins put in their place.
+// removed at i and the encoded entries ins put in their place. n's own
+// image is left as it was: Tree.edit splices in place instead when the
+// image is the bound transaction's own.
 func (n node) splice(i, del int, ins []byte) []byte {
 	off := leafHeader + i*n.size()
 	buf := pagestore.NewPage(n.end() - del*n.size() + len(ins))[:0]
@@ -241,6 +244,26 @@ func (t *Tree) readMeta(clk *simclock.Clock, level int) (root, pages int64, err 
 
 func (t *Tree) writeMeta(clk *simclock.Clock, root, pages int64) error {
 	return t.pool.Put(clk, t.tag(0), 0, encodeMeta(root, pages))
+}
+
+// edit writes page's leaf n with the encoded entries ins put in at i.
+// An image the stream's transaction installed since its first touch of
+// the page is its own (bufferpool.Pool.Owned): the splice moves its bytes
+// in place when the result fits. Any other image stays as it is, and the
+// splice builds a new one.
+func (t *Tree) edit(clk *simclock.Clock, level int, page int64, n node, i int, ins []byte) error {
+	tag := t.tag(level)
+	old := n.end()
+	end := old + len(ins)
+	if end > cap(n.data) || !t.pool.Owned(clk, tag, page, n.data) {
+		return t.pool.Put(clk, tag, page, n.splice(i, 0, ins))
+	}
+	off := leafHeader + i*n.size()
+	buf := n.data[:end]
+	copy(buf[off+len(ins):], buf[off:old])
+	copy(buf[off:], ins)
+	binary.LittleEndian.PutUint16(buf[1:], uint16(n.count+len(ins)/n.size()))
+	return t.pool.Put(clk, tag, page, buf)
 }
 
 // openNode reads a page and opens the encoded node in its frame.

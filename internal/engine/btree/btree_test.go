@@ -1,6 +1,8 @@
 package btree
 
 import (
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -611,7 +613,10 @@ func TestInsertAllocationBudget(t *testing.T) {
 // "nosplit" adds duplicates of existing keys across the 50 leaves of a
 // built tree, rebuilt every 2,000 inserts, before any leaf fills;
 // "sequential" appends past the largest key, splitting the rightmost leaf
-// every half leaf of inserts.
+// every half leaf of inserts; "owned" makes 64 inserts into the one leaf
+// of a small tree inside one transaction (a bound TxnHooks with no lock
+// hook), so that the first insert builds the leaf's image and the rest
+// edit it in place, then commits and rebuilds the tree.
 func BenchmarkInsert(b *testing.B) {
 	b.Run("nosplit", func(b *testing.B) {
 		const n = 20000
@@ -626,6 +631,29 @@ func BenchmarkInsert(b *testing.B) {
 				b.StartTimer()
 			}
 			k := int64(i*7919) % n
+			if err := tree.Insert(&h.clk, Entry{Key: k, RID: rid(n + int64(i))}, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("owned", func(b *testing.B) {
+		const n, perTxn = 100, 64
+		h := newHarness(b)
+		var tree *Tree
+		var tx *bufferpool.TxnHooks
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%perTxn == 0 {
+				b.StopTimer()
+				if tx != nil {
+					commitTxn(h, tx, int64(i))
+				}
+				tree = buildTree(b, h, n)
+				tx = bindTxn(h, int64(i+1))
+				b.StartTimer()
+			}
+			k := int64(i*37) % n
 			if err := tree.Insert(&h.clk, Entry{Key: k, RID: rid(n + int64(i))}, 0); err != nil {
 				b.Fatal(err)
 			}
@@ -684,4 +712,260 @@ func BenchmarkDelete(b *testing.B) {
 			}
 		})
 	}
+}
+
+// bindTxn binds an open transaction with no lock hook to h's clock, so
+// the tree's writes on it first-touch pages and then edit its own images.
+func bindTxn(h *harness, id int64) *bufferpool.TxnHooks {
+	tx := &bufferpool.TxnHooks{ID: id}
+	h.pool.BindTxn(&h.clk, tx)
+	return tx
+}
+
+// commitTxn seals and releases tx's pages and unbinds it.
+func commitTxn(h *harness, tx *bufferpool.TxnHooks, lsn int64) {
+	h.pool.CommitVersions(tx, lsn, lsn)
+	h.pool.Release(tx)
+	h.pool.UnbindTxn(&h.clk)
+}
+
+// page reads a page through a stream with no binding.
+func (h *harness) page(t testing.TB, page int64) []byte {
+	t.Helper()
+	var clk simclock.Clock
+	data, err := h.pool.Get(&clk, policy.Tag{Object: 1, Content: policy.Index}, page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestOwnedEditsMatchNewImages runs one random sequence of inserts,
+// entry deletes and key deletes, with splits, on two trees: one inside
+// a single transaction, which edits the leaves it already wrote in
+// place, and one with no transaction, which builds every image anew.
+// Every page must end byte-equal, with the same length and a page of
+// capacity, and the edited tree must return what a model holds.
+func TestOwnedEditsMatchNewImages(t *testing.T) {
+	built := make([]Entry, 0, 600)
+	for i := int64(0); i < 600; i++ {
+		built = append(built, Entry{Key: i / 3, RID: rid(i)})
+	}
+	owned, ref := newHarness(t), newHarness(t)
+	ot, _, err := Build(&owned.clk, owned.pool, 1, append([]Entry(nil), built...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, _, err := Build(&ref.clk, ref.pool, 1, append([]Entry(nil), built...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := bindTxn(owned, 1)
+	model := append([]Entry(nil), built...)
+	rng := rand.New(rand.NewSource(9))
+	next := int64(len(built))
+	for op := 0; op < 3000; op++ {
+		switch r := rng.Intn(10); {
+		case r < 6 || len(model) == 0:
+			e := Entry{Key: rng.Int63n(250), RID: rid(next)}
+			next++
+			model = append(model, e)
+			for _, h := range []struct {
+				tree *Tree
+				clk  *simclock.Clock
+			}{{ot, &owned.clk}, {rt, &ref.clk}} {
+				if err := h.tree.Insert(h.clk, e, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case r < 9:
+			i := rng.Intn(len(model))
+			e := model[i]
+			model = append(model[:i], model[i+1:]...)
+			a, err1 := ot.DeleteEntry(&owned.clk, e, 0)
+			b, err2 := rt.DeleteEntry(&ref.clk, e, 0)
+			if err1 != nil || err2 != nil || !a || !b {
+				t.Fatalf("op %d: DeleteEntry(%v) = %v %v, %v %v", op, e, a, err1, b, err2)
+			}
+		default:
+			k := model[rng.Intn(len(model))].Key
+			kept := model[:0]
+			for _, e := range model {
+				if e.Key != k {
+					kept = append(kept, e)
+				}
+			}
+			want := len(model) - len(kept)
+			model = kept
+			a, err1 := ot.Delete(&owned.clk, k, 0)
+			b, err2 := rt.Delete(&ref.clk, k, 0)
+			if err1 != nil || err2 != nil || a != want || b != want {
+				t.Fatalf("op %d: Delete(%d) = %d %v, %d %v; want %d", op, k, a, err1, b, err2, want)
+			}
+		}
+	}
+	_, pages, err := decodeMeta(owned.page(t, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pages < 4 {
+		t.Fatalf("the edits split nothing (%d pages)", pages)
+	}
+	for p := int64(1); p < pages; p++ {
+		sameImage(t, fmt.Sprintf("page %d", p), owned.page(t, p), ref.page(t, p))
+	}
+	commitTxn(owned, tx, 1)
+	for k := int64(0); k < 250; k++ {
+		var want []catalog.RID
+		for _, e := range model {
+			if e.Key == k {
+				want = append(want, e.RID)
+			}
+		}
+		got, err := ot.Lookup(&owned.clk, k, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Page != want[j].Page {
+				return want[i].Page < want[j].Page
+			}
+			return want[i].Slot < want[j].Slot
+		})
+		if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("key %d: %v, want %v", k, got, want)
+		}
+	}
+}
+
+// TestOwnedInsertsAllocateOnce: in one transaction, the first insert
+// into a leaf builds its image, and every later insert into it edits
+// that image, allocating only the meta page's 20 bytes.
+func TestOwnedInsertsAllocateOnce(t *testing.T) {
+	h := newHarness(t)
+	tree := buildTree(t, h, 100)
+	tx := bindTxn(h, 1)
+	k := int64(0)
+	insert := func() {
+		if err := tree.Insert(&h.clk, Entry{Key: k % 100, RID: rid(100 + k)}, 0); err != nil {
+			t.Fatal(err)
+		}
+		k += 37
+	}
+	insert()
+	if n := testing.AllocsPerRun(60, insert); n > 1 {
+		t.Errorf("a repeat insert into an owned leaf allocates %.1f times, want the meta image only", n)
+	}
+	commitTxn(h, tx, 1)
+	if n := testing.AllocsPerRun(10, insert); n < 2 {
+		t.Errorf("an insert with no transaction allocates %.1f times, want a new leaf image and the meta image", n)
+	}
+}
+
+// TestOwnedEditsKeepCommittedImage: repeat edits of a leaf leave the
+// pending version (the committed leaf) unchanged byte for byte, so a
+// snapshot bound before them reads the committed entries, and after the
+// seal the leaf is no longer the transaction's to edit.
+func TestOwnedEditsKeepCommittedImage(t *testing.T) {
+	h := newHarness(t)
+	tree := buildTree(t, h, 100)
+	committed := crc32.ChecksumIEEE(h.page(t, 1))
+	var snap simclock.Clock
+	h.pool.BindSnapshot(&snap, func() int64 { return 0 })
+	tx := bindTxn(h, 1)
+	pre := func() []byte {
+		var got []byte
+		if err := h.pool.Touched(tx, func(_ pagestore.ObjectID, page int64, pre, _ []byte) error {
+			if page == 1 {
+				got = pre
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for i := int64(0); i < 20; i++ {
+		if err := tree.Insert(&h.clk, Entry{Key: 1000 + i, RID: rid(1000 + i)}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tree.DeleteEntry(&h.clk, Entry{Key: i, RID: rid(i)}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && !h.pool.Owned(&h.clk, tree.tag(0), 1, h.page(t, 1)) {
+			t.Fatalf("edit %d: the leaf is not the transaction's own", i)
+		}
+		if sum := crc32.ChecksumIEEE(pre()); sum != committed {
+			t.Fatalf("edit %d: the pending version's checksum moved to %08x from %08x", i, sum, committed)
+		}
+	}
+	for _, probe := range []struct {
+		key  int64
+		want int
+	}{{0, 1}, {19, 1}, {1000, 0}, {1019, 0}} {
+		if rids, err := tree.Lookup(&snap, probe.key, 0); err != nil || len(rids) != probe.want {
+			t.Fatalf("snapshot lookup of %d: %v %v, want %d", probe.key, rids, err, probe.want)
+		}
+	}
+	commitTxn(h, tx, 1)
+	if h.pool.Owned(&h.clk, tree.tag(0), 1, h.page(t, 1)) {
+		t.Fatal("the leaf is still owned after the commit")
+	}
+	if rids, err := tree.Lookup(&snap, 1019, 0); err != nil || len(rids) != 0 {
+		t.Fatalf("after the commit the snapshot finds %v %v", rids, err)
+	}
+}
+
+// TestOwnedLeafBesideUnboundLookup pins down the rule that makes
+// in-place edits safe beside a stream with no transaction bound: such a
+// stream takes no lock, so it may read the index a transaction writes,
+// but not the leaf that transaction edits. Here an unbound stream looks
+// up keys in the tree's second leaf while one transaction inserts into
+// the first, the meta page and root changing under both; under -race
+// any byte the two share is reported. An unbound reader of the edited
+// leaf itself would be a data race, which is why the experiments run no
+// index probe beside OLTP on an index the OLTP mix writes.
+func TestOwnedLeafBesideUnboundLookup(t *testing.T) {
+	h := newHarness(t)
+	tree := buildTree(t, h, 1000)
+	leafOf := func(key int64) int64 {
+		page, err := tree.descend(&h.clk, key, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return page
+	}
+	first, second := leafOf(0), leafOf(500)
+	if first == second || leafOf(390) != first || leafOf(800) != second {
+		t.Fatalf("keys 0-390 and 500-800 do not sit in two leaves (%d, %d)", first, second)
+	}
+	tx := bindTxn(h, 1)
+	done := make(chan error)
+	go func() {
+		var clk simclock.Clock
+		for i := int64(0); i < 400; i++ {
+			k := 500 + i%300
+			rids, err := tree.Lookup(&clk, k, 0)
+			if err != nil || len(rids) != 1 || rids[0] != rid(k) {
+				done <- fmt.Errorf("unbound lookup of %d: %v %v", k, rids, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := int64(0); i < 40; i++ {
+		if err := tree.Insert(&h.clk, Entry{Key: i * 10, RID: rid(1000 + i)}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && !h.pool.Owned(&h.clk, tree.tag(0), first, h.page(t, first)) {
+			t.Fatalf("insert %d: the first leaf is not the transaction's own", i)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if h.pool.Owned(&h.clk, tree.tag(0), second, h.page(t, second)) {
+		t.Fatal("the leaf only the unbound stream read is owned")
+	}
+	commitTxn(h, tx, 1)
 }

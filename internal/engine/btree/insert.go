@@ -58,10 +58,10 @@ func (t *Tree) insertInto(clk *simclock.Clock, page int64, e Entry, level int, p
 		})
 		var w [leafEntrySize]byte
 		putEntry(w[:], e)
-		img = n.splice(idx, 0, w[:])
 		if n.count < LeafCap {
-			return -1, 0, pages, t.pool.Put(clk, t.tag(level), page, img)
+			return -1, 0, pages, t.edit(clk, level, page, n, idx, w[:])
 		}
+		img = n.splice(idx, 0, w[:])
 	} else {
 		idx := n.rank(e.Key, true)
 		newChild, sepKey, newPages, err := t.insertInto(clk, n.child(idx), e, level, pages)

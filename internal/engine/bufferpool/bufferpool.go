@@ -34,6 +34,12 @@
 // restores the pre-images on abort. A frame with any pins is never
 // evicted or flushed (no-steal).
 //
+// Page images are immutable, with one exception: until the seal, the
+// image a transaction installed since its first touch of a page is
+// reachable by nobody but its owner, which may edit it in place before
+// it Puts it back (Owned). Versions, sealed frames and stored pages are
+// never written into.
+//
 // Frames being written back are latched (entry.flushing): they stay
 // visible in the table during the I/O so concurrent readers never fetch
 // a stale copy from the storage system, and a Put that re-dirties the
@@ -348,11 +354,15 @@ func (p *Pool) makeRoom(clk *simclock.Clock) error {
 // into one, and callers must not either. So heap and index code decodes
 // in place (tuples and node entries are read by offset in the frame), and
 // a slice kept across later pool calls stays valid — as the image the
-// page had at this Get, not as the page's current content. On a stream
-// with a bound transaction, the transaction's Acquire hook runs first
-// (shared mode) and its error — e.g. a deadlock — is returned unchanged;
-// on a snapshot-bound stream, a table or index page resolves as of the
-// snapshot (mvcc.go) and no hook runs.
+// page had at this Get, not as the page's current content. The one
+// exception is a frame the stream's own transaction installed since its
+// first touch of the page: while Owned says so, the transaction may edit
+// it in place and Put it back, so a slice it kept of that frame follows
+// its own edits. On a stream with a bound transaction, the
+// transaction's Acquire hook runs first (shared mode) and its error —
+// e.g. a deadlock — is returned unchanged; on a snapshot-bound stream, a
+// table or index page resolves as of the snapshot (mvcc.go) and no hook
+// runs.
 //
 // Each pass checks the version chain (snapshot streams only), then the
 // frame, and otherwise reads the page outside the latch and checks again.
@@ -429,8 +439,9 @@ func (p *Pool) Get(clk *simclock.Clock, tag policy.Tag, page int64) ([]byte, err
 
 // Put stores new content for (tag.Object, page) and marks the frame
 // dirty. The data is installed by reference; the pool owns it afterwards
-// and the caller must not write into it again (see Get); the store keeps
-// it too on write-back if it was built in pagestore.NewPage.
+// and the caller must not write into it again (see Get), unless Owned
+// reports it as the bound transaction's own image; the store keeps it
+// too on write-back if it was built in pagestore.NewPage.
 // On a stream with a bound transaction, a table or index page's Acquire
 // hook runs first (exclusive mode), and the transaction's first Put of
 // the page records its first touch.
@@ -458,7 +469,12 @@ func (p *Pool) Put(clk *simclock.Clock, tag policy.Tag, page int64, data []byte)
 			p.mu.Unlock()
 			return err
 		}
-		e = &entry{key: k}
+		// makeRoom drops the latch around a dirty write-back, and a
+		// concurrent Get may have installed the page meanwhile: that frame
+		// is the one to write, or it would be orphaned on the LRU list.
+		if e, had = p.table[k]; !had {
+			e = &entry{key: k}
+		}
 	}
 	// The first touch comes before a new frame is installed, so a store
 	// error leaves the pool as it was.

@@ -3,7 +3,9 @@ package bufferpool
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"testing"
+	"unsafe"
 
 	"hstoragedb/internal/dss"
 	"hstoragedb/internal/engine/policy"
@@ -547,6 +549,195 @@ func TestFirstTouch(t *testing.T) {
 			put(t, p, clk, 0, img(8))
 			if hooked != 0 || len(touched(t, p, tx)) != 0 {
 				t.Fatalf("an unbound Put reached the transaction (%d hooks)", hooked)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h := newHarness(t)
+			c.run(t, h, New(h.mgr, 8))
+		})
+	}
+}
+
+// lruLen counts the frames on the LRU list.
+func (p *Pool) lruLen() int {
+	n := 0
+	for e := p.head.next; e != &p.head; e = e.next {
+		n++
+	}
+	return n
+}
+
+// TestPutRacingGetLeavesNoOrphan: a Put of a page the pool does not hold
+// writes a dirty victim back with the latch dropped, and a Get of the
+// same page may install a frame in that window. The Put must write into
+// that frame, not install a second one and leave the Get's on the LRU
+// list with no table entry. The raced page alternates between two: each
+// round's four Puts evict it, so it is absent when the next round starts.
+func TestPutRacingGetLeavesNoOrphan(t *testing.T) {
+	h := newHarness(t)
+	p := New(h.mgr, 4)
+	var put, get simclock.Clock
+	for i := 0; i < 20000; i++ {
+		for f := int64(0); f < 4; f++ {
+			if err := p.Put(&h.clk, tag(2), f, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		page := int64(i % 2)
+		done := make(chan error)
+		go func() { done <- p.Put(&put, tag(1), page, []byte{1}) }()
+		go func() {
+			_, err := p.Get(&get, tag(1), page)
+			done <- err
+		}()
+		for range 2 {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.mu.Lock()
+		listed, framed := p.lruLen(), len(p.table)
+		p.mu.Unlock()
+		if listed != framed {
+			t.Fatalf("round %d: %d frames on the LRU list, %d in the table", i, listed, framed)
+		}
+	}
+}
+
+// TestOwned: a transaction owns the image it installed on a page since
+// its first touch, and no other: not a committed frame, not the frame of
+// another stream, not a Get slice it Put back, not after the seal. While
+// it edits its own image in place, the pending version, the snapshot
+// reading it and, on abort, the restored frame keep the committed bytes.
+func TestOwned(t *testing.T) {
+	committed := func(t *testing.T, h *harness, p *Pool) []byte {
+		t.Helper()
+		img := pagestore.NewPage(16)
+		copy(img, "committed bytes!")
+		if err := p.Put(&h.clk, tag(1), 0, img); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.FlushAll(&h.clk); err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	bind := func(p *Pool) (*simclock.Clock, *TxnHooks) {
+		clk, h := &simclock.Clock{}, &TxnHooks{ID: 1}
+		p.BindTxn(clk, h)
+		return clk, h
+	}
+	get := func(t *testing.T, p *Pool, clk *simclock.Clock) []byte {
+		t.Helper()
+		data, err := p.Get(clk, tag(1), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	put := func(t *testing.T, p *Pool, clk *simclock.Clock, data []byte) {
+		t.Helper()
+		if err := p.Put(clk, tag(1), 0, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pre := func(t *testing.T, p *Pool, tx *TxnHooks) []byte {
+		t.Helper()
+		var out []byte
+		if err := p.Touched(tx, func(_ pagestore.ObjectID, _ int64, pre, _ []byte) error {
+			out = pre
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	// edits installs a new image of page 0 on clk's transaction, then
+	// rewrites it in place n times, each time checking that it is owned.
+	edits := func(t *testing.T, p *Pool, clk *simclock.Clock, n int) []byte {
+		t.Helper()
+		img := append(pagestore.NewPage(0), get(t, p, clk)[:16]...)
+		put(t, p, clk, img)
+		for i := 0; i < n; i++ {
+			if !p.Owned(clk, tag(1), 0, get(t, p, clk)) {
+				t.Fatalf("edit %d: the transaction's own image is not owned", i)
+			}
+			img[i] = '*'
+			put(t, p, clk, img)
+		}
+		return img
+	}
+
+	cases := []struct {
+		name string
+		run  func(t *testing.T, h *harness, p *Pool)
+	}{
+		{"the pending version and a snapshot keep the committed bytes", func(t *testing.T, h *harness, p *Pool) {
+			was := bytes.Clone(committed(t, h, p))
+			sclk := &simclock.Clock{}
+			p.BindSnapshot(sclk, func() int64 { return 5 })
+			clk, tx := bind(p)
+			if p.Owned(clk, tag(1), 0, get(t, p, clk)) {
+				t.Fatal("a committed frame is owned before the first touch")
+			}
+			sum := crc32.ChecksumIEEE(was)
+			img := edits(t, p, clk, 3)
+			if got := pre(t, p, tx); crc32.ChecksumIEEE(got) != sum {
+				t.Fatalf("the pending version became %q", got)
+			}
+			if got := get(t, p, sclk); !bytes.Equal(got, was) {
+				t.Fatalf("the snapshot reads %q, want %q", got, was)
+			}
+			if p.Owned(&h.clk, tag(1), 0, img) || p.Owned(sclk, tag(1), 0, img) {
+				t.Fatal("an unbound or snapshot stream owns the transaction's image")
+			}
+			if temp := (policy.Tag{Object: 1, Content: policy.Temp}); p.Owned(clk, temp, 0, img) {
+				t.Fatal("unversioned content is owned")
+			}
+			p.CommitVersions(tx, 10, 0)
+			if p.Owned(clk, tag(1), 0, img) {
+				t.Fatal("the frame is still owned after its version is sealed")
+			}
+			p.Release(tx)
+			if got := get(t, p, sclk); !bytes.Equal(got, was) {
+				t.Fatalf("after the commit the snapshot reads %q, want %q", got, was)
+			}
+		}},
+		{"a Put of the Get slice is not owned", func(t *testing.T, h *harness, p *Pool) {
+			committed(t, h, p)
+			clk, tx := bind(p)
+			data := get(t, p, clk)
+			put(t, p, clk, data)
+			if p.Owned(clk, tag(1), 0, data) {
+				t.Fatal("the frame that is also the undo image is owned")
+			}
+			p.Rollback(tx)
+		}},
+		{"another stream's transaction does not own the image", func(t *testing.T, h *harness, p *Pool) {
+			committed(t, h, p)
+			clk, tx := bind(p)
+			img := edits(t, p, clk, 1)
+			other := &simclock.Clock{}
+			p.BindTxn(other, &TxnHooks{ID: 2})
+			if p.Owned(other, tag(1), 0, img) {
+				t.Fatal("transaction 2 owns transaction 1's image")
+			}
+			p.Rollback(tx)
+		}},
+		{"rollback after repeat edits restores the frame byte for byte", func(t *testing.T, h *harness, p *Pool) {
+			was := committed(t, h, p)
+			keep := bytes.Clone(was)
+			clk, tx := bind(p)
+			edits(t, p, clk, 5)
+			p.Rollback(tx)
+			got := get(t, p, &h.clk)
+			if !bytes.Equal(got, keep) || unsafe.SliceData(got) != unsafe.SliceData(was) {
+				t.Fatalf("rolled back to %q, want the committed image %q", got, keep)
+			}
+			if p.Owned(clk, tag(1), 0, got) {
+				t.Fatal("the restored frame is owned")
 			}
 		}},
 	}

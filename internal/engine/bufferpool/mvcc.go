@@ -37,6 +37,7 @@ package bufferpool
 
 import (
 	"sort"
+	"unsafe"
 
 	"hstoragedb/internal/engine/policy"
 	"hstoragedb/internal/pagestore"
@@ -176,6 +177,37 @@ func (p *Pool) pendingLocked(h *TxnHooks, e *entry) *pageVersion {
 		return &chain[n-1]
 	}
 	return nil
+}
+
+// Owned reports whether the transaction bound to clk may write into
+// data, the content a Get of (tag.Object, page) returned, before it Puts
+// it back: the page is versioned, the transaction has first-touched it,
+// the frame still holds data's array, and the pending version does not
+// (a Put of the Get slice made frame and undo image one array). Such an
+// image is the transaction's own: the frame is pinned and never written
+// back (no-steal), snapshot readers resolve the page on the chain, every
+// other transaction waits for the page lock, and the log reads the frame
+// only at commit (Touched). CommitVersions seals the version, so from then
+// on the image is immutable like every other. A stream with no binding
+// takes no lock and reads the uncommitted frame, so it must not read
+// pages a running transaction writes: loads and refreshes run alone,
+// and the analytic streams run beside OLTP probe no index it writes.
+func (p *Pool) Owned(clk *simclock.Clock, tag policy.Tag, page int64, data []byte) bool {
+	if !versioned(tag.Content) {
+		return false
+	}
+	b, ok := p.bindingFor(clk)
+	if !ok || b.txn == nil {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e, ok := p.table[key{obj: tag.Object, page: page}]
+	if !ok || unsafe.SliceData(e.data) != unsafe.SliceData(data) {
+		return false
+	}
+	v := p.pendingLocked(b.txn, e)
+	return v != nil && unsafe.SliceData(v.data) != unsafe.SliceData(data)
 }
 
 // Touched calls fn for every page the transaction bound by h has

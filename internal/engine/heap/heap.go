@@ -8,7 +8,7 @@
 // followed by the tuple encoding (catalog.EncodeTuple). A length of
 // 0xFFFF marks a deleted slot. Readers address slots in the page frame
 // (walk the length headers, decode the one tuple wanted); writers build a
-// new page image and Put it — frames are never written into.
+// new page image and Put it — heap code never writes into a frame.
 //
 // Tables grow by appenders. Bulk loads and refresh batches open fresh
 // pages past the end (NewAppender); a transaction inserting a few rows
@@ -137,6 +137,7 @@ func (a *Appender) Append(t catalog.Tuple) (catalog.RID, error) {
 		if err := a.flushPage(); err != nil {
 			return catalog.RID{}, err
 		}
+		a.reset()
 	}
 	rid := catalog.RID{Page: a.page, Slot: a.count}
 	var l [2]byte
@@ -152,7 +153,8 @@ func (a *Appender) Append(t catalog.Tuple) (catalog.RID, error) {
 // gained a row, and extends the file's logical size, so a later appender
 // starts past this page even while it is still only pool-resident
 // (otherwise two appends between write-backs would hand out the same RIDs
-// twice). Then it moves on to a fresh page.
+// twice). Then it moves on past the page, and the next Append starts a
+// fresh one: a Close never allocates a page it does not fill.
 func (a *Appender) flushPage() error {
 	if a.count > a.base {
 		binary.LittleEndian.PutUint16(a.buf[:2], a.count)
@@ -165,7 +167,7 @@ func (a *Appender) flushPage() error {
 		}
 	}
 	a.page++
-	a.reset()
+	a.buf, a.started = nil, false
 	return nil
 }
 
@@ -190,9 +192,10 @@ func (a *Appender) Pages() int64 {
 }
 
 // slots walks the slot directory of an encoded page in the frame, one
-// 2-byte length header at a time, without decoding any tuple. Frames are
-// immutable (see bufferpool.Get), so a cursor may be kept across pool
-// calls: it keeps reading the page image it was opened on.
+// 2-byte length header at a time, without decoding any tuple. Heap pages
+// are never written into (only a transaction's own B-tree leaves are, see
+// bufferpool.Pool.Owned), so a cursor may be kept across pool calls: it
+// keeps reading the page image it was opened on.
 type slots struct {
 	data []byte
 	n    int // slots on the page

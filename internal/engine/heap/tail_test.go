@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -199,5 +200,52 @@ func TestTailAppenderEdges(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTailAppenderAllocatesOnePage: a tail appender that appends one row
+// and closes builds one page image, the resumed page's, and Close does
+// not allocate the next page. Rows, Pages and a second Close read the
+// closed appender as before.
+func TestTailAppenderAllocatesOnePage(t *testing.T) {
+	h := newHarness(t, 64)
+	_ = h.store.Create(1)
+	f := NewFile(1, testSchema(), policy.Table)
+	app := f.NewAppender(&h.clk, h.pool, 0)
+	if _, err := app.Append(fixedRow(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if app.Rows() != 1 || app.Pages() != 1 {
+		t.Fatalf("closed appender: %d rows over %d pages, want 1 over 1", app.Rows(), app.Pages())
+	}
+	if err := app.Close(); err != nil || app.Pages() != 1 || h.store.Pages(1) != 1 {
+		t.Fatalf("a second Close: %v, %d pages, file %d", err, app.Pages(), h.store.Pages(1))
+	}
+
+	// Twenty rows fill no page, so every round resumes page 0.
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := int64(1); i <= rounds; i++ {
+		tail, err := f.NewTailAppender(&h.clk, h.pool, h.store.Pages(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tail.Append(fixedRow(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tail.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if h.store.Pages(1) != 1 {
+		t.Fatalf("the rows spread over %d pages", h.store.Pages(1))
+	}
+	if perRound := (after.TotalAlloc - before.TotalAlloc) / rounds; perRound >= 2*pagestore.PageSize {
+		t.Errorf("a one-row tail appender allocates %d bytes, want one page image (%d)", perRound, pagestore.PageSize)
 	}
 }

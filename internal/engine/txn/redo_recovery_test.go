@@ -2,10 +2,13 @@ package txn
 
 import (
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"hstoragedb/internal/engine/btree"
 	"hstoragedb/internal/engine/catalog"
+	"hstoragedb/internal/engine/policy"
+	"hstoragedb/internal/pagestore"
 )
 
 // The log records what a transaction changed on each page, against the
@@ -142,6 +145,100 @@ func TestCrashInDoubtCommitRedoesDeltas(t *testing.T) {
 			}
 			if n := f.scanCount(t); n != 4 {
 				t.Fatalf("heap scan found %d rows, want 4", n)
+			}
+		})
+	}
+}
+
+// TestOwnedEditsCrashRecoversCommitted: a transaction that rewrites the
+// heap page and index leaf it already wrote (the leaf in place, as its
+// own image) and crashes before its commit record leaves the committed
+// pages as they were: the pending version of each page it touched keeps
+// the committed bytes, the store's pages are never written into, and
+// recovery finds the committed rows only.
+func TestOwnedEditsCrashRecoversCommitted(t *testing.T) {
+	for _, writeBack := range []bool{false, true} {
+		t.Run(fmt.Sprintf("written back %v", writeBack), func(t *testing.T) {
+			f := newFixture(t, 64)
+			if err := f.tm.Checkpoint(f.sess); err != nil {
+				t.Fatal(err)
+			}
+			tx, err := f.insertTail("committed", 1, 2, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if writeBack {
+				if err := f.inst.Pool.FlushAll(&f.sess.Clk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The committed content of every page: the frame the pool
+			// serves, and the store's page.
+			type sums struct{ frame, stored uint32 }
+			committed := map[[2]int64]sums{}
+			for obj, content := range map[pagestore.ObjectID]policy.ContentType{f.info.ID: policy.Table, f.ix.Object: policy.Index} {
+				for p := int64(0); p < f.db.Store.Pages(obj); p++ {
+					data, err := f.inst.Pool.Get(&f.sess.Clk, policy.Tag{Object: obj, Content: content}, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					stored, _, err := f.db.Store.Read(obj, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					committed[[2]int64{int64(obj), p}] = sums{crc32.ChecksumIEEE(data), crc32.ChecksumIEEE(stored)}
+				}
+			}
+			tx, err = f.insertTail("lost", 4, 5, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pages := 0
+			if err := f.inst.Pool.Touched(tx.hooks, func(obj pagestore.ObjectID, page int64, pre, _ []byte) error {
+				want, ok := committed[[2]int64{int64(obj), page}]
+				if !ok {
+					return nil // a page past the committed end
+				}
+				pages++
+				if got := crc32.ChecksumIEEE(pre); got != want.frame {
+					return fmt.Errorf("object %d page %d: pending version %08x, committed %08x", obj, page, got, want.frame)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if pages < 2 {
+				t.Fatalf("the transaction touched %d committed pages, want the heap page and the leaf", pages)
+			}
+			for k, want := range committed {
+				stored, _, err := f.db.Store.Read(pagestore.ObjectID(k[0]), k[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := crc32.ChecksumIEEE(stored); got != want.stored {
+					t.Fatalf("object %d page %d: the stored page changed under the transaction", k[0], k[1])
+				}
+			}
+			f.tm.Crash()
+
+			stats := f.attach(t, 64, false)
+			if stats.CommittedTxns != 1 {
+				t.Fatalf("recovery stats: %+v", stats)
+			}
+			for k := int64(1); k <= 6; k++ {
+				want := "committed"
+				if k > 3 {
+					want = ""
+				}
+				if got := f.lookup(t, k); got != want {
+					t.Fatalf("key %d: got %q, want %q", k, got, want)
+				}
+			}
+			if n := f.scanCount(t); n != 3 {
+				t.Fatalf("heap scan found %d rows, want 3", n)
 			}
 		})
 	}

@@ -18,7 +18,10 @@ import (
 // ioschedQueries is the per-stream query list of the scheduler
 // contention experiment: scan-dominated work (tpch.ScanHeavyQueries)
 // that keeps the HDD saturated with low-priority sequential traffic
-// while the OLTP stream's pinned log writes fight for the devices.
+// while the OLTP stream's pinned log writes fight for the devices. The
+// query streams have no transaction bound and take no lock, so they must
+// probe no index the OLTP stream inserts into: it edits those leaves in
+// place (bufferpool.Pool.Owned). Q14's idx_part_partkey is not one.
 var ioschedQueries = tpch.ScanHeavyQueries()
 
 // IOSchedRun is the outcome of the scheduler contention experiment
