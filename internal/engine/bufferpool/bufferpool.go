@@ -350,19 +350,18 @@ func (p *Pool) makeRoom(clk *simclock.Clock) error {
 // Get returns the content of (tag.Object, page), fetching it through the
 // storage manager on a miss. The returned slice is the pool's frame, and
 // on the extent store the stored page itself. Frames and stored pages are
-// immutable: Put and WritePage replace a page's slice, nothing writes
-// into one, and callers must not either. So heap and index code decodes
-// in place (tuples and node entries are read by offset in the frame), and
-// a slice kept across later pool calls stays valid — as the image the
-// page had at this Get, not as the page's current content. The one
-// exception is a frame the stream's own transaction installed since its
-// first touch of the page: while Owned says so, the transaction may edit
-// it in place and Put it back, so a slice it kept of that frame follows
-// its own edits. On a stream with a bound transaction, the
-// transaction's Acquire hook runs first (shared mode) and its error —
-// e.g. a deadlock — is returned unchanged; on a snapshot-bound stream, a
-// table or index page resolves as of the snapshot (mvcc.go) and no hook
-// runs.
+// immutable: Put and a backend's Write replace a page's slice, nothing
+// writes into one, and callers must not either. So heap and index code
+// decodes in place (tuples and node entries are read by offset in the
+// frame), and a slice kept across later pool calls stays valid — as the
+// image the page had at this Get, not as the page's current content. The
+// one exception is a frame the stream's own transaction installed since
+// its first touch of the page: while Owned says so, the transaction may
+// edit it in place and Put it back, so a slice it kept of that frame
+// follows its own edits. On a stream with a bound transaction, the
+// transaction's Acquire hook runs first (shared mode) and its error — e.g.
+// a deadlock — is returned unchanged; on a snapshot-bound stream, a table
+// or index page resolves as of the snapshot (mvcc.go) and no hook runs.
 //
 // Each pass checks the version chain (snapshot streams only), then the
 // frame, and otherwise reads the page outside the latch and checks again.

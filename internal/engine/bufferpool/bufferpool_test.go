@@ -93,7 +93,7 @@ func TestPutMakesDirtyAndWriteBack(t *testing.T) {
 		t.Fatalf("writebacks %d", p.Stats().WriteBack)
 	}
 	// The written page round-trips through the page store.
-	got, _, err := h.store.ReadPage(1, 0)
+	got, _, err := h.store.Read(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestFirstTouch(t *testing.T) {
 			// that the reverse walk restores every record on it. Page 1
 			// lies between two written pages, so it exists with no frame.
 			clean(t, h, p, 0, 2)
-			stored, _, err := h.store.ReadPage(1, 1)
+			stored, _, err := h.store.Read(1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -408,7 +408,7 @@ func TestFirstTouch(t *testing.T) {
 		{"a first touch with no frame takes the stored page", func(t *testing.T, h *harness, p *Pool) {
 			clean(t, h, p, 0)
 			p.DropAll()
-			stored, _, err := h.store.ReadPage(1, 0)
+			stored, _, err := h.store.Read(1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -460,7 +460,7 @@ func TestFirstTouch(t *testing.T) {
 			clean(t, h, p, 0)
 			p.DropAll()
 			h.store.KillAfter(0)
-			if _, err := h.store.WritePage(1, 1, img(1)); !errors.Is(err, pagestore.ErrKilled) {
+			if _, err := h.store.Write(1, 1, img(1)); !errors.Is(err, pagestore.ErrKilled) {
 				t.Fatalf("the cut let a write through: %v", err)
 			}
 			clk, tx := bind(p, 1)

@@ -75,8 +75,8 @@ func TestTailAppendersMatchOneAppender(t *testing.T) {
 				t.Fatal(err)
 			}
 			for p := int64(0); p < pages; p++ {
-				a, _, _ := h.store.ReadPage(1, p)
-				b, _, _ := h.store.ReadPage(2, p)
+				a, _, _ := h.store.Read(1, p)
+				b, _, _ := h.store.Read(2, p)
 				if !bytes.Equal(a, b) {
 					t.Fatalf("page %d stored image differs", p)
 				}

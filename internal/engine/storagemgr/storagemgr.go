@@ -72,9 +72,6 @@ func New(store pagestore.Backend, storage hybrid.System, table *policy.Assignmen
 // Store exposes the underlying storage backend.
 func (m *Manager) Store() pagestore.Backend { return m.store }
 
-// Storage exposes the storage system under management.
-func (m *Manager) Storage() hybrid.System { return m.storage }
-
 // Table exposes the policy assignment table.
 func (m *Manager) Table() *policy.AssignmentTable { return m.table }
 

@@ -103,7 +103,7 @@ func TestRecoverOutcomes(t *testing.T) {
 					}
 					// Stand-in for a committed version written back
 					// after the checkpoint: redo must leave it alone.
-					if _, err := store.WritePage(obj, 0, img(0xEE)); err != nil {
+					if _, err := store.Write(obj, 0, img(0xEE)); err != nil {
 						t.Fatal(err)
 					}
 					last++
@@ -139,7 +139,7 @@ func TestRecoverOutcomes(t *testing.T) {
 				}
 			}
 			for pg, b := range tc.pages {
-				data, _, err := store.ReadPage(obj, pg)
+				data, _, err := store.Read(obj, pg)
 				if err != nil {
 					t.Fatal(err)
 				}

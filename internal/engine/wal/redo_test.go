@@ -189,7 +189,7 @@ func TestRedoReadsBaseOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	v0 := bytes.Repeat([]byte{1}, pagestore.PageSize)
-	if _, err := store.WritePage(5, 0, v0); err != nil {
+	if _, err := store.Write(5, 0, v0); err != nil {
 		t.Fatal(err)
 	}
 	pre := v0
@@ -223,7 +223,7 @@ func TestRedoReadsBaseOnce(t *testing.T) {
 	if stats.PagesApplied != 2 {
 		t.Fatalf("pages applied %d, want 2", stats.PagesApplied)
 	}
-	if got, _, _ := store.ReadPage(5, 0); !bytes.Equal(got, pre) {
+	if got, _, _ := store.Read(5, 0); !bytes.Equal(got, pre) {
 		t.Fatal("page 0 is not the final image")
 	}
 	ts := mgr2.TypeStats()

@@ -119,14 +119,14 @@ func TestAppendFlushRecover(t *testing.T) {
 	if stats.PagesApplied != 2 {
 		t.Fatalf("pages applied %d", stats.PagesApplied)
 	}
-	got, _, err := store.ReadPage(42, 0)
+	got, _, err := store.Read(42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got[:len(img1)], img1) {
 		t.Fatal("page 0 not redone with the committed image (loser must not win)")
 	}
-	got, _, err = store.ReadPage(42, 1)
+	got, _, err = store.Read(42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,8 @@
 // otherwise (pagestore.KeepPage). From then on the block is never
 // written to: a flush hands the memtable's slices to the new L0
 // table by reference, a compaction hands the input tables' data blocks
-// to its output the same way, and Read and Iter return the memtable's
-// or the table's slice itself. A rewrite of the page replaces the map
+// to its output the same way, and Read returns the memtable's or the
+// table's slice itself. A rewrite of the page replaces the map
 // entry, and a freed table only drops its LBAs from the disk image, so
 // every slice handed out earlier keeps its bytes. Callers must not
 // write into what they read (the pagestore.Backend contract).
@@ -102,9 +102,9 @@ func (c Config) withDefaults() Config {
 
 // key identifies one stored page version: the owning object, the
 // object's generation when the page was written, and the page number.
-// Truncate and Delete bump or drop the generation, turning every older
-// key into garbage that compaction collects — the tree needs no
-// tombstones.
+// Delete drops the generation with the object and Create hands out a
+// fresh one, so every key of a deleted object is garbage that compaction
+// collects — the tree needs no tombstones.
 type key struct {
 	obj  pagestore.ObjectID
 	gen  uint32
@@ -125,11 +125,6 @@ func (k key) less(o key) bool {
 type objMeta struct {
 	gen   uint32
 	pages int64
-}
-
-// span is a contiguous block range [start, start+blocks).
-type span struct {
-	start, blocks int64
 }
 
 // Store is an LSM-tree storage backend. It is safe for concurrent use.
@@ -155,8 +150,8 @@ type Store struct {
 	nextTableID uint64
 	version     uint64
 
-	// free/nextLBA is the first-fit block allocator over [dataBase, ∞).
-	free    []span
+	// nextLBA is the allocator's high-water mark: every block in
+	// [dataBase, nextLBA) that no table in levels holds is free.
 	nextLBA int64
 
 	// maint accumulates flush/compaction jobs until the storage manager
@@ -370,29 +365,10 @@ func (s *Store) Write(id pagestore.ObjectID, page int64, data []byte) ([]pagesto
 	return nil, nil
 }
 
-// Truncate implements pagestore.Backend: the object gets a fresh
-// generation, turning every stored version into garbage for compaction
-// to collect. No extents free synchronously; reclaimed space is
-// TRIMmed by the compaction that rewrites it.
-func (s *Store) Truncate(id pagestore.ObjectID) ([]pagestore.Extent, error) {
-	if s.isDirect(id) {
-		return s.direct.Truncate(id)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, err := s.objectLocked(id)
-	if err != nil {
-		return nil, err
-	}
-	s.scrubMemLocked(id)
-	s.nextGen++
-	o.gen = s.nextGen
-	o.pages = 0
-	return nil, nil
-}
-
-// Delete implements pagestore.Backend. As with Truncate, space comes
-// back through compaction rather than through the returned extents.
+// Delete implements pagestore.Backend: the object's generation goes with
+// its registry record, turning every stored version into garbage for
+// compaction to collect. No extents free synchronously; reclaimed space
+// is TRIMmed by the compaction that rewrites it.
 func (s *Store) Delete(id pagestore.ObjectID) ([]pagestore.Extent, error) {
 	if s.isDirect(id) {
 		return s.direct.Delete(id)
@@ -439,59 +415,6 @@ func (s *Store) TotalPages() int64 {
 	}
 	s.mu.Unlock()
 	return n + s.direct.TotalPages()
-}
-
-// lsmIter iterates a tree-resident object's pages, re-reading under the
-// store lock on every step so a racing delete surfaces as
-// ErrUnknownObject (matching the heap iterator's behaviour).
-type lsmIter struct {
-	s     *Store
-	id    pagestore.ObjectID
-	gen   uint32
-	page  int64
-	pages int64
-}
-
-// Next implements pagestore.Iterator.
-func (it *lsmIter) Next() (int64, []byte, bool, error) {
-	if it.page >= it.pages {
-		return 0, nil, false, nil
-	}
-	it.s.mu.Lock()
-	defer it.s.mu.Unlock()
-	o, err := it.s.objectLocked(it.id)
-	if err != nil {
-		return 0, nil, false, err
-	}
-	if o.gen != it.gen {
-		return 0, nil, false, fmt.Errorf("lsm: %w %d", pagestore.ErrUnknownObject, it.id)
-	}
-	p := it.page
-	k := key{obj: it.id, gen: it.gen, page: p}
-	buf, ok := it.s.mem[k]
-	if !ok {
-		buf, _ = it.s.probeLocked(k)
-	}
-	if buf == nil {
-		buf = make([]byte, pagestore.PageSize)
-	}
-	it.page++
-	return p, buf, true, nil
-}
-
-// Iter implements pagestore.Backend. The page count is snapshotted at
-// creation, matching the heap iterator.
-func (s *Store) Iter(id pagestore.ObjectID) (pagestore.Iterator, error) {
-	if s.isDirect(id) {
-		return s.direct.Iter(id)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, err := s.objectLocked(id)
-	if err != nil {
-		return nil, err
-	}
-	return &lsmIter{s: s, id: id, gen: o.gen, pages: o.pages}, nil
 }
 
 // DrainMaintenance implements pagestore.Maintainer.
@@ -548,43 +471,35 @@ func (s *Store) Version() uint64 {
 	return s.version
 }
 
-// allocLocked carves a contiguous n-block range, first-fit from the
-// free list, else from the top of the address space.
+// liveLocked returns the tables of both levels in LBA order.
+func (s *Store) liveLocked() []*table {
+	live := make([]*table, 0, len(s.levels[0])+len(s.levels[1]))
+	live = append(append(live, s.levels[0]...), s.levels[1]...)
+	sort.Slice(live, func(i, j int) bool { return live[i].base < live[j].base })
+	return live
+}
+
+// allocLocked carves a contiguous n-block range, first-fit from the gaps
+// between live tables below the high-water mark, else from the mark. A
+// table's blocks are free as soon as it leaves levels.
 func (s *Store) allocLocked(n int64) int64 {
-	for i, f := range s.free {
-		if f.blocks >= n {
-			start := f.start
-			if f.blocks == n {
-				s.free = append(s.free[:i], s.free[i+1:]...)
-			} else {
-				s.free[i] = span{start: f.start + n, blocks: f.blocks - n}
-			}
+	start := int64(dataBase)
+	for _, t := range s.liveLocked() {
+		if t.base-start >= n {
 			return start
 		}
+		start = t.base + t.blocks
 	}
-	start := s.nextLBA
+	if s.nextLBA-start >= n {
+		return start
+	}
+	start = s.nextLBA
 	s.nextLBA += n
 	return start
 }
 
-// freeLocked returns a range to the allocator, merging neighbours.
-func (s *Store) freeLocked(start, blocks int64) {
-	s.free = append(s.free, span{start: start, blocks: blocks})
-	sort.Slice(s.free, func(i, j int) bool { return s.free[i].start < s.free[j].start })
-	merged := s.free[:0]
-	for _, f := range s.free {
-		if n := len(merged); n > 0 && merged[n-1].start+merged[n-1].blocks == f.start {
-			merged[n-1].blocks += f.blocks
-		} else {
-			merged = append(merged, f)
-		}
-	}
-	s.free = merged
-}
-
-// flushLocked turns the memtable into an L0 SSTable, persists the
-// manifest, queues the flush as maintenance, and triggers compaction
-// when L0 is full.
+// flushLocked turns the memtable into an L0 SSTable, installs it, and
+// triggers compaction when L0 is full.
 func (s *Store) flushLocked() error {
 	if len(s.mem) == 0 {
 		return nil
@@ -598,16 +513,12 @@ func (s *Store) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	s.levels[0] = append(s.levels[0], t)
 	s.mem = make(map[key][]byte)
-	macc, err := s.writeManifestLocked()
-	if err != nil {
+	levels := s.levels
+	levels[0] = append(levels[0], t)
+	if err := s.installLocked(pagestore.MaintFlush, levels, []pagestore.Access{acc}, nil); err != nil {
 		return err
 	}
-	s.maint = append(s.maint, pagestore.Maint{
-		Kind:     pagestore.MaintFlush,
-		Accesses: []pagestore.Access{acc, macc},
-	})
 	if len(s.levels[0]) >= s.cfg.L0Tables {
 		return s.compactLocked()
 	}
@@ -616,7 +527,7 @@ func (s *Store) flushLocked() error {
 
 // compactLocked merges every L0 table with every overlapping L1 table
 // into a single L1 run, dropping superseded versions and garbage
-// generations, then persists the manifest and frees (TRIMs) the inputs.
+// generations, and installs it in place of its inputs.
 func (s *Store) compactLocked() error {
 	l0 := s.levels[0]
 	if len(l0) == 0 {
@@ -666,41 +577,41 @@ func (s *Store) compactLocked() error {
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].k.less(entries[j].k) })
-	var out []*table
+	l1 := keep
 	if len(entries) > 0 {
 		t, acc, err := s.writeTableLocked(entries)
 		if err != nil {
 			return err
 		}
 		accesses = append(accesses, acc)
-		out = []*table{t}
+		l1 = append(l1, t)
 	}
-	s.levels[0] = nil
-	merged := append(append([]*table{}, keep...), out...)
-	sort.Slice(merged, func(i, j int) bool { return merged[i].minKey.less(merged[j].minKey) })
-	s.levels[1] = merged
+	sort.Slice(l1, func(i, j int) bool { return l1[i].minKey.less(l1[j].minKey) })
+	return s.installLocked(pagestore.MaintCompaction, [2][]*table{nil, l1}, accesses, inputs)
+}
+
+// installLocked is the last step of a flush and of a compaction: levels
+// replace the live tables, the manifest naming them is persisted, the
+// inputs they no longer hold are freed and TRIMmed, and the work is
+// queued as one Maint: accesses, then the manifest write.
+func (s *Store) installLocked(kind pagestore.MaintKind, levels [2][]*table, accesses []pagestore.Access, inputs []*table) error {
+	s.levels = levels
 	macc, err := s.writeManifestLocked()
 	if err != nil {
 		return err
 	}
-	accesses = append(accesses, macc)
 	// Only now — the manifest no longer references the inputs — is it
-	// safe to free them. A crash before this point recovers the old
-	// manifest with the inputs intact.
-	trims := make([]pagestore.Extent, 0, len(inputs))
+	// safe to drop their blocks. A crash before this point recovers the
+	// old manifest with the inputs intact.
+	var trims []pagestore.Extent
 	for _, t := range inputs {
 		for b := int64(0); b < t.blocks; b++ {
 			delete(s.disk, t.base+b)
 		}
-		s.freeLocked(t.base, t.blocks)
 		trims = append(trims, pagestore.Extent{Start: t.base, Pages: t.blocks})
 	}
 	sort.Slice(trims, func(i, j int) bool { return trims[i].Start < trims[j].Start })
-	s.maint = append(s.maint, pagestore.Maint{
-		Kind:     pagestore.MaintCompaction,
-		Accesses: accesses,
-		Trims:    trims,
-	})
+	s.maint = append(s.maint, pagestore.Maint{Kind: kind, Accesses: append(accesses, macc), Trims: trims})
 	return nil
 }
 
@@ -708,8 +619,9 @@ func (s *Store) compactLocked() error {
 // undrained maintenance, a fired Cut) is discarded and the tree is
 // reloaded from the newest valid manifest slot. Blocks referenced by no
 // live table or manifest slot are orphans from interrupted flushes or
-// compactions; they are discarded and their space returns to the
-// allocator. The registry survives by decree (see package doc).
+// compactions; they are discarded, and the allocator's high-water mark
+// drops to the end of the last live table. The registry survives by
+// decree (see package doc).
 func (s *Store) Crash() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -741,17 +653,12 @@ func (s *Store) Crash() error {
 		s.nextTableID = 0
 	}
 
-	// Rebuild the allocator from the live set and discard orphans.
-	live := make([]span, 0, len(s.levels[0])+len(s.levels[1]))
-	for _, lvl := range s.levels {
-		for _, t := range lvl {
-			live = append(live, span{start: t.base, blocks: t.blocks})
-		}
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].start < live[j].start })
+	// Discard orphans and pull the high-water mark down to the end of
+	// the last live table.
+	live := s.liveLocked()
 	inLive := func(lba int64) bool {
-		i := sort.Search(len(live), func(i int) bool { return live[i].start+live[i].blocks > lba })
-		return i < len(live) && live[i].start <= lba
+		i := sort.Search(len(live), func(i int) bool { return live[i].base+live[i].blocks > lba })
+		return i < len(live) && live[i].base <= lba
 	}
 	for lba := range s.disk {
 		if lba < dataBase {
@@ -762,13 +669,9 @@ func (s *Store) Crash() error {
 			s.orphans++
 		}
 	}
-	s.free = nil
 	s.nextLBA = dataBase
-	for _, sp := range live {
-		if sp.start > s.nextLBA {
-			s.free = append(s.free, span{start: s.nextLBA, blocks: sp.start - s.nextLBA})
-		}
-		s.nextLBA = sp.start + sp.blocks
+	if n := len(live); n > 0 {
+		s.nextLBA = live[n-1].base + live[n-1].blocks
 	}
 	return nil
 }

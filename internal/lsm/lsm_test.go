@@ -3,6 +3,7 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"hstoragedb/internal/pagestore"
@@ -196,32 +197,6 @@ func TestOverwriteNewestWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPage(t, s, 1, 0, pat(1, 0, 3)) // post-compaction single copy
-}
-
-func TestTruncateInvalidatesVersions(t *testing.T) {
-	s := New(smallConfig())
-	if err := s.Create(1); err != nil {
-		t.Fatal(err)
-	}
-	mustWrite(t, s, 1, 0, pat(1, 0, 1))
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Truncate(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Pages(1); got != 0 {
-		t.Fatalf("Pages after truncate = %d", got)
-	}
-	data, _, err := s.Read(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range data {
-		if b != 0 {
-			t.Fatal("truncated page still readable")
-		}
-	}
 }
 
 func TestUnknownObject(t *testing.T) {
@@ -527,50 +502,6 @@ func TestDirectRegionPassThrough(t *testing.T) {
 	}
 }
 
-func TestIteratorOrderAndRacingDelete(t *testing.T) {
-	s := New(smallConfig())
-	if err := s.Create(1); err != nil {
-		t.Fatal(err)
-	}
-	// Mix of flushed and memtable-resident pages.
-	for p := int64(0); p < 10; p++ {
-		mustWrite(t, s, 1, p, pat(1, p, 1))
-	}
-	it, err := s.Iter(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for want := int64(0); want < 10; want++ {
-		p, data, ok, err := it.Next()
-		if err != nil || !ok {
-			t.Fatalf("Next: ok=%v err=%v", ok, err)
-		}
-		if p != want {
-			t.Fatalf("iterator page %d, want %d", p, want)
-		}
-		if string(data[:len(pat(1, p, 1))]) != string(pat(1, p, 1)) {
-			t.Fatalf("iterator page %d corrupt", p)
-		}
-	}
-	if _, _, ok, _ := it.Next(); ok {
-		t.Fatal("iterator did not stop")
-	}
-
-	it2, err := s.Iter(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := it2.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Delete(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := it2.Next(); !errors.Is(err, pagestore.ErrUnknownObject) {
-		t.Fatalf("Next after racing delete = %v, want ErrUnknownObject", err)
-	}
-}
-
 func TestAllocatorReusesCompactedSpace(t *testing.T) {
 	s := New(smallConfig())
 	if err := s.Create(1); err != nil {
@@ -599,4 +530,110 @@ func TestAllocatorReusesCompactedSpace(t *testing.T) {
 		t.Fatalf("address space grew %d -> %d despite steady-state workload", before, after)
 	}
 	s.DrainMaintenance()
+}
+
+// goldenBases is every new table's base LBA in placementChurn's order.
+// The sequence was recorded from the allocator as a span free list; a
+// change to placement, however it is represented, fails here.
+var goldenBases = []int64{
+	128, 137, 142, 153, 128, 134, 143, 169, 128, 135, 142, 190, 128, 139,
+	145, 153, 128, 137, 146, 190, 128, 136, 144, 228, 128, 134, 140, 147,
+	128, 132, 136, 190, 128, 135, 143, 197, 128, 132, 136, 201, 128, 133,
+	190, 210, 128, 222, 232, 243, 128, 133, 140, 145, 128, 207, 214, 222,
+	128, 135, 140, 149, 128, 139, 219, 289, 128, 134, 145, 151, 128, 136,
+	216, 227, 128, 139, 144, 151, 128, 134, 142, 223, 128, 139, 146, 151,
+	128, 136, 140, 209, 128, 132, 141, 274, 128, 135, 141, 145, 128, 134,
+	138, 205, 128, 135, 139, 263, 128, 133, 139, 143, 128, 200, 209, 217,
+	128, 136, 142, 148, 128, 136, 206, 210, 128, 136, 140, 147, 128, 136,
+	203, 214, 128, 133, 137, 141, 128, 186, 197, 208, 128, 137, 148, 152,
+	264, 128, 134, 138, 142, 128, 135, 202, 210, 128, 134, 141, 269, 128,
+	133, 138, 149, 128, 139, 218, 227, 128, 134, 140, 151, 128, 139, 219,
+	224, 228, 128, 137, 142, 153, 128, 133, 144, 215, 128, 133, 144, 281,
+	128, 132, 139, 143, 149, 128, 135, 141, 223, 128, 133, 140, 297, 128,
+	132, 139, 143, 128, 220, 139, 229, 128, 139, 146, 306, 128, 139, 150,
+	156, 128, 139, 231, 240, 128, 132, 138, 142, 128, 135, 223, 234, 128,
+	132, 141, 152, 128, 134, 138, 224, 128, 139, 143, 149, 128, 137, 201,
+	208, 128, 134,
+}
+
+// placementChurn runs a fixed-seed churn over six objects (bursts of writes
+// to one object at a time, Syncs, Delete/Create pairs, clean crashes, and
+// crashes killed inside a flush or compaction) and returns the base LBA
+// of every table it writes, in order, read off the maintenance plans (a
+// table write is the one write access above the manifest slots). The
+// bursts keep most tables to one object, so L1 holds several disjoint
+// tables and compactions free space between live ones.
+func placementChurn(t *testing.T) []int64 {
+	t.Helper()
+	s := New(Config{MemtablePages: 8, L0Tables: 3})
+	rng := rand.New(rand.NewSource(1))
+	var bases []int64
+	drain := func() {
+		for _, job := range s.DrainMaintenance() {
+			for _, a := range job.Accesses {
+				if a.Write && a.LBA >= dataBase {
+					bases = append(bases, a.LBA)
+				}
+			}
+		}
+	}
+	const objects = 6
+	for id := pagestore.ObjectID(1); id <= objects; id++ {
+		if err := s.Create(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := pagestore.ObjectID(1)
+	for step := 0; step < 1500; step++ {
+		if rng.Intn(50) == 0 {
+			id = pagestore.ObjectID(1 + rng.Intn(objects))
+		}
+		switch r := rng.Intn(60); {
+		case r < 48:
+			mustWrite(t, s, id, rng.Int63n(16), pat(id, int64(step), step))
+		case r < 55:
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		case r < 57:
+			if _, err := s.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Create(id); err != nil {
+				t.Fatal(err)
+			}
+		case r < 58:
+			drain()
+			if err := s.Crash(); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			drain()
+			s.KillAfter(rng.Int63n(12))
+			if err := s.Sync(); err != nil && !errors.Is(err, pagestore.ErrKilled) {
+				t.Fatal(err)
+			}
+			drain()
+			if err := s.Crash(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drain()
+	}
+	return bases
+}
+
+// TestAllocatorGoldenPlacement pins table placement: first fit over the
+// space no live table holds, below the high-water mark, which a crash
+// resets to the end of the last live table.
+func TestAllocatorGoldenPlacement(t *testing.T) {
+	got := placementChurn(t)
+	if len(got) != len(goldenBases) {
+		t.Fatalf("%d tables written, want %d: %#v", len(got), len(goldenBases), got)
+	}
+	for i := range got {
+		if got[i] != goldenBases[i] {
+			t.Fatalf("table %d placed at LBA %d, want %d", i, got[i], goldenBases[i])
+		}
+	}
 }

@@ -198,14 +198,6 @@ func (hv *HistVar) Snapshot() Histogram {
 	return hv.h
 }
 
-// Unit reports the sample unit ("ns" or "count").
-func (hv *HistVar) Unit() string {
-	if hv == nil {
-		return ""
-	}
-	return hv.unit
-}
-
 // Registry is the process-wide metric table: dotted name + sorted
 // labels identify each instrument, created on first use and shared by
 // every later lookup. Lookups take the registry lock once; the returned

@@ -1,7 +1,5 @@
 package pagestore
 
-import "fmt"
-
 // Access is one physical device access an operation on a Backend plans:
 // the LBA range touched, the direction, and whether the blocks hold
 // structural metadata (bloom filters, index blocks, a manifest) rather
@@ -26,13 +24,6 @@ type Access struct {
 	Meta bool
 }
 
-// Iterator walks one object's pages in page order. Next returns ok=false
-// after the last page. Like Backend.Read, data may be the stored block
-// itself: callers must not write into it.
-type Iterator interface {
-	Next() (page int64, data []byte, ok bool, err error)
-}
-
 // Backend is the storage-layer seam: the engine's storage manager talks
 // to this interface instead of the concrete extent heap Store, so the
 // page-to-block mapping (heap extents, an LSM tree, ...) is pluggable
@@ -40,10 +31,10 @@ type Iterator interface {
 //
 // Read and Write return, besides the page content, the plan of device
 // accesses the operation implies; the storage manager submits the plan
-// through the DSS interface. Delete and Truncate report the freed
-// extents so the caller can issue TRIM — a backend whose space is
-// reclaimed asynchronously (LSM compaction) may report nothing here and
-// deliver its TRIMs through the Maintainer interface instead.
+// through the DSS interface. Delete reports the freed extents so the
+// caller can issue TRIM — a backend whose space is reclaimed
+// asynchronously (LSM compaction) may report nothing here and deliver
+// its TRIMs through the Maintainer interface instead.
 //
 // Implementations must be safe for concurrent use.
 type Backend interface {
@@ -68,9 +59,6 @@ type Backend interface {
 	// it may hand it to every reader and, like the LSM through flushes
 	// and compactions, move it between its own structures by reference.
 	Write(id ObjectID, page int64, data []byte) ([]Access, error)
-	// Truncate discards the object's content but keeps it registered,
-	// reporting any synchronously freed extents.
-	Truncate(id ObjectID) ([]Extent, error)
 	// Delete removes the object, reporting any synchronously freed
 	// extents for TRIM.
 	Delete(id ObjectID) ([]Extent, error)
@@ -78,8 +66,6 @@ type Backend interface {
 	Objects() []ObjectID
 	// TotalPages reports the sum of logical pages across objects.
 	TotalPages() int64
-	// Iter iterates the object's pages in page order.
-	Iter(id ObjectID) (Iterator, error)
 }
 
 // MaintKind distinguishes the maintenance work a backend generates.
@@ -143,60 +129,3 @@ var (
 	_ Backend  = (*Store)(nil)
 	_ Volatile = (*Store)(nil)
 )
-
-// Read implements Backend: one page read is one block access at the
-// page's LBA.
-func (s *Store) Read(id ObjectID, page int64) ([]byte, []Access, error) {
-	data, lba, err := s.ReadPage(id, page)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, []Access{{LBA: lba, Blocks: 1}}, nil
-}
-
-// Write implements Backend: one page write is one block write at the
-// page's LBA.
-func (s *Store) Write(id ObjectID, page int64, data []byte) ([]Access, error) {
-	lba, err := s.WritePage(id, page, data)
-	if err != nil {
-		return nil, err
-	}
-	return []Access{{Write: true, LBA: lba, Blocks: 1}}, nil
-}
-
-// storeIter iterates a heap object's pages through ReadPage.
-type storeIter struct {
-	s     *Store
-	id    ObjectID
-	page  int64
-	pages int64
-}
-
-// Next implements Iterator.
-func (it *storeIter) Next() (int64, []byte, bool, error) {
-	if it.page >= it.pages {
-		return 0, nil, false, nil
-	}
-	p := it.page
-	data, _, err := it.s.ReadPage(it.id, p)
-	if err != nil {
-		return 0, nil, false, err
-	}
-	it.page++
-	return p, data, true, nil
-}
-
-// Iter implements Backend. The page count is snapshotted at creation;
-// pages appended during iteration are not visited.
-func (s *Store) Iter(id ObjectID) (Iterator, error) {
-	if err := s.Check(); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	o := s.objects[id]
-	s.mu.Unlock()
-	if o == nil {
-		return nil, fmt.Errorf("pagestore: %w %d", ErrUnknownObject, id)
-	}
-	return &storeIter{s: s, id: id, pages: s.Pages(id)}, nil
-}

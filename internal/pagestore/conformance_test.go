@@ -1,7 +1,8 @@
 // Conformance suite for pagestore.Backend implementations: every
 // backend the engine can mount must agree on the seam's semantics —
 // object lifecycle, zero-fill reads, growth on out-of-order writes,
-// iterator order, and ErrUnknownObject on racing deletes. Properties
+// ErrUnknownObject after a delete, and a recreated object that reads
+// none of its predecessor's pages. Properties
 // that are legitimately backend-specific (synchronous TRIM reporting,
 // extent contiguity) are declared per backend in the case table.
 package pagestore_test
@@ -92,12 +93,6 @@ func TestConformanceLifecycle(t *testing.T) {
 			if got := b.Pages(7); got != 5 {
 				t.Fatalf("Pages after smaller Extend = %d", got)
 			}
-			if _, err := b.Truncate(7); err != nil {
-				t.Fatal(err)
-			}
-			if !b.Exists(7) || b.Pages(7) != 0 {
-				t.Fatalf("truncate changed existence: exists=%v pages=%d", b.Exists(7), b.Pages(7))
-			}
 			if _, err := b.Delete(7); err != nil {
 				t.Fatal(err)
 			}
@@ -121,14 +116,8 @@ func TestConformanceUnknownObject(t *testing.T) {
 			if err := b.Extend(42, 1); !errors.Is(err, pagestore.ErrUnknownObject) {
 				t.Fatalf("Extend: %v", err)
 			}
-			if _, err := b.Truncate(42); !errors.Is(err, pagestore.ErrUnknownObject) {
-				t.Fatalf("Truncate: %v", err)
-			}
 			if _, err := b.Delete(42); !errors.Is(err, pagestore.ErrUnknownObject) {
 				t.Fatalf("Delete: %v", err)
-			}
-			if _, err := b.Iter(42); !errors.Is(err, pagestore.ErrUnknownObject) {
-				t.Fatalf("Iter: %v", err)
 			}
 		})
 	}
@@ -310,54 +299,53 @@ func TestConformanceDeleteReclamation(t *testing.T) {
 	}
 }
 
-func TestConformanceIterator(t *testing.T) {
+// TestConformanceRecreateReadsZeroes: after Delete, the object is
+// unknown, and a Create of the same ID reads zeroes where the deleted
+// object had pages, whether those pages were still in the backend's
+// volatile state or had been made durable by Sync.
+func TestConformanceRecreateReadsZeroes(t *testing.T) {
 	for _, bc := range backends() {
-		t.Run(bc.name, func(t *testing.T) {
-			b := bc.make()
-			if err := b.Create(1); err != nil {
-				t.Fatal(err)
-			}
-			for p := int64(0); p < 12; p++ {
-				if _, err := b.Write(1, p, payload(1, p)); err != nil {
+		for _, synced := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/synced=%v", bc.name, synced), func(t *testing.T) {
+				b := bc.make()
+				if err := b.Create(1); err != nil {
 					t.Fatal(err)
 				}
-			}
-			it, err := b.Iter(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for want := int64(0); want < 12; want++ {
-				p, data, ok, err := it.Next()
-				if err != nil || !ok {
-					t.Fatalf("Next at %d: ok=%v err=%v", want, ok, err)
+				for p := int64(0); p < 4; p++ {
+					if _, err := b.Write(1, p, payload(1, p)); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if p != want {
-					t.Fatalf("iterator out of order: got page %d, want %d", p, want)
+				if sy, ok := b.(pagestore.Syncer); ok && synced {
+					if err := sy.Sync(); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if string(data[:len(payload(1, p))]) != string(payload(1, p)) {
-					t.Fatalf("iterator page %d corrupt", p)
+				if _, err := b.Delete(1); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if _, _, ok, err := it.Next(); ok || err != nil {
-				t.Fatalf("iterator did not terminate: ok=%v err=%v", ok, err)
-			}
-
-			// Racing delete: an open iterator must fail with
-			// ErrUnknownObject, not read stale or zero data.
-			it2, err := b.Iter(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, _, err := it2.Next(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := b.Delete(1); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, _, err := it2.Next(); !errors.Is(err, pagestore.ErrUnknownObject) {
-				t.Fatalf("Next after delete = %v, want ErrUnknownObject", err)
-			}
-		})
+				if _, _, err := b.Read(1, 0); !errors.Is(err, pagestore.ErrUnknownObject) {
+					t.Fatalf("Read of a deleted object: %v, want ErrUnknownObject", err)
+				}
+				if err := b.Create(1); err != nil {
+					t.Fatal(err)
+				}
+				if got := b.Pages(1); got != 0 {
+					t.Fatalf("recreated object has %d pages", got)
+				}
+				for p := int64(0); p < 4; p++ {
+					data, _, err := b.Read(1, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, c := range data {
+						if c != 0 {
+							t.Fatalf("recreated object reads its predecessor's page %d", p)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -462,10 +450,6 @@ func TestConformanceKill(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			open, err := b.Iter(tree)
-			if err != nil {
-				t.Fatal(err)
-			}
 			n := k.Writes()
 			if _, err := b.Write(reserved, 1, payload(reserved, 1)); err != nil {
 				t.Fatal(err)
@@ -494,15 +478,8 @@ func TestConformanceKill(t *testing.T) {
 				killed("Read", err)
 				_, err = b.Write(id, 0, payload(id, 0))
 				killed("Write", err)
-				_, err = b.Iter(id)
-				killed("Iter", err)
-				_, err = b.Truncate(id)
-				killed("Truncate", err)
 				_, err = b.Delete(id)
 				killed("Delete", err)
-			}
-			if _, _, _, err := open.Next(); !errors.Is(err, pagestore.ErrKilled) {
-				t.Fatalf("Next of an open iterator on a dead store = %v, want ErrKilled", err)
 			}
 			if sy, ok := b.(pagestore.Syncer); ok {
 				if err := sy.Sync(); !errors.Is(err, pagestore.ErrKilled) {

@@ -71,8 +71,8 @@ type object struct {
 }
 
 // Store is the page store. It is safe for concurrent use. The embedded
-// Cut is its kill rule: WritePage passes it, every other operation that
-// can fail refuses with ErrKilled once it has fired.
+// Cut is its kill rule: Write passes it, every other operation that can
+// fail refuses with ErrKilled once it has fired.
 type Store struct {
 	*Cut
 	mu      sync.Mutex
@@ -150,16 +150,12 @@ func (s *Store) allocExtent() int64 {
 	return lba
 }
 
-// LBA translates (object, page) to a block address, growing the object as
-// needed. Writers may arrive out of order (the buffer pool flushes dirty
-// pages in arbitrary order), so growth past the current end is allowed;
-// the intervening pages read as zeroes until written.
-func (s *Store) LBA(id ObjectID, page int64) (int64, error) {
-	if err := s.Check(); err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// lbaLocked translates (object, page) to a block address, growing the
+// object as needed. Writers may arrive out of order (the buffer pool
+// flushes dirty pages in arbitrary order), so growth past the current end
+// is allowed; the intervening pages read as zeroes until written. Caller
+// holds s.mu.
+func (s *Store) lbaLocked(id ObjectID, page int64) (int64, error) {
 	o := s.objects[id]
 	if o == nil {
 		return 0, fmt.Errorf("pagestore: %w %d", ErrUnknownObject, id)
@@ -217,59 +213,47 @@ func KeepPage(data []byte) []byte {
 	return data[:PageSize]
 }
 
-// ReadPage returns the content of (object, page). Pages never written
-// read as zeroes. The slice is the stored page itself, shared with every
-// other reader: stored pages are immutable (WritePage replaces, nothing
-// writes into one), and callers must not write into what they are handed.
-func (s *Store) ReadPage(id ObjectID, page int64) ([]byte, int64, error) {
-	lba, err := s.LBA(id, page)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.mu.Lock()
-	data, ok := s.pages[lba]
-	s.mu.Unlock()
-	if !ok {
-		data = zeroPage
-	}
-	return data, lba, nil
-}
-
-// WritePage stores the content of (object, page), keeping data (KeepPage).
-// The write passes the Cut before anything is allocated.
-func (s *Store) WritePage(id ObjectID, page int64, data []byte) (int64, error) {
-	if len(data) > PageSize {
-		return 0, fmt.Errorf("pagestore: page payload %d exceeds %d", len(data), PageSize)
-	}
-	if err := s.Pass(); err != nil {
-		return 0, err
-	}
-	lba, err := s.LBA(id, page)
-	if err != nil {
-		return 0, err
-	}
-	buf := KeepPage(data)
-	s.mu.Lock()
-	s.pages[lba] = buf
-	s.mu.Unlock()
-	return lba, nil
-}
-
-// Truncate discards the object's content but keeps it registered.
-func (s *Store) Truncate(id ObjectID) ([]Extent, error) {
+// Read implements Backend: one page read is one block access at the
+// page's LBA. Pages never written read as zeroes. The slice is the stored
+// page itself, shared with every other reader: stored pages are immutable
+// (Write replaces, nothing writes into one), and callers must not write
+// into what they are handed.
+func (s *Store) Read(id ObjectID, page int64) ([]byte, []Access, error) {
 	if err := s.Check(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o := s.objects[id]
-	if o == nil {
-		return nil, fmt.Errorf("pagestore: %w %d", ErrUnknownObject, id)
+	lba, err := s.lbaLocked(id, page)
+	if err != nil {
+		return nil, nil, err
 	}
-	ext := s.release(o)
-	o.extents = nil
-	o.pages = 0
-	return ext, nil
+	data, ok := s.pages[lba]
+	if !ok {
+		data = zeroPage
+	}
+	return data, []Access{{LBA: lba, Blocks: 1}}, nil
+}
+
+// Write implements Backend: one page write is one block write at the
+// page's LBA, keeping data (KeepPage). The write passes the Cut before
+// anything is allocated.
+func (s *Store) Write(id ObjectID, page int64, data []byte) ([]Access, error) {
+	if len(data) > PageSize {
+		return nil, fmt.Errorf("pagestore: page payload %d exceeds %d", len(data), PageSize)
+	}
+	if err := s.Pass(); err != nil {
+		return nil, err
+	}
+	buf := KeepPage(data)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	lba, err := s.lbaLocked(id, page)
+	if err != nil {
+		return nil, err
+	}
+	s.pages[lba] = buf
+	return []Access{{Write: true, LBA: lba, Blocks: 1}}, nil
 }
 
 // Delete removes the object and returns the freed extents so the caller
@@ -284,32 +268,19 @@ func (s *Store) Delete(id ObjectID) ([]Extent, error) {
 	if o == nil {
 		return nil, fmt.Errorf("pagestore: %w %d", ErrUnknownObject, id)
 	}
-	ext := s.release(o)
 	delete(s.objects, id)
-	return ext, nil
-}
-
-// release frees an object's extents and content. Caller holds s.mu.
-func (s *Store) release(o *object) []Extent {
 	exts := make([]Extent, 0, len(o.extents))
 	for i, start := range o.extents {
-		pagesInExt := int64(ExtentPages)
-		if i == len(o.extents)-1 {
-			if rem := o.pages - int64(i)*ExtentPages; rem < pagesInExt {
-				pagesInExt = rem
-			}
-		}
-		if pagesInExt < 0 {
-			pagesInExt = 0
-		}
-		exts = append(exts, Extent{Start: start, Pages: pagesInExt})
+		// Only the last extent can be partly used.
+		used := min(ExtentPages, max(0, o.pages-int64(i)*ExtentPages))
+		exts = append(exts, Extent{Start: start, Pages: used})
 		for p := int64(0); p < ExtentPages; p++ {
 			delete(s.pages, start+p)
 		}
 		s.freeExt = append(s.freeExt, start)
 	}
 	sort.Slice(exts, func(i, j int) bool { return exts[i].Start < exts[j].Start })
-	return exts
+	return exts, nil
 }
 
 // Objects returns the registered object IDs (sorted, for deterministic

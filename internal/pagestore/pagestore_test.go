@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// lbaOf is the block a read of (object, page) touches.
+func lbaOf(s *Store, id ObjectID, page int64) (int64, error) {
+	_, plan, err := s.Read(id, page)
+	if err != nil {
+		return 0, err
+	}
+	return plan[0].LBA, nil
+}
+
 func TestCreateAndExists(t *testing.T) {
 	s := NewStore()
 	if s.Exists(1) {
@@ -25,7 +34,7 @@ func TestCreateAndExists(t *testing.T) {
 func TestReadUnwrittenPageIsZero(t *testing.T) {
 	s := NewStore()
 	_ = s.Create(1)
-	data, _, err := s.ReadPage(1, 0)
+	data, _, err := s.Read(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +52,10 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	s := NewStore()
 	_ = s.Create(7)
 	payload := []byte("hello page")
-	if _, err := s.WritePage(7, 3, payload); err != nil {
+	if _, err := s.Write(7, 3, payload); err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := s.ReadPage(7, 3)
+	data, _, err := s.Read(7, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +72,12 @@ func TestSequentialLayout(t *testing.T) {
 	// the property Rule 1 depends on.
 	s := NewStore()
 	_ = s.Create(1)
-	prev, err := s.LBA(1, 0)
+	prev, err := lbaOf(s, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for p := int64(1); p < ExtentPages; p++ {
-		lba, err := s.LBA(1, p)
+		lba, err := lbaOf(s, 1, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,8 +92,8 @@ func TestDistinctObjectsDistinctLBAs(t *testing.T) {
 	s := NewStore()
 	_ = s.Create(1)
 	_ = s.Create(2)
-	a, _ := s.LBA(1, 0)
-	b, _ := s.LBA(2, 0)
+	a, _ := lbaOf(s, 1, 0)
+	b, _ := lbaOf(s, 2, 0)
 	if a == b {
 		t.Fatal("objects share an LBA")
 	}
@@ -94,7 +103,7 @@ func TestDeleteReturnsExtentsAndRecycles(t *testing.T) {
 	s := NewStore()
 	_ = s.Create(1)
 	for p := int64(0); p < ExtentPages+10; p++ {
-		if _, err := s.WritePage(1, p, []byte{1}); err != nil {
+		if _, err := s.Write(1, p, []byte{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,7 +126,7 @@ func TestDeleteReturnsExtentsAndRecycles(t *testing.T) {
 	}
 	// Freed extents are reused by new objects.
 	_ = s.Create(2)
-	lba, _ := s.LBA(2, 0)
+	lba, _ := lbaOf(s, 2, 0)
 	found := false
 	for _, e := range exts {
 		if lba >= e.Start && lba < e.Start+ExtentPages {
@@ -128,7 +137,7 @@ func TestDeleteReturnsExtentsAndRecycles(t *testing.T) {
 		t.Fatal("freed extent not recycled")
 	}
 	// And the recycled pages read as zero.
-	data, _, _ := s.ReadPage(2, 0)
+	data, _, _ := s.Read(2, 0)
 	for _, b := range data {
 		if b != 0 {
 			t.Fatal("stale data visible after recycle")
@@ -136,36 +145,20 @@ func TestDeleteReturnsExtentsAndRecycles(t *testing.T) {
 	}
 }
 
-func TestTruncateKeepsObject(t *testing.T) {
-	s := NewStore()
-	_ = s.Create(1)
-	_, _ = s.WritePage(1, 0, []byte{9})
-	exts, err := s.Truncate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exts) != 1 {
-		t.Fatalf("extents %d", len(exts))
-	}
-	if !s.Exists(1) || s.Pages(1) != 0 {
-		t.Fatal("truncate broke the object")
-	}
-}
-
 func TestErrors(t *testing.T) {
 	s := NewStore()
-	if _, err := s.LBA(9, 0); err == nil {
+	if _, err := lbaOf(s, 9, 0); err == nil {
 		t.Fatal("unknown object accepted")
 	}
 	if _, err := s.Delete(9); err == nil {
 		t.Fatal("deleting unknown object accepted")
 	}
 	_ = s.Create(1)
-	if _, err := s.LBA(1, -1); err == nil {
+	if _, err := lbaOf(s, 1, -1); err == nil {
 		t.Fatal("negative page accepted")
 	}
 	big := make([]byte, PageSize+1)
-	if _, err := s.WritePage(1, 0, big); err == nil {
+	if _, err := s.Write(1, 0, big); err == nil {
 		t.Fatal("oversized page accepted")
 	}
 }
@@ -174,8 +167,8 @@ func TestTotalPagesAndObjects(t *testing.T) {
 	s := NewStore()
 	_ = s.Create(3)
 	_ = s.Create(1)
-	_, _ = s.WritePage(1, 0, []byte{1})
-	_, _ = s.WritePage(3, 4, []byte{1})
+	_, _ = s.Write(1, 0, []byte{1})
+	_, _ = s.Write(3, 4, []byte{1})
 	if got := s.TotalPages(); got != 6 {
 		t.Fatalf("total pages %d, want 6", got)
 	}
@@ -198,7 +191,7 @@ func TestNoLBACollisions(t *testing.T) {
 					return false
 				}
 			}
-			lba, err := s.LBA(obj, page)
+			lba, err := lbaOf(s, obj, page)
 			if err != nil {
 				return false
 			}

@@ -79,9 +79,9 @@ func runEverything(t *testing.T, ds *Dataset, poolPages int) *engine.Instance {
 }
 
 // TestStoredPagesAreNeverWrittenInto guards the contract the in-place
-// decoders, the sharing ReadPage and the backends' keeping of what they
-// are handed rest on: a page frame, and the stored page behind it, is
-// replaced (Pool.Put, Store.WritePage) and never written into. Neither
+// decoders, the sharing Read and the backends' keeping of what they are
+// handed rest on: a page frame, and the stored page behind it, is
+// replaced (Pool.Put, Store.Write) and never written into. Neither
 // is the zero page every never-written page reads as.
 func TestStoredPagesAreNeverWrittenInto(t *testing.T) {
 	// Every stored page is checksummed, then everything runs on a pool
@@ -229,14 +229,6 @@ func (s *checkedStore) Write(id pagestore.ObjectID, page int64, data []byte) ([]
 		}
 	}
 	return plan, nil
-}
-
-func (s *checkedStore) Truncate(id pagestore.ObjectID) ([]pagestore.Extent, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.verify(id)
-	delete(s.blocks, id)
-	return s.Backend.Truncate(id)
 }
 
 func (s *checkedStore) Delete(id pagestore.ObjectID) ([]pagestore.Extent, error) {
