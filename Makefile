@@ -20,7 +20,8 @@ race:
 # path, and the same path from 1, 2 and 4 CPUs), heap
 # fetch/scan/update, B-tree lookup/seek/insert/delete, the executor's row path
 # (scan-filter-aggregate, hash-join probe, nested loop, spill round
-# trip), the log's page-change encoder alone per page shape (sparse
+# trip) and its hash tables (BenchmarkHashJoinBuild: a join's build
+# side of 1,000 rows; BenchmarkHashAggGroups: 1,000 aggregate groups), the log's page-change encoder alone per page shape (sparse
 # edits, a shifted B-tree leaf, a heap append, an unchanged page, no
 # pre-image; with the redo bytes) and with the record append around it
 # (wal), a transaction's commit and abort over 1, 8 and 64 pages (txn),

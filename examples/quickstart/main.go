@@ -72,8 +72,8 @@ func main() {
 			Lo:    10_000, Hi: 20_000,
 		},
 		GroupKey: func(key []byte, t hstoragedb.Tuple) []byte { return strconv.AppendInt(key, t[1].I%10, 10) },
-		NewGroup: func(t hstoragedb.Tuple) hstoragedb.Tuple {
-			return hstoragedb.Tuple{hstoragedb.Int(t[1].I % 10), hstoragedb.Float(t[2].F)}
+		NewGroup: func(dst, t hstoragedb.Tuple) hstoragedb.Tuple {
+			return append(dst, hstoragedb.Int(t[1].I%10), hstoragedb.Float(t[2].F))
 		},
 		Merge: func(acc, t hstoragedb.Tuple) hstoragedb.Tuple {
 			acc[1].F += t[2].F

@@ -165,8 +165,9 @@ func NewSchema(cols ...Column) Schema { return catalog.NewSchema(cols...) }
 // returns are owned by the caller. The rows an operator callback sees
 // (Pred, OuterKey, Combine, GroupKey, Merge, Project.Fn, ...) are not:
 // each is valid until the operator below produces its next row, so a
-// callback that keeps one takes Tuple.Owned; Combine, Project.Fn and
-// GroupKey append their result to the scratch they are handed.
+// callback that keeps one takes Tuple.Owned; Combine, Project.Fn,
+// NewGroup and GroupKey append their result to the scratch they are
+// handed.
 type (
 	Operator    = exec.Operator
 	TableHandle = exec.TableHandle

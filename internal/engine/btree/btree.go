@@ -465,18 +465,20 @@ func (it *Iterator) Next() (Entry, bool, error) {
 	return Entry{}, false, nil
 }
 
-// Lookup returns all RIDs for an exact key. It allocates only the result.
-func (t *Tree) Lookup(clk *simclock.Clock, key int64, level int) ([]catalog.RID, error) {
+// Lookup appends the RIDs of every entry with an exact key to dst and
+// returns it, like append: a caller that reuses its buffer
+// (Lookup(clk, key, level, buf[:0]...)) makes a lookup allocate nothing,
+// and one that passes none gets a new slice.
+func (t *Tree) Lookup(clk *simclock.Clock, key int64, level int, dst ...catalog.RID) ([]catalog.RID, error) {
 	var it Iterator
 	if err := t.seek(&it, clk, key, key, level); err != nil {
-		return nil, err
+		return dst, err
 	}
-	var out []catalog.RID
 	for {
 		e, ok, err := it.Next()
 		if err != nil || !ok {
-			return out, err
+			return dst, err
 		}
-		out = append(out, e.RID)
+		dst = append(dst, e.RID)
 	}
 }

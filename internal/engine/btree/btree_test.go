@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -577,19 +578,49 @@ func BenchmarkSeek(b *testing.B) {
 }
 
 // TestLookupAllocationBudget: a lookup searches the encoded nodes in
-// their frames and allocates its result slice only.
+// their frames and appends to the caller's buffer, so with a reused
+// buffer it allocates nothing.
 func TestLookupAllocationBudget(t *testing.T) {
 	h := newHarness(t)
 	tree := buildTree(t, h, 20000)
 	k := int64(0)
+	var buf []catalog.RID
 	if n := testing.AllocsPerRun(200, func() {
-		rids, err := tree.Lookup(&h.clk, k%20000, 0)
-		if err != nil || len(rids) != 1 {
-			t.Fatal(rids, err)
+		var err error
+		buf, err = tree.Lookup(&h.clk, k%20000, 0, buf[:0]...)
+		if err != nil || len(buf) != 1 {
+			t.Fatal(buf, err)
 		}
 		k += 7919
-	}); n > 2 {
-		t.Errorf("Lookup of a unique key allocates %.1f times, want <= 2", n)
+	}); n != 0 {
+		t.Errorf("Lookup of a unique key into a reused buffer allocates %.1f times, want 0", n)
+	}
+}
+
+// TestLookupAppends: Lookup keeps what dst holds and appends the key's
+// RIDs in index order, the same as a lookup into no buffer.
+func TestLookupAppends(t *testing.T) {
+	h := newHarness(t)
+	tree, _, err := Build(&h.clk, h.pool, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 600; i++ {
+		if err := tree.Insert(&h.clk, Entry{Key: i % 3, RID: rid(i)}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := tree.Lookup(&h.clk, 1, 0)
+	if err != nil || len(want) != 200 {
+		t.Fatalf("%d rids, %v", len(want), err)
+	}
+	head := []catalog.RID{rid(-1)}
+	got, err := tree.Lookup(&h.clk, 1, 0, head...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1+len(want) || got[0] != rid(-1) || !slices.Equal(got[1:], want) {
+		t.Fatalf("Lookup into %v returned %d rids", head, len(got))
 	}
 }
 

@@ -133,6 +133,11 @@ type Pool struct {
 	table map[key]*entry
 	head  entry // sentinel of the LRU list, head.next = MRU
 	stats Stats
+	// free lists (through next) the entries of frames dropped clean,
+	// for the next frames installed: a miss that evicts allocates no
+	// entry. An entry whose write-back is in flight never joins it:
+	// evictOne still holds that entry across the write.
+	free *entry
 	// nflushing counts frames latched mid-write-back. They stay visible
 	// in the table (readers keep hitting the in-memory copy) but do not
 	// count against capacity, so a concurrent stream's makeRoom does not
@@ -267,6 +272,32 @@ func (p *Pool) touch(e *entry) {
 	p.pushFront(e)
 }
 
+// newEntry returns a frame entry for k, recycled if one is free. Caller
+// holds p.mu.
+func (p *Pool) newEntry(k key) *entry {
+	e := p.free
+	if e == nil {
+		return &entry{key: k}
+	}
+	p.free, e.next = e.next, nil
+	e.key = k
+	return e
+}
+
+// drop unlinks frame e and removes it from the table; an entry that no
+// write-back or transaction still holds is recycled. Its version keeps
+// counting, so a FlushAll that snapshotted the old frame cannot mistake
+// the new one for it. Caller holds p.mu.
+func (p *Pool) drop(e *entry) {
+	p.unlink(e)
+	delete(p.table, e.key)
+	if e.flushing || e.pins > 0 {
+		return
+	}
+	*e = entry{version: e.version + 1, next: p.free}
+	p.free = e
+}
+
 // evictOne writes back the least recently used unpinned page if dirty and
 // frees its frame. It reports whether it made progress: pinned frames
 // (dirtied by an uncommitted transaction) and frames mid-flush are
@@ -286,8 +317,7 @@ func (p *Pool) evictOne(clk *simclock.Clock) (bool, error) {
 		return false, nil
 	}
 	if !lru.dirty {
-		p.unlink(lru)
-		delete(p.table, lru.key)
+		p.drop(lru)
 		p.stats.Evictions++
 		p.mEvict.Inc()
 		return true, nil
@@ -323,9 +353,7 @@ func (p *Pool) evictOne(clk *simclock.Clock) (bool, error) {
 		// another victim.
 		return true, err
 	}
-	lru.dirty = false
-	p.unlink(lru)
-	delete(p.table, lru.key)
+	p.drop(lru)
 	p.stats.Evictions++
 	p.mEvict.Inc()
 	return true, err
@@ -407,7 +435,8 @@ func (p *Pool) Get(clk *simclock.Clock, tag policy.Tag, page int64) ([]byte, err
 			return data, nil
 		}
 		if read != nil {
-			e := &entry{key: k, data: read, content: tag.Content}
+			e := p.newEntry(k)
+			e.data, e.content = read, tag.Content
 			p.table[k] = e
 			p.pushFront(e)
 			p.mu.Unlock()
@@ -472,7 +501,7 @@ func (p *Pool) Put(clk *simclock.Clock, tag policy.Tag, page int64, data []byte)
 		// concurrent Get may have installed the page meanwhile: that frame
 		// is the one to write, or it would be orphaned on the LRU list.
 		if e, had = p.table[k]; !had {
-			e = &entry{key: k}
+			e = p.newEntry(k)
 		}
 	}
 	// The first touch comes before a new frame is installed, so a store
@@ -502,8 +531,13 @@ func (p *Pool) Put(clk *simclock.Clock, tag policy.Tag, page int64, data []byte)
 // in memory: their durability is the WAL's job. A frame re-dirtied while
 // its snapshot was being written keeps its dirty bit.
 func (p *Pool) FlushAll(clk *simclock.Clock) error {
+	// A snapshot holds what the write needs: once the latch is dropped,
+	// the frame may be evicted and its entry recycled for another page
+	// (its version then differs).
 	type snap struct {
 		e       *entry
+		key     key
+		content policy.ContentType
 		data    []byte
 		version int64
 	}
@@ -511,7 +545,7 @@ func (p *Pool) FlushAll(clk *simclock.Clock) error {
 	dirty := make([]snap, 0)
 	for _, e := range p.table {
 		if e.dirty && e.pins == 0 {
-			dirty = append(dirty, snap{e: e, data: e.data, version: e.version})
+			dirty = append(dirty, snap{e: e, key: e.key, content: e.content, data: e.data, version: e.version})
 		}
 	}
 	p.mu.Unlock()
@@ -519,7 +553,7 @@ func (p *Pool) FlushAll(clk *simclock.Clock) error {
 	// device's I/O order, and with it every simulated time downstream,
 	// differ from run to run.
 	sort.Slice(dirty, func(i, j int) bool {
-		a, b := dirty[i].e.key, dirty[j].e.key
+		a, b := dirty[i].key, dirty[j].key
 		if a.obj != b.obj {
 			return a.obj < b.obj
 		}
@@ -527,8 +561,8 @@ func (p *Pool) FlushAll(clk *simclock.Clock) error {
 	})
 	for _, s := range dirty {
 		e := s.e
-		tag := policy.Tag{Object: e.key.obj, Content: e.content}
-		if err := p.mgr.WritePage(clk, tag, e.key.page, s.data); err != nil {
+		tag := policy.Tag{Object: s.key.obj, Content: s.content}
+		if err := p.mgr.WritePage(clk, tag, s.key.page, s.data); err != nil {
 			if errors.Is(err, pagestore.ErrUnknownObject) {
 				continue // the object was dropped while we flushed
 			}
@@ -551,8 +585,7 @@ func (p *Pool) Invalidate(obj pagestore.ObjectID) {
 	p.mu.Lock()
 	for k, e := range p.table {
 		if k.obj == obj {
-			p.unlink(e)
-			delete(p.table, k)
+			p.drop(e)
 		}
 	}
 	p.mu.Unlock()

@@ -74,6 +74,61 @@ func TestGetMissThenHit(t *testing.T) {
 	}
 }
 
+// TestWarmGetMissAllocatesNothing: once the pool is full, a Get miss on
+// the heap store evicts a clean frame and reuses its entry, and the
+// store plans the read without allocating, so the miss allocates
+// nothing.
+func TestWarmGetMissAllocatesNothing(t *testing.T) {
+	const frames = 8
+	h := newHarness(t)
+	p := New(h.mgr, frames)
+	page := int64(0)
+	get := func() {
+		if _, err := p.Get(&h.clk, tag(1), page%(4*frames)); err != nil {
+			t.Fatal(err)
+		}
+		page++
+	}
+	for range 8 * frames {
+		get()
+	}
+	before := p.Stats().Misses
+	if n := testing.AllocsPerRun(200, get); n != 0 {
+		t.Errorf("a warm Get miss allocates %.2f times, want 0", n)
+	}
+	if misses := p.Stats().Misses - before; misses != 201 {
+		t.Fatalf("%d misses in 201 Gets", misses)
+	}
+}
+
+// TestRecycledEntryIsANewFrame: the entry of a frame evicted clean
+// serves the next page installed with nothing of the old frame but a
+// higher version, so a FlushAll that snapshotted the old frame cannot
+// clear the new one's dirty bit.
+func TestRecycledEntryIsANewFrame(t *testing.T) {
+	h := newHarness(t)
+	p := New(h.mgr, 1)
+	if _, err := p.Get(&h.clk, tag(1), 0); err != nil {
+		t.Fatal(err)
+	}
+	old := p.table[key{obj: 1, page: 0}]
+	oldVersion := old.version
+	data := []byte{7}
+	if err := p.Put(&h.clk, tag(2), 5, data); err != nil {
+		t.Fatal(err)
+	}
+	e := p.table[key{obj: 2, page: 5}]
+	if e != old {
+		t.Fatal("the clean victim's entry was not reused")
+	}
+	if _, ok := p.table[key{obj: 1, page: 0}]; ok || len(p.table) != 1 {
+		t.Fatalf("table holds %d frames", len(p.table))
+	}
+	if e.version <= oldVersion || !e.dirty || &e.data[0] != &data[0] || e.pins != 0 || e.verLSN != 0 {
+		t.Fatalf("recycled entry %+v (old version %d)", e, oldVersion)
+	}
+}
+
 func TestPutMakesDirtyAndWriteBack(t *testing.T) {
 	h := newHarness(t)
 	p := New(h.mgr, 2)

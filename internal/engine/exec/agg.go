@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"fmt"
+	"unsafe"
+
 	"hstoragedb/internal/engine/catalog"
 )
 
@@ -17,25 +20,32 @@ type HashAgg struct {
 	// append. key is the operator's scratch, emptied; t is borrowed. An
 	// input row that falls into an existing group allocates nothing.
 	GroupKey func(key []byte, t catalog.Tuple) []byte
-	// NewGroup builds the initial accumulator, a new tuple, from a group's
-	// first tuple. It may copy string datums of t as they are: HashAgg
-	// makes the accumulator's strings its own once per group.
-	NewGroup func(catalog.Tuple) catalog.Tuple
-	// Merge folds a tuple into an accumulator (in place or returning a
-	// new accumulator). t is borrowed.
+	// NewGroup appends the initial accumulator of the group t starts to
+	// dst and returns it, like append. dst is the operator's scratch,
+	// emptied; t is borrowed, and the accumulator may hold its string
+	// datums as they are: HashAgg copies the accumulator, strings
+	// included, into its own arena, so a new group allocates nothing
+	// but the arena's occasional chunk. Every accumulator of one HashAgg
+	// has the same number of columns.
+	NewGroup func(dst, t catalog.Tuple) catalog.Tuple
+	// Merge folds a tuple into an accumulator in place and returns it. A
+	// different tuple of the same width is copied over the accumulator;
+	// one of another width is an error. t is borrowed.
 	Merge func(acc catalog.Tuple, t catalog.Tuple) catalog.Tuple
 	// Finalize post-processes an accumulator before emission (nil =
 	// identity).
 	Finalize func(acc catalog.Tuple) catalog.Tuple
 
-	// groups maps a key to its accumulator's index in accs, which is in
-	// first-seen order: the emission order, and so the probe order of
-	// every operator above, is a function of the input alone (a map walk
-	// would vary run to run).
-	groups  map[string]int
-	accs    []catalog.Tuple
+	// groups maps a key, whose bytes live in keys, to its accumulator in
+	// accs. accs is in first-seen order: the emission order, and so the
+	// probe order of every operator above, is a function of the input
+	// alone (a map walk would vary run to run).
+	groups  map[string]rowRef
+	accs    rowArena
+	keys    byteArena
 	key     []byte
-	idx     int
+	scratch catalog.Tuple
+	emit    rowRef // the next accumulator Next returns
 	spills  []*TempFile
 	part    int
 	spilled bool
@@ -62,30 +72,49 @@ func strPart(key []byte) int {
 
 // fold merges t into its group's accumulator and reports true, or
 // reports false if the group is not resident. a.key holds t's key after.
-func (a *HashAgg) fold(t catalog.Tuple) bool {
+func (a *HashAgg) fold(t catalog.Tuple) (bool, error) {
 	a.key = a.GroupKey(a.key[:0], t)
-	i, ok := a.groups[string(a.key)]
-	if ok {
-		a.accs[i] = a.Merge(a.accs[i], t)
+	r, ok := a.groups[string(a.key)]
+	if !ok {
+		return false, nil
 	}
-	return ok
+	acc := a.accs.row(r)
+	if m := a.Merge(acc, t); unsafe.SliceData(m) != unsafe.SliceData(acc) {
+		if len(m) != len(acc) {
+			return true, fmt.Errorf("exec: Merge returned %d columns for a %d-column accumulator", len(m), len(acc))
+		}
+		copy(acc, m)
+	}
+	return true, nil
 }
 
 // addGroup starts the group of a.key with t. The key and the
-// accumulator's strings are copied here, once per group, so that no
-// group pins the page frame its first row came from.
-func (a *HashAgg) addGroup(t catalog.Tuple) {
-	acc := a.NewGroup(t)
-	acc.OwnStrings()
-	a.groups[string(a.key)] = len(a.accs)
-	a.accs = append(a.accs, acc)
+// accumulator, strings included, are copied into the operator's arenas,
+// so that no group pins the page frame its first row came from.
+func (a *HashAgg) addGroup(t catalog.Tuple) error {
+	a.scratch = a.NewGroup(a.scratch[:0], t)
+	r, err := a.accs.add(a.scratch)
+	if err != nil {
+		return err
+	}
+	a.groups[a.keys.bytes(a.key)] = r
+	return nil
+}
+
+// resetGroups empties the groups, keeping their space. The map goes
+// first: its keys alias the key arena.
+func (a *HashAgg) resetGroups() {
+	if a.groups == nil {
+		a.groups = make(map[string]rowRef)
+	}
+	clear(a.groups)
+	a.accs.reset(0)
+	a.keys.reset()
 }
 
 // Open implements Operator: drains the child, spilling overflow groups.
 func (a *HashAgg) Open(ctx *Ctx) error {
-	a.groups = make(map[string]int)
-	a.accs = nil
-	a.idx = 0
+	a.resetGroups()
 	a.part = 0
 	a.spilled = false
 	a.spills = nil
@@ -102,7 +131,11 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 			break
 		}
 		ctx.ChargeTuples(1)
-		if a.fold(t) {
+		folded, err := a.fold(t)
+		if err != nil {
+			return err
+		}
+		if folded {
 			continue
 		}
 		if ctx.WorkMem > 0 && len(a.groups) >= ctx.WorkMem {
@@ -123,7 +156,9 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 			}
 			continue
 		}
-		a.addGroup(t)
+		if err := a.addGroup(t); err != nil {
+			return err
+		}
 		if ctx.WorkMem > 0 && len(a.groups) == ctx.WorkMem {
 			// The next row that starts a group spills: from here on the
 			// input is full width.
@@ -137,15 +172,16 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 			}
 		}
 	}
+	a.emit = a.accs.first()
 	return a.Child.Close(ctx)
 }
 
 // Next implements Operator.
 func (a *HashAgg) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 	for {
-		if a.idx < len(a.accs) {
-			acc := a.accs[a.idx]
-			a.idx++
+		if a.emit != noRow {
+			acc := a.accs.row(a.emit)
+			a.emit = a.accs.following(a.emit)
 			if a.Finalize != nil {
 				acc = a.Finalize(acc)
 			}
@@ -157,8 +193,7 @@ func (a *HashAgg) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 		// Aggregate the next spilled partition in memory. Tuples whose
 		// groups were resident in phase one were already merged, so a
 		// partition contains only non-resident groups.
-		a.groups = make(map[string]int)
-		a.accs = a.accs[:0]
+		a.resetGroups()
 		r := a.spills[a.part].NewReader()
 		for {
 			t, ok, err := r.Next(ctx)
@@ -169,21 +204,29 @@ func (a *HashAgg) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 				break
 			}
 			ctx.ChargeTuples(1)
-			if !a.fold(t) {
-				a.addGroup(t)
+			folded, err := a.fold(t)
+			if err != nil {
+				return nil, false, err
+			}
+			if !folded {
+				if err := a.addGroup(t); err != nil {
+					return nil, false, err
+				}
 			}
 		}
 		if err := ctx.DropTemp(a.spills[a.part]); err != nil {
 			return nil, false, err
 		}
 		a.part++
-		a.idx = 0
+		a.emit = a.accs.first()
 	}
 }
 
 // Close implements Operator.
 func (a *HashAgg) Close(ctx *Ctx) error {
 	a.groups = nil
-	a.accs = nil
+	a.accs.free()
+	a.keys = byteArena{}
+	a.emit = noRow
 	return nil
 }

@@ -33,7 +33,7 @@ func pipelinePlan(f *fixture, limit int64) exec.Operator {
 		GroupKey: func(key []byte, tu catalog.Tuple) []byte {
 			return strconv.AppendInt(append(append(key, tu[1].S[:1]...), '|'), tu[0].I, 10)
 		},
-		NewGroup: func(tu catalog.Tuple) catalog.Tuple { return catalog.Tuple{tu[0], tu[2]} },
+		NewGroup: func(dst, tu catalog.Tuple) catalog.Tuple { return append(dst, tu[0], tu[2]) },
 		Merge: func(acc, tu catalog.Tuple) catalog.Tuple {
 			acc[1].F += tu[2].F
 			return acc
@@ -48,7 +48,7 @@ func scanFilterAggPlan(f *fixture) exec.Operator {
 			Pred:  func(tu catalog.Tuple) bool { return tu[0].I%2 == 0 },
 		},
 		GroupKey: func(key []byte, tu catalog.Tuple) []byte { return strconv.AppendInt(key, tu[2].I, 10) },
-		NewGroup: func(tu catalog.Tuple) catalog.Tuple { return catalog.Tuple{tu[2], catalog.IntDatum(1)} },
+		NewGroup: func(dst, tu catalog.Tuple) catalog.Tuple { return append(dst, tu[2], catalog.IntDatum(1)) },
 		Merge: func(acc, tu catalog.Tuple) catalog.Tuple {
 			acc[1].I++
 			return acc
@@ -75,6 +75,31 @@ func nestLoopPlan(f *fixture) exec.Operator {
 
 func keptScanPlan(f *fixture, limit int64) exec.Operator {
 	return &exec.SeqScan{Table: f.kv, Pred: func(tu catalog.Tuple) bool { return tu[0].I < limit }}
+}
+
+// hashJoinBuildPlan: the rows of kv under limit, strings included, make
+// the build side; ref's 100 rows probe it.
+func hashJoinBuildPlan(f *fixture, limit int64) exec.Operator {
+	return &exec.HashJoin{
+		Build:    &exec.Hash{Child: keptScanPlan(f, limit)},
+		Probe:    &exec.SeqScan{Table: f.ref},
+		BuildKey: func(tu catalog.Tuple) int64 { return tu[0].I },
+		ProbeKey: func(tu catalog.Tuple) int64 { return tu[0].I },
+	}
+}
+
+// hashAggGroupsPlan: every row of kv under limit starts a group, keyed
+// by its string, whose accumulator keeps the string.
+func hashAggGroupsPlan(f *fixture, limit int64) exec.Operator {
+	return &exec.HashAgg{
+		Child:    keptScanPlan(f, limit),
+		GroupKey: func(key []byte, tu catalog.Tuple) []byte { return append(key, tu[1].S...) },
+		NewGroup: func(dst, tu catalog.Tuple) catalog.Tuple { return append(dst, tu[1], catalog.IntDatum(1)) },
+		Merge: func(acc, tu catalog.Tuple) catalog.Tuple {
+			acc[1].I++
+			return acc
+		},
+	}
 }
 
 // spillRoundTrip writes rows to a temp file, reads them back and drops
@@ -124,10 +149,17 @@ func benchPlan(b *testing.B, plan func(*fixture) exec.Operator) {
 	}
 }
 
-// One op is one plan over the 1000 rows of kv, pool-resident.
+// One op is one plan over the 1000 rows of kv, pool-resident. HashJoinBuild
+// keeps all of them in a join's table, HashAggGroups makes each a group.
 func BenchmarkScanFilterAgg(b *testing.B) { benchPlan(b, scanFilterAggPlan) }
 func BenchmarkHashJoinProbe(b *testing.B) { benchPlan(b, hashJoinProbePlan) }
 func BenchmarkNestLoop(b *testing.B)      { benchPlan(b, nestLoopPlan) }
+func BenchmarkHashJoinBuild(b *testing.B) {
+	benchPlan(b, func(f *fixture) exec.Operator { return hashJoinBuildPlan(f, 1000) })
+}
+func BenchmarkHashAggGroups(b *testing.B) {
+	benchPlan(b, func(f *fixture) exec.Operator { return hashAggGroupsPlan(f, 1000) })
+}
 
 // One op spills 1000 rows (5 pages) and reads them back.
 func BenchmarkSpillRoundTrip(b *testing.B) {
@@ -144,10 +176,12 @@ func BenchmarkSpillRoundTrip(b *testing.B) {
 
 // TestExecAllocationBudget holds the executor to its row contract in
 // mallocs. A row that is passed along (scan → filter → project → probe
-// side → aggregate into an existing group) costs none; a row that is
-// kept costs at most two (its Datum slab and one backing for its
-// strings); a spilled record costs none on the way out or back in, only
-// the page buffer every 8 KB does.
+// side → aggregate into an existing group) costs none; a row that Run
+// keeps costs at most two (its Datum slab and one backing for its
+// strings); a row a hash join keeps in its table, or that starts a new
+// aggregate group, costs only its share of the arena's chunks; a spilled
+// record costs none on the way out or back in, only the page buffer
+// every 8 KB does.
 func TestExecAllocationBudget(t *testing.T) {
 	f := newFixture(t, 100000)
 	sess := f.inst.NewSession()
@@ -173,6 +207,19 @@ func TestExecAllocationBudget(t *testing.T) {
 		allocs(func() exec.Operator { return keptScanPlan(f, few) }, keep)
 	if kept > 2*(all-few)+8 {
 		t.Errorf("%d more rows kept cost %.0f allocations, want at most 2 each", all-few, kept)
+	}
+
+	// The operators' arenas: 800 more rows cost a few more chunks, a
+	// larger map and link slice, not an allocation per row.
+	for _, c := range []struct {
+		what string
+		plan func(*fixture, int64) exec.Operator
+	}{{"hash join build rows", hashJoinBuildPlan}, {"aggregate groups", hashAggGroupsPlan}} {
+		more := allocs(func() exec.Operator { return c.plan(f, all) }, discard) -
+			allocs(func() exec.Operator { return c.plan(f, few) }, discard)
+		if per := more / (all - few); per > 0.05 {
+			t.Errorf("%d more %s cost %.0f allocations, %.3f each, want at most 0.05", all-few, c.what, more, per)
+		}
 	}
 
 	// Records of under 40 bytes: the 201 appended here fit one page.

@@ -54,7 +54,7 @@ func TestKeptRowsAreOwned(t *testing.T) {
 		held["HashAgg"] = f.run(t, &exec.HashAgg{
 			Child:    &exec.SeqScan{Table: f.kv, Pred: func(tu catalog.Tuple) bool { return tu[0].I < 300 }},
 			GroupKey: func(key []byte, tu catalog.Tuple) []byte { return append(key, tu[1].S...) },
-			NewGroup: func(tu catalog.Tuple) catalog.Tuple { return tu.Clone() },
+			NewGroup: func(dst, tu catalog.Tuple) catalog.Tuple { return append(dst, tu...) },
 			Merge:    func(acc, tu catalog.Tuple) catalog.Tuple { return acc },
 		})
 

@@ -72,8 +72,9 @@ type Operator interface {
 	// Next returns the next row. The returned tuple is borrowed: it is
 	// valid until the next call of Next on the same operator (its Datum
 	// slab is the operator's scratch, its strings alias a page frame).
-	// Whoever keeps a row takes Tuple.Owned. The keepers are HashJoin's
-	// build table, Sort, TopN, HashAgg's accumulators and Run.
+	// Whoever keeps a row copies it: HashJoin's build table and HashAgg's
+	// accumulators into the operator's arenas, Sort, TopN and Run through
+	// Tuple.Owned.
 	Next(ctx *Ctx) (catalog.Tuple, bool, error)
 	Close(ctx *Ctx) error
 }

@@ -61,8 +61,12 @@ type HashJoin struct {
 	// probe tuples with no match.
 	Semi, Anti bool
 
-	// in-memory path: the build rows are kept, so the table owns them.
-	table map[int64][]catalog.Tuple
+	// in-memory path: the build rows are kept, packed in rows; table maps
+	// a key to its first and last row, and next (by arrival number)
+	// chains each key's rows in arrival order.
+	rows  rowArena
+	table map[int64]chain
+	next  []rowRef
 
 	// spilled path
 	spilled    bool
@@ -72,12 +76,15 @@ type HashJoin struct {
 	partReader *TempReader
 
 	// probe iteration state; probeTuple is borrowed, which is enough: it
-	// is dropped before the probe side is advanced.
+	// is dropped before the probe side is advanced. match is the next
+	// build row to try against it.
 	probeTuple catalog.Tuple
-	matches    []catalog.Tuple
-	matchIdx   int
+	match      rowRef
 	scratch    catalog.Tuple
 }
+
+// chain is a key's build rows: the first and the last to arrive.
+type chain struct{ first, last rowRef }
 
 // Children implements Operator (build first).
 func (j *HashJoin) Children() []Operator { return []Operator{j.Build, j.Probe} }
@@ -108,10 +115,10 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	if j.Semi && j.Anti {
 		return fmt.Errorf("exec: HashJoin cannot be both semi and anti")
 	}
-	j.table = make(map[int64][]catalog.Tuple)
+	j.resetTable(0)
 	j.spilled = false
 	j.part = 0
-	j.probeTuple, j.matches, j.matchIdx = nil, nil, 0
+	j.probeTuple, j.match = nil, noRow
 
 	if err := j.Build.Open(ctx); err != nil {
 		return err
@@ -128,7 +135,9 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 		ctx.ChargeTuples(1)
 		k := j.BuildKey(t)
 		if !j.spilled {
-			j.table[k] = append(j.table[k], t.Owned())
+			if err := j.keep(k, t); err != nil {
+				return err
+			}
 			built++
 			if ctx.WorkMem > 0 && built > ctx.WorkMem {
 				if err := j.startSpill(ctx); err != nil {
@@ -188,6 +197,34 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	return j.Probe.Close(ctx)
 }
 
+// resetTable empties the build table for hint rows, keeping its space.
+func (j *HashJoin) resetTable(hint int) {
+	if j.table == nil {
+		j.table = make(map[int64]chain)
+	}
+	clear(j.table)
+	j.next = j.next[:0]
+	j.rows.reset(hint)
+}
+
+// keep adds the build row t under key k, copying it into the table.
+func (j *HashJoin) keep(k int64, t catalog.Tuple) error {
+	r, err := j.rows.add(t)
+	if err != nil {
+		return err
+	}
+	j.next = append(j.next, noRow)
+	c, ok := j.table[k]
+	if ok {
+		j.next[j.rows.seq(c.last)] = r
+		c.last = r
+	} else {
+		c = chain{r, r}
+	}
+	j.table[k] = c
+	return nil
+}
+
 // startSpill converts the in-memory build table into partition files.
 func (j *HashJoin) startSpill(ctx *Ctx) error {
 	j.spilled = true
@@ -208,13 +245,13 @@ func (j *HashJoin) startSpill(ctx *Ctx) error {
 	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 	for _, k := range keys {
 		p := part(k)
-		for _, t := range j.table[k] {
-			if err := j.buildParts[p].Append(ctx, t); err != nil {
+		for r := j.table[k].first; r != noRow; r = j.next[j.rows.seq(r)] {
+			if err := j.buildParts[p].Append(ctx, j.rows.row(r)); err != nil {
 				return err
 			}
 		}
 	}
-	j.table = make(map[int64][]catalog.Tuple)
+	j.resetTable(0)
 	return nil
 }
 
@@ -222,7 +259,7 @@ func (j *HashJoin) startSpill(ctx *Ctx) error {
 // probe reader. The build partition file is dropped immediately after
 // loading — its lifetime is over.
 func (j *HashJoin) loadPartition(ctx *Ctx, i int) error {
-	j.table = make(map[int64][]catalog.Tuple)
+	j.resetTable(int(j.buildParts[i].Rows()))
 	r := j.buildParts[i].NewReader()
 	for {
 		t, ok, err := r.Next(ctx)
@@ -232,8 +269,9 @@ func (j *HashJoin) loadPartition(ctx *Ctx, i int) error {
 		if !ok {
 			break
 		}
-		k := j.BuildKey(t)
-		j.table[k] = append(j.table[k], t.Owned())
+		if err := j.keep(j.BuildKey(t), t); err != nil {
+			return err
+		}
 	}
 	if err := ctx.DropTemp(j.buildParts[i]); err != nil {
 		return err
@@ -279,15 +317,14 @@ func (j *HashJoin) nextProbe(ctx *Ctx) (catalog.Tuple, bool, error) {
 // Next implements Operator.
 func (j *HashJoin) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 	for {
-		if j.matchIdx < len(j.matches) {
-			b := j.matches[j.matchIdx]
-			j.matchIdx++
+		for j.match != noRow {
+			b := j.rows.row(j.match)
+			j.match = j.next[j.rows.seq(j.match)]
 			if j.Pred != nil && !j.Pred(b, j.probeTuple) {
 				continue
 			}
 			if j.Semi {
-				j.matches = nil
-				j.matchIdx = 0
+				j.match = noRow
 			}
 			j.scratch = combine(j.Combine, j.scratch[:0], b, j.probeTuple)
 			return j.scratch, true, nil
@@ -300,30 +337,29 @@ func (j *HashJoin) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
 			return nil, false, nil
 		}
 		j.probeTuple = t
-		matches := j.table[j.ProbeKey(t)]
-		if j.Anti {
-			anyMatch := false
-			for _, b := range matches {
-				if j.Pred == nil || j.Pred(b, t) {
-					anyMatch = true
-					break
-				}
-			}
-			j.matches, j.matchIdx = nil, 0
-			if !anyMatch {
-				return t, true, nil
-			}
+		first := noRow
+		if c, ok := j.table[j.ProbeKey(t)]; ok {
+			first = c.first
+		}
+		if !j.Anti {
+			j.match = first
 			continue
 		}
-		j.matches = matches
-		j.matchIdx = 0
+		anyMatch := false
+		for r := first; r != noRow && !anyMatch; r = j.next[j.rows.seq(r)] {
+			anyMatch = j.Pred == nil || j.Pred(j.rows.row(r), t)
+		}
+		if !anyMatch {
+			return t, true, nil
+		}
 	}
 }
 
 // Close implements Operator.
 func (j *HashJoin) Close(ctx *Ctx) error {
-	j.table = nil
-	j.matches = nil
+	j.table, j.next = nil, nil
+	j.rows.free()
+	j.match = noRow
 	if !j.spilled {
 		return j.Probe.Close(ctx)
 	}

@@ -59,7 +59,7 @@ func TestNarrowScansSpillFullWidth(t *testing.T) {
 		return &exec.HashAgg{
 			Child:    &exec.Filter{Child: &exec.SeqScan{Table: wide, Cols: cols}, Pred: func(tu catalog.Tuple) bool { return tu[2].I != 3 }},
 			GroupKey: func(key []byte, tu catalog.Tuple) []byte { return strconv.AppendInt(key, tu[2].I, 10) },
-			NewGroup: func(tu catalog.Tuple) catalog.Tuple { return catalog.Tuple{tu[2], catalog.IntDatum(1)} },
+			NewGroup: func(dst, tu catalog.Tuple) catalog.Tuple { return append(dst, tu[2], catalog.IntDatum(1)) },
 			Merge: func(acc, tu catalog.Tuple) catalog.Tuple {
 				acc[1].I++
 				return acc

@@ -335,8 +335,8 @@ func aggRows(t *testing.T, f *fixture) []catalog.Tuple {
 	agg := &exec.HashAgg{
 		Child:    scr(&exec.SeqScan{Table: f.kv}),
 		GroupKey: func(key []byte, tu catalog.Tuple) []byte { return strconv.AppendInt(key, tu[2].I, 10) },
-		NewGroup: func(tu catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{tu[2], catalog.IntDatum(1)}
+		NewGroup: func(dst, tu catalog.Tuple) catalog.Tuple {
+			return append(dst, tu[2], catalog.IntDatum(1))
 		},
 		Merge: func(acc, tu catalog.Tuple) catalog.Tuple {
 			acc[1].I++
@@ -358,6 +358,43 @@ func TestHashAggCounts(t *testing.T) {
 	}
 	if total != 1000 {
 		t.Fatalf("group counts sum to %d", total)
+	}
+}
+
+// TestHashAggMergeReturnsOtherTuple: a Merge that returns a new tuple
+// of the accumulator's width is copied over it; one of another width,
+// resident or after a spill, is an error rather than a tuple cut short
+// or left partly stale.
+func TestHashAggMergeReturnsOtherTuple(t *testing.T) {
+	for _, workMem := range []int{100000, 3} {
+		f := newFixture(t, workMem)
+		agg := func(width int) *exec.HashAgg {
+			return &exec.HashAgg{
+				Child:    &exec.SeqScan{Table: f.kv},
+				GroupKey: func(key []byte, tu catalog.Tuple) []byte { return strconv.AppendInt(key, tu[2].I, 10) },
+				NewGroup: func(dst, tu catalog.Tuple) catalog.Tuple {
+					return append(dst, tu[2], catalog.IntDatum(1))
+				},
+				Merge: func(acc, tu catalog.Tuple) catalog.Tuple {
+					m := make(catalog.Tuple, width)
+					copy(m, acc)
+					m[len(m)-1].I++
+					return m
+				},
+			}
+		}
+		var total int64
+		for _, r := range f.run(t, agg(2)) {
+			total += r[1].I
+		}
+		if total != 1000 {
+			t.Errorf("workMem %d: group counts sum to %d, want 1000", workMem, total)
+		}
+		for _, width := range []int{1, 3} {
+			if _, err := f.inst.NewSession().Execute(agg(width)); err == nil {
+				t.Errorf("workMem %d: a %d-column Merge result folded into 2-column groups", workMem, width)
+			}
+		}
 	}
 }
 
@@ -466,8 +503,8 @@ func TestTempLifecycleTrims(t *testing.T) {
 	agg := &exec.HashAgg{
 		Child:    scr(&exec.SeqScan{Table: f.kv}),
 		GroupKey: func(key []byte, tu catalog.Tuple) []byte { return strconv.AppendInt(key, tu[0].I%97, 10) },
-		NewGroup: func(tu catalog.Tuple) catalog.Tuple {
-			return catalog.Tuple{catalog.IntDatum(tu[0].I % 97), catalog.IntDatum(1)}
+		NewGroup: func(dst, tu catalog.Tuple) catalog.Tuple {
+			return append(dst, catalog.IntDatum(tu[0].I%97), catalog.IntDatum(1))
 		},
 		Merge: func(acc, tu catalog.Tuple) catalog.Tuple {
 			acc[1].I++

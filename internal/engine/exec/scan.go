@@ -273,7 +273,7 @@ func (p *IndexProbe) Bind(ctx *Ctx, key int64) error {
 		}
 	}
 	p.key = key
-	rids, err := p.tree.Lookup(ctx.Clk, key, p.Level())
+	rids, err := p.tree.Lookup(ctx.Clk, key, p.Level(), p.rids[:0]...)
 	if err != nil {
 		return err
 	}

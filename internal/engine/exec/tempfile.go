@@ -148,18 +148,18 @@ func (tf *TempFile) Append(c *Ctx, t catalog.Tuple) error {
 	if tf.deleted {
 		return fmt.Errorf("exec: append to deleted temp file %d", tf.ID)
 	}
-	if tf.buf == nil {
-		tf.buf = pagestore.NewPage(tempHeader)
-	}
 	l := recordLen(t)
 	need := 2 + l
 	if need > pagestore.PageSize-tempHeader {
 		return fmt.Errorf("exec: temp record of %d bytes exceeds page", l)
 	}
-	if len(tf.buf)+need > pagestore.PageSize {
+	if tf.buf != nil && len(tf.buf)+need > pagestore.PageSize {
 		if err := tf.flush(c); err != nil {
 			return err
 		}
+	}
+	if tf.buf == nil {
+		tf.buf = pagestore.NewPage(tempHeader)
 	}
 	tf.buf = encodeRecord(binary.LittleEndian.AppendUint16(tf.buf, uint16(l)), t)
 	tf.count++
@@ -167,20 +167,22 @@ func (tf *TempFile) Append(c *Ctx, t catalog.Tuple) error {
 	return nil
 }
 
+// flush hands the page buffer to the pool; the next Append starts a new
+// one.
 func (tf *TempFile) flush(c *Ctx) error {
 	binary.LittleEndian.PutUint16(tf.buf[:2], tf.count)
 	if err := c.Pool.Put(c.Clk, tempTag(tf.ID), tf.pages, tf.buf); err != nil {
 		return err
 	}
 	tf.pages++
-	tf.buf = pagestore.NewPage(tempHeader)
+	tf.buf = nil
 	tf.count = 0
 	return nil
 }
 
 // Finish flushes the trailing partial page, ending the generation phase.
 func (tf *TempFile) Finish(c *Ctx) error {
-	if tf.buf != nil && tf.count > 0 {
+	if tf.count > 0 {
 		return tf.flush(c)
 	}
 	return nil

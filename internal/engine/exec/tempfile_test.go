@@ -80,6 +80,35 @@ func TestTempFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTempFinishAllocatesNoBuffer: Finish hands the last page to the
+// pool and starts no new one. Each run finishes the same one-record page
+// into a frame entry the pool recycles, so a run allocates nothing.
+func TestTempFinishAllocatesNoBuffer(t *testing.T) {
+	ctx := tempCtx(t, 4)
+	tf, err := ctx.CreateTemp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tf.Append(ctx, catalog.Tuple{catalog.IntDatum(1)}); err != nil {
+		t.Fatal(err)
+	}
+	page, count := tf.buf, tf.count
+	finish := func() {
+		tf.buf, tf.count, tf.pages = page, count, 0
+		if err := tf.Finish(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if tf.pages != 1 {
+			t.Fatalf("Finish wrote %d pages", tf.pages)
+		}
+		ctx.Pool.Invalidate(tf.ID)
+	}
+	finish()
+	if n := testing.AllocsPerRun(100, finish); n != 0 {
+		t.Errorf("finishing a page allocates %.2f times, want 0", n)
+	}
+}
+
 func TestTempFileSecondReaderIndependent(t *testing.T) {
 	ctx := tempCtx(t, 8)
 	tf, _ := ctx.CreateTemp()

@@ -9,6 +9,7 @@ import (
 	"hstoragedb/internal/dss"
 	"hstoragedb/internal/engine"
 	"hstoragedb/internal/engine/btree"
+	"hstoragedb/internal/engine/catalog"
 	"hstoragedb/internal/engine/heap"
 	"hstoragedb/internal/engine/policy"
 	"hstoragedb/internal/engine/storagemgr"
@@ -116,9 +117,10 @@ func verifyRecovered(sess *engine.Session, ds *tpch.Dataset, committed, lost []i
 	ixOrders := btree.Open(ds.DB.Cat.MustIndex("idx_orders_orderkey").ID, inst.Pool)
 	ixLineOK := btree.Open(ds.DB.Cat.MustIndex("idx_lineitem_orderkey").ID, inst.Pool)
 
+	var rids []catalog.RID // reused by every lookup
 	fetchKey := func(key int64) (bool, error) {
-		rids, err := ixOrders.Lookup(&sess.Clk, key, 0)
-		if err != nil {
+		var err error
+		if rids, err = ixOrders.Lookup(&sess.Clk, key, 0, rids[:0]...); err != nil {
 			return false, err
 		}
 		for _, rid := range rids {
@@ -141,12 +143,11 @@ func verifyRecovered(sess *engine.Session, ds *tpch.Dataset, committed, lost []i
 		if !ok {
 			return present, absent, fmt.Errorf("committed order %d missing after recovery", key)
 		}
-		lrids, err := ixLineOK.Lookup(&sess.Clk, key, 0)
-		if err != nil {
+		if rids, err = ixLineOK.Lookup(&sess.Clk, key, 0, rids[:0]...); err != nil {
 			return present, absent, err
 		}
 		lines := 0
-		for _, rid := range lrids {
+		for _, rid := range rids {
 			row, err := lineFile.Fetch(&sess.Clk, inst.Pool, rid, 0)
 			if err != nil {
 				return present, absent, err

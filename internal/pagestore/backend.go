@@ -14,11 +14,11 @@ package pagestore
 // is touched and the caller's clock must not advance. Durability of
 // absorbed writes is the WAL's job until the next Sync.
 type Access struct {
-	// Write is the transfer direction.
-	Write bool
 	// LBA and Blocks delimit the accessed device range.
 	LBA    int64
 	Blocks int
+	// Write is the transfer direction.
+	Write bool
 	// Meta marks structure blocks (bloom/index/manifest) as opposed to
 	// page data.
 	Meta bool

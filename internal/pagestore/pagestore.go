@@ -80,6 +80,12 @@ type Store struct {
 	pages   map[int64][]byte // LBA -> content
 	freeExt []int64          // recycled extent start LBAs
 	nextLBA int64
+	// reads holds, for each extent from base up to nextLBA that has been
+	// read, the plan of a one-block read of each of its LBAs, so that
+	// Read hands out a slice of it instead of allocating a plan. A plan
+	// is never written after its extent's first read.
+	reads [][]Access
+	base  int64
 }
 
 // NewStore creates an empty store with its own Cut, allocating from LBA 0.
@@ -95,6 +101,7 @@ func NewStoreOn(cut *Cut, base int64) *Store {
 		objects: make(map[ObjectID]*object),
 		pages:   make(map[int64][]byte),
 		nextLBA: base,
+		base:    base,
 	}
 }
 
@@ -147,6 +154,7 @@ func (s *Store) allocExtent() int64 {
 	}
 	lba := s.nextLBA
 	s.nextLBA += ExtentPages
+	s.reads = append(s.reads, nil)
 	return lba
 }
 
@@ -232,7 +240,16 @@ func (s *Store) Read(id ObjectID, page int64) ([]byte, []Access, error) {
 	if !ok {
 		data = zeroPage
 	}
-	return data, []Access{{LBA: lba, Blocks: 1}}, nil
+	ext, i := (lba-s.base)/ExtentPages, (lba-s.base)%ExtentPages
+	plans := s.reads[ext]
+	if plans == nil {
+		plans = make([]Access, ExtentPages)
+		for j := range plans {
+			plans[j] = Access{LBA: lba - i + int64(j), Blocks: 1}
+		}
+		s.reads[ext] = plans
+	}
+	return data, plans[i : i+1 : i+1], nil
 }
 
 // Write implements Backend: one page write is one block write at the

@@ -91,7 +91,8 @@ func (a *Accounts) Attach(c *Cluster) *Accounts {
 // lookup probes the shard-local id index for the account's RID.
 func (a *Accounts) lookup(p *Part, key int64) (catalog.RID, error) {
 	ix := btree.Open(a.ixIDs[p.Shard.ID], p.Sess.Pool())
-	rids, err := ix.Lookup(&p.Sess.Clk, key, 0)
+	var buf [1]catalog.RID // an account id is unique
+	rids, err := ix.Lookup(&p.Sess.Clk, key, 0, buf[:0]...)
 	if err != nil {
 		return catalog.RID{}, err
 	}

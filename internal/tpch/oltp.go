@@ -70,6 +70,10 @@ type OLTP struct {
 	lineFile   *heap.File
 	custFile   *heap.File
 
+	// rids is the buffer every index lookup appends to; each lookup's
+	// RIDs are used up before the next.
+	rids []catalog.RID
+
 	// Stats
 	NewOrders     int64
 	Payments      int64
@@ -330,26 +334,25 @@ func (o *OLTP) orderStatus(sess *engine.Session) error {
 	inst := sess.Instance()
 	key := o.pickOrderKey()
 	ixOrders := btree.Open(o.ds.DB.Cat.MustIndex("idx_orders_orderkey").ID, inst.Pool)
-	rids, err := ixOrders.Lookup(&sess.Clk, key, 0)
-	if err != nil {
+	var err error
+	if o.rids, err = ixOrders.Lookup(&sess.Clk, key, 0, o.rids[:0]...); err != nil {
 		return err
 	}
-	for _, rid := range rids {
+	for _, rid := range o.rids {
 		if _, err := o.ordersFile.Fetch(&sess.Clk, inst.Pool, rid, 0); err != nil {
 			return err
 		}
 	}
 	ixLineOK := btree.Open(o.ds.DB.Cat.MustIndex("idx_lineitem_orderkey").ID, inst.Pool)
-	lrids, err := ixLineOK.Lookup(&sess.Clk, key, 0)
-	if err != nil {
+	if o.rids, err = ixLineOK.Lookup(&sess.Clk, key, 0, o.rids[:0]...); err != nil {
 		return err
 	}
-	for _, rid := range lrids {
+	for _, rid := range o.rids {
 		if _, err := o.lineFile.Fetch(&sess.Clk, inst.Pool, rid, 0); err != nil {
 			return err
 		}
 	}
-	chargeCPU(sess, 3+len(lrids)) // rows read + index probes
+	chargeCPU(sess, 3+len(o.rids)) // rows read + index probes
 	o.OrderStatuses++
 	return nil
 }
@@ -375,23 +378,22 @@ func (o *OLTP) pickPayment() paymentPick {
 func (o *OLTP) payment(sess *engine.Session, tx *txn.Txn, p paymentPick) error {
 	inst := sess.Instance()
 	ixCust := btree.Open(o.ds.DB.Cat.MustIndex("idx_customer_custkey").ID, inst.Pool)
-	crids, err := ixCust.Lookup(&sess.Clk, p.custKey, 0)
-	if err != nil {
+	var err error
+	if o.rids, err = ixCust.Lookup(&sess.Clk, p.custKey, 0, o.rids[:0]...); err != nil {
 		return err
 	}
-	for _, rid := range crids {
+	for _, rid := range o.rids {
 		if _, err := o.custFile.Fetch(&sess.Clk, inst.Pool, rid, 0); err != nil {
 			return err
 		}
 	}
 
 	ixOrders := btree.Open(o.ds.DB.Cat.MustIndex("idx_orders_orderkey").ID, inst.Pool)
-	rids, err := ixOrders.Lookup(&sess.Clk, p.orderKey, 0)
-	if err != nil {
+	if o.rids, err = ixOrders.Lookup(&sess.Clk, p.orderKey, 0, o.rids[:0]...); err != nil {
 		return err
 	}
 	totalCol := o.ordersInfo.Schema.MustCol("o_totalprice")
-	for _, rid := range rids {
+	for _, rid := range o.rids {
 		row, err := o.ordersFile.Fetch(&sess.Clk, inst.Pool, rid, 0)
 		if err != nil {
 			return err
@@ -405,7 +407,7 @@ func (o *OLTP) payment(sess *engine.Session, tx *txn.Txn, p paymentPick) error {
 			return err
 		}
 	}
-	chargeCPU(sess, 3+len(rids)) // customer + order read, order rewritten
+	chargeCPU(sess, 3+len(o.rids)) // customer + order read, order rewritten
 	o.Payments++
 	return nil
 }

@@ -496,7 +496,6 @@ func (r rel) group(k keys, items ...any) rel {
 			folds = append(folds, b.fold)
 		}
 	}
-	w := len(cols)
 	return rel{r.p, &exec.HashAgg{
 		Child: r.op,
 		GroupKey: func(key []byte, t catalog.Tuple) []byte {
@@ -515,8 +514,7 @@ func (r rel) group(k keys, items ...any) rel {
 			}
 			return key
 		},
-		NewGroup: func(t catalog.Tuple) catalog.Tuple {
-			acc := make(catalog.Tuple, 0, w)
+		NewGroup: func(acc, t catalog.Tuple) catalog.Tuple {
 			for _, seed := range seeds {
 				acc = seed(acc, t)
 			}

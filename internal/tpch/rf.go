@@ -111,15 +111,17 @@ func (ds *Dataset) RF2(sess *engine.Session) (int, error) {
 	partkeyCol := lineInfo.Schema.MustCol("l_partkey")
 
 	deleted := 0
+	var rids, lrids []catalog.RID // reused by every key
+	var partkeys []int64
 	for _, key := range ds.pendingRF {
 		// Index entries are removed before the heap rows are tombstoned,
 		// so concurrent index scans stop finding the rows first; a probe
 		// already holding a RID tolerates the tombstone.
-		lrids, err := ixLineOK.Lookup(&sess.Clk, key, 0)
-		if err != nil {
+		var err error
+		if lrids, err = ixLineOK.Lookup(&sess.Clk, key, 0, lrids[:0]...); err != nil {
 			return deleted, err
 		}
-		partkeys := make([]int64, 0, len(lrids))
+		partkeys = partkeys[:0]
 		for _, rid := range lrids {
 			t, err := lineFile.Fetch(&sess.Clk, inst.Pool, rid, 0)
 			if err != nil {
@@ -141,8 +143,7 @@ func (ds *Dataset) RF2(sess *engine.Session) (int, error) {
 				}
 			}
 		}
-		rids, err := ixOrders.Lookup(&sess.Clk, key, 0)
-		if err != nil {
+		if rids, err = ixOrders.Lookup(&sess.Clk, key, 0, rids[:0]...); err != nil {
 			return deleted, err
 		}
 		if _, err := ixOrders.Delete(&sess.Clk, key, 0); err != nil {
