@@ -69,6 +69,61 @@ func TestPickerEquivalence(t *testing.T) {
 				seed, cfg, k, fair, got, golden[seed])
 		}
 	}
+	t.Run("rewind", testGrantsAcrossRewinds)
+}
+
+// testGrantsAcrossRewinds checks grants against the reference picker on
+// a queue that grows past one request chunk, drains to empty (which
+// rewinds the slabs), refills from the reused slots and drains again,
+// in each of the class-only, fair and FIFO modes. The workload is not
+// part of grants.golden.
+func testGrantsAcrossRewinds(t *testing.T) {
+	const depth = reqChunk + reqChunk/8
+	for seed := int64(0); seed < 3; seed++ {
+		cfg := Config{}
+		fair := seed == 1
+		if fair {
+			cfg.TenantWeights = fairWeights
+		}
+		cfg.FIFO = seed == 2
+		g, s, _ := newTestSched(cfg)
+		grants := checkGrants(t, s, cfg, fair, seed)
+		rng := rand.New(rand.NewSource(seed))
+		classes := []dss.Class{dss.ClassLog, dss.ClassWriteBuffer, dss.Class(1),
+			dss.Class(2), seqClass, dss.ClassNone}
+		var at time.Duration
+		for round := 0; round < 2; round++ {
+			s.mu.Lock()
+			for i := 0; i < depth; i++ {
+				at += time.Duration(rng.Intn(20)) * time.Microsecond
+				tenant := dss.TenantID(rng.Intn(3))
+				if rng.Intn(3) == 0 {
+					s.enqueueLocked(nil, at, device.Write, int64(rng.Intn(400)+100000), 1+rng.Intn(2),
+						dss.ClassWriteBuffer, tenant)
+					continue
+				}
+				op := device.Read
+				if rng.Intn(3) == 0 {
+					op = device.Write
+				}
+				class := classes[rng.Intn(len(classes))]
+				w := bareWaiter(class, tenant)
+				w.arrive = at
+				s.enqueueLocked(w, at, op, int64(rng.Intn(4000)), 1+rng.Intn(12), class, tenant)
+			}
+			chunks := len(s.reqs.chunks)
+			s.mu.Unlock()
+			before := len(*grants)
+			g.Drain()
+			if chunks < 2 || len(s.reqs.chunks) != 1 || s.freeReq != nil {
+				t.Fatalf("seed %d round %d: %d request chunks before Drain, %d after (free list empty: %v); want a rewind to 1",
+					seed, round, chunks, len(s.reqs.chunks), s.freeReq == nil)
+			}
+			if len(*grants) == before {
+				t.Fatalf("seed %d round %d: Drain granted nothing", seed, round)
+			}
+		}
+	}
 }
 
 // grantLine renders one grant for the trace and for failure messages.

@@ -6,8 +6,9 @@ import "hstoragedb/internal/device"
 // completes its requests; budget marks a background grant the write-back
 // budget forced ahead of waiting foreground, which debits its credit.
 // Completion latencies are flushed to the device in one batched
-// observation, and the batch's requests return to the freelist before
-// any waiter is woken. Caller holds s.mu.
+// observation, and the batch's requests return to the free list before
+// any waiter is woken. A grant that empties the queue ends by giving a
+// deep backlog's memory back (rewindLocked). Caller holds s.mu.
 func (s *Scheduler) grantLocked(batch []*request, start int64, total int, budget bool) {
 	// Like the coalescing filters, accounting keys off the batch head —
 	// after prepend-coalescing that is the lowest-LBA member, not
@@ -190,4 +191,5 @@ func (s *Scheduler) grantLocked(batch []*request, start int64, total int, budget
 		w.signal()
 	}
 	s.doneW = s.doneW[:0]
+	s.rewindLocked()
 }

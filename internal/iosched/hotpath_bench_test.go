@@ -61,6 +61,26 @@ func BenchmarkSubmitGrant(b *testing.B) {
 	}
 }
 
+// BenchmarkBacklogFillDrain queues a deferred background backlog of
+// `depth` requests in bank_lsm's shape (fillBacklog) and drains it
+// whole, one op per fill-and-drain cycle: allocs/op counts the request
+// and tree-node chunks a cycle takes past the kept first ones, ns/req is
+// the cost per queued request.
+func BenchmarkBacklogFillDrain(b *testing.B) {
+	for _, depth := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			g, s, _ := newTestSched(Config{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fillBacklog(s, depth)
+				g.Drain()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*depth), "ns/req")
+		})
+	}
+}
+
 // BenchmarkSubmitOpportunistic runs the full public submit→grant→
 // complete path single-threaded on an idle scheduler: the steady-state
 // per-request cost including waiter pooling, request pooling, and the

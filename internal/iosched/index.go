@@ -37,20 +37,20 @@ type band struct {
 }
 
 func (s *Scheduler) bandFor(rank int, bg bool) *band {
-	for i, b := range s.bands {
+	i := 0
+	for ; i < len(s.bands); i++ {
+		b := s.bands[i]
 		if b.rank == rank {
 			return b
 		}
 		if b.rank > rank {
-			nb := &band{rank: rank, bg: bg}
-			s.bands = append(s.bands, nil)
-			copy(s.bands[i+1:], s.bands[i:])
-			s.bands[i] = nb
-			return nb
+			break
 		}
 	}
-	nb := &band{rank: rank, bg: bg}
-	s.bands = append(s.bands, nb)
+	nb := &band{rank: rank, bg: bg, tree: reqTree{pool: &s.nodes}}
+	s.bands = append(s.bands, nil)
+	copy(s.bands[i+1:], s.bands[i:])
+	s.bands[i] = nb
 	return nb
 }
 
@@ -148,9 +148,9 @@ func (s *Scheduler) boundRemoveLocked(r *request) {
 // than one request, because every single-block background write absorbs
 // its predecessor before it joins; only the one-block tail chunk of a
 // longer background write joins without absorbing. So insert and remove
-// walk the list itself, and a request carries one link, not two: the
-// scheduler pools every request it ever queued, and a second pointer
-// would cost each of them a larger allocation size class.
+// walk the list itself, and a request carries one link, not two: a
+// second pointer would grow every slot of every request chunk, and a
+// deep backlog holds hundreds of thousands of them.
 
 // isDestage reports whether r is a single-block background write, the
 // only kind a newer background write to its block absorbs.

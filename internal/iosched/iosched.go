@@ -77,9 +77,11 @@
 // picker runs on ordered indexes (index.go) instead of queue scans,
 // the device's busy horizon, read at every enqueue and pick, is one word
 // the device's last access wrote (device.Device.BusyUntil),
-// request/waiter/batch memory is pooled, and a grant's completion
-// latencies reach the device in one batched observation. Lock order is
-// Group.mu → Scheduler.mu → device/histogram internals.
+// waiter/batch memory is pooled, requests and band-tree nodes come from
+// slabs whose chunks are given back when the queue drains (slab.go), and
+// a grant's completion latencies reach the device in one batched
+// observation. Lock order is Group.mu → Scheduler.mu → device/histogram
+// internals.
 package iosched
 
 import (
@@ -272,11 +274,15 @@ type Scheduler struct {
 	// double-granting the same queue.
 	draining bool
 
-	// Pooled hot-path memory: the request freelist, the reused grant
-	// batch, and the reused per-grant completion buffers. All owned by
-	// s.mu; a request returns to the freelist only after every index
-	// link has been cleared.
+	// Hot-path memory, all owned by s.mu: the request and tree-node
+	// slabs (slab.go) with their free lists, the reused grant batch, and
+	// the reused per-grant completion buffers. A request joins freeReq
+	// only after every index link has been cleared; freeReq and the node
+	// free list are dropped, and the slabs rewound, when a grant empties
+	// the queue.
+	reqs     slab[request]
 	freeReq  *request
+	nodes    nodePool
 	batch    []*request
 	latBatch []device.LatencySample
 	doneW    []*waiter

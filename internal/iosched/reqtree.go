@@ -13,13 +13,22 @@ package iosched
 // degenerates to (lba, seq) and every band member is one vfinish group),
 // then LBA, then the unique submission seq as the total-order tiebreak.
 //
-// Nodes are pooled on a per-tree freelist so steady-state insert/delete
-// churn allocates nothing; degree 8 keeps nodes two cache lines of item
-// pointers and the tree two levels deep up to ~3800 requests.
+// Nodes come from the scheduler's nodePool, shared by all its band
+// trees: a freed node is reused, so steady-state insert/delete churn
+// allocates nothing, and a deep backlog's nodes are given back with its
+// requests when the queue drains. Degree 8 keeps nodes two cache lines
+// of item pointers and the tree two levels deep up to ~3800 requests.
 type reqTree struct {
 	root *treeNode
 	size int
-	free *treeNode // recycled nodes, chained through children[0]
+	pool *nodePool
+}
+
+// nodePool is a scheduler's store of band-tree nodes: a slab of
+// nodeChunk-node chunks and the free list of nodes the trees gave back.
+type nodePool struct {
+	slab slab[treeNode]
+	free *treeNode // freed nodes, chained through children[0]
 }
 
 const (
@@ -53,11 +62,12 @@ type treeNode struct {
 }
 
 func (t *reqTree) newNode(leaf bool) *treeNode {
-	nd := t.free
+	p := t.pool
+	nd := p.free
 	if nd == nil {
-		nd = &treeNode{}
+		nd = p.slab.alloc(nodeChunk)
 	} else {
-		t.free = nd.children[0]
+		p.free = nd.children[0]
 		nd.children[0] = nil
 	}
 	nd.leaf = leaf
@@ -66,9 +76,10 @@ func (t *reqTree) newNode(leaf bool) *treeNode {
 }
 
 func (t *reqTree) freeNode(nd *treeNode) {
+	p := t.pool
 	*nd = treeNode{}
-	nd.children[0] = t.free
-	t.free = nd
+	nd.children[0] = p.free
+	p.free = nd
 }
 
 func (t *reqTree) insert(r *request) {

@@ -15,7 +15,7 @@ import (
 func TestReqTreeRandomized(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var tree reqTree
+		tree := reqTree{pool: new(nodePool)}
 		var ref []*request
 		refLess := func(i, j int) bool { return reqKey(ref[i]).less(reqKey(ref[j])) }
 		seq := uint64(0)

@@ -72,9 +72,10 @@ func (w *waiter) signal() {
 }
 
 // request is one schedulable unit: a chunk of a foreground submission or
-// one background access. Requests are recycled through a per-scheduler
-// freelist; every index link below is cleared when the request leaves
-// the queue, before it can be reused.
+// one background access. Requests live in the scheduler's request slab
+// (slab.go) and are reused through its free list until the queue drains;
+// every index link below is cleared when the request leaves the queue,
+// before it can be reused.
 type request struct {
 	op     device.Op
 	lba    int64
@@ -107,16 +108,17 @@ type request struct {
 	eNext, ePrev *request
 	dNext        *request
 
-	// next chains the scheduler's request freelist.
+	// next chains the scheduler's request free list.
 	next *request
 }
 
-// newRequestLocked takes a request from the freelist (or allocates the
-// pool's next entry). Caller holds s.mu.
+// newRequestLocked takes a request from the free list, or else the
+// request slab's next unused slot: a backlog deeper than any before it
+// allocates one chunk per reqChunk requests. Caller holds s.mu.
 func (s *Scheduler) newRequestLocked() *request {
 	r := s.freeReq
 	if r == nil {
-		r = &request{}
+		r = s.reqs.alloc(reqChunk)
 	} else {
 		s.freeReq = r.next
 		r.next = nil
@@ -125,7 +127,9 @@ func (s *Scheduler) newRequestLocked() *request {
 	return r
 }
 
-// putRequestLocked recycles a granted request. Caller holds s.mu and
+// putRequestLocked returns a granted or absorbed request to the free
+// list, where it stays until reused or until the queue drains and
+// rewindLocked drops the list with the chunks. Caller holds s.mu and
 // must have removed the request from every index first.
 func (s *Scheduler) putRequestLocked(r *request) {
 	next := s.freeReq
