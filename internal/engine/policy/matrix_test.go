@@ -8,15 +8,29 @@ import (
 	"hstoragedb/internal/pagestore"
 )
 
+// ablationArms are the engine's experiment arms: no ablation, or
+// exactly one piece of classification withheld from the storage system.
+var ablationArms = []struct {
+	name string
+	set  func(*AssignmentTable)
+}{
+	{"none", func(*AssignmentTable) {}},
+	{"no-rule5", func(a *AssignmentTable) { a.DisableRule5 = true }},
+	{"no-trim", func(*AssignmentTable) {}}, // the storage manager's switch
+	{"no-log-class", func(a *AssignmentTable) { a.DisableLogClass = true }},
+	{"no-compaction-class", func(a *AssignmentTable) { a.DisableCompactionClass = true }},
+}
+
 // TestClassificationMatrix drives the assignment table through every
-// (content type x pattern x update flag) combination and checks the
-// resulting request type and QoS class against Rules 1-5 plus the log
-// class of the OLTP extension. The matrix runs with an empty registry
-// (single-query degenerate case: Rule 2 collapses to the lowest random
-// priority because the global bounds carry no level spread).
+// (content type x pattern x update flag) combination under every
+// ablation arm and checks the resulting request type and QoS class
+// against Rules 1-5 plus the log class of the OLTP extension. Only the
+// log ablation changes a class: log traffic goes to the write buffer.
+// The matrix runs with an empty registry (single-query degenerate case:
+// Rule 2 collapses to the lowest random priority because the global
+// bounds carry no level spread, so withholding Rule 5 changes nothing).
 func TestClassificationMatrix(t *testing.T) {
 	space := dss.DefaultPolicySpace() // N=8, t=7, random range [2,6]
-	table := NewAssignmentTable(space)
 
 	cases := []struct {
 		content  ContentType
@@ -52,63 +66,76 @@ func TestClassificationMatrix(t *testing.T) {
 	if len(cases) != 4*2*2 {
 		t.Fatalf("matrix incomplete: %d cases, want 16", len(cases))
 	}
-	for _, c := range cases {
-		name := fmt.Sprintf("%v/%v/update=%v", c.content, c.pattern, c.update)
-		tag := Tag{Object: 42, Content: c.content, Pattern: c.pattern, Update: c.update}
-		if got := tag.Type(); got != c.wantType {
-			t.Errorf("%s: type = %v, want %v", name, got, c.wantType)
+	for _, arm := range ablationArms {
+		table := NewAssignmentTable(space)
+		arm.set(table)
+		for _, c := range cases {
+			name := fmt.Sprintf("%s/%v/%v/update=%v", arm.name, c.content, c.pattern, c.update)
+			tag := Tag{Object: 42, Content: c.content, Pattern: c.pattern, Update: c.update}
+			if got := tag.Type(); got != c.wantType {
+				t.Errorf("%s: type = %v, want %v", name, got, c.wantType)
+			}
+			want := c.want
+			if arm.name == "no-log-class" && c.wantType == LogRequest {
+				want = dss.ClassWriteBuffer
+			}
+			if got := table.Classify(tag); got != want {
+				t.Errorf("%s: class = %v, want %v", name, got, want)
+			}
 		}
-		if got := table.Classify(tag); got != c.want {
-			t.Errorf("%s: class = %v, want %v", name, got, c.want)
-		}
-	}
 
-	// Rule 3's deletion side: TRIM carries non-caching and eviction (N).
-	if got := table.TrimClass(); got != dss.Class(8) {
-		t.Errorf("trim class = %v, want 8", got)
+		// Rule 3's deletion side: TRIM carries non-caching and eviction
+		// (N).
+		if got := table.TrimClass(); got != dss.Class(8) {
+			t.Errorf("%s: trim class = %v, want 8", arm.name, got)
+		}
 	}
 }
 
 // TestClassificationRule5 checks the concurrent random case: with queries
 // registered, an object's priority comes from the lowest operator level
-// touching it, mapped through Function (1) over the global bounds.
+// touching it, mapped through Function (1) over the global bounds. Under
+// the Rule 5 ablation the tag's own level wins even for shared objects:
+// the per-query assignment the paper warns about.
 func TestClassificationRule5(t *testing.T) {
-	space := dss.DefaultPolicySpace()
-	table := NewAssignmentTable(space)
+	for _, c := range []struct {
+		arm    string
+		noRule bool
+		shared dss.Class // class of the object both queries touch
+	}{
+		// Global bounds are (1,5); the object's minimum level is 2, so
+		// the request classifies at Function(1)(i=2, llow=1, lhigh=5) =
+		// n1+1 = 3 no matter which level the issuing operator reports.
+		{"none", false, dss.Class(3)},
+		// The tag's own level: Function(1)(i=4, 1, 5) = n1+3 = 5.
+		{"no-rule5", true, dss.Class(5)},
+	} {
+		table := NewAssignmentTable(dss.DefaultPolicySpace())
+		table.DisableRule5 = c.noRule
 
-	const obj pagestore.ObjectID = 7
-	q1 := QueryInfo{Levels: map[pagestore.ObjectID][]int{obj: {3}}, LLow: 1, LHigh: 5, HasRandom: true}
-	q2 := QueryInfo{Levels: map[pagestore.ObjectID][]int{obj: {2}}, LLow: 2, LHigh: 4, HasRandom: true}
-	table.Registry.Register(q1)
-	table.Registry.Register(q2)
+		const obj pagestore.ObjectID = 7
+		q1 := QueryInfo{Levels: map[pagestore.ObjectID][]int{obj: {3}}, LLow: 1, LHigh: 5, HasRandom: true}
+		q2 := QueryInfo{Levels: map[pagestore.ObjectID][]int{obj: {2}}, LLow: 2, LHigh: 4, HasRandom: true}
+		table.Registry.Register(q1)
+		table.Registry.Register(q2)
 
-	// Global bounds are (1,5); the object's minimum level is 2, so the
-	// request classifies at Function(1)(i=2, llow=1, lhigh=5) = n1+1 = 3
-	// no matter which level the issuing operator reports.
-	tag := Tag{Object: obj, Content: Table, Pattern: Random, Level: 4}
-	if got := table.Classify(tag); got != dss.Class(3) {
-		t.Errorf("rule 5 class = %v, want 3", got)
-	}
+		tag := Tag{Object: obj, Content: Table, Pattern: Random, Level: 4}
+		if got := table.Classify(tag); got != c.shared {
+			t.Errorf("%s: shared-object class = %v, want %v", c.arm, got, c.shared)
+		}
 
-	// An object nobody registered uses the tag's own level against the
-	// global bounds: Function(1)(i=4, 1, 5) = n1+3 = 5.
-	other := Tag{Object: 99, Content: Table, Pattern: Random, Level: 4}
-	if got := table.Classify(other); got != dss.Class(5) {
-		t.Errorf("unregistered-object class = %v, want 5", got)
-	}
+		// An object nobody registered uses the tag's own level against
+		// the global bounds: Function(1)(i=4, 1, 5) = n1+3 = 5.
+		other := Tag{Object: 99, Content: Table, Pattern: Random, Level: 4}
+		if got := table.Classify(other); got != dss.Class(5) {
+			t.Errorf("%s: unregistered-object class = %v, want 5", c.arm, got)
+		}
 
-	// The ablation switch reproduces the per-query assignment the paper
-	// warns about: the tag's own level wins even for shared objects.
-	table.DisableRule5 = true
-	if got := table.Classify(tag); got != dss.Class(5) {
-		t.Errorf("rule 5 disabled: class = %v, want 5", got)
-	}
-	table.DisableRule5 = false
-
-	table.Registry.Unregister(q1)
-	table.Registry.Unregister(q2)
-	if got := table.Classify(tag); got != dss.Class(2) {
-		t.Errorf("after unregister: class = %v, want 2", got)
+		table.Registry.Unregister(q1)
+		table.Registry.Unregister(q2)
+		if got := table.Classify(tag); got != dss.Class(2) {
+			t.Errorf("%s: after unregister: class = %v, want 2", c.arm, got)
+		}
 	}
 }
 

@@ -223,32 +223,37 @@ func TestStringers(t *testing.T) {
 }
 
 // TestMaintenanceClasses pins the classes the storage manager attaches
-// to backend maintenance I/O, and the DisableCompactionClass ablation:
+// to backend maintenance I/O, and the compaction-class ablation:
 // stripped of its dedicated band, compaction traffic degrades to the
 // write-buffer class and competes with real updates for cache space.
 func TestMaintenanceClasses(t *testing.T) {
-	a := NewAssignmentTable(dss.DefaultPolicySpace())
-	if got := a.CompactionClass(); got != dss.ClassCompaction {
-		t.Errorf("CompactionClass = %v", got)
-	}
-	if !a.Space.NonCaching(a.CompactionClass()) {
-		t.Error("compaction class admitted to cache")
-	}
-	if got := a.MetaClass(); got != a.Space.Temporary() {
-		t.Errorf("MetaClass = %v, want the pinned temporary priority", got)
-	}
-	if a.Space.NonCaching(a.MetaClass()) {
-		t.Error("structure blocks must be cacheable")
-	}
-	if got := a.TrimClass(); got != a.Space.Eviction() {
-		t.Errorf("TrimClass = %v", got)
-	}
-
-	a.DisableCompactionClass = true
-	if got := a.CompactionClass(); got != dss.ClassWriteBuffer {
-		t.Errorf("ablated CompactionClass = %v, want write buffer", got)
-	}
-	if a.Space.NonCaching(a.CompactionClass()) {
-		t.Error("ablated compaction must pollute the write buffer, i.e. be cacheable")
+	for _, c := range []struct {
+		arm       string
+		noClass   bool
+		want      dss.Class
+		nonCached bool
+	}{
+		{"none", false, dss.ClassCompaction, true},
+		// Ablated, compaction must pollute the write buffer, i.e. be
+		// cacheable.
+		{"no-compaction-class", true, dss.ClassWriteBuffer, false},
+	} {
+		a := NewAssignmentTable(dss.DefaultPolicySpace())
+		a.DisableCompactionClass = c.noClass
+		if got := a.CompactionClass(); got != c.want {
+			t.Errorf("%s: CompactionClass = %v, want %v", c.arm, got, c.want)
+		}
+		if got := a.Space.NonCaching(a.CompactionClass()); got != c.nonCached {
+			t.Errorf("%s: compaction class non-caching = %v, want %v", c.arm, got, c.nonCached)
+		}
+		if got := a.MetaClass(); got != a.Space.Temporary() {
+			t.Errorf("%s: MetaClass = %v, want the pinned temporary priority", c.arm, got)
+		}
+		if a.Space.NonCaching(a.MetaClass()) {
+			t.Errorf("%s: structure blocks must be cacheable", c.arm)
+		}
+		if got := a.TrimClass(); got != a.Space.Eviction() {
+			t.Errorf("%s: TrimClass = %v", c.arm, got)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"hstoragedb/internal/dss"
 	"hstoragedb/internal/engine/policy"
 	"hstoragedb/internal/hybrid"
+	"hstoragedb/internal/lsm"
 	"hstoragedb/internal/pagestore"
 	"hstoragedb/internal/simclock"
 )
@@ -100,30 +101,76 @@ func TestBackgroundWriteDoesNotBlock(t *testing.T) {
 	}
 }
 
+// TestDeleteObjectTrims deletes a cached temp object: the manager TRIMs
+// its blocks out of the cache, unless the TRIM ablation withholds the
+// command, in which case the dead blocks stay cached.
 func TestDeleteObjectTrims(t *testing.T) {
-	mgr, store, sys := newMgr(t)
-	var clk simclock.Clock
-	if err := store.Create(50); err != nil {
-		t.Fatal(err)
-	}
-	tag := policy.Tag{Object: 50, Content: policy.Temp}
-	for i := int64(0); i < 4; i++ {
-		if err := mgr.WritePage(&clk, tag, i, []byte{9}); err != nil {
+	for _, noTrim := range []bool{false, true} {
+		mgr, store, sys := newMgr(t)
+		mgr.DisableTrim = noTrim
+		var clk simclock.Clock
+		if err := store.Create(50); err != nil {
 			t.Fatal(err)
 		}
+		tag := policy.Tag{Object: 50, Content: policy.Temp}
+		for i := int64(0); i < 4; i++ {
+			if err := mgr.WritePage(&clk, tag, i, []byte{9}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sys.Stats().CachedBlocks != 4 {
+			t.Fatalf("noTrim=%v: setup: cached %d", noTrim, sys.Stats().CachedBlocks)
+		}
+		if err := mgr.DeleteObject(&clk, 50); err != nil {
+			t.Fatal(err)
+		}
+		wantTrimmed, wantCached := int64(4), 0
+		if noTrim {
+			wantTrimmed, wantCached = 0, 4
+		}
+		s := sys.Stats()
+		if s.Trimmed != wantTrimmed || s.CachedBlocks != wantCached {
+			t.Fatalf("noTrim=%v: trimmed=%d cached=%d after delete, want %d and %d",
+				noTrim, s.Trimmed, s.CachedBlocks, wantTrimmed, wantCached)
+		}
+		if store.Exists(50) {
+			t.Fatalf("noTrim=%v: object survives delete", noTrim)
+		}
 	}
-	if sys.Stats().CachedBlocks != 4 {
-		t.Fatalf("setup: cached %d", sys.Stats().CachedBlocks)
-	}
-	if err := mgr.DeleteObject(&clk, 50); err != nil {
-		t.Fatal(err)
-	}
-	s := sys.Stats()
-	if s.Trimmed != 4 || s.CachedBlocks != 0 {
-		t.Fatalf("trimmed=%d cached=%d after delete", s.Trimmed, s.CachedBlocks)
-	}
-	if store.Exists(50) {
-		t.Fatal("object survives delete")
+}
+
+// TestCompactionTrims drives an LSM backend through flushes and
+// compactions: the extents a compaction frees are TRIMmed, unless the
+// TRIM ablation withholds the commands.
+func TestCompactionTrims(t *testing.T) {
+	for _, noTrim := range []bool{false, true} {
+		store := lsm.New(lsm.Config{MemtablePages: 4, L0Tables: 2})
+		if err := store.Create(1); err != nil {
+			t.Fatal(err)
+		}
+		sys, err := hybrid.New(hybrid.Config{Mode: hybrid.HStorage, CacheBlocks: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr := New(store, sys, policy.NewAssignmentTable(dss.DefaultPolicySpace()))
+		mgr.DisableTrim = noTrim
+		var clk simclock.Clock
+		tag := policy.Tag{Object: 1, Content: policy.Table}
+		for i := int64(0); i < 32; i++ {
+			if err := mgr.WritePage(&clk, tag, i%8, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ms := mgr.MaintStats()
+		if ms.Compactions == 0 {
+			t.Fatalf("noTrim=%v: no compaction ran: %+v", noTrim, ms)
+		}
+		if noTrim && ms.TrimBlocks != 0 {
+			t.Errorf("noTrim: compaction TRIMmed %d blocks", ms.TrimBlocks)
+		}
+		if !noTrim && ms.TrimBlocks == 0 {
+			t.Errorf("compaction TRIMmed nothing: %+v", ms)
+		}
 	}
 }
 
