@@ -131,6 +131,19 @@ func NewDatabase() *Database { return engine.NewDatabase() }
 // DefaultInstanceConfig returns a laptop-scale hStorage configuration.
 func DefaultInstanceConfig() InstanceConfig { return engine.DefaultInstanceConfig() }
 
+// Ablation is InstanceConfig.Ablation: the one piece of classification
+// an experiment arm withholds from the storage system.
+type Ablation = policy.Ablation
+
+// The ablations: NoAblation (the zero value) withholds nothing.
+const (
+	NoAblation        = policy.NoAblation
+	NoRule5           = policy.NoRule5
+	NoTrim            = policy.NoTrim
+	NoLogClass        = policy.NoLogClass
+	NoCompactionClass = policy.NoCompactionClass
+)
+
 // Schema / tuple surface for building custom tables and plans.
 type (
 	Schema  = catalog.Schema

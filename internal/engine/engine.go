@@ -45,19 +45,9 @@ type InstanceConfig struct {
 	WorkMem int
 	// CPUPerTuple is the simulated per-tuple processing cost.
 	CPUPerTuple time.Duration
-	// DisableRule5 turns off the concurrency registry lookup (ablation).
-	DisableRule5 bool
-	// DisableTrim suppresses TRIM on temp-file deletion (ablation: the
-	// legacy file-system behaviour of Section 4.2.3).
-	DisableTrim bool
-	// DisableLogClass strips the log classification from WAL traffic
-	// (ablation: log writes are delivered as ordinary Rule 4 updates).
-	DisableLogClass bool
-	// DisableCompactionClass strips the compaction classification from
-	// backend maintenance traffic (ablation: flush/compaction writes are
-	// delivered as ordinary Rule 4 updates, the way a
-	// classification-unaware storage manager would emit them).
-	DisableCompactionClass bool
+	// Ablation withholds one piece of classification from the storage
+	// system (an experiment arm); the zero value withholds nothing.
+	Ablation policy.Ablation
 	// Obs optionally attaches an observability set (metrics registry +
 	// tracer). It is forwarded to the storage system (scheduler and
 	// devices) and the buffer pool; engine-side layers built later (lock
@@ -118,11 +108,8 @@ func (db *Database) NewInstance(cfg InstanceConfig) (*Instance, error) {
 		space = dss.DefaultPolicySpace()
 	}
 	table := policy.NewAssignmentTable(space)
-	table.DisableRule5 = cfg.DisableRule5
-	table.DisableLogClass = cfg.DisableLogClass
-	table.DisableCompactionClass = cfg.DisableCompactionClass
+	table.Ablation = cfg.Ablation
 	mgr := storagemgr.New(db.Store, sys, table)
-	mgr.DisableTrim = cfg.DisableTrim
 	pool := bufferpool.New(mgr, cfg.BufferPoolPages)
 	pool.Use(cfg.Obs)
 	return &Instance{DB: db, Sys: sys, Mgr: mgr, Pool: pool, Obs: cfg.Obs, cfg: cfg}, nil

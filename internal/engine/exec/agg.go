@@ -54,12 +54,9 @@ type HashAgg struct {
 // Children implements Operator.
 func (a *HashAgg) Children() []Operator { return []Operator{a.Child} }
 
-// Blocking implements Operator: aggregation cannot emit before consuming
-// its whole input.
+// Blocking declares a blocking operator (see Operator): aggregation
+// cannot emit before consuming its whole input.
 func (a *HashAgg) Blocking() bool { return true }
-
-// Access implements Operator.
-func (a *HashAgg) Access() (AccessInfo, bool) { return AccessInfo{}, false }
 
 // strPart is FNV-1a of the key, modulo the fan-out.
 func strPart(key []byte) int {

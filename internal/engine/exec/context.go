@@ -52,17 +52,19 @@ func (c *Ctx) ChargeTuples(n int) {
 
 // Operator is a pull-based executor node. The contract is
 // Open → Next* → Close; Close must be idempotent.
+//
+// An operator declares two facts only if it has them, by an optional
+// method; AssignLevels and ExtractQueryInfo take an operator without one
+// as non-blocking and reading no storage object:
+//   - Blocking() bool: it consumes its whole input before producing
+//     output, so Section 4.2.2 recalculates levels around it (Hash,
+//     HashAgg, Sort, TopN).
+//   - Access() (AccessInfo, bool): the storage objects it reads directly
+//     (the leaves SeqScan, IndexScan, IndexProbe).
 type Operator interface {
 	// Children returns the operator's inputs in execution order (for a
 	// hash join: build first, probe second).
 	Children() []Operator
-	// Blocking reports whether this operator must consume its entire
-	// input before producing output (hash build, sort) — Section 4.2.2's
-	// blocking operators that trigger level recalculation.
-	Blocking() bool
-	// Access describes the storage object this operator reads directly,
-	// if any (leaf operators only).
-	Access() (AccessInfo, bool)
 	// SetLevel installs the plan level computed by AssignLevels.
 	SetLevel(level int)
 	// Level returns the operator's (possibly recalculated) plan level.

@@ -14,9 +14,6 @@ import (
 // (Rule 5's registry). A new operator joins this table; a blocking one
 // that forgets to say so fails here.
 func TestOperatorDeclarations(t *testing.T) {
-	blocking := func(op Operator) bool { return op.Blocking() }
-	access := func(op Operator) (AccessInfo, bool) { return op.Access() }
-
 	const tableID, indexID pagestore.ObjectID = 10, 11
 	tbl := &TableHandle{Info: &catalog.TableInfo{ID: tableID}}
 	idx := &catalog.IndexInfo{ID: indexID, TableID: tableID}
@@ -47,7 +44,7 @@ func TestOperatorDeclarations(t *testing.T) {
 	}
 	for _, c := range cases {
 		name := reflect.TypeOf(c.op).Elem().Name()
-		if got := blocking(c.op); got != c.blocking {
+		if got := blocks(c.op); got != c.blocking {
 			t.Errorf("%s: blocking = %v, want %v", name, got, c.blocking)
 		}
 		ai, ok := access(c.op)

@@ -22,11 +22,8 @@ type Hash struct {
 // Children implements Operator.
 func (h *Hash) Children() []Operator { return []Operator{h.Child} }
 
-// Blocking implements Operator.
+// Blocking declares a blocking operator (see Operator).
 func (h *Hash) Blocking() bool { return true }
-
-// Access implements Operator.
-func (h *Hash) Access() (AccessInfo, bool) { return AccessInfo{}, false }
 
 // Open implements Operator.
 func (h *Hash) Open(ctx *Ctx) error { return h.Child.Open(ctx) }
@@ -42,7 +39,9 @@ func (h *Hash) Close(ctx *Ctx) error { return h.Child.Close(ctx) }
 // join degrades to a grace hash join: both inputs are partitioned into
 // temporary files (Rule 3 traffic) and joined partition by partition; the
 // temp files are deleted — and their blocks TRIMmed — as soon as each
-// partition is consumed.
+// partition is consumed. The join is not itself blocking: the blocking
+// element is the Hash on the build side, and the join streams its probe
+// side.
 type HashJoin struct {
 	base
 	Build Operator
@@ -88,13 +87,6 @@ type chain struct{ first, last rowRef }
 
 // Children implements Operator (build first).
 func (j *HashJoin) Children() []Operator { return []Operator{j.Build, j.Probe} }
-
-// Blocking implements Operator. The blocking element is the Hash node on
-// the build side; the join itself streams the probe side.
-func (j *HashJoin) Blocking() bool { return false }
-
-// Access implements Operator.
-func (j *HashJoin) Access() (AccessInfo, bool) { return AccessInfo{}, false }
 
 func part(key int64) int {
 	h := uint64(key) * 0x9E3779B97F4A7C15

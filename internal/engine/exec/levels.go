@@ -47,7 +47,7 @@ func AssignLevels(root Operator) int {
 	// Blocking recalculation, deepest blocking operators first.
 	var blocking []Operator
 	for _, op := range order {
-		if op.Blocking() {
+		if blocks(op) {
 			blocking = append(blocking, op)
 		}
 	}
@@ -88,6 +88,19 @@ func AssignLevels(root Operator) int {
 	return maxDepth + 1
 }
 
+// blocks and access read the facts an operator declares (see Operator).
+func blocks(op Operator) bool {
+	b, ok := op.(interface{ Blocking() bool })
+	return ok && b.Blocking()
+}
+
+func access(op Operator) (AccessInfo, bool) {
+	if a, ok := op.(interface{ Access() (AccessInfo, bool) }); ok {
+		return a.Access()
+	}
+	return AccessInfo{}, false
+}
+
 func markSubtree(op Operator, set map[Operator]bool) {
 	set[op] = true
 	for _, c := range op.Children() {
@@ -103,7 +116,7 @@ func ExtractQueryInfo(root Operator) policy.QueryInfo {
 	first := true
 	var walk func(op Operator)
 	walk = func(op Operator) {
-		if ai, ok := op.Access(); ok && ai.Random {
+		if ai, ok := access(op); ok && ai.Random {
 			lv := op.Level()
 			for _, obj := range ai.Objects {
 				info.Levels[obj] = append(info.Levels[obj], lv)

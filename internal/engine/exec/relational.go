@@ -15,12 +15,6 @@ type Filter struct {
 // Children implements Operator.
 func (f *Filter) Children() []Operator { return []Operator{f.Child} }
 
-// Blocking implements Operator.
-func (f *Filter) Blocking() bool { return false }
-
-// Access implements Operator.
-func (f *Filter) Access() (AccessInfo, bool) { return AccessInfo{}, false }
-
 // Open implements Operator.
 func (f *Filter) Open(ctx *Ctx) error { return f.Child.Open(ctx) }
 
@@ -55,12 +49,6 @@ type Project struct {
 // Children implements Operator.
 func (p *Project) Children() []Operator { return []Operator{p.Child} }
 
-// Blocking implements Operator.
-func (p *Project) Blocking() bool { return false }
-
-// Access implements Operator.
-func (p *Project) Access() (AccessInfo, bool) { return AccessInfo{}, false }
-
 // Open implements Operator.
 func (p *Project) Open(ctx *Ctx) error { return p.Child.Open(ctx) }
 
@@ -88,12 +76,6 @@ type Limit struct {
 
 // Children implements Operator.
 func (l *Limit) Children() []Operator { return []Operator{l.Child} }
-
-// Blocking implements Operator.
-func (l *Limit) Blocking() bool { return false }
-
-// Access implements Operator.
-func (l *Limit) Access() (AccessInfo, bool) { return AccessInfo{}, false }
 
 // Open implements Operator.
 func (l *Limit) Open(ctx *Ctx) error {
@@ -127,12 +109,6 @@ type Values struct {
 
 // Children implements Operator.
 func (v *Values) Children() []Operator { return nil }
-
-// Blocking implements Operator.
-func (v *Values) Blocking() bool { return false }
-
-// Access implements Operator.
-func (v *Values) Access() (AccessInfo, bool) { return AccessInfo{}, false }
 
 // Open implements Operator.
 func (v *Values) Open(ctx *Ctx) error {

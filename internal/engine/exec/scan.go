@@ -89,10 +89,7 @@ type SeqScan struct {
 // Children implements Operator.
 func (s *SeqScan) Children() []Operator { return nil }
 
-// Blocking implements Operator.
-func (s *SeqScan) Blocking() bool { return false }
-
-// Access implements Operator.
+// Access declares the storage objects read (see Operator).
 func (s *SeqScan) Access() (AccessInfo, bool) {
 	return AccessInfo{Objects: []pagestore.ObjectID{s.Table.Info.ID}, Random: false}, true
 }
@@ -159,10 +156,7 @@ type IndexScan struct {
 // Children implements Operator.
 func (s *IndexScan) Children() []Operator { return nil }
 
-// Blocking implements Operator.
-func (s *IndexScan) Blocking() bool { return false }
-
-// Access implements Operator.
+// Access declares the storage objects read (see Operator).
 func (s *IndexScan) Access() (AccessInfo, bool) {
 	return AccessInfo{
 		Objects: []pagestore.ObjectID{s.Index.ID, s.Table.Info.ID},
@@ -236,10 +230,7 @@ type IndexProbe struct {
 // Children implements Operator.
 func (p *IndexProbe) Children() []Operator { return nil }
 
-// Blocking implements Operator.
-func (p *IndexProbe) Blocking() bool { return false }
-
-// Access implements Operator.
+// Access declares the storage objects read (see Operator).
 func (p *IndexProbe) Access() (AccessInfo, bool) {
 	return AccessInfo{
 		Objects: []pagestore.ObjectID{p.Index.ID, p.Table.Info.ID},
@@ -338,12 +329,6 @@ type NestLoop struct {
 
 // Children implements Operator (outer executes first).
 func (n *NestLoop) Children() []Operator { return []Operator{n.Outer, n.Probe} }
-
-// Blocking implements Operator.
-func (n *NestLoop) Blocking() bool { return false }
-
-// Access implements Operator.
-func (n *NestLoop) Access() (AccessInfo, bool) { return AccessInfo{}, false }
 
 // Open implements Operator.
 func (n *NestLoop) Open(ctx *Ctx) error {

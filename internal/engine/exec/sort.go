@@ -27,11 +27,8 @@ type Sort struct {
 // Children implements Operator.
 func (s *Sort) Children() []Operator { return []Operator{s.Child} }
 
-// Blocking implements Operator.
+// Blocking declares a blocking operator (see Operator).
 func (s *Sort) Blocking() bool { return true }
-
-// Access implements Operator.
-func (s *Sort) Access() (AccessInfo, bool) { return AccessInfo{}, false }
 
 // Open implements Operator: consume the child into sorted runs.
 func (s *Sort) Open(ctx *Ctx) error {
@@ -194,11 +191,8 @@ type TopN struct {
 // Children implements Operator.
 func (t *TopN) Children() []Operator { return []Operator{t.Child} }
 
-// Blocking implements Operator.
+// Blocking declares a blocking operator (see Operator).
 func (t *TopN) Blocking() bool { return true }
-
-// Access implements Operator.
-func (t *TopN) Access() (AccessInfo, bool) { return AccessInfo{}, false }
 
 // Open implements Operator.
 func (t *TopN) Open(ctx *Ctx) error {

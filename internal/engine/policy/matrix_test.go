@@ -8,18 +8,9 @@ import (
 	"hstoragedb/internal/pagestore"
 )
 
-// ablationArms are the engine's experiment arms: no ablation, or
-// exactly one piece of classification withheld from the storage system.
-var ablationArms = []struct {
-	name string
-	set  func(*AssignmentTable)
-}{
-	{"none", func(*AssignmentTable) {}},
-	{"no-rule5", func(a *AssignmentTable) { a.DisableRule5 = true }},
-	{"no-trim", func(*AssignmentTable) {}}, // the storage manager's switch
-	{"no-log-class", func(a *AssignmentTable) { a.DisableLogClass = true }},
-	{"no-compaction-class", func(a *AssignmentTable) { a.DisableCompactionClass = true }},
-}
+// ablations are the engine's experiment arms: no ablation, or exactly
+// one piece of classification withheld from the storage system.
+var ablations = []Ablation{NoAblation, NoRule5, NoTrim, NoLogClass, NoCompactionClass}
 
 // TestClassificationMatrix drives the assignment table through every
 // (content type x pattern x update flag) combination under every
@@ -66,17 +57,17 @@ func TestClassificationMatrix(t *testing.T) {
 	if len(cases) != 4*2*2 {
 		t.Fatalf("matrix incomplete: %d cases, want 16", len(cases))
 	}
-	for _, arm := range ablationArms {
+	for _, abl := range ablations {
 		table := NewAssignmentTable(space)
-		arm.set(table)
+		table.Ablation = abl
 		for _, c := range cases {
-			name := fmt.Sprintf("%s/%v/%v/update=%v", arm.name, c.content, c.pattern, c.update)
+			name := fmt.Sprintf("ablation %d/%v/%v/update=%v", abl, c.content, c.pattern, c.update)
 			tag := Tag{Object: 42, Content: c.content, Pattern: c.pattern, Update: c.update}
 			if got := tag.Type(); got != c.wantType {
 				t.Errorf("%s: type = %v, want %v", name, got, c.wantType)
 			}
 			want := c.want
-			if arm.name == "no-log-class" && c.wantType == LogRequest {
+			if abl == NoLogClass && c.wantType == LogRequest {
 				want = dss.ClassWriteBuffer
 			}
 			if got := table.Classify(tag); got != want {
@@ -87,7 +78,7 @@ func TestClassificationMatrix(t *testing.T) {
 		// Rule 3's deletion side: TRIM carries non-caching and eviction
 		// (N).
 		if got := table.TrimClass(); got != dss.Class(8) {
-			t.Errorf("%s: trim class = %v, want 8", arm.name, got)
+			t.Errorf("ablation %d: trim class = %v, want 8", abl, got)
 		}
 	}
 }
@@ -99,19 +90,18 @@ func TestClassificationMatrix(t *testing.T) {
 // the per-query assignment the paper warns about.
 func TestClassificationRule5(t *testing.T) {
 	for _, c := range []struct {
-		arm    string
-		noRule bool
+		abl    Ablation
 		shared dss.Class // class of the object both queries touch
 	}{
 		// Global bounds are (1,5); the object's minimum level is 2, so
 		// the request classifies at Function(1)(i=2, llow=1, lhigh=5) =
 		// n1+1 = 3 no matter which level the issuing operator reports.
-		{"none", false, dss.Class(3)},
+		{NoAblation, dss.Class(3)},
 		// The tag's own level: Function(1)(i=4, 1, 5) = n1+3 = 5.
-		{"no-rule5", true, dss.Class(5)},
+		{NoRule5, dss.Class(5)},
 	} {
 		table := NewAssignmentTable(dss.DefaultPolicySpace())
-		table.DisableRule5 = c.noRule
+		table.Ablation = c.abl
 
 		const obj pagestore.ObjectID = 7
 		q1 := QueryInfo{Levels: map[pagestore.ObjectID][]int{obj: {3}}, LLow: 1, LHigh: 5, HasRandom: true}
@@ -121,29 +111,29 @@ func TestClassificationRule5(t *testing.T) {
 
 		tag := Tag{Object: obj, Content: Table, Pattern: Random, Level: 4}
 		if got := table.Classify(tag); got != c.shared {
-			t.Errorf("%s: shared-object class = %v, want %v", c.arm, got, c.shared)
+			t.Errorf("ablation %d: shared-object class = %v, want %v", c.abl, got, c.shared)
 		}
 
 		// An object nobody registered uses the tag's own level against
 		// the global bounds: Function(1)(i=4, 1, 5) = n1+3 = 5.
 		other := Tag{Object: 99, Content: Table, Pattern: Random, Level: 4}
 		if got := table.Classify(other); got != dss.Class(5) {
-			t.Errorf("%s: unregistered-object class = %v, want 5", c.arm, got)
+			t.Errorf("ablation %d: unregistered-object class = %v, want 5", c.abl, got)
 		}
 
 		table.Registry.Unregister(q1)
 		table.Registry.Unregister(q2)
 		if got := table.Classify(tag); got != dss.Class(2) {
-			t.Errorf("%s: after unregister: class = %v, want 2", c.arm, got)
+			t.Errorf("ablation %d: after unregister: class = %v, want 2", c.abl, got)
 		}
 	}
 }
 
-// TestLogClassAblation checks the log ablation: with DisableLogClass the
-// WAL traffic degrades to ordinary Rule 4 update treatment.
+// TestLogClassAblation checks the log ablation: under NoLogClass the WAL
+// traffic degrades to ordinary Rule 4 update treatment.
 func TestLogClassAblation(t *testing.T) {
 	table := NewAssignmentTable(dss.DefaultPolicySpace())
-	table.DisableLogClass = true
+	table.Ablation = NoLogClass
 	tag := Tag{Object: 1, Content: Log, Pattern: Sequential}
 	if got := tag.Type(); got != LogRequest {
 		t.Errorf("type = %v, want log (the tag keeps its semantics)", got)

@@ -172,6 +172,32 @@ func RandomPriority(space dss.PolicySpace, i, llow, lhigh int) dss.Class {
 	}
 }
 
+// Ablation names the one piece of classification an experiment arm
+// withholds from the storage system. The zero value withholds nothing.
+type Ablation int
+
+const (
+	// NoAblation withholds nothing: every rule applies.
+	NoAblation Ablation = iota
+	// NoRule5 computes random priorities from the tag's own level and
+	// the registering query's bounds only: the "non-deterministic
+	// priority assignment" the paper warns about.
+	NoRule5
+	// NoTrim sends no TRIM on object deletion or compaction: the legacy
+	// file-system behaviour of Section 4.2.3, where dead blocks stay
+	// cached.
+	NoTrim
+	// NoLogClass delivers WAL traffic as ordinary update traffic (Rule
+	// 4), the way a classification-unaware storage manager would emit it.
+	NoLogClass
+	// NoCompactionClass delivers backend maintenance I/O (flushes,
+	// compactions) as ordinary update traffic (Rule 4): a
+	// classification-unaware storage manager cannot tell a compaction
+	// write from a user update, so it competes with real updates for
+	// write-buffer cache space and rank.
+	NoCompactionClass
+)
+
 // AssignmentTable is the storage manager extension of Figure 1: it turns a
 // request's semantic tag into the QoS policy delivered with the request.
 // It consults the concurrency registry so Rule 5 applies whenever multiple
@@ -179,27 +205,9 @@ func RandomPriority(space dss.PolicySpace, i, llow, lhigh int) dss.Class {
 type AssignmentTable struct {
 	Space    dss.PolicySpace
 	Registry *Registry
-
-	// DisableRule5, when set, computes random priorities from the tag's
-	// own level and the registering query's bounds only — the
-	// "non-deterministic priority assignment" the paper warns about.
-	// Used by the ablation benchmarks.
-	DisableRule5 bool
-
-	// DisableLogClass, when set, strips the log classification: WAL
-	// traffic is delivered as ordinary update traffic (Rule 4), the way a
-	// classification-unaware storage manager would emit it. Used by the
-	// OLTP ablation experiment.
-	DisableLogClass bool
-
-	// DisableCompactionClass, when set, strips the compaction
-	// classification from backend maintenance I/O: flush and compaction
-	// traffic is delivered as ordinary update traffic (Rule 4), the way
-	// a classification-unaware storage manager — which cannot tell a
-	// compaction write from a user update — would emit it. It then
-	// competes with real updates for write-buffer cache space and rank.
-	// Used by the lsm ablation experiment.
-	DisableCompactionClass bool
+	// Ablation is the classification withheld from the storage system,
+	// if any. The storage manager reads it for NoTrim.
+	Ablation Ablation
 }
 
 // NewAssignmentTable builds an assignment table over a fresh registry.
@@ -219,9 +227,9 @@ func NewAssignmentTable(space dss.PolicySpace) *AssignmentTable {
 func (a *AssignmentTable) Classify(tag Tag) dss.Class {
 	switch tag.Type() {
 	case LogRequest:
-		if a.DisableLogClass {
-			// Ablation: log writes are indistinguishable from ordinary
-			// update traffic.
+		if a.Ablation == NoLogClass {
+			// Log writes are indistinguishable from ordinary update
+			// traffic.
 			return dss.ClassWriteBuffer
 		}
 		return dss.ClassLog
@@ -234,7 +242,7 @@ func (a *AssignmentTable) Classify(tag Tag) dss.Class {
 	case RandomRequest:
 		level := tag.Level
 		gllow, glhigh := level, level
-		if a.Registry != nil && !a.DisableRule5 {
+		if a.Registry != nil && a.Ablation != NoRule5 {
 			if min, ok := a.Registry.MinLevel(tag.Object); ok {
 				// Rule 5.2: among concurrent queries the object gets the
 				// highest of all independently determined priorities,
@@ -256,11 +264,11 @@ func (a *AssignmentTable) TrimClass() dss.Class { return a.Space.Eviction() }
 
 // CompactionClass returns the policy attached to storage-backend
 // maintenance I/O (memtable flushes, compaction sweeps): the dedicated
-// compaction band, or — under the DisableCompactionClass ablation — the
+// compaction band, or — under the NoCompactionClass ablation — the
 // write-buffer class a classification-unaware manager would deliver
 // bulk rewrites under.
 func (a *AssignmentTable) CompactionClass() dss.Class {
-	if a.DisableCompactionClass {
+	if a.Ablation == NoCompactionClass {
 		return dss.ClassWriteBuffer
 	}
 	return dss.ClassCompaction

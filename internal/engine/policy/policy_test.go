@@ -203,7 +203,7 @@ func TestClassifyUsesRegistry(t *testing.T) {
 	}
 
 	// With Rule 5 disabled the request falls back to its own level.
-	a.DisableRule5 = true
+	a.Ablation = NoRule5
 	got = a.Classify(Tag{Object: oid, Content: Table, Pattern: Random, Level: 3})
 	if got == dss.Class(a.Space.RandLow) {
 		t.Fatalf("rule 5 disabled but still using registry: %v", got)
@@ -228,32 +228,31 @@ func TestStringers(t *testing.T) {
 // write-buffer class and competes with real updates for cache space.
 func TestMaintenanceClasses(t *testing.T) {
 	for _, c := range []struct {
-		arm       string
-		noClass   bool
+		abl       Ablation
 		want      dss.Class
 		nonCached bool
 	}{
-		{"none", false, dss.ClassCompaction, true},
+		{NoAblation, dss.ClassCompaction, true},
 		// Ablated, compaction must pollute the write buffer, i.e. be
 		// cacheable.
-		{"no-compaction-class", true, dss.ClassWriteBuffer, false},
+		{NoCompactionClass, dss.ClassWriteBuffer, false},
 	} {
 		a := NewAssignmentTable(dss.DefaultPolicySpace())
-		a.DisableCompactionClass = c.noClass
+		a.Ablation = c.abl
 		if got := a.CompactionClass(); got != c.want {
-			t.Errorf("%s: CompactionClass = %v, want %v", c.arm, got, c.want)
+			t.Errorf("ablation %d: CompactionClass = %v, want %v", c.abl, got, c.want)
 		}
 		if got := a.Space.NonCaching(a.CompactionClass()); got != c.nonCached {
-			t.Errorf("%s: compaction class non-caching = %v, want %v", c.arm, got, c.nonCached)
+			t.Errorf("ablation %d: compaction class non-caching = %v, want %v", c.abl, got, c.nonCached)
 		}
 		if got := a.MetaClass(); got != a.Space.Temporary() {
-			t.Errorf("%s: MetaClass = %v, want the pinned temporary priority", c.arm, got)
+			t.Errorf("ablation %d: MetaClass = %v, want the pinned temporary priority", c.abl, got)
 		}
 		if a.Space.NonCaching(a.MetaClass()) {
-			t.Errorf("%s: structure blocks must be cacheable", c.arm)
+			t.Errorf("ablation %d: structure blocks must be cacheable", c.abl)
 		}
 		if got := a.TrimClass(); got != a.Space.Eviction() {
-			t.Errorf("%s: TrimClass = %v", c.arm, got)
+			t.Errorf("ablation %d: TrimClass = %v", c.abl, got)
 		}
 	}
 }

@@ -48,11 +48,6 @@ type Manager struct {
 	storage hybrid.System
 	table   *policy.AssignmentTable
 
-	// DisableTrim suppresses TRIM commands on object deletion — the
-	// legacy-filesystem behaviour of Section 4.2.3, used by the TRIM
-	// ablation benchmark.
-	DisableTrim bool
-
 	mu      sync.Mutex
 	types   map[policy.RequestType]*TypeStats
 	maint   MaintStats
@@ -241,7 +236,7 @@ func (m *Manager) drainMaint(clk *simclock.Clock) {
 			})
 		}
 		var trimmed int64
-		if !m.DisableTrim {
+		if m.table.Ablation != policy.NoTrim {
 			for _, e := range job.Trims {
 				if e.Pages == 0 {
 					continue
@@ -300,7 +295,7 @@ func (m *Manager) DeleteObject(clk *simclock.Clock, id pagestore.ObjectID) error
 	if err != nil {
 		return err
 	}
-	if m.DisableTrim {
+	if m.table.Ablation == policy.NoTrim {
 		// Legacy path: file deletion changes only file-system metadata;
 		// the storage system is never told the blocks are dead.
 		exts = nil

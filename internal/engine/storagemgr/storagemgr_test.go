@@ -105,9 +105,10 @@ func TestBackgroundWriteDoesNotBlock(t *testing.T) {
 // its blocks out of the cache, unless the TRIM ablation withholds the
 // command, in which case the dead blocks stay cached.
 func TestDeleteObjectTrims(t *testing.T) {
-	for _, noTrim := range []bool{false, true} {
+	for _, abl := range []policy.Ablation{policy.NoAblation, policy.NoTrim} {
+		noTrim := abl == policy.NoTrim
 		mgr, store, sys := newMgr(t)
-		mgr.DisableTrim = noTrim
+		mgr.table.Ablation = abl
 		var clk simclock.Clock
 		if err := store.Create(50); err != nil {
 			t.Fatal(err)
@@ -143,7 +144,8 @@ func TestDeleteObjectTrims(t *testing.T) {
 // compactions: the extents a compaction frees are TRIMmed, unless the
 // TRIM ablation withholds the commands.
 func TestCompactionTrims(t *testing.T) {
-	for _, noTrim := range []bool{false, true} {
+	for _, abl := range []policy.Ablation{policy.NoAblation, policy.NoTrim} {
+		noTrim := abl == policy.NoTrim
 		store := lsm.New(lsm.Config{MemtablePages: 4, L0Tables: 2})
 		if err := store.Create(1); err != nil {
 			t.Fatal(err)
@@ -152,8 +154,9 @@ func TestCompactionTrims(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr := New(store, sys, policy.NewAssignmentTable(dss.DefaultPolicySpace()))
-		mgr.DisableTrim = noTrim
+		table := policy.NewAssignmentTable(dss.DefaultPolicySpace())
+		table.Ablation = abl
+		mgr := New(store, sys, table)
 		var clk simclock.Clock
 		tag := policy.Tag{Object: 1, Content: policy.Table}
 		for i := int64(0); i < 32; i++ {

@@ -7,6 +7,7 @@ import (
 
 	"hstoragedb/internal/dss"
 	"hstoragedb/internal/engine"
+	"hstoragedb/internal/engine/policy"
 	"hstoragedb/internal/hybrid"
 )
 
@@ -86,9 +87,9 @@ func (e *Env) queryTime(cfg engine.InstanceConfig, q int) (time.Duration, error)
 // 4.2.3 describes).
 func (e *Env) AblTrim() (Ablation, error) {
 	on := e.ablationConfig(hybrid.HStorage, 0.3)
-	on.CPUPerTuple = 300 * time.Nanosecond
+	on.CPUPerTuple = cpuPerTuple
 	off := on
-	off.DisableTrim = true
+	off.Ablation = policy.NoTrim
 	return ablation("Ablation: TRIM on temp-file deletion (Q18, hStorage-DB)",
 		arm{"trim-on", func() (time.Duration, error) { return e.queryTime(on, 18) }},
 		arm{"trim-off", func() (time.Duration, error) { return e.queryTime(off, 18) }})
@@ -126,9 +127,9 @@ func (e *Env) AblWriteBuffer() (Ablation, error) {
 // non-deterministic priorities. Two real goroutines: the times vary from
 // run to run.
 func (e *Env) AblRule5() (Ablation, error) {
-	streams := func(disable bool) (time.Duration, error) {
+	streams := func(abl policy.Ablation) (time.Duration, error) {
 		cfg := e.ablationConfig(hybrid.HStorage, 0.25)
-		cfg.DisableRule5 = disable
+		cfg.Ablation = abl
 		inst, err := e.DS.DB.NewInstance(cfg)
 		if err != nil {
 			return 0, err
@@ -157,8 +158,8 @@ func (e *Env) AblRule5() (Ablation, error) {
 		return makespan(ends...), nil
 	}
 	return ablation("Ablation: Rule 5 concurrency registry (2 streams of Q9, Q21, Q3, hStorage-DB)",
-		arm{"rule5-on", func() (time.Duration, error) { return streams(false) }},
-		arm{"rule5-off", func() (time.Duration, error) { return streams(true) }})
+		arm{"rule5-on", func() (time.Duration, error) { return streams(policy.NoAblation) }},
+		arm{"rule5-off", func() (time.Duration, error) { return streams(policy.NoRule5) }})
 }
 
 // AblAsyncReadAlloc compares synchronous and asynchronous read

@@ -93,6 +93,10 @@ func (e *Env) bpPages() int {
 	return n
 }
 
+// cpuPerTuple is the simulated per-tuple processing cost of every
+// experiment that charges CPU work.
+const cpuPerTuple = 300 * time.Nanosecond
+
 // baseConfig is the instance every experiment starts from: the mode's
 // storage system with the SSD cache and the buffer pool sized from the
 // dataset, the configured work memory and the CPU cost per tuple.
@@ -105,7 +109,7 @@ func (e *Env) baseConfig(mode hybrid.Mode) engine.InstanceConfig {
 		},
 		BufferPoolPages: e.bpPages(),
 		WorkMem:         e.Cfg.WorkMem,
-		CPUPerTuple:     300 * time.Nanosecond,
+		CPUPerTuple:     cpuPerTuple,
 		Obs:             e.Cfg.Obs,
 	}
 }

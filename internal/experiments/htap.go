@@ -252,7 +252,7 @@ func (e *Env) htapRevenueSweep(sess *engine.Session) (float64, error) {
 		}
 		// Per-tuple processing cost, like the exec layer charges: a
 		// sweep of resident pages is CPU work, not free.
-		sess.Clk.Advance(300 * time.Nanosecond)
+		sess.Clk.Advance(inst.Config().CPUPerTuple)
 		revenue += row[totalCol].F
 	}
 }

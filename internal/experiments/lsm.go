@@ -10,6 +10,7 @@ import (
 
 	"hstoragedb/internal/dss"
 	"hstoragedb/internal/engine"
+	"hstoragedb/internal/engine/policy"
 	"hstoragedb/internal/engine/txn"
 	"hstoragedb/internal/hybrid"
 	"hstoragedb/internal/iosched"
@@ -89,7 +90,7 @@ const (
 type lsmArm struct {
 	name    string
 	backend func() pagestore.Backend // nil = heap
-	noClass bool
+	abl     policy.Ablation
 }
 
 func lsmArms() []lsmArm {
@@ -99,7 +100,7 @@ func lsmArms() []lsmArm {
 	return []lsmArm{
 		{name: "heap"},
 		{name: "lsm", backend: mk},
-		{name: "lsm-nocls", backend: mk, noClass: true},
+		{name: "lsm-nocls", backend: mk, abl: policy.NoCompactionClass},
 	}
 }
 
@@ -121,13 +122,11 @@ func runLSMArm(arm lsmArm, workers, totalTxns int, seed int64, set *obs.Set) (LS
 			// same budget; only the classification differs.
 			Sched: iosched.Config{BackgroundShare: 0.1},
 		},
-		BufferPoolPages:        lsmBPPages,
-		WorkMem:                4096,
-		CPUPerTuple:            300 * time.Nanosecond,
-		WAL:                    oltpWALConfig(),
-		Obs:                    set,
-		Backend:                arm.backend,
-		DisableCompactionClass: arm.noClass,
+		BufferPoolPages: lsmBPPages,
+		CPUPerTuple:     cpuPerTuple,
+		Obs:             set,
+		Backend:         arm.backend,
+		Ablation:        arm.abl,
 	})
 	if err != nil {
 		return run, err

@@ -50,7 +50,9 @@ type OLTPRun struct {
 func (e *Env) RunOLTP(mode hybrid.Mode, txns int, logClass bool) (OLTPRun, error) {
 	run := OLTPRun{Mode: mode, LogClass: logClass}
 	cfg := e.baseConfig(mode)
-	cfg.DisableLogClass = !logClass
+	if !logClass {
+		cfg.Ablation = policy.NoLogClass
+	}
 	rig, err := e.newTxnRig(cfg)
 	if err != nil {
 		return run, err
@@ -90,7 +92,7 @@ func (e *Env) RunOLTP(mode hybrid.Mode, txns int, logClass bool) (OLTPRun, error
 	}
 	rig.sess = rig.inst.NewSession()
 	var rstats *wal.RecoveryStats
-	rig.log, rstats, err = wal.Recover(&rig.sess.Clk, rig.inst.Mgr, oltpWALConfig())
+	rig.log, rstats, err = wal.Recover(&rig.sess.Clk, rig.inst.Mgr, wal.DefaultConfig())
 	if err != nil {
 		return run, err
 	}

@@ -21,18 +21,13 @@ type txnRig struct {
 	tm   *txn.Manager
 }
 
-// oltpWALConfig sizes the log for the experiment scale.
-func oltpWALConfig() wal.Config {
-	return wal.Config{SegmentPages: 256, GroupCommitWindow: 50 * time.Microsecond}
-}
-
 func (e *Env) newTxnRig(cfg engine.InstanceConfig) (*txnRig, error) {
 	inst, err := e.DS.DB.NewInstance(cfg)
 	if err != nil {
 		return nil, err
 	}
 	sess := inst.NewSession()
-	log, err := wal.New(&sess.Clk, inst.Mgr, oltpWALConfig())
+	log, err := wal.New(&sess.Clk, inst.Mgr, wal.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

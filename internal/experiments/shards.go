@@ -68,9 +68,7 @@ func shardsConfig(shards int, set *obs.Set) shard.Config {
 		Shards:          shards,
 		Storage:         hybrid.Config{Mode: hybrid.HStorage, CacheBlocks: shardsCache},
 		BufferPoolPages: shardsBPPages,
-		WorkMem:         4096,
-		CPUPerTuple:     300 * time.Nanosecond,
-		WAL:             oltpWALConfig(),
+		CPUPerTuple:     cpuPerTuple,
 		Obs:             set,
 	}
 }

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"hstoragedb/internal/engine"
+	"hstoragedb/internal/engine/policy"
 	"hstoragedb/internal/engine/txn"
 	"hstoragedb/internal/engine/wal"
 	"hstoragedb/internal/hybrid"
@@ -83,12 +84,10 @@ type Config struct {
 	// Backend, when non-nil, builds each shard's storage backend (one
 	// call per shard). Nil selects the extent heap store.
 	Backend func() pagestore.Backend
-	// DisableCompactionClass strips the compaction classification from
-	// each shard's backend maintenance I/O (the lsm experiment's
-	// ablation arm): flushes and compactions are submitted under the
-	// write-buffer class instead, competing with real updates for
-	// cache space.
-	DisableCompactionClass bool
+	// Ablation withholds one piece of classification from every
+	// shard's storage system (the lsm experiment's
+	// policy.NoCompactionClass arm); the zero value withholds nothing.
+	Ablation policy.Ablation
 }
 
 // Shard is one node of the cluster: a database, a running instance, its
@@ -178,12 +177,12 @@ func New(cfg Config) (*Cluster, error) {
 // fresh WAL) to an existing database.
 func newShardOver(cfg Config, id int, db *engine.Database, recover bool) (*Shard, error) {
 	inst, err := db.NewInstance(engine.InstanceConfig{
-		Storage:                cfg.Storage,
-		BufferPoolPages:        cfg.BufferPoolPages,
-		WorkMem:                cfg.WorkMem,
-		CPUPerTuple:            cfg.CPUPerTuple,
-		DisableCompactionClass: cfg.DisableCompactionClass,
-		Obs:                    shardObs(cfg.Obs, id),
+		Storage:         cfg.Storage,
+		BufferPoolPages: cfg.BufferPoolPages,
+		WorkMem:         cfg.WorkMem,
+		CPUPerTuple:     cfg.CPUPerTuple,
+		Ablation:        cfg.Ablation,
+		Obs:             shardObs(cfg.Obs, id),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", id, err)
