@@ -242,15 +242,15 @@ func (a *AssignmentTable) Classify(tag Tag) dss.Class {
 	case RandomRequest:
 		level := tag.Level
 		gllow, glhigh := level, level
-		if a.Registry != nil && a.Ablation != NoRule5 {
-			if min, ok := a.Registry.MinLevel(tag.Object); ok {
-				// Rule 5.2: among concurrent queries the object gets the
-				// highest of all independently determined priorities,
-				// i.e. the one from the lowest operator level.
-				level = min
+		if a.Registry != nil {
+			if a.Ablation != NoRule5 {
+				if min, ok := a.Registry.MinLevel(tag.Object); ok {
+					// Rule 5.2: among concurrent queries the object gets
+					// the highest of all independently determined
+					// priorities, the lowest operator level's.
+					level = min
+				}
 			}
-			gllow, glhigh = a.Registry.Bounds()
-		} else if a.Registry != nil {
 			gllow, glhigh = a.Registry.Bounds()
 		}
 		return RandomPriority(a.Space, level, gllow, glhigh)
